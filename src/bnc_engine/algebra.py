@@ -32,10 +32,6 @@ class MismatchedAlgebra(ValueError):
     """Operands belong to different algebras."""
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 @dataclass(frozen=True)
 class StructuredAlgebra:
     """Unital algebra with designated basis and rational structure constants.
@@ -112,9 +108,9 @@ class StructuredAlgebra:
             "dim": self.dim,
             "labels": list(self.labels),
             "mult": [
-                [[_frac_str(c) for c in row] for row in mi] for mi in self.mult
+                [[str(c) for c in row] for row in mi] for mi in self.mult
             ],
-            "unit": [_frac_str(c) for c in self.unit],
+            "unit": [str(c) for c in self.unit],
         }
 
     @staticmethod
@@ -216,7 +212,7 @@ class AlgebraElement:
 
     def __str__(self):
         terms = [
-            f"{_frac_str(c)}*{lbl}"
+            f"{c}*{lbl}"
             for c, lbl in zip(self.coeffs, self.parent.labels)
             if c
         ]
@@ -280,9 +276,9 @@ class BBProbSpace:
         return {
             "A": self.A.to_json(),
             "B": self.B.to_json(),
-            "expectation": [[_frac_str(c) for c in row] for row in self.expectation],
-            "left_embed": [[_frac_str(c) for c in row] for row in self.left_embed],
-            "right_embed": [[_frac_str(c) for c in row] for row in self.right_embed],
+            "expectation": [[str(c) for c in row] for row in self.expectation],
+            "left_embed": [[str(c) for c in row] for row in self.left_embed],
+            "right_embed": [[str(c) for c in row] for row in self.right_embed],
         }
 
     @staticmethod
@@ -309,11 +305,13 @@ def expectation_apply(space: BBProbSpace, x: AlgebraElement) -> AlgebraElement:
 
 
 @dataclass
-class AxiomReport:
+class CheckReport:
+    """Named pass/fail claims, with a witness on each failure."""
+
     claims: list[dict] = field(default_factory=list)
 
-    def record(self, name: str, ok: bool, witness=None):
-        entry = {"id": name, "status": "pass" if ok else "fail"}
+    def record(self, claim_id: str, ok: bool, witness=None):
+        entry = {"id": claim_id, "status": "pass" if ok else "fail"}
         if not ok and witness is not None:
             entry["witness"] = witness
         self.claims.append(entry)
@@ -326,9 +324,9 @@ class AxiomReport:
         return {"claims": self.claims, "ok": self.ok}
 
 
-def check_bb_axioms(space: BBProbSpace) -> AxiomReport:
+def check_bb_axioms(space: BBProbSpace) -> CheckReport:
     """Verify the compatibility axioms of (A, E, embeddings); pure report."""
-    rep = AxiomReport()
+    rep = CheckReport()
     A, B = space.A, space.B
     bdim, adim = B.dim, A.dim
 
@@ -431,8 +429,8 @@ class FaceAssignment:
     space: BBProbSpace
     faces: dict[int, dict[str, list[AlgebraElement]]]
 
-    def check(self) -> AxiomReport:
-        rep = AxiomReport()
+    def check(self) -> CheckReport:
+        rep = CheckReport()
         sp = self.space
         B = sp.B
         rbs = [sp.embed_right(B.basis_element(i)) for i in range(B.dim)]

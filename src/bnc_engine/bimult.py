@@ -63,36 +63,51 @@ class MomentContext:
         raise NotImplementedError
 
 
-def _crosses(other: ReduceBlock, j: int) -> bool:
-    if max(other.positions) <= j:
-        return False
-    return other.top or min(other.positions) < j
+def crosses(positions: tuple[int, ...], top: bool, j: int) -> bool:
+    """Whether a string's spine crosses the boundary just above node j.
+
+    It does when the string has a node at or below j and either a node
+    above j or a segment running to the top gap.  positions ascend.
+    """
+    return positions[-1] >= j and (top or positions[0] < j)
 
 
-def _arc_key(other: ReduceBlock, j: int, side: dict[int, str], from_left: bool):
-    """Position of the block's nearest presence on the walk from height j.
+def walk_key(
+    positions: tuple[int, ...],
+    gap_rank: Optional[int],
+    j: int,
+    side: dict[int, str],
+    from_left: bool,
+):
+    """Position of a string's nearest presence on the walk from node j.
 
-    The walk starts at the node's column just above height j, runs up
-    that column, across the top gap, and down the far column.
+    The walk starts at the node's column just above j, runs up that
+    column, across the top gap (where the string sits at gap_rank, or
+    not at all when it is None), and down the far column.  positions
+    ascend.
     """
     same = "l" if from_left else "r"
     keys = []
-    for p in other.positions:
+    for p in positions:
         if p >= j:
-            continue
+            break
         keys.append((0, j - p) if side[p] == same else (2, p))
-    if other.top:
-        keys.append((1, other.gap_rank if from_left else -other.gap_rank))
+    if gap_rank is not None:
+        keys.append((1, gap_rank if from_left else -gap_rank))
     return min(keys)
 
 
 def _case3_target(block: ReduceBlock, blocks, side: dict[int, str]):
     j = block.positions[0]
-    crossing = [w for w in blocks if w is not block and _crosses(w, j)]
+    crossing = [
+        w for w in blocks if w is not block and crosses(w.positions, w.top, j)
+    ]
     if not crossing:
         return None
     from_left = side[j] == "l"
-    w = min(crossing, key=lambda o: _arc_key(o, j, side, from_left))
+    w = min(
+        crossing, key=lambda o: walk_key(o.positions, o.gap_rank, j, side, from_left)
+    )
     later = [p for p in w.positions if p > j]
     if not later:
         return None

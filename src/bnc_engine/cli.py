@@ -17,11 +17,11 @@ import random
 import sys
 from fractions import Fraction
 
-from .algebra import check_bb_axioms
+from .algebra import CheckReport, check_bb_axioms
 from .cumulants import (
     AlgebraMomentContext,
     bifree_moment_check,
-    cumulant_table,
+    kappa_pi,
     moment_cumulant_roundtrip,
     moment_table,
 )
@@ -37,14 +37,13 @@ from .ffb import (
     check_single_colour_moments,
     verify_system_gives_ffb,
 )
-from .fixtures import load_space, load_system, sample_side_element
+from .fixtures import load_space, load_system, sample_side_element, scalar_module
 from .freeprod import (
-    BimoduleWithProjection,
+    FreeMomentContext,
     lr_decompose,
     module_operator,
     reduced_free_product,
 )
-from .linalg import ONE
 from .partitions import (
     CapExceeded,
     ChiMap,
@@ -63,6 +62,13 @@ class CliError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
+
+
+def _require(args, *flags: str):
+    """Refuse a run that lacks a flag its subcommand needs."""
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise CliError(f"--{flag} is required", 2)
 
 
 def _parse_chi(text: str) -> ChiMap:
@@ -106,6 +112,7 @@ def _emit(payload, fmt: str):
 def cmd_enumerate(args) -> int:
     kind = args.what
     if kind == "bnc":
+        _require(args, "chi")
         ctx = build_context(_parse_chi(args.chi))
         parts = enumerate_bnc(ctx)
         payload = {
@@ -115,6 +122,7 @@ def cmd_enumerate(args) -> int:
             "pretty": [p.pretty() for p in parts],
         }
     elif kind == "bncffb":
+        _require(args, "chihat")
         fctx = lr_replacement(_parse_chi(args.chihat))
         parts = enumerate_bnc_ffb(fctx)
         payload = {
@@ -126,6 +134,7 @@ def cmd_enumerate(args) -> int:
             "pretty": [p.pretty() for p in parts],
         }
     else:
+        _require(args, "chi", "eps")
         chi = _parse_chi(args.chi)
         eps = _parse_eps(args.eps)
         fam = enumerate_lr(chi, eps)
@@ -169,10 +178,6 @@ def _sampled_word(space, chi: ChiMap, seed: int):
     ]
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def cmd_tables(args, cumulants: bool) -> int:
     space = load_space(args.fixture)
     rep = check_bb_axioms(space)
@@ -182,20 +187,22 @@ def cmd_tables(args, cumulants: bool) -> int:
     ctx = build_context(chi)
     Z = _sampled_word(space, chi, args.seed)
     mf = AlgebraMomentContext(space)
-    table = (
-        cumulant_table(ctx, Z, mf) if cumulants else moment_table(ctx, Z, mf)
-    )
+    moments = moment_table(ctx, Z, mf)
+    kappas = {
+        pi.rgs: kappa_pi(pi, ctx, Z, mf, moments=moments) for pi in enumerate_bnc(ctx)
+    }
+    table = kappas if cumulants else moments
     payload = {
         "chi": args.chi,
         "fixture": args.fixture,
         "seed": args.seed,
         "kind": "cumulants" if cumulants else "moments",
-        "operands": [[_frac_str(c) for c in z.coeffs] for z in Z],
+        "operands": [[str(c) for c in z.coeffs] for z in Z],
         "entries": [
-            {"pi": list(rgs), "value": [_frac_str(c) for c in val.coeffs]}
+            {"pi": list(rgs), "value": [str(c) for c in val.coeffs]}
             for rgs, val in sorted(table.items())
         ],
-        "roundtrip_ok": moment_cumulant_roundtrip(ctx, Z, mf),
+        "roundtrip_ok": moment_cumulant_roundtrip(ctx, moments, kappas),
     }
     _emit(payload, args.format)
     return 0
@@ -216,6 +223,8 @@ def cmd_verify(args) -> int:
     if what == "bifree":
         return _verify_bifree(args)
     depth = args.depth if args.depth is not None else 2 * args.word_cap
+    if depth < 1:
+        raise CliError("--depth (default 2 * --word-cap) must be at least 1", 2)
     system = load_system(args.fixture, depth)
     if what == "ffb-system":
         rep = check_ffb_system(system, args.word_cap)
@@ -228,30 +237,24 @@ def cmd_verify(args) -> int:
     raise CliError(f"unknown verify target {what!r}", 2)
 
 
+def _scalar_modules(dims: str) -> dict:
+    """One scalar module per colour, from --dims complement dimensions."""
+    return {k: scalar_module(int(t)) for k, t in enumerate(dims.split(","), start=1)}
+
+
+def _random_operator(mod, rng: random.Random):
+    m = [[Fraction(rng.randint(-2, 2)) for _ in range(mod.dim)] for _ in range(mod.dim)]
+    return module_operator(mod, m)
+
+
 def _verify_bifree(args) -> int:
     """Mixed-colour moment criterion on a representation-built family."""
-    from .algebra import algebra_scalars
-
     rng = random.Random(args.seed)
-    B = algebra_scalars()
-    dims = [int(t) for t in args.dims.split(",")]
-    mods = {}
-    for k, osc in enumerate(dims, start=1):
-        dim = 1 + osc
-        ident = tuple(
-            tuple(ONE if i == j else Fraction(0) for j in range(dim))
-            for i in range(dim)
-        )
-        mods[k] = BimoduleWithProjection(
-            B, dim, tuple(f"c{i}" for i in range(dim)), (ident,), (ident,)
-        )
+    mods = _scalar_modules(args.dims)
+    if len(mods) < 2:
+        raise CliError("--dims must list at least two colours", 2)
     fp = reduced_free_product(mods, args.word_cap)
-    from .freeprod import FreeMomentContext
-
     mf = FreeMomentContext(fp)
-    rep = None
-    from .cumulants import CheckReport
-
     rep = CheckReport()
     failures = 0
     for trial in range(args.trials):
@@ -261,14 +264,10 @@ def _verify_bifree(args) -> int:
         if len(set(colours)) < 2:
             colours[0] = 1
             colours[-1] = 2
-        Z = []
-        for s, k in zip(sides, colours):
-            m = [
-                [Fraction(rng.randint(-2, 2)) for _ in range(mods[k].dim)]
-                for _ in range(mods[k].dim)
-            ]
-            op = module_operator(mods[k], m)
-            Z.append((("lam" if s == "l" else "rho", k, op),))
+        Z = [
+            (("lam" if s == "l" else "rho", k, _random_operator(mods[k], rng)),)
+            for s, k in zip(sides, colours)
+        ]
         word_rep = bifree_moment_check(
             ChiMap(tuple(sides)), EpsilonMap(tuple(colours)), Z, mf
         )
@@ -282,24 +281,8 @@ def _verify_bifree(args) -> int:
 
 
 def cmd_verify_decompose(args) -> int:
-    from .cumulants import CheckReport
-    from .freeprod import FreeMomentContext  # noqa: F401
-
     rng = random.Random(args.seed)
-    from .algebra import algebra_scalars
-
-    B = algebra_scalars()
-    dims = [int(t) for t in args.dims.split(",")]
-    mods = {}
-    for k, osc in enumerate(dims, start=1):
-        dim = 1 + osc
-        ident = tuple(
-            tuple(ONE if i == j else Fraction(0) for j in range(dim))
-            for i in range(dim)
-        )
-        mods[k] = BimoduleWithProjection(
-            B, dim, tuple(f"c{i}" for i in range(dim)), (ident,), (ident,)
-        )
+    mods = _scalar_modules(args.dims)
     rep = CheckReport()
     ok_all = True
     for trial in range(args.trials):
@@ -309,11 +292,7 @@ def cmd_verify_decompose(args) -> int:
         for _ in range(n):
             s = rng.choice("lr")
             k = rng.choice(sorted(mods))
-            m = [
-                [Fraction(rng.randint(-2, 2)) for _ in range(mods[k].dim)]
-                for _ in range(mods[k].dim)
-            ]
-            ops.append((s, k, module_operator(mods[k], m)))
+            ops.append((s, k, _random_operator(mods[k], rng)))
         dec = lr_decompose(ops, fp)
         direct = fp.unit()
         for s, k, op in reversed(ops):
@@ -332,6 +311,7 @@ def cmd_verify_decompose(args) -> int:
 
 def cmd_render(args) -> int:
     if args.kind == "bnc":
+        _require(args, "chi", "pi")
         chi = _parse_chi(args.chi)
         pi = _parse_partition(args.pi, chi.n)
         ctx = build_context(chi)
@@ -345,6 +325,7 @@ def cmd_render(args) -> int:
             data = json.loads(args.json)
             diagram = LRDiagram.from_json(data)
         else:
+            _require(args, "chi", "eps")
             chi = _parse_chi(args.chi)
             eps = _parse_eps(args.eps)
             fam = enumerate_lr(chi, eps)

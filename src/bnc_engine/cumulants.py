@@ -7,9 +7,7 @@ them along the bi-non-crossing lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .algebra import AlgebraElement, BBProbSpace
+from .algebra import AlgebraElement, BBProbSpace, CheckReport
 from .bimult import MomentContext, blocks_from_partition, reduce_blocks
 from .partitions import (
     BNCContext,
@@ -135,13 +133,12 @@ def cumulant_table(ctx: BNCContext, Z: list, mf: MomentContext):
     }
 
 
-def moment_cumulant_roundtrip(ctx: BNCContext, Z: list, mf: MomentContext) -> bool:
+def moment_cumulant_roundtrip(ctx: BNCContext, moments: dict, kappas: dict) -> bool:
     """Sum of cumulants below pi re-assembles the pi moment, for every pi."""
-    moments = moment_table(ctx, Z, mf)
-    kappas = cumulant_table(ctx, Z, mf)
-    for pi in enumerate_bnc(ctx):
+    parts = enumerate_bnc(ctx)
+    for pi in parts:
         total = None
-        for sigma in enumerate_bnc(ctx):
+        for sigma in parts:
             if not refines(sigma, pi):
                 continue
             total = (
@@ -152,24 +149,6 @@ def moment_cumulant_roundtrip(ctx: BNCContext, Z: list, mf: MomentContext) -> bo
         if not (total - moments[pi.rgs]).is_zero():
             return False
     return True
-
-
-@dataclass
-class CheckReport:
-    claims: list[dict] = field(default_factory=list)
-
-    def record(self, claim_id: str, ok: bool, witness=None):
-        entry = {"id": claim_id, "status": "pass" if ok else "fail"}
-        if not ok and witness is not None:
-            entry["witness"] = witness
-        self.claims.append(entry)
-
-    @property
-    def ok(self) -> bool:
-        return all(c["status"] == "pass" for c in self.claims)
-
-    def to_json(self):
-        return {"claims": self.claims, "ok": self.ok}
 
 
 def _colour_refines(pi: SetPartition, eps: EpsilonMap) -> bool:

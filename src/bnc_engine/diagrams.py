@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bimult import crosses, walk_key
 from .partitions import (
     CapExceeded,
     ChiMap,
@@ -169,7 +170,8 @@ def lr_k(fam: DiagramFamily, k: int) -> DiagramFamily:
 
 
 def single_cuts(diagram: LRDiagram):
-    """All diagrams obtained by one cut between adjacent ribs.
+    """All diagrams obtained by one cut between adjacent ribs, each with
+    the node of the rib just above the cut.
 
     Cutting between ribs c-1 and c of a string keeps the upper part in
     place (with any top flag) and closes off the lower part.
@@ -182,7 +184,7 @@ def single_cuts(diagram: LRDiagram):
             others = [(s, t) for s, t in diagram.strings if s != nodes]
             new_strings = others + [(upper, top), (lower, False)]
             order = tuple(upper if s == nodes else s for s in diagram.spine_order)
-            yield make_diagram(diagram.chi, diagram.eps, new_strings, order), c
+            yield make_diagram(diagram.chi, diagram.eps, new_strings, order), upper[-1]
 
 
 def lateral_closure(fam: DiagramFamily) -> DiagramFamily:
@@ -223,23 +225,6 @@ def is_realizable(d: LRDiagram) -> bool:
     return d.key() in lat.keys()
 
 
-def _boundary_key(d: LRDiagram, nodes: tuple[int, ...], top: bool, i: int):
-    """Order key of a string crossing the boundary above node i.
-
-    Walk from the left column just above the boundary: ribs above on the
-    left first (lowest first), then top-gap spines left to right, then
-    ribs above on the right (highest first).
-    """
-    keys = []
-    for p in nodes:
-        if p >= i:
-            continue
-        keys.append((0, i - p) if d.chi.side(p) == "l" else (2, p))
-    if top:
-        keys.append((1, d.spine_order.index(nodes) + 1))
-    return min(keys)
-
-
 def restrict(d: LRDiagram, i: int) -> LRDiagram:
     """Restriction to nodes i..n, relabelled to 1..n-i+1.
 
@@ -252,21 +237,19 @@ def restrict(d: LRDiagram, i: int) -> LRDiagram:
     shift = i - 1
     new_chi = ChiMap(d.chi.sides[shift:])
     new_eps = EpsilonMap(d.eps.colours[shift:])
+    side = dict(enumerate(d.chi.sides, start=1))
     strings = []
     crossing = []
     for nodes, top in d.strings:
         piece = tuple(j - shift for j in nodes if j >= i)
         if not piece:
             continue
-        reaches = top or min(nodes) < i
+        reaches = crosses(nodes, top, i)
         strings.append((piece, reaches))
         if reaches:
-            crossing.append((nodes, top, piece))
-    order = []
-    for nodes, top, piece in sorted(
-        crossing, key=lambda e: _boundary_key(d, e[0], e[1], i)
-    ):
-        order.append(piece)
+            rank = d.spine_order.index(nodes) + 1 if top else None
+            crossing.append((walk_key(nodes, rank, i, side, True), piece))
+    order = [piece for _, piece in sorted(crossing, key=lambda e: e[0])]
     return make_diagram(new_chi, new_eps, strings, order)
 
 
@@ -297,23 +280,9 @@ def chi_extensions(
     frontier = list(seeds)
     while frontier:
         d = frontier.pop()
-        for cut in _cuts_above(d, i):
-            if cut.key() not in seen:
+        for cut, upper in single_cuts(d):
+            if upper < i and cut.key() not in seen:
                 seen[cut.key()] = cut
                 frontier.append(cut)
     return full.with_diagrams(seen.values(), "lateral")
 
-
-def _cuts_above(d: LRDiagram, i: int):
-    """Single cuts whose upper rib is a node strictly above position i."""
-    for nodes, top in d.strings:
-        if len(nodes) < 2:
-            continue
-        for c in range(1, len(nodes)):
-            if nodes[c - 1] >= i:
-                continue
-            upper, lower = nodes[:c], nodes[c:]
-            others = [(s, t) for s, t in d.strings if s != nodes]
-            new_strings = others + [(upper, top), (lower, False)]
-            order = tuple(upper if s == nodes else s for s in d.spine_order)
-            yield make_diagram(d.chi, d.eps, new_strings, order)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
 
-from .algebra import AlgebraElement, BBProbSpace, FaceAssignment
-from .cumulants import CheckReport, kappa_pi
+from .algebra import AlgebraElement, BBProbSpace, CheckReport, FaceAssignment
+from .cumulants import kappa_pi
 from .diagrams import chi_extensions, enumerate_lr, filter_boolean, lateral_closure
 from .freeprod import (
     BimoduleWithProjection,
@@ -33,7 +33,7 @@ from .freeprod import (
     module_operator,
     reduced_free_product,
 )
-from .linalg import Mat, ONE, ZERO, mat_zero
+from .linalg import ONE, block_matrix, identity
 from .partitions import ChiMap, EpsilonMap, SetPartition, build_context, lr_replacement
 
 
@@ -61,10 +61,7 @@ class FfbFamily:
     faces: dict[int, dict[str, list[AlgebraElement]]]
 
     def check(self) -> CheckReport:
-        rep = FaceAssignment(self.space, self.faces).check()
-        out = CheckReport()
-        out.claims.extend(rep.claims)
-        return out
+        return FaceAssignment(self.space, self.faces).check()
 
 
 @dataclass
@@ -95,16 +92,6 @@ class FfbSystem:
         return self.fp.p(apply_chain(self.fp, chain, self.fp.unit()))
 
 
-def _block_matrix(dim: int, blocks) -> Mat:
-    out = mat_zero(2 * dim, 2 * dim)
-    for (bi, bj), m in blocks.items():
-        for r in range(dim):
-            for c in range(dim):
-                if m[r][c]:
-                    out[bi * dim + r][bj * dim + c] = m[r][c]
-    return out
-
-
 def embed_ffb_family(fam: FfbFamily, depth: int) -> FfbSystem:
     """The doubled-module construction over the family's base space."""
     space = fam.space
@@ -113,17 +100,16 @@ def embed_ffb_family(fam: FfbFamily, depth: int) -> FfbSystem:
     dim = module.dim
     colours = sorted(fam.faces)
     fp = reduced_free_product({k: dbl for k in colours}, depth)
-    ident = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
 
     def diag_op(z: AlgebraElement, side: str) -> ModuleOperator:
         th = theta.matrix(z)
-        return module_operator(dbl, _block_matrix(dim, {(0, 0): th, (1, 1): th}), side)
+        return module_operator(dbl, block_matrix(dim, {(0, 0): th, (1, 1): th}), side)
 
     def mult_shift_op(z: AlgebraElement) -> ModuleOperator:
         th = theta.matrix(z)
-        return module_operator(dbl, _block_matrix(dim, {(0, 1): th}), "l")
+        return module_operator(dbl, block_matrix(dim, {(0, 1): th}), "l")
 
-    shift = module_operator(dbl, _block_matrix(dim, {(1, 0): ident}), "l")
+    shift = module_operator(dbl, block_matrix(dim, {(1, 0): identity(dim)}), "l")
     if not shift.commutes_with_side("r"):
         raise ValueError("shift operator must be two-sided")
 
@@ -266,34 +252,39 @@ def check_ffb_system(
     return rep
 
 
+def _word_sweep(sys: FfbSystem, word_cap: int, colours):
+    """(shape, colours, pools) for every word of 1..word_cap letters.
+
+    Shapes run over 'l', 'r', 'b' and colour tuples over the given
+    colours, in lexicographic order, shape before colours; pools lists
+    each letter's handles, and words with an empty pool are skipped.
+    """
+    faces = {"l": sys.faces_l, "r": sys.faces_r, "b": sys.bool_handles}
+    for n in range(1, word_cap + 1):
+        for shape in iproduct("lrb", repeat=n):
+            for eps in iproduct(colours, repeat=n):
+                pools = [faces[s][k] for s, k in zip(shape, eps)]
+                if all(pools):
+                    yield shape, eps, pools
+
+
 def check_single_colour_moments(sys: FfbSystem, word_cap: int) -> CheckReport:
     """Joint moments of one colour's images match the base space."""
     rep = CheckReport()
     for k in sys.colours():
-        pools = {
-            "l": sys.faces_l[k],
-            "r": sys.faces_r[k],
-            "b": sys.bool_handles[k],
-        }
         wit = None
         count = 0
-        for n in range(1, word_cap + 1):
-            for shape in iproduct("lrb", repeat=n):
-                if any(not pools[s] for s in shape):
-                    continue
-                for handles in iproduct(*(pools[s] for s in shape)):
-                    count += 1
-                    lhs = sys.expect_word(handles)
-                    word = [h.source for h in handles]
-                    rhs = sys.base.expect_word(word)
-                    if not (lhs - rhs).is_zero():
-                        wit = {
-                            "word": [h.label for h in handles],
-                            "lhs": str(lhs),
-                            "rhs": str(rhs),
-                        }
-                        break
-                if wit:
+        for _, _, pools in _word_sweep(sys, word_cap, (k,)):
+            for handles in iproduct(*pools):
+                count += 1
+                lhs = sys.expect_word(handles)
+                rhs = sys.base.expect_word([h.source for h in handles])
+                if not (lhs - rhs).is_zero():
+                    wit = {
+                        "word": [h.label for h in handles],
+                        "lhs": str(lhs),
+                        "rhs": str(rhs),
+                    }
                     break
             if wit:
                 break
@@ -335,37 +326,24 @@ def check_ffb_independence(sys: FfbSystem, word_cap: int) -> CheckReport:
     """
     rep = CheckReport()
     rfp = _rep_fp(sys, word_cap)
-    colours = sys.colours()
     failures = []
     count = 0
-    for n in range(1, word_cap + 1):
-        for shape in iproduct("lrb", repeat=n):
-            for eps in iproduct(colours, repeat=n):
-                pools = []
-                for s, k in zip(shape, eps):
-                    pool = {
-                        "l": sys.faces_l,
-                        "r": sys.faces_r,
-                        "b": sys.bool_handles,
-                    }[s][k]
-                    pools.append(pool)
-                if any(not p for p in pools):
-                    continue
-                for handles in iproduct(*pools):
-                    count += 1
-                    lhs = sys.expect_word(handles)
-                    chain = _mu_tilde_chain(sys, shape, handles)
-                    rhs = rfp.p(apply_chain(rfp, chain, rfp.unit()))
-                    if not (lhs - rhs).is_zero():
-                        failures.append(
-                            {
-                                "word": [h.label for h in handles],
-                                "shape": "".join(shape),
-                                "colours": list(eps),
-                                "lhs": str(lhs),
-                                "rhs": str(rhs),
-                            }
-                        )
+    for shape, eps, pools in _word_sweep(sys, word_cap, sys.colours()):
+        for handles in iproduct(*pools):
+            count += 1
+            lhs = sys.expect_word(handles)
+            chain = _mu_tilde_chain(sys, shape, handles)
+            rhs = rfp.p(apply_chain(rfp, chain, rfp.unit()))
+            if not (lhs - rhs).is_zero():
+                failures.append(
+                    {
+                        "word": [h.label for h in handles],
+                        "shape": "".join(shape),
+                        "colours": list(eps),
+                        "lhs": str(lhs),
+                        "rhs": str(rhs),
+                    }
+                )
     for f in failures[:10]:
         rep.record(f"word-{f['shape']}-{f['word']}", False, witness=f)
     rep.record(
@@ -385,35 +363,17 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
     and stay inside the predicted extension families.
     """
     rep = CheckReport()
-    fp = sys.fp
-    colours = sys.colours()
     ext_cache: dict = {}
     kappa_checked = 0
     mismatch = []
-    for n in range(1, word_cap + 1):
-        for shape in iproduct("lrb", repeat=n):
-            chi_hat = ChiMap(tuple(shape), three_letter="b" in shape)
-            fctx = lr_replacement(chi_hat)
-            for eps_hat in iproduct(colours, repeat=n):
-                pools = []
-                for s, k in zip(shape, eps_hat):
-                    pools.append(
-                        {
-                            "l": sys.faces_l,
-                            "r": sys.faces_r,
-                            "b": sys.bool_handles,
-                        }[s][k]
-                    )
-                if any(not p for p in pools):
-                    continue
-                eps = fctx.expand_colours(EpsilonMap(tuple(eps_hat)))
-                for handles in iproduct(*pools):
-                    ok, info = _pipeline_word(
-                        sys, fctx, eps, shape, handles, ext_cache
-                    )
-                    if not ok:
-                        mismatch.append(info)
-                kappa_checked += 1
+    for shape, eps_hat, pools in _word_sweep(sys, word_cap, sys.colours()):
+        fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
+        eps = fctx.expand_colours(EpsilonMap(eps_hat))
+        for handles in iproduct(*pools):
+            ok, info = _pipeline_word(sys, fctx, eps, shape, handles, ext_cache)
+            if not ok:
+                mismatch.append(info)
+        kappa_checked += 1
     for f in mismatch[:10]:
         rep.record(f"pipeline-{f['stage']}", False, witness=f)
     rep.record(
@@ -442,7 +402,6 @@ def _pipeline_word(sys, fctx, eps, shape, handles, ext_cache):
         else:
             split_ops.append((s, k, h.module_op))
             pos += 1
-    m = len(split_ops)
     # word splitting: the handle chains concatenate to the split word
     direct_chain = tuple(atom for h in handles for atom in h.chain)
     split_chain = tuple(

@@ -19,7 +19,21 @@ from .algebra import (
     algebra_scalars,
 )
 from .ffb import FfbFamily, FfbSystem, embed_ffb_family
-from .linalg import ONE, ZERO
+from .freeprod import BimoduleWithProjection
+from .linalg import ONE, ZERO, identity
+
+SCALARS = algebra_scalars()
+
+
+def scalar_module(osc: int) -> BimoduleWithProjection:
+    """Module over SCALARS with an osc-dimensional complement; B acts by
+    the identity on both sides.  Modules built here share their base
+    algebra, so any of them combine in one free product."""
+    dim = 1 + osc
+    ident = tuple(map(tuple, identity(dim)))
+    return BimoduleWithProjection(
+        SCALARS, dim, tuple(f"c{i}" for i in range(dim)), (ident,), (ident,)
+    )
 
 
 def space_scalar() -> BBProbSpace:

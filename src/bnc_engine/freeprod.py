@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .algebra import AlgebraElement, AxiomReport, BBProbSpace, StructuredAlgebra
+from .algebra import AlgebraElement, BBProbSpace, CheckReport, StructuredAlgebra
 from .bimult import MomentContext, ReduceBlock, reduce_blocks
 from .diagrams import LRDiagram, make_diagram
 from .linalg import (
@@ -31,10 +31,11 @@ from .linalg import (
     RowSpace,
     Vec,
     ZERO,
+    block_matrix,
     identity,
+    mat_combination,
     mat_mul,
     mat_vec,
-    mat_zero,
     nullspace,
     unit_vec,
     zeros,
@@ -75,10 +76,10 @@ class BimoduleWithProjection:
         return vec[self.B.dim :]
 
     def left_matrix(self, b: AlgebraElement) -> Mat:
-        return _combine(self.left_action, b, self.dim)
+        return mat_combination(b.coeffs, self.left_action)
 
     def right_matrix(self, b: AlgebraElement) -> Mat:
-        return _combine(self.right_action, b, self.dim)
+        return mat_combination(b.coeffs, self.right_action)
 
     def osc_left(self, i: int) -> Mat:
         d = self.B.dim
@@ -88,8 +89,8 @@ class BimoduleWithProjection:
         d = self.B.dim
         return [row[d:] for row in self.right_action[i][d:]]
 
-    def check(self) -> AxiomReport:
-        rep = AxiomReport()
+    def check(self) -> CheckReport:
+        rep = CheckReport()
         B, d = self.B, self.dim
         one = B.one()
         rep.record(
@@ -145,21 +146,6 @@ class BimoduleWithProjection:
         return rep
 
 
-def _combine(mats: tuple[Mat, ...], b: AlgebraElement, dim: int) -> Mat:
-    out = mat_zero(dim, dim)
-    for i, c in enumerate(b.coeffs):
-        if not c:
-            continue
-        m = mats[i]
-        for r in range(dim):
-            row = m[r]
-            orow = out[r]
-            for s in range(dim):
-                if row[s]:
-                    orow[s] += c * row[s]
-    return out
-
-
 @dataclass(frozen=True)
 class ModuleOperator:
     mod: BimoduleWithProjection
@@ -198,16 +184,7 @@ class Theta:
         self._basis = basis_mats
 
     def matrix(self, elem: AlgebraElement) -> Mat:
-        out = mat_zero(self.mod.dim, self.mod.dim)
-        for i, c in enumerate(elem.coeffs):
-            if not c:
-                continue
-            m = self._basis[i]
-            for r in range(self.mod.dim):
-                for s in range(self.mod.dim):
-                    if m[r][s]:
-                        out[r][s] += c * m[r][s]
-        return out
+        return mat_combination(elem.coeffs, self._basis)
 
     def operator(self, elem: AlgebraElement, side=None) -> ModuleOperator:
         return module_operator(self.mod, self.matrix(elem), side)
@@ -275,53 +252,30 @@ def build_bimodule_from_space(space: BBProbSpace):
     labels = tuple(f"b{i}" for i in range(B.dim)) + tuple(
         f"q{j}" for j in range(osc)
     )
-    left = tuple(
-        tuple(tuple(row) for row in basis_mats_for(space, basis_mats, "l", i))
-        for i in range(B.dim)
+
+    def action(embed) -> tuple[Mat, ...]:
+        return tuple(
+            tuple(tuple(row) for row in mat_combination(embed(b).coeffs, basis_mats))
+            for b in map(B.basis_element, range(B.dim))
+        )
+
+    mod = BimoduleWithProjection(
+        B, dim, labels, action(space.embed_left), action(space.embed_right)
     )
-    right = tuple(
-        tuple(tuple(row) for row in basis_mats_for(space, basis_mats, "r", i))
-        for i in range(B.dim)
-    )
-    mod = BimoduleWithProjection(B, dim, labels, left, right)
     theta = Theta(space, mod, [tuple(tuple(r) for r in m) for m in basis_mats])
     return mod, theta
-
-
-def basis_mats_for(space, basis_mats, side, i):
-    emb = space.embed_left if side == "l" else space.embed_right
-    elem = emb(space.B.basis_element(i))
-    dim = len(basis_mats[0])
-    out = mat_zero(dim, dim)
-    for t, c in enumerate(elem.coeffs):
-        if not c:
-            continue
-        m = basis_mats[t]
-        for r in range(dim):
-            for s in range(dim):
-                if m[r][s]:
-                    out[r][s] += c * m[r][s]
-    return out
 
 
 def doubled_bimodule(x: BimoduleWithProjection) -> BimoduleWithProjection:
     """Direct sum of the module with itself; only the first copy's base
     block stays designated, so the complement grows by a full copy."""
-    d, nb = x.dim, x.B.dim
-
-    def doubled(m: Mat) -> Mat:
-        out = mat_zero(2 * d, 2 * d)
-        for r in range(d):
-            for c in range(d):
-                if m[r][c]:
-                    out[r][c] = m[r][c]
-                    out[d + r][d + c] = m[r][c]
-        return out
-
-    # reorder so the second copy's coordinates follow the first whole copy;
-    # base block stays at the front.
-    left = tuple(tuple(tuple(r) for r in doubled(m)) for m in x.left_action)
-    right = tuple(tuple(tuple(r) for r in doubled(m)) for m in x.right_action)
+    d = x.dim
+    # the second copy's coordinates follow the whole first copy, so the
+    # base block stays at the front
+    left, right = (
+        tuple(tuple(map(tuple, block_matrix(d, {(0, 0): m, (1, 1): m}))) for m in mats)
+        for mats in (x.left_action, x.right_action)
+    )
     labels = tuple(f"1:{s}" for s in x.labels) + tuple(f"2:{s}" for s in x.labels)
     return BimoduleWithProjection(x.B, 2 * d, labels, left, right)
 
@@ -496,11 +450,7 @@ class TruncatedFreeProduct:
             for idx in sorted(vec[seq]):
                 c = vec[seq][idx]
                 label = self.word_label(seq, idx) if seq else f"B[{idx}]"
-                out[label] = (
-                    f"{c.numerator}/{c.denominator}"
-                    if c.denominator != 1
-                    else str(c.numerator)
-                )
+                out[label] = str(c)
         return out
 
     def describe(self) -> dict:
@@ -550,21 +500,8 @@ class TruncatedFreeProduct:
         """Multiply a plain word by b through its first or last leg."""
         k = seq[0] if first else seq[-1]
         comp = self.components[k]
-        mats = comp.osc_left if left else comp.osc_right
-        mat = None
-        for i, c in enumerate(b.coeffs):
-            if not c:
-                continue
-            m = mats(i)
-            if mat is None:
-                mat = [[c * x for x in row] for row in m]
-            else:
-                for r, row in enumerate(m):
-                    for s, x in enumerate(row):
-                        if x:
-                            mat[r][s] += c * x
-        if mat is None:
-            return {}
+        osc = comp.osc_left if left else comp.osc_right
+        mat = mat_combination(b.coeffs, [osc(i) for i in range(self.B.dim)])
         ws = self.wordspaces[seq]
         d_edge = ws.osc_dims[0] if first else ws.osc_dims[-1]
         stride = ws.strides()[0] if first else 1
@@ -755,12 +692,6 @@ def reduced_free_product(
     components: dict[int, BimoduleWithProjection], depth: int
 ) -> TruncatedFreeProduct:
     return TruncatedFreeProduct(components, depth)
-
-
-def boolean_projection(fp: TruncatedFreeProduct, k: int):
-    """The projection onto B plus the depth-one words of colour k, as a
-    reusable chain atom."""
-    return ("proj", k, None)
 
 
 # --- operator chains ------------------------------------------------------

@@ -8,7 +8,7 @@ place unless the name says so.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -37,10 +37,6 @@ def unit_vec(n: int, i: int) -> Vec:
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return [a + b for a, b in zip(u, v, strict=True)]
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return [a - b for a, b in zip(u, v, strict=True)]
 
 
 def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vec:
@@ -79,20 +75,30 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return out
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [vec_add(x, y) for x, y in zip(a, b, strict=True)]
+def mat_combination(coeffs: Sequence[Fraction], mats: Sequence[Mat]) -> Mat:
+    """The sum of coeffs[i] * mats[i], for square matrices of one size."""
+    dim = len(mats[0])
+    out = mat_zero(dim, dim)
+    for c, m in zip(coeffs, mats, strict=True):
+        if not c:
+            continue
+        for orow, row in zip(out, m):
+            for s, x in enumerate(row):
+                if x:
+                    orow[s] += c * x
+    return out
 
 
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [vec_sub(x, y) for x, y in zip(a, b, strict=True)]
-
-
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return all(x == y for x, y in zip(a, b, strict=True))
-
-
-def transpose(m: Mat) -> Mat:
-    return [list(col) for col in zip(*m)] if m else []
+def block_matrix(dim: int, blocks: dict[tuple[int, int], Mat]) -> Mat:
+    """Two-by-two block matrix with dim x dim blocks keyed by (block row,
+    block column); absent blocks are zero."""
+    out = mat_zero(2 * dim, 2 * dim)
+    for (bi, bj), m in blocks.items():
+        for r in range(dim):
+            for c in range(dim):
+                if m[r][c]:
+                    out[bi * dim + r][bj * dim + c] = m[r][c]
+    return out
 
 
 class RowSpace:
@@ -148,13 +154,6 @@ class RowSpace:
         """Coordinate indices forming a basis of a complement of the span."""
         piv = set(self.pivots)
         return [j for j in range(self.width) if j not in piv]
-
-
-def span_basis(vectors: Iterable[Sequence[Fraction]], width: int) -> RowSpace:
-    rs = RowSpace(width)
-    for v in vectors:
-        rs.add(v)
-    return rs
 
 
 def nullspace(m: Mat, cols: int) -> Mat:

@@ -129,9 +129,6 @@ class SetPartition:
             out[b].append(i + 1)
         return [tuple(b) for b in out]
 
-    def block_of(self, i: int) -> int:
-        return self.rgs[i - 1]
-
     def same_block(self, i: int, j: int) -> bool:
         return self.rgs[i - 1] == self.rgs[j - 1]
 
@@ -227,10 +224,6 @@ class BNCContext:
     @property
     def n(self) -> int:
         return self.chi.n
-
-    def precedes(self, a: int, b: int) -> bool:
-        """The induced total order on original indices."""
-        return self.rank[a - 1] < self.rank[b - 1]
 
     def relabel(self, pi: SetPartition) -> SetPartition:
         return pi.relabel(list(self.s_chi))
@@ -424,15 +417,6 @@ def _blocks_cross(a: list[int], b: list[int]) -> bool:
     return False
 
 
-def interval(pi: SetPartition, sigma: SetPartition, ctx: BNCContext):
-    """All bi-non-crossing tau with pi <= tau <= sigma."""
-    return [
-        tau
-        for tau in enumerate_bnc(ctx, cap=max(ctx.n, enumeration_cap()))
-        if refines(pi, tau) and refines(tau, sigma)
-    ]
-
-
 _mu_full_cache: dict[tuple[int, ...], int] = {}
 _mu_pair_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
@@ -584,9 +568,7 @@ def lr_replacement(chi_hat: ChiMap) -> FfbContext:
         else:
             sides.append(s)
     n = len(sides)
-    labels = list(range(n))
     blocks: list[list[int]] = []
-    pos = 0
     for i in range(1, chi_hat.n + 1):
         if chi_hat.side(i) == "b":
             blocks.append([f[i - 1], f[i - 1] + 1])

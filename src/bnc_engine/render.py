@@ -8,6 +8,7 @@ to their nodes, and top-gap spines continue through the upper edge.
 
 from __future__ import annotations
 
+from .bimult import crosses
 from .diagrams import LRDiagram
 from .partitions import ChiMap, SetPartition
 
@@ -23,13 +24,7 @@ def _node_y(i: int, n: int) -> float:
 def _spine_depth(members: tuple[int, ...], others) -> int:
     """How many other strings' spines pass this one's top node."""
     j = min(members)
-    depth = 0
-    for nodes, top in others:
-        if nodes == members:
-            continue
-        if max(nodes) > j and (top or min(nodes) < j):
-            depth += 1
-    return depth
+    return sum(1 for nodes, top in others if nodes != members and crosses(nodes, top, j))
 
 
 def _spine_x(members: tuple[int, ...], side: str, depth: int) -> float:

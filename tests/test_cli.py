@@ -1,4 +1,8 @@
+import hashlib
 import json
+import shlex
+
+import pytest
 
 from bnc_engine.cli import main
 
@@ -210,3 +214,58 @@ def test_verify_depth_flag(capsys):
         "--word-cap", "2", "--depth", "5",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("enumerate bnc", "--chi"),
+        ("enumerate lr --chi lr", "--eps"),
+        ("render --kind bnc --chi lr", "--pi"),
+        ("verify bifree --dims 2", "--dims"),
+        ("verify ffb-system --word-cap 0", "--word-cap"),
+    ],
+)
+def test_malformed_invocation_names_its_flag(capsys, command, flag):
+    code, out, err = run(capsys, *shlex.split(command))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+
+
+# sha256 of stdout and the exit code of each README command that runs in
+# well under a second; any change to the output bytes shows up here.
+README_OUTPUTS = [
+    ("enumerate bnc --chi lrlllr",
+     "8ea1c0b32034cd495309b422157cda4fba2c7f14b836a6cac12e3e9d5e5e563f", 0),
+    ("enumerate lr --chi lrl --eps 1,1,2",
+     "1892efcb4a80f58e1e09afc1ead4fdb40a03445034cf53f720405132d824b058", 0),
+    ("enumerate lrlat --chi llll --eps 1,2,1,2",
+     "fff4bf803d31be1a17186eff103d926bb5790d77229e8162e3192a116a8942a8", 0),
+    ("enumerate bncffb --chihat rbl",
+     "d11b227220c87eb0fae3a913b376ead39fd1a53d1cc05806b9f512da27740f5e", 0),
+    ("mobius --chi ll --pi 0,1 --sigma 0,0",
+     "3597d91730092b113236c412a0cc42305d1079a24a000c0d080cfa19a7cf15a2", 0),
+    ("moments --chi lrl --fixture diag2 --seed 3",
+     "fedc6704029daff9959c300a34ba91be38ca23eae15e9b3dd14dfa298cb8a888", 0),
+    ("cumulants --chi ll --fixture m2-scalar --seed 7",
+     "f603980c8eb81e22dc14240bc336d4c0b3d13fea4eda0dc25f2c1aab1bd61029", 0),
+    ("verify bb-axioms --fixture diag2",
+     "7552b6cfc111f78dc35d5fa0f6f5aaf7cbd5c5914753372884c164e8824b7ba5", 0),
+    ("verify bifree --trials 10 --word-cap 4 --seed 2",
+     "a3f04668826da6af7a2f7c43299924f50887fe5638ca2e3164ea54f20417ecda", 0),
+    ("verify lr-decompose --seed 5 --trials 10 --max-n 4",
+     "ce0899189e80f0ab57c0b5888c79ab31673c7478463fd3fee0c8f2808afa3ca5", 0),
+    ('render --kind bnc --chi lrlllr --pi "{1,2,5,6},{3,4}" --standalone',
+     "63f42fb9ee1cd30bee0f6cdbae8eb3dbd48e7e882a82ae41025fa509047cc368", 0),
+    ("render --kind lr --chi lrl --eps 1,1,2 --index 7 --format dot",
+     "5f71da301fbb44e67bb6ff354c12b2d0698ffa10592370218e6c35dd7680c70c", 0),
+]
+
+
+@pytest.mark.parametrize("command, digest, exit_code", README_OUTPUTS)
+def test_readme_command_output_bytes(capsys, command, digest, exit_code):
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from bnc_engine.algebra import algebra_scalars
 from bnc_engine.cumulants import (
     AlgebraMomentContext,
     ColouringError,
@@ -17,9 +16,13 @@ from bnc_engine.cumulants import (
     moment_cumulant_roundtrip,
     moment_table,
 )
-from bnc_engine.fixtures import sample_side_element, space_diag2, space_m2_scalar
+from bnc_engine.fixtures import (
+    sample_side_element,
+    scalar_module,
+    space_diag2,
+    space_m2_scalar,
+)
 from bnc_engine.freeprod import (
-    BimoduleWithProjection,
     FreeMomentContext,
     module_operator,
     reduced_free_product,
@@ -88,7 +91,9 @@ def test_roundtrip_random_words():
             chi = ChiMap(tuple(RNG.choice("lr") for _ in range(n)))
             ctx = build_context(chi)
             Z = [rand_elem() for _ in range(n)]
-            assert moment_cumulant_roundtrip(ctx, Z, MF)
+            moments = moment_table(ctx, Z, MF)
+            kappas = cumulant_table(ctx, Z, MF)
+            assert moment_cumulant_roundtrip(ctx, moments, kappas)
 
 
 def test_reduction_order_independence():
@@ -117,16 +122,11 @@ def test_diag2_moment_tables():
     moments = moment_table(ctx, Z, mfd)
     kappas = cumulant_table(ctx, Z, mfd)
     assert set(moments) == set(kappas)
-    assert moment_cumulant_roundtrip(ctx, Z, mfd)
+    assert moment_cumulant_roundtrip(ctx, moments, kappas)
 
 
 def _free_family(word_cap=4):
-    B = algebra_scalars()
-    ident2 = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(3))
-        for i in range(3)
-    )
-    mod = BimoduleWithProjection(B, 3, ("b", "x", "y"), (ident2,), (ident2,))
+    mod = scalar_module(2)
     fp = reduced_free_product({1: mod, 2: mod}, word_cap)
     return fp, mod
 

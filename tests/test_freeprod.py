@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from bnc_engine.algebra import algebra_scalars
 from bnc_engine.diagrams import enumerate_lr, lateral_closure, make_diagram
-from bnc_engine.fixtures import space_diag2, space_m2_scalar, space_scalar
+from bnc_engine.fixtures import (
+    SCALARS,
+    scalar_module,
+    space_diag2,
+    space_m2_scalar,
+    space_scalar,
+)
 from bnc_engine.freeprod import (
     BimoduleWithProjection,
     DepthExceeded,
@@ -20,18 +25,7 @@ from bnc_engine.freeprod import (
 from bnc_engine.linalg import ONE, ZERO, mat_mul, mat_vec
 from bnc_engine.partitions import ChiMap, EpsilonMap
 
-B = algebra_scalars()
 RNG = random.Random(11)
-
-
-def scalar_module(osc: int) -> BimoduleWithProjection:
-    dim = 1 + osc
-    ident = tuple(
-        tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)
-    )
-    return BimoduleWithProjection(
-        B, dim, tuple(f"c{i}" for i in range(dim)), (ident,), (ident,)
-    )
 
 
 def rand_op(mod, rng=RNG):
@@ -100,7 +94,7 @@ def test_alternating_word_basis_count():
 def test_depth_zero_is_base_algebra():
     fp = reduced_free_product({1: scalar_module(2)}, 0)
     assert fp.wordspaces == {}
-    assert fp.p(fp.unit()).coeffs == B.unit
+    assert fp.p(fp.unit()).coeffs == SCALARS.unit
 
 
 def test_tensor_legs_with_mismatched_idempotents_vanish():
