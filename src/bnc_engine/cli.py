@@ -71,6 +71,12 @@ def _require(args, *flags: str):
             raise CliError(f"--{flag} is required", 2)
 
 
+def _at_least(args, flag: str, low: int):
+    """Refuse a run whose integer flag is below the least usable value."""
+    if getattr(args, flag.replace("-", "_")) < low:
+        raise CliError(f"--{flag} must be at least {low}", 2)
+
+
 def _parse_chi(text: str) -> ChiMap:
     try:
         return ChiMap.parse(text)
@@ -249,6 +255,8 @@ def _random_operator(mod, rng: random.Random):
 
 def _verify_bifree(args) -> int:
     """Mixed-colour moment criterion on a representation-built family."""
+    _at_least(args, "word-cap", 2)
+    _at_least(args, "trials", 1)
     rng = random.Random(args.seed)
     mods = _scalar_modules(args.dims)
     if len(mods) < 2:
@@ -281,6 +289,8 @@ def _verify_bifree(args) -> int:
 
 
 def cmd_verify_decompose(args) -> int:
+    _at_least(args, "max-n", 1)
+    _at_least(args, "trials", 1)
     rng = random.Random(args.seed)
     mods = _scalar_modules(args.dims)
     rep = CheckReport()

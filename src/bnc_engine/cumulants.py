@@ -20,8 +20,8 @@ from .partitions import (
     build_context,
     enumerate_bnc,
     in_bnc_ffb,
+    interval_below,
     is_bnc,
-    mobius_fast,
     refines,
 )
 
@@ -112,17 +112,20 @@ def kappa_pi(
     """Cumulant: moments weighted by the lattice's incidence inverse."""
     if not is_bnc(pi, ctx):
         raise NotBNC(f"{pi} not bi-non-crossing for {ctx.chi}")
-    below = [s for s in enumerate_bnc(ctx) if refines(s, pi)]
+    below = interval_below(pi, ctx)
     if moments is None:
-        moments = moment_table(ctx, Z, mf, partitions=below)
+        parts = [SetPartition(rgs) for rgs, _ in below]
+        moments = moment_table(ctx, Z, mf, partitions=parts)
+    return _weighted_sum(moments, below)
+
+
+def _weighted_sum(table: dict, pairs) -> AlgebraElement | None:
+    """Sum of table[rgs] scaled by w over the (rgs, w) pairs; None if none."""
     total = None
-    for sigma in below:
-        mu = mobius_fast(sigma, pi, ctx)
-        if mu == 0:
-            continue
-        term = moments[sigma.rgs].scale(mu)
+    for rgs, w in pairs:
+        term = table[rgs].scale(w)
         total = term if total is None else total + term
-    return total if total is not None else mf.unit_b()
+    return total
 
 
 def cumulant_table(ctx: BNCContext, Z: list, mf: MomentContext):
@@ -135,17 +138,8 @@ def cumulant_table(ctx: BNCContext, Z: list, mf: MomentContext):
 
 def moment_cumulant_roundtrip(ctx: BNCContext, moments: dict, kappas: dict) -> bool:
     """Sum of cumulants below pi re-assembles the pi moment, for every pi."""
-    parts = enumerate_bnc(ctx)
-    for pi in parts:
-        total = None
-        for sigma in parts:
-            if not refines(sigma, pi):
-                continue
-            total = (
-                kappas[sigma.rgs]
-                if total is None
-                else total + kappas[sigma.rgs]
-            )
+    for pi in enumerate_bnc(ctx):
+        total = _weighted_sum(kappas, ((rgs, 1) for rgs, _ in interval_below(pi, ctx)))
         if not (total - moments[pi.rgs]).is_zero():
             return False
     return True
@@ -168,18 +162,13 @@ def bifree_moment_check(
     rep = CheckReport()
     lhs = mf.expect(list(Z))
     moments = moment_table(ctx, Z, mf)
-    total = None
-    all_parts = enumerate_bnc(ctx)
-    for pi in all_parts:
-        if not _colour_refines(pi, eps):
-            continue
-        weight = 0
-        for sigma in all_parts:
-            if refines(pi, sigma) and _colour_refines(sigma, eps):
-                weight += mobius_fast(pi, sigma, ctx)
-        if weight:
-            term = moments[pi.rgs].scale(weight)
-            total = term if total is None else total + term
+    # weight of pi: the sum of mu(pi, sigma) over colour-refining sigma >= pi
+    weights: dict[tuple[int, ...], int] = {}
+    for sigma in enumerate_bnc(ctx):
+        if _colour_refines(sigma, eps):
+            for rgs, mu in interval_below(sigma, ctx):
+                weights[rgs] = weights.get(rgs, 0) + mu
+    total = _weighted_sum(moments, ((rgs, w) for rgs, w in weights.items() if w))
     total = total if total is not None else mf.unit_b().scale(0)
     rep.record(
         "moment-formula",
@@ -234,10 +223,10 @@ def ffb_moment_formula(
     )
     one = SetPartition.full(ctx.n)
     kap = kappa_pi(one, ctx, Z, mf, moments=moments)
-    restricted = None
-    for pi in ffb_parts:
-        term = moments[pi.rgs].scale(mobius_fast(pi, one, ctx))
-        restricted = term if restricted is None else restricted + term
+    ffb_rgs = {pi.rgs for pi in ffb_parts}
+    restricted = _weighted_sum(
+        moments, ((rgs, mu) for rgs, mu in interval_below(one, ctx) if rgs in ffb_rgs)
+    )
     rep.record(
         "ffb-cumulant-restriction",
         (kap - restricted).is_zero(),

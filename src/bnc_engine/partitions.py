@@ -6,7 +6,10 @@ colouring chi assigns each position a side 'l' or 'r' ('b' in the
 three-letter alphabet); the induced permutation lists the left indices
 ascending then the right indices descending, and a partition is
 bi-non-crossing when its relabelling through that permutation is
-non-crossing in the classical sense.
+non-crossing in the classical sense.  The lattice is therefore NC(n)
+seen through s_chi: enumeration, join, Mobius values and intervals are
+all computed on the relabelled line, entered by relabelled_rgs and left
+by _pull_back.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import product
 
 DEFAULT_CAP = 10
 
@@ -38,6 +41,12 @@ class CapExceeded(RuntimeError):
 def enumeration_cap(default: int = DEFAULT_CAP) -> int:
     raw = os.environ.get("BNC_ENGINE_CAP")
     return int(raw) if raw else default
+
+
+def _canonical_rgs(labels) -> tuple[int, ...]:
+    """Restricted-growth string of a labelling: blocks by first appearance."""
+    order: dict = {}
+    return tuple([order.setdefault(b, len(order)) for b in labels])
 
 
 @dataclass(frozen=True)
@@ -87,11 +96,7 @@ class EpsilonMap:
 
     def as_partition(self) -> "SetPartition":
         """Partition of 1..n into colour classes."""
-        seen: dict[int, int] = {}
-        rgs = []
-        for c in self.colours:
-            rgs.append(seen.setdefault(c, len(seen)))
-        return SetPartition(tuple(rgs))
+        return SetPartition(_canonical_rgs(self.colours))
 
     @staticmethod
     def parse(text: str) -> "EpsilonMap":
@@ -112,7 +117,8 @@ class SetPartition:
         for i, b in enumerate(self.rgs):
             if b < 0 or b > mx + 1:
                 raise ValueError(f"not a restricted-growth string at position {i}")
-            mx = max(mx, b)
+            if b > mx:
+                mx = b
 
     @property
     def n(self) -> int:
@@ -140,20 +146,8 @@ class SetPartition:
                 assign[i] = blk
         if sorted(assign) != list(range(1, n + 1)):
             raise ValueError("blocks do not partition 1..n")
-        rgs = []
-        order: dict[tuple, int] = {}
-        for i in range(1, n + 1):
-            key = tuple(sorted(assign[i]))
-            rgs.append(order.setdefault(key, len(order)))
-        return SetPartition(tuple(rgs))
-
-    def relabel(self, positions: list[int]) -> "SetPartition":
-        """Partition of the relabelled line: element at slot t is positions[t]."""
-        rgs = []
-        order: dict[int, int] = {}
-        for p in positions:
-            rgs.append(order.setdefault(self.rgs[p - 1], len(order)))
-        return SetPartition(tuple(rgs))
+        keys = (tuple(sorted(assign[i])) for i in range(1, n + 1))
+        return SetPartition(_canonical_rgs(keys))
 
     @staticmethod
     def singletons(n: int) -> "SetPartition":
@@ -193,20 +187,28 @@ def all_partitions(n: int):
 def is_noncrossing_rgs(rgs: tuple[int, ...]) -> bool:
     """Classical non-crossing test on a line: no a1 < b1 < a2 < b2 with
     a's matched, b's matched, across distinct blocks."""
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, b in enumerate(rgs):
-        first.setdefault(b, i)
-        last[b] = i
-    stack: list[int] = []
-    for i, b in enumerate(rgs):
-        if first[b] == i:
+    return _crossing_pair(rgs) is None
+
+
+def _crossing_pair(labels):
+    """Labels of two crossing blocks on the line, or None.
+
+    Scans with a stack of open blocks: returning to a block closes every
+    block opened above it, and a closed block met again crosses the
+    block that closed it.
+    """
+    stack: list = []
+    closer: dict = {}
+    for b in labels:
+        if b not in closer:
             stack.append(b)
-        elif not stack or stack[-1] != b:
-            return False
-        if last[b] == i:
-            stack.pop()
-    return True
+            closer[b] = None
+        elif closer[b] is not None:
+            return b, closer[b]
+        else:
+            while stack[-1] != b:
+                closer[stack.pop()] = b
+    return None
 
 
 @dataclass(frozen=True)
@@ -225,9 +227,6 @@ class BNCContext:
     def n(self) -> int:
         return self.chi.n
 
-    def relabel(self, pi: SetPartition) -> SetPartition:
-        return pi.relabel(list(self.s_chi))
-
 
 def build_context(chi: ChiMap) -> BNCContext:
     if chi.three_letter:
@@ -241,48 +240,55 @@ def build_context(chi: ChiMap) -> BNCContext:
     return BNCContext(chi, tuple(s), tuple(rank))
 
 
+_relabel_cache: dict = {}
+
+
+def relabelled_rgs(pi: SetPartition, ctx: BNCContext) -> tuple[int, ...]:
+    """Push-forward through s_chi: the rgs of pi on the relabelled line."""
+    key = (ctx.chi.sides, pi.rgs)
+    hit = _relabel_cache.get(key)
+    if hit is None:
+        hit = _canonical_rgs(pi.rgs[p - 1] for p in ctx.s_chi)
+        _relabel_cache[key] = hit
+    return hit
+
+
+def _pull_back(labels, ctx: BNCContext) -> tuple[int, ...]:
+    """Pull-back through s_chi: the rgs of the partition of 1..n whose
+    position i carries the label of its slot on the relabelled line.
+
+    This is _canonical_rgs fused with the slot lookup, which runs once
+    per member in enumerate_bnc and interval_below.
+    """
+    order: dict = {}
+    return tuple([order.setdefault(labels[t], len(order)) for t in ctx.rank])
+
+
 def is_bnc(pi: SetPartition, ctx: BNCContext) -> bool:
     if pi.n != ctx.n:
         raise SizeMismatch(f"partition of {pi.n} against colouring of {ctx.n}")
-    return is_noncrossing_rgs(ctx.relabel(pi).rgs)
+    return is_noncrossing_rgs(relabelled_rgs(pi, ctx))
 
 
 @lru_cache(maxsize=None)
 def _noncrossing_partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All classical non-crossing partitions of a line, as rgs tuples.
+    """All classical non-crossing partitions of a line, as rgs tuples in
+    lexicographic order.
 
-    Recursive block insertion: the first element's block splits the rest
-    into independent segments.
+    Each element joins an open block or opens a new one; joining a block
+    closes every block opened after it.
     """
-    if n == 0:
-        return ((),)
     out: list[tuple[int, ...]] = []
-    for size in range(1, n + 1):
-        for rest in combinations(range(1, n), size - 1):
-            blk = (0,) + rest
-            segments = []
-            prev = 0
-            for x in blk[1:]:
-                segments.append(x - prev - 1)
-                prev = x
-            segments.append(n - 1 - prev)
-            pieces = [_noncrossing_partitions(s) for s in segments]
 
-            def weave(i: int, acc: list[tuple[int, ...]]):
-                if i == len(pieces):
-                    rgs = [0] * n
-                    used = 1
-                    for seg_i, part in enumerate(acc):
-                        start = blk[seg_i] + 1
-                        for off, b in enumerate(part):
-                            rgs[start + off] = used + b
-                        used += (max(part) + 1) if part else 0
-                    out.append(tuple(rgs))
-                    return
-                for part in pieces[i]:
-                    weave(i + 1, acc + [part])
+    def grow(prefix: tuple[int, ...], open_: tuple[int, ...], used: int):
+        if len(prefix) == n:
+            out.append(prefix)
+            return
+        for k, b in enumerate(open_):
+            grow(prefix + (b,), open_[: k + 1], used)
+        grow(prefix + (used,), open_ + (used,), used + 1)
 
-            weave(0, [])
+    grow((), (), 0)
     return tuple(out)
 
 
@@ -296,175 +302,56 @@ def enumerate_bnc(ctx: BNCContext, cap: int | None = None) -> list[SetPartition]
         raise CapExceeded(f"n={ctx.n} exceeds cap {cap}")
     hit = _bnc_cache.get(ctx.chi.sides)
     if hit is None:
-        out = []
-        inverse = list(ctx.rank)  # slot of each original index
-        for rgs in _noncrossing_partitions(ctx.n):
-            # pull back through s_chi: original position i sits at slot rank[i]
-            pulled = tuple(rgs[inverse[i]] for i in range(ctx.n))
-            out.append(SetPartition(_canonical_rgs(pulled)))
-        out.sort()
-        hit = tuple(out)
+        pulled = sorted(_pull_back(rgs, ctx) for rgs in _noncrossing_partitions(ctx.n))
+        hit = tuple(SetPartition(rgs) for rgs in pulled)
         _bnc_cache[ctx.chi.sides] = hit
     return list(hit)
-
-
-def _canonical_rgs(labels: tuple[int, ...]) -> tuple[int, ...]:
-    order: dict[int, int] = {}
-    return tuple(order.setdefault(b, len(order)) for b in labels)
 
 
 def refines(pi: SetPartition, sigma: SetPartition) -> bool:
     """True iff every block of pi is contained in a block of sigma."""
     if pi.n != sigma.n:
         raise SizeMismatch("partition sizes differ")
-    image: dict[int, int] = {}
-    for bp, bs in zip(pi.rgs, sigma.rgs):
-        if bp in image:
-            if image[bp] != bs:
-                return False
-        else:
-            image[bp] = bs
-    return True
+    return _shared_pair(sigma.rgs, pi.rgs) is None
 
 
 def meet(pi: SetPartition, sigma: SetPartition) -> SetPartition:
     """Common refinement (same in the full and the bi-non-crossing lattice)."""
     if pi.n != sigma.n:
         raise SizeMismatch("partition sizes differ")
-    return SetPartition(
-        _canonical_rgs(tuple(zip(pi.rgs, sigma.rgs)))  # type: ignore[arg-type]
-    )
+    return SetPartition(_canonical_rgs(zip(pi.rgs, sigma.rgs)))
 
 
 def join(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> SetPartition:
     """Smallest bi-non-crossing partition above both.
 
-    Computed in the relabelled classical lattice: take the full-lattice
-    join, then merge crossing block pairs until non-crossing.
+    On the relabelled line, blocks of pi that share a block of sigma or
+    cross are merged until no such pair is left.
     """
     if pi.n != sigma.n or pi.n != ctx.n:
         raise SizeMismatch("partition sizes differ")
-    p1 = ctx.relabel(pi)
-    p2 = ctx.relabel(sigma)
-    labels = _join_full(p1.rgs, p2.rgs)
-    labels = _uncross(labels)
-    relabelled = SetPartition(_canonical_rgs(labels))
-    inverse = list(ctx.rank)
-    pulled = tuple(relabelled.rgs[inverse[i]] for i in range(ctx.n))
-    return SetPartition(_canonical_rgs(pulled))
+    labels = relabelled_rgs(pi, ctx)
+    other = relabelled_rgs(sigma, ctx)
+    while (pair := _shared_pair(labels, other) or _crossing_pair(labels)):
+        keep, drop = pair
+        labels = tuple(keep if b == drop else b for b in labels)
+    return SetPartition(_pull_back(labels, ctx))
 
 
-def _join_full(r1: tuple[int, ...], r2: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(r1)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    first1: dict[int, int] = {}
-    first2: dict[int, int] = {}
-    for i in range(n):
-        if r1[i] in first1:
-            union(i, first1[r1[i]])
-        else:
-            first1[r1[i]] = i
-        if r2[i] in first2:
-            union(i, first2[r2[i]])
-        else:
-            first2[r2[i]] = i
-    return tuple(find(i) for i in range(n))
-
-
-def _uncross(labels: tuple[int, ...]) -> tuple[int, ...]:
-    labels = list(labels)
-    changed = True
-    while changed:
-        changed = False
-        spans: dict[int, list[int]] = {}
-        for i, b in enumerate(labels):
-            spans.setdefault(b, []).append(i)
-        keys = list(spans)
-        for x in range(len(keys)):
-            for y in range(x + 1, len(keys)):
-                a, b = spans[keys[x]], spans[keys[y]]
-                if _blocks_cross(a, b):
-                    tgt, src = keys[x], keys[y]
-                    for i, lab in enumerate(labels):
-                        if lab == src:
-                            labels[i] = tgt
-                    changed = True
-                    break
-            if changed:
-                break
-    return tuple(labels)
-
-
-def _blocks_cross(a: list[int], b: list[int]) -> bool:
-    for a1 in a:
-        for a2 in a:
-            if a1 >= a2:
-                continue
-            inside = any(a1 < x < a2 for x in b)
-            outside = any(x < a1 or x > a2 for x in b)
-            if inside and outside:
-                return True
-    return False
-
-
-_mu_full_cache: dict[tuple[int, ...], int] = {}
-_mu_pair_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-
-def _rgs_refines(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
-    image: dict[int, int] = {}
-    for a, b in zip(fine, coarse):
-        prev = image.get(a)
-        if prev is None:
-            image[a] = b
-        elif prev != b:
-            return False
-    return True
-
-
-def _rgs_canonical(labels) -> tuple[int, ...]:
-    order: dict[int, int] = {}
-    return tuple(order.setdefault(b, len(order)) for b in labels)
-
-
-def _rgs_restrict(rgs: tuple[int, ...], positions) -> tuple[int, ...]:
-    return _rgs_canonical(rgs[p] for p in positions)
-
-
-def _rgs_blocks(rgs: tuple[int, ...]) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(max(rgs) + 1)] if rgs else []
-    for i, b in enumerate(rgs):
-        out[b].append(i)
-    return out
-
-
-_relabel_cache: dict = {}
-
-
-def relabelled_rgs(pi: SetPartition, ctx: BNCContext) -> tuple[int, ...]:
-    key = (ctx.chi.sides, pi.rgs)
-    hit = _relabel_cache.get(key)
-    if hit is None:
-        hit = _canonical_rgs(tuple(pi.rgs[p - 1] for p in ctx.s_chi))
-        _relabel_cache[key] = hit
-    return hit
+def _shared_pair(labels: tuple[int, ...], other: tuple[int, ...]):
+    """Two labels whose blocks meet one block of other, or None."""
+    seen: dict[int, int] = {}
+    for b, c in zip(labels, other):
+        if seen.setdefault(c, b) != b:
+            return seen[c], b
+    return None
 
 
 def mobius(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> int:
     """Incidence-algebra inverse on the bi-non-crossing lattice.
 
-    Zero unless pi refines sigma; computed by the defining recursion
-    over the relabelled classical interval, memoized on interval shape.
+    Zero unless pi refines sigma; otherwise the closed form of
+    mobius_fast.
     """
     if not is_bnc(pi, ctx):
         raise NotBNC(f"{pi} is not bi-non-crossing for {ctx.chi}")
@@ -475,44 +362,76 @@ def mobius(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> int:
 
 def mobius_fast(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> int:
     """mobius without membership validation; arguments must be in the
-    lattice (as enumeration output always is)."""
+    lattice (as enumeration output always is).
+
+    On the relabelled line [pi, sigma] is the product over the blocks W
+    of sigma of [pi|W, 1_W] in NC(|W|).
+    """
     if not refines(pi, sigma):
         return 0
-    return _mobius_nc(relabelled_rgs(pi, ctx), relabelled_rgs(sigma, ctx))
-
-
-def _mobius_nc(pi: tuple[int, ...], sigma: tuple[int, ...]) -> int:
-    """Mobius value on a classical interval; factors over coarse blocks."""
-    key = (pi, sigma)
-    hit = _mu_pair_cache.get(key)
-    if hit is not None:
-        return hit
+    p, s = relabelled_rgs(pi, ctx), relabelled_rgs(sigma, ctx)
     val = 1
-    for blk in _rgs_blocks(sigma):
-        val *= _mobius_nc_to_full(_rgs_restrict(pi, blk))
-        if val == 0:
-            break
-    _mu_pair_cache[key] = val
+    for w in set(s):
+        val *= _mu_to_top(_canonical_rgs(b for b, c in zip(p, s) if c == w))
     return val
 
 
-def _mobius_nc_to_full(tau: tuple[int, ...]) -> int:
-    hit = _mu_full_cache.get(tau)
-    if hit is not None:
-        return hit
-    if not tau or max(tau) == 0:
-        _mu_full_cache[tau] = 1
-        return 1
-    total = 0
-    n = len(tau)
-    for rho in _noncrossing_partitions(n):
-        if max(rho) == 0:
-            continue
-        if _rgs_refines(tau, rho):
-            total += _mobius_nc(tau, rho)
-    val = -total
-    _mu_full_cache[tau] = val
+@lru_cache(maxsize=None)
+def _mu_to_top(tau: tuple[int, ...]) -> int:
+    """mu(tau, 1) in NC(k), from the Kreweras complement tau^-1 gamma:
+    the product over its cycles of (-1)^(c-1) Catalan(c-1), c the cycle
+    length.  Blocks are read as increasing cycles, gamma = (0 1 ... k-1).
+    """
+    k = len(tau)
+    last = {b: t for t, b in enumerate(tau)}
+    before = []  # tau^-1: the previous element of each block, cyclically
+    for t, b in enumerate(tau):
+        before.append(last[b])
+        last[b] = t
+    seen = [False] * k
+    val = 1
+    for start in range(k):
+        length, t = 0, start
+        while not seen[t]:
+            seen[t] = True
+            length += 1
+            t = before[(t + 1) % k]
+        if length:
+            val *= (-1) ** (length - 1) * catalan(length - 1)
     return val
+
+
+def interval_below(
+    sigma: SetPartition, ctx: BNCContext
+) -> list[tuple[tuple[int, ...], int]]:
+    """(rgs of pi, mu(pi, sigma)) for every bi-non-crossing pi <= sigma.
+
+    Each pi takes one non-crossing partition of every block of sigma on
+    the relabelled line.  mu never vanishes on an NC interval, so every
+    member of the interval is listed.
+    """
+    return [
+        (_pull_back(labels, ctx), mu)
+        for labels, mu in _slot_labels(relabelled_rgs(sigma, ctx))
+    ]
+
+
+@lru_cache(maxsize=None)
+def _slot_labels(s: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each pi <= s on the line as slot labels (block * n + sub-block),
+    with mu(pi, s); shared by every colouring that relabels sigma to s."""
+    n = len(s)
+    blocks = [[t for t, c in enumerate(s) if c == w] for w in range(len(set(s)))]
+    out = []
+    for pick in product(*(_noncrossing_partitions(len(blk)) for blk in blocks)):
+        labels = [0] * n
+        mu = 1
+        for w, (blk, tau) in enumerate(zip(blocks, pick)):
+            mu *= _mu_to_top(tau)
+            for t, b in zip(blk, tau):
+                labels[t] = w * n + b
+        out.append((tuple(labels), mu))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

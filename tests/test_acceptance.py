@@ -128,13 +128,13 @@ def test_criterion_3_mobius_inversion():
             [j for j, s in enumerate(nc) if _tuple_refines(nc[i], s)]
             for i in range(size)
         ]
-        from bnc_engine.partitions import _mobius_nc
-
+        # all-l colouring: s_chi is the identity, so this is NC(n) itself
+        line = build_context(ChiMap(("l",) * n))
         mu_rows = []
         for i in range(size):
             row = {}
             for j in up[i]:
-                v = _mobius_nc(nc[i], nc[j])
+                v = mobius_fast(SetPartition(nc[i]), SetPartition(nc[j]), line)
                 if v:
                     row[j] = v
             mu_rows.append(row)

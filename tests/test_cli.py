@@ -224,6 +224,10 @@ def test_verify_depth_flag(capsys):
         ("render --kind bnc --chi lr", "--pi"),
         ("verify bifree --dims 2", "--dims"),
         ("verify ffb-system --word-cap 0", "--word-cap"),
+        ("verify bifree --word-cap 1", "--word-cap"),
+        ("verify lr-decompose --max-n 0", "--max-n"),
+        ("verify bifree --trials -1", "--trials"),
+        ("verify lr-decompose --trials 0", "--trials"),
     ],
 )
 def test_malformed_invocation_names_its_flag(capsys, command, flag):

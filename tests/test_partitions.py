@@ -17,12 +17,14 @@ from bnc_engine.partitions import (
     enumerate_bnc,
     enumerate_bnc_ffb,
     in_bnc_ffb,
+    interval_below,
     is_bnc,
     is_noncrossing_rgs,
     join,
     lr_replacement,
     meet,
     mobius,
+    mobius_fast,
     refines,
 )
 
@@ -92,6 +94,20 @@ def test_meet_join_examples():
     assert refines(SetPartition.singletons(4), a)
 
 
+def test_join_is_least_upper_bound_exhaustive():
+    for n in range(0, 5):
+        for sides in iproduct("lr", repeat=n):
+            ctx = build_context(ChiMap(sides))
+            parts = enumerate_bnc(ctx)
+            for a in parts:
+                for b in parts:
+                    j = join(a, b, ctx)
+                    assert is_bnc(j, ctx) and refines(a, j) and refines(b, j)
+                    for u in parts:
+                        if refines(a, u) and refines(b, u):
+                            assert refines(j, u)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_lattice_laws_random(data):
@@ -143,6 +159,52 @@ def test_mobius_inversion_small():
                 expect = 1 if pi == sigma else 0
                 assert sum(mobius(t, sigma, ctx) for t in taus) == expect
                 assert sum(mobius(pi, t, ctx) for t in taus) == expect
+
+
+def _rgs_refines(fine, coarse):
+    image = {}
+    return all(image.setdefault(a, b) == b for a, b in zip(fine, coarse))
+
+
+def _recursive_mobius(nc):
+    """mu on NC(n) by the defining recursion: mu(p, p) = 1 and
+    mu(p, s) = -(sum of mu(p, t) over p <= t < s)."""
+    below = {s: [t for t in nc if t != s and _rgs_refines(t, s)] for s in nc}
+    finest_first = sorted(nc, key=lambda r: -len(set(r)))
+    mu = {}
+    for p in nc:
+        for s in finest_first:
+            if s == p:
+                mu[p, s] = 1
+            elif _rgs_refines(p, s):
+                mu[p, s] = -sum(mu[p, t] for t in below[s] if (p, t) in mu)
+    return mu
+
+
+def test_closed_form_mobius_matches_recursion():
+    # all-l colouring: s_chi is the identity, so the lattice is NC(n)
+    pairs = 0
+    for n in range(0, 8):
+        ctx = build_context(ChiMap(("l",) * n))
+        nc = [p.rgs for p in enumerate_bnc(ctx)]
+        for (p, s), val in _recursive_mobius(nc).items():
+            assert mobius_fast(SetPartition(p), SetPartition(s), ctx) == val
+            pairs += 1
+    assert pairs == 9525  # intervals of NC(n): C(3n, n) / (2n + 1), 7752 at n = 7
+
+
+def test_interval_below_matches_lattice_filter():
+    for n in range(0, 6):
+        for sides in iproduct("lr", repeat=n):
+            ctx = build_context(ChiMap(sides))
+            parts = enumerate_bnc(ctx)
+            for sigma in parts:
+                expect = [
+                    (pi.rgs, mobius_fast(pi, sigma, ctx))
+                    for pi in parts
+                    if refines(pi, sigma)
+                ]
+                assert sorted(interval_below(sigma, ctx)) == expect
 
 
 def test_lr_replacement_examples():
