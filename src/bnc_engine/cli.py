@@ -39,6 +39,7 @@ from .ffb import (
 )
 from .fixtures import load_space, load_system, sample_side_element, scalar_module
 from .freeprod import (
+    DepthExceeded,
     FreeMomentContext,
     lr_decompose,
     module_operator,
@@ -423,6 +424,10 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except DepthExceeded as e:
+        # only the verify targets take a depth, from --depth
+        print(f"error: --depth is too small: {e}", file=sys.stderr)
+        return 2
     except (KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from .freeprod import (
     module_operator,
     reduced_free_product,
 )
-from .linalg import ONE, block_matrix, identity
+from .linalg import ONE, block_matrix, identity, mat_mul
 from .partitions import ChiMap, EpsilonMap, SetPartition, build_context, lr_replacement
 
 
@@ -203,28 +203,16 @@ def check_ffb_system(
     fp = sys.fp
     for k in sys.colours():
         probe = max(0, fp.depth - (word_cap + 2))
-        wit = None
-        for c1 in sys.cprime[k]:
-            for c2 in sys.cprime[k]:
+        for name, handles in (("c", sys.cprime[k]), ("d", sys.dprime[k])):
+            wit = None
+            for h1, h2 in iproduct(handles, repeat=2):
                 for w in _a_words(sys, k, word_cap):
-                    if not _zero_operator(sys, (c1,) + w + (c2,), probe):
-                        wit = [h.label for h in (c1,) + w + (c2,)]
+                    if not _zero_operator(sys, (h1,) + w + (h2,), probe):
+                        wit = [h.label for h in (h1,) + w + (h2,)]
                         break
                 if wit:
                     break
-            if wit:
-                break
-        rep.record(f"annihilation-c-{k}", wit is None, witness=wit)
-        wit = None
-        for d1 in sys.dprime[k]:
-            for d2 in sys.dprime[k]:
-                for w in _a_words(sys, k, word_cap):
-                    if not _zero_operator(sys, (d1,) + w + (d2,), probe):
-                        wit = [h.label for h in (d1,) + w + (d2,)]
-                        break
-                if wit:
-                    break
-        rep.record(f"annihilation-d-{k}", wit is None, witness=wit)
+            rep.record(f"annihilation-{name}-{k}", wit is None, witness=wit)
 
         for prop, first, second in (
             ("moments-c", sys.cprime[k], sys.dprime[k]),
@@ -458,8 +446,6 @@ def _pipeline_word(sys, fctx, eps, shape, handles, ext_cache):
 
 
 def _compose_ops(mod, a: ModuleOperator, b: ModuleOperator) -> ModuleOperator:
-    from .linalg import mat_mul
-
     prod = mat_mul([list(r) for r in a.matrix], [list(r) for r in b.matrix])
     return ModuleOperator(mod, tuple(tuple(r) for r in prod), None)
 

@@ -115,6 +115,18 @@ def family_dual(colours=(1, 2)) -> FfbFamily:
     return FfbFamily(sp, faces)
 
 
+def family_diag2(colours=(1, 2)) -> FfbFamily:
+    """Diagonal faces over B = D2: l = e11 + 2 e22, r = 3 e11 + e22,
+    b = e11 and e22."""
+    sp = space_diag2()
+    e11, e22 = sp.A.basis_element(0), sp.A.basis_element(3)
+    faces = {
+        k: {"l": [e11 + e22.scale(2)], "r": [e11.scale(3) + e22], "b": [e11, e22]}
+        for k in colours
+    }
+    return FfbFamily(sp, faces)
+
+
 def system_doubled_m2(depth: int, rich: bool = False) -> FfbSystem:
     return embed_ffb_family(family_m2(rich=rich), depth)
 

@@ -9,6 +9,19 @@ and exposes the left/right regular representations, the per-colour
 boolean projections, diagram-indexed vectors, and the decomposition of
 operator words into diagram contributions.
 
+Tensor-word layout.  A plain word of colours (k1, ..., km) has one leg
+per colour, each leg a coordinate of that module's complement, and
+plain index ((i1·d2 + i2)·d3 + ...)·dm + im: row-major, first leg most
+significant.  Where B ≠ ℚ the word space is the quotient of that plain
+space by the relations x·b ⊗ y = x ⊗ b·y between adjacent legs; its
+coordinate q is the plain index quotient.coords[q] (the non-pivot
+indices of the row-reduced relations), so lifting a coordinate is a
+relabelling and projecting is a row reduction.  WordSpace owns the
+layout: split/join take the first or last leg off a plain index and
+put it back, grow adds an edge leg, legs reads every leg, pair_rows
+places a relation on two adjacent legs, and to_plain/from_plain pass
+between plain indices and coordinates.
+
 Left representations act through the first tensor leg, right ones
 through the last; a new leg deeper than the configured depth raises
 DepthExceeded rather than truncating silently.
@@ -37,7 +50,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     nullspace,
-    unit_vec,
     zeros,
 )
 from .partitions import ChiMap, EpsilonMap
@@ -232,15 +244,8 @@ def build_bimodule_from_space(space: BBProbSpace):
         rest = tx - space.embed_left(e)
         return list(e.coeffs) + q_of(rest)
 
-    sections = []
-    for j in range(osc):
-        amb = zeros(A.dim)
-        kcoords = quotient.section(unit_vec(osc, j))
-        for ci, c in enumerate(kcoords):
-            if c:
-                for ai, a in enumerate(ker.vectors[ci]):
-                    amb[ai] += c * a
-        sections.append(A.element(amb))
+    # quotient coordinate j lifts to kernel vector quotient.coords[j]
+    sections = [A.element(list(ker.vectors[j])) for j in quotient.coords]
 
     basis_mats = []
     for t in range(A.dim):
@@ -282,35 +287,77 @@ def doubled_bimodule(x: BimoduleWithProjection) -> BimoduleWithProjection:
 
 @dataclass
 class WordSpace:
+    """Tensor words of one colour sequence: plain indices and coordinates.
+
+    The only code that knows the row-major leg layout (see the module
+    docstring); everything else splits and joins through it.
+    """
+
     seq: tuple[int, ...]
     osc_dims: tuple[int, ...]
-    plain_dim: int
-    quotient: Optional[Quotient]  # None = relations vanish
+    quotient: Optional[Quotient] = None  # None = relations vanish
+    strides: tuple[int, ...] = field(init=False)
+    plain_dim: int = field(init=False)
+
+    def __post_init__(self):
+        strides = [1]
+        for dcur in reversed(self.osc_dims[1:]):
+            strides.append(strides[-1] * dcur)
+        self.strides = tuple(reversed(strides))
+        self.plain_dim = self.strides[0] * self.osc_dims[0]
 
     @property
     def dim(self) -> int:
         return self.quotient.dim if self.quotient else self.plain_dim
 
-    def strides(self) -> list[int]:
-        out = []
-        acc = 1
-        for dcur in reversed(self.osc_dims):
-            out.append(acc)
-            acc *= dcur
-        return list(reversed(out))
+    def split(self, idx: int, first: bool) -> tuple[int, int]:
+        """(edge leg, plain index of the other legs) of a plain index,
+        for the first leg or the last one."""
+        if first:
+            return divmod(idx, self.strides[0])
+        rest, leg = divmod(idx, self.osc_dims[-1])
+        return leg, rest
+
+    def join(self, leg: int, rest: int, first: bool) -> int:
+        """The plain index that split() takes apart."""
+        return leg * self.strides[0] + rest if first else rest * self.osc_dims[-1] + leg
+
+    def grow(self, plain: dict[int, Fraction], leg_vec: Vec, first: bool):
+        """Plain word of this space from a plain word without its edge leg
+        and the edge leg's complement coordinates."""
+        out: dict[int, Fraction] = {}
+        for rest, c in plain.items():
+            for leg, v in enumerate(leg_vec):
+                if v:
+                    out[self.join(leg, rest, first)] = c * v
+        return out
+
+    def legs(self, idx: int) -> tuple[int, ...]:
+        """Per-leg complement coordinates of a plain index."""
+        return tuple(idx // s % d for s, d in zip(self.strides, self.osc_dims))
+
+    def pair_rows(self, leg: int, pair: dict[tuple[int, int], Fraction]):
+        """Dense rows of a relation on legs (leg, leg + 1), given as
+        {(a, c): coefficient}, one per setting of the other legs.  The two
+        legs are adjacent digits, so (a, c) is the one digit a·d' + c of
+        place value strides[leg + 1]."""
+        d1, d2 = self.osc_dims[leg], self.osc_dims[leg + 1]
+        inner = self.strides[leg + 1]
+        for hi in range(self.plain_dim // (d1 * d2 * inner)):
+            for lo in range(inner):
+                row = zeros(self.plain_dim)
+                for (a, c), v in pair.items():
+                    row[((hi * d1 + a) * d2 + c) * inner + lo] += v
+                yield row
 
     def to_plain(self, coords: dict[int, Fraction]) -> dict[int, Fraction]:
         if self.quotient is None:
             return coords
-        out: dict[int, Fraction] = {}
-        for qi, c in coords.items():
-            for pi, v in enumerate(self.quotient.section(unit_vec(self.dim, qi))):
-                if v:
-                    out[pi] = out.get(pi, ZERO) + c * v
-        return {k: v for k, v in out.items() if v}
+        pos = self.quotient.coords
+        return {pos[q]: c for q, c in coords.items() if c}
 
     def from_plain(self, plain: dict[int, Fraction]) -> dict[int, Fraction]:
-        if self.quotient is None:
+        if self.quotient is None or not plain:
             return {k: v for k, v in plain.items() if v}
         dense = zeros(self.plain_dim)
         for pi, c in plain.items():
@@ -349,51 +396,33 @@ class TruncatedFreeProduct:
             yield from frontier
 
     def _build_wordspace(self, seq: tuple[int, ...]) -> WordSpace:
-        osc_dims = tuple(self.components[k].osc_dim for k in seq)
-        plain = 1
-        for dcur in osc_dims:
-            plain *= dcur
+        ws = WordSpace(seq, tuple(self.components[k].osc_dim for k in seq))
         if self.B.dim == 1 or len(seq) < 2:
-            return WordSpace(seq, osc_dims, plain, None)
-        rel = RowSpace(plain)
-        strides = WordSpace(seq, osc_dims, plain, None).strides()
+            return ws
+        rel = RowSpace(ws.plain_dim)
         for leg in range(len(seq) - 1):
-            right_mats = [self.components[seq[leg]].osc_right(i) for i in range(self.B.dim)]
-            left_mats = [
-                self.components[seq[leg + 1]].osc_left(i) for i in range(self.B.dim)
-            ]
-            d1, d2 = osc_dims[leg], osc_dims[leg + 1]
-            outer = plain // (d1 * d2)
+            d1, d2 = ws.osc_dims[leg], ws.osc_dims[leg + 1]
             for bi in range(self.B.dim):
+                right = self.components[seq[leg]].osc_right(bi)
+                left = self.components[seq[leg + 1]].osc_left(bi)
                 for a in range(d1):
                     for c in range(d2):
-                        base_rel = {}
+                        # x b ⊗ y - x ⊗ b y for the basis legs x = a, y = c
+                        pair: dict[tuple[int, int], Fraction] = {}
                         for a2 in range(d1):
-                            v = right_mats[bi][a2][a]
-                            if v:
-                                base_rel[(a2, c)] = base_rel.get((a2, c), ZERO) + v
+                            if right[a2][a]:
+                                pair[(a2, c)] = pair.get((a2, c), ZERO) + right[a2][a]
                         for c2 in range(d2):
-                            v = left_mats[bi][c2][c]
-                            if v:
-                                base_rel[(a, c2)] = base_rel.get((a, c2), ZERO) - v
-                        if not base_rel:
-                            continue
-                        for other in range(outer):
-                            vec = zeros(plain)
-                            for (a2, c2), v in base_rel.items():
-                                idx = _weave_index(
-                                    other, a2, c2, leg, osc_dims, strides
-                                )
-                                vec[idx] += v
-                            rel.add(vec)
-        if rel.rank == 0:
-            return WordSpace(seq, osc_dims, plain, None)
-        return WordSpace(seq, osc_dims, plain, Quotient(rel))
+                            if left[c2][c]:
+                                pair[(a, c2)] = pair.get((a, c2), ZERO) - left[c2][c]
+                        if pair:
+                            for row in ws.pair_rows(leg, pair):
+                                rel.add(row)
+        if rel.rank:
+            ws.quotient = Quotient(rel)
+        return ws
 
     # --- vectors ---------------------------------------------------------
-
-    def zero(self) -> FpVec:
-        return {}
 
     def unit(self) -> FpVec:
         return self.embed_b(self.B.one())
@@ -433,14 +462,12 @@ class TruncatedFreeProduct:
         return self.is_zero(self.sub(u, v))
 
     def word_label(self, seq: tuple[int, ...], idx: int) -> str:
+        """Label of coordinate idx of word seq: the legs of its plain word."""
         if not seq:
             return "B"
         ws = self.wordspaces[seq]
-        parts = []
-        rem = idx
-        for stride, k in zip(ws.strides(), seq):
-            leg, rem = divmod(rem, stride)
-            parts.append(f"{k}:{leg}")
+        (plain,) = ws.to_plain({idx: ONE})
+        parts = (f"{k}:{leg}" for k, leg in zip(seq, ws.legs(plain)))
         return "(" + ")(".join(parts) + ")"
 
     def vector_to_json(self, vec: FpVec) -> dict:
@@ -466,57 +493,39 @@ class TruncatedFreeProduct:
 
     # --- operator actions -------------------------------------------------
 
-    def act_left_b(self, b: AlgebraElement, vec: FpVec) -> FpVec:
+    def act_b(self, b: AlgebraElement, vec: FpVec, from_left: bool) -> FpVec:
+        """b·vec through each word's first leg, or vec·b through its last."""
         out: FpVec = {}
         for seq, comp in vec.items():
-            if not seq:
-                prod_elem = b * self.B.element(
-                    [comp.get(i, ZERO) for i in range(self.B.dim)]
-                )
-                _acc_b(out, prod_elem)
-                continue
-            ws = self.wordspaces[seq]
-            plain = ws.to_plain(comp)
-            moved = self._plain_edge_mult(seq, b, plain, first=True, left=True)
-            _acc(out, seq, ws.from_plain(moved))
+            if seq:
+                plain = self.wordspaces[seq].to_plain(comp)
+                leg_mat = self._b_leg(seq, b, from_left)
+                _acc(out, seq, self._edge(seq, leg_mat, plain, from_left))
+            else:
+                x = self.p({(): comp})
+                _acc(out, (), dict(enumerate((b * x if from_left else x * b).coeffs)))
         return _clean(out)
 
-    def act_right_b(self, b: AlgebraElement, vec: FpVec) -> FpVec:
-        out: FpVec = {}
-        for seq, comp in vec.items():
-            if not seq:
-                prod_elem = self.B.element(
-                    [comp.get(i, ZERO) for i in range(self.B.dim)]
-                ) * b
-                _acc_b(out, prod_elem)
-                continue
-            ws = self.wordspaces[seq]
-            plain = ws.to_plain(comp)
-            moved = self._plain_edge_mult(seq, b, plain, first=False, left=False)
-            _acc(out, seq, ws.from_plain(moved))
-        return _clean(out)
+    def _b_leg(self, seq, b: AlgebraElement, first: bool) -> Mat:
+        """b on the complement of seq's first leg (from the left) or last
+        leg (from the right)."""
+        comp = self.components[seq[0] if first else seq[-1]]
+        osc = comp.osc_left if first else comp.osc_right
+        return mat_combination(b.coeffs, [osc(i) for i in range(self.B.dim)])
 
-    def _plain_edge_mult(self, seq, b, plain, first: bool, left: bool):
-        """Multiply a plain word by b through its first or last leg."""
-        k = seq[0] if first else seq[-1]
-        comp = self.components[k]
-        osc = comp.osc_left if left else comp.osc_right
-        mat = mat_combination(b.coeffs, [osc(i) for i in range(self.B.dim)])
+    def _edge(self, seq, mat: Mat, plain: dict[int, Fraction], first: bool):
+        """Coordinates of a plain word of seq with mat applied to the
+        complement of its first or last leg."""
         ws = self.wordspaces[seq]
-        d_edge = ws.osc_dims[0] if first else ws.osc_dims[-1]
-        stride = ws.strides()[0] if first else 1
         out: dict[int, Fraction] = {}
         for idx, c in plain.items():
-            if first:
-                leg, rest = divmod(idx, stride)
-            else:
-                rest, leg = divmod(idx, d_edge)
-            for leg2 in range(d_edge):
-                v = mat[leg2][leg]
+            leg, rest = ws.split(idx, first)
+            for leg2, row in enumerate(mat):
+                v = row[leg]
                 if v:
-                    nidx = leg2 * stride + rest if first else rest * d_edge + leg2
+                    nidx = ws.join(leg2, rest, first)
                     out[nidx] = out.get(nidx, ZERO) + c * v
-        return out
+        return ws.from_plain(out)
 
     def lambda_apply(self, op: ModuleOperator, k: int, vec: FpVec) -> FpVec:
         return self._rep_apply(op, k, vec, from_left=True)
@@ -526,106 +535,59 @@ class TruncatedFreeProduct:
 
     def _rep_apply(self, op: ModuleOperator, k: int, vec: FpVec, from_left: bool):
         comp_k = self.components[k]
-        nb = self.B.dim
-        cols = [
-            [op.matrix[r][c] for r in range(comp_k.dim)] for c in range(comp_k.dim)
-        ]
         out: FpVec = {}
         for seq, comp in vec.items():
-            if not seq:
-                b = self.B.element([comp.get(i, ZERO) for i in range(nb)])
-                x = op.apply(comp_k.embed_b(b))
-                _acc_b(out, comp_k.p(x))
-                osc = comp_k.osc_part(x)
-                if any(osc):
-                    ws = self.wordspaces[(k,)]
-                    _acc(out, (k,), ws.from_plain(
-                        {i: c for i, c in enumerate(osc) if c}
-                    ))
+            if seq and (seq[0] if from_left else seq[-1]) == k:
+                self._rep_apply_edge(out, op, seq, comp, from_left)
                 continue
-            edge = seq[0] if from_left else seq[-1]
-            ws = self.wordspaces[seq]
-            plain = ws.to_plain(comp)
-            if edge == k:
-                self._rep_apply_edge(out, seq, plain, cols, comp_k, from_left)
-            else:
+            if seq:
                 if len(seq) + 1 > self.depth:
                     raise DepthExceeded(
                         f"word {seq} cannot grow beyond depth {self.depth}"
                     )
+                plain = self.wordspaces[seq].to_plain(comp)
                 x = op.apply(comp_k.unit_vector())
                 bpart = comp_k.p(x)
                 if not bpart.is_zero():
-                    moved = self._plain_edge_mult(
-                        seq, bpart, plain, first=from_left, left=from_left
-                    )
-                    _acc(out, seq, ws.from_plain(moved))
-                osc = comp_k.osc_part(x)
-                if any(osc):
-                    nseq = (k,) + seq if from_left else seq + (k,)
-                    nws = self.wordspaces[nseq]
-                    grown: dict[int, Fraction] = {}
-                    for idx, c in plain.items():
-                        for i, v in enumerate(osc):
-                            if v:
-                                nidx = (
-                                    i * ws.plain_dim + idx
-                                    if from_left
-                                    else idx * len(osc) + i
-                                )
-                                grown[nidx] = grown.get(nidx, ZERO) + c * v
-                    _acc(out, nseq, nws.from_plain(grown))
+                    leg_mat = self._b_leg(seq, bpart, from_left)
+                    _acc(out, seq, self._edge(seq, leg_mat, plain, from_left))
+            else:
+                # the base summand is the word with no legs, at plain index 0
+                plain = {0: ONE}
+                x = op.apply(comp_k.embed_b(self.p({(): comp})))
+                _acc(out, (), dict(enumerate(comp_k.p(x).coeffs)))
+            osc = comp_k.osc_part(x)
+            if any(osc):
+                nseq = (k,) + seq if from_left else seq + (k,)
+                nws = self.wordspaces[nseq]
+                _acc(out, nseq, nws.from_plain(nws.grow(plain, osc, from_left)))
         return _clean(out)
 
-    def _rep_apply_edge(self, out, seq, plain, cols, comp_k, from_left):
-        """Operator consuming the edge leg of matching colour."""
+    def _rep_apply_edge(self, out, op: ModuleOperator, seq, comp, from_left):
+        """Operator consuming the edge leg of matching colour: the leg's
+        complement part stays, and its base part multiplies the rest of
+        the word through the new edge leg."""
         nb = self.B.dim
         ws = self.wordspaces[seq]
-        d_edge = ws.osc_dims[0] if from_left else ws.osc_dims[-1]
-        stride = ws.strides()[0] if from_left else 1
-        tail_seq = seq[1:] if from_left else seq[:-1]
-        stay: dict[int, Fraction] = {}
-        collapse: dict[int, dict[int, Fraction]] = {}
+        plain = ws.to_plain(comp)
+        stay = [row[nb:] for row in op.matrix[nb:]]
+        _acc(out, seq, self._edge(seq, stay, plain, from_left))
+        tail = seq[1:] if from_left else seq[:-1]
+        collapse: list[dict[int, Fraction]] = [{} for _ in range(nb)]
         for idx, c in plain.items():
-            if from_left:
-                leg, rest = divmod(idx, stride)
-            else:
-                rest, leg = divmod(idx, d_edge)
-            col = cols[nb + leg]
-            for r in range(nb):
-                if col[r]:
-                    collapse.setdefault(rest, {})[r] = (
-                        collapse.get(rest, {}).get(r, ZERO) + c * col[r]
-                    )
-            for r in range(nb, comp_k.dim):
-                if col[r]:
-                    leg2 = r - nb
-                    nidx = leg2 * stride + rest if from_left else rest * d_edge + leg2
-                    stay[nidx] = stay.get(nidx, ZERO) + c * col[r]
-        if stay:
-            _acc(out, seq, ws.from_plain(stay))
-        if collapse:
-            if not tail_seq:
-                for rest, bcomp in collapse.items():
-                    _acc_b(out, self.B.element(
-                        [bcomp.get(i, ZERO) for i in range(nb)]
-                    ))
-            else:
-                tws = self.wordspaces[tail_seq]
-                for i in range(nb):
-                    bvecs = {
-                        rest: bc[i] for rest, bc in collapse.items() if bc.get(i)
-                    }
-                    if not bvecs:
-                        continue
-                    moved = self._plain_edge_mult(
-                        tail_seq,
-                        self.B.basis_element(i),
-                        bvecs,
-                        first=from_left,
-                        left=from_left,
-                    )
-                    _acc(out, tail_seq, tws.from_plain(moved))
+            leg, rest = ws.split(idx, from_left)
+            for i, part in enumerate(collapse):
+                v = op.matrix[i][nb + leg]
+                if v:
+                    part[rest] = part.get(rest, ZERO) + c * v
+        for i, part in enumerate(collapse):
+            if not part:
+                continue
+            if not tail:
+                _acc(out, (), {i: part[0]})
+                continue
+            leg_mat = self._b_leg(tail, self.B.basis_element(i), from_left)
+            _acc(out, tail, self._edge(tail, leg_mat, part, from_left))
 
     def bool_proj(self, k: int, vec: FpVec) -> FpVec:
         return _clean(
@@ -639,32 +601,18 @@ class TruncatedFreeProduct:
         seq = tuple(k for k, _ in factors)
         if len(seq) > self.depth:
             raise DepthExceeded(f"word of length {len(seq)} exceeds the depth")
-        ws = self.wordspaces[seq]
         plain: dict[int, Fraction] = {0: ONE}
-        for (k, osc), stride in zip(factors, ws.strides()):
-            nxt: dict[int, Fraction] = {}
-            for idx, c in plain.items():
-                for i, v in enumerate(osc):
-                    if v:
-                        nxt[idx + i * stride] = c * v
-            plain = nxt
+        for j, (_, osc) in enumerate(factors):
+            plain = self.wordspaces[seq[: j + 1]].grow(plain, osc, first=False)
             if not plain:
                 return {}
-        coords = ws.from_plain(plain)
-        return _clean({seq: coords})
+        return _clean({seq: self.wordspaces[seq].from_plain(plain)})
 
 
 def _acc(out: FpVec, seq, comp: dict[int, Fraction]):
     tgt = out.setdefault(seq, {})
     for i, c in comp.items():
         tgt[i] = tgt.get(i, ZERO) + c
-
-
-def _acc_b(out: FpVec, b: AlgebraElement):
-    tgt = out.setdefault((), {})
-    for i, c in enumerate(b.coeffs):
-        if c:
-            tgt[i] = tgt.get(i, ZERO) + c
 
 
 def _clean(vec: FpVec) -> FpVec:
@@ -674,18 +622,6 @@ def _clean(vec: FpVec) -> FpVec:
         if comp:
             out[seq] = comp
     return out
-
-
-def _weave_index(other, a2, c2, leg, osc_dims, strides):
-    """Plain index with legs (leg, leg+1) set and the rest unpacked."""
-    idx = a2 * strides[leg] + c2 * strides[leg + 1]
-    rem = other
-    for pos in range(len(osc_dims) - 1, -1, -1):
-        if pos in (leg, leg + 1):
-            continue
-        rem, digit = divmod(rem, osc_dims[pos])
-        idx += digit * strides[pos]
-    return idx
 
 
 def reduced_free_product(
@@ -705,10 +641,8 @@ def apply_atom(fp: TruncatedFreeProduct, atom: Atom, vec: FpVec) -> FpVec:
         return fp.lambda_apply(atom[2], atom[1], vec)
     if kind == "rho":
         return fp.rho_apply(atom[2], atom[1], vec)
-    if kind == "lb":
-        return fp.act_left_b(atom[1], vec)
-    if kind == "rb":
-        return fp.act_right_b(atom[1], vec)
+    if kind in ("lb", "rb"):
+        return fp.act_b(atom[1], vec, from_left=(kind == "lb"))
     if kind == "proj":
         return fp.bool_proj(atom[1], vec)
     raise ValueError(f"unknown atom {atom!r}")
@@ -771,13 +705,8 @@ class ModuleWordContext(MomentContext):
         self.components = components
 
     def expect(self, elems):
-        k = elems[0][0]
-        comp = self.components[k]
-        vec = comp.unit_vector()
-        for _, mats in reversed(elems):
-            for m in reversed(mats):
-                vec = mat_vec(m, vec)
-        return comp.p(vec)
+        comp = self.components[elems[0][0]]
+        return comp.p(_unit_image(comp, [mats for _, mats in elems]))
 
     def unit_b(self):
         k = next(iter(self.components))
@@ -794,6 +723,16 @@ class ModuleWordContext(MomentContext):
     def append_left(self, elem, value):
         k, mats = elem
         return (k, tuple(mats) + (self.components[k].left_matrix(value),))
+
+
+def _unit_image(comp: BimoduleWithProjection, words) -> Vec:
+    """The component's unit under a product of matrix words, each word a
+    product of its matrices; the rightmost matrix acts first."""
+    vec = comp.unit_vector()
+    for mats in reversed(words):
+        for m in reversed(mats):
+            vec = mat_vec(m, vec)
+    return vec
 
 
 def e_d_vector(
@@ -826,11 +765,7 @@ def e_d_vector(
     for blk in tops:
         k = final[blk.positions[0]][0]
         comp = fp.components[k]
-        vec = comp.unit_vector()
-        for pos in reversed(blk.positions):
-            _, mats = final[pos]
-            for m in reversed(mats):
-                vec = mat_vec(m, vec)
+        vec = _unit_image(comp, [final[pos][1] for pos in blk.positions])
         factors.append((k, comp.osc_part(vec)))
     return fp.tensor_embed(factors)
 

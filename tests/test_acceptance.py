@@ -70,15 +70,19 @@ def test_criterion_1_lattice_counts():
     checked = 0
     for n in range(0, 9):
         all_rgs = [p.rgs for p in all_partitions(n)]
+        # the filter depends on the colouring only through s_chi, and
+        # flipping the last letter keeps s_chi, so each set is reused
+        brute_by_order = {}
         for sides in iproduct("lr", repeat=n):
             ctx = build_context(ChiMap(sides))
-            order0 = [p - 1 for p in ctx.s_chi]
-            brute = set()
-            add = brute.add
-            nc_test = is_noncrossing_rgs
-            for rgs in all_rgs:
-                if nc_test([rgs[p] for p in order0]):
-                    add(rgs)
+            order0 = tuple(p - 1 for p in ctx.s_chi)
+            brute = brute_by_order.get(order0)
+            if brute is None:
+                brute = brute_by_order[order0] = {
+                    rgs
+                    for rgs in all_rgs
+                    if is_noncrossing_rgs([rgs[p] for p in order0])
+                }
             assert len(brute) == expected[n] == catalan(n)
             got = {p.rgs for p in enumerate_bnc(ctx)}
             assert got == brute

@@ -228,6 +228,7 @@ def test_verify_depth_flag(capsys):
         ("verify lr-decompose --max-n 0", "--max-n"),
         ("verify bifree --trials -1", "--trials"),
         ("verify lr-decompose --trials 0", "--trials"),
+        ("verify ffb-independence --word-cap 2 --depth 1", "--depth"),
     ],
 )
 def test_malformed_invocation_names_its_flag(capsys, command, flag):

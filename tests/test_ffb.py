@@ -10,9 +10,9 @@ from bnc_engine.ffb import (
     embed_ffb_family,
     verify_system_gives_ffb,
 )
-from bnc_engine.fixtures import family_dual, family_m2
+from bnc_engine.fixtures import family_diag2, family_dual, family_m2
 from bnc_engine.freeprod import FreeMomentContext, apply_chain, module_operator
-from bnc_engine.linalg import ZERO, identity
+from bnc_engine.linalg import ONE, ZERO, identity, unit_vec
 from bnc_engine.partitions import ChiMap, EpsilonMap, lr_replacement
 
 
@@ -21,6 +21,8 @@ def small_system(depth=6):
 
 
 SYS = small_system()
+# over B = D2: the word spaces of length two and more are quotients
+DIAG2 = embed_ffb_family(family_diag2(), 3)
 
 
 def test_construction_side_tags():
@@ -64,8 +66,9 @@ def test_telescoping_word_lands_in_second_summand():
 
 
 def test_system_axioms():
-    rep = check_ffb_system(SYS, word_cap=4)
-    assert rep.ok, rep.to_json()
+    for system, cap in ((SYS, 4), (DIAG2, 1)):
+        rep = check_ffb_system(system, word_cap=cap)
+        assert rep.ok, rep.to_json()
 
 
 def test_system_axioms_negative_control():
@@ -85,37 +88,40 @@ def test_system_axioms_negative_control():
 
 
 def test_single_colour_moment_preservation():
-    rep = check_single_colour_moments(SYS, word_cap=4)
-    assert rep.ok, rep.to_json()
+    for system, cap in ((SYS, 4), (DIAG2, 1)):
+        rep = check_single_colour_moments(system, word_cap=cap)
+        assert rep.ok, rep.to_json()
 
 
 def test_independence_word_cap_four():
-    rep = check_ffb_independence(SYS, word_cap=4)
-    assert rep.ok, rep.claims[-1]
+    for system, cap in ((SYS, 4), (DIAG2, 1)):
+        rep = check_ffb_independence(system, word_cap=cap)
+        assert rep.ok, rep.claims[-1]
 
 
 def test_independence_negative_control():
     # tamper with one boolean handle: pair it with a different source
     # element, so its represented word no longer matches the ambient one
-    sp = SYS.base
-    wrong = sp.A.basis_element(2)  # not the element the chain encodes
-    tampered = replace(SYS)
-    tampered.bool_handles = {
-        k: [
-            OperatorHandle(h.label, h.colour, h.chain, h.module_op, wrong)
-            for h in SYS.bool_handles[k]
-        ]
-        for k in SYS.colours()
-    }
-    rep = check_ffb_independence(tampered, word_cap=2)
-    assert not rep.ok
-    failed = [c for c in rep.claims if c["status"] == "fail"]
-    assert any(c.get("witness") for c in failed)
+    for system, cap in ((SYS, 2), (DIAG2, 1)):
+        wrong = system.base.A.basis_element(2)  # not the element the chain encodes
+        tampered = replace(system)
+        tampered.bool_handles = {
+            k: [
+                OperatorHandle(h.label, h.colour, h.chain, h.module_op, wrong)
+                for h in system.bool_handles[k]
+            ]
+            for k in system.colours()
+        }
+        rep = check_ffb_independence(tampered, word_cap=cap)
+        assert not rep.ok
+        failed = [c for c in rep.claims if c["status"] == "fail"]
+        assert any(c.get("witness") for c in failed)
 
 
 def test_proof_pipeline():
-    rep = verify_system_gives_ffb(SYS, word_cap=3)
-    assert rep.ok, [c for c in rep.claims if c["status"] == "fail"]
+    for system, cap in ((SYS, 3), (DIAG2, 1)):
+        rep = verify_system_gives_ffb(system, word_cap=cap)
+        assert rep.ok, [c for c in rep.claims if c["status"] == "fail"]
 
 
 def test_dual_system_pipeline():
@@ -126,22 +132,25 @@ def test_dual_system_pipeline():
 
 
 def test_ffb_word_audit_on_system_words():
-    mf = FreeMomentContext(SYS.fp)
-    for shape in (("b",), ("l", "b"), ("b", "r"), ("l", "b", "r")):
-        fctx = lr_replacement(ChiMap(tuple(shape), three_letter=True))
-        for eps_hat in iproduct(SYS.colours(), repeat=len(shape)):
-            eps = fctx.expand_colours(EpsilonMap(tuple(eps_hat)))
-            Z = []
-            for s, k in zip(shape, eps_hat):
-                if s == "l":
-                    Z.append(SYS.faces_l[k][0].chain)
-                elif s == "r":
-                    Z.append(SYS.faces_r[k][0].chain)
-                else:
-                    Z.append(SYS.cprime[k][0].chain)
-                    Z.append(SYS.dprime[k][0].chain)
-            rep = audit_ffb_word(fctx, eps, Z, mf)
-            assert rep.ok, (shape, eps_hat, rep.to_json())
+    # the cumulant sums insert the lb/rb atoms, so over DIAG2 these words
+    # also check the B-action on quotient word spaces
+    for system in (SYS, DIAG2):
+        mf = FreeMomentContext(system.fp)
+        for shape in (("b",), ("l", "b"), ("b", "r"), ("l", "b", "r")):
+            fctx = lr_replacement(ChiMap(tuple(shape), three_letter=True))
+            for eps_hat in iproduct(system.colours(), repeat=len(shape)):
+                eps = fctx.expand_colours(EpsilonMap(tuple(eps_hat)))
+                Z = []
+                for s, k in zip(shape, eps_hat):
+                    if s == "l":
+                        Z.append(system.faces_l[k][0].chain)
+                    elif s == "r":
+                        Z.append(system.faces_r[k][0].chain)
+                    else:
+                        Z.append(system.cprime[k][0].chain)
+                        Z.append(system.dprime[k][0].chain)
+                rep = audit_ffb_word(fctx, eps, Z, mf)
+                assert rep.ok, (shape, eps_hat, rep.to_json())
 
 
 def test_single_boolean_slot_cumulant_is_plain_expectation():
@@ -172,3 +181,11 @@ def test_fp_vector_serialization():
     assert data and all(isinstance(k, str) for k in data)
     summary = fp.describe()
     assert summary["base_dim"] == 1 and summary["depth"] == fp.depth
+    # over B = D2 a coordinate's label names a plain word in its class
+    fp = DIAG2.fp
+    ws = fp.wordspaces[(1, 2)]
+    for q in range(ws.dim):
+        (label,) = fp.vector_to_json({(1, 2): {q: ONE}})
+        legs = [tuple(map(int, part.split(":"))) for part in label[1:-1].split(")(")]
+        factors = [(k, unit_vec(fp.components[k].osc_dim, i)) for k, i in legs]
+        assert fp.tensor_embed(factors) == {(1, 2): {q: ONE}}, label

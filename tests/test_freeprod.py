@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
 from bnc_engine.diagrams import enumerate_lr, lateral_closure, make_diagram
+from bnc_engine.ffb import embed_ffb_family
 from bnc_engine.fixtures import (
     SCALARS,
+    family_diag2,
     scalar_module,
     space_diag2,
     space_m2_scalar,
@@ -22,7 +25,7 @@ from bnc_engine.freeprod import (
     module_operator,
     reduced_free_product,
 )
-from bnc_engine.linalg import ONE, ZERO, mat_mul, mat_vec
+from bnc_engine.linalg import ONE, ZERO, identity, mat_mul, mat_vec
 from bnc_engine.partitions import ChiMap, EpsilonMap
 
 RNG = random.Random(11)
@@ -34,6 +37,31 @@ def rand_op(mod, rng=RNG):
 
 
 MODS = {1: scalar_module(2), 2: scalar_module(3)}
+
+# Over B = D2 the plain diag2 module's one-sided commutants are diagonal
+# and open no legs, so the amalgamated cases use the doubled system's
+# module operators: the faces, c' (left-sided) and the two-sided shift d'.
+DIAG2 = embed_ffb_family(family_diag2(), 3)
+DIAG2_LEFT = [
+    h.module_op for h in DIAG2.faces_l[1] + DIAG2.cprime[1] + DIAG2.dprime[1]
+]
+DIAG2_RIGHT = [h.module_op for h in DIAG2.faces_r[2] + DIAG2.dprime[2]]
+
+
+def diag2_word_12():
+    """A vector in the quotient word space (1, 2) of the DIAG2 product."""
+    fp, shift = DIAG2.fp, DIAG2.dprime[1][0].module_op
+    ws = fp.wordspaces[(1, 2)]
+    assert (ws.plain_dim, ws.dim) == (36, 18)
+    vec = fp.rho_apply(shift, 2, fp.lambda_apply(shift, 1, fp.unit()))
+    assert (1, 2) in vec
+    return vec
+
+
+def compose(mod, a, b):
+    return module_operator(
+        mod, mat_mul([list(r) for r in a.matrix], [list(r) for r in b.matrix])
+    )
 
 
 # --- module construction ----------------------------------------------------
@@ -146,6 +174,19 @@ def test_lambda_rho_representation_laws():
     v = fp.lambda_apply(T1, 1, fp.unit())
     x = mat_vec(T1.matrix, MODS[1].unit_vector())
     assert fp.p(v).coeffs == MODS[1].p(x).coeffs
+    # over B = D2, on the quotient word space (1, 2)
+    fp, dbl = DIAG2.fp, DIAG2.doubled
+    base = diag2_word_12()
+    for apply, ops in ((fp.lambda_apply, DIAG2_LEFT), (fp.rho_apply, DIAG2_RIGHT)):
+        for k in (1, 2):
+            for A1, A2 in iproduct(ops, repeat=2):
+                assert fp.equal(
+                    apply(compose(dbl, A1, A2), k, base),
+                    apply(A1, k, apply(A2, k, base)),
+                )
+    ident = module_operator(dbl, identity(dbl.dim))
+    assert fp.equal(fp.lambda_apply(ident, 1, base), base)
+    assert fp.equal(fp.rho_apply(ident, 2, base), base)
 
 
 def test_left_right_commutation_across_colours():
@@ -157,6 +198,14 @@ def test_left_right_commutation_across_colours():
         fp.lambda_apply(a, 1, fp.rho_apply(b2, 2, x)),
         fp.rho_apply(b2, 2, fp.lambda_apply(a, 1, x)),
     )
+    # over B = D2, on the quotient word space (1, 2)
+    fp = DIAG2.fp
+    x = diag2_word_12()
+    for a, b2 in iproduct(DIAG2_LEFT, DIAG2_RIGHT):
+        assert fp.equal(
+            fp.lambda_apply(a, 1, fp.rho_apply(b2, 2, x)),
+            fp.rho_apply(b2, 2, fp.lambda_apply(a, 1, x)),
+        )
 
 
 def test_boolean_projection_facts():
