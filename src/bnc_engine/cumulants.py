@@ -145,8 +145,15 @@ def moment_cumulant_roundtrip(ctx: BNCContext, moments: dict, kappas: dict) -> b
     return True
 
 
-def _colour_refines(pi: SetPartition, eps: EpsilonMap) -> bool:
-    return refines(pi, eps.as_partition())
+def _interval_weights(tops, ctx: BNCContext) -> dict[tuple[int, ...], int]:
+    """Sum over sigma in tops of kappa(sigma), as one weight per moment:
+    the weight of pi is the sum of mu(pi, sigma) over the tops above it.
+    Zero weights are dropped."""
+    weights: dict[tuple[int, ...], int] = {}
+    for sigma in tops:
+        for rgs, mu in interval_below(sigma, ctx):
+            weights[rgs] = weights.get(rgs, 0) + mu
+    return {rgs: w for rgs, w in weights.items() if w}
 
 
 def bifree_moment_check(
@@ -154,21 +161,18 @@ def bifree_moment_check(
 ) -> CheckReport:
     """Both forms of the independence criterion on one word.
 
-    The word expectation must equal the incidence-weighted sum of
-    partition moments over colour-compatible partitions; equivalently
-    the full-word cumulant vanishes for mixed colours.
+    The word expectation must equal the sum of the cumulants of the
+    colour-refining partitions; equivalently the full-word cumulant
+    vanishes for mixed colours.
     """
     ctx = build_context(chi)
     rep = CheckReport()
     lhs = mf.expect(list(Z))
-    moments = moment_table(ctx, Z, mf)
-    # weight of pi: the sum of mu(pi, sigma) over colour-refining sigma >= pi
-    weights: dict[tuple[int, ...], int] = {}
-    for sigma in enumerate_bnc(ctx):
-        if _colour_refines(sigma, eps):
-            for rgs, mu in interval_below(sigma, ctx):
-                weights[rgs] = weights.get(rgs, 0) + mu
-    total = _weighted_sum(moments, ((rgs, w) for rgs, w in weights.items() if w))
+    lattice = enumerate_bnc(ctx)
+    moments = moment_table(ctx, Z, mf, partitions=lattice)
+    colours = eps.as_partition()
+    tops = [sigma for sigma in lattice if refines(sigma, colours)]
+    total = _weighted_sum(moments, _interval_weights(tops, ctx).items())
     total = total if total is not None else mf.unit_b().scale(0)
     rep.record(
         "moment-formula",
@@ -183,115 +187,62 @@ def bifree_moment_check(
     return rep
 
 
-def _expanded_eps_ok(fctx: FfbContext, eps: EpsilonMap) -> bool:
-    return all(
-        eps.colour(j) == eps.colour(j + 1) for j in fctx.boolean_pair_starts()
-    )
-
-
-def ffb_moment_formula(
-    fctx: FfbContext,
-    eps: EpsilonMap,
-    Z: list,
-    mf: MomentContext,
-    moments: dict | None = None,
+def audit_ffb_word(
+    fctx: FfbContext, eps: EpsilonMap, Z: list, mf: MomentContext
 ) -> CheckReport:
-    """Word moments against the boolean-pair sublattice cumulant sum.
+    """Every word-level FFB claim off one moment table.
 
     Z is the expanded operand list (each boolean slot contributing its
-    two factors); eps the expanded colour map.
+    two factors); eps the expanded colour map.  The claims, in order:
+    the word moment is the sum of the cumulants over the boolean-pair
+    sublattice; the full-word cumulant restricted to that sublattice is
+    unchanged; colour-refining partition moments vanish off it; and the
+    full-word cumulant vanishes unless the colour map is constant.
     """
     if eps.n != fctx.n or len(Z) != fctx.n:
         raise SizeMismatch("expanded operands must match the expanded colouring")
-    if not _expanded_eps_ok(fctx, eps):
+    if any(eps.colour(j) != eps.colour(j + 1) for j in fctx.boolean_pair_starts()):
         raise ColouringError("boolean pairs must be monochromatic")
     ctx = build_context(fctx.chi)
+    lattice = enumerate_bnc(ctx)
+    moments = moment_table(ctx, Z, mf, partitions=lattice)
+    members = [pi for pi in lattice if in_bnc_ffb(pi, fctx)]
+    member_rgs = {pi.rgs for pi in members}
     rep = CheckReport()
+
     lhs = mf.expect(list(Z))
-    if moments is None:
-        moments = moment_table(ctx, Z, mf)
-    total = None
-    ffb_parts = [pi for pi in enumerate_bnc(ctx) if in_bnc_ffb(pi, fctx)]
-    for pi in ffb_parts:
-        term = kappa_pi(pi, ctx, Z, mf, moments=moments)
-        total = term if total is None else total + term
-    total = total if total is not None else mf.unit_b().scale(0)
+    total = _weighted_sum(moments, _interval_weights(members, ctx).items())
     rep.record(
         "ffb-moment-formula",
         (lhs - total).is_zero(),
         witness={"lhs": str(lhs), "rhs": str(total)},
     )
-    one = SetPartition.full(ctx.n)
-    kap = kappa_pi(one, ctx, Z, mf, moments=moments)
-    ffb_rgs = {pi.rgs for pi in ffb_parts}
+    below_one = interval_below(SetPartition.full(ctx.n), ctx)
+    kap = _weighted_sum(moments, below_one)
     restricted = _weighted_sum(
-        moments, ((rgs, mu) for rgs, mu in interval_below(one, ctx) if rgs in ffb_rgs)
+        moments, ((rgs, mu) for rgs, mu in below_one if rgs in member_rgs)
     )
     rep.record(
         "ffb-cumulant-restriction",
         (kap - restricted).is_zero(),
         witness={"full": str(kap), "restricted": str(restricted)},
     )
-    return rep
 
-
-def ffb_vanishing_check(
-    fctx: FfbContext,
-    eps: EpsilonMap,
-    Z: list,
-    mf: MomentContext,
-    moments: dict | None = None,
-) -> CheckReport:
-    """Partition moments vanish off the boolean-pair sublattice."""
-    if not _expanded_eps_ok(fctx, eps):
-        raise ColouringError("boolean pairs must be monochromatic")
-    ctx = build_context(fctx.chi)
-    rep = CheckReport()
-    for pi in enumerate_bnc(ctx):
-        if in_bnc_ffb(pi, fctx) or not _colour_refines(pi, eps):
-            continue
-        if moments is not None:
+    colours = eps.as_partition()
+    van = CheckReport()
+    for pi in lattice:
+        if pi.rgs not in member_rgs and refines(pi, colours):
             val = moments[pi.rgs]
-        else:
-            val = e_pi(pi, ctx, Z, mf, verify_sides=False, validate=False)
-        rep.record(f"vanishes-{pi.rgs}", val.is_zero(), witness=str(val))
-    return rep
-
-
-def kappa_constancy_check(
-    fctx: FfbContext,
-    eps: EpsilonMap,
-    Z: list,
-    mf: MomentContext,
-    moments: dict | None = None,
-) -> CheckReport:
-    """Full-word cumulant vanishes unless the colour map is constant."""
-    if not _expanded_eps_ok(fctx, eps):
-        raise ColouringError("boolean pairs must be monochromatic")
-    ctx = build_context(fctx.chi)
-    rep = CheckReport()
-    kap = kappa_pi(SetPartition.full(ctx.n), ctx, Z, mf, moments=moments)
-    if len(set(eps.colours)) > 1:
-        rep.record("mixed-ffb-cumulant-vanishes", kap.is_zero(), witness=str(kap))
-    else:
-        rep.record("constant-colour-cumulant", True, witness=str(kap))
-    return rep
-
-
-def audit_ffb_word(
-    fctx: FfbContext, eps: EpsilonMap, Z: list, mf: MomentContext
-) -> CheckReport:
-    """All word-level checks off one shared moment table."""
-    ctx = build_context(fctx.chi)
-    moments = moment_table(ctx, Z, mf)
-    rep = CheckReport()
-    rep.claims.extend(ffb_moment_formula(fctx, eps, Z, mf, moments=moments).claims)
-    van = ffb_vanishing_check(fctx, eps, Z, mf, moments=moments)
+            van.record(f"vanishes-{pi.rgs}", val.is_zero(), witness=str(val))
     bad = [c for c in van.claims if c["status"] == "fail"]
     rep.record(
         f"off-lattice-vanishing ({len(van.claims)} partitions)",
         not bad,
         witness=bad[:5] or None,
     )
-    rep.claims.extend(kappa_constancy_check(fctx, eps, Z, mf, moments=moments).claims)
+
+    if len(set(eps.colours)) > 1:
+        rep.record("mixed-ffb-cumulant-vanishes", kap.is_zero(), witness=str(kap))
+    else:
+        rep.record("constant-colour-cumulant", True)
     return rep

@@ -37,7 +37,6 @@ from .algebra import AlgebraElement, BBProbSpace, CheckReport, StructuredAlgebra
 from .bimult import MomentContext, ReduceBlock, reduce_blocks
 from .diagrams import LRDiagram, make_diagram
 from .linalg import (
-    Basis,
     Mat,
     ONE,
     Quotient,
@@ -214,17 +213,21 @@ def build_bimodule_from_space(space: BBProbSpace):
     by multiplication followed by the quotient map.
     """
     A, B = space.A, space.B
-    ker_rows = nullspace([list(r) for r in space.expectation], A.dim)
-    ker = Basis(A.dim)
-    for row in ker_rows:
-        ker.add(row)
-    rel = RowSpace(ker.rank)
+    ker_rows, free = nullspace([list(r) for r in space.expectation], A.dim)
+
+    def ker_coords(elem: AlgebraElement) -> Vec | None:
+        """Coordinates over ker_rows, or None outside the kernel of E."""
+        if not space.expect(elem).is_zero():
+            return None
+        return [elem.coeffs[f] for f in free]
+
+    rel = RowSpace(len(ker_rows))
     for t in range(A.dim):
         et = A.basis_element(t)
         for i in range(B.dim):
             bi = B.basis_element(i)
             d = et * space.embed_left(bi) - et * space.embed_right(bi)
-            coords = ker.express(list(d.coeffs))
+            coords = ker_coords(d)
             if coords is None:
                 raise ValueError("difference element escapes the kernel")
             rel.add(coords)
@@ -233,7 +236,7 @@ def build_bimodule_from_space(space: BBProbSpace):
     dim = B.dim + osc
 
     def q_of(elem: AlgebraElement) -> Vec:
-        coords = ker.express(list(elem.coeffs))
+        coords = ker_coords(elem)
         if coords is None:
             raise ValueError("element not in the expectation kernel")
         return quotient.project(coords)
@@ -245,7 +248,7 @@ def build_bimodule_from_space(space: BBProbSpace):
         return list(e.coeffs) + q_of(rest)
 
     # quotient coordinate j lifts to kernel vector quotient.coords[j]
-    sections = [A.element(list(ker.vectors[j])) for j in quotient.coords]
+    sections = [A.element(ker_rows[j]) for j in quotient.coords]
 
     basis_mats = []
     for t in range(A.dim):
@@ -535,18 +538,17 @@ class TruncatedFreeProduct:
 
     def _rep_apply(self, op: ModuleOperator, k: int, vec: FpVec, from_left: bool):
         comp_k = self.components[k]
+        unit_image = None  # op on comp_k's unit, the same for every word
         out: FpVec = {}
         for seq, comp in vec.items():
             if seq and (seq[0] if from_left else seq[-1]) == k:
                 self._rep_apply_edge(out, op, seq, comp, from_left)
                 continue
             if seq:
-                if len(seq) + 1 > self.depth:
-                    raise DepthExceeded(
-                        f"word {seq} cannot grow beyond depth {self.depth}"
-                    )
                 plain = self.wordspaces[seq].to_plain(comp)
-                x = op.apply(comp_k.unit_vector())
+                if unit_image is None:
+                    unit_image = op.apply(comp_k.unit_vector())
+                x = unit_image
                 bpart = comp_k.p(x)
                 if not bpart.is_zero():
                     leg_mat = self._b_leg(seq, bpart, from_left)
@@ -559,6 +561,10 @@ class TruncatedFreeProduct:
             osc = comp_k.osc_part(x)
             if any(osc):
                 nseq = (k,) + seq if from_left else seq + (k,)
+                if len(nseq) > self.depth:
+                    raise DepthExceeded(
+                        f"word {seq} cannot grow beyond depth {self.depth}"
+                    )
                 nws = self.wordspaces[nseq]
                 _acc(out, nseq, nws.from_plain(nws.grow(plain, osc, from_left)))
         return _clean(out)

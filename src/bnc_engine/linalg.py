@@ -156,8 +156,10 @@ class RowSpace:
         return [j for j in range(self.width) if j not in piv]
 
 
-def nullspace(m: Mat, cols: int) -> Mat:
-    """Basis of the right nullspace of m (rows may be empty)."""
+def nullspace(m: Mat, cols: int) -> tuple[Mat, list[int]]:
+    """Basis of the right nullspace of m (rows may be empty), and its free
+    indices.  Basis vector j is 1 at free[j] and 0 at every other free
+    index, so a nullspace element's coordinates are its entries there."""
     rs = RowSpace(cols)
     for row in m:
         rs.add(row)
@@ -171,70 +173,7 @@ def nullspace(m: Mat, cols: int) -> Mat:
             if row[f]:
                 v[p] = -row[f]
         basis.append(v)
-    return basis
-
-
-class Basis:
-    """Independent vectors with coordinate solving against them."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.vectors: list[Vec] = []
-        self._rows: list[Vec] = []  # echelon forms of the vectors
-        self._combs: list[Vec] = []  # echelon rows over self.vectors
-        self._pivots: list[int] = []
-
-    def _reduce(self, v: Sequence[Fraction]):
-        r = list(v)
-        comb = zeros(len(self.vectors))
-        for row, cmb, p in zip(self._rows, self._combs, self._pivots):
-            if r[p]:
-                f = r[p]
-                for j in range(self.width):
-                    if row[j]:
-                        r[j] -= f * row[j]
-                for j in range(len(cmb)):
-                    if cmb[j]:
-                        comb[j] -= f * cmb[j]
-        return r, comb
-
-    def add(self, v: Sequence[Fraction]) -> bool:
-        r, comb = self._reduce(v)
-        p = next((j for j in range(self.width) if r[j]), None)
-        if p is None:
-            return False
-        self.vectors.append(list(v))
-        comb = comb + [ONE]
-        for c in self._combs:
-            c.append(ZERO)
-        inv = ONE / r[p]
-        r = [x * inv for x in r]
-        comb = [x * inv for x in comb]
-        for row, cmb in zip(self._rows, self._combs):
-            if row[p]:
-                f = row[p]
-                for j in range(self.width):
-                    if r[j]:
-                        row[j] -= f * r[j]
-                for j in range(len(comb)):
-                    if comb[j]:
-                        cmb[j] -= f * comb[j]
-        k = next((i for i, q in enumerate(self._pivots) if q > p), len(self._pivots))
-        self._rows.insert(k, r)
-        self._combs.insert(k, comb)
-        self._pivots.insert(k, p)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
-
-    def express(self, v: Sequence[Fraction]) -> Vec | None:
-        """Coordinates of v over the added vectors, or None if outside."""
-        r, comb = self._reduce(v)
-        if not is_zero_vec(r):
-            return None
-        return [-c for c in comb]
+    return basis, free
 
 
 class Quotient:

@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
 from bnc_engine.cumulants import (
     AlgebraMomentContext,
+    _interval_weights,
+    _weighted_sum,
     ColouringError,
     SideMismatch,
     audit_ffb_word,
     bifree_moment_check,
     cumulant_table,
     e_pi,
-    ffb_moment_formula,
     kappa_pi,
     moment_cumulant_roundtrip,
     moment_table,
@@ -33,7 +35,9 @@ from bnc_engine.partitions import (
     SetPartition,
     build_context,
     enumerate_bnc,
+    in_bnc_ffb,
     lr_replacement,
+    refines,
 )
 
 SP = space_m2_scalar()
@@ -181,7 +185,7 @@ def test_ffb_formula_requires_pair_colours():
     )
     Z = [(("lam", 1, ident),), (("rho", 2, ident),)]
     with pytest.raises(ColouringError):
-        ffb_moment_formula(fctx, EpsilonMap((1, 2)), Z, mf)
+        audit_ffb_word(fctx, EpsilonMap((1, 2)), Z, mf)
 
 
 def test_ffb_formula_without_boolean_slots_is_bifree_formula():
@@ -214,3 +218,31 @@ def test_mixed_cumulants_vanish_up_to_length_five():
     ctx = build_context(ChiMap(sides))
     kap = kappa_pi(SetPartition.full(5), ctx, Z, mf)
     assert kap.is_zero()
+
+
+def test_interval_weights_match_summed_cumulants():
+    # one weight map over the moment table against a kappa_pi per top,
+    # on a random table, for every chi-hat of expanded length <= 5
+    rng = random.Random(5)
+    shapes = 0
+    for n_hat in range(1, 6):
+        for shape in iproduct("lrb", repeat=n_hat):
+            if n_hat + shape.count("b") > 5:
+                continue
+            fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
+            ctx = build_context(fctx.chi)
+            lattice = enumerate_bnc(ctx)
+            table = {pi.rgs: SP.B.element([Fraction(rng.randint(-9, 9))]) for pi in lattice}
+            colours = EpsilonMap(tuple(rng.choice((1, 2)) for _ in range(ctx.n)))
+            for tops in (
+                [pi for pi in lattice if in_bnc_ffb(pi, fctx)],
+                [pi for pi in lattice if refines(pi, colours.as_partition())],
+            ):
+                zero = SP.B.element([Fraction(0)])
+                got = _weighted_sum(table, _interval_weights(tops, ctx).items())
+                want = zero
+                for pi in tops:
+                    want = want + kappa_pi(pi, ctx, None, None, moments=table)
+                assert (got or zero) == want, (shape, colours.colours)
+            shapes += 1
+    assert shapes == 118

@@ -153,6 +153,43 @@ def test_ffb_word_audit_on_system_words():
                 assert rep.ok, (shape, eps_hat, rep.to_json())
 
 
+def test_ffb_word_audit_negative_controls():
+    # the dual family's faces l, r in one boolean slot are no boolean pair:
+    # the pair-splitting partition's moment is 1, not 0
+    dual = embed_ffb_family(family_dual(), depth=2)
+    fctx = lr_replacement(ChiMap.parse("b"))
+    Z = [dual.faces_l[1][0].chain, dual.faces_r[1][0].chain]
+    rep = audit_ffb_word(fctx, EpsilonMap((1, 1)), Z, FreeMomentContext(dual.fp))
+    assert rep.claims == [
+        {
+            "id": "ffb-moment-formula",
+            "status": "fail",
+            "witness": {"lhs": "1*1", "rhs": "0"},
+        },
+        {
+            "id": "ffb-cumulant-restriction",
+            "status": "fail",
+            "witness": {"full": "0", "restricted": "1*1"},
+        },
+        {
+            "id": "off-lattice-vanishing (1 partitions)",
+            "status": "fail",
+            "witness": [{"id": "vanishes-(0, 1)", "status": "fail", "witness": "1*1"}],
+        },
+        {"id": "constant-colour-cumulant", "status": "pass"},
+    ]
+    # colour-1 operands under a mixed colour map are not free of each other
+    fctx = lr_replacement(ChiMap(("l", "r"), three_letter=True))
+    Z = [SYS.faces_l[1][0].chain, SYS.faces_r[1][0].chain]
+    rep = audit_ffb_word(fctx, EpsilonMap((1, 2)), Z, FreeMomentContext(SYS.fp))
+    assert [c["status"] for c in rep.claims] == ["pass", "pass", "pass", "fail"]
+    assert rep.claims[-1] == {
+        "id": "mixed-ffb-cumulant-vanishes",
+        "status": "fail",
+        "witness": "1*1",
+    }
+
+
 def test_single_boolean_slot_cumulant_is_plain_expectation():
     # length-one boolean word: the only sublattice member is the pair
     # block, whose cumulant equals the word expectation

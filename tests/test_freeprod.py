@@ -4,6 +4,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from bnc_engine.algebra import algebra_from_matrix_units
 from bnc_engine.diagrams import enumerate_lr, lateral_closure, make_diagram
 from bnc_engine.ffb import embed_ffb_family
 from bnc_engine.fixtures import (
@@ -235,6 +236,58 @@ def test_depth_guard_raises():
     v = fp.lambda_apply(rand_op(MODS[1]), 1, fp.unit())
     with pytest.raises(DepthExceeded):
         fp.lambda_apply(rand_op(MODS[2]), 2, v)
+
+
+def test_full_depth_word_without_a_new_leg():
+    # the colour-2 left face sends the unit into B, so on a full-depth
+    # word of colour 1 it only multiplies the first leg: no leg is added
+    fp = DIAG2.fp
+    op = DIAG2.faces_l[2][0].module_op
+    comp = fp.components[2]
+    image = op.apply(comp.unit_vector())
+    assert not any(comp.osc_part(image))
+    b = comp.p(image)
+    assert b.coeffs == (1, 2)  # d1 + 2·d2
+    ws = fp.wordspaces[(1, 2, 1)]
+    assert len(ws.seq) == fp.depth
+    v = {(1, 2, 1): {q: Fraction(q + 1) for q in range(ws.dim)}}
+    assert fp.equal(fp.lambda_apply(op, 2, v), fp.act_b(b, v, True))
+
+
+def m2_free_product():
+    """M2 acting on itself by left and right multiplication, doubled, and
+    the free product of two copies at depth 3: a non-commutative B, so
+    b·x and x·b differ, as do the actions on a word's first and last leg."""
+    B = algebra_from_matrix_units(2)
+    basis = [B.basis_element(i) for i in range(B.dim)]
+
+    def action(mul):
+        return tuple(tuple(zip(*(mul(b, y).coeffs for y in basis))) for b in basis)
+
+    mod = BimoduleWithProjection(
+        B, B.dim, B.labels, action(lambda b, y: b * y), action(lambda b, y: y * b)
+    )
+    assert mod.check().ok
+    double = doubled_bimodule(mod)
+    return reduced_free_product({1: double, 2: double}, 3), basis
+
+
+def test_b_actions_over_a_noncommutative_base():
+    fp, basis = m2_free_product()
+    assert {ws.dim for ws in fp.wordspaces.values()} == {4}
+    # the complement of the doubled module is a copy of M2 in its basis
+    z = fp.B.element([Fraction(c) for c in (1, 2, 3, 5)])
+
+    def word(*legs):
+        return fp.tensor_embed([(k, list(x.coeffs)) for k, x in enumerate(legs, 1)])
+
+    for b, y in iproduct(basis, repeat=2):
+        assert fp.equal(fp.act_b(b, fp.embed_b(y), True), fp.embed_b(b * y))
+        assert fp.equal(fp.act_b(b, fp.embed_b(y), False), fp.embed_b(y * b))
+        assert fp.equal(fp.act_b(b, word(y), True), word(b * y))
+        assert fp.equal(fp.act_b(b, word(y), False), word(y * b))
+        assert fp.equal(fp.act_b(b, word(y, z), True), word(b * y, z))
+        assert fp.equal(fp.act_b(b, word(y, z), False), word(y, z * b))
 
 
 # --- diagram vectors ---------------------------------------------------------
