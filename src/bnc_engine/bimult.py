@@ -21,6 +21,13 @@ order, then ribs just above on the far side).
 Evaluation contexts supply the algebra: ordered-word expectation and
 the three insertion operations.  The engine never multiplies elements
 itself.
+
+The collapse order, each insertion's kind and its target depend only on
+the blocks and the side colouring, never on the operands.  record_plan
+runs the engine itself once on position operands against a recording
+context, which stores the steps as one flat record; replay_plan then
+evaluates that record on any operands, so the collapse rule lives only
+in reduce_blocks.
 """
 
 from __future__ import annotations
@@ -184,3 +191,65 @@ def blocks_from_partition(pi, tops: dict[tuple[int, ...], int] | None = None):
         rank = tops.get(blk)
         out.append(ReduceBlock(blk, top=rank is not None, gap_rank=rank))
     return out
+
+
+APPEND_LEFT, PREPEND_LEFT, PREPEND_RIGHT = range(3)
+
+
+class _PlanRecorder(MomentContext):
+    """Operands are positions; each expectation and insertion is noted.
+
+    A step is (k, p1..pk, kind, target): the block's positions, then how
+    its value enters the operand at target.  The last step has no
+    insertion: its value is the moment.
+    """
+
+    def __init__(self):
+        self.steps: list[int] = []
+
+    def expect(self, elems):
+        self.steps.append(len(elems))
+        self.steps.extend(elems)
+
+    def prepend_left(self, value, elem):
+        self.steps += (PREPEND_LEFT, elem)
+        return elem
+
+    def prepend_right(self, value, elem):
+        self.steps += (PREPEND_RIGHT, elem)
+        return elem
+
+    def append_left(self, elem, value):
+        self.steps += (APPEND_LEFT, elem)
+        return elem
+
+
+def record_plan(blocks: list[ReduceBlock], side: dict[int, str]):
+    """The engine's steps for closed blocks, as one flat record (bytes
+    while every position fits in a byte)."""
+    rec = _PlanRecorder()
+    out = reduce_blocks(blocks, {p: p for b in blocks for p in b.positions}, side, rec)
+    if out[0] != "scalar":
+        raise ValueError("partition moments must collapse completely")
+    steps = rec.steps
+    return bytes(steps) if max(steps) < 256 else tuple(steps)
+
+
+def replay_plan(plan, ops: list, ctx: MomentContext):
+    """The moment a recorded plan computes; ops[p] is the operand at
+    position p (ops[0] is unused)."""
+    ops = list(ops)
+    i, end = 0, len(plan)
+    while True:
+        j = i + 1 + plan[i]
+        value = ctx.expect([ops[p] for p in plan[i + 1 : j]])
+        if j == end:
+            return value
+        kind, t = plan[j], plan[j + 1]
+        if kind == APPEND_LEFT:
+            ops[t] = ctx.append_left(ops[t], value)
+        elif kind == PREPEND_LEFT:
+            ops[t] = ctx.prepend_left(value, ops[t])
+        else:
+            ops[t] = ctx.prepend_right(value, ops[t])
+        i = j + 2

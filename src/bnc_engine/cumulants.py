@@ -2,13 +2,20 @@
 
 Moments are evaluated through a MomentContext (elements of an ambient
 algebra, or operator words on a free-product module); cumulants invert
-them along the bi-non-crossing lattice.
+them along the bi-non-crossing lattice.  Each partition moment replays
+the reduction plan recorded once per (chi, pi).
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraElement, BBProbSpace, CheckReport
-from .bimult import MomentContext, blocks_from_partition, reduce_blocks
+from .bimult import (
+    MomentContext,
+    blocks_from_partition,
+    record_plan,
+    reduce_blocks,
+    replay_plan,
+)
 from .partitions import (
     BNCContext,
     ChiMap,
@@ -74,7 +81,11 @@ def e_pi(
     chooser=None,
     validate: bool = True,
 ) -> AlgebraElement:
-    """The recursive partition moment; a B element."""
+    """The recursive partition moment; a B element.
+
+    Without a chooser this replays the plan recorded once per (chi, pi);
+    a chooser runs reduce_blocks in the collapse order it picks.
+    """
     if validate:
         if pi.n != ctx.n or len(Z) != ctx.n:
             raise SizeMismatch("partition, colouring, and operands disagree")
@@ -84,13 +95,32 @@ def e_pi(
         for i, z in enumerate(Z, start=1):
             if not mf.verify_side(z, ctx.chi.side(i)):
                 raise SideMismatch(f"operand {i} not in the {ctx.chi.side(i)} side")
+    if chooser is None:
+        return replay_plan(_plan(pi, ctx), [None, *Z], mf)
     blocks = blocks_from_partition(pi)
     ops = {i: z for i, z in enumerate(Z, start=1)}
-    side = {i: ctx.chi.side(i) for i in range(1, ctx.n + 1)}
-    out = reduce_blocks(blocks, ops, side, mf, chooser=chooser)
+    out = reduce_blocks(blocks, ops, _sides(ctx), mf, chooser=chooser)
     if out[0] != "scalar":
         raise ValueError("partition moments must collapse completely")
     return out[1]
+
+
+# chi.sides -> {pi.rgs: reduction plan}
+_plan_cache: dict[tuple[str, ...], dict[tuple[int, ...], bytes | tuple]] = {}
+
+
+def _sides(ctx: BNCContext) -> dict[int, str]:
+    return {i: s for i, s in enumerate(ctx.chi.sides, start=1)}
+
+
+def _plan(pi: SetPartition, ctx: BNCContext):
+    plans = _plan_cache.get(ctx.chi.sides)
+    if plans is None:
+        plans = _plan_cache[ctx.chi.sides] = {}
+    plan = plans.get(pi.rgs)
+    if plan is None:
+        plan = plans[pi.rgs] = record_plan(blocks_from_partition(pi), _sides(ctx))
+    return plan
 
 
 def moment_table(ctx: BNCContext, Z: list, mf: MomentContext, partitions=None):
@@ -187,6 +217,26 @@ def bifree_moment_check(
     return rep
 
 
+# (chi_hat.sides, chi.sides) -> (member rgs, member weights, rows below 1)
+_audit_cache: dict = {}
+
+
+def _audit_lattice(fctx: FfbContext, ctx: BNCContext, lattice):
+    """What the audit needs of the lattice, shared by every colour map:
+    the sublattice members' rgs, the weight map summing their cumulants,
+    and the interval_below rows of the full partition."""
+    key = (fctx.chi_hat.sides, fctx.chi.sides)
+    hit = _audit_cache.get(key)
+    if hit is None:
+        members = [pi for pi in lattice if in_bnc_ffb(pi, fctx)]
+        hit = _audit_cache[key] = (
+            frozenset(pi.rgs for pi in members),
+            tuple(_interval_weights(members, ctx).items()),
+            tuple(interval_below(SetPartition.full(ctx.n), ctx)),
+        )
+    return hit
+
+
 def audit_ffb_word(
     fctx: FfbContext, eps: EpsilonMap, Z: list, mf: MomentContext
 ) -> CheckReport:
@@ -206,18 +256,16 @@ def audit_ffb_word(
     ctx = build_context(fctx.chi)
     lattice = enumerate_bnc(ctx)
     moments = moment_table(ctx, Z, mf, partitions=lattice)
-    members = [pi for pi in lattice if in_bnc_ffb(pi, fctx)]
-    member_rgs = {pi.rgs for pi in members}
+    member_rgs, member_weights, below_one = _audit_lattice(fctx, ctx, lattice)
     rep = CheckReport()
 
     lhs = mf.expect(list(Z))
-    total = _weighted_sum(moments, _interval_weights(members, ctx).items())
+    total = _weighted_sum(moments, member_weights)
     rep.record(
         "ffb-moment-formula",
         (lhs - total).is_zero(),
         witness={"lhs": str(lhs), "rhs": str(total)},
     )
-    below_one = interval_below(SetPartition.full(ctx.n), ctx)
     kap = _weighted_sum(moments, below_one)
     restricted = _weighted_sum(
         moments, ((rgs, mu) for rgs, mu in below_one if rgs in member_rgs)

@@ -29,6 +29,7 @@ DepthExceeded rather than truncating silently.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -654,54 +655,116 @@ def apply_atom(fp: TruncatedFreeProduct, atom: Atom, vec: FpVec) -> FpVec:
     raise ValueError(f"unknown atom {atom!r}")
 
 
-def apply_chain(fp: TruncatedFreeProduct, chain: Iterable[Atom], vec: FpVec) -> FpVec:
+def apply_chain(
+    fp: TruncatedFreeProduct, chain: Iterable[Atom], vec: FpVec, trail=None
+) -> FpVec:
+    """The chain applied to vec, its last atom first; trail, when given,
+    receives the vector after each atom."""
     for atom in reversed(list(chain)):
         vec = apply_atom(fp, atom, vec)
+        if trail is not None:
+            trail.append(vec)
     return vec
+
+
+class _Suffix:
+    """Trie node: a chain suffix's vector on the unit, its expectation
+    once asked for, and the longer suffixes keyed by their front atom."""
+
+    __slots__ = ("vec", "value", "children")
+
+    def __init__(self, vec: FpVec):
+        self.vec = vec
+        self.value = None
+        self.children: dict[int, "_Suffix"] | None = None
 
 
 class FreeMomentContext(MomentContext):
     """Moments of operator chains acting on the free product.
 
-    Word expectations are cached; keys use operator identity, so reuse
-    the same ModuleOperator objects across calls.
+    Atoms are interned as small ids: λ/ρ atoms by colour and operator
+    identity, B-action atoms by coefficients, projections by colour.
+    Each atom object is pinned when first seen, so no later object can
+    reuse its id; chains are not pinned.  Chains apply from the right to
+    the unit, so expectations are read off one suffix trie walked from a
+    chain's last atom.  Each node holds its suffix's vector and, once
+    asked for, its expectation; a miss applies only the atoms in front
+    of the deepest node reached.
     """
 
     def __init__(self, fp: TruncatedFreeProduct):
         self.fp = fp
-        self._cache: dict = {}
+        self._ids: dict = {}  # (kind, colour or coefficients or op id) -> atom id
+        self._seen: dict[int, int] = {}  # id(atom object) -> atom id
+        self._pinned: list[Atom] = []  # every atom object in _seen
+        self._b_atoms = {"lb": {}, "rb": {}}  # kind -> id(B value) -> its atom
+        self._root = _Suffix(fp.unit())
 
-    @staticmethod
-    def _atom_key(atom):
-        kind = atom[0]
-        if kind in ("lam", "rho"):
-            return (kind, atom[1], id(atom[2]))
-        if kind in ("lb", "rb"):
-            return (kind, atom[1].coeffs)
-        return (kind, atom[1])
+    def intern(self, atom: Atom) -> int:
+        """The atom's id; equal atoms share one."""
+        aid = self._seen.get(id(atom))
+        if aid is None:
+            kind = atom[0]
+            if kind in ("lam", "rho"):
+                key = (kind, atom[1], id(atom[2]))
+            elif kind in ("lb", "rb"):
+                key = (kind, atom[1].coeffs)
+            else:
+                key = (kind, atom[1])
+            aid = self._ids.setdefault(key, len(self._ids))
+            self._seen[id(atom)] = aid
+            self._pinned.append(atom)
+        return aid
+
+    def _b_atom(self, kind: str, value) -> Atom:
+        """One interned atom per B value object: values recur as the same
+        objects (expectations are cached), so they are found by identity.
+        The pinned atom keeps its value alive."""
+        memo = self._b_atoms[kind]
+        atom = memo.get(id(value))
+        if atom is None:
+            atom = memo[id(value)] = (kind, value)
+            self.intern(atom)
+        return atom
 
     def expect(self, elems):
-        chain = tuple(atom for elem in elems for atom in elem)
-        key = tuple(self._atom_key(a) for a in chain)
-        hit = self._cache.get(key)
-        if hit is None:
-            value = self.fp.p(apply_chain(self.fp, chain, self.fp.unit()))
-            # the chain is pinned so no later object can reuse the ids
-            hit = (value, chain)
-            self._cache[key] = hit
-        return hit[0]
+        chain = tuple(itertools.chain.from_iterable(elems))
+        seen, intern = self._seen, self.intern
+        node = self._root
+        depth = 0
+        for atom in reversed(chain):
+            aid = seen.get(id(atom))
+            if aid is None:
+                aid = intern(atom)
+            nxt = node.children.get(aid) if node.children else None
+            if nxt is None:
+                break
+            node = nxt
+            depth += 1
+        if depth < len(chain):
+            front = chain[: len(chain) - depth]
+            trail: list[FpVec] = []
+            apply_chain(self.fp, front, node.vec, trail)
+            for atom, vec in zip(reversed(front), trail):
+                if node.children is None:
+                    node.children = {}
+                child = node.children[intern(atom)] = _Suffix(vec)
+                node = child
+        if node.value is None:
+            node.value = self.fp.p(node.vec)
+        return node.value
 
     def unit_b(self):
         return self.fp.B.one()
 
     def prepend_left(self, value, elem):
-        return (("lb", value),) + tuple(elem)
+        return (self._b_atom("lb", value),) + tuple(elem)
 
     def prepend_right(self, value, elem):
-        return (("rb", value),) + tuple(elem)
+        return (self._b_atom("rb", value),) + tuple(elem)
 
     def append_left(self, elem, value):
-        return tuple(elem) + (("lb", value),)
+        return tuple(elem) + (self._b_atom("lb", value),)
 
 
 class ModuleWordContext(MomentContext):

@@ -4,6 +4,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from bnc_engine.bimult import MomentContext, blocks_from_partition, reduce_blocks
 from bnc_engine.cumulants import (
     AlgebraMomentContext,
     _interval_weights,
@@ -34,6 +35,7 @@ from bnc_engine.partitions import (
     EpsilonMap,
     SetPartition,
     build_context,
+    catalan,
     enumerate_bnc,
     in_bnc_ffb,
     lr_replacement,
@@ -101,6 +103,9 @@ def test_roundtrip_random_words():
 
 
 def test_reduction_order_independence():
+    """e_pi without a chooser replays the recorded plan (the default
+    largest-minimum order); with chooser= it runs reduce_blocks directly
+    in a random legal collapse order.  Both must agree."""
     for n in (3, 4):
         chi = ChiMap(tuple(RNG.choice("lr") for _ in range(n)))
         ctx = build_context(chi)
@@ -114,6 +119,61 @@ def test_reduction_order_independence():
                     verify_sides=False, chooser=lambda c: r2.choice(c),
                 )
                 assert (v - base).is_zero()
+
+
+class SymbolicContext(MomentContext):
+    """Values are whole expressions, so a change of collapse order,
+    insertion kind or target changes the value."""
+
+    def expect(self, elems):
+        return ("E",) + tuple(elems)
+
+    def prepend_left(self, value, elem):
+        return ("L", value, elem)
+
+    def prepend_right(self, value, elem):
+        return ("R", value, elem)
+
+    def append_left(self, elem, value):
+        return (elem, "L", value)
+
+
+def test_plan_replay_matches_direct_reduction():
+    # every chi with n <= 6: the moment table (one replayed plan per pi)
+    # against reduce_blocks run directly.  The algebra operands are
+    # arbitrary 2x2 matrices, not side elements, so that the target of
+    # each insertion changes the value: a nonzero corner (the expectation
+    # reads it, so few moments vanish) plus one other nonzero entry.
+    rng = random.Random(19)
+
+    def draw(space):
+        coeffs = [Fraction(0)] * 4
+        for i in (0, rng.randrange(1, 4)):
+            coeffs[i] = Fraction(rng.choice((-2, -1, 1, 2, 3)))
+        return space.A.element(coeffs)
+
+    spd = space_diag2()
+    contexts = [
+        (MF, lambda: draw(SP)),
+        (AlgebraMomentContext(spd), lambda: draw(spd)),
+        (SymbolicContext(), None),
+    ]
+    checked = 0
+    for n in range(1, 7):
+        for sides in iproduct("lr", repeat=n):
+            ctx = build_context(ChiMap(sides))
+            side = dict(enumerate(sides, start=1))
+            lattice = enumerate_bnc(ctx)
+            for mf, sample in contexts:
+                Z = [sample() for _ in range(n)] if sample else list(range(1, n + 1))
+                table = moment_table(ctx, Z, mf, partitions=lattice)
+                for pi in lattice:
+                    ops = dict(enumerate(Z, start=1))
+                    kind, value = reduce_blocks(blocks_from_partition(pi), ops, side, mf)
+                    assert kind == "scalar"
+                    assert table[pi.rgs] == value, (sides, pi.rgs)
+                    checked += 1
+    assert checked == 3 * sum(2**n * catalan(n) for n in range(1, 7))
 
 
 def test_diag2_moment_tables():

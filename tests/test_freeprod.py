@@ -1,16 +1,22 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
+from bnc_engine import freeprod
 from bnc_engine.algebra import algebra_from_matrix_units
+from bnc_engine.cumulants import audit_ffb_word
 from bnc_engine.diagrams import enumerate_lr, lateral_closure, make_diagram
 from bnc_engine.ffb import embed_ffb_family
 from bnc_engine.fixtures import (
     SCALARS,
     family_diag2,
     scalar_module,
+    system_doubled_dual,
+    system_doubled_m2,
     space_diag2,
     space_m2_scalar,
     space_scalar,
@@ -19,6 +25,7 @@ from bnc_engine.freeprod import (
     BimoduleWithProjection,
     DepthExceeded,
     FreeMomentContext,
+    apply_chain,
     build_bimodule_from_space,
     doubled_bimodule,
     e_d_vector,
@@ -27,7 +34,7 @@ from bnc_engine.freeprod import (
     reduced_free_product,
 )
 from bnc_engine.linalg import ONE, ZERO, identity, mat_mul, mat_vec
-from bnc_engine.partitions import ChiMap, EpsilonMap
+from bnc_engine.partitions import ChiMap, EpsilonMap, lr_replacement
 
 RNG = random.Random(11)
 
@@ -397,3 +404,102 @@ def test_free_moment_context_expectation():
     assert (got - fp.p(direct)).is_zero()
     # cached second call
     assert (mf.expect(word) - got).is_zero()
+
+
+# --- FreeMomentContext: interned atoms and one suffix trie -------------------
+
+
+class RecordingContext(FreeMomentContext):
+    """Keeps every word the engine asks it for."""
+
+    def __init__(self, fp):
+        super().__init__(fp)
+        self.asked = []
+
+    def expect(self, elems):
+        self.asked.append(list(elems))
+        return super().expect(elems)
+
+
+def sweep_chains(system, n_hat_max):
+    """Every word the audit asks for on the sweep words with n_hat letters
+    or fewer: operand chains with inserted B-action atoms."""
+    mf = RecordingContext(system.fp)
+    for n in range(1, n_hat_max + 1):
+        for shape in iproduct("lrb", repeat=n):
+            fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
+            for eps_hat in iproduct(system.colours(), repeat=n):
+                Z = []
+                for s, k in zip(shape, eps_hat):
+                    if s == "b":
+                        Z += [system.cprime[k][0].chain, system.dprime[k][0].chain]
+                    else:
+                        faces = system.faces_l if s == "l" else system.faces_r
+                        Z.append(faces[k][0].chain)
+                eps = fctx.expand_colours(EpsilonMap(eps_hat))
+                assert audit_ffb_word(fctx, eps, Z, mf).ok
+    return mf.asked
+
+
+@pytest.mark.parametrize("system", [system_doubled_dual, system_doubled_m2])
+def test_suffix_trie_matches_fresh_application(system):
+    sys_ = system(6)
+    fp = sys_.fp
+    rng = random.Random(23)
+    words = rng.sample(sweep_chains(sys_, 3), 1500)
+    want = [
+        fp.p(apply_chain(fp, [a for elem in w for a in elem], fp.unit()))
+        for w in words
+    ]
+    for _ in range(2):
+        order = list(range(len(words)))
+        rng.shuffle(order)
+        mf = FreeMomentContext(fp)
+        for i in order:
+            assert mf.expect(words[i]) == want[i]
+
+
+def test_a_miss_applies_only_the_uncached_front(monkeypatch):
+    fp = reduced_free_product(MODS, 4)
+    mf = FreeMomentContext(fp)
+    a, b, c, d = (("lam", 1, rand_op(MODS[1])), ("rho", 2, rand_op(MODS[2])),
+                  ("lam", 2, rand_op(MODS[2])), ("rho", 1, rand_op(MODS[1])))
+    applied = []
+
+    def counting(fp_, chain, vec, trail=None):
+        applied.append(len(chain))
+        return apply_chain(fp_, chain, vec, trail)
+
+    monkeypatch.setattr(freeprod, "apply_chain", counting)
+    mf.expect([(a, b), (c,)])
+    mf.expect([(d,), (b, c)])  # shares the suffix (b, c)
+    mf.expect([(b, c)])  # a node of the trie: no application
+    mf.expect([(a, b, c)])
+    assert applied == [3, 1]
+
+
+def test_equal_b_atoms_share_one_id():
+    fp = reduced_free_product(MODS, 2)
+    mf = FreeMomentContext(fp)
+    one, two = fp.B.element([Fraction(3, 2)]), fp.B.element([Fraction(3, 2)])
+    first, second = ("lb", one), ("lb", two)
+    assert first is not second
+    assert mf.intern(first) == mf.intern(second)
+    assert mf.intern(("rb", one)) != mf.intern(first)
+
+
+def test_operator_atom_keeps_its_id_after_its_chain_is_dropped():
+    fp = reduced_free_product(MODS, 3)
+    mf = FreeMomentContext(fp)
+    op = rand_op(MODS[1])
+    ref = weakref.ref(op)
+    chain = (("lam", 1, op),)
+    value = mf.expect([chain])
+    aid = mf.intern(chain[0])
+    del chain, op
+    gc.collect()
+    assert ref() is not None  # the atom pins its operator
+    assert mf.intern(("lam", 1, ref())) == aid
+    fresh = [rand_op(MODS[1]) for _ in range(20)]
+    assert aid not in {mf.intern(("lam", 1, o)) for o in fresh}
+    assert mf.expect([(("lam", 1, ref()),)]) == value
