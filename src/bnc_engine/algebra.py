@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .errors import InputError
 from .linalg import (
     ONE,
     Vec,
@@ -28,7 +29,7 @@ from .linalg import (
 )
 
 
-class MismatchedAlgebra(ValueError):
+class MismatchedAlgebra(InputError):
     """Operands belong to different algebras."""
 
 

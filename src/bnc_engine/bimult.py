@@ -183,14 +183,9 @@ def reduce_blocks(
             ops[target] = ctx.prepend_right(value, ops[target])
 
 
-def blocks_from_partition(pi, tops: dict[tuple[int, ...], int] | None = None):
-    """ReduceBlocks from a partition; tops maps node-sets to gap ranks."""
-    tops = tops or {}
-    out = []
-    for blk in pi.blocks():
-        rank = tops.get(blk)
-        out.append(ReduceBlock(blk, top=rank is not None, gap_rank=rank))
-    return out
+def blocks_from_partition(pi) -> list[ReduceBlock]:
+    """Closed ReduceBlocks, one per block of a partition."""
+    return [ReduceBlock(blk) for blk in pi.blocks()]
 
 
 APPEND_LEFT, PREPEND_LEFT, PREPEND_RIGHT = range(3)

@@ -6,7 +6,10 @@ lr-decompose}, render.  Identical invocations produce identical bytes;
 BNC_ENGINE_CAP overrides the enumeration caps.
 
 Exit codes: 0 success, 2 argument or parse error, 3 cap exceeded,
-4 fixture axiom failure, 5 failed verification claim.
+4 fixture axiom failure, 5 failed verification claim, 70 internal error
+(a fault in the engine rather than in its input).  A failed claim is a
+report, printed in full on stdout, not an error.  Every error prints
+one `error: ...` line on stderr; errors.py defines the codes.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -31,6 +35,7 @@ from .diagrams import (
     lateral_closure,
     lr_k,
 )
+from .errors import CLAIM_FAILED, INTERNAL, BncError, FixtureError, InputError
 from .ffb import (
     check_ffb_independence,
     check_ffb_system,
@@ -46,63 +51,59 @@ from .freeprod import (
     reduced_free_product,
 )
 from .partitions import (
-    CapExceeded,
     ChiMap,
     EpsilonMap,
     SetPartition,
     build_context,
     enumerate_bnc,
     enumerate_bnc_ffb,
+    is_bnc,
     lr_replacement,
     mobius,
 )
 from .render import dot_bnc, dot_lr, tikz_bnc, tikz_lr, tikz_standalone
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
-
-
-def _require(args, *flags: str):
-    """Refuse a run that lacks a flag its subcommand needs."""
-    for flag in flags:
-        if getattr(args, flag) is None:
-            raise CliError(f"--{flag} is required", 2)
+def _parsed(args, flag: str, parse, *extra):
+    """parse(the text of --flag, *extra); a missing flag or an input
+    fault in its text is reported against the flag."""
+    text = getattr(args, flag)
+    if text is None:
+        raise InputError(f"--{flag} is required")
+    try:
+        return parse(text, *extra)
+    except InputError as e:
+        raise InputError(f"--{flag}: {e}") from None
 
 
 def _at_least(args, flag: str, low: int):
     """Refuse a run whose integer flag is below the least usable value."""
     if getattr(args, flag.replace("-", "_")) < low:
-        raise CliError(f"--{flag} must be at least {low}", 2)
-
-
-def _parse_chi(text: str) -> ChiMap:
-    try:
-        return ChiMap.parse(text)
-    except ValueError as e:
-        raise CliError(str(e), 2)
-
-
-def _parse_eps(text: str) -> EpsilonMap:
-    try:
-        return EpsilonMap.parse(text)
-    except ValueError as e:
-        raise CliError(str(e), 2)
+        raise InputError(f"--{flag} must be at least {low}")
 
 
 def _parse_partition(text: str, n: int) -> SetPartition:
-    text = text.strip()
+    """n positions as a restricted-growth string ('0,1,0') or as blocks
+    ('{1,3},{2}')."""
+    text = "".join(text.split())
+    if re.fullmatch(r"\d+(,\d+)*", text):
+        pi = SetPartition(tuple(int(t) for t in text.split(",")))
+    elif re.fullmatch(r"\{\d+(,\d+)*\}(,\{\d+(,\d+)*\})*", text):
+        blocks = re.findall(r"\{([\d,]+)\}", text)
+        pi = SetPartition.from_blocks(n, [[int(t) for t in b.split(",")] for b in blocks])
+    else:
+        raise InputError(f"cannot parse partition {text!r}")
+    if pi.n != n:
+        raise InputError(f"partition of {pi.n} positions against a colouring of {n}")
+    return pi
+
+
+def _diagram(text: str) -> LRDiagram:
     try:
-        if text.startswith("{"):
-            blocks = []
-            for chunk in text.replace("},{", "}|{").strip("{}").split("}|{"):
-                blocks.append([int(t) for t in chunk.strip("{}").split(",")])
-            return SetPartition.from_blocks(n, blocks)
-        return SetPartition(tuple(int(t) for t in text.split(",")))
-    except ValueError as e:
-        raise CliError(f"cannot parse partition {text!r}: {e}", 2)
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"not JSON: {e}") from None
+    return LRDiagram.from_json(data)
 
 
 def _emit(payload, fmt: str):
@@ -119,9 +120,7 @@ def _emit(payload, fmt: str):
 def cmd_enumerate(args) -> int:
     kind = args.what
     if kind == "bnc":
-        _require(args, "chi")
-        ctx = build_context(_parse_chi(args.chi))
-        parts = enumerate_bnc(ctx)
+        parts = enumerate_bnc(build_context(_parsed(args, "chi", ChiMap.parse)))
         payload = {
             "chi": args.chi,
             "count": len(parts),
@@ -129,8 +128,7 @@ def cmd_enumerate(args) -> int:
             "pretty": [p.pretty() for p in parts],
         }
     elif kind == "bncffb":
-        _require(args, "chihat")
-        fctx = lr_replacement(_parse_chi(args.chihat))
+        fctx = lr_replacement(_parsed(args, "chihat", ChiMap.parse))
         parts = enumerate_bnc_ffb(fctx)
         payload = {
             "chihat": args.chihat,
@@ -141,9 +139,8 @@ def cmd_enumerate(args) -> int:
             "pretty": [p.pretty() for p in parts],
         }
     else:
-        _require(args, "chi", "eps")
-        chi = _parse_chi(args.chi)
-        eps = _parse_eps(args.eps)
+        chi = _parsed(args, "chi", ChiMap.parse)
+        eps = _parsed(args, "eps", EpsilonMap.parse)
         fam = enumerate_lr(chi, eps)
         if kind == "lrlat":
             fam = lateral_closure(fam)
@@ -169,9 +166,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_mobius(args) -> int:
-    ctx = build_context(_parse_chi(args.chi))
-    pi = _parse_partition(args.pi, ctx.n)
-    sigma = _parse_partition(args.sigma, ctx.n)
+    ctx = build_context(_parsed(args, "chi", ChiMap.parse))
+    pi = _parsed(args, "pi", _parse_partition, ctx.n)
+    sigma = _parsed(args, "sigma", _parse_partition, ctx.n)
     value = mobius(pi, sigma, ctx)
     _emit({"chi": args.chi, "pi": list(pi.rgs), "sigma": list(sigma.rgs), "mu": value},
           args.format)
@@ -186,11 +183,12 @@ def _sampled_word(space, chi: ChiMap, seed: int):
 
 
 def cmd_tables(args, cumulants: bool) -> int:
-    space = load_space(args.fixture)
-    rep = check_bb_axioms(space)
-    if not rep.ok:
-        raise CliError("fixture fails the compatibility axioms", 4)
-    chi = _parse_chi(args.chi)
+    space = _parsed(args, "fixture", load_space)
+    if not check_bb_axioms(space).ok:
+        raise FixtureError(f"fixture {args.fixture!r} fails the compatibility axioms")
+    chi = _parsed(args, "chi", ChiMap.parse)
+    if not chi.n:
+        raise InputError("--chi must have at least one position")
     ctx = build_context(chi)
     Z = _sampled_word(space, chi, args.seed)
     mf = AlgebraMomentContext(space)
@@ -217,35 +215,34 @@ def cmd_tables(args, cumulants: bool) -> int:
 
 def _report_exit(rep, fmt) -> int:
     _emit(rep.to_json(), fmt)
-    return 0 if rep.ok else 5
+    return 0 if rep.ok else CLAIM_FAILED
 
 
 def cmd_verify(args) -> int:
     what = args.what
     if what == "bb-axioms":
-        space = load_space(args.fixture)
-        rep = check_bb_axioms(space)
+        rep = check_bb_axioms(_parsed(args, "fixture", load_space))
         _emit(rep.to_json(), args.format)
-        return 0 if rep.ok else 4
+        return 0 if rep.ok else FixtureError.code
     if what == "bifree":
         return _verify_bifree(args)
     depth = args.depth if args.depth is not None else 2 * args.word_cap
     if depth < 1:
-        raise CliError("--depth (default 2 * --word-cap) must be at least 1", 2)
-    system = load_system(args.fixture, depth)
+        raise InputError("--depth (default 2 * --word-cap) must be at least 1")
+    system = _parsed(args, "fixture", load_system, depth)
     if what == "ffb-system":
         rep = check_ffb_system(system, args.word_cap)
         rep.claims.extend(check_single_colour_moments(system, args.word_cap).claims)
-        return _report_exit(rep, args.format)
-    if what == "ffb-independence":
+    else:
         rep = check_ffb_independence(system, args.word_cap)
         rep.claims.extend(verify_system_gives_ffb(system, min(args.word_cap, 3)).claims)
-        return _report_exit(rep, args.format)
-    raise CliError(f"unknown verify target {what!r}", 2)
+    return _report_exit(rep, args.format)
 
 
 def _scalar_modules(dims: str) -> dict:
     """One scalar module per colour, from --dims complement dimensions."""
+    if not re.fullmatch(r"\d+(,\d+)*", dims):
+        raise InputError(f"dimensions must be non-negative integers, not {dims!r}")
     return {k: scalar_module(int(t)) for k, t in enumerate(dims.split(","), start=1)}
 
 
@@ -259,9 +256,9 @@ def _verify_bifree(args) -> int:
     _at_least(args, "word-cap", 2)
     _at_least(args, "trials", 1)
     rng = random.Random(args.seed)
-    mods = _scalar_modules(args.dims)
+    mods = _parsed(args, "dims", _scalar_modules)
     if len(mods) < 2:
-        raise CliError("--dims must list at least two colours", 2)
+        raise InputError("--dims must list at least two colours")
     fp = reduced_free_product(mods, args.word_cap)
     mf = FreeMomentContext(fp)
     rep = CheckReport()
@@ -293,7 +290,7 @@ def cmd_verify_decompose(args) -> int:
     _at_least(args, "max-n", 1)
     _at_least(args, "trials", 1)
     rng = random.Random(args.seed)
-    mods = _scalar_modules(args.dims)
+    mods = _parsed(args, "dims", _scalar_modules)
     rep = CheckReport()
     ok_all = True
     for trial in range(args.trials):
@@ -322,28 +319,20 @@ def cmd_verify_decompose(args) -> int:
 
 def cmd_render(args) -> int:
     if args.kind == "bnc":
-        _require(args, "chi", "pi")
-        chi = _parse_chi(args.chi)
-        pi = _parse_partition(args.pi, chi.n)
-        ctx = build_context(chi)
-        from .partitions import is_bnc
-
-        if not is_bnc(pi, ctx):
-            raise CliError("partition is not bi-non-crossing for this colouring", 2)
+        chi = _parsed(args, "chi", ChiMap.parse)
+        pi = _parsed(args, "pi", _parse_partition, chi.n)
+        if not is_bnc(pi, build_context(chi)):
+            raise InputError(f"--pi is not bi-non-crossing for --chi {chi}")
         body = tikz_bnc(chi, pi) if args.format == "tikz" else dot_bnc(chi, pi)
     else:
         if args.json:
-            data = json.loads(args.json)
-            diagram = LRDiagram.from_json(data)
+            diagram = _parsed(args, "json", _diagram)
         else:
-            _require(args, "chi", "eps")
-            chi = _parse_chi(args.chi)
-            eps = _parse_eps(args.eps)
+            chi = _parsed(args, "chi", ChiMap.parse)
+            eps = _parsed(args, "eps", EpsilonMap.parse)
             fam = enumerate_lr(chi, eps)
             if args.index is None or not 0 <= args.index < len(fam):
-                raise CliError(
-                    f"--index must select one of the {len(fam)} diagrams", 2
-                )
+                raise InputError(f"--index must select one of the {len(fam)} diagrams")
             diagram = fam.diagrams[args.index]
         body = tikz_lr(diagram) if args.format == "tikz" else dot_lr(diagram)
     if args.format == "tikz" and args.standalone:
@@ -414,23 +403,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except DepthExceeded as e:
         # only the verify targets take a depth, from --depth
         print(f"error: --depth is too small: {e}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as e:
+        return e.code
+    except BncError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return e.code
+    except Exception as e:
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ from .bimult import (
     MomentContext,
     blocks_from_partition,
     record_plan,
-    reduce_blocks,
     replay_plan,
 )
+from .errors import InputError
 from .partitions import (
     BNCContext,
     ChiMap,
@@ -33,11 +33,11 @@ from .partitions import (
 )
 
 
-class SideMismatch(ValueError):
+class SideMismatch(InputError):
     """Element fails the commutant test for its assigned side."""
 
 
-class ColouringError(ValueError):
+class ColouringError(InputError):
     """Colour map violates the boolean-pair constancy condition."""
 
 
@@ -78,14 +78,10 @@ def e_pi(
     Z: list,
     mf: MomentContext,
     verify_sides: bool = True,
-    chooser=None,
     validate: bool = True,
 ) -> AlgebraElement:
-    """The recursive partition moment; a B element.
-
-    Without a chooser this replays the plan recorded once per (chi, pi);
-    a chooser runs reduce_blocks in the collapse order it picks.
-    """
+    """The recursive partition moment, a B element: the reduction plan
+    recorded once per (chi, pi), replayed on Z."""
     if validate:
         if pi.n != ctx.n or len(Z) != ctx.n:
             raise SizeMismatch("partition, colouring, and operands disagree")
@@ -95,14 +91,7 @@ def e_pi(
         for i, z in enumerate(Z, start=1):
             if not mf.verify_side(z, ctx.chi.side(i)):
                 raise SideMismatch(f"operand {i} not in the {ctx.chi.side(i)} side")
-    if chooser is None:
-        return replay_plan(_plan(pi, ctx), [None, *Z], mf)
-    blocks = blocks_from_partition(pi)
-    ops = {i: z for i, z in enumerate(Z, start=1)}
-    out = reduce_blocks(blocks, ops, _sides(ctx), mf, chooser=chooser)
-    if out[0] != "scalar":
-        raise ValueError("partition moments must collapse completely")
-    return out[1]
+    return replay_plan(_plan(pi, ctx), [None, *Z], mf)
 
 
 # chi.sides -> {pi.rgs: reduction plan}

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bimult import crosses, walk_key
+from .errors import CapExceeded, InputError
 from .partitions import (
-    CapExceeded,
     ChiMap,
     EpsilonMap,
     SetPartition,
@@ -35,11 +35,11 @@ from .partitions import (
 LR_CAP = 8
 
 
-class HasTopSpine(ValueError):
+class HasTopSpine(InputError):
     """Diagram has a string reaching the top gap where none is allowed."""
 
 
-class SuffixMismatch(ValueError):
+class SuffixMismatch(InputError):
     """Family's colouring is not the expected restriction."""
 
 
@@ -86,13 +86,48 @@ class LRDiagram:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "LRDiagram":
-        return make_diagram(
-            ChiMap.parse(data["chi"]),
-            EpsilonMap(tuple(data["eps"])),
+    def from_json(data) -> "LRDiagram":
+        """Inverse of to_json.  Raises InputError unless data is a diagram:
+        monochromatic strings that partition 1..n, with spine_order
+        listing exactly the strings that reach the top gap."""
+        if not (
+            isinstance(data, dict)
+            and set(data) == {"chi", "eps", "strings", "spine_order"}
+            and isinstance(data["chi"], str)
+            and _ints(data["eps"])
+            and isinstance(data["strings"], list)
+            and all(
+                isinstance(s, dict) and set(s) == {"nodes", "top"}
+                and _ints(s["nodes"]) and isinstance(s["top"], bool)
+                for s in data["strings"]
+            )
+            and isinstance(data["spine_order"], list)
+            and all(_ints(nodes) for nodes in data["spine_order"])
+        ):
+            raise InputError(
+                "a diagram is {chi: string, eps: [integers], strings: [{nodes:"
+                " [integers], top: boolean}], spine_order: [[integers]]}"
+            )
+        chi, eps = ChiMap.parse(data["chi"]), EpsilonMap(tuple(data["eps"]))
+        _check_lengths(chi, eps)
+        d = make_diagram(
+            chi,
+            eps,
             [(tuple(s["nodes"]), s["top"]) for s in data["strings"]],
-            [tuple(nodes) for nodes in data["spine_order"]],
+            [tuple(sorted(nodes)) for nodes in data["spine_order"]],
         )
+        covered = sorted(j for nodes, _ in d.strings for j in nodes)
+        if covered != list(range(1, d.n + 1)) or not all(s for s, _ in d.strings):
+            raise InputError(f"diagram strings must partition the nodes 1..{d.n}")
+        if any(len({eps.colour(j) for j in nodes}) > 1 for nodes, _ in d.strings):
+            raise InputError("diagram strings must be monochromatic")
+        if sorted(d.spine_order) != [nodes for nodes, top in d.strings if top]:
+            raise InputError("diagram spine_order must list exactly the top strings")
+        return d
+
+
+def _ints(x) -> bool:
+    return isinstance(x, list) and all(type(v) is int for v in x)
 
 
 def make_diagram(chi, eps, strings, spine_order) -> LRDiagram:
@@ -127,10 +162,10 @@ def _check_lengths(chi: ChiMap, eps: EpsilonMap):
         raise SizeMismatch("diagrams need the two-letter alphabet")
 
 
-def enumerate_lr(chi: ChiMap, eps: EpsilonMap, cap: int | None = None) -> DiagramFamily:
+def enumerate_lr(chi: ChiMap, eps: EpsilonMap) -> DiagramFamily:
     """The plain recursive family; exactly 2^n diagrams."""
     _check_lengths(chi, eps)
-    cap = enumeration_cap(LR_CAP) if cap is None else cap
+    cap = enumeration_cap(LR_CAP)
     if chi.n > cap:
         raise CapExceeded(f"n={chi.n} exceeds diagram cap {cap}")
     n = chi.n
@@ -254,7 +289,7 @@ def restrict(d: LRDiagram, i: int) -> LRDiagram:
 
 
 def chi_extensions(
-    suffix_family: DiagramFamily, chi: ChiMap, eps: EpsilonMap, cap: int | None = None
+    suffix_family: DiagramFamily, chi: ChiMap, eps: EpsilonMap
 ) -> DiagramFamily:
     """Diagrams of the full word reachable from the suffix family.
 
@@ -269,7 +304,7 @@ def chi_extensions(
         or eps.colours[i - 1 :] != suffix_family.eps.colours
     ):
         raise SuffixMismatch("suffix colourings do not match the full word")
-    full = lateral_closure(enumerate_lr(chi, eps, cap=cap))
+    full = lateral_closure(enumerate_lr(chi, eps))
     suffix_keys = suffix_family.keys()
     if i == 1:
         return full.with_diagrams(

@@ -190,14 +190,11 @@ def _basis_vectors(fp: TruncatedFreeProduct, max_depth: int):
             yield {seq: {i: ONE}}
 
 
-def check_ffb_system(
-    sys: FfbSystem, word_cap: int, pattern_reps: int = 1
-) -> CheckReport:
+def check_ffb_system(sys: FfbSystem, word_cap: int) -> CheckReport:
     """The annihilation and vanishing-moment axioms on generator words.
 
     Middle words over the left/right faces run up to word_cap letters in
-    single-sandwich patterns and one letter inside repeated patterns;
-    repeated boolean patterns run up to pattern_reps rounds.
+    single-sandwich patterns and one letter in the pattern repeated once.
     """
     rep = CheckReport()
     fp = sys.fp
@@ -219,8 +216,7 @@ def check_ffb_system(
             ("moments-d", sys.dprime[k], sys.cprime[k]),
         ):
             wit = None
-            for reps_n in range(pattern_reps + 1):
-                slot_cap = word_cap if reps_n == 0 else 1
+            for reps_n, slot_cap in ((0, word_cap), (1, 1)):
                 slots = 2 + 2 * reps_n
                 for a_subst in iproduct(_a_words(sys, k, slot_cap), repeat=slots):
                     for mids in iproduct(first, *([second, first] * reps_n)):

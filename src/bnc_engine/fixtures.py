@@ -18,6 +18,7 @@ from .algebra import (
     algebra_from_matrix_units,
     algebra_scalars,
 )
+from .errors import InputError
 from .ffb import FfbFamily, FfbSystem, embed_ffb_family
 from .freeprod import BimoduleWithProjection
 from .linalg import ONE, ZERO, identity
@@ -127,8 +128,8 @@ def family_diag2(colours=(1, 2)) -> FfbFamily:
     return FfbFamily(sp, faces)
 
 
-def system_doubled_m2(depth: int, rich: bool = False) -> FfbSystem:
-    return embed_ffb_family(family_m2(rich=rich), depth)
+def system_doubled_m2(depth: int) -> FfbSystem:
+    return embed_ffb_family(family_m2(), depth)
 
 
 def system_doubled_dual(depth: int) -> FfbSystem:
@@ -156,18 +157,18 @@ SYSTEMS = {
 
 def load_space(name: str) -> BBProbSpace:
     if name not in SPACES:
-        raise KeyError(f"unknown space fixture {name!r}; have {sorted(SPACES)}")
+        raise InputError(f"unknown space fixture {name!r}; have {sorted(SPACES)}")
     return SPACES[name]()
 
 
 def load_system(name: str, depth: int) -> FfbSystem:
     if name not in SYSTEMS:
-        raise KeyError(f"unknown system fixture {name!r}; have {sorted(SYSTEMS)}")
+        raise InputError(f"unknown system fixture {name!r}; have {sorted(SYSTEMS)}")
     return SYSTEMS[name](depth)
 
 
 def sample_side_element(
-    space: BBProbSpace, side: str, rng: random.Random, span: int = 3
+    space: BBProbSpace, side: str, rng: random.Random
 ) -> AlgebraElement:
     """Random element of the requested one-sided commutant."""
     A, B = space.A, space.B
@@ -188,7 +189,7 @@ def sample_side_element(
             basis.append(e)
     if not basis:
         raise ValueError("no basis elements lie in the requested commutant")
-    out = basis[0].scale(rng.randint(-span, span))
+    out = basis[0].scale(rng.randint(-3, 3))
     for e in basis[1:]:
-        out = out + e.scale(rng.randint(-span, span))
+        out = out + e.scale(rng.randint(-3, 3))
     return out

@@ -37,6 +37,7 @@ from typing import Iterable, Optional
 from .algebra import AlgebraElement, BBProbSpace, CheckReport, StructuredAlgebra
 from .bimult import MomentContext, ReduceBlock, reduce_blocks
 from .diagrams import LRDiagram, make_diagram
+from .errors import InputError
 from .linalg import (
     Mat,
     ONE,
@@ -57,7 +58,7 @@ from .partitions import ChiMap, EpsilonMap
 FpVec = dict[tuple[int, ...], dict[int, Fraction]]
 
 
-class DepthExceeded(RuntimeError):
+class DepthExceeded(InputError):
     """A word would exceed the truncation depth; nothing is truncated."""
 
 

@@ -19,28 +19,30 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+from .errors import CapExceeded, InputError
+
 DEFAULT_CAP = 10
 
 
-class AlphabetError(ValueError):
+class AlphabetError(InputError):
     """Colouring uses letters outside the expected alphabet."""
 
 
-class SizeMismatch(ValueError):
+class SizeMismatch(InputError):
     """Objects disagree on the number of positions."""
 
 
-class NotBNC(ValueError):
+class NotBNC(InputError):
     """Partition is not bi-non-crossing for the given colouring."""
-
-
-class CapExceeded(RuntimeError):
-    """Enumeration size limit exceeded; raise the cap explicitly to proceed."""
 
 
 def enumeration_cap(default: int = DEFAULT_CAP) -> int:
     raw = os.environ.get("BNC_ENGINE_CAP")
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    if not raw.isdecimal():
+        raise InputError(f"BNC_ENGINE_CAP must be a non-negative integer, not {raw!r}")
+    return int(raw)
 
 
 def _canonical_rgs(labels) -> tuple[int, ...]:
@@ -100,7 +102,10 @@ class EpsilonMap:
 
     @staticmethod
     def parse(text: str) -> "EpsilonMap":
-        return EpsilonMap(tuple(int(t) for t in text.split(",") if t != ""))
+        try:
+            return EpsilonMap(tuple(int(t) for t in text.split(",") if t != ""))
+        except ValueError:
+            raise InputError(f"colours must be integers, not {text!r}") from None
 
     def __str__(self):
         return ",".join(str(c) for c in self.colours)
@@ -116,7 +121,7 @@ class SetPartition:
         mx = -1
         for i, b in enumerate(self.rgs):
             if b < 0 or b > mx + 1:
-                raise ValueError(f"not a restricted-growth string at position {i}")
+                raise InputError(f"not a restricted-growth string at position {i}")
             if b > mx:
                 mx = b
 
@@ -144,8 +149,8 @@ class SetPartition:
         for blk in blocks:
             for i in blk:
                 assign[i] = blk
-        if sorted(assign) != list(range(1, n + 1)):
-            raise ValueError("blocks do not partition 1..n")
+        if sorted(assign) != list(range(1, n + 1)) or sum(map(len, blocks)) != n:
+            raise InputError("blocks do not partition 1..n")
         keys = (tuple(sorted(assign[i])) for i in range(1, n + 1))
         return SetPartition(_canonical_rgs(keys))
 
@@ -295,9 +300,9 @@ def _noncrossing_partitions(n: int) -> tuple[tuple[int, ...], ...]:
 _bnc_cache: dict[tuple[str, ...], tuple[SetPartition, ...]] = {}
 
 
-def enumerate_bnc(ctx: BNCContext, cap: int | None = None) -> list[SetPartition]:
+def enumerate_bnc(ctx: BNCContext) -> list[SetPartition]:
     """All bi-non-crossing partitions, lexicographic in rgs."""
-    cap = enumeration_cap() if cap is None else cap
+    cap = enumeration_cap()
     if ctx.n > cap:
         raise CapExceeded(f"n={ctx.n} exceeds cap {cap}")
     hit = _bnc_cache.get(ctx.chi.sides)
@@ -503,10 +508,10 @@ def in_bnc_ffb(pi: SetPartition, fctx: FfbContext) -> bool:
     return all(pi.same_block(j, j + 1) for j in fctx.boolean_pair_starts())
 
 
-def enumerate_bnc_ffb(fctx: FfbContext, cap: int | None = None) -> list[SetPartition]:
+def enumerate_bnc_ffb(fctx: FfbContext) -> list[SetPartition]:
     """Members of the expanded lattice keeping each boolean pair together."""
     ctx = build_context(fctx.chi)
-    return [pi for pi in enumerate_bnc(ctx, cap=cap) if in_bnc_ffb(pi, fctx)]
+    return [pi for pi in enumerate_bnc(ctx) if in_bnc_ffb(pi, fctx)]
 
 
 def catalan(n: int) -> int:

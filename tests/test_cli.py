@@ -4,7 +4,14 @@ import shlex
 
 import pytest
 
+from bnc_engine.algebra import MismatchedAlgebra
+from bnc_engine.bimult import ReductionError
 from bnc_engine.cli import main
+from bnc_engine.cumulants import ColouringError, SideMismatch
+from bnc_engine.diagrams import HasTopSpine, SuffixMismatch
+from bnc_engine.errors import BncError, CapExceeded, FixtureError, InputError
+from bnc_engine.freeprod import DepthExceeded
+from bnc_engine.partitions import AlphabetError, NotBNC, SizeMismatch
 
 
 def run(capsys, *argv):
@@ -174,6 +181,13 @@ def test_verify_bad_fixture_exit_code(capsys):
     assert code == 4
 
 
+def test_tables_refuse_a_bad_fixture(capsys):
+    code, out, err = run(capsys, "moments", "--chi", "ll", "--fixture", "diag2-bad")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_claim_failure_exit_code():
     from bnc_engine.cli import _report_exit
     from bnc_engine.cumulants import CheckReport
@@ -216,6 +230,24 @@ def test_verify_depth_flag(capsys):
     assert code == 0
 
 
+def _diagram(eps, strings, spine_order, chi="lr"):
+    strings = [{"nodes": nodes, "top": top} for nodes, top in strings]
+    return {"chi": chi, "eps": eps, "strings": strings, "spine_order": spine_order}
+
+
+BAD_DIAGRAMS = [
+    _diagram([1], [], []),  # chi and eps differ in length
+    _diagram([1, 1], [([1], False)], []),  # node 2 is on no string
+    _diagram([1, 1], [([1, 2], False), ([2], False)], []),  # node 2 twice
+    _diagram([1, 1], [([1, 2], False), ([], False)], []),  # an empty string
+    _diagram([1, 2], [([1, 2], False)], []),  # a string of two colours
+    _diagram([1, 1], [([1, 2], False)], [[1, 2]]),  # a closed string on the spine
+    _diagram([1, 1], [([1, 2], True)], []),  # a top string off the spine
+    _diagram([1, 1], [([1, 2], "yes")], [[1, 2]]),  # top is not a boolean
+    _diagram([1, 1], [([1, 2], True)], [[1, 2]], chi="lb"),  # three-letter chi
+]
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
@@ -229,14 +261,75 @@ def test_verify_depth_flag(capsys):
         ("verify bifree --trials -1", "--trials"),
         ("verify lr-decompose --trials 0", "--trials"),
         ("verify ffb-independence --word-cap 2 --depth 1", "--depth"),
+        ("enumerate lr --chi lr --eps 1,x", "--eps"),
+        ("verify bifree --dims 2,x", "--dims"),
+        ("verify bifree --dims=-1,2", "--dims"),
+        ("BNC_ENGINE_CAP=x enumerate bnc --chi lr", "BNC_ENGINE_CAP"),
+        ("moments --chi ''", "--chi"),
+        ("cumulants --chi l --fixture nope", "--fixture"),
+        ("verify ffb-system --fixture nope", "--fixture"),
+        ("mobius --chi lrl --pi 0,1,2 --sigma '{1,2,3'", "--sigma"),
+        ("mobius --chi lrl --pi 0,1,2 --sigma '{1,2},{2,3}'", "--sigma"),
+        ("mobius --chi ll --pi 0,1,2 --sigma 0,0", "--pi"),
+        ("render --kind lr --json '{x'", "--json"),
+        ("render --kind lr --json '[]'", "--json"),
+        ("render --kind lr --json '{}'", "--json"),
+        *(("render --kind lr --json " + shlex.quote(json.dumps(d)), "--json")
+          for d in BAD_DIAGRAMS),
     ],
 )
-def test_malformed_invocation_names_its_flag(capsys, command, flag):
-    code, out, err = run(capsys, *shlex.split(command))
+def test_malformed_invocation_names_its_flag(monkeypatch, capsys, command, flag):
+    argv = shlex.split(command)
+    while "=" in argv[0]:  # leading NAME=value words set the environment
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err
+
+
+@pytest.mark.parametrize("fault", [ReductionError("no collapsible block"), KeyError("x")])
+def test_internal_fault_exits_70(monkeypatch, capsys, fault):
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr("bnc_engine.cli.moment_table", broken)
+    code, out, err = run(capsys, "moments", "--chi", "lr")
+    assert code == 70
+    assert out == ""
+    assert err.startswith("error: internal") and err.count("\n") == 1
+
+
+ERROR_CODES = [
+    (InputError, 2),
+    (AlphabetError, 2),
+    (SizeMismatch, 2),
+    (NotBNC, 2),
+    (SideMismatch, 2),
+    (ColouringError, 2),
+    (HasTopSpine, 2),
+    (SuffixMismatch, 2),
+    (MismatchedAlgebra, 2),
+    (DepthExceeded, 2),
+    (CapExceeded, 3),
+    (FixtureError, 4),
+]
+
+
+@pytest.mark.parametrize("cls, code", ERROR_CODES)
+def test_error_class_exit_code(cls, code):
+    assert issubclass(cls, BncError)
+    assert cls.code == code
+
+
+def test_every_error_class_has_a_pinned_code():
+    found, todo = set(), [BncError]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        found.update(subs)
+        todo.extend(subs)
+    assert found == {cls for cls, _ in ERROR_CODES}
 
 
 # sha256 of stdout and the exit code of each README command that runs in

@@ -103,21 +103,23 @@ def test_roundtrip_random_words():
 
 
 def test_reduction_order_independence():
-    """e_pi without a chooser replays the recorded plan (the default
-    largest-minimum order); with chooser= it runs reduce_blocks directly
-    in a random legal collapse order.  Both must agree."""
+    """e_pi replays the recorded plan (the largest-minimum order);
+    reduce_blocks with chooser= collapses in a random legal order.  Both
+    must agree."""
     for n in (3, 4):
         chi = ChiMap(tuple(RNG.choice("lr") for _ in range(n)))
         ctx = build_context(chi)
+        side = dict(enumerate(chi.sides, start=1))
         Z = [rand_elem() for _ in range(n)]
         for pi in enumerate_bnc(ctx):
             base = e_pi(pi, ctx, Z, MF, verify_sides=False)
             for t in range(3):
                 r2 = random.Random(61 + t)
-                v = e_pi(
-                    pi, ctx, Z, MF,
-                    verify_sides=False, chooser=lambda c: r2.choice(c),
+                kind, v = reduce_blocks(
+                    blocks_from_partition(pi), dict(enumerate(Z, start=1)), side, MF,
+                    chooser=lambda c: r2.choice(c),
                 )
+                assert kind == "scalar"
                 assert (v - base).is_zero()
 
 
