@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
 from .linalg import (
     ONE,
+    Scalar,
     Vec,
     ZERO,
     RowSpace,
@@ -43,8 +43,8 @@ class StructuredAlgebra:
 
     dim: int
     labels: tuple[str, ...]
-    mult: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    unit: tuple[Fraction, ...]
+    mult: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    unit: tuple[Scalar, ...]
 
     def __post_init__(self):
         if len(self.labels) != self.dim or len(self.unit) != self.dim:
@@ -183,7 +183,7 @@ def algebra_dual_numbers() -> StructuredAlgebra:
 @dataclass(frozen=True)
 class AlgebraElement:
     parent: StructuredAlgebra
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
@@ -250,9 +250,9 @@ class BBProbSpace:
 
     A: StructuredAlgebra
     B: StructuredAlgebra
-    expectation: tuple[tuple[Fraction, ...], ...]
-    left_embed: tuple[tuple[Fraction, ...], ...]
-    right_embed: tuple[tuple[Fraction, ...], ...]
+    expectation: tuple[tuple[Scalar, ...], ...]
+    left_embed: tuple[tuple[Scalar, ...], ...]
+    right_embed: tuple[tuple[Scalar, ...], ...]
 
     def expect(self, x: AlgebraElement) -> AlgebraElement:
         return expectation_apply(self, x)

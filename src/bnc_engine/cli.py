@@ -19,7 +19,6 @@ import json
 import random
 import re
 import sys
-from fractions import Fraction
 
 from .algebra import CheckReport, check_bb_axioms
 from .cumulants import (
@@ -218,14 +217,25 @@ def _report_exit(rep, fmt) -> int:
     return 0 if rep.ok else CLAIM_FAILED
 
 
+# each verify target's default --fixture, of the kind it loads
+VERIFY_FIXTURE = {
+    "bb-axioms": "m2-scalar",
+    "ffb-system": "doubled-m2",
+    "ffb-independence": "doubled-m2",
+}
+
+
 def cmd_verify(args) -> int:
     what = args.what
+    if what == "bifree":
+        return _verify_bifree(args)
+    if args.fixture is None:
+        args.fixture = VERIFY_FIXTURE[what]
     if what == "bb-axioms":
         rep = check_bb_axioms(_parsed(args, "fixture", load_space))
         _emit(rep.to_json(), args.format)
         return 0 if rep.ok else FixtureError.code
-    if what == "bifree":
-        return _verify_bifree(args)
+    _at_least(args, "word-cap", 1)
     depth = args.depth if args.depth is not None else 2 * args.word_cap
     if depth < 1:
         raise InputError("--depth (default 2 * --word-cap) must be at least 1")
@@ -247,7 +257,7 @@ def _scalar_modules(dims: str) -> dict:
 
 
 def _random_operator(mod, rng: random.Random):
-    m = [[Fraction(rng.randint(-2, 2)) for _ in range(mod.dim)] for _ in range(mod.dim)]
+    m = [[rng.randint(-2, 2) for _ in range(mod.dim)] for _ in range(mod.dim)]
     return module_operator(mod, m)
 
 
@@ -374,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         "what",
         choices=["bb-axioms", "bifree", "ffb-system", "ffb-independence", "lr-decompose"],
     )
-    pv.add_argument("--fixture", default="doubled-m2")
+    pv.add_argument("--fixture", default=None,
+                    help="default: m2-scalar for bb-axioms, doubled-m2 for the systems")
     pv.add_argument("--word-cap", type=int, default=4)
     pv.add_argument("--depth", type=int, default=None,
                     help="free-product truncation depth (default 2*word-cap)")

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .algebra import AlgebraElement, BBProbSpace, CheckReport, StructuredAlgebra
@@ -43,9 +42,12 @@ from .linalg import (
     ONE,
     Quotient,
     RowSpace,
+    Scalar,
     Vec,
     ZERO,
     block_matrix,
+    div,
+    frac,
     identity,
     mat_combination,
     mat_mul,
@@ -55,7 +57,7 @@ from .linalg import (
 )
 from .partitions import ChiMap, EpsilonMap
 
-FpVec = dict[tuple[int, ...], dict[int, Fraction]]
+FpVec = dict[tuple[int, ...], dict[int, Scalar]]
 
 
 class DepthExceeded(InputError):
@@ -162,7 +164,7 @@ class BimoduleWithProjection:
 @dataclass(frozen=True)
 class ModuleOperator:
     mod: BimoduleWithProjection
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[Scalar, ...], ...]
     side: Optional[str] = None  # 'l' | 'r' | None
 
     def apply(self, vec: Vec) -> Vec:
@@ -182,7 +184,7 @@ class ModuleOperator:
 
 
 def module_operator(mod, matrix, side=None) -> ModuleOperator:
-    op = ModuleOperator(mod, tuple(tuple(r) for r in matrix), side)
+    op = ModuleOperator(mod, tuple(tuple(map(frac, r)) for r in matrix), side)
     if side is not None and not op.commutes_with_side(side):
         raise ValueError(f"operator does not satisfy the side-{side} commutant")
     return op
@@ -327,10 +329,10 @@ class WordSpace:
         """The plain index that split() takes apart."""
         return leg * self.strides[0] + rest if first else rest * self.osc_dims[-1] + leg
 
-    def grow(self, plain: dict[int, Fraction], leg_vec: Vec, first: bool):
+    def grow(self, plain: dict[int, Scalar], leg_vec: Vec, first: bool):
         """Plain word of this space from a plain word without its edge leg
         and the edge leg's complement coordinates."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for rest, c in plain.items():
             for leg, v in enumerate(leg_vec):
                 if v:
@@ -341,7 +343,7 @@ class WordSpace:
         """Per-leg complement coordinates of a plain index."""
         return tuple(idx // s % d for s, d in zip(self.strides, self.osc_dims))
 
-    def pair_rows(self, leg: int, pair: dict[tuple[int, int], Fraction]):
+    def pair_rows(self, leg: int, pair: dict[tuple[int, int], Scalar]):
         """Dense rows of a relation on legs (leg, leg + 1), given as
         {(a, c): coefficient}, one per setting of the other legs.  The two
         legs are adjacent digits, so (a, c) is the one digit a·d' + c of
@@ -355,13 +357,13 @@ class WordSpace:
                     row[((hi * d1 + a) * d2 + c) * inner + lo] += v
                 yield row
 
-    def to_plain(self, coords: dict[int, Fraction]) -> dict[int, Fraction]:
+    def to_plain(self, coords: dict[int, Scalar]) -> dict[int, Scalar]:
         if self.quotient is None:
             return coords
         pos = self.quotient.coords
         return {pos[q]: c for q, c in coords.items() if c}
 
-    def from_plain(self, plain: dict[int, Fraction]) -> dict[int, Fraction]:
+    def from_plain(self, plain: dict[int, Scalar]) -> dict[int, Scalar]:
         if self.quotient is None or not plain:
             return {k: v for k, v in plain.items() if v}
         dense = zeros(self.plain_dim)
@@ -413,7 +415,7 @@ class TruncatedFreeProduct:
                 for a in range(d1):
                     for c in range(d2):
                         # x b ⊗ y - x ⊗ b y for the basis legs x = a, y = c
-                        pair: dict[tuple[int, int], Fraction] = {}
+                        pair: dict[tuple[int, int], Scalar] = {}
                         for a2 in range(d1):
                             if right[a2][a]:
                                 pair[(a2, c)] = pair.get((a2, c), ZERO) + right[a2][a]
@@ -452,7 +454,7 @@ class TruncatedFreeProduct:
         return _clean(out)
 
     def scale(self, c, vec: FpVec) -> FpVec:
-        c = Fraction(c)
+        c = frac(c)
         if not c:
             return {}
         return {seq: {i: c * v for i, v in comp.items()} for seq, comp in vec.items()}
@@ -518,11 +520,11 @@ class TruncatedFreeProduct:
         osc = comp.osc_left if first else comp.osc_right
         return mat_combination(b.coeffs, [osc(i) for i in range(self.B.dim)])
 
-    def _edge(self, seq, mat: Mat, plain: dict[int, Fraction], first: bool):
+    def _edge(self, seq, mat: Mat, plain: dict[int, Scalar], first: bool):
         """Coordinates of a plain word of seq with mat applied to the
         complement of its first or last leg."""
         ws = self.wordspaces[seq]
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for idx, c in plain.items():
             leg, rest = ws.split(idx, first)
             for leg2, row in enumerate(mat):
@@ -581,7 +583,7 @@ class TruncatedFreeProduct:
         stay = [row[nb:] for row in op.matrix[nb:]]
         _acc(out, seq, self._edge(seq, stay, plain, from_left))
         tail = seq[1:] if from_left else seq[:-1]
-        collapse: list[dict[int, Fraction]] = [{} for _ in range(nb)]
+        collapse: list[dict[int, Scalar]] = [{} for _ in range(nb)]
         for idx, c in plain.items():
             leg, rest = ws.split(idx, from_left)
             for i, part in enumerate(collapse):
@@ -609,7 +611,7 @@ class TruncatedFreeProduct:
         seq = tuple(k for k, _ in factors)
         if len(seq) > self.depth:
             raise DepthExceeded(f"word of length {len(seq)} exceeds the depth")
-        plain: dict[int, Fraction] = {0: ONE}
+        plain: dict[int, Scalar] = {0: ONE}
         for j, (_, osc) in enumerate(factors):
             plain = self.wordspaces[seq[: j + 1]].grow(plain, osc, first=False)
             if not plain:
@@ -617,7 +619,7 @@ class TruncatedFreeProduct:
         return _clean({seq: self.wordspaces[seq].from_plain(plain)})
 
 
-def _acc(out: FpVec, seq, comp: dict[int, Fraction]):
+def _acc(out: FpVec, seq, comp: dict[int, Scalar]):
     tgt = out.setdefault(seq, {})
     for i, c in comp.items():
         tgt[i] = tgt.get(i, ZERO) + c
@@ -865,9 +867,9 @@ class Decomposition:
 
     fp: TruncatedFreeProduct
     direct: FpVec
-    contributions: list[tuple[LRDiagram, Fraction, FpVec]]
+    contributions: list[tuple[LRDiagram, Scalar, FpVec]]
     primed: FpVec = field(default_factory=dict)
-    residual: list[tuple[LRDiagram, Fraction, FpVec]] = field(default_factory=list)
+    residual: list[tuple[LRDiagram, Scalar, FpVec]] = field(default_factory=list)
 
     def reconstruction(self) -> FpVec:
         parts = [
@@ -1052,7 +1054,7 @@ def _collect(
     )
 
 
-def _ratio(fp, total: FpVec, rule: FpVec) -> Optional[Fraction]:
+def _ratio(fp, total: FpVec, rule: FpVec) -> Optional[Scalar]:
     total = _clean(total)
     rule = _clean(rule)
     if not rule:
@@ -1061,7 +1063,7 @@ def _ratio(fp, total: FpVec, rule: FpVec) -> Optional[Fraction]:
         return None
     seq, comp = next(iter(sorted(rule.items())))
     idx, v = next(iter(sorted(comp.items())))
-    c = total.get(seq, {}).get(idx, ZERO) / v
+    c = div(total.get(seq, {}).get(idx, ZERO), v)
     if not fp.is_zero(fp.sub(total, fp.scale(c, rule))):
         raise ValueError("diagram contribution is not proportional to its rule value")
     return c

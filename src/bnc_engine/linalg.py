@@ -1,8 +1,18 @@
-"""Exact rational linear algebra over fractions.Fraction.
+"""Exact rational linear algebra.
 
-Small and dependency-free: vectors are lists of Fractions, matrices are
+Small and dependency-free: vectors are lists of scalars, matrices are
 lists of rows.  Everything returns fresh lists; nothing is mutated in
 place unless the name says so.
+
+Scalar model: a scalar is an int when it is integral and a
+fractions.Fraction when it is not; never a float or a bool.  Ints are
+exact and skip Fraction's gcd and allocation.  frac() brings outside
+values in, and div() is the one true division, because int / int is a
+float.  Both return an int for an integral value, and row reduction
+keeps its rows that way.  Ring operations on ints give ints, so a
+Fraction arises only from non-integral data or an inexact quotient.  A
+product of such Fractions may be an integral Fraction; it compares and
+hashes equal to the int.
 """
 
 from __future__ import annotations
@@ -10,19 +20,31 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-Vec = list[Fraction]
-Mat = list[list[Fraction]]
+Scalar = int | Fraction
+Vec = list[Scalar]
+Mat = list[list[Scalar]]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def frac(x) -> Scalar:
+    """x as an exact scalar: an int when integral, else a Fraction."""
+    if type(x) is int:
         return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
+def div(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly, as an int when the quotient is integral."""
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _normal(v: Vec) -> Vec:
+    """v with integral Fractions as ints (an int is its own numerator)."""
+    return [c.numerator if c.denominator == 1 else c for c in v]
 
 
 def zeros(n: int) -> Vec:
@@ -35,15 +57,15 @@ def unit_vec(n: int, i: int) -> Vec:
     return v
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
+def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
     return [a + b for a, b in zip(u, v, strict=True)]
 
 
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vec:
+def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vec:
     return [c * a for a in v]
 
 
-def is_zero_vec(v: Sequence[Fraction]) -> bool:
+def is_zero_vec(v: Sequence[Scalar]) -> bool:
     return all(a == 0 for a in v)
 
 
@@ -55,11 +77,11 @@ def identity(n: int) -> Mat:
     return [unit_vec(n, i) for i in range(n)]
 
 
-def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
+def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in m]
 
 
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
+def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Mat:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = mat_zero(rows, cols)
     for i in range(rows):
@@ -75,7 +97,7 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return out
 
 
-def mat_combination(coeffs: Sequence[Fraction], mats: Sequence[Mat]) -> Mat:
+def mat_combination(coeffs: Sequence[Scalar], mats: Sequence[Mat]) -> Mat:
     """The sum of coeffs[i] * mats[i], for square matrices of one size."""
     dim = len(mats[0])
     out = mat_zero(dim, dim)
@@ -112,38 +134,50 @@ class RowSpace:
         self.width = width
         self.rows: Mat = []
         self.pivots: list[int] = []
+        self._fractional = False  # some row entry is a Fraction
 
-    def reduce(self, v: Sequence[Fraction]) -> Vec:
-        """Return v minus its projection onto the span (echelon residual)."""
+    def reduce(self, v: Sequence[Scalar]) -> Vec:
+        """Return v minus its projection onto the span (echelon residual).
+
+        Only a Fraction factor can make an entry an integral Fraction (a
+        non-integral Fraction plus an int is never integral), so the
+        residual is normalised only when one took part."""
         v = list(v)
+        mixed = self._fractional
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
                 c = v[p]
+                mixed = mixed or type(c) is not int
                 for j in range(p, self.width):
                     if row[j]:
                         v[j] -= c * row[j]
-        return v
+        return _normal(v) if mixed else v
 
-    def add(self, v: Sequence[Fraction]) -> bool:
+    def add(self, v: Sequence[Scalar]) -> bool:
         """Add v to the span; True if it increased the rank."""
         r = self.reduce(v)
         p = next((j for j in range(self.width) if r[j]), None)
         if p is None:
             return False
-        inv = ONE / r[p]
-        r = [c * inv for c in r]
+        if r[p] != 1:
+            inv = div(1, r[p])
+            r = _normal([c * inv for c in r])
+        if not self._fractional:
+            self._fractional = Fraction in map(type, r)
         for row in self.rows:
             if row[p]:
                 c = row[p]
                 for j in range(p, self.width):
                     if r[j]:
                         row[j] -= c * r[j]
+                if self._fractional:
+                    row[:] = _normal(row)
         k = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
         self.rows.insert(k, r)
         self.pivots.insert(k, p)
         return True
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
+    def contains(self, v: Sequence[Scalar]) -> bool:
         return is_zero_vec(self.reduce(v))
 
     @property
@@ -190,11 +224,11 @@ class Quotient:
         self.coords = subspace.complement_indices()
         self.dim = len(self.coords)
 
-    def project(self, v: Sequence[Fraction]) -> Vec:
+    def project(self, v: Sequence[Scalar]) -> Vec:
         r = self.sub.reduce(v)
         return [r[j] for j in self.coords]
 
-    def section(self, q: Sequence[Fraction]) -> Vec:
+    def section(self, q: Sequence[Scalar]) -> Vec:
         v = zeros(self.width)
         for j, c in zip(self.coords, q, strict=True):
             v[j] = c

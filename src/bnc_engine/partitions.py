@@ -103,7 +103,7 @@ class EpsilonMap:
     @staticmethod
     def parse(text: str) -> "EpsilonMap":
         try:
-            return EpsilonMap(tuple(int(t) for t in text.split(",") if t != ""))
+            return EpsilonMap(tuple(int(t) for t in text.split(",")) if text else ())
         except ValueError:
             raise InputError(f"colours must be integers, not {text!r}") from None
 

@@ -122,6 +122,12 @@ def test_verify_ffb_system(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_bb_axioms_defaults_to_a_space_fixture(capsys):
+    code, out, err = run(capsys, "verify", "bb-axioms")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"] is True
+
+
 def test_moments_table(capsys):
     code, out, _ = run(
         capsys, "moments", "--chi", "lrl", "--fixture", "diag2", "--seed", "3"
@@ -262,6 +268,8 @@ BAD_DIAGRAMS = [
         ("verify lr-decompose --trials 0", "--trials"),
         ("verify ffb-independence --word-cap 2 --depth 1", "--depth"),
         ("enumerate lr --chi lr --eps 1,x", "--eps"),
+        ("enumerate lr --chi lr --eps 1,,2", "--eps"),
+        ("verify ffb-system --word-cap -1 --depth 3", "--word-cap"),
         ("verify bifree --dims 2,x", "--dims"),
         ("verify bifree --dims=-1,2", "--dims"),
         ("BNC_ENGINE_CAP=x enumerate bnc --chi lr", "BNC_ENGINE_CAP"),

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from itertools import product as iproduct
 
+from bnc_engine import cumulants
 from bnc_engine.cumulants import audit_ffb_word
 from bnc_engine.ffb import (
     OperatorHandle,
@@ -188,6 +189,31 @@ def test_ffb_word_audit_negative_controls():
         "status": "fail",
         "witness": "1*1",
     }
+
+
+def test_audit_finds_refining_partitions_once_per_colour_classes(monkeypatch):
+    """Which non-members refine the colouring depends only on the
+    lattice and the colour classes: a word whose colours only relabel
+    those of an audited word makes no refines call."""
+    real, calls = cumulants.refines, []
+    monkeypatch.setattr(cumulants, "_audit_cache", {})
+    monkeypatch.setattr(cumulants, "refines", lambda *a: calls.append(a) or real(*a))
+    fctx = lr_replacement(ChiMap(("l", "b", "r"), three_letter=True))
+    mf = FreeMomentContext(SYS.fp)
+    counts = []
+    for eps_hat in ((1, 2, 1), (2, 1, 2), (1, 2, 2)):
+        k, b, m = eps_hat
+        Z = [
+            SYS.faces_l[k][0].chain,
+            SYS.cprime[b][0].chain,
+            SYS.dprime[b][0].chain,
+            SYS.faces_r[m][0].chain,
+        ]
+        before = len(calls)
+        eps = fctx.expand_colours(EpsilonMap(eps_hat))
+        assert audit_ffb_word(fctx, eps, Z, mf).ok
+        counts.append(len(calls) - before)
+    assert counts[0] > 0 and counts[1] == 0 and counts[2] > 0
 
 
 def test_single_boolean_slot_cumulant_is_plain_expectation():
