@@ -9,6 +9,7 @@ arithmetic is exact; axiom checks report witnesses instead of raising.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,6 +23,7 @@ from .linalg import (
     frac,
     is_zero_vec,
     mat_vec,
+    sparse,
     unit_vec,
     vec_add,
     vec_scale,
@@ -115,17 +117,37 @@ class StructuredAlgebra:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "StructuredAlgebra":
+    def from_json(data: dict, name: str) -> "StructuredAlgebra":
+        """The algebra to_json() wrote; name prefixes the fields an error
+        names."""
         dim = data["dim"]
         return StructuredAlgebra(
             dim=dim,
             labels=tuple(data["labels"]),
             mult=tuple(
-                tuple(tuple(frac(c) for c in row) for row in mi)
-                for mi in data["mult"]
+                _json_rows(mi, f"{name}.mult") for mi in data["mult"]
             ),
-            unit=tuple(frac(c) for c in data["unit"]),
+            unit=tuple(_json_scalar(c, f"{name}.unit") for c in data["unit"]),
         )
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def _json_scalar(c, field: str) -> Scalar:
+    """An exact coefficient from JSON: an integer, or a string "p" or
+    "p/q".  A JSON float is binary and a boolean is not a number, so both
+    are refused, naming the field."""
+    if type(c) is int or (type(c) is str and _RATIONAL.fullmatch(c)):
+        return frac(c)
+    raise InputError(
+        f"{field}: coefficient {json.dumps(c)} is not an integer or a "
+        'rational string such as "3/4"'
+    )
+
+
+def _json_rows(rows, field: str) -> tuple[tuple[Scalar, ...], ...]:
+    return tuple(tuple(_json_scalar(c, field) for c in row) for row in rows)
 
 
 def algebra_from_matrix_units(n: int) -> StructuredAlgebra:
@@ -285,17 +307,11 @@ class BBProbSpace:
     @staticmethod
     def from_json(data: dict) -> "BBProbSpace":
         return BBProbSpace(
-            A=StructuredAlgebra.from_json(data["A"]),
-            B=StructuredAlgebra.from_json(data["B"]),
-            expectation=tuple(
-                tuple(frac(c) for c in row) for row in data["expectation"]
-            ),
-            left_embed=tuple(
-                tuple(frac(c) for c in row) for row in data["left_embed"]
-            ),
-            right_embed=tuple(
-                tuple(frac(c) for c in row) for row in data["right_embed"]
-            ),
+            A=StructuredAlgebra.from_json(data["A"], "A"),
+            B=StructuredAlgebra.from_json(data["B"], "B"),
+            expectation=_json_rows(data["expectation"], "expectation"),
+            left_embed=_json_rows(data["left_embed"], "left_embed"),
+            right_embed=_json_rows(data["right_embed"], "right_embed"),
         )
 
 
@@ -338,11 +354,11 @@ def check_bb_axioms(space: BBProbSpace) -> CheckReport:
 
     lrank = RowSpace(adim)
     for col in zip(*space.left_embed):
-        lrank.add(list(col))
+        lrank.add(sparse(col))
     rep.record("left-embed-injective", lrank.rank == bdim)
     rrank = RowSpace(adim)
     for col in zip(*space.right_embed):
-        rrank.add(list(col))
+        rrank.add(sparse(col))
     rep.record("right-embed-injective", rrank.rank == bdim)
 
     one_b = B.one()
@@ -452,13 +468,13 @@ class FaceAssignment:
             if "b" in slots:
                 span = RowSpace(sp.A.dim)
                 for h in slots["b"]:
-                    span.add(list(h.coeffs))
+                    span.add(sparse(h.coeffs))
                 wit = None
                 for gi, g in enumerate(slots["b"]):
                     for i in range(B.dim):
                         for j in range(B.dim):
                             prod = lbs[i] * g * lbs[j]
-                            if not span.contains(list(prod.coeffs)):
+                            if not span.contains(sparse(prod.coeffs)):
                                 wit = (gi, i, j)
                                 break
                         if wit:

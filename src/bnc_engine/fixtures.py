@@ -3,7 +3,8 @@
 Every verification entry point runs against these without user data:
 scalars, the diagonal pair inside 2x2 matrices, the 2x2 matrix algebra
 with its corner expectation, the two-dimensional nilpotent extension,
-and the doubled-module systems built over them.
+and the doubled-module systems built over them (doubled-diag2 is the
+one over a base algebra other than the scalars, B = D2).
 """
 
 from __future__ import annotations
@@ -136,6 +137,11 @@ def system_doubled_dual(depth: int) -> FfbSystem:
     return embed_ffb_family(family_dual(), depth)
 
 
+def system_doubled_diag2(depth: int) -> FfbSystem:
+    """family_diag2 in the doubled-module free product over B = D2."""
+    return embed_ffb_family(family_diag2(), depth)
+
+
 SPACES = {
     "scalar": space_scalar,
     "diag2": space_diag2,
@@ -152,6 +158,7 @@ FAMILIES = {
 SYSTEMS = {
     "doubled-m2": system_doubled_m2,
     "doubled-dual": system_doubled_dual,
+    "doubled-diag2": system_doubled_diag2,
 }
 
 

@@ -16,11 +16,17 @@ significant.  Where B ≠ ℚ the word space is the quotient of that plain
 space by the relations x·b ⊗ y = x ⊗ b·y between adjacent legs; its
 coordinate q is the plain index quotient.coords[q] (the non-pivot
 indices of the row-reduced relations), so lifting a coordinate is a
-relabelling and projecting is a row reduction.  WordSpace owns the
-layout: split/join take the first or last leg off a plain index and
-put it back, grow adds an edge leg, legs reads every leg, pair_rows
-places a relation on two adjacent legs, and to_plain/from_plain pass
-between plain indices and coordinates.
+relabelling and projecting is one sparse row reduction of the plain
+word's nonzero entries, never a dense vector of the full width.  The
+relations are built prefix first: W(s) starts from the reduced rows of
+W(s[:-1]), each lifted by the new last leg (row r with pivot p becomes
+r ⊗ e_c with pivot p·d + c, still in reduced echelon form), and adds
+only its last joint's relations, under the non-pivot indices of the
+legs before that joint.  WordSpace owns the layout:
+split/join take the first or last leg off a plain index and put it
+back, grow adds an edge leg, legs reads every leg, pair_rows places a
+relation on two adjacent legs as sparse rows, and to_plain/from_plain
+pass between plain indices and coordinates.
 
 Left representations act through the first tensor leg, right ones
 through the last; a new leg deeper than the configured depth raises
@@ -53,6 +59,7 @@ from .linalg import (
     mat_mul,
     mat_vec,
     nullspace,
+    sparse,
     zeros,
 )
 from .partitions import ChiMap, EpsilonMap
@@ -234,7 +241,7 @@ def build_bimodule_from_space(space: BBProbSpace):
             coords = ker_coords(d)
             if coords is None:
                 raise ValueError("difference element escapes the kernel")
-            rel.add(coords)
+            rel.add(sparse(coords))
     quotient = Quotient(rel)
     osc = quotient.dim
     dim = B.dim + osc
@@ -243,7 +250,8 @@ def build_bimodule_from_space(space: BBProbSpace):
         coords = ker_coords(elem)
         if coords is None:
             raise ValueError("element not in the expectation kernel")
-        return quotient.project(coords)
+        proj = quotient.project(sparse(coords))
+        return [proj.get(q, ZERO) for q in range(osc)]
 
     def column(T: AlgebraElement, x: AlgebraElement) -> Vec:
         tx = T * x
@@ -297,7 +305,9 @@ class WordSpace:
     """Tensor words of one colour sequence: plain indices and coordinates.
 
     The only code that knows the row-major leg layout (see the module
-    docstring); everything else splits and joins through it.
+    docstring); everything else splits and joins through it.  Words are
+    sparse {index: scalar} dicts on both sides of the quotient, which
+    holds the reduced relations seeded from the prefix word space.
     """
 
     seq: tuple[int, ...]
@@ -343,19 +353,21 @@ class WordSpace:
         """Per-leg complement coordinates of a plain index."""
         return tuple(idx // s % d for s, d in zip(self.strides, self.osc_dims))
 
-    def pair_rows(self, leg: int, pair: dict[tuple[int, int], Scalar]):
-        """Dense rows of a relation on legs (leg, leg + 1), given as
-        {(a, c): coefficient}, one per setting of the other legs.  The two
-        legs are adjacent digits, so (a, c) is the one digit a·d' + c of
-        place value strides[leg + 1]."""
+    def pair_rows(self, leg: int, pair: dict[tuple[int, int], Scalar], heads=None):
+        """Sparse rows of a relation on legs (leg, leg + 1), given as
+        {(a, c): nonzero coefficient}, one per setting of the other legs;
+        heads, when given, are the plain indices of the legs before leg
+        to use instead of all of them.  The two legs are adjacent digits,
+        so (a, c) is the one digit a·d' + c of place value strides[leg + 1]."""
         d1, d2 = self.osc_dims[leg], self.osc_dims[leg + 1]
         inner = self.strides[leg + 1]
-        for hi in range(self.plain_dim // (d1 * d2 * inner)):
+        digits = [(a * d2 + c, v) for (a, c), v in pair.items()]
+        if heads is None:
+            heads = range(self.plain_dim // (d1 * d2 * inner))
+        for hi in heads:
             for lo in range(inner):
-                row = zeros(self.plain_dim)
-                for (a, c), v in pair.items():
-                    row[((hi * d1 + a) * d2 + c) * inner + lo] += v
-                yield row
+                base = hi * d1 * d2 * inner + lo
+                yield {base + dig * inner: v for dig, v in digits}
 
     def to_plain(self, coords: dict[int, Scalar]) -> dict[int, Scalar]:
         if self.quotient is None:
@@ -366,11 +378,7 @@ class WordSpace:
     def from_plain(self, plain: dict[int, Scalar]) -> dict[int, Scalar]:
         if self.quotient is None or not plain:
             return {k: v for k, v in plain.items() if v}
-        dense = zeros(self.plain_dim)
-        for pi, c in plain.items():
-            dense[pi] = c
-        proj = self.quotient.project(dense)
-        return {i: c for i, c in enumerate(proj) if c}
+        return self.quotient.project(plain)
 
 
 class TruncatedFreeProduct:
@@ -403,31 +411,47 @@ class TruncatedFreeProduct:
             yield from frontier
 
     def _build_wordspace(self, seq: tuple[int, ...]) -> WordSpace:
+        """W(s) seeded from its prefix W(s[:-1]): the prefix's reduced
+        relations, lifted by the new last leg, are the relations of every
+        joint but the last, already in reduced echelon form.  Only the
+        last joint's relations are added, and only under the non-pivot
+        indices of the legs before it: under a pivot index the relation
+        is, modulo W(s[:-2])'s relations (already among the lifted rows),
+        a combination of those."""
         ws = WordSpace(seq, tuple(self.components[k].osc_dim for k in seq))
         if self.B.dim == 1 or len(seq) < 2:
             return ws
-        rel = RowSpace(ws.plain_dim)
-        for leg in range(len(seq) - 1):
-            d1, d2 = ws.osc_dims[leg], ws.osc_dims[leg + 1]
-            for bi in range(self.B.dim):
-                right = self.components[seq[leg]].osc_right(bi)
-                left = self.components[seq[leg + 1]].osc_left(bi)
-                for a in range(d1):
-                    for c in range(d2):
-                        # x b ⊗ y - x ⊗ b y for the basis legs x = a, y = c
-                        pair: dict[tuple[int, int], Scalar] = {}
-                        for a2 in range(d1):
-                            if right[a2][a]:
-                                pair[(a2, c)] = pair.get((a2, c), ZERO) + right[a2][a]
-                        for c2 in range(d2):
-                            if left[c2][c]:
-                                pair[(a, c2)] = pair.get((a, c2), ZERO) - left[c2][c]
-                        if pair:
-                            for row in ws.pair_rows(leg, pair):
-                                rel.add(row)
+        prefix = self.wordspaces[seq[:-1]].quotient
+        rel = prefix.sub.lifted(ws.osc_dims[-1]) if prefix else RowSpace(ws.plain_dim)
+        leg = len(seq) - 2
+        head = self.wordspaces[seq[:leg]].quotient if leg else None
+        for pair in self.joint_relations(seq, leg):
+            for row in ws.pair_rows(leg, pair, head.coords if head else None):
+                rel.add(row)
         if rel.rank:
             ws.quotient = Quotient(rel)
         return ws
+
+    def joint_relations(self, seq: tuple[int, ...], leg: int):
+        """The relations x·b ⊗ y - x ⊗ b·y on legs (leg, leg + 1) of seq,
+        one {(a, c): nonzero coefficient} per basis b and basis legs x = a,
+        y = c, skipping those that vanish."""
+        xmod, ymod = self.components[seq[leg]], self.components[seq[leg + 1]]
+        d1, d2 = xmod.osc_dim, ymod.osc_dim
+        for bi in range(self.B.dim):
+            right, left = xmod.osc_right(bi), ymod.osc_left(bi)
+            for a in range(d1):
+                for c in range(d2):
+                    pair: dict[tuple[int, int], Scalar] = {}
+                    for a2 in range(d1):
+                        if right[a2][a]:
+                            pair[(a2, c)] = pair.get((a2, c), ZERO) + right[a2][a]
+                    for c2 in range(d2):
+                        if left[c2][c]:
+                            pair[(a, c2)] = pair.get((a, c2), ZERO) - left[c2][c]
+                    pair = {ac: v for ac, v in pair.items() if v}
+                    if pair:
+                        yield pair
 
     # --- vectors ---------------------------------------------------------
 

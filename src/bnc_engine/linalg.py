@@ -1,8 +1,10 @@
 """Exact rational linear algebra.
 
 Small and dependency-free: vectors are lists of scalars, matrices are
-lists of rows.  Everything returns fresh lists; nothing is mutated in
-place unless the name says so.
+lists of rows.  Row reduction is sparse: RowSpace and Quotient take and
+return {index: scalar} dicts of the nonzero entries, and sparse() turns
+a dense vector into one.  Everything returns fresh values; nothing is
+mutated in place unless the name says so.
 
 Scalar model: a scalar is an int when it is integral and a
 fractions.Fraction when it is not; never a float or a bool.  Ints are
@@ -40,11 +42,6 @@ def div(a: Scalar, b: Scalar) -> Scalar:
     """a / b exactly, as an int when the quotient is integral."""
     q = Fraction(a) / b
     return q.numerator if q.denominator == 1 else q
-
-
-def _normal(v: Vec) -> Vec:
-    """v with integral Fractions as ints (an int is its own numerator)."""
-    return [c.numerator if c.denominator == 1 else c for c in v]
 
 
 def zeros(n: int) -> Vec:
@@ -124,61 +121,72 @@ def block_matrix(dim: int, blocks: dict[tuple[int, int], Mat]) -> Mat:
 
 
 class RowSpace:
-    """Row-reduced span of a set of vectors, built incrementally.
+    """Row-reduced span of a set of sparse vectors, built incrementally.
 
-    Keeps rows in reduced echelon form with pivot bookkeeping, so
-    membership tests and quotient coordinates are cheap.
+    Each row is a {column: scalar} dict with only its nonzero entries,
+    kept in reduced echelon form: rows[p] is the row whose leading entry
+    is a 1 at column p, and every other row is 0 there.  A column index
+    maps each non-pivot column to the pivots of the rows that use it, so
+    a new pivot is eliminated from those rows alone, and a vector is
+    reduced in one pass over its entries at pivot columns.  The reduced
+    echelon form of a span is unique, so the rows do not depend on the
+    order the vectors came in.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: Mat = []
-        self.pivots: list[int] = []
-        self._fractional = False  # some row entry is a Fraction
+        self.rows: dict[int, dict[int, Scalar]] = {}  # pivot -> row
+        self._uses: dict[int, set[int]] = {}  # non-pivot column -> pivots
 
-    def reduce(self, v: Sequence[Scalar]) -> Vec:
-        """Return v minus its projection onto the span (echelon residual).
+    def reduce(self, v: dict[int, Scalar]) -> dict[int, Scalar]:
+        """v minus its projection onto the span: the residual, 0 at every
+        pivot column.  Rows are 0 at each other's pivots, so v's own entry
+        at a pivot is the multiple of that row to take away."""
+        rows = self.rows
+        out = {j: c for j, c in v.items() if c}
+        for p in [p for p in out if p in rows]:
+            _axpy(out, -out[p], rows[p])
+        return out
 
-        Only a Fraction factor can make an entry an integral Fraction (a
-        non-integral Fraction plus an int is never integral), so the
-        residual is normalised only when one took part."""
-        v = list(v)
-        mixed = self._fractional
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                c = v[p]
-                mixed = mixed or type(c) is not int
-                for j in range(p, self.width):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return _normal(v) if mixed else v
-
-    def add(self, v: Sequence[Scalar]) -> bool:
+    def add(self, v: dict[int, Scalar]) -> bool:
         """Add v to the span; True if it increased the rank."""
         r = self.reduce(v)
-        p = next((j for j in range(self.width) if r[j]), None)
-        if p is None:
+        if not r:
             return False
+        p = min(r)
         if r[p] != 1:
             inv = div(1, r[p])
-            r = _normal([c * inv for c in r])
-        if not self._fractional:
-            self._fractional = Fraction in map(type, r)
-        for row in self.rows:
-            if row[p]:
-                c = row[p]
-                for j in range(p, self.width):
-                    if r[j]:
-                        row[j] -= c * r[j]
-                if self._fractional:
-                    row[:] = _normal(row)
-        k = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(k, r)
-        self.pivots.insert(k, p)
+            r = {j: _n(c * inv) for j, c in r.items()}
+        uses = self._uses
+        for q in uses.pop(p, ()):
+            row = self.rows[q]
+            _axpy(row, -row[p], r)
+            for j in r:
+                if j in row:
+                    uses.setdefault(j, set()).add(q)
+                elif j != p:
+                    uses[j].discard(q)
+        for j in r:
+            if j != p:
+                uses.setdefault(j, set()).add(p)
+        self.rows[p] = r
         return True
 
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        return is_zero_vec(self.reduce(v))
+    def lifted(self, d: int) -> "RowSpace":
+        """The span of row ⊗ e_c over width·d, for every row and every c <
+        d: row r with pivot p becomes r ⊗ e_c with pivot p·d + c.  These
+        rows are already in reduced echelon form."""
+        out = RowSpace(self.width * d)
+        for p, r in self.rows.items():
+            for c in range(d):
+                out.rows[p * d + c] = {j * d + c: x for j, x in r.items()}
+        for j, ps in self._uses.items():
+            for c in range(d):
+                out._uses[j * d + c] = {p * d + c for p in ps}
+        return out
+
+    def contains(self, v: dict[int, Scalar]) -> bool:
+        return not self.reduce(v)
 
     @property
     def rank(self) -> int:
@@ -186,8 +194,27 @@ class RowSpace:
 
     def complement_indices(self) -> list[int]:
         """Coordinate indices forming a basis of a complement of the span."""
-        piv = set(self.pivots)
-        return [j for j in range(self.width) if j not in piv]
+        return [j for j in range(self.width) if j not in self.rows]
+
+
+def _n(x: Scalar) -> Scalar:
+    """x with an integral Fraction as an int."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _axpy(v: dict[int, Scalar], c: Scalar, row: dict[int, Scalar]):
+    """v += c·row in place, dropping the entries that cancel."""
+    for j, x in row.items():
+        y = v.get(j, ZERO) + c * x
+        if y:
+            v[j] = y if type(y) is int else _n(y)
+        else:
+            del v[j]
+
+
+def sparse(v: Sequence[Scalar]) -> dict[int, Scalar]:
+    """The nonzero entries of a dense vector, by index."""
+    return {j: c for j, c in enumerate(v) if c}
 
 
 def nullspace(m: Mat, cols: int) -> tuple[Mat, list[int]]:
@@ -196,15 +223,15 @@ def nullspace(m: Mat, cols: int) -> tuple[Mat, list[int]]:
     index, so a nullspace element's coordinates are its entries there."""
     rs = RowSpace(cols)
     for row in m:
-        rs.add(row)
+        rs.add(sparse(row))
     free = rs.complement_indices()
     basis = []
     for f in free:
         v = zeros(cols)
         v[f] = ONE
         # back-substitute pivot coordinates
-        for row, p in zip(rs.rows, rs.pivots):
-            if row[f]:
+        for p, row in rs.rows.items():
+            if f in row:
                 v[p] = -row[f]
         basis.append(v)
     return basis, free
@@ -213,9 +240,10 @@ def nullspace(m: Mat, cols: int) -> tuple[Mat, list[int]]:
 class Quotient:
     """Quotient of coordinate space ℚ^width by a spanned subspace.
 
-    project() maps ambient vectors to quotient coordinates (indexed by
-    the non-pivot coordinates of the subspace); section() lifts quotient
-    coordinates back to canonical representatives.
+    Quotient coordinate q is the q-th non-pivot column of the subspace.
+    project() maps a sparse ambient vector to its quotient coordinates,
+    by reducing it against the rows; section() lifts quotient
+    coordinates back to the canonical representative, 0 at every pivot.
     """
 
     def __init__(self, subspace: RowSpace):
@@ -223,13 +251,12 @@ class Quotient:
         self.width = subspace.width
         self.coords = subspace.complement_indices()
         self.dim = len(self.coords)
+        self._coord_of = {j: q for q, j in enumerate(self.coords)}
 
-    def project(self, v: Sequence[Scalar]) -> Vec:
-        r = self.sub.reduce(v)
-        return [r[j] for j in self.coords]
+    def project(self, v: dict[int, Scalar]) -> dict[int, Scalar]:
+        at = self._coord_of
+        return {at[j]: c for j, c in self.sub.reduce(v).items()}
 
-    def section(self, q: Sequence[Scalar]) -> Vec:
-        v = zeros(self.width)
-        for j, c in zip(self.coords, q, strict=True):
-            v[j] = c
-        return v
+    def section(self, q: dict[int, Scalar]) -> dict[int, Scalar]:
+        pos = self.coords
+        return {pos[i]: c for i, c in q.items() if c}

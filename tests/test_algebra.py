@@ -1,3 +1,6 @@
+import json
+from fractions import Fraction
+
 import pytest
 
 from bnc_engine.algebra import (
@@ -12,6 +15,7 @@ from bnc_engine.algebra import (
     space_from_json_str,
     space_to_json_str,
 )
+from bnc_engine.errors import InputError
 from bnc_engine.fixtures import (
     space_diag2,
     space_diag2_bad_expectation,
@@ -109,6 +113,23 @@ def test_space_json_roundtrip():
     assert back.A.mult == sp.A.mult
     assert back.expectation == sp.expectation
     assert space_to_json_str(back) == text
+
+
+@pytest.mark.parametrize("value, shown", [(0.1, "0.1"), (True, "true")])
+def test_space_json_refuses_inexact_coefficients(value, shown):
+    """A JSON float would load at its binary value and true as 1; both
+    are refused with the field named.  Integers and "p/q" strings load."""
+    data = json.loads(space_to_json_str(space_scalar()))
+    data["expectation"][0][0] = value
+    with pytest.raises(InputError, match=rf"^expectation: coefficient {shown} "):
+        space_from_json_str(json.dumps(data))
+    data["expectation"][0][0] = "3/4"
+    data["A"]["unit"][0] = 1
+    back = space_from_json_str(json.dumps(data))
+    assert back.expectation == ((Fraction(3, 4),),) and back.A.unit == (1,)
+    data["A"]["unit"][0] = value
+    with pytest.raises(InputError, match=r"^A\.unit: "):
+        space_from_json_str(json.dumps(data))
 
 
 def test_face_assignment_checks():

@@ -341,7 +341,7 @@ def test_every_error_class_has_a_pinned_code():
 
 
 # sha256 of stdout and the exit code of each README command that runs in
-# well under a second; any change to the output bytes shows up here.
+# about a second or less; any change to the output bytes shows up here.
 README_OUTPUTS = [
     ("enumerate bnc --chi lrlllr",
      "8ea1c0b32034cd495309b422157cda4fba2c7f14b836a6cac12e3e9d5e5e563f", 0),
@@ -361,6 +361,8 @@ README_OUTPUTS = [
      "7552b6cfc111f78dc35d5fa0f6f5aaf7cbd5c5914753372884c164e8824b7ba5", 0),
     ("verify bifree --trials 10 --word-cap 4 --seed 2",
      "a3f04668826da6af7a2f7c43299924f50887fe5638ca2e3164ea54f20417ecda", 0),
+    ("verify ffb-system --fixture doubled-diag2 --word-cap 3",
+     "1253cbec5a57acd5d44ee04e648a55db1966e4612e9036982b04ca5e88e506bc", 0),
     ("verify lr-decompose --seed 5 --trials 10 --max-n 4",
      "ce0899189e80f0ab57c0b5888c79ab31673c7478463fd3fee0c8f2808afa3ca5", 0),
     ('render --kind bnc --chi lrlllr --pi "{1,2,5,6},{3,4}" --standalone',

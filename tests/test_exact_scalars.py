@@ -97,7 +97,7 @@ def test_diag2_word_spaces_are_exact():
     assert quotients
     for q in quotients:
         assert_exact(q.sub.rows)
-        assert_exact(q.section(q.project(list(range(q.width)))))
+        assert_exact(q.section(q.project(dict(enumerate(range(q.width))))))
     for mod in (DIAG2.module, DIAG2.doubled):
         assert_exact([mod.left_action, mod.right_action])
     assert_exact(DIAG2.theta._basis)

@@ -11,7 +11,7 @@ from bnc_engine.ffb import (
     embed_ffb_family,
     verify_system_gives_ffb,
 )
-from bnc_engine.fixtures import family_diag2, family_dual, family_m2
+from bnc_engine.fixtures import family_diag2, family_dual, family_m2, load_system
 from bnc_engine.freeprod import FreeMomentContext, apply_chain, module_operator
 from bnc_engine.linalg import ONE, ZERO, identity, unit_vec
 from bnc_engine.partitions import ChiMap, EpsilonMap, lr_replacement
@@ -100,23 +100,46 @@ def test_independence_word_cap_four():
         assert rep.ok, rep.claims[-1]
 
 
+def tampered(system):
+    """The boolean handles paired with a different source element, so
+    their represented word no longer matches the ambient one."""
+    wrong = system.base.A.basis_element(2)  # not the element the chain encodes
+    out = replace(system)
+    out.bool_handles = {
+        k: [
+            OperatorHandle(h.label, h.colour, h.chain, h.module_op, wrong)
+            for h in system.bool_handles[k]
+        ]
+        for k in system.colours()
+    }
+    return out
+
+
+def assert_flagged_with_witness(rep):
+    assert not rep.ok
+    failed = [c for c in rep.claims if c["status"] == "fail"]
+    assert any(c.get("witness") for c in failed)
+
+
 def test_independence_negative_control():
-    # tamper with one boolean handle: pair it with a different source
-    # element, so its represented word no longer matches the ambient one
     for system, cap in ((SYS, 2), (DIAG2, 1)):
-        wrong = system.base.A.basis_element(2)  # not the element the chain encodes
-        tampered = replace(system)
-        tampered.bool_handles = {
-            k: [
-                OperatorHandle(h.label, h.colour, h.chain, h.module_op, wrong)
-                for h in system.bool_handles[k]
-            ]
-            for k in system.colours()
-        }
-        rep = check_ffb_independence(tampered, word_cap=cap)
-        assert not rep.ok
-        failed = [c for c in rep.claims if c["status"] == "fail"]
-        assert any(c.get("witness") for c in failed)
+        assert_flagged_with_witness(check_ffb_independence(tampered(system), word_cap=cap))
+
+
+def test_doubled_diag2_at_depth_six():
+    """Criteria 8 and 11 over B = D2, on the doubled-diag2 fixture at word
+    cap 3 (depth 6), with the tampered-handle control flagged."""
+    system = load_system("doubled-diag2", 6)
+    assert max(map(len, system.fp.wordspaces)) == 6
+    for check in (
+        check_ffb_system,
+        check_single_colour_moments,
+        check_ffb_independence,
+        verify_system_gives_ffb,
+    ):
+        rep = check(system, word_cap=3)
+        assert rep.ok, [c for c in rep.claims if c["status"] == "fail"]
+    assert_flagged_with_witness(check_ffb_independence(tampered(system), word_cap=3))
 
 
 def test_proof_pipeline():

@@ -15,6 +15,7 @@ from bnc_engine.fixtures import (
     SCALARS,
     family_diag2,
     scalar_module,
+    system_doubled_diag2,
     system_doubled_dual,
     system_doubled_m2,
     space_diag2,
@@ -33,7 +34,7 @@ from bnc_engine.freeprod import (
     module_operator,
     reduced_free_product,
 )
-from bnc_engine.linalg import ONE, ZERO, identity, mat_mul, mat_vec
+from bnc_engine.linalg import ONE, ZERO, RowSpace, identity, mat_mul, mat_vec
 from bnc_engine.partitions import ChiMap, EpsilonMap, lr_replacement
 
 RNG = random.Random(11)
@@ -125,6 +126,61 @@ def test_alternating_word_basis_count():
     dims = {seq: ws.dim for seq, ws in fp.wordspaces.items()}
     assert dims == {(1,): 1, (2,): 1, (1, 2): 1, (2, 1): 1, (1, 2, 1): 1, (2, 1, 2): 1}
     assert 1 + sum(dims.values()) == 7
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: system_doubled_diag2(4).fp,
+        lambda: system_doubled_diag2(5).fp,
+        lambda: m2_free_product(5)[0],
+    ],
+    ids=["diag2-4", "diag2-5", "m2-5"],
+)
+def test_seeded_word_spaces_equal_the_full_relation_span(make):
+    """Each word space starts from its prefix's reduced relations, lifted
+    by the new last leg, and adds its last joint's under the non-pivot
+    indices of the legs before it; the reduced echelon form of a span is
+    unique, so it must equal every joint's relations, under every index,
+    row-reduced from scratch."""
+    fp = make()
+    for seq, ws in fp.wordspaces.items():
+        full = RowSpace(ws.plain_dim)
+        for leg in range(len(seq) - 1):
+            for pair in fp.joint_relations(seq, leg):
+                for row in ws.pair_rows(leg, pair):
+                    full.add(row)
+        assert (ws.quotient.sub.rows if ws.quotient else {}) == full.rows
+        assert (ws.quotient is None) == (len(seq) < 2)
+
+
+def idempotent_blocks(mod):
+    """D[i][j] = dim e_i X e_j on the complement, over a diagonal base:
+    the idempotents' left and right actions commute, so it is the trace
+    of their product."""
+    n = mod.B.dim
+    return [
+        [
+            sum(mat_mul(mod.osc_left(i), mod.osc_right(j))[r][r] for r in range(mod.osc_dim))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("depth", [5, 6])
+def test_word_space_dims_match_the_idempotent_closed_form(depth):
+    """Over B = D2 the balanced tensor product splits along idempotents:
+    dim X_k1 ⊗_B ... ⊗_B X_kn = 1ᵀ D_k1 ⋯ D_kn 1."""
+    system = system_doubled_diag2(depth)
+    blocks = idempotent_blocks(system.doubled)  # both colours' module
+    words = system.fp.describe()["words"]
+    assert len(words) == 2 * depth
+    for word, dim in words.items():
+        row = [1] * len(blocks)
+        for _ in word:
+            row = [sum(r * d[j] for r, d in zip(row, blocks)) for j in range(len(blocks))]
+        assert dim == sum(row), word
 
 
 def test_depth_zero_is_base_algebra():
@@ -261,10 +317,10 @@ def test_full_depth_word_without_a_new_leg():
     assert fp.equal(fp.lambda_apply(op, 2, v), fp.act_b(b, v, True))
 
 
-def m2_free_product():
+def m2_free_product(depth=3):
     """M2 acting on itself by left and right multiplication, doubled, and
-    the free product of two copies at depth 3: a non-commutative B, so
-    b·x and x·b differ, as do the actions on a word's first and last leg."""
+    the free product of two copies: a non-commutative B, so b·x and x·b
+    differ, as do the actions on a word's first and last leg."""
     B = algebra_from_matrix_units(2)
     basis = [B.basis_element(i) for i in range(B.dim)]
 
@@ -276,7 +332,7 @@ def m2_free_product():
     )
     assert mod.check().ok
     double = doubled_bimodule(mod)
-    return reduced_free_product({1: double, 2: double}, 3), basis
+    return reduced_free_product({1: double, 2: double}, depth), basis
 
 
 def test_b_actions_over_a_noncommutative_base():
