@@ -9,6 +9,14 @@ hold on the nose.  The checkers verify those axioms, the word-by-word
 preservation of single-colour moments, the projection calculus behind
 the independence proof, and the independence comparison itself, all in
 exact arithmetic with witnesses on failure.
+
+Each checker call builds one FreeMomentContext over the system's free
+product (independence a second one over its representation product) and
+reads every unit-chain vector and moment from its suffix trie.  The
+operators a call derives from the handles (the μ̃ letters, the composed
+boolean factors) are built once per call, and embed_ffb_family builds
+one operator object per generator and role, so equal atoms are the same
+objects and share trie nodes.  Nothing cached outlives the call.
 """
 
 from __future__ import annotations
@@ -87,9 +95,9 @@ class FfbSystem:
     def colours(self) -> list[int]:
         return sorted(self.faces_l)
 
-    def expect_word(self, handles) -> AlgebraElement:
-        chain = tuple(atom for h in handles for atom in h.chain)
-        return self.fp.p(apply_chain(self.fp, chain, self.fp.unit()))
+    def expect_word(self, handles, mf: FreeMomentContext) -> AlgebraElement:
+        """E of the handles' word, read from the caller's context on fp."""
+        return mf.expect([h.chain for h in handles])
 
 
 def embed_ffb_family(fam: FfbFamily, depth: int) -> FfbSystem:
@@ -118,36 +126,25 @@ def embed_ffb_family(fam: FfbFamily, depth: int) -> FfbSystem:
     cprime: dict[int, list[OperatorHandle]] = {}
     dprime: dict[int, list[OperatorHandle]] = {}
     bool_handles: dict[int, list[OperatorHandle]] = {}
+    # one operator object per generator and role, shared by the handles
+    # that use it: checker contexts share trie nodes by operator identity
     for k in colours:
         slots = fam.faces[k]
-        faces_l[k] = [
-            OperatorHandle(
-                f"l{k}.{i}", k, (("lam", k, diag_op(z, "l")),), diag_op(z, "l"), z
-            )
-            for i, z in enumerate(slots.get("l", []))
-        ]
-        faces_r[k] = [
-            OperatorHandle(
-                f"r{k}.{i}", k, (("rho", k, diag_op(z, "r")),), diag_op(z, "r"), z
-            )
-            for i, z in enumerate(slots.get("r", []))
-        ]
+        for s, kind, faces in (("l", "lam", faces_l), ("r", "rho", faces_r)):
+            diags = [(z, diag_op(z, s)) for z in slots.get(s, [])]
+            faces[k] = [
+                OperatorHandle(f"{s}{k}.{i}", k, ((kind, k, op),), op, z)
+                for i, (z, op) in enumerate(diags)
+            ]
+        mults = [(z, mult_shift_op(z)) for z in slots.get("b", [])]
         cprime[k] = [
-            OperatorHandle(
-                f"c{k}.{i}", k, (("lam", k, mult_shift_op(z)),), mult_shift_op(z), z
-            )
-            for i, z in enumerate(slots.get("b", []))
+            OperatorHandle(f"c{k}.{i}", k, (("lam", k, op),), op, z)
+            for i, (z, op) in enumerate(mults)
         ]
         dprime[k] = [OperatorHandle(f"d{k}", k, (("rho", k, shift),), shift, None)]
         bool_handles[k] = [
-            OperatorHandle(
-                f"b{k}.{i}",
-                k,
-                (("lam", k, mult_shift_op(z)), ("rho", k, shift)),
-                None,
-                z,
-            )
-            for i, z in enumerate(slots.get("b", []))
+            OperatorHandle(f"b{k}.{i}", k, (("lam", k, op), ("rho", k, shift)), None, z)
+            for i, (z, op) in enumerate(mults)
         ]
     return FfbSystem(
         fp, space, theta, module, dbl,
@@ -198,6 +195,7 @@ def check_ffb_system(sys: FfbSystem, word_cap: int) -> CheckReport:
     """
     rep = CheckReport()
     fp = sys.fp
+    mf = FreeMomentContext(fp)
     for k in sys.colours():
         probe = max(0, fp.depth - (word_cap + 2))
         for name, handles in (("c", sys.cprime[k]), ("d", sys.dprime[k])):
@@ -224,7 +222,7 @@ def check_ffb_system(sys: FfbSystem, word_cap: int) -> CheckReport:
                         for idx, mid in enumerate(mids):
                             word += a_subst[idx] + (mid,)
                         word += a_subst[-1]
-                        val = sys.expect_word(word)
+                        val = sys.expect_word(word, mf)
                         if not val.is_zero():
                             wit = [h.label for h in word]
                             break
@@ -236,6 +234,24 @@ def check_ffb_system(sys: FfbSystem, word_cap: int) -> CheckReport:
     return rep
 
 
+def _faces(sys: FfbSystem) -> dict[str, dict[int, list[OperatorHandle]]]:
+    """The sweep's handle pools by shape letter, then colour."""
+    return {"l": sys.faces_l, "r": sys.faces_r, "b": sys.bool_handles}
+
+
+def _per_letter(sys: FfbSystem, build) -> dict:
+    """{(shape letter, id(handle)): build(letter, handle)} over every
+    pool of the sweep.  Built once per checker call, so each derived
+    operator is one object for the whole call and its atoms share trie
+    nodes; the system holds the handles, so their ids stay valid."""
+    return {
+        (s, id(h)): build(s, h)
+        for s, pools in _faces(sys).items()
+        for handles in pools.values()
+        for h in handles
+    }
+
+
 def _word_sweep(sys: FfbSystem, word_cap: int, colours):
     """(shape, colours, pools) for every word of 1..word_cap letters.
 
@@ -243,7 +259,7 @@ def _word_sweep(sys: FfbSystem, word_cap: int, colours):
     colours, in lexicographic order, shape before colours; pools lists
     each letter's handles, and words with an empty pool are skipped.
     """
-    faces = {"l": sys.faces_l, "r": sys.faces_r, "b": sys.bool_handles}
+    faces = _faces(sys)
     for n in range(1, word_cap + 1):
         for shape in iproduct("lrb", repeat=n):
             for eps in iproduct(colours, repeat=n):
@@ -255,13 +271,14 @@ def _word_sweep(sys: FfbSystem, word_cap: int, colours):
 def check_single_colour_moments(sys: FfbSystem, word_cap: int) -> CheckReport:
     """Joint moments of one colour's images match the base space."""
     rep = CheckReport()
+    mf = FreeMomentContext(sys.fp)
     for k in sys.colours():
         wit = None
         count = 0
         for _, _, pools in _word_sweep(sys, word_cap, (k,)):
             for handles in iproduct(*pools):
                 count += 1
-                lhs = sys.expect_word(handles)
+                lhs = sys.expect_word(handles, mf)
                 rhs = sys.base.expect_word([h.source for h in handles])
                 if not (lhs - rhs).is_zero():
                     wit = {
@@ -282,23 +299,16 @@ def _rep_fp(sys: FfbSystem, depth: int) -> TruncatedFreeProduct:
     )
 
 
-def _mu_tilde_chain(sys: FfbSystem, shape, handles):
-    """Representation word per the independence definition, over the
-    base-space module: left and right faces through the module
-    representation, boolean faces sandwiched between projections."""
-    chain = []
-    for s, h in zip(shape, handles):
-        k = h.colour
-        th = sys.theta
-        if s == "l":
-            chain.append(("lam", k, th.operator(h.source, "l")))
-        elif s == "r":
-            chain.append(("rho", k, th.operator(h.source, "r")))
-        else:
-            chain.append(("proj", k, None))
-            chain.append(("lam", k, th.operator(h.source)))
-            chain.append(("proj", k, None))
-    return tuple(chain)
+def _mu_tilde_letter(th: Theta, s: str, h: OperatorHandle) -> tuple:
+    """One letter of the representation word per the independence
+    definition, over the base-space module: left and right faces through
+    the module representation, boolean faces sandwiched between
+    projections."""
+    k = h.colour
+    if s == "b":
+        proj = ("proj", k, None)
+        return (proj, ("lam", k, th.operator(h.source)), proj)
+    return (("lam" if s == "l" else "rho", k, th.operator(h.source, s)),)
 
 
 def check_ffb_independence(sys: FfbSystem, word_cap: int) -> CheckReport:
@@ -309,15 +319,16 @@ def check_ffb_independence(sys: FfbSystem, word_cap: int) -> CheckReport:
     base-space modules; residuals are exact.
     """
     rep = CheckReport()
-    rfp = _rep_fp(sys, word_cap)
+    mf = FreeMomentContext(sys.fp)
+    rmf = FreeMomentContext(_rep_fp(sys, word_cap))
+    mu_tilde = _per_letter(sys, lambda s, h: _mu_tilde_letter(sys.theta, s, h))
     failures = []
     count = 0
     for shape, eps, pools in _word_sweep(sys, word_cap, sys.colours()):
         for handles in iproduct(*pools):
             count += 1
-            lhs = sys.expect_word(handles)
-            chain = _mu_tilde_chain(sys, shape, handles)
-            rhs = rfp.p(apply_chain(rfp, chain, rfp.unit()))
+            lhs = sys.expect_word(handles, mf)
+            rhs = rmf.expect([mu_tilde[s, id(h)] for s, h in zip(shape, handles)])
             if not (lhs - rhs).is_zero():
                 failures.append(
                     {
@@ -347,6 +358,8 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
     and stay inside the predicted extension families.
     """
     rep = CheckReport()
+    mf = FreeMomentContext(sys.fp)
+    letters = _per_letter(sys, lambda s, h: _pipeline_letter(sys, s, h))
     ext_cache: dict = {}
     kappa_checked = 0
     mismatch = []
@@ -354,7 +367,8 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
         fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
         eps = fctx.expand_colours(EpsilonMap(eps_hat))
         for handles in iproduct(*pools):
-            ok, info = _pipeline_word(sys, fctx, eps, shape, handles, ext_cache)
+            word = [(s, h, *letters[s, id(h)]) for s, h in zip(shape, handles)]
+            ok, info = _pipeline_word(sys, mf, fctx, eps, word, ext_cache)
             if not ok:
                 mismatch.append(info)
         kappa_checked += 1
@@ -364,35 +378,43 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
         f"proof-pipeline ({kappa_checked} word shapes, {len(mismatch)} failures)",
         not mismatch,
     )
-    rep.claims.extend(_mixed_cumulant_claims(sys, word_cap).claims)
+    rep.claims.extend(_mixed_cumulant_claims(sys, word_cap, mf).claims)
     return rep
 
 
-def _pipeline_word(sys, fctx, eps, shape, handles, ext_cache):
+def _pipeline_letter(sys: FfbSystem, s: str, h: OperatorHandle):
+    """(split ops, split atoms, μ̃ atoms) of one letter.  A boolean letter
+    splits into its chain's left and right factors, and its μ̃ letter is
+    their product sandwiched between projections; a face letter is its
+    module operator, and its μ̃ letter its own chain."""
+    k = h.colour
+    if s == "b":
+        (_, _, tz), (_, _, sz) = h.chain
+        split = (("l", k, tz), ("r", k, sz))
+        proj = ("proj", k, None)
+        tilde = (proj, ("lam", k, _compose_ops(sys.doubled, tz, sz)), proj)
+    else:
+        split = ((s, k, h.module_op),)
+        tilde = h.chain[:1]
+    atoms = tuple(("lam" if side == "l" else "rho", k, op) for side, k, op in split)
+    return split, atoms, tilde
+
+
+def _pipeline_word(sys, mf, fctx, eps, word, ext_cache):
+    """One word of the pipeline; word lists (shape letter, handle, split
+    ops, split atoms, μ̃ atoms) per letter."""
     fp = sys.fp
     chi = fctx.chi
+    handles = [h for _, h, _, _, _ in word]
     split_ops = []
     projected = []
-    pos = 1
-    for s, h in zip(shape, handles):
-        k = h.colour
+    for s, _, split, _, _ in word:
         if s == "b":
-            tz = ModuleOperator(sys.doubled, h.chain[0][2].matrix, "l")
-            sz = ModuleOperator(sys.doubled, h.chain[1][2].matrix, "r")
-            split_ops.append(("l", k, tz))
-            split_ops.append(("r", k, sz))
-            projected.append(pos)
-            pos += 2
-        else:
-            split_ops.append((s, k, h.module_op))
-            pos += 1
+            projected.append(len(split_ops) + 1)
+        split_ops += split
     # word splitting: the handle chains concatenate to the split word
-    direct_chain = tuple(atom for h in handles for atom in h.chain)
-    split_chain = tuple(
-        ("lam" if s == "l" else "rho", k, op) for s, k, op in split_ops
-    )
-    v_direct = apply_chain(fp, direct_chain, fp.unit())
-    v_split = apply_chain(fp, split_chain, fp.unit())
+    v_direct = mf.vector([h.chain for h in handles])
+    v_split = mf.vector([atoms for _, _, _, atoms, _ in word])
     if not fp.equal(v_direct, v_split):
         return False, {"stage": "word-splitting", "word": [h.label for h in handles]}
     dec = lr_decompose(split_ops, fp, projected_positions=projected, coefficients=False)
@@ -402,17 +424,7 @@ def _pipeline_word(sys, fctx, eps, shape, handles, ext_cache):
     if not fp.equal(fp.add(dec.primed, resid_total), dec.direct):
         return False, {"stage": "decompose-split", "word": [h.label for h in handles]}
     # the projected word equals the boolean-sandwich word
-    mu_tilde = []
-    for s, h in zip(shape, handles):
-        k = h.colour
-        if s == "b":
-            comp_op = _compose_ops(sys.doubled, h.chain[0][2], h.chain[1][2])
-            mu_tilde.append(("proj", k, None))
-            mu_tilde.append(("lam", k, comp_op))
-            mu_tilde.append(("proj", k, None))
-        else:
-            mu_tilde.append(h.chain[0])
-    v_tilde = apply_chain(fp, tuple(mu_tilde), fp.unit())
+    v_tilde = mf.vector([tilde for _, _, _, _, tilde in word])
     if not fp.equal(dec.primed, v_tilde):
         return False, {"stage": "projected-word", "word": [h.label for h in handles]}
     if not sys.fp.p(resid_total).is_zero():
@@ -446,11 +458,13 @@ def _compose_ops(mod, a: ModuleOperator, b: ModuleOperator) -> ModuleOperator:
     return ModuleOperator(mod, tuple(tuple(r) for r in prod), None)
 
 
-def _mixed_cumulant_claims(sys: FfbSystem, word_cap: int) -> CheckReport:
+def _mixed_cumulant_claims(
+    sys: FfbSystem, word_cap: int, mf: FreeMomentContext
+) -> CheckReport:
     """Full-word cumulants of the split operators vanish for mixed
-    colourings (the bi-freeness content of the construction)."""
+    colourings (the bi-freeness content of the construction), with
+    moments from the caller's context on sys.fp."""
     rep = CheckReport()
-    mf = FreeMomentContext(sys.fp)
     colours = sys.colours()
     if len(colours) < 2:
         rep.record("mixed-cumulants (vacuous: one colour)", True)

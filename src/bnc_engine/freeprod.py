@@ -92,7 +92,7 @@ class BimoduleWithProjection:
         return self.embed_b(self.B.one())
 
     def p(self, vec: Vec) -> AlgebraElement:
-        return self.B.element(vec[: self.B.dim])
+        return AlgebraElement(self.B, tuple(vec[: self.B.dim]))
 
     def osc_part(self, vec: Vec) -> Vec:
         return vec[self.B.dim :]
@@ -464,9 +464,8 @@ class TruncatedFreeProduct:
 
     def p(self, vec: FpVec) -> AlgebraElement:
         comp = vec.get((), {})
-        return self.B.element(
-            [comp.get(i, ZERO) for i in range(self.B.dim)]
-        )
+        coeffs = tuple(comp.get(i, ZERO) for i in range(self.B.dim))
+        return AlgebraElement(self.B, coeffs)
 
     def add(self, *vecs: FpVec) -> FpVec:
         out: FpVec = {}
@@ -713,10 +712,11 @@ class FreeMomentContext(MomentContext):
     identity, B-action atoms by coefficients, projections by colour.
     Each atom object is pinned when first seen, so no later object can
     reuse its id; chains are not pinned.  Chains apply from the right to
-    the unit, so expectations are read off one suffix trie walked from a
-    chain's last atom.  Each node holds its suffix's vector and, once
-    asked for, its expectation; a miss applies only the atoms in front
-    of the deepest node reached.
+    the unit, so vectors and expectations are read off one suffix trie
+    walked from a chain's last atom.  Each node holds its suffix's vector
+    and, once asked for, its expectation; a miss applies only the atoms
+    in front of the deepest node reached.  vector() returns a node's
+    vector itself, shared with the trie, so callers must not mutate it.
     """
 
     def __init__(self, fp: TruncatedFreeProduct):
@@ -755,6 +755,7 @@ class FreeMomentContext(MomentContext):
         return atom
 
     def expect(self, elems):
+        # the walk of vector(), inlined: a hit makes no further call
         chain = tuple(itertools.chain.from_iterable(elems))
         seen, intern = self._seen, self.intern
         node = self._root
@@ -769,17 +770,39 @@ class FreeMomentContext(MomentContext):
             node = nxt
             depth += 1
         if depth < len(chain):
-            front = chain[: len(chain) - depth]
-            trail: list[FpVec] = []
-            apply_chain(self.fp, front, node.vec, trail)
-            for atom, vec in zip(reversed(front), trail):
-                if node.children is None:
-                    node.children = {}
-                child = node.children[intern(atom)] = _Suffix(vec)
-                node = child
+            node = self._grow(node, chain[: len(chain) - depth])
         if node.value is None:
             node.value = self.fp.p(node.vec)
         return node.value
+
+    def vector(self, elems) -> FpVec:
+        """The chain's vector on the unit: the trie node's own vector,
+        which the caller must not mutate."""
+        chain = tuple(itertools.chain.from_iterable(elems))
+        node = self._root
+        depth = 0
+        for atom in reversed(chain):
+            nxt = node.children.get(self.intern(atom)) if node.children else None
+            if nxt is None:
+                break
+            node = nxt
+            depth += 1
+        if depth < len(chain):
+            node = self._grow(node, chain[: len(chain) - depth])
+        return node.vec
+
+    def _grow(self, node: _Suffix, front: tuple) -> _Suffix:
+        """Apply front to node's vector, one new node per atom; the node
+        of the whole chain."""
+        trail: list[FpVec] = []
+        apply_chain(self.fp, front, node.vec, trail)
+        intern = self.intern
+        for atom, vec in zip(reversed(front), trail):
+            if node.children is None:
+                node.children = {}
+            child = node.children[intern(atom)] = _Suffix(vec)
+            node = child
+        return node
 
     def unit_b(self):
         return self.fp.B.one()
@@ -1040,16 +1063,17 @@ def _collect(
     fp, chi, eps, ops, terms: list[Term], projected: bool, coefficients: bool
 ) -> Decomposition:
     mod_ops = [op for _, _, op in ops]
-    direct = fp.add(*(_assemble(fp, t) for t in terms)) if terms else {}
+    vecs = [_assemble(fp, t) for t in terms]
+    direct = fp.add(*vecs) if terms else {}
     groups: dict = {}
-    for t in terms:
+    for t, vec in zip(terms, vecs):
         d = make_diagram(
             chi, eps, [(s, False) for s in t.completed] + [(s, True) for s in t.top],
             t.top,
         )
         entry = groups.setdefault(d.key(), [d, {}, {}])
         bucket = 1 if t.primed else 2
-        entry[bucket] = fp.add(entry[bucket] or {}, _assemble(fp, t))
+        entry[bucket] = fp.add(entry[bucket] or {}, vec)
     contributions = []
     residual = []
     primed_vec: FpVec = {}

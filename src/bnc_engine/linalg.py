@@ -75,7 +75,8 @@ def identity(n: int) -> Mat:
 
 
 def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in m]
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in nonzero), ZERO) for row in m]
 
 
 def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Mat:

@@ -1,7 +1,9 @@
 from dataclasses import replace
 from itertools import product as iproduct
 
-from bnc_engine import cumulants
+import pytest
+
+from bnc_engine import cumulants, freeprod
 from bnc_engine.cumulants import audit_ffb_word
 from bnc_engine.ffb import (
     OperatorHandle,
@@ -146,6 +148,69 @@ def test_proof_pipeline():
     for system, cap in ((SYS, 3), (DIAG2, 1)):
         rep = verify_system_gives_ffb(system, word_cap=cap)
         assert rep.ok, [c for c in rep.claims if c["status"] == "fail"]
+
+
+def atom_key(atom):
+    """An atom up to what its action depends on: λ/ρ atoms by colour and
+    operator matrix, B-action atoms by coefficients."""
+    kind = atom[0]
+    if kind in ("lam", "rho"):
+        return (kind, atom[1], atom[2].matrix)
+    if kind in ("lb", "rb"):
+        return (kind, atom[1].coeffs)
+    return (kind, atom[1])
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        verify_system_gives_ffb,
+        check_ffb_independence,
+        check_ffb_system,
+        check_single_colour_moments,
+    ],
+)
+def test_checker_applies_each_suffix_once_per_call(monkeypatch, check):
+    """A checker reads every unit-chain vector and moment from contexts
+    it builds per call.  Two calls apply the same number of atoms, so no
+    cache outlives a call; and no more than the distinct suffixes, by
+    atom_key, of the chains each context was asked for, so no operator
+    is rebuilt per word (atoms share trie nodes by operator identity)."""
+    system = load_system("doubled-m2", 6)
+    applied, asked = [], []
+    real_apply = freeprod.apply_chain
+
+    def counting(fp, chain, vec, trail=None):
+        chain = tuple(chain)
+        applied.append(len(chain))
+        return real_apply(fp, chain, vec, trail)
+
+    def recording(method):
+        def wrapper(self, elems):
+            elems = list(elems)
+            asked.append((id(self), tuple(a for elem in elems for a in elem)))
+            return method(self, elems)
+
+        return wrapper
+
+    monkeypatch.setattr(freeprod, "apply_chain", counting)
+    for name in ("vector", "expect"):
+        monkeypatch.setattr(
+            FreeMomentContext, name, recording(getattr(FreeMomentContext, name))
+        )
+    counts = []
+    for _ in range(2):
+        applied.clear()
+        asked.clear()
+        assert check(system, word_cap=3).ok
+        suffixes = {
+            (ctx, tuple(map(atom_key, chain[i:])))
+            for ctx, chain in asked
+            for i in range(len(chain))
+        }
+        counts.append(sum(applied))
+        assert 0 < counts[-1] <= len(suffixes)
+    assert counts[0] == counts[1]
 
 
 def test_dual_system_pipeline():

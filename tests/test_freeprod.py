@@ -499,20 +499,24 @@ def sweep_chains(system, n_hat_max):
 
 @pytest.mark.parametrize("system", [system_doubled_dual, system_doubled_m2])
 def test_suffix_trie_matches_fresh_application(system):
+    """expect and vector agree with the flattened word applied afresh,
+    whether the trie node is new or reached (vector first in one pass,
+    expect first in the other)."""
     sys_ = system(6)
     fp = sys_.fp
     rng = random.Random(23)
     words = rng.sample(sweep_chains(sys_, 3), 1500)
-    want = [
-        fp.p(apply_chain(fp, [a for elem in w for a in elem], fp.unit()))
-        for w in words
-    ]
-    for _ in range(2):
+    vecs = [apply_chain(fp, [a for elem in w for a in elem], fp.unit()) for w in words]
+    want = [fp.p(v) for v in vecs]
+    for vector_first in (True, False):
         order = list(range(len(words)))
         rng.shuffle(order)
         mf = FreeMomentContext(fp)
         for i in order:
+            if vector_first:
+                assert mf.vector(words[i]) == vecs[i]
             assert mf.expect(words[i]) == want[i]
+            assert mf.vector(words[i]) == vecs[i]
 
 
 def test_a_miss_applies_only_the_uncached_front(monkeypatch):
