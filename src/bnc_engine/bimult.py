@@ -25,13 +25,17 @@ itself.
 The collapse order, each insertion's kind and its target depend only on
 the blocks and the side colouring, never on the operands.  record_plan
 runs the engine itself once on position operands against a recording
-context, which stores the steps as one flat record; replay_plan then
-evaluates that record on any operands, so the collapse rule lives only
-in reduce_blocks.
+context, which notes the steps, so the collapse rule lives only in
+reduce_blocks.  compile_plans merges the plans of many partitions into
+one flat program over their shared step prefixes, and run_program walks
+it depth first on any operands: each distinct prefix ending in an
+expectation is evaluated once, however many plans share it.  A single
+plan is a one-leaf program.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -163,13 +167,12 @@ def reduce_blocks(
                 raise ReductionError("no collapsible block")
             v = chooser(candidates)
         value = ctx.expect([ops[p] for p in v.positions])
-        blocks.remove(v)
+        blocks = [b for b in blocks if b is not v]
         if not blocks:
             return ("scalar", value)
-        alive = sorted(p for b in blocks for p in b.positions)
-        if all(p < v.positions[0] for p in alive):
-            target = alive[-1]
-            ops[target] = ctx.append_left(ops[target], value)
+        last = max(b.positions[-1] for b in blocks)
+        if last < v.positions[0]:
+            ops[last] = ctx.append_left(ops[last], value)
             continue
         found = _case3_target(v, blocks, side)
         if found is None:
@@ -194,57 +197,109 @@ APPEND_LEFT, PREPEND_LEFT, PREPEND_RIGHT = range(3)
 class _PlanRecorder(MomentContext):
     """Operands are positions; each expectation and insertion is noted.
 
-    A step is (k, p1..pk, kind, target): the block's positions, then how
-    its value enters the operand at target.  The last step has no
-    insertion: its value is the moment.
+    A step is (positions, insertion): the block's positions, then how its
+    value enters an operand, (kind, target).  The last step's insertion
+    is None: its value is the moment.
     """
 
     def __init__(self):
-        self.steps: list[int] = []
+        self.steps: list[list] = []
 
     def expect(self, elems):
-        self.steps.append(len(elems))
-        self.steps.extend(elems)
+        self.steps.append([tuple(elems), None])
+
+    def _insert(self, kind, elem):
+        self.steps[-1][1] = (kind, elem)
+        return elem
 
     def prepend_left(self, value, elem):
-        self.steps += (PREPEND_LEFT, elem)
-        return elem
+        return self._insert(PREPEND_LEFT, elem)
 
     def prepend_right(self, value, elem):
-        self.steps += (PREPEND_RIGHT, elem)
-        return elem
+        return self._insert(PREPEND_RIGHT, elem)
 
     def append_left(self, elem, value):
-        self.steps += (APPEND_LEFT, elem)
-        return elem
+        return self._insert(APPEND_LEFT, elem)
 
 
 def record_plan(blocks: list[ReduceBlock], side: dict[int, str]):
-    """The engine's steps for closed blocks, as one flat record (bytes
-    while every position fits in a byte)."""
+    """The engine's steps for closed blocks: (positions, insertion) pairs,
+    the last insertion None."""
     rec = _PlanRecorder()
     out = reduce_blocks(blocks, {p: p for b in blocks for p in b.positions}, side, rec)
     if out[0] != "scalar":
         raise ValueError("partition moments must collapse completely")
-    steps = rec.steps
-    return bytes(steps) if max(steps) < 256 else tuple(steps)
+    return [tuple(step) for step in rec.steps]
 
 
-def replay_plan(plan, ops: list, ctx: MomentContext):
-    """The moment a recorded plan computes; ops[p] is the operand at
-    position p (ops[0] is unused)."""
-    ops = list(ops)
-    i, end = 0, len(plan)
-    while True:
-        j = i + 1 + plan[i]
-        value = ctx.expect([ops[p] for p in plan[i + 1 : j]])
-        if j == end:
-            return value
-        kind, t = plan[j], plan[j + 1]
-        if kind == APPEND_LEFT:
-            ops[t] = ctx.append_left(ops[t], value)
-        elif kind == PREPEND_LEFT:
-            ops[t] = ctx.prepend_left(value, ops[t])
-        else:
-            ops[t] = ctx.prepend_right(value, ops[t])
-        i = j + 2
+def compile_plans(plans) -> array:
+    """Recorded plans merged over their shared step prefixes, as one flat
+    depth-first program; plans[leaf] computes the moment stored at leaf.
+
+        node  := g  group*g
+        group := k p1..pk  m leaf*m  c child*c    (one expectation)
+        child := kind target node                 (one insertion)
+
+    Plans that agree up to a step share the operands it sees, so the
+    steps after a common prefix start from one node.
+    """
+    plans = list(plans)
+    root: dict = {}
+    for leaf, plan in enumerate(plans):
+        node = root
+        for positions, insertion in plan:
+            leaves, children = node.setdefault(positions, ([], {}))
+            if insertion is None:
+                leaves.append(leaf)
+            else:
+                node = children.setdefault(insertion, {})
+    prog = array("H" if len(plans) <= 1 << 16 else "I")
+
+    def emit(node):
+        prog.append(len(node))
+        for positions, (leaves, children) in node.items():
+            prog.append(len(positions))
+            prog.extend(positions)
+            prog.append(len(leaves))
+            prog.extend(leaves)
+            prog.append(len(children))
+            for insertion, child in children.items():
+                prog.extend(insertion)
+                emit(child)
+
+    emit(root)
+    return prog
+
+
+def run_program(prog, ops: list, ctx: MomentContext, out: list) -> None:
+    """Evaluate a compiled program depth first: out[leaf] receives the
+    moment of each leaf's plan.  ops[p] is the operand at position p
+    (ops[0] is unused); an insertion is undone once its subtree is done,
+    so every child starts from its parent's operands."""
+    expect = ctx.expect
+
+    def node(i):
+        groups = prog[i]
+        i += 1
+        for _ in range(groups):
+            k = prog[i]
+            i += 1 + k
+            value = expect([ops[p] for p in prog[i - k : i]])
+            m = prog[i]
+            for leaf in prog[i + 1 : i + 1 + m]:
+                out[leaf] = value
+            i += 2 + m
+            for _ in range(prog[i - 1]):
+                kind, t = prog[i], prog[i + 1]
+                old = ops[t]
+                if kind == APPEND_LEFT:
+                    ops[t] = ctx.append_left(old, value)
+                elif kind == PREPEND_LEFT:
+                    ops[t] = ctx.prepend_left(value, old)
+                else:
+                    ops[t] = ctx.prepend_right(value, old)
+                i = node(i + 2)
+                ops[t] = old
+        return i
+
+    node(0)

@@ -24,7 +24,7 @@ from .algebra import CheckReport, check_bb_axioms
 from .cumulants import (
     AlgebraMomentContext,
     bifree_moment_check,
-    kappa_pi,
+    cumulant_table,
     moment_cumulant_roundtrip,
     moment_table,
 )
@@ -192,9 +192,8 @@ def cmd_tables(args, cumulants: bool) -> int:
     Z = _sampled_word(space, chi, args.seed)
     mf = AlgebraMomentContext(space)
     moments = moment_table(ctx, Z, mf)
-    kappas = {
-        pi.rgs: kappa_pi(pi, ctx, Z, mf, moments=moments) for pi in enumerate_bnc(ctx)
-    }
+    # roundtrip_ok is printed for both kinds, so both need the cumulants
+    kappas = cumulant_table(ctx, Z, mf, moments=moments)
     table = kappas if cumulants else moments
     payload = {
         "chi": args.chi,

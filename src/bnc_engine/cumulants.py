@@ -2,18 +2,26 @@
 
 Moments are evaluated through a MomentContext (elements of an ambient
 algebra, or operator words on a free-product module); cumulants invert
-them along the bi-non-crossing lattice.  Each partition moment replays
-the reduction plan recorded once per (chi, pi).
+them along the bi-non-crossing lattice.  The reduction plans of every
+member of a colouring's lattice are compiled once per chi.sides into
+one program over their shared step prefixes, whose leaves are the NC(n)
+slots; a moment table is one walk of that program.  A cumulant is one
+row of the NC(n) Mobius kernel (nc_row) over the moment vector, so a
+cumulant table is one sparse integer mat-vec.
 """
 
 from __future__ import annotations
+
+from array import array
+from operator import mul
 
 from .algebra import AlgebraElement, BBProbSpace, CheckReport
 from .bimult import (
     MomentContext,
     blocks_from_partition,
+    compile_plans,
     record_plan,
-    replay_plan,
+    run_program,
 )
 from .errors import InputError
 from .partitions import (
@@ -24,11 +32,13 @@ from .partitions import (
     NotBNC,
     SetPartition,
     SizeMismatch,
+    bnc_lattice,
     build_context,
     enumerate_bnc,
     in_bnc_ffb,
     interval_below,
     is_bnc,
+    nc_row,
     refines,
 )
 
@@ -78,47 +88,49 @@ def e_pi(
     Z: list,
     mf: MomentContext,
     verify_sides: bool = True,
-    validate: bool = True,
 ) -> AlgebraElement:
-    """The recursive partition moment, a B element: the reduction plan
-    recorded once per (chi, pi), replayed on Z."""
-    if validate:
-        if pi.n != ctx.n or len(Z) != ctx.n:
-            raise SizeMismatch("partition, colouring, and operands disagree")
-        if not is_bnc(pi, ctx):
-            raise NotBNC(f"{pi} not bi-non-crossing for {ctx.chi}")
+    """The recursive partition moment, a B element: pi's reduction plan,
+    run as a one-leaf program on Z."""
+    if pi.n != ctx.n or len(Z) != ctx.n:
+        raise SizeMismatch("partition, colouring, and operands disagree")
+    if not is_bnc(pi, ctx):
+        raise NotBNC(f"{pi} not bi-non-crossing for {ctx.chi}")
     if verify_sides and hasattr(mf, "verify_side"):
         for i, z in enumerate(Z, start=1):
             if not mf.verify_side(z, ctx.chi.side(i)):
                 raise SideMismatch(f"operand {i} not in the {ctx.chi.side(i)} side")
-    return replay_plan(_plan(pi, ctx), [None, *Z], mf)
+    out = [None]
+    prog = compile_plans([record_plan(blocks_from_partition(pi), _sides(ctx))])
+    run_program(prog, [None, *Z], mf, out)
+    return out[0]
 
 
-# chi.sides -> {pi.rgs: reduction plan}
-_plan_cache: dict[tuple[str, ...], dict[tuple[int, ...], bytes | tuple]] = {}
+# chi.sides -> the program of every lattice member's plan, leaf = NC(n) slot
+_program_cache: dict[tuple[str, ...], array] = {}
 
 
 def _sides(ctx: BNCContext) -> dict[int, str]:
     return {i: s for i, s in enumerate(ctx.chi.sides, start=1)}
 
 
-def _plan(pi: SetPartition, ctx: BNCContext):
-    plans = _plan_cache.get(ctx.chi.sides)
-    if plans is None:
-        plans = _plan_cache[ctx.chi.sides] = {}
-    plan = plans.get(pi.rgs)
-    if plan is None:
-        plan = plans[pi.rgs] = record_plan(blocks_from_partition(pi), _sides(ctx))
-    return plan
+def _program(ctx: BNCContext, pulled) -> array:
+    prog = _program_cache.get(ctx.chi.sides)
+    if prog is None:
+        side = _sides(ctx)
+        prog = _program_cache[ctx.chi.sides] = compile_plans(
+            record_plan(blocks_from_partition(SetPartition(rgs)), side)
+            for rgs in pulled
+        )
+    return prog
 
 
-def moment_table(ctx: BNCContext, Z: list, mf: MomentContext, partitions=None):
-    """All partition moments, keyed by rgs."""
-    partitions = enumerate_bnc(ctx) if partitions is None else partitions
-    return {
-        pi.rgs: e_pi(pi, ctx, Z, mf, verify_sides=False, validate=False)
-        for pi in partitions
-    }
+def moment_table(ctx: BNCContext, Z: list, mf: MomentContext):
+    """All partition moments, keyed by rgs in lattice order: one walk of
+    the colouring's program."""
+    members, slots, pulled = bnc_lattice(ctx)
+    out = [None] * len(pulled)
+    run_program(_program(ctx, pulled), [None, *Z], mf, out)
+    return {pi.rgs: out[t] for pi, t in zip(members, slots)}
 
 
 def kappa_pi(
@@ -128,42 +140,55 @@ def kappa_pi(
     mf: MomentContext,
     moments: dict | None = None,
 ) -> AlgebraElement:
-    """Cumulant: moments weighted by the lattice's incidence inverse."""
+    """Cumulant: pi's row of the Mobius kernel over the moment table
+    (the full table on Z unless given)."""
     if not is_bnc(pi, ctx):
         raise NotBNC(f"{pi} not bi-non-crossing for {ctx.chi}")
-    below = interval_below(pi, ctx)
     if moments is None:
-        parts = [SetPartition(rgs) for rgs, _ in below]
-        moments = moment_table(ctx, Z, mf, partitions=parts)
-    return _weighted_sum(moments, below)
+        moments = moment_table(ctx, Z, mf)
+    return _weighted_sum(moments, interval_below(pi, ctx))
+
+
+def _combine(elems: list, weights) -> AlgebraElement:
+    """The sum of elems[i] scaled by the integer weights[i]: one sum of
+    products per coefficient."""
+    cols = zip(*[e.coeffs for e in elems])
+    return AlgebraElement(
+        elems[0].parent, tuple([sum(map(mul, weights, col)) for col in cols])
+    )
 
 
 def _weighted_sum(table: dict, pairs) -> AlgebraElement | None:
     """Sum of table[rgs] scaled by the integer w over the (rgs, w) pairs;
-    None if none.  One coefficient list accumulates the whole sum."""
-    first = acc = None
-    for rgs, w in pairs:
-        coeffs = table[rgs].coeffs
-        if acc is None:
-            first, acc = table[rgs], [w * c for c in coeffs]
-        else:
-            acc = [a + w * c for a, c in zip(acc, coeffs)]
-    return None if acc is None else AlgebraElement(first.parent, tuple(acc))
+    None if none."""
+    pairs = list(pairs)
+    if not pairs:
+        return None
+    return _combine([table[rgs] for rgs, _ in pairs], [w for _, w in pairs])
 
 
-def cumulant_table(ctx: BNCContext, Z: list, mf: MomentContext):
-    moments = moment_table(ctx, Z, mf)
-    return {
-        pi.rgs: kappa_pi(pi, ctx, Z, mf, moments=moments)
-        for pi in enumerate_bnc(ctx)
-    }
+def cumulant_table(ctx: BNCContext, Z: list, mf: MomentContext, moments=None):
+    """All cumulants, keyed by rgs in lattice order: the moment table (on
+    Z unless given) as a vector by NC(n) slot, times the Mobius kernel."""
+    if moments is None:
+        moments = moment_table(ctx, Z, mf)
+    members, slots, pulled = bnc_lattice(ctx)
+    vec = [moments[rgs] for rgs in pulled]
+    out = {}
+    for pi, t in zip(members, slots):
+        below, mus = nc_row(ctx.n, t)
+        out[pi.rgs] = _combine([vec[u] for u in below], mus)
+    return out
 
 
 def moment_cumulant_roundtrip(ctx: BNCContext, moments: dict, kappas: dict) -> bool:
     """Sum of cumulants below pi re-assembles the pi moment, for every pi."""
-    for pi in enumerate_bnc(ctx):
-        total = _weighted_sum(kappas, ((rgs, 1) for rgs, _ in interval_below(pi, ctx)))
-        if not (total - moments[pi.rgs]).is_zero():
+    pulled = bnc_lattice(ctx)[2]
+    vec = [kappas[rgs] for rgs in pulled]
+    for t, rgs in enumerate(pulled):
+        below = nc_row(ctx.n, t)[0]
+        total = _combine([vec[u] for u in below], [1] * len(below))
+        if not (total - moments[rgs]).is_zero():
             return False
     return True
 
@@ -192,7 +217,7 @@ def bifree_moment_check(
     rep = CheckReport()
     lhs = mf.expect(list(Z))
     lattice = enumerate_bnc(ctx)
-    moments = moment_table(ctx, Z, mf, partitions=lattice)
+    moments = moment_table(ctx, Z, mf)
     colours = eps.as_partition()
     tops = [sigma for sigma in lattice if refines(sigma, colours)]
     total = _weighted_sum(moments, _interval_weights(tops, ctx).items())
@@ -252,7 +277,7 @@ def audit_ffb_word(
         raise ColouringError("boolean pairs must be monochromatic")
     ctx = build_context(fctx.chi)
     lattice = enumerate_bnc(ctx)
-    moments = moment_table(ctx, Z, mf, partitions=lattice)
+    moments = moment_table(ctx, Z, mf)
     member_rgs, member_weights, below_one, refining = _audit_lattice(
         fctx, ctx, lattice
     )

@@ -166,14 +166,16 @@ def _a_words(sys: FfbSystem, k: int, max_len: int):
         frontier = nxt
 
 
-def _zero_operator(sys: FfbSystem, handles, probe_depth: int) -> bool:
-    """Whether the composite annihilates every word of bounded depth."""
-    fp = sys.fp
+def _nonzero_images(fp: TruncatedFreeProduct, chain, basis) -> list:
+    """The chain applied to each basis vector, zero images dropped."""
+    images = (apply_chain(fp, chain, vec) for vec in basis)
+    return [img for img in images if not fp.is_zero(img)]
+
+
+def _zero_operator(fp: TruncatedFreeProduct, handles, images) -> bool:
+    """Whether the composite of handles annihilates every image."""
     chain = tuple(atom for h in handles for atom in h.chain)
-    for vec in _basis_vectors(fp, probe_depth):
-        if not fp.is_zero(apply_chain(fp, chain, vec)):
-            return False
-    return True
+    return all(fp.is_zero(apply_chain(fp, chain, img)) for img in images)
 
 
 def _basis_vectors(fp: TruncatedFreeProduct, max_depth: int):
@@ -196,13 +198,17 @@ def check_ffb_system(sys: FfbSystem, word_cap: int) -> CheckReport:
     rep = CheckReport()
     fp = sys.fp
     mf = FreeMomentContext(fp)
+    basis = list(_basis_vectors(fp, max(0, fp.depth - (word_cap + 2))))
     for k in sys.colours():
-        probe = max(0, fp.depth - (word_cap + 2))
         for name, handles in (("c", sys.cprime[k]), ("d", sys.dprime[k])):
+            # each last handle's images of the probe basis, on first use
+            images: list = [None] * len(handles)
             wit = None
-            for h1, h2 in iproduct(handles, repeat=2):
+            for h1, (j, h2) in iproduct(handles, enumerate(handles)):
+                if images[j] is None:
+                    images[j] = _nonzero_images(fp, h2.chain, basis)
                 for w in _a_words(sys, k, word_cap):
-                    if not _zero_operator(sys, (h1,) + w + (h2,), probe):
+                    if not _zero_operator(fp, (h1,) + w, images[j]):
                         wit = [h.label for h in (h1,) + w + (h2,)]
                         break
                 if wit:

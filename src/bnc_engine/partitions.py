@@ -9,12 +9,15 @@ bi-non-crossing when its relabelling through that permutation is
 non-crossing in the classical sense.  The lattice is therefore NC(n)
 seen through s_chi: enumeration, join, Mobius values and intervals are
 all computed on the relabelled line, entered by relabelled_rgs and left
-by _pull_back.
+by _pull_back.  Intervals come from one Mobius kernel per n
+(nc_incidence, rows built on first use by nc_row), indexed by NC(n)
+slot; bnc_lattice pulls every slot back once per colouring.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -263,7 +266,7 @@ def _pull_back(labels, ctx: BNCContext) -> tuple[int, ...]:
     position i carries the label of its slot on the relabelled line.
 
     This is _canonical_rgs fused with the slot lookup, which runs once
-    per member in enumerate_bnc and interval_below.
+    per member of NC(n) when bnc_lattice first meets a colouring.
     """
     order: dict = {}
     return tuple([order.setdefault(labels[t], len(order)) for t in ctx.rank])
@@ -297,20 +300,29 @@ def _noncrossing_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-_bnc_cache: dict[tuple[str, ...], tuple[SetPartition, ...]] = {}
+# chi.sides -> (members in rgs order, their slots, rgs by slot)
+_bnc_cache: dict[tuple[str, ...], tuple] = {}
 
 
-def enumerate_bnc(ctx: BNCContext) -> list[SetPartition]:
-    """All bi-non-crossing partitions, lexicographic in rgs."""
+def bnc_lattice(ctx: BNCContext):
+    """The lattice three ways: its members in lexicographic rgs order,
+    each member's slot (its index in _noncrossing_partitions(n), the
+    order of nc_incidence), and the members' rgs by slot."""
     cap = enumeration_cap()
     if ctx.n > cap:
         raise CapExceeded(f"n={ctx.n} exceeds cap {cap}")
     hit = _bnc_cache.get(ctx.chi.sides)
     if hit is None:
-        pulled = sorted(_pull_back(rgs, ctx) for rgs in _noncrossing_partitions(ctx.n))
-        hit = tuple(SetPartition(rgs) for rgs in pulled)
-        _bnc_cache[ctx.chi.sides] = hit
-    return list(hit)
+        pulled = tuple(_pull_back(rgs, ctx) for rgs in _noncrossing_partitions(ctx.n))
+        slots = tuple(sorted(range(len(pulled)), key=pulled.__getitem__))
+        members = tuple(SetPartition(pulled[t]) for t in slots)
+        hit = _bnc_cache[ctx.chi.sides] = (members, slots, pulled)
+    return hit
+
+
+def enumerate_bnc(ctx: BNCContext) -> list[SetPartition]:
+    """All bi-non-crossing partitions, lexicographic in rgs."""
+    return list(bnc_lattice(ctx)[0])
 
 
 def refines(pi: SetPartition, sigma: SetPartition) -> bool:
@@ -409,34 +421,49 @@ def _mu_to_top(tau: tuple[int, ...]) -> int:
 def interval_below(
     sigma: SetPartition, ctx: BNCContext
 ) -> list[tuple[tuple[int, ...], int]]:
-    """(rgs of pi, mu(pi, sigma)) for every bi-non-crossing pi <= sigma.
-
-    Each pi takes one non-crossing partition of every block of sigma on
-    the relabelled line.  mu never vanishes on an NC interval, so every
-    member of the interval is listed.
-    """
-    return [
-        (_pull_back(labels, ctx), mu)
-        for labels, mu in _slot_labels(relabelled_rgs(sigma, ctx))
-    ]
+    """(rgs of pi, mu(pi, sigma)) for every bi-non-crossing pi <= sigma:
+    sigma's row of the NC(n) kernel, pulled back.  mu never vanishes on
+    an NC interval, so every member of the interval is listed."""
+    pulled = bnc_lattice(ctx)[2]
+    slots, mus = nc_row(ctx.n, nc_incidence(ctx.n)[0][relabelled_rgs(sigma, ctx)])
+    return [(pulled[t], mu) for t, mu in zip(slots, mus)]
 
 
 @lru_cache(maxsize=None)
-def _slot_labels(s: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each pi <= s on the line as slot labels (block * n + sub-block),
-    with mu(pi, s); shared by every colouring that relabels sigma to s."""
-    n = len(s)
-    blocks = [[t for t, c in enumerate(s) if c == w] for w in range(len(set(s)))]
-    out = []
+def nc_incidence(n: int):
+    """The Mobius kernel of NC(n), in _noncrossing_partitions(n) order: a
+    dict from each member's rgs to its slot, and the rows by slot, each
+    None until nc_row first builds it."""
+    members = _noncrossing_partitions(n)
+    return {rgs: t for t, rgs in enumerate(members)}, [None] * len(members)
+
+
+def nc_row(n: int, t: int):
+    """Row t of the NC(n) kernel: the slots of the pi <= sigma (ascending)
+    and mu(pi, sigma) alongside, sigma the member at slot t.
+
+    Each pi <= sigma takes one non-crossing partition of every block of
+    sigma, and mu(pi, sigma) is the product of their mu to the top.
+    """
+    index, rows = nc_incidence(n)
+    row = rows[t]
+    if row is not None:
+        return row
+    s = _noncrossing_partitions(n)[t]
+    blocks = [[u for u, c in enumerate(s) if c == w] for w in range(len(set(s)))]
+    pairs = []
     for pick in product(*(_noncrossing_partitions(len(blk)) for blk in blocks)):
         labels = [0] * n
         mu = 1
         for w, (blk, tau) in enumerate(zip(blocks, pick)):
             mu *= _mu_to_top(tau)
-            for t, b in zip(blk, tau):
-                labels[t] = w * n + b
-        out.append((tuple(labels), mu))
-    return tuple(out)
+            for u, b in zip(blk, tau):
+                labels[u] = w * n + b
+        pairs.append((index[_canonical_rgs(labels)], mu))
+    pairs.sort()
+    below = array("H" if len(rows) <= 1 << 16 else "I", [u for u, _ in pairs])
+    row = rows[t] = (below, array("q", [mu for _, mu in pairs]))
+    return row
 
 
 @dataclass(frozen=True)

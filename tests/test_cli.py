@@ -357,6 +357,8 @@ README_OUTPUTS = [
      "fedc6704029daff9959c300a34ba91be38ca23eae15e9b3dd14dfa298cb8a888", 0),
     ("cumulants --chi ll --fixture m2-scalar --seed 7",
      "f603980c8eb81e22dc14240bc336d4c0b3d13fea4eda0dc25f2c1aab1bd61029", 0),
+    ("cumulants --chi lrlrrll --fixture m2-scalar --seed 7",
+     "57fc5a04a8e8120f0d88fc46857aabb3f5cbc82e5483c43ebce4a3a842310722", 0),
     ("verify bb-axioms --fixture diag2",
      "7552b6cfc111f78dc35d5fa0f6f5aaf7cbd5c5914753372884c164e8824b7ba5", 0),
     ("verify bifree --trials 10 --word-cap 4 --seed 2",

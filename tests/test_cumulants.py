@@ -4,7 +4,12 @@ from itertools import product as iproduct
 
 import pytest
 
-from bnc_engine.bimult import MomentContext, blocks_from_partition, reduce_blocks
+from bnc_engine.bimult import (
+    MomentContext,
+    blocks_from_partition,
+    record_plan,
+    reduce_blocks,
+)
 from bnc_engine.cumulants import (
     AlgebraMomentContext,
     _interval_weights,
@@ -38,6 +43,7 @@ from bnc_engine.partitions import (
     catalan,
     enumerate_bnc,
     in_bnc_ffb,
+    interval_below,
     lr_replacement,
     refines,
 )
@@ -103,7 +109,7 @@ def test_roundtrip_random_words():
 
 
 def test_reduction_order_independence():
-    """e_pi replays the recorded plan (the largest-minimum order);
+    """e_pi runs the recorded plan (the largest-minimum order);
     reduce_blocks with chooser= collapses in a random legal order.  Both
     must agree."""
     for n in (3, 4):
@@ -141,8 +147,8 @@ class SymbolicContext(MomentContext):
 
 
 def test_plan_replay_matches_direct_reduction():
-    # every chi with n <= 6: the moment table (one replayed plan per pi)
-    # against reduce_blocks run directly.  The algebra operands are
+    # every chi with n <= 6: the moment table (one walk of the colouring's
+    # program) against reduce_blocks run directly.  The algebra operands are
     # arbitrary 2x2 matrices, not side elements, so that the target of
     # each insertion changes the value: a nonzero corner (the expectation
     # reads it, so few moments vanish) plus one other nonzero entry.
@@ -168,7 +174,7 @@ def test_plan_replay_matches_direct_reduction():
             lattice = enumerate_bnc(ctx)
             for mf, sample in contexts:
                 Z = [sample() for _ in range(n)] if sample else list(range(1, n + 1))
-                table = moment_table(ctx, Z, mf, partitions=lattice)
+                table = moment_table(ctx, Z, mf)
                 for pi in lattice:
                     ops = dict(enumerate(Z, start=1))
                     kind, value = reduce_blocks(blocks_from_partition(pi), ops, side, mf)
@@ -176,6 +182,81 @@ def test_plan_replay_matches_direct_reduction():
                     assert table[pi.rgs] == value, (sides, pi.rgs)
                     checked += 1
     assert checked == 3 * sum(2**n * catalan(n) for n in range(1, 7))
+
+
+def test_cumulant_table_matches_mobius_sum_of_single_moments():
+    # every chi with n <= 6 over m2-scalar: the kernel mat-vec over one
+    # walk of the colouring's program, against the sum of mu(pi, sigma)
+    # e_pi over interval_below(sigma), each e_pi a one-leaf program
+    rng = random.Random(23)
+    checked = 0
+    for n in range(1, 7):
+        for sides in iproduct("lr", repeat=n):
+            ctx = build_context(ChiMap(sides))
+            lattice = enumerate_bnc(ctx)
+            Z = [rand_elem(rng) for _ in range(n)]
+            single = {
+                pi.rgs: e_pi(pi, ctx, Z, MF, verify_sides=False) for pi in lattice
+            }
+            table = cumulant_table(ctx, Z, MF)
+            assert list(table) == [pi.rgs for pi in lattice]
+            for sigma in lattice:
+                want = SP.B.element([Fraction(0)])
+                for rgs, mu in interval_below(sigma, ctx):
+                    want = want + single[rgs].scale(mu)
+                assert (table[sigma.rgs] - want).is_zero(), (sides, sigma.rgs)
+                checked += 1
+    assert checked == sum(2**n * catalan(n) for n in range(1, 7))
+
+
+class CountingContext(MomentContext):
+    """Counts expectations; every value is a placeholder."""
+
+    def __init__(self):
+        self.expects = 0
+
+    def expect(self, elems):
+        self.expects += 1
+        return 0
+
+    def prepend_left(self, value, elem):
+        return elem
+
+    def prepend_right(self, value, elem):
+        return elem
+
+    def append_left(self, elem, value):
+        return elem
+
+
+def _expect_prefixes(ctx) -> int:
+    """Distinct plan prefixes that end in an expectation: the steps
+    before it, then its block, over the plans of the whole lattice."""
+    side = dict(enumerate(ctx.chi.sides, start=1))
+    seen = set()
+    for pi in enumerate_bnc(ctx):
+        steps = record_plan(blocks_from_partition(pi), side)
+        for j, (positions, _) in enumerate(steps):
+            seen.add((tuple(steps[:j]), positions))
+    return len(seen)
+
+
+def test_moment_table_evaluates_each_plan_prefix_once():
+    for n in range(1, 7):
+        for sides in iproduct("lr", repeat=n):
+            ctx = build_context(ChiMap(sides))
+            mf = CountingContext()
+            moment_table(ctx, list(range(1, n + 1)), mf)
+            assert mf.expects == _expect_prefixes(ctx), sides
+    # n = 7, all colourings: one expectation per block of every partition
+    # would be 219,648
+    mf, blocks = CountingContext(), 0
+    for sides in iproduct("lr", repeat=7):
+        ctx = build_context(ChiMap(sides))
+        moment_table(ctx, list(range(1, 8)), mf)
+        blocks += sum(pi.num_blocks for pi in enumerate_bnc(ctx))
+    assert blocks == 219_648
+    assert mf.expects == 110_288
 
 
 def test_diag2_moment_tables():
