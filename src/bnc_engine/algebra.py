@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InputError
 from .linalg import (
@@ -40,17 +40,24 @@ class StructuredAlgebra:
     """Unital algebra with designated basis and rational structure constants.
 
     mult[i][j] is the coefficient vector of e_i * e_j; unit is the
-    coefficient vector of the identity.
+    coefficient vector of the identity.  terms[i][j] holds the nonzero
+    entries of mult[i][j] as (k, c) pairs, built once.
     """
 
     dim: int
     labels: tuple[str, ...]
     mult: tuple[tuple[tuple[Scalar, ...], ...], ...]
     unit: tuple[Scalar, ...]
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != self.dim or len(self.unit) != self.dim:
             raise ValueError("label/unit length must equal dim")
+        terms = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in mi)
+            for mi in self.mult
+        )
+        object.__setattr__(self, "terms", terms)
 
     def element(self, coeffs) -> "AlgebraElement":
         coeffs = [frac(c) for c in coeffs]
@@ -67,20 +74,17 @@ class StructuredAlgebra:
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, tuple(zeros(self.dim)))
 
-    def mul_coeffs(self, x: Vec, y: Vec) -> Vec:
+    def mul_coeffs(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vec:
         out = zeros(self.dim)
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            mi = self.mult[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
+            ti = self.terms[i]
+            for j, yj in ys:
                 c = xi * yj
-                row = mi[j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] += c * row[k]
+                for k, s in ti[j]:
+                    out[k] += c * s
         return out
 
     def associativity_defect(self) -> Optional[tuple[int, int, int]]:
@@ -245,9 +249,7 @@ class AlgebraElement:
 def algebra_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     if x.parent is not y.parent:
         raise MismatchedAlgebra("elements live in different algebras")
-    return AlgebraElement(
-        x.parent, tuple(x.parent.mul_coeffs(list(x.coeffs), list(y.coeffs)))
-    )
+    return AlgebraElement(x.parent, tuple(x.parent.mul_coeffs(x.coeffs, y.coeffs)))
 
 
 def product(elements) -> AlgebraElement:
@@ -267,7 +269,8 @@ class BBProbSpace:
 
     expectation: dim(B) x dim(A) matrix.  left_embed/right_embed:
     dim(A) x dim(B) matrices whose columns are images of B basis
-    elements (L_b and R_b).
+    elements (L_b and R_b).  Their shapes are checked once here, so the
+    maps build their exact images directly.
     """
 
     A: StructuredAlgebra
@@ -276,18 +279,29 @@ class BBProbSpace:
     left_embed: tuple[tuple[Scalar, ...], ...]
     right_embed: tuple[tuple[Scalar, ...], ...]
 
+    def __post_init__(self):
+        a, b = self.A.dim, self.B.dim
+        for name, rows, cols in (
+            ("expectation", b, a),
+            ("left_embed", a, b),
+            ("right_embed", a, b),
+        ):
+            m = getattr(self, name)
+            if len(m) != rows or any(len(row) != cols for row in m):
+                raise MismatchedAlgebra(f"{name} must be {rows} x {cols}")
+
     def expect(self, x: AlgebraElement) -> AlgebraElement:
         return expectation_apply(self, x)
 
     def embed_left(self, b: AlgebraElement) -> AlgebraElement:
         if b.parent is not self.B:
             raise MismatchedAlgebra("expected an element of B")
-        return self.A.element(mat_vec(self.left_embed, list(b.coeffs)))
+        return AlgebraElement(self.A, tuple(mat_vec(self.left_embed, b.coeffs)))
 
     def embed_right(self, b: AlgebraElement) -> AlgebraElement:
         if b.parent is not self.B:
             raise MismatchedAlgebra("expected an element of B")
-        return self.A.element(mat_vec(self.right_embed, list(b.coeffs)))
+        return AlgebraElement(self.A, tuple(mat_vec(self.right_embed, b.coeffs)))
 
     def expect_word(self, elements) -> AlgebraElement:
         elements = list(elements)
@@ -318,7 +332,7 @@ class BBProbSpace:
 def expectation_apply(space: BBProbSpace, x: AlgebraElement) -> AlgebraElement:
     if x.parent is not space.A:
         raise MismatchedAlgebra("element does not live in the ambient algebra")
-    return space.B.element(mat_vec(space.expectation, list(x.coeffs)))
+    return AlgebraElement(space.B, tuple(mat_vec(space.expectation, x.coeffs)))
 
 
 @dataclass

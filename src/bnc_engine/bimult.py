@@ -23,12 +23,16 @@ the three insertion operations.  The engine never multiplies elements
 itself.
 
 The collapse order, each insertion's kind and its target depend only on
-the blocks and the side colouring, never on the operands.  record_plan
-runs the engine itself once on position operands against a recording
-context, which notes the steps, so the collapse rule lives only in
-reduce_blocks.  compile_plans merges the plans of many partitions into
-one flat program over their shared step prefixes, and run_program walks
-it depth first on any operands: each distinct prefix ending in an
+the blocks and the side colouring, never on the operands.  collapse_step
+is the one place that decides a step's insertion; reduce_blocks calls it
+on operands, and the planner calls it on positions alone.  The plan of a
+closed partition collapses its block with the largest minimum and then
+follows the plan of the blocks left, so every state a plan passes
+through is "the blocks whose minimum is below m", and plan_partitions
+works out each distinct state's step once for a whole lattice.
+record_plan is its one-partition form.  compile_plans merges the plans
+into one flat program over their shared step prefixes, and run_program
+walks it depth first on any operands: each distinct prefix ending in an
 expectation is evaluated once, however many plans share it.  A single
 plan is a one-leaf program.
 """
@@ -137,6 +141,44 @@ def collapsible(block: ReduceBlock, blocks, alive: list[int], side) -> bool:
     return _case3_target(block, blocks, side) is not None
 
 
+APPEND_LEFT, PREPEND_LEFT, PREPEND_RIGHT = range(3)
+
+
+def collapse_step(
+    v: ReduceBlock, rest: list[ReduceBlock], side: dict[int, str]
+) -> Optional[tuple[int, int]]:
+    """How the value of the collapsed block v enters the blocks rest that
+    survive it: (kind, target), the operand at position target taking
+    the value by kind; None when nothing survives, since the value is
+    then the moment.
+
+    A v after every surviving position folds onto the last of them from
+    the right; any other v is inserted, on the side of its minimum's
+    colour, onto the first later element of the adjacent spine.
+    """
+    if not rest:
+        return None
+    j = v.positions[0]
+    last = max(b.positions[-1] for b in rest)
+    if last < j:
+        return APPEND_LEFT, last
+    found = _case3_target(v, rest, side)
+    if found is None:
+        raise ReductionError(
+            f"block {v.positions} is neither a tail nor next to a spine"
+        )
+    return (PREPEND_LEFT if side[j] == "l" else PREPEND_RIGHT), found[1]
+
+
+def insert(ctx: MomentContext, kind: int, value, elem):
+    """The operand elem after taking value by kind."""
+    if kind == APPEND_LEFT:
+        return ctx.append_left(elem, value)
+    if kind == PREPEND_LEFT:
+        return ctx.prepend_left(value, elem)
+    return ctx.prepend_right(value, elem)
+
+
 def reduce_blocks(
     blocks: list[ReduceBlock],
     ops: dict[int, object],
@@ -168,22 +210,11 @@ def reduce_blocks(
             v = chooser(candidates)
         value = ctx.expect([ops[p] for p in v.positions])
         blocks = [b for b in blocks if b is not v]
-        if not blocks:
+        step = collapse_step(v, blocks, side)
+        if step is None:
             return ("scalar", value)
-        last = max(b.positions[-1] for b in blocks)
-        if last < v.positions[0]:
-            ops[last] = ctx.append_left(ops[last], value)
-            continue
-        found = _case3_target(v, blocks, side)
-        if found is None:
-            raise ReductionError(
-                f"block {v.positions} is neither a tail nor next to a spine"
-            )
-        _, target = found
-        if side[v.positions[0]] == "l":
-            ops[target] = ctx.prepend_left(value, ops[target])
-        else:
-            ops[target] = ctx.prepend_right(value, ops[target])
+        kind, target = step
+        ops[target] = insert(ctx, kind, value, ops[target])
 
 
 def blocks_from_partition(pi) -> list[ReduceBlock]:
@@ -191,45 +222,53 @@ def blocks_from_partition(pi) -> list[ReduceBlock]:
     return [ReduceBlock(blk) for blk in pi.blocks()]
 
 
-APPEND_LEFT, PREPEND_LEFT, PREPEND_RIGHT = range(3)
-
-
-class _PlanRecorder(MomentContext):
-    """Operands are positions; each expectation and insertion is noted.
-
-    A step is (positions, insertion): the block's positions, then how its
-    value enters an operand, (kind, target).  The last step's insertion
-    is None: its value is the moment.
-    """
-
-    def __init__(self):
-        self.steps: list[list] = []
-
-    def expect(self, elems):
-        self.steps.append([tuple(elems), None])
-
-    def _insert(self, kind, elem):
-        self.steps[-1][1] = (kind, elem)
-        return elem
-
-    def prepend_left(self, value, elem):
-        return self._insert(PREPEND_LEFT, elem)
-
-    def prepend_right(self, value, elem):
-        return self._insert(PREPEND_RIGHT, elem)
-
-    def append_left(self, elem, value):
-        return self._insert(APPEND_LEFT, elem)
+def _plan(blocks: list[ReduceBlock], side: dict[int, str], memo: dict) -> list:
+    """The steps of closed blocks ordered by minimum: collapse the last,
+    then plan the rest.  memo holds the step of every state already
+    planned, keyed by its blocks' positions."""
+    cols = tuple([b.positions for b in blocks])
+    plan = []
+    for k in range(len(blocks) - 1, -1, -1):
+        state = cols[: k + 1]
+        step = memo.get(state)
+        if step is None:
+            step = memo[state] = (cols[k], collapse_step(blocks[k], blocks[:k], side))
+        plan.append(step)
+    return plan
 
 
 def record_plan(blocks: list[ReduceBlock], side: dict[int, str]):
     """The engine's steps for closed blocks: (positions, insertion) pairs,
-    the last insertion None."""
-    rec = _PlanRecorder()
-    out = reduce_blocks(blocks, {p: p for b in blocks for p in b.positions}, side, rec)
-    if out[0] != "scalar":
+    the last insertion None.  The planner of plan_partitions, run on one
+    partition."""
+    if any(b.top for b in blocks):
         raise ValueError("partition moments must collapse completely")
-    return [tuple(step) for step in rec.steps]
+    return _plan(sorted(blocks, key=lambda b: b.positions[0]), side, {})
+
+
+def plan_partitions(partitions, side: dict[int, str]) -> array:
+    """The program of closed partitions of 1..n given by rgs: leaf i holds
+    the moment of partitions[i].
+
+    rgs labels number the blocks by their minima, so the states of a plan
+    are the blocks below each label.  Across a lattice most states recur,
+    and each distinct one's step is worked out once.
+    """
+    memo: dict = {}
+    made: dict = {}  # positions -> the one ReduceBlock for them
+    plans = []
+    for rgs in partitions:
+        cols = [[] for _ in range(max(rgs) + 1)]
+        for p, b in enumerate(rgs, start=1):
+            cols[b].append(p)
+        blocks = []
+        for positions in map(tuple, cols):
+            blk = made.get(positions)
+            if blk is None:
+                blk = made[positions] = ReduceBlock(positions)
+            blocks.append(blk)
+        plans.append(_plan(blocks, side, memo))
+    return compile_plans(plans)
 
 
 def compile_plans(plans) -> array:
@@ -290,14 +329,9 @@ def run_program(prog, ops: list, ctx: MomentContext, out: list) -> None:
                 out[leaf] = value
             i += 2 + m
             for _ in range(prog[i - 1]):
-                kind, t = prog[i], prog[i + 1]
+                t = prog[i + 1]
                 old = ops[t]
-                if kind == APPEND_LEFT:
-                    ops[t] = ctx.append_left(old, value)
-                elif kind == PREPEND_LEFT:
-                    ops[t] = ctx.prepend_left(value, old)
-                else:
-                    ops[t] = ctx.prepend_right(value, old)
+                ops[t] = insert(ctx, prog[i], value, old)
                 i = node(i + 2)
                 ops[t] = old
         return i

@@ -5,9 +5,11 @@ algebra, or operator words on a free-product module); cumulants invert
 them along the bi-non-crossing lattice.  The reduction plans of every
 member of a colouring's lattice are compiled once per chi.sides into
 one program over their shared step prefixes, whose leaves are the NC(n)
-slots; a moment table is one walk of that program.  A cumulant is one
-row of the NC(n) Mobius kernel (nc_row) over the moment vector, so a
-cumulant table is one sparse integer mat-vec.
+slots; bimult.plan_partitions reads the members' blocks straight from
+their pulled-back rgs and works out each distinct reduction state's
+step once.  A moment table is one walk of that program.  A cumulant is
+one row of the NC(n) Mobius kernel (nc_row) over the moment vector, so
+a cumulant table is one sparse integer mat-vec.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .bimult import (
     MomentContext,
     blocks_from_partition,
     compile_plans,
+    plan_partitions,
     record_plan,
     run_program,
 )
@@ -116,11 +119,7 @@ def _sides(ctx: BNCContext) -> dict[int, str]:
 def _program(ctx: BNCContext, pulled) -> array:
     prog = _program_cache.get(ctx.chi.sides)
     if prog is None:
-        side = _sides(ctx)
-        prog = _program_cache[ctx.chi.sides] = compile_plans(
-            record_plan(blocks_from_partition(SetPartition(rgs)), side)
-            for rgs in pulled
-        )
+        prog = _program_cache[ctx.chi.sides] = plan_partitions(pulled, _sides(ctx))
     return prog
 
 

@@ -2,10 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnc_engine.algebra import (
+    BBProbSpace,
     FaceAssignment,
     MismatchedAlgebra,
+    StructuredAlgebra,
     algebra_diagonal,
     algebra_dual_numbers,
     algebra_from_matrix_units,
@@ -16,6 +20,7 @@ from bnc_engine.algebra import (
     space_to_json_str,
 )
 from bnc_engine.errors import InputError
+from bnc_engine.linalg import frac, unit_vec
 from bnc_engine.fixtures import (
     space_diag2,
     space_diag2_bad_expectation,
@@ -142,3 +147,95 @@ def test_face_assignment_checks():
     off = spd.A.basis_element(1)
     fa_bad = FaceAssignment(spd, {1: {"l": [off]}})
     assert not fa_bad.check().ok
+
+
+SPACES = (space_scalar, space_m2_scalar, space_diag2, space_diag2_bad_expectation, space_dual)
+# every fixture's basis products are single basis elements; the dual
+# numbers on the basis 1, w = 1 + x have w * w = 2w - 1, two terms
+DUAL_W = StructuredAlgebra(
+    2, ("1", "w"), (((1, 0), (0, 1)), ((0, 1), (-1, 2))), (1, 0)
+)
+ALGEBRAS = [alg for make in SPACES for alg in (make().A, make().B)] + [DUAL_W]
+
+
+def dense_mul(alg, x, y):
+    """x * y by the triple loop over every structure constant."""
+    out = [0] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                out[k] += x[i] * y[j] * alg.mult[i][j][k]
+    return out
+
+
+def test_sparse_product_matches_dense_on_basis_pairs():
+    for alg in ALGEBRAS:
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                x, y = unit_vec(alg.dim, i), unit_vec(alg.dim, j)
+                assert alg.mul_coeffs(x, y) == dense_mul(alg, x, y), (alg.labels, i, j)
+
+
+ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3).map(frac),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_product_matches_dense_on_random_elements(data):
+    alg = data.draw(st.sampled_from(ALGEBRAS))
+    coeffs = st.lists(ENTRY, min_size=alg.dim, max_size=alg.dim)
+    x, y = data.draw(coeffs), data.draw(coeffs)
+    assert alg.mul_coeffs(x, y) == dense_mul(alg, x, y)
+
+
+def test_structure_defects_match_dense_search():
+    """associativity_defect and unit_defect name the first defect a dense
+    search finds, on the fixtures (none) and on broken tables."""
+
+    def first_defects(alg):
+        e = [unit_vec(alg.dim, i) for i in range(alg.dim)]
+        assoc = next(
+            (
+                (i, j, k)
+                for i in range(alg.dim)
+                for j in range(alg.dim)
+                for k in range(alg.dim)
+                if dense_mul(alg, list(alg.mult[i][j]), e[k])
+                != dense_mul(alg, e[i], list(alg.mult[j][k]))
+            ),
+            None,
+        )
+        unit = next(
+            (
+                i
+                for i in range(alg.dim)
+                if dense_mul(alg, list(alg.unit), e[i]) != e[i]
+                or dense_mul(alg, e[i], list(alg.unit)) != e[i]
+            ),
+            None,
+        )
+        return assoc, unit
+
+    m2 = space_m2_scalar().A
+    mult = [list(mi) for mi in m2.mult]
+    mult[1][2] = (0, 0, 0, 1)  # E12 E21 = E22 instead of E11
+    broken = StructuredAlgebra(m2.dim, m2.labels, tuple(map(tuple, mult)), m2.unit)
+    shifted = StructuredAlgebra(m2.dim, m2.labels, m2.mult, (1, 0, 0, 0))
+    for alg in ALGEBRAS + [broken, shifted]:
+        got = (alg.associativity_defect(), alg.unit_defect())
+        assert got == first_defects(alg), alg.labels
+    assert broken.associativity_defect() == (0, 1, 2)
+    assert shifted.unit_defect() == 1
+
+
+def test_space_refuses_misshapen_maps():
+    sp = space_diag2()
+    with pytest.raises(MismatchedAlgebra, match="^expectation must be 2 x 4$"):
+        BBProbSpace(sp.A, sp.B, sp.expectation[:1], sp.left_embed, sp.right_embed)
+    with pytest.raises(MismatchedAlgebra, match="^right_embed must be 4 x 2$"):
+        BBProbSpace(
+            sp.A, sp.B, sp.expectation, sp.left_embed, tuple(r[:1] for r in sp.right_embed)
+        )

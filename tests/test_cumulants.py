@@ -1,12 +1,19 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
+from bnc_engine import bimult
 from bnc_engine.bimult import (
+    APPEND_LEFT,
+    PREPEND_LEFT,
+    PREPEND_RIGHT,
     MomentContext,
     blocks_from_partition,
+    compile_plans,
+    plan_partitions,
     record_plan,
     reduce_blocks,
 )
@@ -39,6 +46,7 @@ from bnc_engine.partitions import (
     ChiMap,
     EpsilonMap,
     SetPartition,
+    bnc_lattice,
     build_context,
     catalan,
     enumerate_bnc,
@@ -182,6 +190,85 @@ def test_plan_replay_matches_direct_reduction():
                     assert table[pi.rgs] == value, (sides, pi.rgs)
                     checked += 1
     assert checked == 3 * sum(2**n * catalan(n) for n in range(1, 7))
+
+
+def test_symbolic_moment_tables_are_pinned():
+    # every chi with n <= 6: the moment table of position operands under
+    # SymbolicContext spells out each collapse order, insertion kind and
+    # target, so this digest pins the collapse rule itself.  Taken from
+    # the per-member reduce_blocks route, before the planner shared its
+    # step with reduce_blocks.
+    h = hashlib.sha256()
+    for n in range(1, 7):
+        for sides in iproduct("lr", repeat=n):
+            ctx = build_context(ChiMap(sides))
+            table = moment_table(ctx, list(range(1, n + 1)), SymbolicContext())
+            h.update(repr(("".join(sides), sorted(table.items()))).encode())
+    assert h.hexdigest() == (
+        "6b67a96e6f23885c651f2a152868f82b3a1b04e8da04aea1ed676dcbd255f97f"
+    )
+
+
+class RecordingContext(MomentContext):
+    """Operands are positions; each expectation and insertion is noted as
+    a plan step (positions, insertion), the last insertion None."""
+
+    def __init__(self):
+        self.steps = []
+
+    def expect(self, elems):
+        self.steps.append([tuple(elems), None])
+
+    def _insert(self, kind, elem):
+        self.steps[-1][1] = (kind, elem)
+        return elem
+
+    def prepend_left(self, value, elem):
+        return self._insert(PREPEND_LEFT, elem)
+
+    def prepend_right(self, value, elem):
+        return self._insert(PREPEND_RIGHT, elem)
+
+    def append_left(self, elem, value):
+        return self._insert(APPEND_LEFT, elem)
+
+
+def test_planner_matches_recorded_reductions():
+    # every chi with n <= 6: the planner's program against compile_plans
+    # over one plan per member, recorded by running reduce_blocks itself
+    for n in range(1, 7):
+        for sides in iproduct("lr", repeat=n):
+            ctx = build_context(ChiMap(sides))
+            side = dict(enumerate(sides, start=1))
+            pulled = bnc_lattice(ctx)[2]
+            plans = []
+            for rgs in pulled:
+                rec = RecordingContext()
+                blocks = blocks_from_partition(SetPartition(rgs))
+                kind, _ = reduce_blocks(blocks, {p: p for p in range(1, n + 1)}, side, rec)
+                assert kind == "scalar"
+                plans.append([tuple(step) for step in rec.steps])
+            want = compile_plans(plans)
+            got = plan_partitions(pulled, side)
+            assert (got.typecode, got) == (want.typecode, want), sides
+
+
+def test_planner_works_out_each_state_once(monkeypatch):
+    # n = 7, all colourings: one step per distinct state (the blocks of a
+    # member below one of its labels), against 219,648 blocks in all
+    calls = 0
+    step = bimult.collapse_step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(bimult, "collapse_step", counted)
+    for sides in iproduct("lr", repeat=7):
+        ctx = build_context(ChiMap(sides))
+        plan_partitions(bnc_lattice(ctx)[2], dict(enumerate(sides, start=1)))
+    assert calls == 128_128
 
 
 def test_cumulant_table_matches_mobius_sum_of_single_moments():
