@@ -31,13 +31,24 @@ pass between plain indices and coordinates.
 Left representations act through the first tensor leg, right ones
 through the last; a new leg deeper than the configured depth raises
 DepthExceeded rather than truncating silently.
+
+Word decomposition.  lr_decompose expands a word applied to the unit
+branch by branch, as the LR diagrams are built, and builds only live
+branches: one whose new or folded factor is the zero module vector, or
+whose collapsed B value is zero, is never made.  That is exact for any
+B: each later step maps the factor linearly, so it stays zero, and so
+does the tensor word the branch ends in.  The test reads the whole
+module vector, because a factor whose complement part is zero still
+feeds later cut branches through its B part.  The surviving terms are
+summed per (closed, top) strings, one diagram per group.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import AlgebraElement, BBProbSpace, CheckReport, StructuredAlgebra
 from .bimult import MomentContext, ReduceBlock, reduce_blocks
@@ -176,6 +187,32 @@ class ModuleOperator:
 
     def apply(self, vec: Vec) -> Vec:
         return mat_vec(self.matrix, vec)
+
+    @cached_property
+    def unit_image(self) -> Vec:
+        """The operator on the module's unit, computed once; callers must
+        not mutate it."""
+        return mat_vec(self.matrix, self.mod.unit_vector())
+
+    @cached_property
+    def _b_columns(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The operator's images of B's basis vectors: its first dim(B)
+        columns."""
+        return tuple(zip(*self.matrix))[: self.mod.B.dim]
+
+    def apply_b(self, b: Sequence[Scalar]) -> Vec:
+        """The operator on the module vector of B coefficients b: the
+        combination of its cached B-block columns, the same sums as
+        apply() on the embedded vector."""
+        out = None
+        for col, c in zip(self._b_columns, b):
+            if c:
+                out = (
+                    [x * c for x in col]
+                    if out is None
+                    else [o + x * c for o, x in zip(out, col)]
+                )
+        return out if out is not None else zeros(self.mod.dim)
 
     def commutes_with_side(self, side: str) -> bool:
         """'l' operators commute with right actions, 'r' with left ones."""
@@ -565,7 +602,6 @@ class TruncatedFreeProduct:
 
     def _rep_apply(self, op: ModuleOperator, k: int, vec: FpVec, from_left: bool):
         comp_k = self.components[k]
-        unit_image = None  # op on comp_k's unit, the same for every word
         out: FpVec = {}
         for seq, comp in vec.items():
             if seq and (seq[0] if from_left else seq[-1]) == k:
@@ -573,9 +609,7 @@ class TruncatedFreeProduct:
                 continue
             if seq:
                 plain = self.wordspaces[seq].to_plain(comp)
-                if unit_image is None:
-                    unit_image = op.apply(comp_k.unit_vector())
-                x = unit_image
+                x = op.unit_image
                 bpart = comp_k.p(x)
                 if not bpart.is_zero():
                     leg_mat = self._b_leg(seq, bpart, from_left)
@@ -583,7 +617,7 @@ class TruncatedFreeProduct:
             else:
                 # the base summand is the word with no legs, at plain index 0
                 plain = {0: ONE}
-                x = op.apply(comp_k.embed_b(self.p({(): comp})))
+                x = op.apply_b(self.p({(): comp}).coeffs)
                 _acc(out, (), dict(enumerate(comp_k.p(x).coeffs)))
             osc = comp_k.osc_part(x)
             if any(osc):
@@ -892,14 +926,21 @@ def e_d_vector(
 # --- word decomposition ---------------------------------------------------
 
 
-@dataclass
-class Term:
+class _Term(NamedTuple):
+    """One live branch of the expansion: a signed diagram in progress.
+
+    top holds the node sets of the strings at the top gap, leftmost
+    first, and factors their (colour, module vector) pairs; with no top
+    string left, bval holds the collapsed B coefficients instead.  No
+    factor and no bval is ever the zero vector (see lr_decompose).
+    """
+
     coeff: int
-    completed: tuple[tuple[int, ...], ...]
+    done: tuple[tuple[int, ...], ...]  # closed strings, in closing order
     top: tuple[tuple[int, ...], ...]
-    factors: tuple[tuple[int, Vec], ...]  # aligned with top: (colour, X_k vector)
-    bval: Optional[AlgebraElement]
-    primed: bool = True
+    factors: tuple[tuple[int, Vec], ...]
+    bval: Optional[Sequence[Scalar]]
+    primed: bool
 
 
 @dataclass
@@ -939,167 +980,204 @@ def lr_decompose(
     opening a string, keeping it at the top or closing it, and on the
     split of a consumed string into its pure word and its collapsed
     value (the latter with a sign, accounting for cut diagrams).
+
+    Only live branches are built.  A branch whose new or folded factor
+    is the zero module vector, or whose collapsed B value is zero, is
+    never made: every later step maps that factor linearly (a merge, a
+    cut through its B part, a fold, or a close reading its B part), so
+    it stays zero, and so does the tensor word the branch ends in, for
+    any B.  The test reads the whole module vector: a factor whose
+    complement part is zero is live, since its B part feeds later cut
+    branches.  Terms are grouped by their (closed, top) strings, one
+    diagram per group.  DepthExceeded is decided before the expansion,
+    from the sides and colours alone, so it does not depend on pruning.
+
+    With coefficients, each diagram's part is divided by its rule vector
+    (e_d_vector) into a scalar coefficient.  That route is exercised
+    only over B = ℚ: over B = D2, a word of operators outside the
+    one-sided commutants can make _ratio raise ValueError (a part not
+    proportional to its rule vector, or nonzero against a vanishing
+    one).  Without coefficients, the parts themselves are the
+    contributions.
     """
     n = len(ops)
     projected = set(projected_positions)
     chi = ChiMap(tuple(s for s, _, _ in ops))
     eps = EpsilonMap(tuple(k for _, k, _ in ops))
-    B = fp.B
-    terms = [Term(1, (), (), (), B.one())]
+    _check_depth(ops, fp.depth)
+    nb = fp.B.dim
+    terms = [_Term(1, (), (), (), fp.B.one().coeffs, True)]
     for i in range(n, 0, -1):
         side, colour, op = ops[i - 1]
-        comp = fp.components[colour]
-        new_terms: list[Term] = []
-        for t in terms:
-            end = 0 if side == "l" else len(t.factors) - 1
-            if t.factors and t.factors[end][0] == colour:
-                tnodes = t.top[end]
-                u0 = t.factors[end][1]
-                raw_merge = mat_vec(op.matrix, u0)
-                raw_cut = mat_vec(op.matrix, comp.embed_b(comp.p(u0)))
-                for raw, sign, is_cut in ((raw_merge, 1, False), (raw_cut, -1, True)):
-                    nodes = (i,) if is_cut else (i,) + tnodes
-                    done = t.completed + ((tnodes,) if is_cut else ())
-                    new_terms.append(
-                        _branch_keep(t, end, raw, sign, nodes, done, colour)
-                    )
-                    new_terms.append(
-                        _branch_close(
-                            fp, t, end, raw, sign, nodes, done, colour, side
-                        )
-                    )
-            else:
-                if t.factors:
-                    x = mat_vec(op.matrix, comp.unit_vector())
-                else:
-                    x = mat_vec(op.matrix, comp.embed_b(t.bval))
-                at = 0 if side == "l" else len(t.factors)
-                if len(t.top) + 1 > fp.depth:
-                    raise DepthExceeded("decomposition word exceeds the depth")
-                keep = Term(
-                    t.coeff,
-                    t.completed,
-                    t.top[:at] + ((i,),) + t.top[at:],
-                    t.factors[:at] + ((colour, x),) + t.factors[at:],
-                    None,
-                    t.primed,
-                )
-                new_terms.append(keep)
-                b = comp.p(x)
-                if t.factors:
-                    fold_at = 0 if side == "l" else len(t.factors) - 1
-                    folded = _fold(fp, t.factors, fold_at, b, from_left=(side == "l"))
-                    new_terms.append(
-                        Term(
-                            t.coeff,
-                            t.completed + ((i,),),
-                            t.top,
-                            folded,
+        left = side == "l"
+        new: list[_Term] = []
+        for coeff, done, top, factors, bval, primed in terms:
+            end = 0 if left else len(factors) - 1
+            if factors and factors[end][0] == colour:
+                # join the end string (merge) or cut it at its B part
+                u = factors[end][1]
+                branches = [(op.apply(u), coeff, (i,) + top[end], done)]
+                if any(u[:nb]):
+                    cut = op.apply_b(u[:nb])
+                    branches.append((cut, -coeff, (i,), done + (top[end],)))
+                rest_top = top[:end] + top[end + 1 :]
+                rest = factors[:end] + factors[end + 1 :]
+                for raw, c, nodes, d in branches:
+                    if not any(raw):
+                        continue
+                    new.append(
+                        _Term(
+                            c,
+                            d,
+                            top[:end] + (nodes,) + top[end + 1 :],
+                            factors[:end] + ((colour, raw),) + factors[end + 1 :],
                             None,
-                            t.primed,
+                            primed,
                         )
                     )
-                else:
-                    new_terms.append(
-                        Term(
-                            t.coeff,
-                            t.completed + ((i,),),
-                            t.top,
-                            (),
-                            b,
-                            t.primed,
-                        )
-                    )
-        if i in projected:
-            k = eps.colour(i)
-            for t in new_terms:
-                if not t.primed:
+                    done_c = d + (nodes,)
+                    _close(new, fp, c, done_c, rest_top, rest, raw[:nb], left, primed)
+            else:
+                # open a string at the end
+                x = op.unit_image if factors else op.apply_b(bval)
+                if not any(x):
                     continue
-                survives = len(t.factors) == 0 or (
-                    len(t.factors) == 1 and t.factors[0][0] == k
+                at = 0 if left else len(factors)
+                new.append(
+                    _Term(
+                        coeff,
+                        done,
+                        top[:at] + ((i,),) + top[at:],
+                        factors[:at] + ((colour, x),) + factors[at:],
+                        None,
+                        primed,
+                    )
                 )
-                if not survives:
-                    t.primed = False
-        terms = [t for t in new_terms if t.bval is None or not t.bval.is_zero()]
-    return _collect(fp, chi, eps, ops, terms, bool(projected), coefficients)
+                done_c = done + ((i,),)
+                _close(new, fp, coeff, done_c, top, factors, x[:nb], left, primed)
+        if i in projected:
+            new = [
+                t._replace(primed=False)
+                if t.primed and not _survives(t.factors, colour)
+                else t
+                for t in new
+            ]
+        terms = new
+    return _collect(fp, chi, eps, ops, terms, coefficients)
 
 
-def _branch_keep(t: Term, end, raw, sign, nodes, done, colour) -> Term:
-    factors = t.factors[:end] + ((colour, raw),) + t.factors[end + 1 :]
-    top = t.top[:end] + (nodes,) + t.top[end + 1 :]
-    return Term(t.coeff * sign, done, top, factors, None, t.primed)
+def _check_depth(ops, depth: int):
+    """Raise DepthExceeded if some branch of the expansion of ops would
+    hold more than depth top strings.  Walks the colour tuples of the top
+    strings that the branching reaches, with no vectors."""
+    if len(ops) <= depth:
+        return  # each position opens at most one string
+    reach: set[tuple[int, ...]] = {()}
+    for side, colour, _ in reversed(ops):
+        nxt = set()
+        for tops in reach:
+            end = 0 if side == "l" else len(tops) - 1
+            if tops and tops[end] == colour:
+                nxt.add(tops)
+                nxt.add(tops[:end] + tops[end + 1 :])
+                continue
+            if len(tops) + 1 > depth:
+                raise DepthExceeded("decomposition word exceeds the depth")
+            nxt.add((colour,) + tops if side == "l" else tops + (colour,))
+            nxt.add(tops)
+        reach = nxt
 
 
-def _branch_close(fp, t: Term, end, raw, sign, nodes, done, colour, side) -> Term:
-    comp = fp.components[colour]
-    b = comp.p(raw)
-    rest_factors = t.factors[:end] + t.factors[end + 1 :]
-    rest_top = t.top[:end] + t.top[end + 1 :]
-    done = done + (nodes,)
-    if rest_factors:
-        fold_at = 0 if side == "l" else len(rest_factors) - 1
-        folded = _fold(fp, rest_factors, fold_at, b, from_left=(side == "l"))
-        return Term(t.coeff * sign, done, rest_top, folded, None, t.primed)
-    return Term(t.coeff * sign, done, rest_top, (), b, t.primed)
-
-
-def _fold(fp, factors, at, b, from_left: bool):
+def _close(new, fp, coeff, done, top, factors, b, from_left, primed):
+    """Append the branch closing a string with collapsed value b: b folds
+    into the end factor of the strings left at the top, or becomes the
+    branch's bval when none is left.  Nothing is appended when b or the
+    folded factor is zero."""
+    if not any(b):
+        return
+    if not factors:
+        new.append(_Term(coeff, done, top, (), b, primed))
+        return
+    at = 0 if from_left else len(factors) - 1
     k, u = factors[at]
     comp = fp.components[k]
-    mat = comp.left_matrix(b) if from_left else comp.right_matrix(b)
-    return factors[:at] + ((k, mat_vec(mat, u)),) + factors[at + 1 :]
+    mat = mat_combination(b, comp.left_action if from_left else comp.right_action)
+    folded = mat_vec(mat, u)
+    if any(folded):
+        factors = factors[:at] + ((k, folded),) + factors[at + 1 :]
+        new.append(_Term(coeff, done, top, factors, None, primed))
 
 
-def _assemble(fp: TruncatedFreeProduct, t: Term) -> FpVec:
+def _survives(factors, colour: int) -> bool:
+    """Whether the boolean projection onto colour keeps a term's words."""
+    return not factors or (len(factors) == 1 and factors[0][0] == colour)
+
+
+def _assemble(fp: TruncatedFreeProduct, t: _Term) -> FpVec:
+    """The term's tensor word, without its sign."""
     if not t.factors:
-        return fp.scale(t.coeff, fp.embed_b(t.bval))
-    factors = [
-        (k, fp.components[k].osc_part(u)) for k, u in t.factors
-    ]
-    return fp.scale(t.coeff, fp.tensor_embed(factors))
+        return {(): {i: c for i, c in enumerate(t.bval) if c}}
+    nb = fp.B.dim
+    return fp.tensor_embed([(k, u[nb:]) for k, u in t.factors])
 
 
-def _collect(
-    fp, chi, eps, ops, terms: list[Term], projected: bool, coefficients: bool
-) -> Decomposition:
-    mod_ops = [op for _, _, op in ops]
-    vecs = [_assemble(fp, t) for t in terms]
-    direct = fp.add(*vecs) if terms else {}
-    groups: dict = {}
-    for t, vec in zip(terms, vecs):
+def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decomposition:
+    """Sum the terms into the direct word, per diagram into its primed and
+    residual parts, and the primed parts into the projected word."""
+    direct: FpVec = {}
+    parts: dict = {}  # (done, top) -> (primed part, residual part)
+    for t in terms:
+        vec = _assemble(fp, t)
+        _acc_vec(direct, vec, t.coeff)
+        pair = parts.get((t.done, t.top))
+        if pair is None:
+            pair = parts[t.done, t.top] = ({}, {})
+        _acc_vec(pair[0 if t.primed else 1], vec, t.coeff)
+    groups: dict = {}  # diagram key -> [diagram, primed part, residual part]
+    for (done, top), (primed_part, residual_part) in parts.items():
         d = make_diagram(
-            chi, eps, [(s, False) for s in t.completed] + [(s, True) for s in t.top],
-            t.top,
+            chi, eps, [(s, False) for s in done] + [(s, True) for s in top], top
         )
-        entry = groups.setdefault(d.key(), [d, {}, {}])
-        bucket = 1 if t.primed else 2
-        entry[bucket] = fp.add(entry[bucket] or {}, vec)
+        entry = groups.get(d.key())
+        if entry is None:
+            groups[d.key()] = [d, primed_part, residual_part]
+        else:
+            _acc_vec(entry[1], primed_part)
+            _acc_vec(entry[2], residual_part)
+    mod_ops = [op for _, _, op in ops]
     contributions = []
     residual = []
     primed_vec: FpVec = {}
     for key in sorted(groups):
         d, primed_part, residual_part = groups[key]
+        primed_part, residual_part = _clean(primed_part), _clean(residual_part)
         total = fp.add(primed_part, residual_part)
         if coefficients:
             rule = e_d_vector(d, mod_ops, fp)
             coeff = _ratio(fp, total, rule)
             if coeff is not None and coeff != 0:
                 contributions.append((d, coeff, rule))
-        elif not fp.is_zero(total):
+        elif total:
             contributions.append((d, None, total))
-        primed_vec = fp.add(primed_vec, primed_part)
-        if residual_part and not fp.is_zero(residual_part):
-            rcoeff = _ratio(fp, residual_part, e_d_vector(d, mod_ops, fp)) if (
-                coefficients
-            ) else None
+        _acc_vec(primed_vec, primed_part)
+        if residual_part:
+            rcoeff = (
+                _ratio(fp, residual_part, e_d_vector(d, mod_ops, fp))
+                if coefficients
+                else None
+            )
             residual.append((d, rcoeff, residual_part))
     return Decomposition(
-        fp,
-        direct,
-        contributions,
-        primed=primed_vec,
-        residual=residual,
+        fp, _clean(direct), contributions, primed=_clean(primed_vec), residual=residual
     )
+
+
+def _acc_vec(out: FpVec, vec: FpVec, sign: int = 1):
+    """out += sign·vec, in place; zero entries are left for _clean."""
+    for seq, comp in vec.items():
+        tgt = out.setdefault(seq, {})
+        for i, c in comp.items():
+            tgt[i] = tgt.get(i, ZERO) + sign * c
 
 
 def _ratio(fp, total: FpVec, rule: FpVec) -> Optional[Scalar]:

@@ -363,6 +363,10 @@ README_OUTPUTS = [
      "7552b6cfc111f78dc35d5fa0f6f5aaf7cbd5c5914753372884c164e8824b7ba5", 0),
     ("verify bifree --trials 10 --word-cap 4 --seed 2",
      "a3f04668826da6af7a2f7c43299924f50887fe5638ca2e3164ea54f20417ecda", 0),
+    ("verify ffb-system --fixture doubled-m2 --word-cap 4",
+     "8b7e5c0708e7e5df917cb5e79e0ea33f54aaadaaae9180bfd7f6a84c71127dc8", 0),
+    ("verify ffb-independence --fixture doubled-m2 --word-cap 4",
+     "ed1c3945d60c24f7f402842624cef1bc0b19bb67149b36c21e6cdf8b6c3f9ef8", 0),
     ("verify ffb-system --fixture doubled-diag2 --word-cap 3",
      "1253cbec5a57acd5d44ee04e648a55db1966e4612e9036982b04ca5e88e506bc", 0),
     ("verify lr-decompose --seed 5 --trials 10 --max-n 4",

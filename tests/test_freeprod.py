@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -446,6 +448,104 @@ def test_lr_decompose_empty_projection_has_no_residual():
     dec = lr_decompose(ops, fp, projected_positions=())
     assert dec.residual == []
     assert fp.equal(dec.primed, dec.direct)
+
+
+def _sparse_op(mod, rng):
+    """A random operator with about 30 % nonzero entries, so that many
+    expansion branches carry a zero factor."""
+    m = [
+        [rng.choice((-2, -1, 1, 2)) if rng.random() < 0.3 else 0 for _ in range(mod.dim)]
+        for _ in range(mod.dim)
+    ]
+    return module_operator(mod, m)
+
+
+def _canonical(vec):
+    return sorted(
+        [list(seq), sorted([i, str(c)] for i, c in comp.items() if c)]
+        for seq, comp in vec.items()
+        if any(comp.values())
+    )
+
+
+def test_lr_decompose_output_is_pinned():
+    """sha256 of whole decompositions (direct, primed, contribution keys,
+    coefficients and vectors, residual keys and vectors) of 60 seeded
+    random words per module, lengths 1-6, with sparse operators and
+    random projected positions.  Scalar coefficients over the m2,
+    doubled-m2 and scalar modules; over diag2 (B = D2) the
+    coefficient-free route the verifier takes."""
+    m2 = build_bimodule_from_space(space_m2_scalar())[0]
+    diag2 = build_bimodule_from_space(space_diag2())[0]
+    cases = [
+        ("m2", {1: m2, 2: m2}, True),
+        ("doubled-m2", {1: doubled_bimodule(m2), 2: doubled_bimodule(m2)}, True),
+        ("scalar", {1: scalar_module(2), 2: scalar_module(3)}, True),
+        ("diag2", {1: diag2, 2: diag2}, False),
+    ]
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+    for name, mods, coefficients in cases:
+        fp = reduced_free_product(mods, 6)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            ops = []
+            for _ in range(n):
+                k = rng.choice((1, 2))
+                ops.append((rng.choice("lr"), k, _sparse_op(mods[k], rng)))
+            proj = [j for j in range(1, n + 1) if rng.random() < 0.4]
+            dec = lr_decompose(ops, fp, proj, coefficients=coefficients)
+            out = [
+                _canonical(dec.direct),
+                _canonical(dec.primed),
+                [[d.key(), str(c), _canonical(v)] for d, c, v in dec.contributions],
+                [[d.key(), _canonical(v)] for d, _, v in dec.residual],
+            ]
+            digest.update(json.dumps([name, out]).encode())
+    assert digest.hexdigest() == (
+        "b9363ba7230af6720adc5ba6de275f2e43d4b681386e8046f66e3a7bb7afdb27"
+    )
+
+
+def test_lr_decompose_depth_guard_ignores_zero_branches():
+    """At depth 1, position 1 opens a second top string on every branch
+    that position 2 leaves open; here each of those branches is zero,
+    because the operator at position 2 kills the unit.  The guard still
+    raises: it is decided from the sides and colours, not the terms."""
+    fp = reduced_free_product(MODS, 1)
+    kills_unit = module_operator(MODS[2], [[0, 1, 0, 0]] + [[0, 0, 1, 1]] * 3)
+    assert not any(kills_unit.apply(MODS[2].unit_vector()))
+    ops = [("l", 1, rand_op(MODS[1])), ("r", 2, kills_unit)]
+    with pytest.raises(DepthExceeded):
+        lr_decompose(ops, fp)
+    # one colour: position 1 joins the open string, so nothing exceeds
+    ops = [("l", 2, rand_op(MODS[2])), ("r", 2, kills_unit)]
+    assert fp.is_zero(lr_decompose(ops, fp).direct)
+
+
+def test_lr_decompose_depth_guard_matches_diagram_tops():
+    """The guard raises exactly when some LR diagram on a suffix of the
+    word has more top strings than the depth: those are the top strings
+    the expansion's branches hold."""
+    rng = random.Random(5)
+    zero = {k: module_operator(m, [[0] * m.dim] * m.dim) for k, m in MODS.items()}
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        sides = tuple(rng.choice("lr") for _ in range(n))
+        colours = tuple(rng.choice((1, 2)) for _ in range(n))
+        depth = rng.randint(1, n - 1)
+        most = max(
+            d.top_count()
+            for j in range(n)
+            for d in enumerate_lr(ChiMap(sides[j:]), EpsilonMap(colours[j:])).diagrams
+        )
+        ops = [(s, k, zero[k]) for s, k in zip(sides, colours)]
+        fp = reduced_free_product(MODS, depth)
+        if most > depth:
+            with pytest.raises(DepthExceeded):
+                lr_decompose(ops, fp)
+        else:
+            assert lr_decompose(ops, fp).direct == {}
 
 
 def test_free_moment_context_expectation():
