@@ -303,6 +303,17 @@ class BBProbSpace:
             raise MismatchedAlgebra("expected an element of B")
         return AlgebraElement(self.A, tuple(mat_vec(self.right_embed, b.coeffs)))
 
+    def commutant_failure(self, x: AlgebraElement, side: str) -> Optional[int]:
+        """The first B basis index i where x fails the side's commutant
+        test, x·R_bi = R_bi·x for side 'l' and x·L_bi = L_bi·x for 'r';
+        None when x passes for every i."""
+        embed = self.embed_right if side == "l" else self.embed_left
+        for i in range(self.B.dim):
+            other = embed(self.B.basis_element(i))
+            if (x * other).coeffs != (other * x).coeffs:
+                return i
+        return None
+
     def expect_word(self, elements) -> AlgebraElement:
         elements = list(elements)
         if not elements:
@@ -464,18 +475,14 @@ class FaceAssignment:
         rep = CheckReport()
         sp = self.space
         B = sp.B
-        rbs = [sp.embed_right(B.basis_element(i)) for i in range(B.dim)]
         lbs = [sp.embed_left(B.basis_element(i)) for i in range(B.dim)]
         for k, slots in sorted(self.faces.items()):
             for slot, gens in sorted(slots.items()):
-                need = rbs if slot in ("l", "b") else lbs
                 wit = None
                 for gi, g in enumerate(gens):
-                    for ci, c in enumerate(need):
-                        if (g * c).coeffs != (c * g).coeffs:
-                            wit = (gi, ci)
-                            break
-                    if wit:
+                    ci = sp.commutant_failure(g, "r" if slot == "r" else "l")
+                    if ci is not None:
+                        wit = (gi, ci)
                         break
                 rep.record(f"face-{k}-{slot}-side", wit is None, witness=wit)
             # boolean faces absorb two-sided multiplication by L_B on generators

@@ -29,11 +29,11 @@ on operands, and the planner calls it on positions alone.  The plan of a
 closed partition collapses its block with the largest minimum and then
 follows the plan of the blocks left, so every state a plan passes
 through is "the blocks whose minimum is below m", and plan_partitions
-works out each distinct state's step once for a whole lattice.
-record_plan is its one-partition form.  compile_plans merges the plans
-into one flat program over their shared step prefixes, and run_program
-walks it depth first on any operands: each distinct prefix ending in an
-expectation is evaluated once, however many plans share it.  A single
+works out each distinct state's step once for a whole lattice, or for
+one partition.  compile_plans merges the plans into one flat program
+over their shared step prefixes, and run_program walks it depth first
+on any operands: each distinct prefix ending in an expectation is
+evaluated once, however many plans share it.  A single partition's
 plan is a one-leaf program.
 """
 
@@ -60,9 +60,6 @@ class MomentContext:
 
     def expect(self, elems: list) -> object:
         """Expectation of the ordered product; B element."""
-        raise NotImplementedError
-
-    def unit_b(self) -> object:
         raise NotImplementedError
 
     def prepend_left(self, value, elem):
@@ -235,15 +232,6 @@ def _plan(blocks: list[ReduceBlock], side: dict[int, str], memo: dict) -> list:
             step = memo[state] = (cols[k], collapse_step(blocks[k], blocks[:k], side))
         plan.append(step)
     return plan
-
-
-def record_plan(blocks: list[ReduceBlock], side: dict[int, str]):
-    """The engine's steps for closed blocks: (positions, insertion) pairs,
-    the last insertion None.  The planner of plan_partitions, run on one
-    partition."""
-    if any(b.top for b in blocks):
-        raise ValueError("partition moments must collapse completely")
-    return _plan(sorted(blocks, key=lambda b: b.positions[0]), side, {})
 
 
 def plan_partitions(partitions, side: dict[int, str]) -> array:

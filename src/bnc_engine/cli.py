@@ -45,6 +45,7 @@ from .fixtures import load_space, load_system, sample_side_element, scalar_modul
 from .freeprod import (
     DepthExceeded,
     FreeMomentContext,
+    apply_chain,
     lr_decompose,
     module_operator,
     reduced_free_product,
@@ -311,13 +312,8 @@ def cmd_verify_decompose(args) -> int:
             k = rng.choice(sorted(mods))
             ops.append((s, k, _random_operator(mods[k], rng)))
         dec = lr_decompose(ops, fp)
-        direct = fp.unit()
-        for s, k, op in reversed(ops):
-            direct = (
-                fp.lambda_apply(op, k, direct)
-                if s == "l"
-                else fp.rho_apply(op, k, direct)
-            )
+        chain = [("lam" if s == "l" else "rho", k, op) for s, k, op in ops]
+        direct = apply_chain(fp, chain, fp.unit())
         good = fp.equal(dec.direct, direct) and fp.equal(dec.reconstruction(), direct)
         if not good:
             ok_all = False

@@ -1,15 +1,17 @@
 """Partition-indexed moments, cumulants, and independence criteria.
 
-Moments are evaluated through a MomentContext (elements of an ambient
-algebra, or operator words on a free-product module); cumulants invert
-them along the bi-non-crossing lattice.  The reduction plans of every
-member of a colouring's lattice are compiled once per chi.sides into
-one program over their shared step prefixes, whose leaves are the NC(n)
+Moments are evaluated through one MomentContext per algebra: elements
+of an ambient algebra here (AlgebraMomentContext), operator chains on
+the free product in freeprod (FreeMomentContext); cumulants invert them
+along the bi-non-crossing lattice.  The reduction plans of every member
+of a colouring's lattice are compiled once per chi.sides into one
+program over their shared step prefixes, whose leaves are the NC(n)
 slots; bimult.plan_partitions reads the members' blocks straight from
 their pulled-back rgs and works out each distinct reduction state's
-step once.  A moment table is one walk of that program.  A cumulant is
-one row of the NC(n) Mobius kernel (nc_row) over the moment vector, so
-a cumulant table is one sparse integer mat-vec.
+step once.  A moment table is one walk of that program, and e_pi is
+plan_partitions on the one partition's rgs, a one-leaf program.  A
+cumulant is one row of the NC(n) Mobius kernel (nc_row) over the moment
+vector, so a cumulant table is one sparse integer mat-vec.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from array import array
 from operator import mul
 
 from .algebra import AlgebraElement, BBProbSpace, CheckReport
-from .bimult import (
-    MomentContext,
-    blocks_from_partition,
-    compile_plans,
-    plan_partitions,
-    record_plan,
-    run_program,
-)
+from .bimult import MomentContext, plan_partitions, run_program
 from .errors import InputError
 from .partitions import (
     BNCContext,
@@ -63,9 +58,6 @@ class AlgebraMomentContext(MomentContext):
     def expect(self, elems):
         return self.space.expect_word(elems)
 
-    def unit_b(self):
-        return self.space.B.one()
-
     def prepend_left(self, value, elem):
         return self.space.embed_left(value) * elem
 
@@ -76,21 +68,11 @@ class AlgebraMomentContext(MomentContext):
         return elem * self.space.embed_left(value)
 
     def verify_side(self, elem, side: str) -> bool:
-        sp = self.space
-        for i in range(sp.B.dim):
-            b = sp.B.basis_element(i)
-            other = sp.embed_right(b) if side == "l" else sp.embed_left(b)
-            if (elem * other).coeffs != (other * elem).coeffs:
-                return False
-        return True
+        return self.space.commutant_failure(elem, side) is None
 
 
 def e_pi(
-    pi: SetPartition,
-    ctx: BNCContext,
-    Z: list,
-    mf: MomentContext,
-    verify_sides: bool = True,
+    pi: SetPartition, ctx: BNCContext, Z: list, mf: MomentContext
 ) -> AlgebraElement:
     """The recursive partition moment, a B element: pi's reduction plan,
     run as a one-leaf program on Z."""
@@ -98,13 +80,12 @@ def e_pi(
         raise SizeMismatch("partition, colouring, and operands disagree")
     if not is_bnc(pi, ctx):
         raise NotBNC(f"{pi} not bi-non-crossing for {ctx.chi}")
-    if verify_sides and hasattr(mf, "verify_side"):
+    if hasattr(mf, "verify_side"):
         for i, z in enumerate(Z, start=1):
             if not mf.verify_side(z, ctx.chi.side(i)):
                 raise SideMismatch(f"operand {i} not in the {ctx.chi.side(i)} side")
     out = [None]
-    prog = compile_plans([record_plan(blocks_from_partition(pi), _sides(ctx))])
-    run_program(prog, [None, *Z], mf, out)
+    run_program(plan_partitions([pi.rgs], _sides(ctx)), [None, *Z], mf, out)
     return out[0]
 
 
@@ -157,12 +138,10 @@ def _combine(elems: list, weights) -> AlgebraElement:
     )
 
 
-def _weighted_sum(table: dict, pairs) -> AlgebraElement | None:
-    """Sum of table[rgs] scaled by the integer w over the (rgs, w) pairs;
-    None if none."""
+def _weighted_sum(table: dict, pairs) -> AlgebraElement:
+    """Sum of table[rgs] scaled by the integer w over the (rgs, w) pairs,
+    of which there is at least one."""
     pairs = list(pairs)
-    if not pairs:
-        return None
     return _combine([table[rgs] for rgs, _ in pairs], [w for _, w in pairs])
 
 
@@ -220,7 +199,6 @@ def bifree_moment_check(
     colours = eps.as_partition()
     tops = [sigma for sigma in lattice if refines(sigma, colours)]
     total = _weighted_sum(moments, _interval_weights(tops, ctx).items())
-    total = total if total is not None else mf.unit_b().scale(0)
     rep.record(
         "moment-formula",
         (lhs - total).is_zero(),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
 
-from .algebra import AlgebraElement, BBProbSpace, CheckReport, FaceAssignment
+from .algebra import AlgebraElement, BBProbSpace, CheckReport
 from .cumulants import kappa_pi
 from .diagrams import chi_extensions, enumerate_lr, filter_boolean, lateral_closure
 from .freeprod import (
@@ -67,9 +67,6 @@ class FfbFamily:
 
     space: BBProbSpace
     faces: dict[int, dict[str, list[AlgebraElement]]]
-
-    def check(self) -> CheckReport:
-        return FaceAssignment(self.space, self.faces).check()
 
 
 @dataclass

@@ -178,22 +178,12 @@ def sample_side_element(
     space: BBProbSpace, side: str, rng: random.Random
 ) -> AlgebraElement:
     """Random element of the requested one-sided commutant."""
-    A, B = space.A, space.B
-    basis = []
-    for t in range(A.dim):
-        e = A.basis_element(t)
-        ok = True
-        for i in range(B.dim):
-            other = (
-                space.embed_right(B.basis_element(i))
-                if side == "l"
-                else space.embed_left(B.basis_element(i))
-            )
-            if (e * other).coeffs != (other * e).coeffs:
-                ok = False
-                break
-        if ok:
-            basis.append(e)
+    A = space.A
+    basis = [
+        e
+        for e in map(A.basis_element, range(A.dim))
+        if space.commutant_failure(e, side) is None
+    ]
     if not basis:
         raise ValueError("no basis elements lie in the requested commutant")
     out = basis[0].scale(rng.randint(-3, 3))

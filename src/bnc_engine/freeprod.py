@@ -41,6 +41,11 @@ does the tensor word the branch ends in.  The test reads the whole
 module vector, because a factor whose complement part is zero still
 feeds later cut branches through its B part.  The surviving terms are
 summed per (closed, top) strings, one diagram per group.
+
+Moments.  FreeMomentContext is the free product's one moment context:
+the checkers read every chain's vector and expectation from one, and
+lr_decompose builds one per word, shared by the rule vectors of all its
+diagrams (e_d_vector), whose operands are the positions' λ/ρ atoms.
 """
 
 from __future__ import annotations
@@ -247,10 +252,6 @@ class Theta:
 
     def operator(self, elem: AlgebraElement, side=None) -> ModuleOperator:
         return module_operator(self.mod, self.matrix(elem), side)
-
-    def expect(self, elem: AlgebraElement) -> AlgebraElement:
-        vec = mat_vec(self.matrix(elem), self.mod.unit_vector())
-        return self.mod.p(vec)
 
 
 def build_bimodule_from_space(space: BBProbSpace):
@@ -788,16 +789,16 @@ class FreeMomentContext(MomentContext):
             self.intern(atom)
         return atom
 
-    def expect(self, elems):
-        # the walk of vector(), inlined: a hit makes no further call
+    def _node(self, elems) -> _Suffix:
+        """The trie node of the chain of elems, grown on a miss."""
         chain = tuple(itertools.chain.from_iterable(elems))
-        seen, intern = self._seen, self.intern
+        seen = self._seen
         node = self._root
         depth = 0
         for atom in reversed(chain):
             aid = seen.get(id(atom))
             if aid is None:
-                aid = intern(atom)
+                aid = self.intern(atom)
             nxt = node.children.get(aid) if node.children else None
             if nxt is None:
                 break
@@ -805,6 +806,10 @@ class FreeMomentContext(MomentContext):
             depth += 1
         if depth < len(chain):
             node = self._grow(node, chain[: len(chain) - depth])
+        return node
+
+    def expect(self, elems):
+        node = self._node(elems)
         if node.value is None:
             node.value = self.fp.p(node.vec)
         return node.value
@@ -812,18 +817,7 @@ class FreeMomentContext(MomentContext):
     def vector(self, elems) -> FpVec:
         """The chain's vector on the unit: the trie node's own vector,
         which the caller must not mutate."""
-        chain = tuple(itertools.chain.from_iterable(elems))
-        node = self._root
-        depth = 0
-        for atom in reversed(chain):
-            nxt = node.children.get(self.intern(atom)) if node.children else None
-            if nxt is None:
-                break
-            node = nxt
-            depth += 1
-        if depth < len(chain):
-            node = self._grow(node, chain[: len(chain) - depth])
-        return node.vec
+        return self._node(elems).vec
 
     def _grow(self, node: _Suffix, front: tuple) -> _Suffix:
         """Apply front to node's vector, one new node per atom; the node
@@ -838,9 +832,6 @@ class FreeMomentContext(MomentContext):
             node = child
         return node
 
-    def unit_b(self):
-        return self.fp.B.one()
-
     def prepend_left(self, value, elem):
         return (self._b_atom("lb", value),) + tuple(elem)
 
@@ -851,75 +842,41 @@ class FreeMomentContext(MomentContext):
         return tuple(elem) + (self._b_atom("lb", value),)
 
 
-class ModuleWordContext(MomentContext):
-    """Moments of single-colour operator words on one component module."""
-
-    def __init__(self, components: dict[int, BimoduleWithProjection]):
-        self.components = components
-
-    def expect(self, elems):
-        comp = self.components[elems[0][0]]
-        return comp.p(_unit_image(comp, [mats for _, mats in elems]))
-
-    def unit_b(self):
-        k = next(iter(self.components))
-        return self.components[k].B.one()
-
-    def prepend_left(self, value, elem):
-        k, mats = elem
-        return (k, (self.components[k].left_matrix(value),) + tuple(mats))
-
-    def prepend_right(self, value, elem):
-        k, mats = elem
-        return (k, (self.components[k].right_matrix(value),) + tuple(mats))
-
-    def append_left(self, elem, value):
-        k, mats = elem
-        return (k, tuple(mats) + (self.components[k].left_matrix(value),))
-
-
-def _unit_image(comp: BimoduleWithProjection, words) -> Vec:
-    """The component's unit under a product of matrix words, each word a
-    product of its matrices; the rightmost matrix acts first."""
-    vec = comp.unit_vector()
-    for mats in reversed(words):
-        for m in reversed(mats):
-            vec = mat_vec(m, vec)
-    return vec
-
-
 def e_d_vector(
-    diagram: LRDiagram, ops: list[ModuleOperator], fp: TruncatedFreeProduct
+    diagram: LRDiagram, ops: list[ModuleOperator], mf: FreeMomentContext
 ) -> FpVec:
-    """Vector contribution of one diagram to an operator word.
+    """Vector contribution of one diagram to an operator word, read from
+    the word's context on the free product.
 
-    Closed strings collapse through the moment recursion; each top
-    string contributes the complement part of its word applied to the
-    component unit, tensored in spine order.
+    Each position's operand is its λ or ρ atom.  Closed strings collapse
+    through the moment recursion; each top string contributes the
+    complement leg of its chain on the unit, tensored in spine order.  A
+    string has one colour, so its chain acts on the free product as its
+    word does on that component module.
     """
     n = diagram.n
     if len(ops) != n:
         raise ValueError("operator list must match the diagram size")
-    ctx = ModuleWordContext(fp.components)
+    fp = mf.fp
+    side = {i: diagram.chi.side(i) for i in range(1, n + 1)}
     elems = {
-        i: (diagram.eps.colour(i), (ops[i - 1].matrix,)) for i in range(1, n + 1)
+        i: (("lam" if side[i] == "l" else "rho", diagram.eps.colour(i), ops[i - 1]),)
+        for i in range(1, n + 1)
     }
     gap = {nodes: r + 1 for r, nodes in enumerate(diagram.spine_order)}
     blocks = [
         ReduceBlock(nodes, top=nodes in gap, gap_rank=gap.get(nodes))
         for nodes, _ in diagram.strings
     ]
-    side = {i: diagram.chi.side(i) for i in range(1, n + 1)}
-    result = reduce_blocks(blocks, elems, side, ctx)
+    result = reduce_blocks(blocks, elems, side, mf)
     if result[0] == "scalar":
         return fp.embed_b(result[1])
     _, tops, final = result
     factors = []
     for blk in tops:
-        k = final[blk.positions[0]][0]
-        comp = fp.components[k]
-        vec = _unit_image(comp, [final[pos][1] for pos in blk.positions])
-        factors.append((k, comp.osc_part(vec)))
+        k = diagram.eps.colour(blk.positions[0])
+        leg = mf.vector([final[pos] for pos in blk.positions]).get((k,), {})
+        factors.append((k, [leg.get(i, ZERO) for i in range(fp.components[k].osc_dim)]))
     return fp.tensor_embed(factors)
 
 
@@ -993,11 +950,13 @@ def lr_decompose(
     from the sides and colours alone, so it does not depend on pruning.
 
     With coefficients, each diagram's part is divided by its rule vector
-    (e_d_vector) into a scalar coefficient.  That route is exercised
-    only over B = ℚ: over B = D2, a word of operators outside the
-    one-sided commutants can make _ratio raise ValueError (a part not
-    proportional to its rule vector, or nonzero against a vanishing
-    one).  Without coefficients, the parts themselves are the
+    (e_d_vector, read from one FreeMomentContext that every diagram of
+    the word shares) into a scalar coefficient.  That route is tested
+    over B = ℚ and, over B = D2, on the proof pipeline's split words of
+    the doubled-diag2 system.  Over B = D2 a word of operators outside
+    the one-sided commutants can still make _ratio raise ValueError (a
+    part not proportional to its rule vector, or nonzero against a
+    vanishing one).  Without coefficients, the parts themselves are the
     contributions.
     """
     n = len(ops)
@@ -1145,6 +1104,7 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
             _acc_vec(entry[1], primed_part)
             _acc_vec(entry[2], residual_part)
     mod_ops = [op for _, _, op in ops]
+    mf = FreeMomentContext(fp) if coefficients else None
     contributions = []
     residual = []
     primed_vec: FpVec = {}
@@ -1152,8 +1112,8 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
         d, primed_part, residual_part = groups[key]
         primed_part, residual_part = _clean(primed_part), _clean(residual_part)
         total = fp.add(primed_part, residual_part)
+        rule = e_d_vector(d, mod_ops, mf) if coefficients else None
         if coefficients:
-            rule = e_d_vector(d, mod_ops, fp)
             coeff = _ratio(fp, total, rule)
             if coeff is not None and coeff != 0:
                 contributions.append((d, coeff, rule))
@@ -1161,11 +1121,7 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
             contributions.append((d, None, total))
         _acc_vec(primed_vec, primed_part)
         if residual_part:
-            rcoeff = (
-                _ratio(fp, residual_part, e_d_vector(d, mod_ops, fp))
-                if coefficients
-                else None
-            )
+            rcoeff = _ratio(fp, residual_part, rule) if coefficients else None
             residual.append((d, rcoeff, residual_part))
     return Decomposition(
         fp, _clean(direct), contributions, primed=_clean(primed_vec), residual=residual

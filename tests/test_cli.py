@@ -373,6 +373,8 @@ README_OUTPUTS = [
      "ce0899189e80f0ab57c0b5888c79ab31673c7478463fd3fee0c8f2808afa3ca5", 0),
     ('render --kind bnc --chi lrlllr --pi "{1,2,5,6},{3,4}" --standalone',
      "63f42fb9ee1cd30bee0f6cdbae8eb3dbd48e7e882a82ae41025fa509047cc368", 0),
+    ('render --kind bnc --chi lrlllr --pi "{1,2,5,6},{3,4}" --format dot',
+     "6adf3a091213a90d491fac92818cd16269340c58868d4707ff154a83c280ad8a", 0),
     ("render --kind lr --chi lrl --eps 1,1,2 --index 7 --format dot",
      "5f71da301fbb44e67bb6ff354c12b2d0698ffa10592370218e6c35dd7680c70c", 0),
 ]

@@ -14,7 +14,6 @@ from bnc_engine.bimult import (
     blocks_from_partition,
     compile_plans,
     plan_partitions,
-    record_plan,
     reduce_blocks,
 )
 from bnc_engine.cumulants import (
@@ -117,7 +116,7 @@ def test_roundtrip_random_words():
 
 
 def test_reduction_order_independence():
-    """e_pi runs the recorded plan (the largest-minimum order);
+    """e_pi runs pi's plan (the largest-minimum order);
     reduce_blocks with chooser= collapses in a random legal order.  Both
     must agree."""
     for n in (3, 4):
@@ -126,7 +125,7 @@ def test_reduction_order_independence():
         side = dict(enumerate(chi.sides, start=1))
         Z = [rand_elem() for _ in range(n)]
         for pi in enumerate_bnc(ctx):
-            base = e_pi(pi, ctx, Z, MF, verify_sides=False)
+            base = e_pi(pi, ctx, Z, MF)
             for t in range(3):
                 r2 = random.Random(61 + t)
                 kind, v = reduce_blocks(
@@ -233,6 +232,16 @@ class RecordingContext(MomentContext):
         return self._insert(APPEND_LEFT, elem)
 
 
+def _recorded_plan(rgs, side) -> list:
+    """The steps reduce_blocks takes on the closed blocks of rgs, run on
+    their positions."""
+    rec = RecordingContext()
+    blocks = blocks_from_partition(SetPartition(rgs))
+    kind, _ = reduce_blocks(blocks, {p: p for p in side}, side, rec)
+    assert kind == "scalar"
+    return [tuple(step) for step in rec.steps]
+
+
 def test_planner_matches_recorded_reductions():
     # every chi with n <= 6: the planner's program against compile_plans
     # over one plan per member, recorded by running reduce_blocks itself
@@ -241,14 +250,7 @@ def test_planner_matches_recorded_reductions():
             ctx = build_context(ChiMap(sides))
             side = dict(enumerate(sides, start=1))
             pulled = bnc_lattice(ctx)[2]
-            plans = []
-            for rgs in pulled:
-                rec = RecordingContext()
-                blocks = blocks_from_partition(SetPartition(rgs))
-                kind, _ = reduce_blocks(blocks, {p: p for p in range(1, n + 1)}, side, rec)
-                assert kind == "scalar"
-                plans.append([tuple(step) for step in rec.steps])
-            want = compile_plans(plans)
+            want = compile_plans([_recorded_plan(rgs, side) for rgs in pulled])
             got = plan_partitions(pulled, side)
             assert (got.typecode, got) == (want.typecode, want), sides
 
@@ -282,9 +284,7 @@ def test_cumulant_table_matches_mobius_sum_of_single_moments():
             ctx = build_context(ChiMap(sides))
             lattice = enumerate_bnc(ctx)
             Z = [rand_elem(rng) for _ in range(n)]
-            single = {
-                pi.rgs: e_pi(pi, ctx, Z, MF, verify_sides=False) for pi in lattice
-            }
+            single = {pi.rgs: e_pi(pi, ctx, Z, MF) for pi in lattice}
             table = cumulant_table(ctx, Z, MF)
             assert list(table) == [pi.rgs for pi in lattice]
             for sigma in lattice:
@@ -322,7 +322,7 @@ def _expect_prefixes(ctx) -> int:
     side = dict(enumerate(ctx.chi.sides, start=1))
     seen = set()
     for pi in enumerate_bnc(ctx):
-        steps = record_plan(blocks_from_partition(pi), side)
+        steps = _recorded_plan(pi.rgs, side)
         for j, (positions, _) in enumerate(steps):
             seen.add((tuple(steps[:j]), positions))
     return len(seen)

@@ -8,7 +8,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from bnc_engine import freeprod
+from bnc_engine import ffb, freeprod
 from bnc_engine.algebra import algebra_from_matrix_units
 from bnc_engine.cumulants import audit_ffb_word
 from bnc_engine.diagrams import enumerate_lr, lateral_closure, make_diagram
@@ -96,7 +96,7 @@ def test_m2_module_dimensions_and_theta():
             )
     for t in range(4):
         T = sp.A.basis_element(t)
-        assert (theta.expect(T) - sp.expect(T)).is_zero()
+        assert (mod.p(theta.operator(T).unit_image) - sp.expect(T)).is_zero()
 
 
 def test_diag2_module_respects_amalgamation():
@@ -364,9 +364,10 @@ def test_e_d_single_operator_cases():
     isolated = make_diagram(chi, eps, [((1,), False)], [])
     topped = make_diagram(chi, eps, [((1,), True)], [(1,)])
     x = mat_vec(T.matrix, MODS[1].unit_vector())
-    got_iso = e_d_vector(isolated, [T], fp)
+    mf = FreeMomentContext(fp)
+    got_iso = e_d_vector(isolated, [T], mf)
     assert fp.equal(got_iso, fp.embed_b(MODS[1].p(x)))
-    got_top = e_d_vector(topped, [T], fp)
+    got_top = e_d_vector(topped, [T], mf)
     direct = fp.lambda_apply(T, 1, fp.unit())
     assert fp.equal(fp.add(got_iso, got_top), direct)
     # the topped vector sits in the colour-1 word slot
@@ -379,8 +380,9 @@ def test_e_d_lands_in_the_spine_colour_slot():
     eps = EpsilonMap((1, 1, 2))
     fam = enumerate_lr(chi, eps)
     ops = [rand_op(MODS[1]), rand_op(MODS[1]), rand_op(MODS[2])]
+    mf = FreeMomentContext(fp)
     for d in fam.diagrams:
-        vec = e_d_vector(d, ops, fp)
+        vec = e_d_vector(d, ops, mf)
         want = tuple(d.shade(s) for s in d.spine_order)
         for seq in vec:
             assert seq == want or (seq == () and want == ())
@@ -504,6 +506,39 @@ def test_lr_decompose_output_is_pinned():
             digest.update(json.dumps([name, out]).encode())
     assert digest.hexdigest() == (
         "b9363ba7230af6720adc5ba6de275f2e43d4b681386e8046f66e3a7bb7afdb27"
+    )
+
+
+def test_lr_decompose_coefficients_over_diag2_pipeline_words():
+    """The coefficient route over B = D2: every split word of the proof
+    pipeline of the doubled-diag2 system at word cap 3, decomposed with
+    coefficients and the pipeline's projected positions, reconstructs
+    the word.  sha256 over the contributions (keys, coefficients, rule
+    vectors) and the residual keys and coefficients."""
+    system = system_doubled_diag2(6)
+    fp = system.fp
+    digest = hashlib.sha256()
+    words = 0
+    for shape, _, pools in ffb._word_sweep(system, 3, system.colours()):
+        for handles in iproduct(*pools):
+            ops, atoms, projected = [], [], []
+            for s, h in zip(shape, handles):
+                split, split_atoms, _ = ffb._pipeline_letter(system, s, h)
+                if s == "b":
+                    projected.append(len(ops) + 1)
+                ops += split
+                atoms += split_atoms
+            dec = lr_decompose(ops, fp, projected)
+            assert fp.equal(dec.reconstruction(), apply_chain(fp, atoms, fp.unit()))
+            out = [
+                [[d.key(), str(c), _canonical(v)] for d, c, v in dec.contributions],
+                [[d.key(), str(c)] for d, c, _ in dec.residual],
+            ]
+            digest.update(json.dumps(out).encode())
+            words += 1
+    assert words == 584
+    assert digest.hexdigest() == (
+        "7b49334c1b7bf3d357e31390f2420692d2425f72b469f3f7c822af2f4687c31c"
     )
 
 
