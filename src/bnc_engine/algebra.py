@@ -4,6 +4,16 @@ A StructuredAlgebra is given by a basis and structure constants; a
 BBProbSpace bundles an ambient algebra with a base algebra B, an
 expectation onto B, and commuting left/right embeddings of B.  All
 arithmetic is exact; axiom checks report witnesses instead of raising.
+
+Products, expectations and B insertions all run through one sparse
+kernel, bilinear(), over a table of each bilinear map's values on basis
+pairs.  A StructuredAlgebra's table is its structure constants.  A
+BBProbSpace builds four more on first use, at most dim(A)²·dim(B)
+entries each: the form (y, x) ↦ E(y·x), so that a word's expectation
+multiplies out every element but the last and closes with the form, and
+per B basis element b_i the maps x ↦ L_bi·x, x ↦ R_bi·x and x ↦ x·L_bi,
+so that inserting a B value b into x is Σ b_i·map_i(x), with no
+embedded element and no full product.
 """
 
 from __future__ import annotations
@@ -11,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -35,6 +46,10 @@ class MismatchedAlgebra(InputError):
     """Operands belong to different algebras."""
 
 
+class SideMismatch(InputError):
+    """Element fails the commutant test for its assigned side."""
+
+
 @dataclass(frozen=True)
 class StructuredAlgebra:
     """Unital algebra with designated basis and rational structure constants.
@@ -53,11 +68,7 @@ class StructuredAlgebra:
     def __post_init__(self):
         if len(self.labels) != self.dim or len(self.unit) != self.dim:
             raise ValueError("label/unit length must equal dim")
-        terms = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in mi)
-            for mi in self.mult
-        )
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", _sparse_table(self.mult))
 
     def element(self, coeffs) -> "AlgebraElement":
         coeffs = [frac(c) for c in coeffs]
@@ -75,17 +86,7 @@ class StructuredAlgebra:
         return AlgebraElement(self, tuple(zeros(self.dim)))
 
     def mul_coeffs(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vec:
-        out = zeros(self.dim)
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            ti = self.terms[i]
-            for j, yj in ys:
-                c = xi * yj
-                for k, s in ti[j]:
-                    out[k] += c * s
-        return out
+        return bilinear(self.terms, x, y, self.dim)
 
     def associativity_defect(self) -> Optional[tuple[int, int, int]]:
         """First basis triple where (e_i e_j) e_k != e_i (e_j e_k), or None."""
@@ -133,6 +134,33 @@ class StructuredAlgebra:
             ),
             unit=tuple(_json_scalar(c, f"{name}.unit") for c in data["unit"]),
         )
+
+
+def bilinear(table, u: Sequence[Scalar], v: Sequence[Scalar], dim: int) -> Vec:
+    """The sum of u_i·v_j·table[i][j] over the nonzero u_i and v_j: a
+    bilinear map into dim coordinates, given on basis pairs as a table
+    whose entry [i][j] holds the nonzero (k, c) coefficients of the image
+    of (e_i, e_j)."""
+    out = zeros(dim)
+    vs = [(j, vj) for j, vj in enumerate(v) if vj]
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        ti = table[i]
+        for j, vj in vs:
+            c = ui * vj
+            for k, s in ti[j]:
+                out[k] += c * s
+    return out
+
+
+def _sparse_table(rows) -> tuple:
+    """A table of dense vectors, rows[i][j], as their nonzero (k, c)
+    coefficients: the form bilinear() reads."""
+    return tuple(
+        tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
+        for row in rows
+    )
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
@@ -270,7 +298,9 @@ class BBProbSpace:
     expectation: dim(B) x dim(A) matrix.  left_embed/right_embed:
     dim(A) x dim(B) matrices whose columns are images of B basis
     elements (L_b and R_b).  Their shapes are checked once here, so the
-    maps build their exact images directly.
+    maps build their exact images directly.  The kernels that
+    expect_word and the insertions read are built on first use and kept
+    for the life of the space.
     """
 
     A: StructuredAlgebra
@@ -303,6 +333,59 @@ class BBProbSpace:
             raise MismatchedAlgebra("expected an element of B")
         return AlgebraElement(self.A, tuple(mat_vec(self.right_embed, b.coeffs)))
 
+    @cached_property
+    def _form(self) -> tuple:
+        """The form (y, x) ↦ E(y·x): entry [i][j] holds the nonzero B
+        coefficients of E(e_i·e_j)."""
+        A = self.A
+        return _sparse_table(
+            [[mat_vec(self.expectation, eij) for eij in mi] for mi in A.mult]
+        )
+
+    def _insertion_table(self, embed, after: bool) -> tuple:
+        """Per B basis element b_i, with M_i its image under embed, the
+        map x ↦ M_i·x (x·M_i when after): entry [i][j] holds the nonzero
+        coefficients of the image of e_j."""
+        A = self.A
+        basis = [unit_vec(A.dim, j) for j in range(A.dim)]
+        return _sparse_table(
+            [
+                [A.mul_coeffs(e, m) if after else A.mul_coeffs(m, e) for e in basis]
+                for m in zip(*embed)
+            ]
+        )
+
+    @cached_property
+    def _left_before(self) -> tuple:
+        return self._insertion_table(self.left_embed, after=False)
+
+    @cached_property
+    def _right_before(self) -> tuple:
+        return self._insertion_table(self.right_embed, after=False)
+
+    @cached_property
+    def _left_after(self) -> tuple:
+        return self._insertion_table(self.left_embed, after=True)
+
+    def _insert(self, table, b: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
+        if b.parent is not self.B or x.parent is not self.A:
+            raise MismatchedAlgebra("expected an element of B and one of A")
+        return AlgebraElement(
+            self.A, tuple(bilinear(table, b.coeffs, x.coeffs, self.A.dim))
+        )
+
+    def left_times(self, b: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
+        """L_b·x, read off the insertion kernel."""
+        return self._insert(self._left_before, b, x)
+
+    def right_times(self, b: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
+        """R_b·x, read off the insertion kernel."""
+        return self._insert(self._right_before, b, x)
+
+    def times_left(self, x: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+        """x·L_b, read off the insertion kernel."""
+        return self._insert(self._left_after, b, x)
+
     def commutant_failure(self, x: AlgebraElement, side: str) -> Optional[int]:
         """The first B basis index i where x fails the side's commutant
         test, x·R_bi = R_bi·x for side 'l' and x·L_bi = L_bi·x for 'r';
@@ -315,10 +398,23 @@ class BBProbSpace:
         return None
 
     def expect_word(self, elements) -> AlgebraElement:
+        """E of the ordered product, 1 for the empty word: every element
+        but the last multiplied out, then E(y·x) read off the form."""
         elements = list(elements)
         if not elements:
             return self.B.one()
-        return self.expect(product(elements))
+        A = self.A
+        for e in elements:
+            if e.parent is not A:
+                raise MismatchedAlgebra("element does not live in the ambient algebra")
+        if len(elements) == 1:
+            return self.expect(elements[0])
+        y = elements[0].coeffs
+        for e in elements[1:-1]:
+            y = A.mul_coeffs(y, e.coeffs)
+        return AlgebraElement(
+            self.B, tuple(bilinear(self._form, y, elements[-1].coeffs, self.B.dim))
+        )
 
     def to_json(self) -> dict:
         return {

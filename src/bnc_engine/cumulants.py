@@ -3,15 +3,21 @@
 Moments are evaluated through one MomentContext per algebra: elements
 of an ambient algebra here (AlgebraMomentContext), operator chains on
 the free product in freeprod (FreeMomentContext); cumulants invert them
-along the bi-non-crossing lattice.  The reduction plans of every member
-of a colouring's lattice are compiled once per chi.sides into one
-program over their shared step prefixes, whose leaves are the NC(n)
-slots; bimult.plan_partitions reads the members' blocks straight from
-their pulled-back rgs and works out each distinct reduction state's
-step once.  A moment table is one walk of that program, and e_pi is
-plan_partitions on the one partition's rgs, a one-leaf program.  A
-cumulant is one row of the NC(n) Mobius kernel (nc_row) over the moment
-vector, so a cumulant table is one sparse integer mat-vec.
+along the bi-non-crossing lattice.  AlgebraMomentContext reads the
+kernels its space builds once: a word's expectation closes with the
+bilinear form (y, x) ↦ E(y·x), and each insertion of a B value is a
+combination of the space's sparse maps x ↦ L_b·x, R_b·x, x·L_b.  The
+reduction plans of every member of a colouring's lattice are compiled
+once per s_chi into one program over their shared step prefixes, whose
+leaves are the NC(n) slots; bimult.plan_partitions reads the members'
+blocks straight from their pulled-back rgs and works out each distinct
+reduction state's step once.  Keying by s_chi is exact: chi and chi
+with its last side flipped have one s_chi, and the planner reads side n
+only for the singleton {n}, a tail fold that reads no side.  A moment
+table is one walk of that program, and e_pi is plan_partitions on the
+one partition's rgs, a one-leaf program.  A cumulant is one row of the
+NC(n) Mobius kernel (nc_row) over the moment vector, so a cumulant
+table is one sparse integer mat-vec.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from array import array
 from operator import mul
 
-from .algebra import AlgebraElement, BBProbSpace, CheckReport
+from .algebra import AlgebraElement, BBProbSpace, CheckReport, SideMismatch
 from .bimult import MomentContext, plan_partitions, run_program
 from .errors import InputError
 from .partitions import (
@@ -41,10 +47,6 @@ from .partitions import (
 )
 
 
-class SideMismatch(InputError):
-    """Element fails the commutant test for its assigned side."""
-
-
 class ColouringError(InputError):
     """Colour map violates the boolean-pair constancy condition."""
 
@@ -59,13 +61,13 @@ class AlgebraMomentContext(MomentContext):
         return self.space.expect_word(elems)
 
     def prepend_left(self, value, elem):
-        return self.space.embed_left(value) * elem
+        return self.space.left_times(value, elem)
 
     def prepend_right(self, value, elem):
-        return self.space.embed_right(value) * elem
+        return self.space.right_times(value, elem)
 
     def append_left(self, elem, value):
-        return elem * self.space.embed_left(value)
+        return self.space.times_left(elem, value)
 
     def verify_side(self, elem, side: str) -> bool:
         return self.space.commutant_failure(elem, side) is None
@@ -89,8 +91,11 @@ def e_pi(
     return out[0]
 
 
-# chi.sides -> the program of every lattice member's plan, leaf = NC(n) slot
-_program_cache: dict[tuple[str, ...], array] = {}
+# s_chi -> the program of every lattice member's plan, leaf = NC(n) slot.
+# Colourings that differ only at position n share s_chi, and their
+# programs are equal: the planner reads side n only for the singleton
+# {n}, which always folds as a tail (APPEND_LEFT) and reads no side.
+_program_cache: dict[tuple[int, ...], array] = {}
 
 
 def _sides(ctx: BNCContext) -> dict[int, str]:
@@ -98,9 +103,9 @@ def _sides(ctx: BNCContext) -> dict[int, str]:
 
 
 def _program(ctx: BNCContext, pulled) -> array:
-    prog = _program_cache.get(ctx.chi.sides)
+    prog = _program_cache.get(ctx.s_chi)
     if prog is None:
-        prog = _program_cache[ctx.chi.sides] = plan_partitions(pulled, _sides(ctx))
+        prog = _program_cache[ctx.s_chi] = plan_partitions(pulled, _sides(ctx))
     return prog
 
 

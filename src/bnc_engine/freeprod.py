@@ -55,7 +55,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .algebra import AlgebraElement, BBProbSpace, CheckReport, StructuredAlgebra
+from .algebra import (
+    AlgebraElement,
+    BBProbSpace,
+    CheckReport,
+    SideMismatch,
+    StructuredAlgebra,
+)
 from .bimult import MomentContext, ReduceBlock, reduce_blocks
 from .diagrams import LRDiagram, make_diagram
 from .errors import InputError
@@ -953,17 +959,25 @@ def lr_decompose(
     (e_d_vector, read from one FreeMomentContext that every diagram of
     the word shares) into a scalar coefficient.  That route is tested
     over B = ℚ and, over B = D2, on the proof pipeline's split words of
-    the doubled-diag2 system.  Over B = D2 a word of operators outside
-    the one-sided commutants can still make _ratio raise ValueError (a
-    part not proportional to its rule vector, or nonzero against a
-    vanishing one).  Without coefficients, the parts themselves are the
-    contributions.
+    the doubled-diag2 system.  Over B ≠ ℚ a part need not be a scalar
+    multiple of its rule vector unless every operator lies in its side's
+    commutant, so such a word is refused with SideMismatch, naming
+    the first offending position, before the expansion.  Without
+    coefficients, the parts themselves are the contributions, and no
+    operator is refused.
     """
     n = len(ops)
     projected = set(projected_positions)
     chi = ChiMap(tuple(s for s, _, _ in ops))
     eps = EpsilonMap(tuple(k for _, k, _ in ops))
     _check_depth(ops, fp.depth)
+    if coefficients and fp.B.dim > 1:
+        for i, (side, _, op) in enumerate(ops, start=1):
+            if not op.commutes_with_side(side):
+                raise SideMismatch(
+                    f"position {i}: operator is not in the side-{side} commutant, "
+                    "so its diagram parts have no scalar coefficients"
+                )
     nb = fp.B.dim
     terms = [_Term(1, (), (), (), fp.B.one().coeffs, True)]
     for i in range(n, 0, -1):

@@ -10,8 +10,13 @@ non-crossing in the classical sense.  The lattice is therefore NC(n)
 seen through s_chi: enumeration, join, Mobius values and intervals are
 all computed on the relabelled line, entered by relabelled_rgs and left
 by _pull_back.  Intervals come from one Mobius kernel per n
-(nc_incidence, rows built on first use by nc_row), indexed by NC(n)
-slot; bnc_lattice pulls every slot back once per colouring.
+(nc_incidence, rows built on first use by nc_row, which finds each
+partition below sigma by its head labelling, with no renumbering),
+indexed by NC(n) slot; bnc_lattice pulls every slot back once per s_chi.
+The lattice and relabelling caches are keyed by s_chi, not by the
+colouring: s_chi puts position n between the last left and the last
+right position whatever its side, so the two colourings that differ
+only at n share them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ import os
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
+from math import prod
+from operator import itemgetter
 
 from .errors import CapExceeded, InputError
 
@@ -253,7 +260,7 @@ _relabel_cache: dict = {}
 
 def relabelled_rgs(pi: SetPartition, ctx: BNCContext) -> tuple[int, ...]:
     """Push-forward through s_chi: the rgs of pi on the relabelled line."""
-    key = (ctx.chi.sides, pi.rgs)
+    key = (ctx.s_chi, pi.rgs)
     hit = _relabel_cache.get(key)
     if hit is None:
         hit = _canonical_rgs(pi.rgs[p - 1] for p in ctx.s_chi)
@@ -300,8 +307,8 @@ def _noncrossing_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-# chi.sides -> (members in rgs order, their slots, rgs by slot)
-_bnc_cache: dict[tuple[str, ...], tuple] = {}
+# s_chi -> (members in rgs order, their slots, rgs by slot)
+_bnc_cache: dict[tuple[int, ...], tuple] = {}
 
 
 def bnc_lattice(ctx: BNCContext):
@@ -311,12 +318,12 @@ def bnc_lattice(ctx: BNCContext):
     cap = enumeration_cap()
     if ctx.n > cap:
         raise CapExceeded(f"n={ctx.n} exceeds cap {cap}")
-    hit = _bnc_cache.get(ctx.chi.sides)
+    hit = _bnc_cache.get(ctx.s_chi)
     if hit is None:
         pulled = tuple(_pull_back(rgs, ctx) for rgs in _noncrossing_partitions(ctx.n))
         slots = tuple(sorted(range(len(pulled)), key=pulled.__getitem__))
         members = tuple(SetPartition(pulled[t]) for t in slots)
-        hit = _bnc_cache[ctx.chi.sides] = (members, slots, pulled)
+        hit = _bnc_cache[ctx.s_chi] = (members, slots, pulled)
     return hit
 
 
@@ -438,29 +445,51 @@ def nc_incidence(n: int):
     return {rgs: t for t, rgs in enumerate(members)}, [None] * len(members)
 
 
+@lru_cache(maxsize=None)
+def _nc_heads(n: int) -> dict[tuple[int, ...], int]:
+    """NC(n) by head labelling, position u carrying the first position of
+    its block, to each member's slot.  Like the rgs it names a partition
+    uniquely, and a partition built block by block has it as it stands,
+    with no renumbering."""
+    out = {}
+    for t, rgs in enumerate(_noncrossing_partitions(n)):
+        first: dict[int, int] = {}
+        out[tuple([first.setdefault(b, u) for u, b in enumerate(rgs)])] = t
+    return out
+
+
+@lru_cache(maxsize=None)
+def _nc_mus(n: int) -> tuple[int, ...]:
+    """mu(tau, 1) for every tau in NC(n), in _noncrossing_partitions order."""
+    return tuple(map(_mu_to_top, _noncrossing_partitions(n)))
+
+
 def nc_row(n: int, t: int):
     """Row t of the NC(n) kernel: the slots of the pi <= sigma (ascending)
     and mu(pi, sigma) alongside, sigma the member at slot t.
 
-    Each pi <= sigma takes one non-crossing partition of every block of
-    sigma, and mu(pi, sigma) is the product of their mu to the top.
+    Each pi <= sigma takes one non-crossing partition tau_W of every
+    block W of sigma, and mu(pi, sigma) is the product of their mu to
+    the top.  pi's head labelling is the tau_W's head labellings, mapped
+    onto their blocks' positions and read in position order, so each
+    pick's slot is one lookup.
     """
-    index, rows = nc_incidence(n)
+    rows = nc_incidence(n)[1]
     row = rows[t]
     if row is not None:
         return row
     s = _noncrossing_partitions(n)[t]
     blocks = [[u for u, c in enumerate(s) if c == w] for w in range(len(set(s)))]
-    pairs = []
-    for pick in product(*(_noncrossing_partitions(len(blk)) for blk in blocks)):
-        labels = [0] * n
-        mu = 1
-        for w, (blk, tau) in enumerate(zip(blocks, pick)):
-            mu *= _mu_to_top(tau)
-            for u, b in zip(blk, tau):
-                labels[u] = w * n + b
-        pairs.append((index[_canonical_rgs(labels)], mu))
-    pairs.sort()
+    heads = [
+        [tuple([blk[h] for h in hd]) for hd in _nc_heads(len(blk))] for blk in blocks
+    ]
+    picks = map(tuple, map(chain.from_iterable, product(*heads)))
+    flat = [u for blk in blocks for u in blk]
+    if flat != sorted(flat):  # two blocks or more, so n >= 2
+        picks = map(itemgetter(*sorted(range(n), key=flat.__getitem__)), picks)
+    slots = map(_nc_heads(n).__getitem__, picks)
+    mus = map(prod, product(*(_nc_mus(len(blk)) for blk in blocks)))
+    pairs = sorted(zip(slots, mus))
     below = array("H" if len(rows) <= 1 << 16 else "I", [u for u, _ in pairs])
     row = rows[t] = (below, array("q", [mu for _, mu in pairs]))
     return row

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,11 @@ from bnc_engine.algebra import (
     algebra_scalars,
     check_bb_axioms,
     expectation_apply,
+    product,
     space_from_json_str,
     space_to_json_str,
 )
+from bnc_engine.cumulants import AlgebraMomentContext
 from bnc_engine.errors import InputError
 from bnc_engine.linalg import frac, unit_vec
 from bnc_engine.fixtures import (
@@ -239,3 +242,68 @@ def test_space_refuses_misshapen_maps():
         BBProbSpace(
             sp.A, sp.B, sp.expectation, sp.left_embed, tuple(r[:1] for r in sp.right_embed)
         )
+
+
+def space_diag2_swapped_right() -> BBProbSpace:
+    """Test-only: M2 over D2 with R_b the diagonal of b with its entries
+    swapped, so L_b and R_b differ.  Its expectation is not bimodular for
+    this pair; it serves only to tell the two insertion kernels apart."""
+    sp = space_diag2()
+    swapped = ((0, 1), (0, 0), (0, 0), (1, 0))
+    return BBProbSpace(sp.A, sp.B, sp.expectation, sp.left_embed, swapped)
+
+
+KERNEL_SPACES = SPACES + (space_diag2_swapped_right,)
+
+
+def _dense(alg, rng):
+    """An element with every coefficient nonzero, some of them Fractions,
+    so outside the one-sided commutants wherever those are proper."""
+    entries = [-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
+    return alg.element([rng.choice(entries) for _ in range(alg.dim)])
+
+
+@pytest.mark.parametrize("make", KERNEL_SPACES)
+def test_moment_kernels_match_their_definitions(make):
+    """AlgebraMomentContext reads the space's kernels; each must equal the
+    product it replaces, on dense elements and every B basis element."""
+    sp = make()
+    mf = AlgebraMomentContext(sp)
+    rng = random.Random(3)
+    for _ in range(20):
+        x = _dense(sp.A, rng)
+        bs = [_dense(sp.B, rng)] + [sp.B.basis_element(i) for i in range(sp.B.dim)]
+        for b in bs:
+            assert mf.prepend_left(b, x).coeffs == (sp.embed_left(b) * x).coeffs
+            assert mf.prepend_right(b, x).coeffs == (sp.embed_right(b) * x).coeffs
+            assert mf.append_left(x, b).coeffs == (x * sp.embed_left(b)).coeffs
+        for length in (1, 2, 3, 4):
+            word = [x] + [_dense(sp.A, rng) for _ in range(length - 1)]
+            got, want = mf.expect(word), sp.expect(product(word))
+            assert (got.parent, got.coeffs) == (want.parent, want.coeffs)
+    assert sp.expect_word([]).coeffs == sp.B.unit
+
+
+def test_swapped_right_space_separates_the_insertions():
+    """On the test-only space the three insertions give three different
+    elements, so the kernel test above tells every pair of them apart."""
+    sp = space_diag2_swapped_right()
+    rng = random.Random(4)
+    x, b = _dense(sp.A, rng), _dense(sp.B, rng)
+    got = {
+        (sp.embed_left(b) * x).coeffs,
+        (sp.embed_right(b) * x).coeffs,
+        (x * sp.embed_left(b)).coeffs,
+    }
+    assert len(got) == 3
+
+
+def test_kernels_refuse_elements_of_the_wrong_algebra():
+    sp = space_diag2()
+    x, b = sp.A.one(), sp.B.one()
+    with pytest.raises(MismatchedAlgebra):
+        sp.left_times(x, x)
+    with pytest.raises(MismatchedAlgebra):
+        sp.times_left(b, b)
+    with pytest.raises(MismatchedAlgebra):
+        sp.expect_word([x, b])

@@ -357,6 +357,8 @@ README_OUTPUTS = [
      "fedc6704029daff9959c300a34ba91be38ca23eae15e9b3dd14dfa298cb8a888", 0),
     ("cumulants --chi ll --fixture m2-scalar --seed 7",
      "f603980c8eb81e22dc14240bc336d4c0b3d13fea4eda0dc25f2c1aab1bd61029", 0),
+    ("moments --chi lrlrrll --fixture m2-scalar --seed 7",
+     "24f7c29a4a6fc00c903c9d1dc11c68467f69356e83dcf54dbeb9e39e9a343158", 0),
     ("cumulants --chi lrlrrll --fixture m2-scalar --seed 7",
      "57fc5a04a8e8120f0d88fc46857aabb3f5cbc82e5483c43ebce4a3a842310722", 0),
     ("verify bb-axioms --fixture diag2",

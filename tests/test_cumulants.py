@@ -5,7 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from bnc_engine import bimult
+from bnc_engine import bimult, cumulants
 from bnc_engine.bimult import (
     APPEND_LEFT,
     PREPEND_LEFT,
@@ -253,6 +253,26 @@ def test_planner_matches_recorded_reductions():
             want = compile_plans([_recorded_plan(rgs, side) for rgs in pulled])
             got = plan_partitions(pulled, side)
             assert (got.typecode, got) == (want.typecode, want), sides
+
+
+def test_last_side_flip_shares_lattice_and_program():
+    """Lattices and programs are cached by s_chi, which puts position n
+    between the last left and the last right position whatever its side.
+    For every chi with n <= 7, chi and chi with its last side flipped get
+    the same lattice and program objects, and that program equals a
+    fresh plan_partitions build under either colouring's own sides."""
+    for n in range(1, 8):
+        for head in iproduct("lr", repeat=n - 1):
+            ctxs = [build_context(ChiMap(head + (last,))) for last in "lr"]
+            assert ctxs[0].s_chi == ctxs[1].s_chi
+            lattices = [bnc_lattice(ctx) for ctx in ctxs]
+            assert lattices[0] is lattices[1]
+            pulled = lattices[0][2]
+            progs = [cumulants._program(ctx, pulled) for ctx in ctxs]
+            assert progs[0] is progs[1]
+            for ctx in ctxs:
+                fresh = plan_partitions(pulled, dict(enumerate(ctx.chi.sides, start=1)))
+                assert (fresh.typecode, fresh) == (progs[0].typecode, progs[0]), ctx.chi
 
 
 def test_planner_works_out_each_state_once(monkeypatch):

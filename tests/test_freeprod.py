@@ -9,13 +9,14 @@ from itertools import product as iproduct
 import pytest
 
 from bnc_engine import ffb, freeprod
-from bnc_engine.algebra import algebra_from_matrix_units
+from bnc_engine.algebra import SideMismatch, algebra_from_matrix_units
 from bnc_engine.cumulants import audit_ffb_word
 from bnc_engine.diagrams import enumerate_lr, lateral_closure, make_diagram
 from bnc_engine.ffb import embed_ffb_family
 from bnc_engine.fixtures import (
     SCALARS,
     family_diag2,
+    sample_side_element,
     scalar_module,
     system_doubled_diag2,
     system_doubled_dual,
@@ -581,6 +582,80 @@ def test_lr_decompose_depth_guard_matches_diagram_tops():
                 lr_decompose(ops, fp)
         else:
             assert lr_decompose(ops, fp).direct == {}
+
+
+def _direct_word(fp, ops):
+    vec = fp.unit()
+    for side, k, op in reversed(ops):
+        vec = fp.lambda_apply(op, k, vec) if side == "l" else fp.rho_apply(op, k, vec)
+    return vec
+
+
+def test_lr_decompose_refuses_coefficients_outside_commutants():
+    """Over B = D2 a scalar coefficient needs every operator in its
+    side's commutant.  On 200 seeded words of dense operators on the
+    diag2 module (lengths 1-4, both colours, random sides) the
+    coefficient route is refused before the expansion, naming the first
+    offending position.  The coefficient-free route is not refused."""
+    mod = build_bimodule_from_space(space_diag2())[0]
+    fp = reduced_free_product({1: mod, 2: mod}, 4)
+    rng = random.Random(0)
+    refused = 0
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        ops = [
+            (rng.choice("lr"), rng.choice((1, 2)), rand_op(mod, rng)) for _ in range(n)
+        ]
+        outside = [
+            i for i, (s, _, op) in enumerate(ops, 1) if not op.commutes_with_side(s)
+        ]
+        if outside:
+            refused += 1
+            with pytest.raises(SideMismatch, match=f"^position {outside[0]}: "):
+                lr_decompose(ops, fp)
+        dec = lr_decompose(ops, fp, coefficients=False)
+        assert all(c is None for _, c, _ in dec.contributions)
+    assert refused == 200
+
+
+def test_lr_decompose_coefficients_over_diag2_commutant_words():
+    """Words of the diag2 module's own one-sided commutant elements keep
+    the coefficient route, and their contributions rebuild the word."""
+    sp = space_diag2()
+    mod, theta = build_bimodule_from_space(sp)
+    fp = reduced_free_product({1: mod, 2: mod}, 4)
+    rng = random.Random(1)
+    for _ in range(40):
+        ops = []
+        for _ in range(rng.randint(1, 4)):
+            side = rng.choice("lr")
+            elem = sample_side_element(sp, side, rng)
+            ops.append((side, rng.choice((1, 2)), theta.operator(elem, side)))
+        dec = lr_decompose(ops, fp)
+        assert fp.equal(dec.reconstruction(), _direct_word(fp, ops))
+
+
+def test_free_moment_context_append_left_acts_first():
+    """append_left(chain, b) is chain·L_b: L_b acts on the unit before
+    the chain.  Over the diag2 module in two colours with dense operators
+    (outside the commutants), L_b acting after the chain gives another
+    vector on some of these words, so the test tells the two apart."""
+    mod = build_bimodule_from_space(space_diag2())[0]
+    fp = reduced_free_product({1: mod, 2: mod}, 4)
+    rng = random.Random(21)
+    differs = 0
+    for _ in range(20):
+        chain = tuple(
+            (rng.choice(("lam", "rho")), rng.choice((1, 2)), rand_op(mod, rng))
+            for _ in range(rng.randint(1, 3))
+        )
+        b = mod.B.element([rng.choice((-2, -1, 1, 2, 3)) for _ in range(mod.B.dim)])
+        mf = FreeMomentContext(fp)
+        want = apply_chain(fp, chain, fp.act_b(b, fp.unit(), True))
+        assert fp.equal(mf.vector([mf.append_left(chain, b)]), want)
+        last = fp.act_b(b, apply_chain(fp, chain, fp.unit()), True)
+        differs += not fp.equal(last, want)
+    assert differs > 0
 
 
 def test_free_moment_context_expectation():

@@ -25,8 +25,10 @@ from bnc_engine.partitions import (
     meet,
     mobius,
     mobius_fast,
+    nc_row,
     refines,
 )
+from bnc_engine.partitions import _canonical_rgs, _mu_to_top, _noncrossing_partitions
 
 PAPER_CHI = ChiMap.parse("lrlllr")  # lefts {1,3,4,5}, rights {2,6}
 
@@ -205,6 +207,34 @@ def test_interval_below_matches_lattice_filter():
                     if refines(pi, sigma)
                 ]
                 assert sorted(interval_below(sigma, ctx)) == expect
+
+
+def _nc_row_by_canonical_labels(n: int, t: int):
+    """The reference construction of row t of the NC(n) kernel: each pick
+    of one non-crossing partition per block of sigma labelled block by
+    block, canonicalised to an rgs, and looked up."""
+    index = {rgs: u for u, rgs in enumerate(_noncrossing_partitions(n))}
+    s = _noncrossing_partitions(n)[t]
+    blocks = [[u for u, c in enumerate(s) if c == w] for w in range(len(set(s)))]
+    pairs = []
+    for pick in iproduct(*(_noncrossing_partitions(len(blk)) for blk in blocks)):
+        labels = [0] * n
+        mu = 1
+        for w, (blk, tau) in enumerate(zip(blocks, pick)):
+            mu *= _mu_to_top(tau)
+            for u, b in zip(blk, tau):
+                labels[u] = w * n + b
+        pairs.append((index[_canonical_rgs(labels)], mu))
+    pairs.sort()
+    return [u for u, _ in pairs], [mu for _, mu in pairs]
+
+
+def test_nc_rows_match_canonical_label_construction():
+    for n in range(0, 8):
+        for t in range(len(_noncrossing_partitions(n))):
+            below, mus = nc_row(n, t)
+            assert below.typecode == "H" and mus.typecode == "q"
+            assert (list(below), list(mus)) == _nc_row_by_canonical_labels(n, t), (n, t)
 
 
 def test_lr_replacement_examples():
