@@ -102,15 +102,6 @@ class StructuredAlgebra:
                         return (i, j, k)
         return None
 
-    def unit_defect(self) -> Optional[int]:
-        for i in range(self.dim):
-            e = unit_vec(self.dim, i)
-            if self.mul_coeffs(list(self.unit), e) != e:
-                return i
-            if self.mul_coeffs(e, list(self.unit)) != e:
-                return i
-        return None
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -321,7 +312,9 @@ class BBProbSpace:
                 raise MismatchedAlgebra(f"{name} must be {rows} x {cols}")
 
     def expect(self, x: AlgebraElement) -> AlgebraElement:
-        return expectation_apply(self, x)
+        if x.parent is not self.A:
+            raise MismatchedAlgebra("element does not live in the ambient algebra")
+        return AlgebraElement(self.B, tuple(mat_vec(self.expectation, x.coeffs)))
 
     def embed_left(self, b: AlgebraElement) -> AlgebraElement:
         if b.parent is not self.B:
@@ -436,12 +429,6 @@ class BBProbSpace:
         )
 
 
-def expectation_apply(space: BBProbSpace, x: AlgebraElement) -> AlgebraElement:
-    if x.parent is not space.A:
-        raise MismatchedAlgebra("element does not live in the ambient algebra")
-    return AlgebraElement(space.B, tuple(mat_vec(space.expectation, x.coeffs)))
-
-
 @dataclass
 class CheckReport:
     """Named pass/fail claims, with a witness on each failure."""
@@ -554,57 +541,3 @@ def check_bb_axioms(space: BBProbSpace) -> CheckReport:
             break
     rep.record("expectation-left-right-balance", wit is None, witness=wit)
     return rep
-
-
-@dataclass
-class FaceAssignment:
-    """Generator lists for faces: per index k, slots 'l', 'r', 'b'.
-
-    Slot 'l' and 'b' elements must commute with all R_b; slot 'r' with
-    all L_b.  Membership is checked on the given generators only.
-    """
-
-    space: BBProbSpace
-    faces: dict[int, dict[str, list[AlgebraElement]]]
-
-    def check(self) -> CheckReport:
-        rep = CheckReport()
-        sp = self.space
-        B = sp.B
-        lbs = [sp.embed_left(B.basis_element(i)) for i in range(B.dim)]
-        for k, slots in sorted(self.faces.items()):
-            for slot, gens in sorted(slots.items()):
-                wit = None
-                for gi, g in enumerate(gens):
-                    ci = sp.commutant_failure(g, "r" if slot == "r" else "l")
-                    if ci is not None:
-                        wit = (gi, ci)
-                        break
-                rep.record(f"face-{k}-{slot}-side", wit is None, witness=wit)
-            # boolean faces absorb two-sided multiplication by L_B on generators
-            if "b" in slots:
-                span = RowSpace(sp.A.dim)
-                for h in slots["b"]:
-                    span.add(sparse(h.coeffs))
-                wit = None
-                for gi, g in enumerate(slots["b"]):
-                    for i in range(B.dim):
-                        for j in range(B.dim):
-                            prod = lbs[i] * g * lbs[j]
-                            if not span.contains(sparse(prod.coeffs)):
-                                wit = (gi, i, j)
-                                break
-                        if wit:
-                            break
-                    if wit:
-                        break
-                rep.record(f"face-{k}-b-absorbing", wit is None, witness=wit)
-        return rep
-
-
-def space_to_json_str(space: BBProbSpace) -> str:
-    return json.dumps(space.to_json(), sort_keys=True)
-
-
-def space_from_json_str(text: str) -> BBProbSpace:
-    return BBProbSpace.from_json(json.loads(text))

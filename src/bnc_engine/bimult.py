@@ -25,23 +25,23 @@ itself.
 The collapse order, each insertion's kind and its target depend only on
 the blocks and the side colouring, never on the operands.  collapse_step
 is the one place that decides a step's insertion; reduce_blocks calls it
-on operands, and the planner calls it on positions alone.  The plan of a
-closed partition collapses its block with the largest minimum and then
-follows the plan of the blocks left, so every state a plan passes
-through is "the blocks whose minimum is below m", and plan_partitions
-works out each distinct state's step once for a whole lattice, or for
-one partition.  compile_plans merges the plans into one flat program
-over their shared step prefixes, and run_program walks it depth first
-on any operands: each distinct prefix ending in an expectation is
-evaluated once, however many plans share it.  A single partition's
-plan is a one-leaf program.
+on operands, and the planner calls it on positions alone, both in the
+one order above.  The plan of a closed partition collapses its block
+with the largest minimum and then follows the plan of the blocks left,
+so every state a plan passes through is "the blocks whose minimum is
+below m", and plan_partitions works out each distinct state's step once
+for a whole lattice, or for one partition.  compile_plans merges the
+plans into one flat program over their shared step prefixes, and
+run_program walks it depth first on any operands: each distinct prefix
+ending in an expectation is evaluated once, however many plans share it.
+A single partition's plan is a one-leaf program.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 
 class ReductionError(RuntimeError):
@@ -126,18 +126,6 @@ def _case3_target(block: ReduceBlock, blocks, side: dict[int, str]):
     return w, min(later)
 
 
-def collapsible(block: ReduceBlock, blocks, alive: list[int], side) -> bool:
-    """Whether the engine could legally collapse this block right now."""
-    if block.top:
-        return False
-    if len(blocks) == 1:
-        return True
-    k = len(alive) - len(block.positions)
-    if tuple(alive[k:]) == block.positions:
-        return True
-    return _case3_target(block, blocks, side) is not None
-
-
 APPEND_LEFT, PREPEND_LEFT, PREPEND_RIGHT = range(3)
 
 
@@ -181,14 +169,12 @@ def reduce_blocks(
     ops: dict[int, object],
     side: dict[int, str],
     ctx: MomentContext,
-    chooser: Optional[Callable[[list[ReduceBlock]], ReduceBlock]] = None,
 ):
-    """Collapse closed blocks until only top-gap blocks remain.
+    """Collapse closed blocks, largest minimum first, until only top-gap
+    blocks remain.
 
     Returns ('scalar', value) when everything collapsed, else
-    ('tops', top_blocks_in_gap_order, ops).  chooser may pick any
-    currently collapsible block (defaults to the largest minimum); the
-    result must not depend on this choice.
+    ('tops', top_blocks_in_gap_order, ops).
     """
     blocks = list(blocks)
     ops = dict(ops)
@@ -197,14 +183,7 @@ def reduce_blocks(
         if not closed:
             tops = sorted(blocks, key=lambda b: b.gap_rank)
             return ("tops", tops, ops)
-        if chooser is None:
-            v = max(closed, key=lambda b: b.positions[0])
-        else:
-            alive = sorted(p for b in blocks for p in b.positions)
-            candidates = [b for b in closed if collapsible(b, blocks, alive, side)]
-            if not candidates:
-                raise ReductionError("no collapsible block")
-            v = chooser(candidates)
+        v = max(closed, key=lambda b: b.positions[0])
         value = ctx.expect([ops[p] for p in v.positions])
         blocks = [b for b in blocks if b is not v]
         step = collapse_step(v, blocks, side)
@@ -212,11 +191,6 @@ def reduce_blocks(
             return ("scalar", value)
         kind, target = step
         ops[target] = insert(ctx, kind, value, ops[target])
-
-
-def blocks_from_partition(pi) -> list[ReduceBlock]:
-    """Closed ReduceBlocks, one per block of a partition."""
-    return [ReduceBlock(blk) for blk in pi.blocks()]
 
 
 def _plan(blocks: list[ReduceBlock], side: dict[int, str], memo: dict) -> list:

@@ -7,15 +7,18 @@ BNC_ENGINE_CAP overrides the enumeration caps.
 
 Exit codes: 0 success, 2 argument or parse error, 3 cap exceeded,
 4 fixture axiom failure, 5 failed verification claim, 70 internal error
-(a fault in the engine rather than in its input).  A failed claim is a
-report, printed in full on stdout, not an error.  Every error prints
-one `error: ...` line on stderr; errors.py defines the codes.
+(a fault in the engine rather than in its input), 141 stdout closed by
+its reader (as `| head` does; 128 + SIGPIPE, printing nothing).  A
+failed claim is a report, printed in full on stdout, not an error.
+Every error prints one `error: ...` line on stderr; errors.py defines
+the codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -34,7 +37,14 @@ from .diagrams import (
     lateral_closure,
     lr_k,
 )
-from .errors import CLAIM_FAILED, INTERNAL, BncError, FixtureError, InputError
+from .errors import (
+    BROKEN_PIPE,
+    CLAIM_FAILED,
+    INTERNAL,
+    BncError,
+    FixtureError,
+    InputError,
+)
 from .ffb import (
     check_ffb_independence,
     check_ffb_system,
@@ -411,7 +421,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the rest of the output goes nowhere, so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except DepthExceeded as e:
         # only the verify targets take a depth, from --depth
         print(f"error: --depth is too small: {e}", file=sys.stderr)

@@ -24,19 +24,9 @@ from dataclasses import dataclass
 
 from .bimult import crosses, walk_key
 from .errors import CapExceeded, InputError
-from .partitions import (
-    ChiMap,
-    EpsilonMap,
-    SetPartition,
-    SizeMismatch,
-    enumeration_cap,
-)
+from .partitions import ChiMap, EpsilonMap, SizeMismatch, enumeration_cap
 
 LR_CAP = 8
-
-
-class HasTopSpine(InputError):
-    """Diagram has a string reaching the top gap where none is allowed."""
 
 
 class SuffixMismatch(InputError):
@@ -71,9 +61,6 @@ class LRDiagram:
 
     def top_shades(self) -> tuple[int, ...]:
         return tuple(self.shade(s) for s in self.spine_order)
-
-    def to_partition(self) -> SetPartition:
-        return diagram_to_partition(self)
 
     def to_json(self) -> dict:
         return {
@@ -246,18 +233,6 @@ def filter_boolean(fam: DiagramFamily, k: int):
         else:
             removed.append(d)
     return fam.with_diagrams(kept), fam.with_diagrams(removed)
-
-
-def diagram_to_partition(d: LRDiagram) -> SetPartition:
-    if d.top_count() != 0:
-        raise HasTopSpine("diagram has strings reaching the top gap")
-    return SetPartition.from_blocks(d.n, [nodes for nodes, _ in d.strings])
-
-
-def is_realizable(d: LRDiagram) -> bool:
-    """Membership in the lateral closure of the plain family."""
-    lat = lateral_closure(enumerate_lr(d.chi, d.eps))
-    return d.key() in lat.keys()
 
 
 def restrict(d: LRDiagram, i: int) -> LRDiagram:

@@ -24,9 +24,9 @@ r ⊗ e_c with pivot p·d + c, still in reduced echelon form), and adds
 only its last joint's relations, under the non-pivot indices of the
 legs before that joint.  WordSpace owns the layout:
 split/join take the first or last leg off a plain index and put it
-back, grow adds an edge leg, legs reads every leg, pair_rows places a
-relation on two adjacent legs as sparse rows, and to_plain/from_plain
-pass between plain indices and coordinates.
+back, grow adds an edge leg, pair_rows places a relation on two
+adjacent legs as sparse rows, and to_plain/from_plain pass between
+plain indices and coordinates.
 
 Left representations act through the first tensor leg, right ones
 through the last; a new leg deeper than the configured depth raises
@@ -58,7 +58,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .algebra import (
     AlgebraElement,
     BBProbSpace,
-    CheckReport,
     SideMismatch,
     StructuredAlgebra,
 )
@@ -76,7 +75,6 @@ from .linalg import (
     block_matrix,
     div,
     frac,
-    identity,
     mat_combination,
     mat_mul,
     mat_vec,
@@ -119,12 +117,6 @@ class BimoduleWithProjection:
     def osc_part(self, vec: Vec) -> Vec:
         return vec[self.B.dim :]
 
-    def left_matrix(self, b: AlgebraElement) -> Mat:
-        return mat_combination(b.coeffs, self.left_action)
-
-    def right_matrix(self, b: AlgebraElement) -> Mat:
-        return mat_combination(b.coeffs, self.right_action)
-
     def osc_left(self, i: int) -> Mat:
         d = self.B.dim
         return [row[d:] for row in self.left_action[i][d:]]
@@ -132,62 +124,6 @@ class BimoduleWithProjection:
     def osc_right(self, i: int) -> Mat:
         d = self.B.dim
         return [row[d:] for row in self.right_action[i][d:]]
-
-    def check(self) -> CheckReport:
-        rep = CheckReport()
-        B, d = self.B, self.dim
-        one = B.one()
-        rep.record(
-            "left-action-unital",
-            self.left_matrix(one) == identity(d),
-        )
-        rep.record(
-            "right-action-unital",
-            self.right_matrix(one) == identity(d),
-        )
-        ok_l = ok_r = ok_c = True
-        for i in range(B.dim):
-            for j in range(B.dim):
-                bi, bj = B.basis_element(i), B.basis_element(j)
-                if self.left_matrix(bi * bj) != mat_mul(
-                    self.left_action[i], self.left_action[j]
-                ):
-                    ok_l = False
-                if self.right_matrix(bi * bj) != mat_mul(
-                    self.right_action[j], self.right_action[i]
-                ):
-                    ok_r = False
-                if mat_mul(self.left_action[i], self.right_action[j]) != mat_mul(
-                    self.right_action[j], self.left_action[i]
-                ):
-                    ok_c = False
-        rep.record("left-action-multiplicative", ok_l)
-        rep.record("right-action-antimultiplicative", ok_r)
-        rep.record("actions-commute", ok_c)
-        ok_block = True
-        nb = B.dim
-        for m in list(self.left_action) + list(self.right_action):
-            for r in range(nb):
-                if any(m[r][c] for c in range(nb, d)):
-                    ok_block = False
-            for r in range(nb, d):
-                if any(m[r][c] for c in range(nb)):
-                    ok_block = False
-        rep.record("summands-invariant", ok_block)
-        ok_b = True
-        for i in range(B.dim):
-            bi = B.basis_element(i)
-            lm, rm = self.left_matrix(bi), self.right_matrix(bi)
-            for j in range(B.dim):
-                bj = B.basis_element(j)
-                lhs = self.p([lm[r][j] for r in range(d)])
-                if (lhs - bi * bj).coeffs != tuple(zeros(B.dim)):
-                    ok_b = False
-                lhs = self.p([rm[r][j] for r in range(d)])
-                if (lhs - bj * bi).coeffs != tuple(zeros(B.dim)):
-                    ok_b = False
-        rep.record("base-block-multiplies", ok_b)
-        return rep
 
 
 @dataclass(frozen=True)
@@ -393,10 +329,6 @@ class WordSpace:
                     out[self.join(leg, rest, first)] = c * v
         return out
 
-    def legs(self, idx: int) -> tuple[int, ...]:
-        """Per-leg complement coordinates of a plain index."""
-        return tuple(idx // s % d for s, d in zip(self.strides, self.osc_dims))
-
     def pair_rows(self, leg: int, pair: dict[tuple[int, int], Scalar], heads=None):
         """Sparse rows of a relation on legs (leg, leg + 1), given as
         {(a, c): nonzero coefficient}, one per setting of the other legs;
@@ -526,33 +458,11 @@ class TruncatedFreeProduct:
             return {}
         return {seq: {i: c * v for i, v in comp.items()} for seq, comp in vec.items()}
 
-    def sub(self, u: FpVec, v: FpVec) -> FpVec:
-        return self.add(u, self.scale(-1, v))
-
     def is_zero(self, vec: FpVec) -> bool:
         return not _clean(vec)
 
     def equal(self, u: FpVec, v: FpVec) -> bool:
-        return self.is_zero(self.sub(u, v))
-
-    def word_label(self, seq: tuple[int, ...], idx: int) -> str:
-        """Label of coordinate idx of word seq: the legs of its plain word."""
-        if not seq:
-            return "B"
-        ws = self.wordspaces[seq]
-        (plain,) = ws.to_plain({idx: ONE})
-        parts = (f"{k}:{leg}" for k, leg in zip(seq, ws.legs(plain)))
-        return "(" + ")(".join(parts) + ")"
-
-    def vector_to_json(self, vec: FpVec) -> dict:
-        """Serialize as {word-label: rational-string} for debugging."""
-        out = {}
-        for seq in sorted(vec):
-            for idx in sorted(vec[seq]):
-                c = vec[seq][idx]
-                label = self.word_label(seq, idx) if seq else f"B[{idx}]"
-                out[label] = str(c)
-        return out
+        return _clean(u) == _clean(v)
 
     def describe(self) -> dict:
         """Word-basis summary: component dims per colour sequence."""
@@ -1160,6 +1070,6 @@ def _ratio(fp, total: FpVec, rule: FpVec) -> Optional[Scalar]:
     seq, comp = next(iter(sorted(rule.items())))
     idx, v = next(iter(sorted(comp.items())))
     c = div(total.get(seq, {}).get(idx, ZERO), v)
-    if not fp.is_zero(fp.sub(total, fp.scale(c, rule))):
+    if not fp.equal(total, fp.scale(c, rule)):
         raise ValueError("diagram contribution is not proportional to its rule value")
     return c

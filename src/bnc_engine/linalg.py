@@ -186,9 +186,6 @@ class RowSpace:
                 out._uses[j * d + c] = {p * d + c for p in ps}
         return out
 
-    def contains(self, v: dict[int, Scalar]) -> bool:
-        return not self.reduce(v)
-
     @property
     def rank(self) -> int:
         return len(self.rows)

@@ -181,24 +181,6 @@ class SetPartition:
         return self.pretty()
 
 
-def all_partitions(n: int):
-    """All set partitions of {1..n} in lexicographic rgs order."""
-
-    def rec(prefix: list[int], mx: int):
-        if len(prefix) == n:
-            yield SetPartition(tuple(prefix))
-            return
-        for b in range(mx + 2):
-            prefix.append(b)
-            yield from rec(prefix, max(mx, b))
-            prefix.pop()
-
-    if n == 0:
-        yield SetPartition(())
-        return
-    yield from rec([], -1)
-
-
 def is_noncrossing_rgs(rgs: tuple[int, ...]) -> bool:
     """Classical non-crossing test on a line: no a1 < b1 < a2 < b2 with
     a's matched, b's matched, across distinct blocks."""

@@ -1,0 +1,52 @@
+"""Reference definitions that more than one test reads.
+
+Each one is plain and slow on purpose: the engine's own routes are
+checked against it, so none of it lives in the package.
+"""
+
+from bnc_engine.bimult import ReductionError, collapse_step, insert
+from bnc_engine.partitions import SetPartition
+
+
+def all_partitions(n: int):
+    """All set partitions of {1..n} in lexicographic rgs order."""
+
+    def rec(prefix: list[int], mx: int):
+        if len(prefix) == n:
+            yield SetPartition(tuple(prefix))
+            return
+        for b in range(mx + 2):
+            prefix.append(b)
+            yield from rec(prefix, max(mx, b))
+            prefix.pop()
+
+    if n == 0:
+        yield SetPartition(())
+        return
+    yield from rec([], -1)
+
+
+def to_partition(d) -> SetPartition:
+    """The partition of 1..n into a diagram's strings."""
+    return SetPartition.from_blocks(d.n, [nodes for nodes, _ in d.strings])
+
+
+def reduce_in_random_order(blocks, ops: dict, side: dict, ctx, rng):
+    """The moment of closed blocks, collapsed in an order rng picks: each
+    step takes any block whose collapse is legal, that is, any block for
+    which collapse_step raises no ReductionError."""
+    blocks, ops = list(blocks), dict(ops)
+    while True:
+        legal = []
+        for v in blocks:
+            rest = [b for b in blocks if b is not v]
+            try:
+                legal.append((v, rest, collapse_step(v, rest, side)))
+            except ReductionError:
+                pass
+        v, blocks, step = rng.choice(legal)
+        value = ctx.expect([ops[p] for p in v.positions])
+        if step is None:
+            return value
+        kind, target = step
+        ops[target] = insert(ctx, kind, value, ops[target])

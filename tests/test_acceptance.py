@@ -42,7 +42,6 @@ from bnc_engine.partitions import (
     EpsilonMap,
     SetPartition,
     _noncrossing_partitions,
-    all_partitions,
     build_context,
     catalan,
     enumerate_bnc,
@@ -55,6 +54,7 @@ from bnc_engine.partitions import (
     refines,
     relabelled_rgs,
 )
+from oracles import all_partitions, to_partition
 
 
 def report(num: int, ok: bool, detail: str):
@@ -178,7 +178,7 @@ def test_criterion_4_lr_example():
     chi, eps = ChiMap.parse("lrl"), EpsilonMap((1, 1, 2))
     fam = enumerate_lr(chi, eps)
     lr0 = lr_k(fam, 0)
-    parts = {d.to_partition().pretty() for d in lr0.diagrams}
+    parts = {to_partition(d).pretty() for d in lr0.diagrams}
     ok = len(fam) == 8 and parts == {"{1},{2},{3}", "{1,2},{3}"}
     report(4, ok, "worked family has 8 diagrams; string-free pair as expected")
 

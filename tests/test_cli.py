@@ -1,15 +1,26 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bnc_engine
 from bnc_engine.algebra import MismatchedAlgebra
 from bnc_engine.bimult import ReductionError
 from bnc_engine.cli import main
 from bnc_engine.cumulants import ColouringError, SideMismatch
-from bnc_engine.diagrams import HasTopSpine, SuffixMismatch
-from bnc_engine.errors import BncError, CapExceeded, FixtureError, InputError
+from bnc_engine.diagrams import SuffixMismatch
+from bnc_engine.errors import (
+    BROKEN_PIPE,
+    BncError,
+    CapExceeded,
+    FixtureError,
+    InputError,
+)
 from bnc_engine.freeprod import DepthExceeded
 from bnc_engine.partitions import AlphabetError, NotBNC, SizeMismatch
 
@@ -309,6 +320,25 @@ def test_internal_fault_exits_70(monkeypatch, capsys, fault):
     assert err.startswith("error: internal") and err.count("\n") == 1
 
 
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops early (as `| head -c 10` does) is no engine
+    fault: the command ends with 141, as a tool ended by SIGPIPE, and
+    prints nothing on stderr.  The output (about 160 kB) overfills the
+    pipe, so the write meets the closed end."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bnc_engine.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bnc_engine.cli", "enumerate", "bnc", "--chi", "lrlllrlr"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (BROKEN_PIPE, b"")
+    assert BROKEN_PIPE == 141
+
+
 ERROR_CODES = [
     (InputError, 2),
     (AlphabetError, 2),
@@ -316,7 +346,6 @@ ERROR_CODES = [
     (NotBNC, 2),
     (SideMismatch, 2),
     (ColouringError, 2),
-    (HasTopSpine, 2),
     (SuffixMismatch, 2),
     (MismatchedAlgebra, 2),
     (DepthExceeded, 2),

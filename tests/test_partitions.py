@@ -11,7 +11,6 @@ from bnc_engine.partitions import (
     ChiMap,
     EpsilonMap,
     SetPartition,
-    all_partitions,
     build_context,
     catalan,
     enumerate_bnc,
@@ -29,6 +28,7 @@ from bnc_engine.partitions import (
     refines,
 )
 from bnc_engine.partitions import _canonical_rgs, _mu_to_top, _noncrossing_partitions
+from oracles import all_partitions
 
 PAPER_CHI = ChiMap.parse("lrlllr")  # lefts {1,3,4,5}, rights {2,6}
 
