@@ -18,8 +18,6 @@ embedded element and no full product.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -102,30 +100,6 @@ class StructuredAlgebra:
                         return (i, j, k)
         return None
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "labels": list(self.labels),
-            "mult": [
-                [[str(c) for c in row] for row in mi] for mi in self.mult
-            ],
-            "unit": [str(c) for c in self.unit],
-        }
-
-    @staticmethod
-    def from_json(data: dict, name: str) -> "StructuredAlgebra":
-        """The algebra to_json() wrote; name prefixes the fields an error
-        names."""
-        dim = data["dim"]
-        return StructuredAlgebra(
-            dim=dim,
-            labels=tuple(data["labels"]),
-            mult=tuple(
-                _json_rows(mi, f"{name}.mult") for mi in data["mult"]
-            ),
-            unit=tuple(_json_scalar(c, f"{name}.unit") for c in data["unit"]),
-        )
-
 
 def bilinear(table, u: Sequence[Scalar], v: Sequence[Scalar], dim: int) -> Vec:
     """The sum of u_i·v_j·table[i][j] over the nonzero u_i and v_j: a
@@ -152,25 +126,6 @@ def _sparse_table(rows) -> tuple:
         tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
         for row in rows
     )
-
-
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
-
-
-def _json_scalar(c, field: str) -> Scalar:
-    """An exact coefficient from JSON: an integer, or a string "p" or
-    "p/q".  A JSON float is binary and a boolean is not a number, so both
-    are refused, naming the field."""
-    if type(c) is int or (type(c) is str and _RATIONAL.fullmatch(c)):
-        return frac(c)
-    raise InputError(
-        f"{field}: coefficient {json.dumps(c)} is not an integer or a "
-        'rational string such as "3/4"'
-    )
-
-
-def _json_rows(rows, field: str) -> tuple[tuple[Scalar, ...], ...]:
-    return tuple(tuple(_json_scalar(c, field) for c in row) for row in rows)
 
 
 def algebra_from_matrix_units(n: int) -> StructuredAlgebra:
@@ -407,25 +362,6 @@ class BBProbSpace:
             y = A.mul_coeffs(y, e.coeffs)
         return AlgebraElement(
             self.B, tuple(bilinear(self._form, y, elements[-1].coeffs, self.B.dim))
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "A": self.A.to_json(),
-            "B": self.B.to_json(),
-            "expectation": [[str(c) for c in row] for row in self.expectation],
-            "left_embed": [[str(c) for c in row] for row in self.left_embed],
-            "right_embed": [[str(c) for c in row] for row in self.right_embed],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "BBProbSpace":
-        return BBProbSpace(
-            A=StructuredAlgebra.from_json(data["A"], "A"),
-            B=StructuredAlgebra.from_json(data["B"], "B"),
-            expectation=_json_rows(data["expectation"], "expectation"),
-            left_embed=_json_rows(data["left_embed"], "left_embed"),
-            right_embed=_json_rows(data["right_embed"], "right_embed"),
         )
 
 

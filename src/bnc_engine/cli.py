@@ -86,6 +86,14 @@ def _parsed(args, flag: str, parse, *extra):
         raise InputError(f"--{flag}: {e}") from None
 
 
+def _colouring(text: str) -> ChiMap:
+    """A two-letter colouring: only enumerate bncffb's --chihat takes 'b'."""
+    chi = ChiMap.parse(text)
+    if chi.three_letter:
+        raise InputError(f"{text!r} is not a two-letter colouring over l and r")
+    return chi
+
+
 def _at_least(args, flag: str, low: int):
     """Refuse a run whose integer flag is below the least usable value."""
     if getattr(args, flag.replace("-", "_")) < low:
@@ -130,7 +138,7 @@ def _emit(payload, fmt: str):
 def cmd_enumerate(args) -> int:
     kind = args.what
     if kind == "bnc":
-        parts = enumerate_bnc(build_context(_parsed(args, "chi", ChiMap.parse)))
+        parts = enumerate_bnc(build_context(_parsed(args, "chi", _colouring)))
         payload = {
             "chi": args.chi,
             "count": len(parts),
@@ -149,7 +157,7 @@ def cmd_enumerate(args) -> int:
             "pretty": [p.pretty() for p in parts],
         }
     else:
-        chi = _parsed(args, "chi", ChiMap.parse)
+        chi = _parsed(args, "chi", _colouring)
         eps = _parsed(args, "eps", EpsilonMap.parse)
         fam = enumerate_lr(chi, eps)
         if kind == "lrlat":
@@ -176,7 +184,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_mobius(args) -> int:
-    ctx = build_context(_parsed(args, "chi", ChiMap.parse))
+    ctx = build_context(_parsed(args, "chi", _colouring))
     pi = _parsed(args, "pi", _parse_partition, ctx.n)
     sigma = _parsed(args, "sigma", _parse_partition, ctx.n)
     value = mobius(pi, sigma, ctx)
@@ -196,7 +204,7 @@ def cmd_tables(args, cumulants: bool) -> int:
     space = _parsed(args, "fixture", load_space)
     if not check_bb_axioms(space).ok:
         raise FixtureError(f"fixture {args.fixture!r} fails the compatibility axioms")
-    chi = _parsed(args, "chi", ChiMap.parse)
+    chi = _parsed(args, "chi", _colouring)
     if not chi.n:
         raise InputError("--chi must have at least one position")
     ctx = build_context(chi)
@@ -290,10 +298,7 @@ def _verify_bifree(args) -> int:
         if len(set(colours)) < 2:
             colours[0] = 1
             colours[-1] = 2
-        Z = [
-            (("lam" if s == "l" else "rho", k, _random_operator(mods[k], rng)),)
-            for s, k in zip(sides, colours)
-        ]
+        Z = [((s, k, _random_operator(mods[k], rng)),) for s, k in zip(sides, colours)]
         word_rep = bifree_moment_check(
             ChiMap(tuple(sides)), EpsilonMap(tuple(colours)), Z, mf
         )
@@ -322,8 +327,7 @@ def cmd_verify_decompose(args) -> int:
             k = rng.choice(sorted(mods))
             ops.append((s, k, _random_operator(mods[k], rng)))
         dec = lr_decompose(ops, fp)
-        chain = [("lam" if s == "l" else "rho", k, op) for s, k, op in ops]
-        direct = apply_chain(fp, chain, fp.unit())
+        direct = apply_chain(fp, ops, fp.unit())
         good = fp.equal(dec.direct, direct) and fp.equal(dec.reconstruction(), direct)
         if not good:
             ok_all = False
@@ -334,7 +338,7 @@ def cmd_verify_decompose(args) -> int:
 
 def cmd_render(args) -> int:
     if args.kind == "bnc":
-        chi = _parsed(args, "chi", ChiMap.parse)
+        chi = _parsed(args, "chi", _colouring)
         pi = _parsed(args, "pi", _parse_partition, chi.n)
         if not is_bnc(pi, build_context(chi)):
             raise InputError(f"--pi is not bi-non-crossing for --chi {chi}")
@@ -343,7 +347,7 @@ def cmd_render(args) -> int:
         if args.json:
             diagram = _parsed(args, "json", _diagram)
         else:
-            chi = _parsed(args, "chi", ChiMap.parse)
+            chi = _parsed(args, "chi", _colouring)
             eps = _parsed(args, "eps", EpsilonMap.parse)
             fam = enumerate_lr(chi, eps)
             if args.index is None or not 0 <= args.index < len(fam):

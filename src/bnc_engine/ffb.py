@@ -10,13 +10,16 @@ preservation of single-colour moments, the projection calculus behind
 the independence proof, and the independence comparison itself, all in
 exact arithmetic with witnesses on failure.
 
-Each checker call builds one FreeMomentContext over the system's free
-product (independence a second one over its representation product) and
-reads every unit-chain vector and moment from its suffix trie.  The
-operators a call derives from the handles (the μ̃ letters, the composed
-boolean factors) are built once per call, and embed_ffb_family builds
-one operator object per generator and role, so equal atoms are the same
-objects and share trie nodes.  Nothing cached outlives the call.
+Each handle's chain is a word of λ/ρ atoms (side, colour, operator), the
+word format lr_decompose also takes, so the proof pipeline decomposes
+the handles' chains as they stand.  Each checker call builds one
+FreeMomentContext over the system's free product (independence a second
+one over its representation product) and reads every unit-chain vector
+and moment from its suffix trie.  The operators a call derives from the
+handles (the μ̃ letters, the composed boolean factors) are built once
+per call, and embed_ffb_family builds one operator object per generator
+and role, so equal atoms are the same objects and share trie nodes.
+Nothing cached outlives the call.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ from .partitions import ChiMap, EpsilonMap, SetPartition, build_context, lr_repl
 class OperatorHandle:
     """Operator on the ambient free product with its construction data.
 
-    chain holds the ambient atoms; module_op the per-colour operator the
-    chain represents (when it is a plain left/right representation), and
-    source the original algebra element it came from.
+    chain holds its word of λ/ρ atoms; module_op the per-colour operator
+    the chain represents (when it is a plain left/right representation),
+    and source the original algebra element it came from.
     """
 
     label: str
@@ -127,20 +130,20 @@ def embed_ffb_family(fam: FfbFamily, depth: int) -> FfbSystem:
     # that use it: checker contexts share trie nodes by operator identity
     for k in colours:
         slots = fam.faces[k]
-        for s, kind, faces in (("l", "lam", faces_l), ("r", "rho", faces_r)):
+        for s, faces in (("l", faces_l), ("r", faces_r)):
             diags = [(z, diag_op(z, s)) for z in slots.get(s, [])]
             faces[k] = [
-                OperatorHandle(f"{s}{k}.{i}", k, ((kind, k, op),), op, z)
+                OperatorHandle(f"{s}{k}.{i}", k, ((s, k, op),), op, z)
                 for i, (z, op) in enumerate(diags)
             ]
         mults = [(z, mult_shift_op(z)) for z in slots.get("b", [])]
         cprime[k] = [
-            OperatorHandle(f"c{k}.{i}", k, (("lam", k, op),), op, z)
+            OperatorHandle(f"c{k}.{i}", k, (("l", k, op),), op, z)
             for i, (z, op) in enumerate(mults)
         ]
-        dprime[k] = [OperatorHandle(f"d{k}", k, (("rho", k, shift),), shift, None)]
+        dprime[k] = [OperatorHandle(f"d{k}", k, (("r", k, shift),), shift, None)]
         bool_handles[k] = [
-            OperatorHandle(f"b{k}.{i}", k, (("lam", k, op), ("rho", k, shift)), None, z)
+            OperatorHandle(f"b{k}.{i}", k, (("l", k, op), ("r", k, shift)), None, z)
             for i, (z, op) in enumerate(mults)
         ]
     return FfbSystem(
@@ -310,8 +313,8 @@ def _mu_tilde_letter(th: Theta, s: str, h: OperatorHandle) -> tuple:
     k = h.colour
     if s == "b":
         proj = ("proj", k, None)
-        return (proj, ("lam", k, th.operator(h.source)), proj)
-    return (("lam" if s == "l" else "rho", k, th.operator(h.source, s)),)
+        return (proj, ("l", k, th.operator(h.source)), proj)
+    return ((s, k, th.operator(h.source, s)),)
 
 
 def check_ffb_independence(sys: FfbSystem, word_cap: int) -> CheckReport:
@@ -354,11 +357,12 @@ def check_ffb_independence(sys: FfbSystem, word_cap: int) -> CheckReport:
 def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
     """Instance check of the independence theorem via its proof pipeline.
 
-    For every word over the induced triples: re-split boolean factors,
-    decompose the unprimed word into diagram terms with projections at
-    the split points, compare the projected word with the boolean-
-    sandwich word, and confirm the removed terms carry no expectation
-    and stay inside the predicted extension families.
+    For every word over the induced triples: decompose the split word
+    (the handles' chains, each boolean letter its left and right factor)
+    into diagram terms with projections at the split points, compare the
+    projected word with the boolean-sandwich word, and confirm the
+    removed terms carry no expectation and stay inside the predicted
+    extension families.
     """
     rep = CheckReport()
     mf = FreeMomentContext(sys.fp)
@@ -370,7 +374,7 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
         fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
         eps = fctx.expand_colours(EpsilonMap(eps_hat))
         for handles in iproduct(*pools):
-            word = [(s, h, *letters[s, id(h)]) for s, h in zip(shape, handles)]
+            word = [(s, h, letters[s, id(h)]) for s, h in zip(shape, handles)]
             ok, info = _pipeline_word(sys, mf, fctx, eps, word, ext_cache)
             if not ok:
                 mismatch.append(info)
@@ -385,49 +389,39 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
     return rep
 
 
-def _pipeline_letter(sys: FfbSystem, s: str, h: OperatorHandle):
-    """(split ops, split atoms, μ̃ atoms) of one letter.  A boolean letter
-    splits into its chain's left and right factors, and its μ̃ letter is
-    their product sandwiched between projections; a face letter is its
-    module operator, and its μ̃ letter its own chain."""
-    k = h.colour
-    if s == "b":
-        (_, _, tz), (_, _, sz) = h.chain
-        split = (("l", k, tz), ("r", k, sz))
-        proj = ("proj", k, None)
-        tilde = (proj, ("lam", k, _compose_ops(sys.doubled, tz, sz)), proj)
-    else:
-        split = ((s, k, h.module_op),)
-        tilde = h.chain[:1]
-    atoms = tuple(("lam" if side == "l" else "rho", k, op) for side, k, op in split)
-    return split, atoms, tilde
+def _pipeline_letter(sys: FfbSystem, s: str, h: OperatorHandle) -> tuple:
+    """The μ̃ atoms of one letter: a boolean letter's chain holds its left
+    and right factors, and its μ̃ letter is their product sandwiched
+    between projections; a face letter's μ̃ letter is its own chain."""
+    if s != "b":
+        return h.chain
+    (_, k, tz), (_, _, sz) = h.chain
+    proj = ("proj", k, None)
+    return (proj, ("l", k, _compose_ops(sys.doubled, tz, sz)), proj)
 
 
 def _pipeline_word(sys, mf, fctx, eps, word, ext_cache):
-    """One word of the pipeline; word lists (shape letter, handle, split
-    ops, split atoms, μ̃ atoms) per letter."""
+    """One word of the pipeline; word lists (shape letter, handle, μ̃
+    atoms) per letter.  The handles' chains are λ/ρ atoms, so their
+    concatenation is the split word that lr_decompose takes."""
     fp = sys.fp
     chi = fctx.chi
-    handles = [h for _, h, _, _, _ in word]
-    split_ops = []
+    handles = [h for _, h, _ in word]
+    split = []
     projected = []
-    for s, _, split, _, _ in word:
+    for s, h, _ in word:
         if s == "b":
-            projected.append(len(split_ops) + 1)
-        split_ops += split
-    # word splitting: the handle chains concatenate to the split word
+            projected.append(len(split) + 1)
+        split += h.chain
     v_direct = mf.vector([h.chain for h in handles])
-    v_split = mf.vector([atoms for _, _, _, atoms, _ in word])
-    if not fp.equal(v_direct, v_split):
-        return False, {"stage": "word-splitting", "word": [h.label for h in handles]}
-    dec = lr_decompose(split_ops, fp, projected_positions=projected, coefficients=False)
-    if not fp.equal(dec.direct, v_split):
+    dec = lr_decompose(split, fp, projected_positions=projected, coefficients=False)
+    if not fp.equal(dec.direct, v_direct):
         return False, {"stage": "decompose-direct", "word": [h.label for h in handles]}
     resid_total = fp.add(*(v for _, _, v in dec.residual)) if dec.residual else {}
     if not fp.equal(fp.add(dec.primed, resid_total), dec.direct):
         return False, {"stage": "decompose-split", "word": [h.label for h in handles]}
     # the projected word equals the boolean-sandwich word
-    v_tilde = mf.vector([tilde for _, _, _, _, tilde in word])
+    v_tilde = mf.vector([tilde for _, _, tilde in word])
     if not fp.equal(dec.primed, v_tilde):
         return False, {"stage": "projected-word", "word": [h.label for h in handles]}
     if not sys.fp.p(resid_total).is_zero():
@@ -458,7 +452,7 @@ def _pipeline_word(sys, mf, fctx, eps, word, ext_cache):
 
 def _compose_ops(mod, a: ModuleOperator, b: ModuleOperator) -> ModuleOperator:
     prod = mat_mul([list(r) for r in a.matrix], [list(r) for r in b.matrix])
-    return ModuleOperator(mod, tuple(tuple(r) for r in prod), None)
+    return ModuleOperator(mod, tuple(tuple(r) for r in prod))
 
 
 def _mixed_cumulant_claims(

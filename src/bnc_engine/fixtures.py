@@ -33,9 +33,7 @@ def scalar_module(osc: int) -> BimoduleWithProjection:
     algebra, so any of them combine in one free product."""
     dim = 1 + osc
     ident = tuple(map(tuple, identity(dim)))
-    return BimoduleWithProjection(
-        SCALARS, dim, tuple(f"c{i}" for i in range(dim)), (ident,), (ident,)
-    )
+    return BimoduleWithProjection(SCALARS, dim, (ident,), (ident,))
 
 
 def space_scalar() -> BBProbSpace:

@@ -42,10 +42,17 @@ module vector, because a factor whose complement part is zero still
 feeds later cut branches through its B part.  The surviving terms are
 summed per (closed, top) strings, one diagram per group.
 
+Operator words.  A word is a chain of atoms, applied last atom first.
+A λ/ρ atom is the triple (side, colour, operator), side 'l' for the
+left representation λ and 'r' for the right one ρ; the other atoms act
+by B on the left or right ('lb'/'rb', b) or project onto a colour
+('proj', k, None).  One word object serves apply_chain, the moment
+context and lr_decompose.
+
 Moments.  FreeMomentContext is the free product's one moment context:
 the checkers read every chain's vector and expectation from one, and
 lr_decompose builds one per word, shared by the rule vectors of all its
-diagrams (e_d_vector), whose operands are the positions' λ/ρ atoms.
+diagrams (e_d_vector), whose operands are the word's own atoms.
 """
 
 from __future__ import annotations
@@ -97,7 +104,6 @@ class BimoduleWithProjection:
 
     B: StructuredAlgebra
     dim: int
-    labels: tuple[str, ...]
     left_action: tuple[Mat, ...]  # per B basis element
     right_action: tuple[Mat, ...]
 
@@ -130,7 +136,6 @@ class BimoduleWithProjection:
 class ModuleOperator:
     mod: BimoduleWithProjection
     matrix: tuple[tuple[Scalar, ...], ...]
-    side: Optional[str] = None  # 'l' | 'r' | None
 
     def apply(self, vec: Vec) -> Vec:
         return mat_vec(self.matrix, vec)
@@ -175,7 +180,8 @@ class ModuleOperator:
 
 
 def module_operator(mod, matrix, side=None) -> ModuleOperator:
-    op = ModuleOperator(mod, tuple(tuple(map(frac, r)) for r in matrix), side)
+    """matrix on mod; with a side, refused outside that side's commutant."""
+    op = ModuleOperator(mod, tuple(tuple(map(frac, r)) for r in matrix))
     if side is not None and not op.commutes_with_side(side):
         raise ValueError(f"operator does not satisfy the side-{side} commutant")
     return op
@@ -184,8 +190,7 @@ def module_operator(mod, matrix, side=None) -> ModuleOperator:
 class Theta:
     """Representation of an algebra on its associated module."""
 
-    def __init__(self, space: BBProbSpace, mod: BimoduleWithProjection, basis_mats):
-        self.space = space
+    def __init__(self, mod: BimoduleWithProjection, basis_mats):
         self.mod = mod
         self._basis = basis_mats
 
@@ -249,10 +254,6 @@ def build_bimodule_from_space(space: BBProbSpace):
         cols += [column(et, sec) for sec in sections]
         basis_mats.append([[cols[c][r] for c in range(dim)] for r in range(dim)])
 
-    labels = tuple(f"b{i}" for i in range(B.dim)) + tuple(
-        f"q{j}" for j in range(osc)
-    )
-
     def action(embed) -> tuple[Mat, ...]:
         return tuple(
             tuple(tuple(row) for row in mat_combination(embed(b).coeffs, basis_mats))
@@ -260,9 +261,9 @@ def build_bimodule_from_space(space: BBProbSpace):
         )
 
     mod = BimoduleWithProjection(
-        B, dim, labels, action(space.embed_left), action(space.embed_right)
+        B, dim, action(space.embed_left), action(space.embed_right)
     )
-    theta = Theta(space, mod, [tuple(tuple(r) for r in m) for m in basis_mats])
+    theta = Theta(mod, [tuple(tuple(r) for r in m) for m in basis_mats])
     return mod, theta
 
 
@@ -276,8 +277,7 @@ def doubled_bimodule(x: BimoduleWithProjection) -> BimoduleWithProjection:
         tuple(tuple(map(tuple, block_matrix(d, {(0, 0): m, (1, 1): m}))) for m in mats)
         for mats in (x.left_action, x.right_action)
     )
-    labels = tuple(f"1:{s}" for s in x.labels) + tuple(f"2:{s}" for s in x.labels)
-    return BimoduleWithProjection(x.B, 2 * d, labels, left, right)
+    return BimoduleWithProjection(x.B, 2 * d, left, right)
 
 
 @dataclass
@@ -290,7 +290,6 @@ class WordSpace:
     holds the reduced relations seeded from the prefix word space.
     """
 
-    seq: tuple[int, ...]
     osc_dims: tuple[int, ...]
     quotient: Optional[Quotient] = None  # None = relations vanish
     strides: tuple[int, ...] = field(init=False)
@@ -394,7 +393,7 @@ class TruncatedFreeProduct:
         indices of the legs before it: under a pivot index the relation
         is, modulo W(s[:-2])'s relations (already among the lifted rows),
         a combination of those."""
-        ws = WordSpace(seq, tuple(self.components[k].osc_dim for k in seq))
+        ws = WordSpace(tuple(self.components[k].osc_dim for k in seq))
         if self.B.dim == 1 or len(seq) < 2:
             return ws
         prefix = self.wordspaces[seq[:-1]].quotient
@@ -616,14 +615,14 @@ def reduced_free_product(
 
 # --- operator chains ------------------------------------------------------
 
-Atom = tuple  # ('lam'|'rho', k, ModuleOperator) | ('lb'|'rb', b) | ('proj', k, None)
+Atom = tuple  # ('l'|'r', k, ModuleOperator) | ('lb'|'rb', b) | ('proj', k, None)
 
 
 def apply_atom(fp: TruncatedFreeProduct, atom: Atom, vec: FpVec) -> FpVec:
     kind = atom[0]
-    if kind == "lam":
+    if kind == "l":
         return fp.lambda_apply(atom[2], atom[1], vec)
-    if kind == "rho":
+    if kind == "r":
         return fp.rho_apply(atom[2], atom[1], vec)
     if kind in ("lb", "rb"):
         return fp.act_b(atom[1], vec, from_left=(kind == "lb"))
@@ -683,7 +682,7 @@ class FreeMomentContext(MomentContext):
         aid = self._seen.get(id(atom))
         if aid is None:
             kind = atom[0]
-            if kind in ("lam", "rho"):
+            if kind in ("l", "r"):
                 key = (kind, atom[1], id(atom[2]))
             elif kind in ("lb", "rb"):
                 key = (kind, atom[1].coeffs)
@@ -758,27 +757,22 @@ class FreeMomentContext(MomentContext):
         return tuple(elem) + (self._b_atom("lb", value),)
 
 
-def e_d_vector(
-    diagram: LRDiagram, ops: list[ModuleOperator], mf: FreeMomentContext
-) -> FpVec:
+def e_d_vector(diagram: LRDiagram, word: list[Atom], mf: FreeMomentContext) -> FpVec:
     """Vector contribution of one diagram to an operator word, read from
     the word's context on the free product.
 
-    Each position's operand is its λ or ρ atom.  Closed strings collapse
-    through the moment recursion; each top string contributes the
-    complement leg of its chain on the unit, tensored in spine order.  A
-    string has one colour, so its chain acts on the free product as its
+    word lists the positions' λ/ρ atoms, whose sides and colours must be
+    the diagram's; each position's operand is its atom.  Closed strings
+    collapse through the moment recursion; each top string contributes
+    the complement leg of its chain on the unit, tensored in spine order.
+    A string has one colour, so its chain acts on the free product as its
     word does on that component module.
     """
-    n = diagram.n
-    if len(ops) != n:
-        raise ValueError("operator list must match the diagram size")
+    if [atom[:2] for atom in word] != list(zip(diagram.chi.sides, diagram.eps.colours)):
+        raise ValueError("the word's sides and colours must be the diagram's")
     fp = mf.fp
-    side = {i: diagram.chi.side(i) for i in range(1, n + 1)}
-    elems = {
-        i: (("lam" if side[i] == "l" else "rho", diagram.eps.colour(i), ops[i - 1]),)
-        for i in range(1, n + 1)
-    }
+    side = dict(enumerate(diagram.chi.sides, start=1))
+    elems = {i: (atom,) for i, atom in enumerate(word, start=1)}
     gap = {nodes: r + 1 for r, nodes in enumerate(diagram.spine_order)}
     blocks = [
         ReduceBlock(nodes, top=nodes in gap, gap_rank=gap.get(nodes))
@@ -841,18 +835,18 @@ class Decomposition:
 
 
 def lr_decompose(
-    ops: list[tuple[str, int, ModuleOperator]],
+    ops: list[Atom],
     fp: TruncatedFreeProduct,
     projected_positions: Iterable[int] = (),
     coefficients: bool = True,
 ) -> Decomposition:
     """Expand an operator word applied to the unit into diagram terms.
 
-    ops lists (side, colour, operator) per position.  The expansion
-    replays the construction: each application branches on joining or
-    opening a string, keeping it at the top or closing it, and on the
-    split of a consumed string into its pure word and its collapsed
-    value (the latter with a sign, accounting for cut diagrams).
+    ops is the word, one λ/ρ atom (side, colour, operator) per position.
+    The expansion replays the construction: each application branches
+    on joining or opening a string, keeping it at the top or closing it,
+    and on the split of a consumed string into its pure word and its
+    collapsed value (the latter with a sign, accounting for cut diagrams).
 
     Only live branches are built.  A branch whose new or folded factor
     is the zero module vector, or whose collapsed B value is zero, is
@@ -1027,7 +1021,6 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
         else:
             _acc_vec(entry[1], primed_part)
             _acc_vec(entry[2], residual_part)
-    mod_ops = [op for _, _, op in ops]
     mf = FreeMomentContext(fp) if coefficients else None
     contributions = []
     residual = []
@@ -1036,7 +1029,7 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
         d, primed_part, residual_part = groups[key]
         primed_part, residual_part = _clean(primed_part), _clean(residual_part)
         total = fp.add(primed_part, residual_part)
-        rule = e_d_vector(d, mod_ops, mf) if coefficients else None
+        rule = e_d_vector(d, ops, mf) if coefficients else None
         if coefficients:
             coeff = _ratio(fp, total, rule)
             if coeff is not None and coeff != 0:

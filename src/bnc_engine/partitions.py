@@ -7,9 +7,9 @@ three-letter alphabet); the induced permutation lists the left indices
 ascending then the right indices descending, and a partition is
 bi-non-crossing when its relabelling through that permutation is
 non-crossing in the classical sense.  The lattice is therefore NC(n)
-seen through s_chi: enumeration, join, Mobius values and intervals are
-all computed on the relabelled line, entered by relabelled_rgs and left
-by _pull_back.  Intervals come from one Mobius kernel per n
+seen through s_chi: enumeration, Mobius values and intervals are all
+computed on the relabelled line, entered by relabelled_rgs and left
+by _pull_back.  Mobius values and intervals come from one kernel per n
 (nc_incidence, rows built on first use by nc_row, which finds each
 partition below sigma by its head labelling, with no renumbering),
 indexed by NC(n) slot; bnc_lattice pulls every slot back once per s_chi.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
@@ -328,22 +329,6 @@ def meet(pi: SetPartition, sigma: SetPartition) -> SetPartition:
     return SetPartition(_canonical_rgs(zip(pi.rgs, sigma.rgs)))
 
 
-def join(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> SetPartition:
-    """Smallest bi-non-crossing partition above both.
-
-    On the relabelled line, blocks of pi that share a block of sigma or
-    cross are merged until no such pair is left.
-    """
-    if pi.n != sigma.n or pi.n != ctx.n:
-        raise SizeMismatch("partition sizes differ")
-    labels = relabelled_rgs(pi, ctx)
-    other = relabelled_rgs(sigma, ctx)
-    while (pair := _shared_pair(labels, other) or _crossing_pair(labels)):
-        keep, drop = pair
-        labels = tuple(keep if b == drop else b for b in labels)
-    return SetPartition(_pull_back(labels, ctx))
-
-
 def _shared_pair(labels: tuple[int, ...], other: tuple[int, ...]):
     """Two labels whose blocks meet one block of other, or None."""
     seen: dict[int, int] = {}
@@ -356,8 +341,7 @@ def _shared_pair(labels: tuple[int, ...], other: tuple[int, ...]):
 def mobius(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> int:
     """Incidence-algebra inverse on the bi-non-crossing lattice.
 
-    Zero unless pi refines sigma; otherwise the closed form of
-    mobius_fast.
+    Zero unless pi refines sigma; otherwise mobius_fast's kernel entry.
     """
     if not is_bnc(pi, ctx):
         raise NotBNC(f"{pi} is not bi-non-crossing for {ctx.chi}")
@@ -368,18 +352,13 @@ def mobius(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> int:
 
 def mobius_fast(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> int:
     """mobius without membership validation; arguments must be in the
-    lattice (as enumeration output always is).
-
-    On the relabelled line [pi, sigma] is the product over the blocks W
-    of sigma of [pi|W, 1_W] in NC(|W|).
-    """
+    lattice (as enumeration output always is).  pi's entry in sigma's row
+    of the NC(n) kernel, read on the relabelled line."""
     if not refines(pi, sigma):
         return 0
-    p, s = relabelled_rgs(pi, ctx), relabelled_rgs(sigma, ctx)
-    val = 1
-    for w in set(s):
-        val *= _mu_to_top(_canonical_rgs(b for b, c in zip(p, s) if c == w))
-    return val
+    slot = nc_incidence(ctx.n)[0]
+    below, mus = nc_row(ctx.n, slot[relabelled_rgs(sigma, ctx)])
+    return mus[bisect_left(below, slot[relabelled_rgs(pi, ctx)])]
 
 
 @lru_cache(maxsize=None)

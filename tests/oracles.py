@@ -5,7 +5,14 @@ checked against it, so none of it lives in the package.
 """
 
 from bnc_engine.bimult import ReductionError, collapse_step, insert
-from bnc_engine.partitions import SetPartition
+from bnc_engine.partitions import (
+    SetPartition,
+    SizeMismatch,
+    _crossing_pair,
+    _pull_back,
+    _shared_pair,
+    relabelled_rgs,
+)
 
 
 def all_partitions(n: int):
@@ -24,6 +31,22 @@ def all_partitions(n: int):
         yield SetPartition(())
         return
     yield from rec([], -1)
+
+
+def join(pi: SetPartition, sigma: SetPartition, ctx) -> SetPartition:
+    """Smallest bi-non-crossing partition above both.
+
+    On the relabelled line, blocks of pi that share a block of sigma or
+    cross are merged until no such pair is left.
+    """
+    if pi.n != sigma.n or pi.n != ctx.n:
+        raise SizeMismatch("partition sizes differ")
+    labels = relabelled_rgs(pi, ctx)
+    other = relabelled_rgs(sigma, ctx)
+    while (pair := _shared_pair(labels, other) or _crossing_pair(labels)):
+        keep, drop = pair
+        labels = tuple(keep if b == drop else b for b in labels)
+    return SetPartition(_pull_back(labels, ctx))
 
 
 def to_partition(d) -> SetPartition:

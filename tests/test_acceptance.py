@@ -192,9 +192,7 @@ def _random_modules(rng):
         ident = tuple(
             tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)
         )
-        mods[k] = BimoduleWithProjection(
-            B, dim, tuple(f"c{i}" for i in range(dim)), (ident,), (ident,)
-        )
+        mods[k] = BimoduleWithProjection(B, dim, (ident,), (ident,))
     return mods
 
 

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ from bnc_engine.algebra import (
     product,
 )
 from bnc_engine.cumulants import AlgebraMomentContext
-from bnc_engine.errors import InputError
 from bnc_engine.linalg import frac, unit_vec
 from bnc_engine.fixtures import (
     space_diag2,
@@ -38,14 +36,6 @@ def unit_defect(alg: StructuredAlgebra):
         if alg.mul_coeffs(e, list(alg.unit)) != e:
             return i
     return None
-
-
-def space_to_json_str(space: BBProbSpace) -> str:
-    return json.dumps(space.to_json(), sort_keys=True)
-
-
-def space_from_json_str(text: str) -> BBProbSpace:
-    return BBProbSpace.from_json(json.loads(text))
 
 
 def test_unit_is_identity_on_basis():
@@ -127,32 +117,6 @@ def test_left_right_balance():
             lhs = sp.expect(T * sp.embed_left(b))
             rhs = sp.expect(T * sp.embed_right(b))
             assert (lhs - rhs).is_zero()
-
-
-def test_space_json_roundtrip():
-    sp = space_diag2()
-    text = space_to_json_str(sp)
-    back = space_from_json_str(text)
-    assert back.A.mult == sp.A.mult
-    assert back.expectation == sp.expectation
-    assert space_to_json_str(back) == text
-
-
-@pytest.mark.parametrize("value, shown", [(0.1, "0.1"), (True, "true")])
-def test_space_json_refuses_inexact_coefficients(value, shown):
-    """A JSON float would load at its binary value and true as 1; both
-    are refused with the field named.  Integers and "p/q" strings load."""
-    data = json.loads(space_to_json_str(space_scalar()))
-    data["expectation"][0][0] = value
-    with pytest.raises(InputError, match=rf"^expectation: coefficient {shown} "):
-        space_from_json_str(json.dumps(data))
-    data["expectation"][0][0] = "3/4"
-    data["A"]["unit"][0] = 1
-    back = space_from_json_str(json.dumps(data))
-    assert back.expectation == ((Fraction(3, 4),),) and back.A.unit == (1,)
-    data["A"]["unit"][0] = value
-    with pytest.raises(InputError, match=r"^A\.unit: "):
-        space_from_json_str(json.dumps(data))
 
 
 SPACES = (space_scalar, space_m2_scalar, space_diag2, space_diag2_bad_expectation, space_dual)

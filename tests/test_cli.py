@@ -285,6 +285,14 @@ BAD_DIAGRAMS = [
         ("verify bifree --dims=-1,2", "--dims"),
         ("BNC_ENGINE_CAP=x enumerate bnc --chi lr", "BNC_ENGINE_CAP"),
         ("moments --chi ''", "--chi"),
+        ("moments --chi lbr", "--chi"),
+        ("cumulants --chi lbr", "--chi"),
+        ("mobius --chi lbr --pi 0,1,2 --sigma 0,0,0", "--chi"),
+        ("enumerate bnc --chi lbr", "--chi"),
+        ("enumerate lr --chi lbr --eps 1,1,1", "--chi"),
+        ("enumerate lrlat --chi lbr --eps 1,1,1", "--chi"),
+        ("render --kind bnc --chi lbr --pi 0,1,2", "--chi"),
+        ("render --kind lr --chi lbr --eps 1,1,1 --index 0", "--chi"),
         ("cumulants --chi l --fixture nope", "--fixture"),
         ("verify ffb-system --fixture nope", "--fixture"),
         ("mobius --chi lrl --pi 0,1,2 --sigma '{1,2,3'", "--sigma"),

@@ -402,7 +402,7 @@ def test_bifree_criterion_on_represented_family():
             m = [
                 [Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)
             ]
-            Z.append((("lam" if s == "l" else "rho", k, module_operator(mod, m)),))
+            Z.append(((s, k, module_operator(mod, m)),))
         rep = bifree_moment_check(ChiMap(sides), EpsilonMap(colours), Z, mf)
         assert rep.ok, rep.to_json()
 
@@ -419,8 +419,8 @@ def test_bifree_negative_control():
         # colour-2 slot filled with a colour-1 operator: a mixed word
         # whose representation no longer matches the colouring
         Z = [
-            (("lam", 1, op),),
-            (("lam", 1, op),),
+            (("l", 1, op),),
+            (("l", 1, op),),
         ]
         rep = bifree_moment_check(ChiMap.parse("ll"), EpsilonMap((1, 2)), Z, mf)
         if not rep.ok:
@@ -437,7 +437,7 @@ def test_ffb_formula_requires_pair_colours():
         mod,
         [[Fraction(i == j) for j in range(3)] for i in range(3)],
     )
-    Z = [(("lam", 1, ident),), (("rho", 2, ident),)]
+    Z = [(("l", 1, ident),), (("r", 2, ident),)]
     with pytest.raises(ColouringError):
         audit_ffb_word(fctx, EpsilonMap((1, 2)), Z, mf)
 
@@ -454,7 +454,7 @@ def test_ffb_formula_without_boolean_slots_is_bifree_formula():
     m2 = module_operator(
         mod, [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
     )
-    Z = [(("lam", 1, m1),), (("rho", 2, m2),)]
+    Z = [(("l", 1, m1),), (("r", 2, m2),)]
     rep = audit_ffb_word(fctx, EpsilonMap((1, 2)), Z, mf)
     assert rep.ok, rep.to_json()
 
@@ -468,7 +468,7 @@ def test_mixed_cumulants_vanish_up_to_length_five():
     Z = []
     for s, k in zip(sides, colours):
         m = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-        Z.append((("lam" if s == "l" else "rho", k, module_operator(mod, m)),))
+        Z.append(((s, k, module_operator(mod, m)),))
     ctx = build_context(ChiMap(sides))
     kap = kappa_pi(SetPartition.full(5), ctx, Z, mf)
     assert kap.is_zero()

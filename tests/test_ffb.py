@@ -80,7 +80,7 @@ def test_system_axioms_negative_control():
     ident_op = module_operator(dbl, identity(dbl.dim))
     broken = replace(SYS)
     broken.dprime = {
-        k: [OperatorHandle(f"d{k}", k, (("rho", k, ident_op),), ident_op, None)]
+        k: [OperatorHandle(f"d{k}", k, (("r", k, ident_op),), ident_op, None)]
         for k in SYS.colours()
     }
     rep = check_ffb_system(broken, word_cap=2)
@@ -154,7 +154,7 @@ def atom_key(atom):
     """An atom up to what its action depends on: λ/ρ atoms by colour and
     operator matrix, B-action atoms by coefficients."""
     kind = atom[0]
-    if kind in ("lam", "rho"):
+    if kind in ("l", "r"):
         return (kind, atom[1], atom[2].matrix)
     if kind in ("lb", "rb"):
         return (kind, atom[1].coeffs)

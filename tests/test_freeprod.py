@@ -261,7 +261,7 @@ def test_tensor_legs_with_mismatched_idempotents_vanish():
             rm[2][2] = ONE if i == ri else ZERO
             L.append(tuple(map(tuple, lm)))
             R.append(tuple(map(tuple, rm)))
-        return BimoduleWithProjection(B2, 3, ("d1", "d2", "x"), tuple(L), tuple(R))
+        return BimoduleWithProjection(B2, 3, tuple(L), tuple(R))
 
     fp_ok = reduced_free_product({1: corner(0, 1), 2: corner(1, 0)}, 2)
     assert fp_ok.wordspaces[(1, 2)].dim == 1
@@ -367,9 +367,10 @@ def test_full_depth_word_without_a_new_leg():
     assert not any(comp.osc_part(image))
     b = comp.p(image)
     assert b.coeffs == (1, 2)  # d1 + 2·d2
-    ws = fp.wordspaces[(1, 2, 1)]
-    assert len(ws.seq) == fp.depth
-    v = {(1, 2, 1): {q: Fraction(q + 1) for q in range(ws.dim)}}
+    seq = (1, 2, 1)
+    ws = fp.wordspaces[seq]
+    assert len(seq) == fp.depth
+    v = {seq: {q: Fraction(q + 1) for q in range(ws.dim)}}
     assert fp.equal(fp.lambda_apply(op, 2, v), fp.act_b(b, v, True))
 
 
@@ -384,7 +385,7 @@ def m2_free_product(depth=3):
         return tuple(tuple(zip(*(mul(b, y).coeffs for y in basis))) for b in basis)
 
     mod = BimoduleWithProjection(
-        B, B.dim, B.labels, action(lambda b, y: b * y), action(lambda b, y: y * b)
+        B, B.dim, action(lambda b, y: b * y), action(lambda b, y: y * b)
     )
     assert module_axioms_hold(mod)
     double = doubled_bimodule(mod)
@@ -419,9 +420,9 @@ def test_e_d_single_operator_cases():
     topped = make_diagram(chi, eps, [((1,), True)], [(1,)])
     x = mat_vec(T.matrix, MODS[1].unit_vector())
     mf = FreeMomentContext(fp)
-    got_iso = e_d_vector(isolated, [T], mf)
+    got_iso = e_d_vector(isolated, [("l", 1, T)], mf)
     assert fp.equal(got_iso, fp.embed_b(MODS[1].p(x)))
-    got_top = e_d_vector(topped, [T], mf)
+    got_top = e_d_vector(topped, [("l", 1, T)], mf)
     direct = fp.lambda_apply(T, 1, fp.unit())
     assert fp.equal(fp.add(got_iso, got_top), direct)
     # the topped vector sits in the colour-1 word slot
@@ -434,12 +435,41 @@ def test_e_d_lands_in_the_spine_colour_slot():
     eps = EpsilonMap((1, 1, 2))
     fam = enumerate_lr(chi, eps)
     ops = [rand_op(MODS[1]), rand_op(MODS[1]), rand_op(MODS[2])]
+    word = list(zip(chi.sides, eps.colours, ops))
     mf = FreeMomentContext(fp)
     for d in fam.diagrams:
-        vec = e_d_vector(d, ops, mf)
+        vec = e_d_vector(d, word, mf)
         want = tuple(d.shade(s) for s in d.spine_order)
         for seq in vec:
             assert seq == want or (seq == () and want == ())
+
+
+def test_e_d_vector_refuses_a_word_of_another_diagram():
+    fp = reduced_free_product(MODS, 2)
+    T = rand_op(MODS[1], random.Random(3))
+    d = make_diagram(ChiMap.parse("l"), EpsilonMap((1,)), [((1,), False)], [])
+    for word in ([("r", 1, T)], [("l", 2, T)], [("l", 1, T)] * 2, []):
+        with pytest.raises(ValueError, match="sides and colours"):
+            e_d_vector(d, word, FreeMomentContext(fp))
+
+
+def test_one_word_serves_decomposition_chain_and_context():
+    """A word of (side, colour, operator) atoms goes as it stands to
+    lr_decompose, apply_chain and FreeMomentContext.vector, and all three
+    give the same vector."""
+    rng = random.Random(41)
+    fp = reduced_free_product(MODS, 4)
+    mf = FreeMomentContext(fp)
+    for _ in range(12):
+        word = []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.choice((1, 2))
+            word.append((rng.choice("lr"), k, rand_op(MODS[k], rng)))
+        direct = apply_chain(fp, word, fp.unit())
+        dec = lr_decompose(word, fp)
+        assert fp.equal(dec.direct, direct)
+        assert fp.equal(dec.reconstruction(), direct)
+        assert fp.equal(mf.vector([word]), direct)
 
 
 def test_lr_decompose_reconstructs_word():
@@ -575,15 +605,13 @@ def test_lr_decompose_coefficients_over_diag2_pipeline_words():
     words = 0
     for shape, _, pools in ffb._word_sweep(system, 3, system.colours()):
         for handles in iproduct(*pools):
-            ops, atoms, projected = [], [], []
+            word, projected = [], []
             for s, h in zip(shape, handles):
-                split, split_atoms, _ = ffb._pipeline_letter(system, s, h)
                 if s == "b":
-                    projected.append(len(ops) + 1)
-                ops += split
-                atoms += split_atoms
-            dec = lr_decompose(ops, fp, projected)
-            assert fp.equal(dec.reconstruction(), apply_chain(fp, atoms, fp.unit()))
+                    projected.append(len(word) + 1)
+                word += h.chain
+            dec = lr_decompose(word, fp, projected)
+            assert fp.equal(dec.reconstruction(), apply_chain(fp, word, fp.unit()))
             out = [
                 [[d.key(), str(c), _canonical(v)] for d, c, v in dec.contributions],
                 [[d.key(), str(c)] for d, c, _ in dec.residual],
@@ -699,7 +727,7 @@ def test_free_moment_context_append_left_acts_first():
     differs = 0
     for _ in range(20):
         chain = tuple(
-            (rng.choice(("lam", "rho")), rng.choice((1, 2)), rand_op(mod, rng))
+            (rng.choice("lr"), rng.choice((1, 2)), rand_op(mod, rng))
             for _ in range(rng.randint(1, 3))
         )
         b = mod.B.element([rng.choice((-2, -1, 1, 2, 3)) for _ in range(mod.B.dim)])
@@ -716,7 +744,7 @@ def test_free_moment_context_expectation():
     mf = FreeMomentContext(fp)
     T = rand_op(MODS[1])
     S = rand_op(MODS[2])
-    word = [(("lam", 1, T),), (("rho", 2, S),)]
+    word = [(("l", 1, T),), (("r", 2, S),)]
     got = mf.expect(word)
     direct = fp.rho_apply(S, 2, fp.unit())
     direct = fp.lambda_apply(T, 1, direct)
@@ -785,8 +813,8 @@ def test_suffix_trie_matches_fresh_application(system):
 def test_a_miss_applies_only_the_uncached_front(monkeypatch):
     fp = reduced_free_product(MODS, 4)
     mf = FreeMomentContext(fp)
-    a, b, c, d = (("lam", 1, rand_op(MODS[1])), ("rho", 2, rand_op(MODS[2])),
-                  ("lam", 2, rand_op(MODS[2])), ("rho", 1, rand_op(MODS[1])))
+    a, b, c, d = (("l", 1, rand_op(MODS[1])), ("r", 2, rand_op(MODS[2])),
+                  ("l", 2, rand_op(MODS[2])), ("r", 1, rand_op(MODS[1])))
     applied = []
 
     def counting(fp_, chain, vec, trail=None):
@@ -816,13 +844,13 @@ def test_operator_atom_keeps_its_id_after_its_chain_is_dropped():
     mf = FreeMomentContext(fp)
     op = rand_op(MODS[1])
     ref = weakref.ref(op)
-    chain = (("lam", 1, op),)
+    chain = (("l", 1, op),)
     value = mf.expect([chain])
     aid = mf.intern(chain[0])
     del chain, op
     gc.collect()
     assert ref() is not None  # the atom pins its operator
-    assert mf.intern(("lam", 1, ref())) == aid
+    assert mf.intern(("l", 1, ref())) == aid
     fresh = [rand_op(MODS[1]) for _ in range(20)]
-    assert aid not in {mf.intern(("lam", 1, o)) for o in fresh}
-    assert mf.expect([(("lam", 1, ref()),)]) == value
+    assert aid not in {mf.intern(("l", 1, o)) for o in fresh}
+    assert mf.expect([(("l", 1, ref()),)]) == value

@@ -19,7 +19,6 @@ from bnc_engine.partitions import (
     interval_below,
     is_bnc,
     is_noncrossing_rgs,
-    join,
     lr_replacement,
     meet,
     mobius,
@@ -28,7 +27,7 @@ from bnc_engine.partitions import (
     refines,
 )
 from bnc_engine.partitions import _canonical_rgs, _mu_to_top, _noncrossing_partitions
-from oracles import all_partitions
+from oracles import all_partitions, join
 
 PAPER_CHI = ChiMap.parse("lrlllr")  # lefts {1,3,4,5}, rights {2,6}
 

@@ -6,10 +6,13 @@ than the tests: other package code, perfbench (the tracer names what it
 wraps in dotted-path strings) or scripts.  A definition that only tests
 reach belongs in the tests, as their reference.
 
-This is a name-based tripwire, not a proof: identifiers and strings that
-spell a dotted path count as references, docstring words do not, and
-a reference is any use of the same name.  So a common name such as
-check or to_json can hide a dead method.
+This is a name-based tripwire, not a proof.  A top-level definition is
+reached only through a bare name, an import, a string that spells a
+dotted path (docstring words do not count), or an attribute of a
+package module (freeprod.lr_decompose); x.name on any other object
+reaches only methods.  A method is reached by any use of its name, so a
+method that shares its name with a used one, such as to_json, can still
+hide when dead.
 """
 
 import ast
@@ -20,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "bnc_engine").glob("*.py"))
 OUTSIDE = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+MODULES = {path.stem for path in PACKAGE}
 
 # the lattice API: its tests check lattice laws on the package's own code
 ALLOWED = {"partitions.meet", "partitions.SetPartition.singletons"}
@@ -35,17 +39,24 @@ def _docstrings(tree) -> set:
     return found
 
 
+def _names_a_module(node) -> bool:
+    """Whether node is a package module: freeprod, or bnc_engine.freeprod."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name in MODULES
+
+
 def _references(tree):
-    """(name, line) of each identifier, imported name and dotted-path part."""
+    """(name, line, whether it can reach a top-level definition) of each
+    identifier, attribute, imported name and dotted-path part."""
     docs = _docstrings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, _names_a_module(node.value)
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, True
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
@@ -53,7 +64,7 @@ def _references(tree):
             and DOTTED.fullmatch(node.value)
         ):
             for part in node.value.split("."):
-                yield part, node.lineno
+                yield part, node.lineno, True
 
 
 def _definitions(tree):
@@ -71,18 +82,20 @@ def _definitions(tree):
 
 def test_every_package_definition_is_reached_outside_the_tests():
     trees = {path: ast.parse(path.read_text()) for path in PACKAGE + OUTSIDE}
-    used: dict = {}
+    used: dict = {}  # name -> [(path, line, reaches a top-level definition)]
     for path, tree in trees.items():
-        for name, line in _references(tree):
-            used.setdefault(name, []).append((path, line))
+        for name, line, top in _references(tree):
+            used.setdefault(name, []).append((path, line, top))
     unreached = []
     for path in PACKAGE:
         for qualname, node in _definitions(trees[path]):
             # a definition's references to itself do not count
+            is_method = "." in qualname
             outside_itself = [
                 (where, line)
-                for where, line in used.get(qualname.rpartition(".")[2], [])
-                if not (where == path and node.lineno <= line <= node.end_lineno)
+                for where, line, top in used.get(qualname.rpartition(".")[2], [])
+                if (top or is_method)
+                and not (where == path and node.lineno <= line <= node.end_lineno)
             ]
             label = f"{path.stem}.{qualname}"
             if not outside_itself and label not in ALLOWED:
