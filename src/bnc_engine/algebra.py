@@ -30,7 +30,6 @@ from .linalg import (
     ZERO,
     RowSpace,
     frac,
-    is_zero_vec,
     mat_vec,
     sparse,
     unit_vec,
@@ -205,7 +204,7 @@ class AlgebraElement:
         return algebra_mul(self, other)
 
     def is_zero(self) -> bool:
-        return is_zero_vec(self.coeffs)
+        return not any(self.coeffs)
 
     def _check(self, other: "AlgebraElement"):
         if self.parent is not other.parent:

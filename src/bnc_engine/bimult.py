@@ -35,6 +35,15 @@ plans into one flat program over their shared step prefixes, and
 run_program walks it depth first on any operands: each distinct prefix
 ending in an expectation is evaluated once, however many plans share it.
 A single partition's plan is a one-leaf program.
+
+run_program skips every subtree below a vanishing expectation: when a
+group's value vanishes in its context's algebra (MomentContext.vanishes)
+and the group has insertions below it, the walk jumps over each child's
+extent, which the program records, and every leaf in those subtrees
+takes the zero value.  This is exact: L_b and R_b are linear in b, the
+expectation is multilinear in its operands, and every collapse but the
+last inserts its value into an operand that survives it, so a zero
+insertion reaches the final moment of every leaf below it.
 """
 
 from __future__ import annotations
@@ -73,6 +82,11 @@ class MomentContext:
     def append_left(self, elem, value):
         """elem . L_value"""
         raise NotImplementedError
+
+    def vanishes(self, value) -> bool:
+        """Whether value is zero, so that every moment reached by
+        inserting it is zero too; a context that cannot tell says no."""
+        return False
 
 
 def crosses(positions: tuple[int, ...], top: bool, j: int) -> bool:
@@ -239,10 +253,12 @@ def compile_plans(plans) -> array:
 
         node  := g  group*g
         group := k p1..pk  m leaf*m  c child*c    (one expectation)
-        child := kind target node                 (one insertion)
+        child := kind target size node            (one insertion)
 
-    Plans that agree up to a step share the operands it sees, so the
-    steps after a common prefix start from one node.
+    size is the length of the child's encoded node, so a walk can step
+    over it.  Plans that agree up to a step share the operands it sees,
+    so the steps after a common prefix start from one node.  The
+    typecode is the narrowest that holds the largest entry.
     """
     plans = list(plans)
     root: dict = {}
@@ -254,7 +270,7 @@ def compile_plans(plans) -> array:
                 leaves.append(leaf)
             else:
                 node = children.setdefault(insertion, {})
-    prog = array("H" if len(plans) <= 1 << 16 else "I")
+    prog: list[int] = []
 
     def emit(node):
         prog.append(len(node))
@@ -266,20 +282,29 @@ def compile_plans(plans) -> array:
             prog.append(len(children))
             for insertion, child in children.items():
                 prog.extend(insertion)
+                prog.append(0)
+                at = len(prog)
                 emit(child)
+                prog[at - 1] = len(prog) - at
 
     emit(root)
-    return prog
+    return array("H" if max(prog) < 1 << 16 else "I", prog)
 
 
 def run_program(prog, ops: list, ctx: MomentContext, out: list) -> None:
     """Evaluate a compiled program depth first: out[leaf] receives the
-    moment of each leaf's plan.  ops[p] is the operand at position p
-    (ops[0] is unused); an insertion is undone once its subtree is done,
-    so every child starts from its parent's operands."""
+    moment of each leaf's plan, and holds None at every leaf on entry.
+    ops[p] is the operand at position p (ops[0] is unused); an insertion
+    is undone once its subtree is done, so every child starts from its
+    parent's operands.  The children of a group whose value vanishes are
+    stepped over, and their leaves, the ones still None when the walk
+    ends, take the last vanishing value: all are the one zero of B."""
     expect = ctx.expect
+    vanishes = ctx.vanishes
+    zero = None
 
     def node(i):
+        nonlocal zero
         groups = prog[i]
         i += 1
         for _ in range(groups):
@@ -290,12 +315,22 @@ def run_program(prog, ops: list, ctx: MomentContext, out: list) -> None:
             for leaf in prog[i + 1 : i + 1 + m]:
                 out[leaf] = value
             i += 2 + m
-            for _ in range(prog[i - 1]):
+            c = prog[i - 1]
+            if c and vanishes(value):
+                zero = value
+                for _ in range(c):
+                    i += 3 + prog[i + 2]
+                continue
+            for _ in range(c):
                 t = prog[i + 1]
                 old = ops[t]
                 ops[t] = insert(ctx, prog[i], value, old)
-                i = node(i + 2)
+                i = node(i + 3)
                 ops[t] = old
         return i
 
     node(0)
+    if zero is not None:
+        for leaf, value in enumerate(out):
+            if value is None:
+                out[leaf] = zero

@@ -2,7 +2,7 @@
 
 Subcommands: enumerate {bnc,lr,lrlat,bncffb}, mobius, moments,
 cumulants, verify {bb-axioms,bifree,ffb-system,ffb-independence,
-lr-decompose}, render.  Identical invocations produce identical bytes;
+ffb-sweep,lr-decompose}, render.  Identical invocations produce identical bytes;
 BNC_ENGINE_CAP overrides the enumeration caps.
 
 Exit codes: 0 success, 2 argument or parse error, 3 cap exceeded,
@@ -49,6 +49,7 @@ from .ffb import (
     check_ffb_independence,
     check_ffb_system,
     check_single_colour_moments,
+    ffb_sweep,
     verify_system_gives_ffb,
 )
 from .fixtures import load_space, load_system, sample_side_element, scalar_module
@@ -240,6 +241,7 @@ VERIFY_FIXTURE = {
     "bb-axioms": "m2-scalar",
     "ffb-system": "doubled-m2",
     "ffb-independence": "doubled-m2",
+    "ffb-sweep": "doubled-dual",
 }
 
 
@@ -253,12 +255,19 @@ def cmd_verify(args) -> int:
         rep = check_bb_axioms(_parsed(args, "fixture", load_space))
         _emit(rep.to_json(), args.format)
         return 0 if rep.ok else FixtureError.code
-    _at_least(args, "word-cap", 1)
-    depth = args.depth if args.depth is not None else 2 * args.word_cap
+    # ffb-sweep's words run to --max-n letters, the systems' to --word-cap
+    cap = "max-n" if what == "ffb-sweep" else "word-cap"
+    _at_least(args, cap, 1)
+    size = args.max_n if what == "ffb-sweep" else args.word_cap
+    depth = args.depth if args.depth is not None else 2 * size
     if depth < 1:
-        raise InputError("--depth (default 2 * --word-cap) must be at least 1")
+        raise InputError(f"--depth (default 2 * --{cap}) must be at least 1")
     system = _parsed(args, "fixture", load_system, depth)
-    if what == "ffb-system":
+    if what == "ffb-sweep":
+        words, bad = ffb_sweep(system, args.max_n)
+        rep = CheckReport()
+        rep.record(f"ffb-sweep ({words} words passed)", bad is None, witness=bad)
+    elif what == "ffb-system":
         rep = check_ffb_system(system, args.word_cap)
         rep.claims.extend(check_single_colour_moments(system, args.word_cap).claims)
     else:
@@ -391,13 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument(
         "what",
-        choices=["bb-axioms", "bifree", "ffb-system", "ffb-independence", "lr-decompose"],
+        choices=["bb-axioms", "bifree", "ffb-system", "ffb-independence", "ffb-sweep",
+                 "lr-decompose"],
     )
     pv.add_argument("--fixture", default=None,
-                    help="default: m2-scalar for bb-axioms, doubled-m2 for the systems")
+                    help="default: m2-scalar for bb-axioms, doubled-m2 for the systems, "
+                    "doubled-dual for ffb-sweep")
     pv.add_argument("--word-cap", type=int, default=4)
     pv.add_argument("--depth", type=int, default=None,
-                    help="free-product truncation depth (default 2*word-cap)")
+                    help="free-product truncation depth "
+                    "(default 2*word-cap, for ffb-sweep 2*max-n)")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--trials", type=int, default=10)
     pv.add_argument("--max-n", type=int, default=4)

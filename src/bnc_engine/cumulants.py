@@ -69,6 +69,9 @@ class AlgebraMomentContext(MomentContext):
     def append_left(self, elem, value):
         return self.space.times_left(elem, value)
 
+    def vanishes(self, value) -> bool:
+        return value.is_zero()
+
     def verify_side(self, elem, side: str) -> bool:
         return self.space.commutant_failure(elem, side) is None
 

@@ -8,7 +8,9 @@ words telescope so that the annihilation and vanishing-moment axioms
 hold on the nose.  The checkers verify those axioms, the word-by-word
 preservation of single-colour moments, the projection calculus behind
 the independence proof, and the independence comparison itself, all in
-exact arithmetic with witnesses on failure.
+exact arithmetic with witnesses on failure.  ffb_sweep runs the FFB word
+audit (cumulants.audit_ffb_word) over every word up to a length, the
+criteria 9/10 sweep behind `verify ffb-sweep`.
 
 Each handle's chain is a word of λ/ρ atoms (side, colour, operator), the
 word format lr_decompose also takes, so the proof pipeline decomposes
@@ -29,7 +31,7 @@ from itertools import product as iproduct
 from typing import Optional
 
 from .algebra import AlgebraElement, BBProbSpace, CheckReport
-from .cumulants import kappa_pi
+from .cumulants import audit_ffb_word, kappa_pi
 from .diagrams import chi_extensions, enumerate_lr, filter_boolean, lateral_closure
 from .freeprod import (
     BimoduleWithProjection,
@@ -272,6 +274,33 @@ def _word_sweep(sys: FfbSystem, word_cap: int, colours):
                 pools = [faces[s][k] for s, k in zip(shape, eps)]
                 if all(pools):
                     yield shape, eps, pools
+
+
+def ffb_sweep(sys: FfbSystem, max_n: int) -> tuple[int, Optional[dict]]:
+    """The FFB word audit over every word of 1..max_n letters, all read
+    from one FreeMomentContext.
+
+    Words run in _word_sweep's order, each letter the first handle of its
+    pool and a boolean letter its left and right factors.  Returns the
+    number of words that passed, and None, or as the witness the first
+    failing word's shape and colours with its failed claims, at which
+    the sweep stops.
+    """
+    mf = FreeMomentContext(sys.fp)
+    words = 0
+    for shape, eps_hat, pools in _word_sweep(sys, max_n, sys.colours()):
+        fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
+        eps = fctx.expand_colours(EpsilonMap(eps_hat))
+        Z = [(atom,) for pool in pools for atom in pool[0].chain]
+        rep = audit_ffb_word(fctx, eps, Z, mf)
+        if not rep.ok:
+            return words, {
+                "shape": "".join(shape),
+                "colours": list(eps_hat),
+                "claims": [c for c in rep.claims if c["status"] == "fail"],
+            }
+        words += 1
+    return words, None
 
 
 def check_single_colour_moments(sys: FfbSystem, word_cap: int) -> CheckReport:

@@ -756,6 +756,9 @@ class FreeMomentContext(MomentContext):
     def append_left(self, elem, value):
         return tuple(elem) + (self._b_atom("lb", value),)
 
+    def vanishes(self, value) -> bool:
+        return value.is_zero()
+
 
 def e_d_vector(diagram: LRDiagram, word: list[Atom], mf: FreeMomentContext) -> FpVec:
     """Vector contribution of one diagram to an operator word, read from

@@ -62,10 +62,6 @@ def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vec:
     return [c * a for a in v]
 
 
-def is_zero_vec(v: Sequence[Scalar]) -> bool:
-    return all(a == 0 for a in v)
-
-
 def mat_zero(rows: int, cols: int) -> Mat:
     return [[ZERO] * cols for _ in range(rows)]
 

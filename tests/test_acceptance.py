@@ -12,7 +12,6 @@ from itertools import product as iproduct
 import pytest
 
 from bnc_engine.algebra import algebra_scalars
-from bnc_engine.cumulants import audit_ffb_word
 from bnc_engine.diagrams import (
     chi_extensions,
     enumerate_lr,
@@ -26,12 +25,12 @@ from bnc_engine.ffb import (
     check_ffb_system,
     check_single_colour_moments,
     embed_ffb_family,
+    ffb_sweep,
     verify_system_gives_ffb,
 )
 from bnc_engine.fixtures import family_dual, family_m2
 from bnc_engine.freeprod import (
     BimoduleWithProjection,
-    FreeMomentContext,
     lr_decompose,
     module_operator,
     reduced_free_product,
@@ -344,37 +343,12 @@ def test_criterion_8_system_construction():
     )
 
 
-def _sweep(system, nmax):
-    mf = FreeMomentContext(system.fp)
-    colours = system.colours()
-    words = 0
-    for n in range(1, nmax + 1):
-        for shape in iproduct("lrb", repeat=n):
-            fctx = lr_replacement(ChiMap(tuple(shape), three_letter="b" in shape))
-            for eps_hat in iproduct(colours, repeat=n):
-                eps = fctx.expand_colours(EpsilonMap(tuple(eps_hat)))
-                Z = []
-                for s, k in zip(shape, eps_hat):
-                    if s == "l":
-                        Z.append(system.faces_l[k][0].chain)
-                    elif s == "r":
-                        Z.append(system.faces_r[k][0].chain)
-                    else:
-                        Z.append(system.cprime[k][0].chain)
-                        Z.append(system.dprime[k][0].chain)
-                rep = audit_ffb_word(fctx, eps, Z, mf)
-                if not rep.ok:
-                    return words, rep
-                words += 1
-    return words, None
-
-
 @pytest.fixture(scope="module")
 def ffb_sweeps():
     t0 = time.time()
     sys_dual = embed_ffb_family(family_dual(), depth=8)
-    words_dual, bad_dual = _sweep(sys_dual, 4)
-    words_m2, bad_m2 = _sweep(SYS_M2, 3)
+    words_dual, bad_dual = ffb_sweep(sys_dual, 4)
+    words_m2, bad_m2 = ffb_sweep(SYS_M2, 3)
     return {
         "elapsed": time.time() - t0,
         "words": words_dual + words_m2,

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from bnc_engine.errors import (
     FixtureError,
     InputError,
 )
+from bnc_engine.fixtures import load_system
 from bnc_engine.freeprod import DepthExceeded
 from bnc_engine.partitions import AlphabetError, NotBNC, SizeMismatch
 
@@ -247,6 +249,40 @@ def test_verify_depth_flag(capsys):
     assert code == 0
 
 
+def test_ffb_sweep_witness_is_the_first_failing_word(monkeypatch, capsys):
+    # a system whose right faces act through the other colour's operator
+    def recoloured(name, depth):
+        system = load_system(name, depth)
+        faces_r = {
+            k: [replace(h, chain=system.faces_r[3 - k][0].chain) for h in hs]
+            for k, hs in system.faces_r.items()
+        }
+        return replace(system, faces_r=faces_r)
+
+    monkeypatch.setattr("bnc_engine.cli.load_system", recoloured)
+    code, out, err = run(
+        capsys, "verify", "ffb-sweep", "--fixture", "doubled-m2", "--max-n", "2"
+    )
+    assert (code, err) == (5, "")
+    assert json.loads(out)["claims"] == [
+        {
+            "id": "ffb-sweep (11 words passed)",
+            "status": "fail",
+            "witness": {
+                "shape": "lr",
+                "colours": [1, 2],
+                "claims": [
+                    {
+                        "id": "mixed-ffb-cumulant-vanishes",
+                        "status": "fail",
+                        "witness": "1*1",
+                    }
+                ],
+            },
+        }
+    ]
+
+
 def _diagram(eps, strings, spine_order, chi="lr"):
     strings = [{"nodes": nodes, "top": top} for nodes, top in strings]
     return {"chi": chi, "eps": eps, "strings": strings, "spine_order": spine_order}
@@ -275,6 +311,8 @@ BAD_DIAGRAMS = [
         ("verify ffb-system --word-cap 0", "--word-cap"),
         ("verify bifree --word-cap 1", "--word-cap"),
         ("verify lr-decompose --max-n 0", "--max-n"),
+        ("verify ffb-sweep --max-n 0", "--max-n"),
+        ("verify ffb-sweep --max-n 2 --depth 0", "--depth"),
         ("verify bifree --trials -1", "--trials"),
         ("verify lr-decompose --trials 0", "--trials"),
         ("verify ffb-independence --word-cap 2 --depth 1", "--depth"),
@@ -408,6 +446,8 @@ README_OUTPUTS = [
      "ed1c3945d60c24f7f402842624cef1bc0b19bb67149b36c21e6cdf8b6c3f9ef8", 0),
     ("verify ffb-system --fixture doubled-diag2 --word-cap 3",
      "1253cbec5a57acd5d44ee04e648a55db1966e4612e9036982b04ca5e88e506bc", 0),
+    ("verify ffb-sweep --fixture doubled-dual --max-n 3",
+     "e3d256ba3e39d0ee04198222beb820ad9ca5073e07dc69b3e4c080fe78fa8afd", 0),
     ("verify lr-decompose --seed 5 --trials 10 --max-n 4",
      "ce0899189e80f0ab57c0b5888c79ab31673c7478463fd3fee0c8f2808afa3ca5", 0),
     ('render --kind bnc --chi lrlllr --pi "{1,2,5,6},{3,4}" --standalone',

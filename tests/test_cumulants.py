@@ -5,7 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from bnc_engine import bimult, cumulants
+from bnc_engine import bimult, cumulants, ffb
 from bnc_engine.bimult import (
     APPEND_LEFT,
     PREPEND_LEFT,
@@ -15,6 +15,7 @@ from bnc_engine.bimult import (
     compile_plans,
     plan_partitions,
     reduce_blocks,
+    run_program,
 )
 from bnc_engine.cumulants import (
     AlgebraMomentContext,
@@ -31,6 +32,7 @@ from bnc_engine.cumulants import (
     moment_table,
 )
 from bnc_engine.fixtures import (
+    load_system,
     sample_side_element,
     scalar_module,
     space_diag2,
@@ -368,6 +370,109 @@ def test_moment_table_evaluates_each_plan_prefix_once():
         blocks += sum(pi.num_blocks for pi in enumerate_bnc(ctx))
     assert blocks == 219_648
     assert mf.expects == 110_288
+
+
+def _child_extents(prog, i=0) -> int:
+    """Read the node at i by the program grammar alone, asserting that
+    each child's recorded size is the length of its encoded node; the
+    index just past the node."""
+    groups = prog[i]
+    i += 1
+    for _ in range(groups):
+        i += 1 + prog[i]  # the block's k positions
+        i += 1 + prog[i]  # its m leaves
+        children = prog[i]
+        i += 1
+        for _ in range(children):
+            start = i + 3  # past kind, target and size
+            end = _child_extents(prog, start)
+            assert prog[i + 2] == end - start
+            i = end
+    return i
+
+
+def test_program_records_each_child_extent():
+    # every chi with n <= 6
+    for n in range(1, 7):
+        for sides in iproduct("lr", repeat=n):
+            ctx = build_context(ChiMap(sides))
+            prog = plan_partitions(bnc_lattice(ctx)[2], dict(enumerate(sides, start=1)))
+            assert _child_extents(prog) == len(prog), sides
+            assert prog.typecode == "H"
+
+
+def test_wide_program_builds_and_walks():
+    # the typecode is read off the largest entry, not the leaf count: at
+    # n = 9 every entry fits "H", and at n = 10 the root's child extents
+    # outgrow it, though the 16,796 leaves would fit
+    for sides, typecode, size in (
+        ("lrrlrlrrl", "H", 77_877),
+        ("lrrlrlrrll", "I", 272_206),
+    ):
+        ctx = build_context(ChiMap(tuple(sides)))
+        pulled = bnc_lattice(ctx)[2]
+        prog = plan_partitions(pulled, dict(enumerate(sides, start=1)))
+        assert (prog.typecode, len(prog)) == (typecode, size)
+        assert (max(prog) >= 1 << 16) == (typecode == "I")
+        out = [None] * len(pulled)
+        run_program(prog, list(range(len(sides) + 1)), CountingContext(), out)
+        assert out == [0] * len(pulled)
+
+
+class CountingFreeContext(FreeMomentContext):
+    """Counts expectations; prune=False makes no value vanish."""
+
+    def __init__(self, fp, prune=True):
+        super().__init__(fp)
+        self.prune = prune
+        self.expects = 0
+
+    def expect(self, elems):
+        self.expects += 1
+        return super().expect(elems)
+
+    def vanishes(self, value):
+        return self.prune and super().vanishes(value)
+
+
+@pytest.mark.parametrize("fixture, max_n", [("doubled-dual", 3), ("doubled-m2", 2)])
+def test_pruned_walk_matches_direct_reduction(fixture, max_n):
+    # the operands of every FFB audit word of 1..max_n letters, where most
+    # moments vanish, so the walk prunes most subtrees; reduce_blocks on
+    # each member never prunes
+    system = load_system(fixture, 2 * max_n)
+    mf = FreeMomentContext(system.fp)
+    direct = FreeMomentContext(system.fp)
+    checked = zeros = 0
+    for shape, _, pools in ffb._word_sweep(system, max_n, system.colours()):
+        fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
+        Z = [(atom,) for pool in pools for atom in pool[0].chain]
+        ctx = build_context(fctx.chi)
+        side = dict(enumerate(fctx.chi.sides, start=1))
+        table = moment_table(ctx, Z, mf)
+        for pi in enumerate_bnc(ctx):
+            ops = dict(enumerate(Z, start=1))
+            kind, value = reduce_blocks(blocks_from_partition(pi), ops, side, direct)
+            assert kind == "scalar"
+            assert table[pi.rgs] == value, (fctx.chi_hat, pi.rgs)
+            checked += 1
+            zeros += value.is_zero()
+    assert zeros > checked // 2
+
+
+def test_pruning_skips_expectations():
+    # one doubled-dual word of three boolean letters: expectations of one
+    # pruned walk against the same walk with nothing vanishing
+    system = load_system("doubled-dual", 6)
+    fctx = lr_replacement(ChiMap(tuple("bbb"), three_letter=True))
+    Z = [(atom,) for h in (1, 2, 1) for atom in system.bool_handles[h][0].chain]
+    ctx = build_context(fctx.chi)
+    counts = []
+    for prune in (True, False):
+        mf = CountingFreeContext(system.fp, prune)
+        moment_table(ctx, Z, mf)
+        counts.append(mf.expects)
+    assert counts == [27, 264]
 
 
 def test_diag2_moment_tables():
