@@ -11,9 +11,10 @@ pairs.  A StructuredAlgebra's table is its structure constants.  A
 BBProbSpace builds four more on first use, at most dim(A)²·dim(B)
 entries each: the form (y, x) ↦ E(y·x), so that a word's expectation
 multiplies out every element but the last and closes with the form, and
-per B basis element b_i the maps x ↦ L_bi·x, x ↦ R_bi·x and x ↦ x·L_bi,
-so that inserting a B value b into x is Σ b_i·map_i(x), with no
-embedded element and no full product.
+per B basis element b_i the three insertion maps, one per collapse kind
+of bimult: x ↦ x·L_bi, x ↦ L_bi·x and x ↦ R_bi·x.  So insert(kind, b,
+x), a B value b inserted into x, is Σ b_i·map_i(x) over that kind's
+maps, with no embedded element and no full product.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
+from .bimult import APPEND_LEFT, PREPEND_LEFT, PREPEND_RIGHT
 from .errors import InputError
 from .linalg import (
     ONE,
@@ -244,8 +246,8 @@ class BBProbSpace:
     dim(A) x dim(B) matrices whose columns are images of B basis
     elements (L_b and R_b).  Their shapes are checked once here, so the
     maps build their exact images directly.  The kernels that
-    expect_word and the insertions read are built on first use and kept
-    for the life of the space.
+    expect_word and insert read are built on first use and kept for the
+    life of the space.
     """
 
     A: StructuredAlgebra
@@ -289,49 +291,38 @@ class BBProbSpace:
             [[mat_vec(self.expectation, eij) for eij in mi] for mi in A.mult]
         )
 
-    def _insertion_table(self, embed, after: bool) -> tuple:
-        """Per B basis element b_i, with M_i its image under embed, the
-        map x ↦ M_i·x (x·M_i when after): entry [i][j] holds the nonzero
-        coefficients of the image of e_j."""
+    @cached_property
+    def _insertions(self) -> tuple:
+        """The insertion kernels indexed by collapse kind.  The kernel of
+        a kind holds, per B basis element b_i with M_i its image L_bi or
+        R_bi, the map x ↦ x·M_i (APPEND_LEFT) or M_i·x (the prepends):
+        entry [i][j] holds the nonzero coefficients of the image of e_j."""
         A = self.A
         basis = [unit_vec(A.dim, j) for j in range(A.dim)]
-        return _sparse_table(
-            [
-                [A.mul_coeffs(e, m) if after else A.mul_coeffs(m, e) for e in basis]
-                for m in zip(*embed)
-            ]
+        maps = {
+            APPEND_LEFT: (self.left_embed, True),
+            PREPEND_LEFT: (self.left_embed, False),
+            PREPEND_RIGHT: (self.right_embed, False),
+        }
+        return tuple(
+            _sparse_table(
+                [
+                    [A.mul_coeffs(e, m) if after else A.mul_coeffs(m, e) for e in basis]
+                    for m in zip(*embed)
+                ]
+            )
+            for embed, after in map(maps.get, sorted(maps))
         )
 
-    @cached_property
-    def _left_before(self) -> tuple:
-        return self._insertion_table(self.left_embed, after=False)
-
-    @cached_property
-    def _right_before(self) -> tuple:
-        return self._insertion_table(self.right_embed, after=False)
-
-    @cached_property
-    def _left_after(self) -> tuple:
-        return self._insertion_table(self.left_embed, after=True)
-
-    def _insert(self, table, b: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
+    def insert(self, kind: int, b: AlgebraElement, x: AlgebraElement):
+        """x after taking the B value b by the collapse kind: x·L_b, L_b·x
+        or R_b·x, read off that kind's insertion kernel."""
         if b.parent is not self.B or x.parent is not self.A:
             raise MismatchedAlgebra("expected an element of B and one of A")
+        table = self._insertions[kind]
         return AlgebraElement(
             self.A, tuple(bilinear(table, b.coeffs, x.coeffs, self.A.dim))
         )
-
-    def left_times(self, b: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
-        """L_b·x, read off the insertion kernel."""
-        return self._insert(self._left_before, b, x)
-
-    def right_times(self, b: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
-        """R_b·x, read off the insertion kernel."""
-        return self._insert(self._right_before, b, x)
-
-    def times_left(self, x: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        """x·L_b, read off the insertion kernel."""
-        return self._insert(self._left_after, b, x)
 
     def commutant_failure(self, x: AlgebraElement, side: str) -> Optional[int]:
         """The first B basis index i where x fails the side's commutant

@@ -19,8 +19,10 @@ above on the same side first, then top-gap spines in their left-right
 order, then ribs just above on the far side).
 
 Evaluation contexts supply the algebra: ordered-word expectation and
-the three insertion operations.  The engine never multiplies elements
-itself.
+one insertion, MomentContext.insert(kind, value, elem), whose kind is
+the collapse kind collapse_step returns: APPEND_LEFT for elem·L_value,
+PREPEND_LEFT for L_value·elem and PREPEND_RIGHT for R_value·elem.  The
+engine never multiplies elements itself.
 
 The collapse order, each insertion's kind and its target depend only on
 the blocks and the side colouring, never on the operands.  collapse_step
@@ -71,22 +73,21 @@ class MomentContext:
         """Expectation of the ordered product; B element."""
         raise NotImplementedError
 
-    def prepend_left(self, value, elem):
-        """L_value . elem"""
-        raise NotImplementedError
-
-    def prepend_right(self, value, elem):
-        """R_value . elem"""
-        raise NotImplementedError
-
-    def append_left(self, elem, value):
-        """elem . L_value"""
+    def insert(self, kind: int, value, elem):
+        """The operand elem after taking value by kind: elem·L_value for
+        APPEND_LEFT, L_value·elem for PREPEND_LEFT, R_value·elem for
+        PREPEND_RIGHT."""
         raise NotImplementedError
 
     def vanishes(self, value) -> bool:
         """Whether value is zero, so that every moment reached by
         inserting it is zero too; a context that cannot tell says no."""
         return False
+
+    def verify_side(self, elem, side: str) -> bool:
+        """Whether elem lies in the commutant of its side ('l' or 'r'); a
+        context that cannot tell says yes."""
+        return True
 
 
 def crosses(positions: tuple[int, ...], top: bool, j: int) -> bool:
@@ -169,15 +170,6 @@ def collapse_step(
     return (PREPEND_LEFT if side[j] == "l" else PREPEND_RIGHT), found[1]
 
 
-def insert(ctx: MomentContext, kind: int, value, elem):
-    """The operand elem after taking value by kind."""
-    if kind == APPEND_LEFT:
-        return ctx.append_left(elem, value)
-    if kind == PREPEND_LEFT:
-        return ctx.prepend_left(value, elem)
-    return ctx.prepend_right(value, elem)
-
-
 def reduce_blocks(
     blocks: list[ReduceBlock],
     ops: dict[int, object],
@@ -204,7 +196,7 @@ def reduce_blocks(
         if step is None:
             return ("scalar", value)
         kind, target = step
-        ops[target] = insert(ctx, kind, value, ops[target])
+        ops[target] = ctx.insert(kind, value, ops[target])
 
 
 def _plan(blocks: list[ReduceBlock], side: dict[int, str], memo: dict) -> list:
@@ -300,6 +292,7 @@ def run_program(prog, ops: list, ctx: MomentContext, out: list) -> None:
     stepped over, and their leaves, the ones still None when the walk
     ends, take the last vanishing value: all are the one zero of B."""
     expect = ctx.expect
+    insert = ctx.insert
     vanishes = ctx.vanishes
     zero = None
 
@@ -324,7 +317,7 @@ def run_program(prog, ops: list, ctx: MomentContext, out: list) -> None:
             for _ in range(c):
                 t = prog[i + 1]
                 old = ops[t]
-                ops[t] = insert(ctx, prog[i], value, old)
+                ops[t] = insert(prog[i], value, old)
                 i = node(i + 3)
                 ops[t] = old
         return i

@@ -108,21 +108,21 @@ def family_m2(colours=(1, 2), rich: bool = False) -> FfbFamily:
     return FfbFamily(sp, faces)
 
 
-def family_dual(colours=(1, 2)) -> FfbFamily:
+def family_dual() -> FfbFamily:
     sp = space_dual()
     u = sp.A.element((ONE, ONE))  # 1 + x
-    faces = {k: {"l": [u], "r": [u], "b": [u]} for k in colours}
+    faces = {k: {"l": [u], "r": [u], "b": [u]} for k in (1, 2)}
     return FfbFamily(sp, faces)
 
 
-def family_diag2(colours=(1, 2)) -> FfbFamily:
+def family_diag2() -> FfbFamily:
     """Diagonal faces over B = D2: l = e11 + 2 e22, r = 3 e11 + e22,
     b = e11 and e22."""
     sp = space_diag2()
     e11, e22 = sp.A.basis_element(0), sp.A.basis_element(3)
     faces = {
         k: {"l": [e11 + e22.scale(2)], "r": [e11.scale(3) + e22], "b": [e11, e22]}
-        for k in colours
+        for k in (1, 2)
     }
     return FfbFamily(sp, faces)
 
@@ -146,11 +146,6 @@ SPACES = {
     "diag2-bad": space_diag2_bad_expectation,  # negative-control fixture
     "m2-scalar": space_m2_scalar,
     "dual": space_dual,
-}
-
-FAMILIES = {
-    "m2-scalar": family_m2,
-    "dual": family_dual,
 }
 
 SYSTEMS = {

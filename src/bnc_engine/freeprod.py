@@ -52,7 +52,11 @@ context and lr_decompose.
 Moments.  FreeMomentContext is the free product's one moment context:
 the checkers read every chain's vector and expectation from one, and
 lr_decompose builds one per word, shared by the rule vectors of all its
-diagrams (e_d_vector), whose operands are the word's own atoms.
+diagrams (e_d_vector), whose operands are the word's own atoms.  Its
+insert(kind, value, elem) adds one B-action atom for the value to the
+chain elem: ('rb', b) in front for PREPEND_RIGHT, ('lb', b) in front
+for PREPEND_LEFT, and ('lb', b) at the end, acting first, for
+APPEND_LEFT.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .algebra import (
     SideMismatch,
     StructuredAlgebra,
 )
-from .bimult import MomentContext, ReduceBlock, reduce_blocks
+from .bimult import APPEND_LEFT, PREPEND_RIGHT, MomentContext, ReduceBlock, reduce_blocks
 from .diagrams import LRDiagram, make_diagram
 from .errors import InputError
 from .linalg import (
@@ -183,7 +187,7 @@ def module_operator(mod, matrix, side=None) -> ModuleOperator:
     """matrix on mod; with a side, refused outside that side's commutant."""
     op = ModuleOperator(mod, tuple(tuple(map(frac, r)) for r in matrix))
     if side is not None and not op.commutes_with_side(side):
-        raise ValueError(f"operator does not satisfy the side-{side} commutant")
+        raise SideMismatch(f"operator does not satisfy the side-{side} commutant")
     return op
 
 
@@ -747,14 +751,9 @@ class FreeMomentContext(MomentContext):
             node = child
         return node
 
-    def prepend_left(self, value, elem):
-        return (self._b_atom("lb", value),) + tuple(elem)
-
-    def prepend_right(self, value, elem):
-        return (self._b_atom("rb", value),) + tuple(elem)
-
-    def append_left(self, elem, value):
-        return tuple(elem) + (self._b_atom("lb", value),)
+    def insert(self, kind, value, elem):
+        b = self._b_atom("rb" if kind == PREPEND_RIGHT else "lb", value)
+        return (*elem, b) if kind == APPEND_LEFT else (b, *elem)
 
     def vanishes(self, value) -> bool:
         return value.is_zero()

@@ -27,13 +27,13 @@ def _spine_depth(members: tuple[int, ...], others) -> int:
     return sum(1 for nodes, top in others if nodes != members and crosses(nodes, top, j))
 
 
-def _spine_x(members: tuple[int, ...], side: str, depth: int) -> float:
+def _spine_x(side: str, depth: int) -> float:
     if side == "l":
         return round(0.35 + 0.22 * depth, 3)
     return round(WIDTH - 0.35 - 0.22 * depth, 3)
 
 
-def tikz_preamble(lines: list[str], n: int, top: float):
+def tikz_preamble(lines: list[str], top: float):
     lines.append("\\begin{tikzpicture}[baseline]")
     lines.append(
         f"\\draw[thick, dashed] (0,{top}) -- (0,0) -- ({WIDTH}, 0) -- ({WIDTH},{top});"
@@ -45,7 +45,7 @@ def tikz_bnc(chi: ChiMap, pi: SetPartition) -> str:
     n = chi.n
     top = (n + 1) * STEP
     lines: list[str] = []
-    tikz_preamble(lines, n, top)
+    tikz_preamble(lines, top)
     for i in range(1, n + 1):
         x = 0 if chi.side(i) == "l" else WIDTH
         anchor = "left" if chi.side(i) == "l" else "right"
@@ -57,7 +57,7 @@ def tikz_bnc(chi: ChiMap, pi: SetPartition) -> str:
         if len(blk) < 2:
             continue
         depth = _spine_depth(blk, strings)
-        sx = _spine_x(blk, chi.side(min(blk)), depth)
+        sx = _spine_x(chi.side(min(blk)), depth)
         y_top, y_bot = _node_y(min(blk), n), _node_y(max(blk), n)
         lines.append(f"\\draw[thick] ({sx}, {y_top}) -- ({sx}, {y_bot});")
         for i in blk:
@@ -73,7 +73,7 @@ def tikz_lr(diagram: LRDiagram) -> str:
     n = diagram.n
     top = (n + 1) * STEP
     lines: list[str] = []
-    tikz_preamble(lines, n, top)
+    tikz_preamble(lines, top)
     colour_of = {}
     for i in range(1, n + 1):
         shade = diagram.eps.colour(i)
@@ -98,7 +98,7 @@ def tikz_lr(diagram: LRDiagram) -> str:
             if len(nodes) < 2:
                 continue
             depth = _spine_depth(nodes, diagram.strings)
-            sx = _spine_x(nodes, diagram.chi.side(min(nodes)), depth)
+            sx = _spine_x(diagram.chi.side(min(nodes)), depth)
             y_top, y_bot = _node_y(min(nodes), n), _node_y(max(nodes), n)
             lines.append(f"\\draw[{col}, thick] ({sx}, {y_top}) -- ({sx}, {y_bot});")
         for i in nodes:

@@ -4,7 +4,7 @@ Each one is plain and slow on purpose: the engine's own routes are
 checked against it, so none of it lives in the package.
 """
 
-from bnc_engine.bimult import ReductionError, collapse_step, insert
+from bnc_engine.bimult import ReductionError, collapse_step
 from bnc_engine.partitions import (
     SetPartition,
     SizeMismatch,
@@ -72,4 +72,4 @@ def reduce_in_random_order(blocks, ops: dict, side: dict, ctx, rng):
         if step is None:
             return value
         kind, target = step
-        ops[target] = insert(ctx, kind, value, ops[target])
+        ops[target] = ctx.insert(kind, value, ops[target])

@@ -16,6 +16,7 @@ from bnc_engine.algebra import (
     check_bb_axioms,
     product,
 )
+from bnc_engine.bimult import APPEND_LEFT, PREPEND_LEFT, PREPEND_RIGHT
 from bnc_engine.cumulants import AlgebraMomentContext
 from bnc_engine.linalg import frac, unit_vec
 from bnc_engine.fixtures import (
@@ -241,9 +242,12 @@ def test_moment_kernels_match_their_definitions(make):
         x = _dense(sp.A, rng)
         bs = [_dense(sp.B, rng)] + [sp.B.basis_element(i) for i in range(sp.B.dim)]
         for b in bs:
-            assert mf.prepend_left(b, x).coeffs == (sp.embed_left(b) * x).coeffs
-            assert mf.prepend_right(b, x).coeffs == (sp.embed_right(b) * x).coeffs
-            assert mf.append_left(x, b).coeffs == (x * sp.embed_left(b)).coeffs
+            for kind, want in (
+                (PREPEND_LEFT, sp.embed_left(b) * x),
+                (PREPEND_RIGHT, sp.embed_right(b) * x),
+                (APPEND_LEFT, x * sp.embed_left(b)),
+            ):
+                assert mf.insert(kind, b, x).coeffs == want.coeffs
         for length in (1, 2, 3, 4):
             word = [x] + [_dense(sp.A, rng) for _ in range(length - 1)]
             got, want = mf.expect(word), sp.expect(product(word))
@@ -269,8 +273,8 @@ def test_kernels_refuse_elements_of_the_wrong_algebra():
     sp = space_diag2()
     x, b = sp.A.one(), sp.B.one()
     with pytest.raises(MismatchedAlgebra):
-        sp.left_times(x, x)
+        sp.insert(PREPEND_LEFT, x, x)
     with pytest.raises(MismatchedAlgebra):
-        sp.times_left(b, b)
+        sp.insert(APPEND_LEFT, b, b)
     with pytest.raises(MismatchedAlgebra):
         sp.expect_word([x, b])

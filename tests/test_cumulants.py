@@ -9,7 +9,6 @@ from bnc_engine import bimult, cumulants, ffb
 from bnc_engine.bimult import (
     APPEND_LEFT,
     PREPEND_LEFT,
-    PREPEND_RIGHT,
     MomentContext,
     ReduceBlock,
     compile_plans,
@@ -149,14 +148,10 @@ class SymbolicContext(MomentContext):
     def expect(self, elems):
         return ("E",) + tuple(elems)
 
-    def prepend_left(self, value, elem):
-        return ("L", value, elem)
-
-    def prepend_right(self, value, elem):
-        return ("R", value, elem)
-
-    def append_left(self, elem, value):
-        return (elem, "L", value)
+    def insert(self, kind, value, elem):
+        if kind == APPEND_LEFT:
+            return (elem, "L", value)
+        return ("L" if kind == PREPEND_LEFT else "R", value, elem)
 
 
 def test_plan_replay_matches_direct_reduction():
@@ -224,18 +219,9 @@ class RecordingContext(MomentContext):
     def expect(self, elems):
         self.steps.append([tuple(elems), None])
 
-    def _insert(self, kind, elem):
+    def insert(self, kind, value, elem):
         self.steps[-1][1] = (kind, elem)
         return elem
-
-    def prepend_left(self, value, elem):
-        return self._insert(PREPEND_LEFT, elem)
-
-    def prepend_right(self, value, elem):
-        return self._insert(PREPEND_RIGHT, elem)
-
-    def append_left(self, elem, value):
-        return self._insert(APPEND_LEFT, elem)
 
 
 def _recorded_plan(rgs, side) -> list:
@@ -332,13 +318,7 @@ class CountingContext(MomentContext):
         self.expects += 1
         return 0
 
-    def prepend_left(self, value, elem):
-        return elem
-
-    def prepend_right(self, value, elem):
-        return elem
-
-    def append_left(self, elem, value):
+    def insert(self, kind, value, elem):
         return elem
 
 

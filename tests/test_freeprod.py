@@ -10,7 +10,8 @@ import pytest
 
 from bnc_engine import ffb, freeprod
 from bnc_engine.algebra import SideMismatch, algebra_from_matrix_units
-from bnc_engine.cumulants import audit_ffb_word
+from bnc_engine.bimult import APPEND_LEFT
+from bnc_engine.cumulants import audit_ffb_word, bifree_moment_check
 from bnc_engine.diagrams import enumerate_lr, lateral_closure, make_diagram
 from bnc_engine.ffb import embed_ffb_family
 from bnc_engine.fixtures import (
@@ -45,6 +46,7 @@ from bnc_engine.linalg import (
     mat_combination,
     mat_mul,
     mat_vec,
+    nullspace,
 )
 from bnc_engine.partitions import ChiMap, EpsilonMap, lr_replacement
 
@@ -410,6 +412,49 @@ def test_b_actions_over_a_noncommutative_base():
         assert fp.equal(fp.act_b(b, word(y, z), False), word(y, z * b))
 
 
+def _commutant_basis(mod, side: str) -> list:
+    """A basis of the operators on mod in the commutant of side: the
+    nullspace of T·M = M·T, M over the other side's actions, as d x d
+    matrices."""
+    d = mod.dim
+    actions = mod.right_action if side == "l" else mod.left_action
+    rows = []
+    for m in actions:
+        for r, c in iproduct(range(d), repeat=2):
+            row = [ZERO] * (d * d)
+            for k in range(d):
+                row[r * d + k] += m[k][c]
+                row[k * d + c] -= m[r][k]
+            rows.append(row)
+    basis, _ = nullspace(rows, d * d)
+    return [[v[r * d : (r + 1) * d] for r in range(d)] for v in basis]
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+def test_bifree_criterion_over_m2_acting_on_itself(depth):
+    """The insertion oracle over a non-commutative B.  Over m2_free_product
+    a left and a right insertion of one B value differ, so the bi-free
+    moment criterion holds only if every collapse inserts its value by
+    the right kind, on the right operand.  Operands are random
+    combinations of each side's 16-dimensional commutant; 60 seeded
+    words of the full depth, sides and colours random."""
+    fp, _ = m2_free_product(depth)
+    mod = fp.components[1]  # both colours' doubled module
+    bases = {side: _commutant_basis(mod, side) for side in "lr"}
+    assert [len(bases[s]) for s in "lr"] == [16, 16]
+    rng = random.Random(depth)
+    mf = FreeMomentContext(fp)
+    for _ in range(60):
+        sides = tuple(rng.choice("lr") for _ in range(depth))
+        colours = tuple(rng.choice((1, 2)) for _ in range(depth))
+        Z = []
+        for s, k in zip(sides, colours):
+            m = mat_combination([rng.randint(-3, 3) for _ in bases[s]], bases[s])
+            Z.append(((s, k, module_operator(mod, m, s)),))
+        rep = bifree_moment_check(ChiMap(sides), EpsilonMap(colours), Z, mf)
+        assert rep.ok, (sides, colours, rep.to_json())
+
+
 # --- diagram vectors ---------------------------------------------------------
 
 def test_e_d_single_operator_cases():
@@ -699,6 +744,19 @@ def test_lr_decompose_refuses_coefficients_outside_commutants():
     assert refused == 200
 
 
+def test_module_operator_refuses_outside_its_side_with_side_mismatch():
+    """module_operator with a side raises the error lr_decompose raises
+    for the same fault, an InputError and so a ValueError."""
+    mod = build_bimodule_from_space(space_diag2())[0]
+    op = rand_op(mod, random.Random(0))
+    for side in "lr":
+        with pytest.raises(SideMismatch, match=f"side-{side} commutant") as err:
+            module_operator(mod, op.matrix, side)
+        assert type(err.value) is SideMismatch
+        assert isinstance(err.value, ValueError)
+    assert module_operator(mod, op.matrix).matrix == op.matrix
+
+
 def test_lr_decompose_coefficients_over_diag2_commutant_words():
     """Words of the diag2 module's own one-sided commutant elements keep
     the coefficient route, and their contributions rebuild the word."""
@@ -716,11 +774,12 @@ def test_lr_decompose_coefficients_over_diag2_commutant_words():
         assert fp.equal(dec.reconstruction(), _direct_word(fp, ops))
 
 
-def test_free_moment_context_append_left_acts_first():
-    """append_left(chain, b) is chain·L_b: L_b acts on the unit before
-    the chain.  Over the diag2 module in two colours with dense operators
-    (outside the commutants), L_b acting after the chain gives another
-    vector on some of these words, so the test tells the two apart."""
+def test_free_moment_context_appended_b_acts_first():
+    """insert(APPEND_LEFT, b, chain) is chain·L_b: L_b acts on the unit
+    before the chain.  Over the diag2 module in two colours with dense
+    operators (outside the commutants), L_b acting after the chain gives
+    another vector on some of these words, so the test tells the two
+    apart."""
     mod = build_bimodule_from_space(space_diag2())[0]
     fp = reduced_free_product({1: mod, 2: mod}, 4)
     rng = random.Random(21)
@@ -733,7 +792,7 @@ def test_free_moment_context_append_left_acts_first():
         b = mod.B.element([rng.choice((-2, -1, 1, 2, 3)) for _ in range(mod.B.dim)])
         mf = FreeMomentContext(fp)
         want = apply_chain(fp, chain, fp.act_b(b, fp.unit(), True))
-        assert fp.equal(mf.vector([mf.append_left(chain, b)]), want)
+        assert fp.equal(mf.vector([mf.insert(APPEND_LEFT, b, chain)]), want)
         last = fp.act_b(b, apply_chain(fp, chain, fp.unit()), True)
         differs += not fp.equal(last, want)
     assert differs > 0

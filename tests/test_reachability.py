@@ -1,10 +1,11 @@
 """A tripwire against test-only code in the package.
 
-Every top-level function or class of src/bnc_engine, and every method
-that is not a dunder, must be referenced by name from somewhere other
-than the tests: other package code, perfbench (the tracer names what it
-wraps in dotted-path strings) or scripts.  A definition that only tests
-reach belongs in the tests, as their reference.
+Every top-level function, class or assigned name of src/bnc_engine,
+and every method, dunders aside, must be referenced by name from
+somewhere other than the tests: other package code, perfbench (the
+tracer names what it wraps in dotted-path strings) or scripts.  A
+definition that only tests reach belongs in the tests, as their
+reference.
 
 This is a name-based tripwire, not a proof.  A top-level definition is
 reached only through a bare name, an import, a string that spells a
@@ -67,17 +68,26 @@ def _references(tree):
                 yield part, node.lineno, True
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree):
-    """(qualified name, node) of each top-level definition and method."""
+    """(qualified name, node) of each top-level definition, method and
+    module-level assigned name, dunders left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
-                if isinstance(sub, ast.FunctionDef) and not (
-                    sub.name.startswith("__") and sub.name.endswith("__")
-                ):
+                if isinstance(sub, ast.FunctionDef) and not _dunder(sub.name):
                     yield f"{node.name}.{sub.name}", sub
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _dunder(name.id):
+                        yield name.id, node
 
 
 def test_every_package_definition_is_reached_outside_the_tests():
