@@ -125,15 +125,8 @@ def _diagram(text: str) -> LRDiagram:
     return LRDiagram.from_json(data)
 
 
-def _emit(payload, fmt: str):
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        if isinstance(payload, dict) and "lines" in payload:
-            for line in payload["lines"]:
-                print(line)
-        else:
-            print(payload)
+def _emit(payload):
+    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def cmd_enumerate(args) -> int:
@@ -173,14 +166,13 @@ def cmd_enumerate(args) -> int:
             "diagrams": [d.to_json() for d in fam.diagrams],
         }
     if args.format == "text":
-        lines = [f"count: {payload['count']}"]
-        lines.extend(payload.get("pretty", []))
-        if "diagrams" in payload:
-            for d in payload["diagrams"]:
-                lines.append(json.dumps(d, sort_keys=True))
-        _emit({"lines": lines}, "text")
+        print(f"count: {payload['count']}")
+        for line in payload.get("pretty", []):
+            print(line)
+        for d in payload.get("diagrams", []):
+            print(json.dumps(d, sort_keys=True))
     else:
-        _emit(payload, "json")
+        _emit(payload)
     return 0
 
 
@@ -189,8 +181,7 @@ def cmd_mobius(args) -> int:
     pi = _parsed(args, "pi", _parse_partition, ctx.n)
     sigma = _parsed(args, "sigma", _parse_partition, ctx.n)
     value = mobius(pi, sigma, ctx)
-    _emit({"chi": args.chi, "pi": list(pi.rgs), "sigma": list(sigma.rgs), "mu": value},
-          args.format)
+    _emit({"chi": args.chi, "pi": list(pi.rgs), "sigma": list(sigma.rgs), "mu": value})
     return 0
 
 
@@ -227,12 +218,12 @@ def cmd_tables(args, cumulants: bool) -> int:
         ],
         "roundtrip_ok": moment_cumulant_roundtrip(ctx, moments, kappas),
     }
-    _emit(payload, args.format)
+    _emit(payload)
     return 0
 
 
-def _report_exit(rep, fmt) -> int:
-    _emit(rep.to_json(), fmt)
+def _report_exit(rep) -> int:
+    _emit(rep.to_json())
     return 0 if rep.ok else CLAIM_FAILED
 
 
@@ -253,7 +244,7 @@ def cmd_verify(args) -> int:
         args.fixture = VERIFY_FIXTURE[what]
     if what == "bb-axioms":
         rep = check_bb_axioms(_parsed(args, "fixture", load_space))
-        _emit(rep.to_json(), args.format)
+        _emit(rep.to_json())
         return 0 if rep.ok else FixtureError.code
     # ffb-sweep's words run to --max-n letters, the systems' to --word-cap
     cap = "max-n" if what == "ffb-sweep" else "word-cap"
@@ -273,7 +264,7 @@ def cmd_verify(args) -> int:
     else:
         rep = check_ffb_independence(system, args.word_cap)
         rep.claims.extend(verify_system_gives_ffb(system, min(args.word_cap, 3)).claims)
-    return _report_exit(rep, args.format)
+    return _report_exit(rep)
 
 
 def _scalar_modules(dims: str) -> dict:
@@ -317,7 +308,7 @@ def _verify_bifree(args) -> int:
                 if c["status"] == "fail":
                     rep.claims.append(c)
     rep.record(f"bifree-criterion ({args.trials} sampled words)", failures == 0)
-    return _report_exit(rep, args.format)
+    return _report_exit(rep)
 
 
 def cmd_verify_decompose(args) -> int:
@@ -342,7 +333,7 @@ def cmd_verify_decompose(args) -> int:
             ok_all = False
             rep.record(f"trial-{trial}", False, witness={"n": n})
     rep.record(f"lr-decompose ({args.trials} sampled words)", ok_all)
-    return _report_exit(rep, args.format)
+    return _report_exit(rep)
 
 
 def cmd_render(args) -> int:
@@ -386,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--chi", required=True)
     pm.add_argument("--pi", required=True)
     pm.add_argument("--sigma", required=True)
-    pm.add_argument("--format", choices=["json", "text"], default="json")
     pm.set_defaults(func=cmd_mobius)
 
     for name in ("moments", "cumulants"):
@@ -394,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         pt.add_argument("--chi", required=True)
         pt.add_argument("--fixture", default="m2-scalar")
         pt.add_argument("--seed", type=int, default=0)
-        pt.add_argument("--format", choices=["json", "text"], default="json")
         pt.set_defaults(func=lambda a, c=(name == "cumulants"): cmd_tables(a, c))
 
     pv = sub.add_parser("verify", help="run a verification suite")
@@ -414,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=10)
     pv.add_argument("--max-n", type=int, default=4)
     pv.add_argument("--dims", default="2,3", help="complement dims per colour")
-    pv.add_argument("--format", choices=["json", "text"], default="json")
     pv.set_defaults(
         func=lambda a: cmd_verify_decompose(a)
         if a.what == "lr-decompose"

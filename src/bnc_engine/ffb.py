@@ -260,18 +260,19 @@ def _per_letter(sys: FfbSystem, build) -> dict:
     }
 
 
-def _word_sweep(sys: FfbSystem, word_cap: int, colours):
+def _word_sweep(table: dict, word_cap: int, colours):
     """(shape, colours, pools) for every word of 1..word_cap letters.
 
-    Shapes run over 'l', 'r', 'b' and colour tuples over the given
-    colours, in lexicographic order, shape before colours; pools lists
-    each letter's handles, and words with an empty pool are skipped.
+    table maps each shape letter to its handles by colour (_faces gives a
+    system's 'l', 'r', 'b').  Shapes run over the table's letters in its
+    order and colour tuples over the given colours, in lexicographic
+    order, shape before colours; pools lists each letter's handles, and
+    words with an empty pool are skipped.
     """
-    faces = _faces(sys)
     for n in range(1, word_cap + 1):
-        for shape in iproduct("lrb", repeat=n):
+        for shape in iproduct(table, repeat=n):
             for eps in iproduct(colours, repeat=n):
-                pools = [faces[s][k] for s, k in zip(shape, eps)]
+                pools = [table[s][k] for s, k in zip(shape, eps)]
                 if all(pools):
                     yield shape, eps, pools
 
@@ -288,7 +289,7 @@ def ffb_sweep(sys: FfbSystem, max_n: int) -> tuple[int, Optional[dict]]:
     """
     mf = FreeMomentContext(sys.fp)
     words = 0
-    for shape, eps_hat, pools in _word_sweep(sys, max_n, sys.colours()):
+    for shape, eps_hat, pools in _word_sweep(_faces(sys), max_n, sys.colours()):
         fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
         eps = fctx.expand_colours(EpsilonMap(eps_hat))
         Z = [(atom,) for pool in pools for atom in pool[0].chain]
@@ -310,7 +311,7 @@ def check_single_colour_moments(sys: FfbSystem, word_cap: int) -> CheckReport:
     for k in sys.colours():
         wit = None
         count = 0
-        for _, _, pools in _word_sweep(sys, word_cap, (k,)):
+        for _, _, pools in _word_sweep(_faces(sys), word_cap, (k,)):
             for handles in iproduct(*pools):
                 count += 1
                 lhs = sys.expect_word(handles, mf)
@@ -326,12 +327,6 @@ def check_single_colour_moments(sys: FfbSystem, word_cap: int) -> CheckReport:
                 break
         rep.record(f"single-colour-moments-{k} ({count} words)", wit is None, witness=wit)
     return rep
-
-
-def _rep_fp(sys: FfbSystem, depth: int) -> TruncatedFreeProduct:
-    return reduced_free_product(
-        {k: sys.module for k in sys.colours()}, depth
-    )
 
 
 def _mu_tilde_letter(th: Theta, s: str, h: OperatorHandle) -> tuple:
@@ -355,11 +350,13 @@ def check_ffb_independence(sys: FfbSystem, word_cap: int) -> CheckReport:
     """
     rep = CheckReport()
     mf = FreeMomentContext(sys.fp)
-    rmf = FreeMomentContext(_rep_fp(sys, word_cap))
+    rmf = FreeMomentContext(
+        reduced_free_product({k: sys.module for k in sys.colours()}, word_cap)
+    )
     mu_tilde = _per_letter(sys, lambda s, h: _mu_tilde_letter(sys.theta, s, h))
     failures = []
     count = 0
-    for shape, eps, pools in _word_sweep(sys, word_cap, sys.colours()):
+    for shape, eps, pools in _word_sweep(_faces(sys), word_cap, sys.colours()):
         for handles in iproduct(*pools):
             count += 1
             lhs = sys.expect_word(handles, mf)
@@ -399,14 +396,14 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
     ext_cache: dict = {}
     kappa_checked = 0
     mismatch = []
-    for shape, eps_hat, pools in _word_sweep(sys, word_cap, sys.colours()):
+    for shape, eps_hat, pools in _word_sweep(_faces(sys), word_cap, sys.colours()):
         fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
         eps = fctx.expand_colours(EpsilonMap(eps_hat))
         for handles in iproduct(*pools):
             word = [(s, h, letters[s, id(h)]) for s, h in zip(shape, handles)]
-            ok, info = _pipeline_word(sys, mf, fctx, eps, word, ext_cache)
-            if not ok:
-                mismatch.append(info)
+            stage = _pipeline_word(sys, mf, fctx, eps, word, ext_cache)
+            if stage:
+                mismatch.append({"stage": stage, "word": [h.label for h in handles]})
         kappa_checked += 1
     for f in mismatch[:10]:
         rep.record(f"pipeline-{f['stage']}", False, witness=f)
@@ -430,31 +427,31 @@ def _pipeline_letter(sys: FfbSystem, s: str, h: OperatorHandle) -> tuple:
 
 
 def _pipeline_word(sys, mf, fctx, eps, word, ext_cache):
-    """One word of the pipeline; word lists (shape letter, handle, μ̃
-    atoms) per letter.  The handles' chains are λ/ρ atoms, so their
-    concatenation is the split word that lr_decompose takes."""
+    """The stage at which one word of the pipeline fails, or None; word
+    lists (shape letter, handle, μ̃ atoms) per letter.  The handles'
+    chains are λ/ρ atoms, so their concatenation is the split word that
+    lr_decompose takes."""
     fp = sys.fp
     chi = fctx.chi
-    handles = [h for _, h, _ in word]
     split = []
     projected = []
     for s, h, _ in word:
         if s == "b":
             projected.append(len(split) + 1)
         split += h.chain
-    v_direct = mf.vector([h.chain for h in handles])
+    v_direct = mf.vector([h.chain for _, h, _ in word])
     dec = lr_decompose(split, fp, projected_positions=projected, coefficients=False)
     if not fp.equal(dec.direct, v_direct):
-        return False, {"stage": "decompose-direct", "word": [h.label for h in handles]}
+        return "decompose-direct"
     resid_total = fp.add(*(v for _, _, v in dec.residual)) if dec.residual else {}
     if not fp.equal(fp.add(dec.primed, resid_total), dec.direct):
-        return False, {"stage": "decompose-split", "word": [h.label for h in handles]}
+        return "decompose-split"
     # the projected word equals the boolean-sandwich word
     v_tilde = mf.vector([tilde for _, _, tilde in word])
     if not fp.equal(dec.primed, v_tilde):
-        return False, {"stage": "projected-word", "word": [h.label for h in handles]}
+        return "projected-word"
     if not sys.fp.p(resid_total).is_zero():
-        return False, {"stage": "residual-expectation", "word": [h.label for h in handles]}
+        return "residual-expectation"
     # removed diagrams stay inside the extension families of the cut points
     if dec.residual:
         union = set()
@@ -472,11 +469,8 @@ def _pipeline_word(sys, mf, fctx, eps, word, ext_cache):
             union |= ext_cache[key]
         for d, _, _ in dec.residual:
             if d.key() not in union:
-                return False, {
-                    "stage": "residual-family",
-                    "word": [h.label for h in handles],
-                }
-    return True, None
+                return "residual-family"
+    return None
 
 
 def _compose_ops(mod, a: ModuleOperator, b: ModuleOperator) -> ModuleOperator:
@@ -495,28 +489,20 @@ def _mixed_cumulant_claims(
     if len(colours) < 2:
         rep.record("mixed-cumulants (vacuous: one colour)", True)
         return rep
+    table = {
+        "l": {k: sys.faces_l[k] + sys.cprime[k] for k in colours},
+        "r": {k: sys.faces_r[k] + sys.dprime[k] for k in colours},
+    }
     failures = 0
     checked = 0
-    pools = {}
-    for k in colours:
-        pools[("l", k)] = sys.faces_l[k] + sys.cprime[k]
-        pools[("r", k)] = sys.faces_r[k] + sys.dprime[k]
-    cap = min(word_cap, 4)
-    for n in range(2, cap + 1):
-        for shape in iproduct("lr", repeat=n):
-            for eps in iproduct(colours, repeat=n):
-                if len(set(eps)) < 2:
-                    continue
-                pool = [pools[(s, k)] for s, k in zip(shape, eps)]
-                if any(not p for p in pool):
-                    continue
-                subst = [p[0] for p in pool]
-                ctx = build_context(ChiMap(tuple(shape)))
-                Z = [h.chain for h in subst]
-                kap = kappa_pi(SetPartition.full(n), ctx, Z, mf)
-                checked += 1
-                if not kap.is_zero():
-                    failures += 1
+    for shape, eps, pools in _word_sweep(table, min(word_cap, 4), colours):
+        if len(set(eps)) < 2:
+            continue
+        Z = [pool[0].chain for pool in pools]
+        kap = kappa_pi(SetPartition.full(len(shape)), build_context(ChiMap(shape)), Z, mf)
+        checked += 1
+        if not kap.is_zero():
+            failures += 1
     rep.record(
         f"mixed-cumulants-vanish ({checked} words, {failures} failures)",
         failures == 0,

@@ -10,6 +10,7 @@ one over a base algebra other than the scalars, B = D2).
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from .algebra import (
     AlgebraElement,
@@ -68,20 +69,10 @@ def space_diag2() -> BBProbSpace:
 
 
 def space_diag2_bad_expectation() -> BBProbSpace:
-    """Deliberately broken: pads the strictly upper corner across B."""
-    A = algebra_from_matrix_units(2)
-    B = algebra_diagonal(2)
-    expectation = (
-        (ZERO, ONE, ZERO, ZERO),
-        (ZERO, ONE, ZERO, ZERO),
-    )
-    embed = (
-        (ONE, ZERO),
-        (ZERO, ZERO),
-        (ZERO, ZERO),
-        (ZERO, ONE),
-    )
-    return BBProbSpace(A, B, expectation, embed, embed)
+    """Deliberately broken: space_diag2 with an expectation that pads the
+    strictly upper corner across B."""
+    bad = ((ZERO, ONE, ZERO, ZERO),) * 2
+    return replace(space_diag2(), expectation=bad)
 
 
 def space_dual() -> BBProbSpace:
@@ -91,7 +82,7 @@ def space_dual() -> BBProbSpace:
     return BBProbSpace(A, B, ((ONE, ZERO),), ((ONE,), (ZERO,)), ((ONE,), (ZERO,)))
 
 
-def family_m2(colours=(1, 2), rich: bool = False) -> FfbFamily:
+def family_m2(rich: bool = False) -> FfbFamily:
     sp = space_m2_scalar()
     A = sp.A
     e12 = A.basis_element(1)
@@ -100,7 +91,7 @@ def family_m2(colours=(1, 2), rich: bool = False) -> FfbFamily:
     flip = e12 + e21
     corner = e11 + e12
     faces = {}
-    for k in colours:
+    for k in (1, 2):
         if rich:
             faces[k] = {"l": [flip, e12], "r": [flip, e21], "b": [corner, e11]}
         else:

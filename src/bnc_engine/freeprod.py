@@ -26,7 +26,7 @@ legs before that joint.  WordSpace owns the layout:
 split/join take the first or last leg off a plain index and put it
 back, grow adds an edge leg, pair_rows places a relation on two
 adjacent legs as sparse rows, and to_plain/from_plain pass between
-plain indices and coordinates.
+plain indices and coordinates, to_plain through the quotient's section.
 
 Left representations act through the first tensor leg, right ones
 through the last; a new leg deeper than the configured depth raises
@@ -40,7 +40,8 @@ B: each later step maps the factor linearly, so it stays zero, and so
 does the tensor word the branch ends in.  The test reads the whole
 module vector, because a factor whose complement part is zero still
 feeds later cut branches through its B part.  The surviving terms are
-summed per (closed, top) strings, one diagram per group.
+summed per diagram, keyed by its sorted closed strings and its top
+strings, so make_diagram runs once per diagram.
 
 Operator words.  A word is a chain of atoms, applied last atom first.
 A λ/ρ atom is the triple (side, colour, operator), side 'l' for the
@@ -349,10 +350,7 @@ class WordSpace:
                 yield {base + dig * inner: v for dig, v in digits}
 
     def to_plain(self, coords: dict[int, Scalar]) -> dict[int, Scalar]:
-        if self.quotient is None:
-            return coords
-        pos = self.quotient.coords
-        return {pos[q]: c for q, c in coords.items() if c}
+        return coords if self.quotient is None else self.quotient.section(coords)
 
     def from_plain(self, plain: dict[int, Scalar]) -> dict[int, Scalar]:
         if self.quotient is None or not plain:
@@ -450,9 +448,7 @@ class TruncatedFreeProduct:
         out: FpVec = {}
         for v in vecs:
             for seq, comp in v.items():
-                tgt = out.setdefault(seq, {})
-                for i, c in comp.items():
-                    tgt[i] = tgt.get(i, ZERO) + c
+                _acc(out, seq, comp)
         return _clean(out)
 
     def scale(self, c, vec: FpVec) -> FpVec:
@@ -857,9 +853,10 @@ def lr_decompose(
     it stays zero, and so does the tensor word the branch ends in, for
     any B.  The test reads the whole module vector: a factor whose
     complement part is zero is live, since its B part feeds later cut
-    branches.  Terms are grouped by their (closed, top) strings, one
-    diagram per group.  DepthExceeded is decided before the expansion,
-    from the sides and colours alone, so it does not depend on pruning.
+    branches.  Terms are grouped by their diagram, that is by their
+    sorted closed strings and their top strings.  DepthExceeded is
+    decided before the expansion, from the sides and colours alone, so
+    it does not depend on pruning.
 
     With coefficients, each diagram's part is divided by its rule vector
     (e_d_vector, read from one FreeMomentContext that every diagram of
@@ -1002,33 +999,33 @@ def _assemble(fp: TruncatedFreeProduct, t: _Term) -> FpVec:
 
 def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decomposition:
     """Sum the terms into the direct word, per diagram into its primed and
-    residual parts, and the primed parts into the projected word."""
+    residual parts, and the primed parts into the projected word.  A
+    diagram is its sorted closed strings and its top strings, so the
+    terms are grouped by that key, one make_diagram per group."""
     direct: FpVec = {}
-    parts: dict = {}  # (done, top) -> (primed part, residual part)
+    parts: dict = {}  # (sorted done, top) -> (primed part, residual part)
     for t in terms:
         vec = _assemble(fp, t)
         _acc_vec(direct, vec, t.coeff)
-        pair = parts.get((t.done, t.top))
+        key = (tuple(sorted(t.done)), t.top)
+        pair = parts.get(key)
         if pair is None:
-            pair = parts[t.done, t.top] = ({}, {})
+            pair = parts[key] = ({}, {})
         _acc_vec(pair[0 if t.primed else 1], vec, t.coeff)
-    groups: dict = {}  # diagram key -> [diagram, primed part, residual part]
-    for (done, top), (primed_part, residual_part) in parts.items():
-        d = make_diagram(
-            chi, eps, [(s, False) for s in done] + [(s, True) for s in top], top
+    groups = (
+        (
+            make_diagram(
+                chi, eps, [(s, False) for s in done] + [(s, True) for s in top], top
+            ),
+            pair,
         )
-        entry = groups.get(d.key())
-        if entry is None:
-            groups[d.key()] = [d, primed_part, residual_part]
-        else:
-            _acc_vec(entry[1], primed_part)
-            _acc_vec(entry[2], residual_part)
+        for (done, top), pair in parts.items()
+    )
     mf = FreeMomentContext(fp) if coefficients else None
     contributions = []
     residual = []
     primed_vec: FpVec = {}
-    for key in sorted(groups):
-        d, primed_part, residual_part = groups[key]
+    for d, (primed_part, residual_part) in sorted(groups, key=lambda g: g[0].key()):
         primed_part, residual_part = _clean(primed_part), _clean(residual_part)
         total = fp.add(primed_part, residual_part)
         rule = e_d_vector(d, ops, mf) if coefficients else None

@@ -9,14 +9,15 @@ bi-non-crossing when its relabelling through that permutation is
 non-crossing in the classical sense.  The lattice is therefore NC(n)
 seen through s_chi: enumeration, Mobius values and intervals are all
 computed on the relabelled line, entered by relabelled_rgs and left
-by _pull_back.  Mobius values and intervals come from one kernel per n
-(nc_incidence, rows built on first use by nc_row, which finds each
-partition below sigma by its head labelling, with no renumbering),
-indexed by NC(n) slot; bnc_lattice pulls every slot back once per s_chi.
-The lattice and relabelling caches are keyed by s_chi, not by the
-colouring: s_chi puts position n between the last left and the last
-right position whatever its side, so the two colourings that differ
-only at n share them.
+by _pull_back.  Mobius values and intervals come from one kernel per n,
+indexed by NC(n) slot (_nc_slots): nc_row builds a row on first use,
+finding each partition below sigma by its head labelling, with no
+renumbering; bnc_lattice pulls every slot back once per s_chi.  The
+per-n tables and the kernel rows are lru_caches.  The one other cache,
+the lattice's, is keyed by s_chi, not by the colouring: s_chi puts
+position n between the last left and the last right position whatever
+its side, so the two colourings that differ only at n share it.
+relabelled_rgs is not cached: it is one pass over n labels.
 """
 
 from __future__ import annotations
@@ -238,17 +239,9 @@ def build_context(chi: ChiMap) -> BNCContext:
     return BNCContext(chi, tuple(s), tuple(rank))
 
 
-_relabel_cache: dict = {}
-
-
 def relabelled_rgs(pi: SetPartition, ctx: BNCContext) -> tuple[int, ...]:
     """Push-forward through s_chi: the rgs of pi on the relabelled line."""
-    key = (ctx.s_chi, pi.rgs)
-    hit = _relabel_cache.get(key)
-    if hit is None:
-        hit = _canonical_rgs(pi.rgs[p - 1] for p in ctx.s_chi)
-        _relabel_cache[key] = hit
-    return hit
+    return _canonical_rgs(pi.rgs[p - 1] for p in ctx.s_chi)
 
 
 def _pull_back(labels, ctx: BNCContext) -> tuple[int, ...]:
@@ -297,7 +290,7 @@ _bnc_cache: dict[tuple[int, ...], tuple] = {}
 def bnc_lattice(ctx: BNCContext):
     """The lattice three ways: its members in lexicographic rgs order,
     each member's slot (its index in _noncrossing_partitions(n), the
-    order of nc_incidence), and the members' rgs by slot."""
+    order of _nc_slots), and the members' rgs by slot."""
     cap = enumeration_cap()
     if ctx.n > cap:
         raise CapExceeded(f"n={ctx.n} exceeds cap {cap}")
@@ -356,7 +349,7 @@ def mobius_fast(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> int:
     of the NC(n) kernel, read on the relabelled line."""
     if not refines(pi, sigma):
         return 0
-    slot = nc_incidence(ctx.n)[0]
+    slot = _nc_slots(ctx.n)
     below, mus = nc_row(ctx.n, slot[relabelled_rgs(sigma, ctx)])
     return mus[bisect_left(below, slot[relabelled_rgs(pi, ctx)])]
 
@@ -393,17 +386,14 @@ def interval_below(
     sigma's row of the NC(n) kernel, pulled back.  mu never vanishes on
     an NC interval, so every member of the interval is listed."""
     pulled = bnc_lattice(ctx)[2]
-    slots, mus = nc_row(ctx.n, nc_incidence(ctx.n)[0][relabelled_rgs(sigma, ctx)])
+    slots, mus = nc_row(ctx.n, _nc_slots(ctx.n)[relabelled_rgs(sigma, ctx)])
     return [(pulled[t], mu) for t, mu in zip(slots, mus)]
 
 
 @lru_cache(maxsize=None)
-def nc_incidence(n: int):
-    """The Mobius kernel of NC(n), in _noncrossing_partitions(n) order: a
-    dict from each member's rgs to its slot, and the rows by slot, each
-    None until nc_row first builds it."""
-    members = _noncrossing_partitions(n)
-    return {rgs: t for t, rgs in enumerate(members)}, [None] * len(members)
+def _nc_slots(n: int) -> dict[tuple[int, ...], int]:
+    """NC(n) by rgs, to each member's slot in _noncrossing_partitions(n)."""
+    return {rgs: t for t, rgs in enumerate(_noncrossing_partitions(n))}
 
 
 @lru_cache(maxsize=None)
@@ -425,6 +415,7 @@ def _nc_mus(n: int) -> tuple[int, ...]:
     return tuple(map(_mu_to_top, _noncrossing_partitions(n)))
 
 
+@lru_cache(maxsize=None)
 def nc_row(n: int, t: int):
     """Row t of the NC(n) kernel: the slots of the pi <= sigma (ascending)
     and mu(pi, sigma) alongside, sigma the member at slot t.
@@ -435,10 +426,6 @@ def nc_row(n: int, t: int):
     onto their blocks' positions and read in position order, so each
     pick's slot is one lookup.
     """
-    rows = nc_incidence(n)[1]
-    row = rows[t]
-    if row is not None:
-        return row
     s = _noncrossing_partitions(n)[t]
     blocks = [[u for u, c in enumerate(s) if c == w] for w in range(len(set(s)))]
     heads = [
@@ -451,9 +438,8 @@ def nc_row(n: int, t: int):
     slots = map(_nc_heads(n).__getitem__, picks)
     mus = map(prod, product(*(_nc_mus(len(blk)) for blk in blocks)))
     pairs = sorted(zip(slots, mus))
-    below = array("H" if len(rows) <= 1 << 16 else "I", [u for u, _ in pairs])
-    row = rows[t] = (below, array("q", [mu for _, mu in pairs]))
-    return row
+    below = array("H" if catalan(n) <= 1 << 16 else "I", [u for u, _ in pairs])
+    return below, array("q", [mu for _, mu in pairs])
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,18 @@ def test_tables_refuse_a_bad_fixture(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["moments --chi lr", "cumulants --chi lr", "mobius --chi ll --pi 0,1 --sigma 0,0",
+     "verify bb-axioms"],
+)
+def test_json_only_commands_refuse_format(capsys, command):
+    with pytest.raises(SystemExit) as e:
+        main(shlex.split(command) + ["--format", "text"])
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_claim_failure_exit_code():
     from bnc_engine.cli import _report_exit
     from bnc_engine.cumulants import CheckReport
@@ -217,7 +229,7 @@ def test_claim_failure_exit_code():
 
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert _report_exit(rep, "json") == 5
+        assert _report_exit(rep) == 5
 
 
 def test_enumerate_lrlat(capsys):
@@ -426,6 +438,8 @@ README_OUTPUTS = [
      "fff4bf803d31be1a17186eff103d926bb5790d77229e8162e3192a116a8942a8", 0),
     ("enumerate bncffb --chihat rbl",
      "d11b227220c87eb0fae3a913b376ead39fd1a53d1cc05806b9f512da27740f5e", 0),
+    ("enumerate bnc --chi lrl --format text",
+     "c848fef9789aa0b8dded12493d1969548eaabaeec0a0720545b1eb888398c005", 0),
     ("mobius --chi ll --pi 0,1 --sigma 0,0",
      "3597d91730092b113236c412a0cc42305d1079a24a000c0d080cfa19a7cf15a2", 0),
     ("moments --chi lrl --fixture diag2 --seed 3",

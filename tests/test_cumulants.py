@@ -424,7 +424,7 @@ def test_pruned_walk_matches_direct_reduction(fixture, max_n):
     mf = FreeMomentContext(system.fp)
     direct = FreeMomentContext(system.fp)
     checked = zeros = 0
-    for shape, _, pools in ffb._word_sweep(system, max_n, system.colours()):
+    for shape, _, pools in ffb._word_sweep(ffb._faces(system), max_n, system.colours()):
         fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
         Z = [(atom,) for pool in pools for atom in pool[0].chain]
         ctx = build_context(fctx.chi)

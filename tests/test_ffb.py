@@ -6,6 +6,7 @@ import pytest
 from bnc_engine import cumulants, freeprod
 from bnc_engine.cumulants import audit_ffb_word
 from bnc_engine.ffb import (
+    FfbFamily,
     OperatorHandle,
     check_ffb_independence,
     check_ffb_system,
@@ -220,6 +221,38 @@ def test_dual_system_pipeline():
     assert check_ffb_independence(sysd, word_cap=3).ok
 
 
+# Every claim id of the four checkers at word cap 3 (depth 6) on a
+# two-colour system with one handle per pool: 3 + 9 + 27 = 39 words of
+# one colour, 6 + 36 + 216 = 258 shapes and words over both, and 8 + 48 =
+# 56 mixed-colour l/r words of 2 or 3 letters, C' joining the l pools
+# and D' the r pools.
+CHECKER_CLAIM_IDS = [
+    *(f"{p}-{k}" for k in (1, 2) for p in (
+        "annihilation-c", "annihilation-d", "moments-c", "moments-d")),
+    "single-colour-moments-1 (39 words)",
+    "single-colour-moments-2 (39 words)",
+    "ffb-independence (258 words, 0 failures)",
+    "proof-pipeline (258 word shapes, 0 failures)",
+    "mixed-cumulants-vanish (56 words, 0 failures)",
+]
+
+
+@pytest.mark.parametrize("fixture", ["doubled-m2", "doubled-dual"])
+def test_checker_claim_ids_and_word_counts(fixture):
+    system = load_system(fixture, 6)
+    ids = []
+    for check in (
+        check_ffb_system,
+        check_single_colour_moments,
+        check_ffb_independence,
+        verify_system_gives_ffb,
+    ):
+        rep = check(system, word_cap=3)
+        assert rep.ok, [c for c in rep.claims if c["status"] == "fail"]
+        ids += [c["id"] for c in rep.claims]
+    assert ids == CHECKER_CLAIM_IDS
+
+
 def test_ffb_word_audit_on_system_words():
     # the cumulant sums insert the lb/rb atoms, so over DIAG2 these words
     # also check the B-action on quotient word spaces
@@ -320,8 +353,8 @@ def test_single_boolean_slot_cumulant_is_plain_expectation():
 
 
 def test_single_colour_family_is_trivially_independent():
-    fam = family_m2(colours=(1,))
-    sys1 = embed_ffb_family(fam, depth=4)
+    fam = family_m2()
+    sys1 = embed_ffb_family(FfbFamily(fam.space, {1: fam.faces[1]}), depth=4)
     assert check_ffb_independence(sys1, word_cap=2).ok
 
 

@@ -648,7 +648,7 @@ def test_lr_decompose_coefficients_over_diag2_pipeline_words():
     fp = system.fp
     digest = hashlib.sha256()
     words = 0
-    for shape, _, pools in ffb._word_sweep(system, 3, system.colours()):
+    for shape, _, pools in ffb._word_sweep(ffb._faces(system), 3, system.colours()):
         for handles in iproduct(*pools):
             word, projected = [], []
             for s, h in zip(shape, handles):
