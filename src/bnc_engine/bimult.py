@@ -31,21 +31,26 @@ on operands, and the planner calls it on positions alone, both in the
 one order above.  The plan of a closed partition collapses its block
 with the largest minimum and then follows the plan of the blocks left,
 so every state a plan passes through is "the blocks whose minimum is
-below m", and plan_partitions works out each distinct state's step once
-for a whole lattice, or for one partition.  compile_plans merges the
-plans into one flat program over their shared step prefixes, and
-run_program walks it depth first on any operands: each distinct prefix
-ending in an expectation is evaluated once, however many plans share it.
-A single partition's plan is a one-leaf program.
+below m".  A Program holds the plans of a whole lattice, or of one
+partition, as a root table with one group per last block.  The plans
+below a root group are worked out the first time a walk enters that
+group, each distinct state's step once per walk, and compile_plans
+merges them into one flat program over their shared step prefixes.
+run_program walks the root table and the compiled subtrees depth first
+on any operands: each distinct prefix ending in an expectation is
+evaluated once, however many plans share it.  A single partition's
+plan is a one-leaf program.
 
 run_program skips every subtree below a vanishing expectation: when a
 group's value vanishes in its context's algebra (MomentContext.vanishes)
 and the group has insertions below it, the walk jumps over each child's
-extent, which the program records, and every leaf in those subtrees
-takes the zero value.  This is exact: L_b and R_b are linear in b, the
-expectation is multilinear in its operands, and every collapse but the
-last inserts its value into an operand that survives it, so a zero
-insertion reaches the final moment of every leaf below it.
+extent, which the program records; a root group's subtree is then never
+planned.  The leaves in the skipped subtrees are left unset, and the
+walk returns the zero it met, which is the value of every one of them.
+This is exact: L_b and R_b are linear in b, the expectation is
+multilinear in its operands, and every collapse but the last inserts
+its value into an operand that survives it, so a zero insertion reaches
+the final moment of every leaf below it.
 """
 
 from __future__ import annotations
@@ -199,11 +204,22 @@ def reduce_blocks(
         ops[target] = ctx.insert(kind, value, ops[target])
 
 
-def _plan(blocks: list[ReduceBlock], side: dict[int, str], memo: dict) -> list:
-    """The steps of closed blocks ordered by minimum: collapse the last,
-    then plan the rest.  memo holds the step of every state already
-    planned, keyed by its blocks' positions."""
-    cols = tuple([b.positions for b in blocks])
+def _plan(rgs, side: dict[int, str], memo: dict, made: dict) -> list:
+    """The steps of the partition given by rgs, whose labels number its
+    blocks by their minima: collapse the last block, then plan the blocks
+    below it.  memo holds the step of every state already planned, keyed
+    by its blocks' positions, and made the one ReduceBlock of each block's
+    positions."""
+    cols = [[] for _ in range(max(rgs) + 1)]
+    for p, b in enumerate(rgs, start=1):
+        cols[b].append(p)
+    cols = tuple(map(tuple, cols))
+    blocks = []
+    for positions in cols:
+        blk = made.get(positions)
+        if blk is None:
+            blk = made[positions] = ReduceBlock(positions)
+        blocks.append(blk)
     plan = []
     for k in range(len(blocks) - 1, -1, -1):
         state = cols[: k + 1]
@@ -214,34 +230,52 @@ def _plan(blocks: list[ReduceBlock], side: dict[int, str], memo: dict) -> list:
     return plan
 
 
-def plan_partitions(partitions, side: dict[int, str]) -> array:
-    """The program of closed partitions of 1..n given by rgs: leaf i holds
-    the moment of partitions[i].
+class Program:
+    """The reduction plans of closed partitions of 1..n (given by rgs,
+    leaf i holding the moment of partitions[i]), planned on demand.
 
-    rgs labels number the blocks by their minima, so the states of a plan
-    are the blocks below each label.  Across a lattice most states recur,
-    and each distinct one's step is worked out once.
+    Every plan starts by collapsing its last block, the one with the
+    largest minimum, so roots lists one group per last block: its
+    positions, the leaves whose plan ends there (the one-block partition)
+    and the leaves whose plan goes on, in leaf order by first appearance.
+    subtree plans a group's leaves and compiles them with compile_plans,
+    once.  Its caller owns the planning memo, so a walk that compiles
+    several groups works out each distinct reduction state's step once,
+    and a program keeps only its root table and the code compiled so far.
     """
-    memo: dict = {}
-    made: dict = {}  # positions -> the one ReduceBlock for them
-    plans = []
-    for rgs in partitions:
-        cols = [[] for _ in range(max(rgs) + 1)]
-        for p, b in enumerate(rgs, start=1):
-            cols[b].append(p)
-        blocks = []
-        for positions in map(tuple, cols):
-            blk = made.get(positions)
-            if blk is None:
-                blk = made[positions] = ReduceBlock(positions)
-            blocks.append(blk)
-        plans.append(_plan(blocks, side, memo))
-    return compile_plans(plans)
+
+    def __init__(self, partitions, side: dict[int, str]):
+        groups: dict = {}
+        for leaf, rgs in enumerate(partitions):
+            last = max(rgs)
+            positions = tuple([p for p, b in enumerate(rgs, start=1) if b == last])
+            ends, goes_on = groups.setdefault(positions, ([], []))
+            (goes_on if last else ends).append(leaf)
+        self.roots = [
+            (positions, tuple(ends), array("I", goes_on))
+            for positions, (ends, goes_on) in groups.items()
+        ]
+        self.codes: list = [None] * len(self.roots)
+        self._partitions = partitions
+        self._side = side
+
+    def subtree(self, g: int, memo: dict, made: dict) -> array:
+        """Root group g's leaves' plans, compiled on first call; memo and
+        made are _plan's."""
+        code = self.codes[g]
+        if code is None:
+            _, ends, goes_on = self.roots[g]
+            code = self.codes[g] = compile_plans(
+                (leaf, _plan(self._partitions[leaf], self._side, memo, made))
+                for leaf in (*ends, *goes_on)
+            )
+        return code
 
 
 def compile_plans(plans) -> array:
     """Recorded plans merged over their shared step prefixes, as one flat
-    depth-first program; plans[leaf] computes the moment stored at leaf.
+    depth-first program; plans lists (leaf, plan) pairs, and plan
+    computes the moment stored at leaf.
 
         node  := g  group*g
         group := k p1..pk  m leaf*m  c child*c    (one expectation)
@@ -252,9 +286,8 @@ def compile_plans(plans) -> array:
     so the steps after a common prefix start from one node.  The
     typecode is the narrowest that holds the largest entry.
     """
-    plans = list(plans)
     root: dict = {}
-    for leaf, plan in enumerate(plans):
+    for leaf, plan in plans:
         node = root
         for positions, insertion in plan:
             leaves, children = node.setdefault(positions, ([], {}))
@@ -283,47 +316,64 @@ def compile_plans(plans) -> array:
     return array("H" if max(prog) < 1 << 16 else "I", prog)
 
 
-def run_program(prog, ops: list, ctx: MomentContext, out: list) -> None:
-    """Evaluate a compiled program depth first: out[leaf] receives the
-    moment of each leaf's plan, and holds None at every leaf on entry.
-    ops[p] is the operand at position p (ops[0] is unused); an insertion
-    is undone once its subtree is done, so every child starts from its
-    parent's operands.  The children of a group whose value vanishes are
-    stepped over, and their leaves, the ones still None when the walk
-    ends, take the last vanishing value: all are the one zero of B."""
+def run_program(prog: Program, ops: list, ctx: MomentContext, out: list):
+    """Evaluate a program depth first: out[leaf] receives the moment of
+    each leaf's plan that the walk reaches, and holds None at every leaf
+    on entry.  ops[p] is the operand at position p (ops[0] is unused); an
+    insertion is undone once its subtree is done, so every child starts
+    from its parent's operands.  A root group is compiled when the walk
+    first enters it with a value that does not vanish.  The children of a
+    group whose value vanishes are stepped over, and their leaves are
+    left None; the return value is the last vanishing value met, the one
+    zero of B that every such leaf holds, or None when nothing vanished.
+    """
     expect = ctx.expect
     insert = ctx.insert
     vanishes = ctx.vanishes
     zero = None
+    memo: dict = {}  # _plan's, shared by the groups this walk compiles
+    made: dict = {}
 
-    def node(i):
+    def walk(code, i, c, value):
+        """Walk the c children at code[i] of a group of the given value;
+        the index past them."""
         nonlocal zero
-        groups = prog[i]
-        i += 1
-        for _ in range(groups):
-            k = prog[i]
-            i += 1 + k
-            value = expect([ops[p] for p in prog[i - k : i]])
-            m = prog[i]
-            for leaf in prog[i + 1 : i + 1 + m]:
-                out[leaf] = value
-            i += 2 + m
-            c = prog[i - 1]
-            if c and vanishes(value):
-                zero = value
-                for _ in range(c):
-                    i += 3 + prog[i + 2]
-                continue
-            for _ in range(c):
-                t = prog[i + 1]
-                old = ops[t]
-                ops[t] = insert(prog[i], value, old)
-                i = node(i + 3)
-                ops[t] = old
+        for _ in range(c):
+            t = code[i + 1]
+            old = ops[t]
+            ops[t] = insert(code[i], value, old)
+            groups = code[i + 3]
+            i += 4
+            for _ in range(groups):
+                k = code[i]
+                i += 1 + k
+                v = expect([ops[p] for p in code[i - k : i]])
+                m = code[i]
+                for leaf in code[i + 1 : i + 1 + m]:
+                    out[leaf] = v
+                i += 2 + m
+                cc = code[i - 1]
+                if not cc:
+                    continue
+                if vanishes(v):
+                    zero = v
+                    for _ in range(cc):
+                        i += 3 + code[i + 2]
+                else:
+                    i = walk(code, i, cc, v)
+            ops[t] = old
         return i
 
-    node(0)
-    if zero is not None:
-        for leaf, value in enumerate(out):
-            if value is None:
-                out[leaf] = zero
+    for g, (positions, ends, goes_on) in enumerate(prog.roots):
+        value = expect([ops[p] for p in positions])
+        for leaf in ends:
+            out[leaf] = value
+        if not goes_on:
+            continue
+        if vanishes(value):
+            zero = value
+            continue
+        code = prog.subtree(g, memo, made)
+        i = 3 + len(positions) + len(ends)  # the group's child count
+        walk(code, i + 1, code[i], value)
+    return zero

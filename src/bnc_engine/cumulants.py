@@ -8,26 +8,32 @@ the kernels its space builds once: a word's expectation closes with
 the bilinear form (y, x) ↦ E(y·x), and insert(kind, value, elem)
 passes the collapse kind on to BBProbSpace.insert, which combines that
 kind's sparse maps (x ↦ x·L_b, L_b·x or R_b·x).  The reduction plans
-of every member of a colouring's lattice are compiled once per s_chi
-into one program over their shared step prefixes, whose leaves are the
-NC(n) slots; bimult.plan_partitions reads the members' blocks straight
-from their pulled-back rgs and works out each distinct reduction
-state's step once.  Keying by s_chi is exact: chi and chi with its
-last side flipped have one s_chi, and the planner reads side n only
-for the singleton {n}, a tail fold that reads no side.  A moment table
-is one walk of that program, and e_pi is plan_partitions on the one
-partition's rgs, a one-leaf program.  A cumulant is one row of the
-NC(n) Mobius kernel (nc_row) over the moment vector, so a cumulant
+of every member of a colouring's lattice form one bimult.Program per
+s_chi, whose leaves are the NC(n) slots; it reads the members' blocks
+straight from their pulled-back rgs, and plans the members below a
+root group (their last block) only when a walk first enters that group
+with a value that does not vanish.  Keying by s_chi is exact: chi and
+chi with its last side flipped have one s_chi, and the planner reads
+side n only for the singleton {n}, a tail fold that reads no side.  A
+moment table is one walk of that program, the leaves below a vanishing
+expectation filled with the zero the walk met, and e_pi is a Program
+of the one partition, a one-leaf program.  A cumulant is one row of
+the NC(n) Mobius kernel (nc_row) over the moment vector, so a cumulant
 table is one sparse integer mat-vec.
+
+The FFB word audit reads only the nonzero moments of its walk: each of
+its sums looks the weights of those slots up in maps built once per
+lattice, and its count of the colour-refining partitions off the
+boolean-pair sublattice grows them directly on the relabelled line
+rather than scanning the lattice.
 """
 
 from __future__ import annotations
 
-from array import array
 from operator import mul
 
 from .algebra import AlgebraElement, BBProbSpace, CheckReport, SideMismatch
-from .bimult import MomentContext, plan_partitions, run_program
+from .bimult import MomentContext, Program, run_program
 from .errors import InputError
 from .partitions import (
     BNCContext,
@@ -37,10 +43,10 @@ from .partitions import (
     NotBNC,
     SetPartition,
     SizeMismatch,
+    _shared_pair,
     bnc_lattice,
     build_context,
-    enumerate_bnc,
-    in_bnc_ffb,
+    catalan,
     interval_below,
     is_bnc,
     nc_row,
@@ -84,34 +90,45 @@ def e_pi(
         if not mf.verify_side(z, ctx.chi.side(i)):
             raise SideMismatch(f"operand {i} not in the {ctx.chi.side(i)} side")
     out = [None]
-    run_program(plan_partitions([pi.rgs], _sides(ctx)), [None, *Z], mf, out)
-    return out[0]
+    zero = run_program(Program([pi.rgs], _sides(ctx)), [None, *Z], mf, out)
+    return zero if out[0] is None else out[0]
 
 
 # s_chi -> the program of every lattice member's plan, leaf = NC(n) slot.
 # Colourings that differ only at position n share s_chi, and their
 # programs are equal: the planner reads side n only for the singleton
 # {n}, which always folds as a tail (APPEND_LEFT) and reads no side.
-_program_cache: dict[tuple[int, ...], array] = {}
+_program_cache: dict[tuple[int, ...], Program] = {}
 
 
 def _sides(ctx: BNCContext) -> dict[int, str]:
     return {i: s for i, s in enumerate(ctx.chi.sides, start=1)}
 
 
-def _program(ctx: BNCContext, pulled) -> array:
+def _program(ctx: BNCContext, pulled) -> Program:
     prog = _program_cache.get(ctx.s_chi)
     if prog is None:
-        prog = _program_cache[ctx.s_chi] = plan_partitions(pulled, _sides(ctx))
+        prog = _program_cache[ctx.s_chi] = Program(pulled, _sides(ctx))
     return prog
+
+
+def _walk(ctx: BNCContext, Z: list, mf: MomentContext):
+    """One walk of the colouring's program: the moments by NC(n) slot,
+    None at the leaves below a vanishing expectation, and the zero that
+    those leaves hold (None when every leaf was reached)."""
+    pulled = bnc_lattice(ctx)[2]
+    out = [None] * len(pulled)
+    return out, run_program(_program(ctx, pulled), [None, *Z], mf, out)
 
 
 def moment_table(ctx: BNCContext, Z: list, mf: MomentContext):
     """All partition moments, keyed by rgs in lattice order: one walk of
-    the colouring's program."""
-    members, slots, pulled = bnc_lattice(ctx)
-    out = [None] * len(pulled)
-    run_program(_program(ctx, pulled), [None, *Z], mf, out)
+    the colouring's program, the leaves it stepped over filled with the
+    zero it met."""
+    members, slots, _ = bnc_lattice(ctx)
+    out, zero = _walk(ctx, Z, mf)
+    if zero is not None:
+        out = [zero if v is None else v for v in out]
     return {pi.rgs: out[t] for pi, t in zip(members, slots)}
 
 
@@ -173,15 +190,16 @@ def moment_cumulant_roundtrip(ctx: BNCContext, moments: dict, kappas: dict) -> b
     return True
 
 
-def _interval_weights(tops, ctx: BNCContext) -> dict[tuple[int, ...], int]:
-    """Sum over sigma in tops of kappa(sigma), as one weight per moment:
-    the weight of pi is the sum of mu(pi, sigma) over the tops above it.
-    Zero weights are dropped."""
-    weights: dict[tuple[int, ...], int] = {}
+def _interval_weights(n: int, tops) -> list[int]:
+    """Sum over the slots sigma in tops of kappa(sigma), as one weight
+    per moment, by NC(n) slot: the weight of pi is the sum of
+    mu(pi, sigma) over the tops above it."""
+    weights = [0] * catalan(n)
     for sigma in tops:
-        for rgs, mu in interval_below(sigma, ctx):
-            weights[rgs] = weights.get(rgs, 0) + mu
-    return {rgs: w for rgs, w in weights.items() if w}
+        below, mus = nc_row(n, sigma)
+        for t, mu in zip(below, mus):
+            weights[t] += mu
+    return weights
 
 
 def bifree_moment_check(
@@ -196,11 +214,12 @@ def bifree_moment_check(
     ctx = build_context(chi)
     rep = CheckReport()
     lhs = mf.expect(list(Z))
-    lattice = enumerate_bnc(ctx)
+    members, slots, pulled = bnc_lattice(ctx)
     moments = moment_table(ctx, Z, mf)
     colours = eps.as_partition()
-    tops = [sigma for sigma in lattice if refines(sigma, colours)]
-    total = _weighted_sum(moments, _interval_weights(tops, ctx).items())
+    tops = [t for pi, t in zip(members, slots) if refines(pi, colours)]
+    weights = _interval_weights(ctx.n, tops)
+    total = _weighted_sum(moments, ((pulled[t], w) for t, w in enumerate(weights) if w))
     ok = (lhs - total).is_zero()
     rep.record(
         "moment-formula", ok, None if ok else {"lhs": str(lhs), "rhs": str(total)}
@@ -214,34 +233,72 @@ def bifree_moment_check(
     return rep
 
 
-# (chi_hat.sides, chi.sides) -> (member rgs, member weights, rows below 1,
-#                                 {colours rgs: colour-refining non-members})
+# (chi_hat.sides, chi.sides) -> (member slots, member weights by slot,
+#                                 {colour classes: N})
 _audit_cache: dict = {}
 
 
-def _audit_lattice(fctx: FfbContext, ctx: BNCContext, lattice):
-    """What the audit needs of the lattice, shared by every colour map:
-    the sublattice members' rgs, the weight map summing their cumulants,
-    the interval_below rows of the full partition, and a dict that
-    audit_ffb_word fills with the colour-refining non-members of each
-    colour map it meets."""
+def _audit_lattice(fctx: FfbContext, ctx: BNCContext):
+    """What the audit needs of the lattice, shared by every colour map,
+    all by NC(n) slot: the boolean-pair sublattice's members, the weights
+    summing their cumulants, and a dict that audit_ffb_word fills with
+    the number of colour-refining non-members of each colour map it
+    meets."""
     key = (fctx.chi_hat.sides, fctx.chi.sides)
     hit = _audit_cache.get(key)
     if hit is None:
-        members = [pi for pi in lattice if in_bnc_ffb(pi, fctx)]
-        hit = _audit_cache[key] = (
-            frozenset(pi.rgs for pi in members),
-            tuple(_interval_weights(members, ctx).items()),
-            tuple(interval_below(SetPartition.full(ctx.n), ctx)),
-            {},
+        starts = fctx.boolean_pair_starts()
+        members = frozenset(
+            t
+            for t, rgs in enumerate(bnc_lattice(ctx)[2])
+            if all(rgs[j - 1] == rgs[j] for j in starts)
         )
+        hit = _audit_cache[key] = (members, _interval_weights(ctx.n, members), {})
     return hit
+
+
+def _refining_off_lattice(ctx: BNCContext, classes: tuple, starts) -> int:
+    """How many lattice members refine the colour classes (an rgs of
+    1..n) and split a boolean pair (j, j + 1 for j in starts).
+
+    The members are grown as NC(n) is, on the relabelled line: each slot
+    joins an open block of its own colour, closing every block opened
+    after it, or opens a new one.  A block is named by its first slot.
+    """
+    n = ctx.n
+    colour = [classes[i - 1] for i in ctx.s_chi]
+    pairs = [(ctx.rank[j - 1], ctx.rank[j]) for j in starts]
+    labels = [0] * n
+    count = 0
+
+    def grow(t, open_):
+        nonlocal count
+        if t == n:
+            count += any(labels[a] != labels[b] for a, b in pairs)
+            return
+        for k, head in enumerate(open_):
+            if colour[head] == colour[t]:
+                labels[t] = head
+                grow(t + 1, open_[: k + 1])
+        labels[t] = t
+        grow(t + 1, (*open_, t))
+
+    grow(0, ())
+    return count
+
+
+def _sparse_sum(entries: list, weights, zero) -> AlgebraElement:
+    """Sum of v scaled by weights[t] over the (t, v) entries; zero when
+    there are none."""
+    if not entries:
+        return zero
+    return _combine([v for _, v in entries], [weights[t] for t, _ in entries])
 
 
 def audit_ffb_word(
     fctx: FfbContext, eps: EpsilonMap, Z: list, mf: MomentContext
 ) -> CheckReport:
-    """Every word-level FFB claim off one moment table.
+    """Every word-level FFB claim off one walk of the moment program.
 
     Z is the expanded operand list (each boolean slot contributing its
     two factors); eps the expanded colour map.  The claims, in order:
@@ -249,28 +306,36 @@ def audit_ffb_word(
     sublattice; the full-word cumulant restricted to that sublattice is
     unchanged; colour-refining partition moments vanish off it; and the
     full-word cumulant vanishes unless the colour map is constant.
+
+    Every sum reads only the nonzero moments, so the walk's unreached
+    leaves are never filled.  The off-lattice claim names how many
+    colour-refining partitions lie off the sublattice, counted by
+    _refining_off_lattice once per lattice and colour classes, and its
+    witnesses are the nonzero ones among them, in lattice order.
     """
     if eps.n != fctx.n or len(Z) != fctx.n:
         raise SizeMismatch("expanded operands must match the expanded colouring")
-    if any(eps.colour(j) != eps.colour(j + 1) for j in fctx.boolean_pair_starts()):
+    starts = fctx.boolean_pair_starts()
+    if any(eps.colour(j) != eps.colour(j + 1) for j in starts):
         raise ColouringError("boolean pairs must be monochromatic")
     ctx = build_context(fctx.chi)
-    lattice = enumerate_bnc(ctx)
-    moments = moment_table(ctx, Z, mf)
-    member_rgs, member_weights, below_one, refining = _audit_lattice(
-        fctx, ctx, lattice
-    )
+    out, _ = _walk(ctx, Z, mf)
+    nonzero = [(t, v) for t, v in enumerate(out) if v is not None and not v.is_zero()]
+    members, member_weights, refining = _audit_lattice(fctx, ctx)
+    # row 0 of the kernel is 1's: every slot, in order, with mu(pi, 1)
+    below_one = nc_row(ctx.n, 0)[1]
     rep = CheckReport()
 
     lhs = mf.expect(list(Z))
-    total = _weighted_sum(moments, member_weights)
+    zero = lhs.parent.zero()
+    total = _sparse_sum(nonzero, member_weights, zero)
     ok = (lhs - total).is_zero()
     rep.record(
         "ffb-moment-formula", ok, None if ok else {"lhs": str(lhs), "rhs": str(total)}
     )
-    kap = _weighted_sum(moments, below_one)
-    restricted = _weighted_sum(
-        moments, ((rgs, mu) for rgs, mu in below_one if rgs in member_rgs)
+    kap = _sparse_sum(nonzero, below_one, zero)
+    restricted = _sparse_sum(
+        [(t, v) for t, v in nonzero if t in members], below_one, zero
     )
     ok = (kap - restricted).is_zero()
     rep.record(
@@ -279,22 +344,21 @@ def audit_ffb_word(
         None if ok else {"full": str(kap), "restricted": str(restricted)},
     )
 
-    colours = eps.as_partition()
-    off = refining.get(colours.rgs)
+    classes = eps.as_partition().rgs
+    off = refining.get(classes)
     if off is None:
-        off = refining[colours.rgs] = tuple(
-            pi.rgs
-            for pi in lattice
-            if pi.rgs not in member_rgs and refines(pi, colours)
-        )
-    bad = [rgs for rgs in off if not moments[rgs].is_zero()]
-    witness = [
-        {"id": f"vanishes-{rgs}", "status": "fail", "witness": str(moments[rgs])}
-        for rgs in bad[:5]
-    ]
-    rep.record(
-        f"off-lattice-vanishing ({len(off)} partitions)", not bad, witness=witness
+        off = refining[classes] = _refining_off_lattice(ctx, classes, starts)
+    pulled = bnc_lattice(ctx)[2]
+    bad = sorted(
+        (pulled[t], v)
+        for t, v in nonzero
+        if t not in members and _shared_pair(classes, pulled[t]) is None
     )
+    witness = [
+        {"id": f"vanishes-{rgs}", "status": "fail", "witness": str(v)}
+        for rgs, v in bad[:5]
+    ]
+    rep.record(f"off-lattice-vanishing ({off} partitions)", not bad, witness=witness)
 
     if len(set(eps.colours)) > 1:
         ok = kap.is_zero()

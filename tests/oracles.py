@@ -1,4 +1,4 @@
-"""Reference definitions that more than one test reads.
+"""Reference definitions that the tests read.
 
 Each one is plain and slow on purpose: the engine's own routes are
 checked against it, so none of it lives in the package.
@@ -11,6 +11,10 @@ from bnc_engine.partitions import (
     _crossing_pair,
     _pull_back,
     _shared_pair,
+    build_context,
+    enumerate_bnc,
+    in_bnc_ffb,
+    refines,
     relabelled_rgs,
 )
 
@@ -47,6 +51,17 @@ def join(pi: SetPartition, sigma: SetPartition, ctx) -> SetPartition:
         keep, drop = pair
         labels = tuple(keep if b == drop else b for b in labels)
     return SetPartition(_pull_back(labels, ctx))
+
+
+def off_lattice_refining(fctx, colours: SetPartition) -> list:
+    """The members of fctx's expanded lattice that refine the colour
+    classes and split a boolean pair, in lattice order: a scan of the
+    whole lattice."""
+    return [
+        pi
+        for pi in enumerate_bnc(build_context(fctx.chi))
+        if not in_bnc_ffb(pi, fctx) and refines(pi, colours)
+    ]
 
 
 def to_partition(d) -> SetPartition:

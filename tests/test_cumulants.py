@@ -1,5 +1,6 @@
 import hashlib
 import random
+from array import array
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -10,9 +11,9 @@ from bnc_engine.bimult import (
     APPEND_LEFT,
     PREPEND_LEFT,
     MomentContext,
+    Program,
     ReduceBlock,
     compile_plans,
-    plan_partitions,
     reduce_blocks,
     run_program,
 )
@@ -234,16 +235,30 @@ def _recorded_plan(rgs, side) -> list:
     return [tuple(step) for step in rec.steps]
 
 
+def _expanded(prog: Program) -> array:
+    """The program with every root group compiled by one planning memo,
+    in compile_plans' format: one node whose groups are the root groups'
+    in order."""
+    body = [len(prog.roots)]
+    memo, made = {}, {}
+    for g in range(len(prog.roots)):
+        body.extend(prog.subtree(g, memo, made)[1:])
+    return array("H" if max(body) < 1 << 16 else "I", body)
+
+
 def test_planner_matches_recorded_reductions():
-    # every chi with n <= 6: the planner's program against compile_plans
-    # over one plan per member, recorded by running reduce_blocks itself
-    for n in range(1, 7):
+    # every chi with n <= 7: the fully expanded program against
+    # compile_plans over one plan per member, recorded by running
+    # reduce_blocks itself
+    for n in range(1, 8):
         for sides in iproduct("lr", repeat=n):
             ctx = build_context(ChiMap(sides))
             side = dict(enumerate(sides, start=1))
             pulled = bnc_lattice(ctx)[2]
-            want = compile_plans([_recorded_plan(rgs, side) for rgs in pulled])
-            got = plan_partitions(pulled, side)
+            want = compile_plans(
+                (leaf, _recorded_plan(rgs, side)) for leaf, rgs in enumerate(pulled)
+            )
+            got = _expanded(Program(pulled, side))
             assert (got.typecode, got) == (want.typecode, want), sides
 
 
@@ -251,8 +266,8 @@ def test_last_side_flip_shares_lattice_and_program():
     """Lattices and programs are cached by s_chi, which puts position n
     between the last left and the last right position whatever its side.
     For every chi with n <= 7, chi and chi with its last side flipped get
-    the same lattice and program objects, and that program equals a
-    fresh plan_partitions build under either colouring's own sides."""
+    the same lattice and program objects, and the programs the two
+    colourings' own sides give are equal once fully expanded."""
     for n in range(1, 8):
         for head in iproduct("lr", repeat=n - 1):
             ctxs = [build_context(ChiMap(head + (last,))) for last in "lr"]
@@ -262,27 +277,55 @@ def test_last_side_flip_shares_lattice_and_program():
             pulled = lattices[0][2]
             progs = [cumulants._program(ctx, pulled) for ctx in ctxs]
             assert progs[0] is progs[1]
-            for ctx in ctxs:
-                fresh = plan_partitions(pulled, dict(enumerate(ctx.chi.sides, start=1)))
-                assert (fresh.typecode, fresh) == (progs[0].typecode, progs[0]), ctx.chi
+            a, b = (
+                _expanded(Program(pulled, dict(enumerate(ctx.chi.sides, start=1))))
+                for ctx in ctxs
+            )
+            assert (a.typecode, a) == (b.typecode, b), head
+
+
+def _counting_steps(monkeypatch) -> list:
+    """Count bimult.collapse_step calls: the list's length."""
+    calls = []
+    step = bimult.collapse_step
+    monkeypatch.setattr(bimult, "collapse_step", lambda *a: calls.append(1) or step(*a))
+    return calls
 
 
 def test_planner_works_out_each_state_once(monkeypatch):
-    # n = 7, all colourings: one step per distinct state (the blocks of a
-    # member below one of its labels), against 219,648 blocks in all
-    calls = 0
-    step = bimult.collapse_step
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return step(*args)
-
-    monkeypatch.setattr(bimult, "collapse_step", counted)
+    # n = 7, all colourings, fully expanded: one step per distinct state
+    # (the blocks of a member below one of its labels), against 219,648
+    # blocks in all
+    calls = _counting_steps(monkeypatch)
     for sides in iproduct("lr", repeat=7):
         ctx = build_context(ChiMap(sides))
-        plan_partitions(bnc_lattice(ctx)[2], dict(enumerate(sides, start=1)))
-    assert calls == 128_128
+        _expanded(Program(bnc_lattice(ctx)[2], dict(enumerate(sides, start=1))))
+    assert len(calls) == 128_128
+
+
+@pytest.mark.parametrize(
+    "shape, colours, lazy, eager",
+    [("lbr", (1, 2, 1), 0, 28), ("bbb", (1, 2, 1), 44, 297)],
+)
+def test_audit_plans_only_the_root_groups_it_enters(
+    monkeypatch, shape, colours, lazy, eager
+):
+    # doubled-m2 words, operands as ffb_sweep takes them: the audit's walk
+    # plans only the root groups whose expectation does not vanish, so it
+    # makes fewer collapse_step calls than planning the whole lattice
+    system = load_system("doubled-m2", 6)
+    faces = ffb._faces(system)
+    Z = [(a,) for s, k in zip(shape, colours) for a in faces[s][k][0].chain]
+    fctx = lr_replacement(ChiMap(tuple(shape), three_letter=True))
+    ctx = build_context(fctx.chi)
+    monkeypatch.setattr(cumulants, "_program_cache", {})
+    calls = _counting_steps(monkeypatch)
+    eps = fctx.expand_colours(EpsilonMap(colours))
+    assert audit_ffb_word(fctx, eps, Z, FreeMomentContext(system.fp)).ok
+    assert len(calls) == lazy
+    assert None in cumulants._program_cache[ctx.s_chi].codes
+    _expanded(Program(bnc_lattice(ctx)[2], dict(enumerate(fctx.chi.sides, start=1))))
+    assert len(calls) - lazy == eager
 
 
 def test_cumulant_table_matches_mobius_sum_of_single_moments():
@@ -372,31 +415,35 @@ def _child_extents(prog, i=0) -> int:
 
 
 def test_program_records_each_child_extent():
-    # every chi with n <= 6
+    # every chi with n <= 6, fully expanded
     for n in range(1, 7):
         for sides in iproduct("lr", repeat=n):
             ctx = build_context(ChiMap(sides))
-            prog = plan_partitions(bnc_lattice(ctx)[2], dict(enumerate(sides, start=1)))
+            prog = _expanded(Program(bnc_lattice(ctx)[2], dict(enumerate(sides, start=1))))
             assert _child_extents(prog) == len(prog), sides
             assert prog.typecode == "H"
 
 
 def test_wide_program_builds_and_walks():
-    # the typecode is read off the largest entry, not the leaf count: at
-    # n = 9 every entry fits "H", and at n = 10 the root's child extents
-    # outgrow it, though the 16,796 leaves would fit
-    for sides, typecode, size in (
-        ("lrrlrlrrl", "H", 77_877),
-        ("lrrlrlrrll", "I", 272_206),
+    # a subtree's typecode is read off its largest entry, not the leaf
+    # count: at n = 9 every entry fits "H", and at n = 10 the child
+    # extents of the largest root group outgrow it, though the 16,796
+    # leaves would fit
+    for sides, typecodes, size in (
+        ("lrrlrlrrl", {"H"}, 77_877),
+        ("lrrlrlrrll", {"H", "I"}, 272_206),
     ):
         ctx = build_context(ChiMap(tuple(sides)))
         pulled = bnc_lattice(ctx)[2]
-        prog = plan_partitions(pulled, dict(enumerate(sides, start=1)))
-        assert (prog.typecode, len(prog)) == (typecode, size)
-        assert (max(prog) >= 1 << 16) == (typecode == "I")
+        prog = Program(pulled, dict(enumerate(sides, start=1)))
         out = [None] * len(pulled)
-        run_program(prog, list(range(len(sides) + 1)), CountingContext(), out)
+        assert run_program(prog, list(range(len(sides) + 1)), CountingContext(), out) is None
         assert out == [0] * len(pulled)
+        codes = [code for code in prog.codes if code is not None]
+        assert {code.typecode for code in codes} == typecodes
+        for code in codes:
+            assert (max(code) >= 1 << 16) == (code.typecode == "I")
+        assert len(_expanded(prog)) == size
 
 
 class CountingFreeContext(FreeMomentContext):
@@ -573,12 +620,17 @@ def test_interval_weights_match_summed_cumulants():
             lattice = enumerate_bnc(ctx)
             table = {pi.rgs: SP.B.element([Fraction(rng.randint(-9, 9))]) for pi in lattice}
             colours = EpsilonMap(tuple(rng.choice((1, 2)) for _ in range(ctx.n)))
+            _, slots, pulled = bnc_lattice(ctx)
             for tops in (
                 [pi for pi in lattice if in_bnc_ffb(pi, fctx)],
                 [pi for pi in lattice if refines(pi, colours.as_partition())],
             ):
                 zero = SP.B.element([Fraction(0)])
-                got = _weighted_sum(table, _interval_weights(tops, ctx).items())
+                slot = dict(zip(lattice, slots))
+                weights = _interval_weights(ctx.n, [slot[pi] for pi in tops])
+                got = _weighted_sum(
+                    table, ((pulled[t], w) for t, w in enumerate(weights) if w)
+                )
                 want = zero
                 for pi in tops:
                     want = want + kappa_pi(pi, ctx, None, None, moments=table)

@@ -3,7 +3,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from bnc_engine import cumulants, freeprod
+from bnc_engine import cumulants, ffb, freeprod
 from bnc_engine.cumulants import audit_ffb_word
 from bnc_engine.ffb import (
     FfbFamily,
@@ -17,7 +17,8 @@ from bnc_engine.ffb import (
 from bnc_engine.fixtures import family_diag2, family_dual, family_m2, load_system
 from bnc_engine.freeprod import FreeMomentContext, apply_chain, module_operator
 from bnc_engine.linalg import ONE, ZERO, identity, unit_vec
-from bnc_engine.partitions import ChiMap, EpsilonMap, lr_replacement
+from bnc_engine.partitions import ChiMap, EpsilonMap, build_context, lr_replacement
+from oracles import off_lattice_refining
 
 
 def small_system(depth=6):
@@ -312,29 +313,56 @@ def test_ffb_word_audit_negative_controls():
     }
 
 
-def test_audit_finds_refining_partitions_once_per_colour_classes(monkeypatch):
-    """Which non-members refine the colouring depends only on the
-    lattice and the colour classes: a word whose colours only relabel
-    those of an audited word makes no refines call."""
-    real, calls = cumulants.refines, []
-    monkeypatch.setattr(cumulants, "_audit_cache", {})
-    monkeypatch.setattr(cumulants, "refines", lambda *a: calls.append(a) or real(*a))
-    fctx = lr_replacement(ChiMap(("l", "b", "r"), three_letter=True))
-    mf = FreeMomentContext(SYS.fp)
-    counts = []
-    for eps_hat in ((1, 2, 1), (2, 1, 2), (1, 2, 2)):
-        k, b, m = eps_hat
-        Z = [
-            SYS.faces_l[k][0].chain,
-            SYS.cprime[b][0].chain,
-            SYS.dprime[b][0].chain,
-            SYS.faces_r[m][0].chain,
-        ]
-        before = len(calls)
-        eps = fctx.expand_colours(EpsilonMap(eps_hat))
-        assert audit_ffb_word(fctx, eps, Z, mf).ok
-        counts.append(len(calls) - before)
-    assert counts[0] > 0 and counts[1] == 0 and counts[2] > 0
+def test_off_lattice_count_matches_a_lattice_scan():
+    """The audit counts the colour-refining partitions off the
+    boolean-pair sublattice by growing them on the relabelled line; on
+    every (lattice, colour classes) key of the doubled-dual sweep of
+    1..4 letters, that count is a scan's of the whole lattice."""
+    system = load_system("doubled-dual", 8)
+    keys, counted = set(), 0
+    for shape, eps_hat, _ in ffb._word_sweep(ffb._faces(system), 4, system.colours()):
+        fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
+        colours = fctx.expand_colours(EpsilonMap(eps_hat)).as_partition()
+        if (shape, colours.rgs) in keys:
+            continue
+        keys.add((shape, colours.rgs))
+        ctx = build_context(fctx.chi)
+        got = cumulants._refining_off_lattice(
+            ctx, colours.rgs, fctx.boolean_pair_starts()
+        )
+        assert got == len(off_lattice_refining(fctx, colours)), (shape, eps_hat)
+        counted += got
+    assert (len(keys), counted) == (777, 19_978)
+
+
+def test_off_lattice_witnesses_are_the_first_five_in_lattice_order():
+    # dual faces l and r as both halves of each boolean letter of bb, one
+    # colour: twelve colour-refining partitions split a pair, and the
+    # report names the first five, in lattice order, of those whose
+    # moment does not vanish
+    dual = embed_ffb_family(family_dual(), depth=4)
+    fctx = lr_replacement(ChiMap.parse("bb"))
+    left, right = dual.faces_l[1][0].chain, dual.faces_r[1][0].chain
+    Z = [left, right, left, right]
+    rep = audit_ffb_word(fctx, EpsilonMap((1, 1, 1, 1)), Z, FreeMomentContext(dual.fp))
+    witness = [
+        {"id": f"vanishes-{rgs}", "status": "fail", "witness": "1*1"}
+        for rgs in ((0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 2), (0, 1, 0, 0), (0, 1, 0, 1))
+    ]
+    assert rep.claims == [
+        {
+            "id": "ffb-moment-formula",
+            "status": "fail",
+            "witness": {"lhs": "1*1", "rhs": "0"},
+        },
+        {"id": "ffb-cumulant-restriction", "status": "pass"},
+        {
+            "id": "off-lattice-vanishing (12 partitions)",
+            "status": "fail",
+            "witness": witness,
+        },
+        {"id": "constant-colour-cumulant", "status": "pass"},
+    ]
 
 
 def test_single_boolean_slot_cumulant_is_plain_expectation():
