@@ -26,16 +26,19 @@ engine never multiplies elements itself.
 
 The collapse order, each insertion's kind and its target depend only on
 the blocks and the side colouring, never on the operands.  collapse_step
-is the one place that decides a step's insertion; reduce_blocks calls it
-on operands, and the planner calls it on positions alone, both in the
-one order above.  The plan of a closed partition collapses its block
-with the largest minimum and then follows the plan of the blocks left,
-so every state a plan passes through is "the blocks whose minimum is
-below m".  A Program holds the plans of a whole lattice, or of one
-partition, as a root table with one group per last block.  The plans
-below a root group are worked out the first time a walk enters that
-group, each distinct state's step once per walk, and compile_plans
-merges them into one flat program over their shared step prefixes.
+is the one rule that decides a step's insertion, read off position
+tuples: reduce_blocks calls it with the gap ranks of its top blocks, and
+the planner on closed blocks alone, both in the one order above.  The
+plan of a closed partition collapses its block with the largest minimum
+and then follows the plan of the blocks left, so every state a plan
+passes through is "the blocks whose minimum is below m", named by the
+state below it and its last block.  A Program takes each partition's
+blocks in order of their minima, as partitions.bnc_lattice yields them,
+and holds the plans of a whole lattice, or of one partition, as a root
+table with one group per last block.  The plans below a root group are
+worked out the first time a walk enters that group, each distinct
+state's step once per walk, and compile_plans merges them into one flat
+program over their shared step prefixes.
 run_program walks the root table and the compiled subtrees depth first
 on any operands: each distinct prefix ending in an expectation is
 evaluated once, however many plans share it.  A single partition's
@@ -56,7 +59,9 @@ the final moment of every leaf below it.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional
 
 
@@ -129,50 +134,47 @@ def walk_key(
     return min(keys)
 
 
-def _case3_target(block: ReduceBlock, blocks, side: dict[int, str]):
-    j = block.positions[0]
-    crossing = [
-        w for w in blocks if w is not block and crosses(w.positions, w.top, j)
-    ]
+def _case3_target(j: int, rest, side: dict[int, str], gaps):
+    """The first element after j of the spine nearest j among the blocks
+    of rest whose spine crosses j, or None when none does."""
+    crossing = [w for w in rest if crosses(w, w in gaps, j)]
     if not crossing:
         return None
-    from_left = side[j] == "l"
-    w = min(
-        crossing, key=lambda o: walk_key(o.positions, o.gap_rank, j, side, from_left)
-    )
-    later = [p for p in w.positions if p > j]
-    if not later:
-        return None
-    return w, min(later)
+    w = crossing[0]
+    if len(crossing) > 1:
+        from_left = side[j] == "l"
+        w = min(crossing, key=lambda o: walk_key(o, gaps.get(o), j, side, from_left))
+    return w[bisect(w, j)]
 
 
 APPEND_LEFT, PREPEND_LEFT, PREPEND_RIGHT = range(3)
+_CLOSED = MappingProxyType({})  # no block runs to the top gap
 
 
 def collapse_step(
-    v: ReduceBlock, rest: list[ReduceBlock], side: dict[int, str]
+    v: tuple[int, ...], rest, last: int, side: dict[int, str], gaps=_CLOSED
 ) -> Optional[tuple[int, int]]:
     """How the value of the collapsed block v enters the blocks rest that
     survive it: (kind, target), the operand at position target taking
     the value by kind; None when nothing survives, since the value is
     then the moment.
 
-    A v after every surviving position folds onto the last of them from
-    the right; any other v is inserted, on the side of its minimum's
-    colour, onto the first later element of the adjacent spine.
+    Blocks are ascending position tuples, last is the largest position
+    in rest, and gaps maps each block of rest that runs to the top gap
+    to its gap rank (1 = leftmost).  A v after every surviving position
+    folds onto the last of them from the right; any other v is inserted,
+    on the side of its minimum's colour, onto the first later element of
+    the adjacent spine.
     """
     if not rest:
         return None
-    j = v.positions[0]
-    last = max(b.positions[-1] for b in rest)
+    j = v[0]
     if last < j:
         return APPEND_LEFT, last
-    found = _case3_target(v, rest, side)
-    if found is None:
-        raise ReductionError(
-            f"block {v.positions} is neither a tail nor next to a spine"
-        )
-    return (PREPEND_LEFT if side[j] == "l" else PREPEND_RIGHT), found[1]
+    target = _case3_target(j, rest, side, gaps)
+    if target is None:
+        raise ReductionError(f"block {v} is neither a tail nor next to a spine")
+    return (PREPEND_LEFT if side[j] == "l" else PREPEND_RIGHT), target
 
 
 def reduce_blocks(
@@ -188,6 +190,7 @@ def reduce_blocks(
     ('tops', top_blocks_in_gap_order, ops).
     """
     blocks = list(blocks)
+    gaps = {b.positions: b.gap_rank for b in blocks if b.top}
     ops = dict(ops)
     while True:
         closed = [b for b in blocks if not b.top]
@@ -197,42 +200,19 @@ def reduce_blocks(
         v = max(closed, key=lambda b: b.positions[0])
         value = ctx.expect([ops[p] for p in v.positions])
         blocks = [b for b in blocks if b is not v]
-        step = collapse_step(v, blocks, side)
+        rest = [b.positions for b in blocks]
+        last = max([w[-1] for w in rest], default=0)
+        step = collapse_step(v.positions, rest, last, side, gaps)
         if step is None:
             return ("scalar", value)
         kind, target = step
         ops[target] = ctx.insert(kind, value, ops[target])
 
 
-def _plan(rgs, side: dict[int, str], memo: dict, made: dict) -> list:
-    """The steps of the partition given by rgs, whose labels number its
-    blocks by their minima: collapse the last block, then plan the blocks
-    below it.  memo holds the step of every state already planned, keyed
-    by its blocks' positions, and made the one ReduceBlock of each block's
-    positions."""
-    cols = [[] for _ in range(max(rgs) + 1)]
-    for p, b in enumerate(rgs, start=1):
-        cols[b].append(p)
-    cols = tuple(map(tuple, cols))
-    blocks = []
-    for positions in cols:
-        blk = made.get(positions)
-        if blk is None:
-            blk = made[positions] = ReduceBlock(positions)
-        blocks.append(blk)
-    plan = []
-    for k in range(len(blocks) - 1, -1, -1):
-        state = cols[: k + 1]
-        step = memo.get(state)
-        if step is None:
-            step = memo[state] = (cols[k], collapse_step(blocks[k], blocks[:k], side))
-        plan.append(step)
-    return plan
-
-
 class Program:
-    """The reduction plans of closed partitions of 1..n (given by rgs,
-    leaf i holding the moment of partitions[i]), planned on demand.
+    """The reduction plans of closed partitions of 1..n, planned on
+    demand: blocks[leaf] lists the blocks of the partition whose moment
+    leaf i holds, in order of their minima, as ascending position tuples.
 
     Every plan starts by collapsing its last block, the one with the
     largest minimum, so roots lists one group per last block: its
@@ -244,31 +224,54 @@ class Program:
     and a program keeps only its root table and the code compiled so far.
     """
 
-    def __init__(self, partitions, side: dict[int, str]):
+    def __init__(self, blocks, side: dict[int, str]):
         groups: dict = {}
-        for leaf, rgs in enumerate(partitions):
-            last = max(rgs)
-            positions = tuple([p for p, b in enumerate(rgs, start=1) if b == last])
-            ends, goes_on = groups.setdefault(positions, ([], []))
-            (goes_on if last else ends).append(leaf)
+        for leaf, member in enumerate(blocks):
+            ends, goes_on = groups.setdefault(member[-1], ([], []))
+            (goes_on if len(member) > 1 else ends).append(leaf)
         self.roots = [
             (positions, tuple(ends), array("I", goes_on))
             for positions, (ends, goes_on) in groups.items()
         ]
         self.codes: list = [None] * len(self.roots)
-        self._partitions = partitions
+        self._blocks = blocks
         self._side = side
 
-    def subtree(self, g: int, memo: dict, made: dict) -> array:
-        """Root group g's leaves' plans, compiled on first call; memo and
-        made are _plan's."""
+    def subtree(self, g: int, memo: dict) -> array:
+        """Root group g's leaves' plans, compiled on first call.
+
+        A plan collapses a partition's blocks from the last down, so the
+        states it passes through are its first k blocks for each k, and a
+        state is keyed by the state one block shorter and its last block:
+        (id of the step memo holds for that state, block).  memo holds
+        the step (block, insertion) of every state already planned.  The
+        largest position of the blocks below is carried along each
+        member, so a tail fold needs no scan.
+        """
         code = self.codes[g]
-        if code is None:
-            _, ends, goes_on = self.roots[g]
-            code = self.codes[g] = compile_plans(
-                (leaf, _plan(self._partitions[leaf], self._side, memo, made))
-                for leaf in (*ends, *goes_on)
-            )
+        if code is not None:
+            return code
+        _, ends, goes_on = self.roots[g]
+        side = self._side
+
+        def plans():
+            for leaf in (*ends, *goes_on):
+                member = self._blocks[leaf]
+                plan = []
+                below, last = None, 0
+                for k, blk in enumerate(member):
+                    step = memo.get((below, blk))
+                    if step is None:
+                        insertion = collapse_step(blk, member[:k], last, side)
+                        step = memo[below, blk] = (blk, insertion)
+                    plan.append(step)
+                    below = id(step)
+                    if blk[-1] > last:
+                        last = blk[-1]
+                plan.reverse()
+                yield leaf, plan
+
+        code = self.codes[g] = compile_plans(plans())
         return code
 
 
@@ -316,23 +319,23 @@ def compile_plans(plans) -> array:
     return array("H" if max(prog) < 1 << 16 else "I", prog)
 
 
-def run_program(prog: Program, ops: list, ctx: MomentContext, out: list):
+def run_program(prog: Program, ops: list, ctx: MomentContext, out):
     """Evaluate a program depth first: out[leaf] receives the moment of
-    each leaf's plan that the walk reaches, and holds None at every leaf
-    on entry.  ops[p] is the operand at position p (ops[0] is unused); an
-    insertion is undone once its subtree is done, so every child starts
-    from its parent's operands.  A root group is compiled when the walk
+    each leaf's plan that the walk reaches; out is a list holding None at
+    every leaf, or an empty dict, which then holds the reached leaves
+    alone, in the order the walk reaches them.  ops[p] is the operand at
+    position p (ops[0] is unused); an insertion is undone once its
+    subtree is done, so every child starts from its parent's operands.  A root group is compiled when the walk
     first enters it with a value that does not vanish.  The children of a
     group whose value vanishes are stepped over, and their leaves are
-    left None; the return value is the last vanishing value met, the one
+    left unset; the return value is the last vanishing value met, the one
     zero of B that every such leaf holds, or None when nothing vanished.
     """
     expect = ctx.expect
     insert = ctx.insert
     vanishes = ctx.vanishes
     zero = None
-    memo: dict = {}  # _plan's, shared by the groups this walk compiles
-    made: dict = {}
+    memo: dict = {}  # Program.subtree's, shared by the groups this walk compiles
 
     def walk(code, i, c, value):
         """Walk the c children at code[i] of a group of the given value;
@@ -373,7 +376,7 @@ def run_program(prog: Program, ops: list, ctx: MomentContext, out: list):
         if vanishes(value):
             zero = value
             continue
-        code = prog.subtree(g, memo, made)
+        code = prog.subtree(g, memo)
         i = 3 + len(positions) + len(ends)  # the group's child count
         walk(code, i + 1, code[i], value)
     return zero

@@ -9,8 +9,8 @@ the bilinear form (y, x) ↦ E(y·x), and insert(kind, value, elem)
 passes the collapse kind on to BBProbSpace.insert, which combines that
 kind's sparse maps (x ↦ x·L_b, L_b·x or R_b·x).  The reduction plans
 of every member of a colouring's lattice form one bimult.Program per
-s_chi, whose leaves are the NC(n) slots; it reads the members' blocks
-straight from their pulled-back rgs, and plans the members below a
+s_chi, whose leaves are the NC(n) slots; it takes the members' blocks
+as the lattice's one pass left them, and plans the members below a
 root group (their last block) only when a walk first enters that group
 with a value that does not vanish.  Keying by s_chi is exact: chi and
 chi with its last side flipped have one s_chi, and the planner reads
@@ -21,8 +21,9 @@ of the one partition, a one-leaf program.  A cumulant is one row of
 the NC(n) Mobius kernel (nc_row) over the moment vector, so a cumulant
 table is one sparse integer mat-vec.
 
-The FFB word audit reads only the nonzero moments of its walk: each of
-its sums looks the weights of those slots up in maps built once per
+The FFB word audit reads only the nonzero moments of its walk, which
+writes the leaves it reaches into a dict and no others: each of its
+sums looks the weights of those slots up in maps built once per
 lattice, and its count of the colour-refining partitions off the
 boolean-pair sublattice grows them directly on the relabelled line
 rather than scanning the lattice.
@@ -50,7 +51,6 @@ from .partitions import (
     interval_below,
     is_bnc,
     nc_row,
-    refines,
 )
 
 
@@ -90,7 +90,7 @@ def e_pi(
         if not mf.verify_side(z, ctx.chi.side(i)):
             raise SideMismatch(f"operand {i} not in the {ctx.chi.side(i)} side")
     out = [None]
-    zero = run_program(Program([pi.rgs], _sides(ctx)), [None, *Z], mf, out)
+    zero = run_program(Program([pi.blocks()], _sides(ctx)), [None, *Z], mf, out)
     return zero if out[0] is None else out[0]
 
 
@@ -105,31 +105,32 @@ def _sides(ctx: BNCContext) -> dict[int, str]:
     return {i: s for i, s in enumerate(ctx.chi.sides, start=1)}
 
 
-def _program(ctx: BNCContext, pulled) -> Program:
+def _program(ctx: BNCContext, blocks) -> Program:
     prog = _program_cache.get(ctx.s_chi)
     if prog is None:
-        prog = _program_cache[ctx.s_chi] = Program(pulled, _sides(ctx))
+        prog = _program_cache[ctx.s_chi] = Program(blocks, _sides(ctx))
     return prog
 
 
-def _walk(ctx: BNCContext, Z: list, mf: MomentContext):
-    """One walk of the colouring's program: the moments by NC(n) slot,
-    None at the leaves below a vanishing expectation, and the zero that
-    those leaves hold (None when every leaf was reached)."""
-    pulled = bnc_lattice(ctx)[2]
-    out = [None] * len(pulled)
-    return out, run_program(_program(ctx, pulled), [None, *Z], mf, out)
+def _walk(ctx: BNCContext, Z: list, mf: MomentContext, out):
+    """One walk of the colouring's program into out, a list of None by
+    NC(n) slot or an empty dict (see run_program): the zero that the
+    leaves below a vanishing expectation hold, None when every leaf was
+    reached."""
+    prog = _program(ctx, bnc_lattice(ctx)[0])
+    return run_program(prog, [None, *Z], mf, out)
 
 
 def moment_table(ctx: BNCContext, Z: list, mf: MomentContext):
     """All partition moments, keyed by rgs in lattice order: one walk of
     the colouring's program, the leaves it stepped over filled with the
     zero it met."""
-    members, slots, _ = bnc_lattice(ctx)
-    out, zero = _walk(ctx, Z, mf)
+    _, slots, pulled = bnc_lattice(ctx)
+    out = [None] * len(pulled)
+    zero = _walk(ctx, Z, mf, out)
     if zero is not None:
         out = [zero if v is None else v for v in out]
-    return {pi.rgs: out[t] for pi, t in zip(members, slots)}
+    return {pulled[t]: out[t] for t in slots}
 
 
 def kappa_pi(
@@ -169,12 +170,12 @@ def cumulant_table(ctx: BNCContext, Z: list, mf: MomentContext, moments=None):
     Z unless given) as a vector by NC(n) slot, times the Mobius kernel."""
     if moments is None:
         moments = moment_table(ctx, Z, mf)
-    members, slots, pulled = bnc_lattice(ctx)
+    _, slots, pulled = bnc_lattice(ctx)
     vec = [moments[rgs] for rgs in pulled]
     out = {}
-    for pi, t in zip(members, slots):
+    for t in slots:
         below, mus = nc_row(ctx.n, t)
-        out[pi.rgs] = _combine([vec[u] for u in below], mus)
+        out[pulled[t]] = _combine([vec[u] for u in below], mus)
     return out
 
 
@@ -214,10 +215,10 @@ def bifree_moment_check(
     ctx = build_context(chi)
     rep = CheckReport()
     lhs = mf.expect(list(Z))
-    members, slots, pulled = bnc_lattice(ctx)
+    pulled = bnc_lattice(ctx)[2]
     moments = moment_table(ctx, Z, mf)
-    colours = eps.as_partition()
-    tops = [t for pi, t in zip(members, slots) if refines(pi, colours)]
+    colours = eps.as_partition().rgs
+    tops = [t for t, rgs in enumerate(pulled) if _shared_pair(colours, rgs) is None]
     weights = _interval_weights(ctx.n, tops)
     total = _weighted_sum(moments, ((pulled[t], w) for t, w in enumerate(weights) if w))
     ok = (lhs - total).is_zero()
@@ -307,8 +308,8 @@ def audit_ffb_word(
     unchanged; colour-refining partition moments vanish off it; and the
     full-word cumulant vanishes unless the colour map is constant.
 
-    Every sum reads only the nonzero moments, so the walk's unreached
-    leaves are never filled.  The off-lattice claim names how many
+    The walk writes only the leaves it reaches, and every sum reads only
+    the nonzero ones among them.  The off-lattice claim names how many
     colour-refining partitions lie off the sublattice, counted by
     _refining_off_lattice once per lattice and colour classes, and its
     witnesses are the nonzero ones among them, in lattice order.
@@ -319,8 +320,9 @@ def audit_ffb_word(
     if any(eps.colour(j) != eps.colour(j + 1) for j in starts):
         raise ColouringError("boolean pairs must be monochromatic")
     ctx = build_context(fctx.chi)
-    out, _ = _walk(ctx, Z, mf)
-    nonzero = [(t, v) for t, v in enumerate(out) if v is not None and not v.is_zero()]
+    out: dict = {}
+    _walk(ctx, Z, mf, out)
+    nonzero = [(t, v) for t, v in out.items() if not v.is_zero()]
     members, member_weights, refining = _audit_lattice(fctx, ctx)
     # row 0 of the kernel is 1's: every slot, in order, with mu(pi, 1)
     below_one = nc_row(ctx.n, 0)[1]

@@ -8,11 +8,14 @@ ascending then the right indices descending, and a partition is
 bi-non-crossing when its relabelling through that permutation is
 non-crossing in the classical sense.  The lattice is therefore NC(n)
 seen through s_chi: enumeration, Mobius values and intervals are all
-computed on the relabelled line, entered by relabelled_rgs and left
-by _pull_back.  Mobius values and intervals come from one kernel per n,
-indexed by NC(n) slot (_nc_slots): nc_row builds a row on first use,
-finding each partition below sigma by its head labelling, with no
-renumbering; bnc_lattice pulls every slot back once per s_chi.  The
+computed on the relabelled line, entered by relabelled_rgs and left by
+bnc_lattice's one pass, which pulls every slot of NC(n) back once per
+s_chi and keeps each member's rgs and its blocks as position tuples,
+equal blocks one tuple shared across the lattice; validated
+SetPartitions are built only when enumerate_bnc is asked for them.
+Mobius values and intervals come from one kernel per n, indexed by
+NC(n) slot (_nc_slots): nc_row builds a row on first use, finding each
+partition below sigma by its head labelling, with no renumbering.  The
 per-n tables and the kernel rows are lru_caches.  The one other cache,
 the lattice's, is keyed by s_chi, not by the colouring: s_chi puts
 position n between the last left and the last right position whatever
@@ -244,17 +247,6 @@ def relabelled_rgs(pi: SetPartition, ctx: BNCContext) -> tuple[int, ...]:
     return _canonical_rgs(pi.rgs[p - 1] for p in ctx.s_chi)
 
 
-def _pull_back(labels, ctx: BNCContext) -> tuple[int, ...]:
-    """Pull-back through s_chi: the rgs of the partition of 1..n whose
-    position i carries the label of its slot on the relabelled line.
-
-    This is _canonical_rgs fused with the slot lookup, which runs once
-    per member of NC(n) when bnc_lattice first meets a colouring.
-    """
-    order: dict = {}
-    return tuple([order.setdefault(labels[t], len(order)) for t in ctx.rank])
-
-
 def is_bnc(pi: SetPartition, ctx: BNCContext) -> bool:
     if pi.n != ctx.n:
         raise SizeMismatch(f"partition of {pi.n} against colouring of {ctx.n}")
@@ -283,29 +275,52 @@ def _noncrossing_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-# s_chi -> (members in rgs order, their slots, rgs by slot)
+# s_chi -> (blocks by slot, member slots in rgs order, rgs by slot)
 _bnc_cache: dict[tuple[int, ...], tuple] = {}
 
 
 def bnc_lattice(ctx: BNCContext):
-    """The lattice three ways: its members in lexicographic rgs order,
-    each member's slot (its index in _noncrossing_partitions(n), the
-    order of _nc_slots), and the members' rgs by slot."""
+    """The lattice three ways, all by NC(n) slot (a member's index in
+    _noncrossing_partitions(n), the order of _nc_slots): each member's
+    blocks in order of their minima, as ascending position tuples; the
+    members' slots in lexicographic rgs order; and the members' rgs.
+
+    One pass pulls each member of NC(n) back through s_chi: position i
+    carries the label of its slot on the relabelled line, the rgs numbers
+    the labels by first appearance, and the blocks gather the positions
+    of each.  Equal blocks are one tuple, shared by every member that
+    has them.
+    """
     cap = enumeration_cap()
     if ctx.n > cap:
         raise CapExceeded(f"n={ctx.n} exceeds cap {cap}")
     hit = _bnc_cache.get(ctx.s_chi)
-    if hit is None:
-        pulled = tuple(_pull_back(rgs, ctx) for rgs in _noncrossing_partitions(ctx.n))
-        slots = tuple(sorted(range(len(pulled)), key=pulled.__getitem__))
-        members = tuple(SetPartition(pulled[t]) for t in slots)
-        hit = _bnc_cache[ctx.s_chi] = (members, slots, pulled)
+    if hit is not None:
+        return hit
+    shared: dict = {}
+    blocks, pulled = [], []
+    for labels in _noncrossing_partitions(ctx.n):
+        order: dict = {}
+        cols: list = []
+        rgs = []
+        for i, t in enumerate(ctx.rank, start=1):
+            b = order.setdefault(labels[t], len(cols))
+            if b == len(cols):
+                cols.append([i])
+            else:
+                cols[b].append(i)
+            rgs.append(b)
+        pulled.append(tuple(rgs))
+        blocks.append(tuple([shared.setdefault(c, c) for c in map(tuple, cols)]))
+    slots = tuple(sorted(range(len(pulled)), key=pulled.__getitem__))
+    hit = _bnc_cache[ctx.s_chi] = (tuple(blocks), slots, tuple(pulled))
     return hit
 
 
 def enumerate_bnc(ctx: BNCContext) -> list[SetPartition]:
     """All bi-non-crossing partitions, lexicographic in rgs."""
-    return list(bnc_lattice(ctx)[0])
+    _, slots, pulled = bnc_lattice(ctx)
+    return [SetPartition(pulled[t]) for t in slots]
 
 
 def refines(pi: SetPartition, sigma: SetPartition) -> bool:

@@ -8,8 +8,8 @@ from bnc_engine.bimult import ReductionError, collapse_step
 from bnc_engine.partitions import (
     SetPartition,
     SizeMismatch,
+    _canonical_rgs,
     _crossing_pair,
-    _pull_back,
     _shared_pair,
     build_context,
     enumerate_bnc,
@@ -50,7 +50,7 @@ def join(pi: SetPartition, sigma: SetPartition, ctx) -> SetPartition:
     while (pair := _shared_pair(labels, other) or _crossing_pair(labels)):
         keep, drop = pair
         labels = tuple(keep if b == drop else b for b in labels)
-    return SetPartition(_pull_back(labels, ctx))
+    return SetPartition(_canonical_rgs(labels[t] for t in ctx.rank))
 
 
 def off_lattice_refining(fctx, colours: SetPartition) -> list:
@@ -78,8 +78,10 @@ def reduce_in_random_order(blocks, ops: dict, side: dict, ctx, rng):
         legal = []
         for v in blocks:
             rest = [b for b in blocks if b is not v]
+            positions = [b.positions for b in rest]
+            last = max([w[-1] for w in positions], default=0)
             try:
-                legal.append((v, rest, collapse_step(v, rest, side)))
+                legal.append((v, rest, collapse_step(v.positions, positions, last, side)))
             except ReductionError:
                 pass
         v, blocks, step = rng.choice(legal)

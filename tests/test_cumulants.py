@@ -240,26 +240,35 @@ def _expanded(prog: Program) -> array:
     in compile_plans' format: one node whose groups are the root groups'
     in order."""
     body = [len(prog.roots)]
-    memo, made = {}, {}
+    memo = {}
     for g in range(len(prog.roots)):
-        body.extend(prog.subtree(g, memo, made)[1:])
+        body.extend(prog.subtree(g, memo)[1:])
     return array("H" if max(body) < 1 << 16 else "I", body)
 
 
 def test_planner_matches_recorded_reductions():
-    # every chi with n <= 7: the fully expanded program against
-    # compile_plans over one plan per member, recorded by running
-    # reduce_blocks itself
-    for n in range(1, 8):
-        for sides in iproduct("lr", repeat=n):
-            ctx = build_context(ChiMap(sides))
-            side = dict(enumerate(sides, start=1))
-            pulled = bnc_lattice(ctx)[2]
-            want = compile_plans(
-                (leaf, _recorded_plan(rgs, side)) for leaf, rgs in enumerate(pulled)
-            )
-            got = _expanded(Program(pulled, side))
-            assert (got.typecode, got) == (want.typecode, want), sides
+    # every chi with n <= 7, and two with n = 8: the fully expanded
+    # program against compile_plans over one plan per member, recorded by
+    # running reduce_blocks itself.  The programs for n <= 7 are also
+    # pinned by one sha256 of their entries, which holds them fixed apart
+    # from reduce_blocks and the step rule the two share.
+    h = hashlib.sha256()
+    chis = [sides for n in range(1, 8) for sides in iproduct("lr", repeat=n)]
+    for sides in chis + [tuple("lrrlrlrl"), tuple("llrrrlrr")]:
+        ctx = build_context(ChiMap(sides))
+        side = dict(enumerate(sides, start=1))
+        blocks, _, pulled = bnc_lattice(ctx)
+        want = compile_plans(
+            (leaf, _recorded_plan(rgs, side)) for leaf, rgs in enumerate(pulled)
+        )
+        got = _expanded(Program(blocks, side))
+        assert (got.typecode, got) == (want.typecode, want), sides
+        if len(sides) < 8:
+            code = ",".join(map(str, got))
+            h.update(f"{''.join(sides)}:{got.typecode}:{code};".encode())
+    assert h.hexdigest() == (
+        "6e63bff039bacdb87bfbfb76f45435a7efff49dd8cdd0cffefbd9a2faf296f19"
+    )
 
 
 def test_last_side_flip_shares_lattice_and_program():
@@ -274,11 +283,11 @@ def test_last_side_flip_shares_lattice_and_program():
             assert ctxs[0].s_chi == ctxs[1].s_chi
             lattices = [bnc_lattice(ctx) for ctx in ctxs]
             assert lattices[0] is lattices[1]
-            pulled = lattices[0][2]
-            progs = [cumulants._program(ctx, pulled) for ctx in ctxs]
+            blocks = lattices[0][0]
+            progs = [cumulants._program(ctx, blocks) for ctx in ctxs]
             assert progs[0] is progs[1]
             a, b = (
-                _expanded(Program(pulled, dict(enumerate(ctx.chi.sides, start=1))))
+                _expanded(Program(blocks, dict(enumerate(ctx.chi.sides, start=1))))
                 for ctx in ctxs
             )
             assert (a.typecode, a) == (b.typecode, b), head
@@ -299,7 +308,7 @@ def test_planner_works_out_each_state_once(monkeypatch):
     calls = _counting_steps(monkeypatch)
     for sides in iproduct("lr", repeat=7):
         ctx = build_context(ChiMap(sides))
-        _expanded(Program(bnc_lattice(ctx)[2], dict(enumerate(sides, start=1))))
+        _expanded(Program(bnc_lattice(ctx)[0], dict(enumerate(sides, start=1))))
     assert len(calls) == 128_128
 
 
@@ -324,7 +333,7 @@ def test_audit_plans_only_the_root_groups_it_enters(
     assert audit_ffb_word(fctx, eps, Z, FreeMomentContext(system.fp)).ok
     assert len(calls) == lazy
     assert None in cumulants._program_cache[ctx.s_chi].codes
-    _expanded(Program(bnc_lattice(ctx)[2], dict(enumerate(fctx.chi.sides, start=1))))
+    _expanded(Program(bnc_lattice(ctx)[0], dict(enumerate(fctx.chi.sides, start=1))))
     assert len(calls) - lazy == eager
 
 
@@ -419,7 +428,7 @@ def test_program_records_each_child_extent():
     for n in range(1, 7):
         for sides in iproduct("lr", repeat=n):
             ctx = build_context(ChiMap(sides))
-            prog = _expanded(Program(bnc_lattice(ctx)[2], dict(enumerate(sides, start=1))))
+            prog = _expanded(Program(bnc_lattice(ctx)[0], dict(enumerate(sides, start=1))))
             assert _child_extents(prog) == len(prog), sides
             assert prog.typecode == "H"
 
@@ -434,8 +443,8 @@ def test_wide_program_builds_and_walks():
         ("lrrlrlrrll", {"H", "I"}, 272_206),
     ):
         ctx = build_context(ChiMap(tuple(sides)))
-        pulled = bnc_lattice(ctx)[2]
-        prog = Program(pulled, dict(enumerate(sides, start=1)))
+        blocks, _, pulled = bnc_lattice(ctx)
+        prog = Program(blocks, dict(enumerate(sides, start=1)))
         out = [None] * len(pulled)
         assert run_program(prog, list(range(len(sides) + 1)), CountingContext(), out) is None
         assert out == [0] * len(pulled)
