@@ -2,9 +2,7 @@
 """The mutation register: deliberate faults in src/ and the tests that
 must catch them.
 
-    python3 scripts/mutants.py              # every mutant
-    python3 scripts/mutants.py r1 ii        # the named mutants only
-    python3 scripts/mutants.py --list       # print the register
+    python3 scripts/mutants.py
 
 A mutant names a file under src/bnc_engine, an exact old text, the new
 text that replaces it, and the pytest node ids meant to fail on it.  For
@@ -25,7 +23,6 @@ behaves as recorded, 1 otherwise.  Stdlib only.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -213,23 +210,5 @@ def run(mutants) -> int:
     return 1 if bad else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("ids", nargs="*", help="mutant ids (default: all)")
-    parser.add_argument("--list", action="store_true", help="print the register")
-    args = parser.parse_args(argv)
-    known = {m.id: m for m in REGISTER}
-    unknown = [i for i in args.ids if i not in known]
-    if unknown:
-        parser.error(f"unknown mutant ids: {', '.join(unknown)}")
-    mutants = [known[i] for i in args.ids] if args.ids else list(REGISTER)
-    if args.list:
-        for m in mutants:
-            fate = f"survives: {m.survives}" if m.survives else "killed"
-            print(f"{m.id}\t{m.file}\t{fate}\t{' '.join(m.tests)}")
-        return 0
-    return run(mutants)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(REGISTER))

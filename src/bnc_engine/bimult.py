@@ -61,7 +61,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Optional
 
 
@@ -148,11 +147,16 @@ def _case3_target(j: int, rest, side: dict[int, str], gaps):
 
 
 APPEND_LEFT, PREPEND_LEFT, PREPEND_RIGHT = range(3)
-_CLOSED = MappingProxyType({})  # no block runs to the top gap
+
+
+def last_position(rest) -> int:
+    """The largest position in the blocks rest, 0 when there are none:
+    collapse_step's last, for a caller that keeps no running maximum."""
+    return max([w[-1] for w in rest], default=0)
 
 
 def collapse_step(
-    v: tuple[int, ...], rest, last: int, side: dict[int, str], gaps=_CLOSED
+    v: tuple[int, ...], rest, last: int, side: dict[int, str], gaps=None
 ) -> Optional[tuple[int, int]]:
     """How the value of the collapsed block v enters the blocks rest that
     survive it: (kind, target), the operand at position target taking
@@ -161,7 +165,7 @@ def collapse_step(
 
     Blocks are ascending position tuples, last is the largest position
     in rest, and gaps maps each block of rest that runs to the top gap
-    to its gap rank (1 = leftmost).  A v after every surviving position
+    to its gap rank (1 = leftmost); None when no block does.  A v after every surviving position
     folds onto the last of them from the right; any other v is inserted,
     on the side of its minimum's colour, onto the first later element of
     the adjacent spine.
@@ -171,7 +175,7 @@ def collapse_step(
     j = v[0]
     if last < j:
         return APPEND_LEFT, last
-    target = _case3_target(j, rest, side, gaps)
+    target = _case3_target(j, rest, side, gaps or {})
     if target is None:
         raise ReductionError(f"block {v} is neither a tail nor next to a spine")
     return (PREPEND_LEFT if side[j] == "l" else PREPEND_RIGHT), target
@@ -201,8 +205,7 @@ def reduce_blocks(
         value = ctx.expect([ops[p] for p in v.positions])
         blocks = [b for b in blocks if b is not v]
         rest = [b.positions for b in blocks]
-        last = max([w[-1] for w in rest], default=0)
-        step = collapse_step(v.positions, rest, last, side, gaps)
+        step = collapse_step(v.positions, rest, last_position(rest), side, gaps)
         if step is None:
             return ("scalar", value)
         kind, target = step
@@ -320,16 +323,16 @@ def compile_plans(plans) -> array:
 
 
 def run_program(prog: Program, ops: list, ctx: MomentContext, out):
-    """Evaluate a program depth first: out[leaf] receives the moment of
-    each leaf's plan that the walk reaches; out is a list holding None at
-    every leaf, or an empty dict, which then holds the reached leaves
-    alone, in the order the walk reaches them.  ops[p] is the operand at
-    position p (ops[0] is unused); an insertion is undone once its
-    subtree is done, so every child starts from its parent's operands.  A root group is compiled when the walk
-    first enters it with a value that does not vanish.  The children of a
-    group whose value vanishes are stepped over, and their leaves are
-    left unset; the return value is the last vanishing value met, the one
-    zero of B that every such leaf holds, or None when nothing vanished.
+    """Evaluate a program depth first: the empty dict out receives, at
+    each leaf the walk reaches, the moment of that leaf's plan, in the
+    order the walk reaches them.  ops[p] is the operand at position p
+    (ops[0] is unused); an insertion is undone once its subtree is done,
+    so every child starts from its parent's operands.  A root group is
+    compiled when the walk first enters it with a value that does not
+    vanish.  The children of a group whose value vanishes are stepped
+    over, and their leaves are left unset; the return value is the last
+    vanishing value met, the one zero of B that every such leaf holds, or
+    None when nothing vanished.
     """
     expect = ctx.expect
     insert = ctx.insert

@@ -89,9 +89,9 @@ def e_pi(
     for i, z in enumerate(Z, start=1):
         if not mf.verify_side(z, ctx.chi.side(i)):
             raise SideMismatch(f"operand {i} not in the {ctx.chi.side(i)} side")
-    out = [None]
+    out: dict = {}
     zero = run_program(Program([pi.blocks()], _sides(ctx)), [None, *Z], mf, out)
-    return zero if out[0] is None else out[0]
+    return out.get(0, zero)
 
 
 # s_chi -> the program of every lattice member's plan, leaf = NC(n) slot.
@@ -113,10 +113,9 @@ def _program(ctx: BNCContext, blocks) -> Program:
 
 
 def _walk(ctx: BNCContext, Z: list, mf: MomentContext, out):
-    """One walk of the colouring's program into out, a list of None by
-    NC(n) slot or an empty dict (see run_program): the zero that the
-    leaves below a vanishing expectation hold, None when every leaf was
-    reached."""
+    """One walk of the colouring's program into the empty dict out (see
+    run_program): the zero that the leaves below a vanishing expectation
+    hold, None when every leaf was reached."""
     prog = _program(ctx, bnc_lattice(ctx)[0])
     return run_program(prog, [None, *Z], mf, out)
 
@@ -126,11 +125,9 @@ def moment_table(ctx: BNCContext, Z: list, mf: MomentContext):
     the colouring's program, the leaves it stepped over filled with the
     zero it met."""
     _, slots, pulled = bnc_lattice(ctx)
-    out = [None] * len(pulled)
+    out: dict = {}
     zero = _walk(ctx, Z, mf, out)
-    if zero is not None:
-        out = [zero if v is None else v for v in out]
-    return {pulled[t]: out[t] for t in slots}
+    return {pulled[t]: out.get(t, zero) for t in slots}
 
 
 def kappa_pi(

@@ -4,7 +4,7 @@ Each one is plain and slow on purpose: the engine's own routes are
 checked against it, so none of it lives in the package.
 """
 
-from bnc_engine.bimult import ReductionError, collapse_step
+from bnc_engine.bimult import ReductionError, collapse_step, last_position
 from bnc_engine.partitions import (
     SetPartition,
     SizeMismatch,
@@ -79,7 +79,7 @@ def reduce_in_random_order(blocks, ops: dict, side: dict, ctx, rng):
         for v in blocks:
             rest = [b for b in blocks if b is not v]
             positions = [b.positions for b in rest]
-            last = max([w[-1] for w in positions], default=0)
+            last = last_position(positions)
             try:
                 legal.append((v, rest, collapse_step(v.positions, positions, last, side)))
             except ReductionError:

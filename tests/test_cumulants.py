@@ -445,9 +445,9 @@ def test_wide_program_builds_and_walks():
         ctx = build_context(ChiMap(tuple(sides)))
         blocks, _, pulled = bnc_lattice(ctx)
         prog = Program(blocks, dict(enumerate(sides, start=1)))
-        out = [None] * len(pulled)
+        out = {}
         assert run_program(prog, list(range(len(sides) + 1)), CountingContext(), out) is None
-        assert out == [0] * len(pulled)
+        assert out == dict.fromkeys(range(len(pulled)), 0)
         codes = [code for code in prog.codes if code is not None]
         assert {code.typecode for code in codes} == typecodes
         for code in codes:
