@@ -48,6 +48,8 @@ class Mutant:
 M2_SELF = "tests/test_freeprod.py::test_bifree_criterion_over_m2_acting_on_itself"
 RECORDED = "tests/test_cumulants.py::test_planner_matches_recorded_reductions"
 ONCE = "tests/test_cumulants.py::test_planner_works_out_each_state_once"
+SWEEP_REACH = "tests/test_ffb.py::test_sweep_builds_only_the_word_spaces_it_reaches"
+CHECKER_REACH = "tests/test_ffb.py::test_checkers_build_only_the_word_spaces_they_probe"
 
 REGISTER = (
     # the collapse rule and the planner that calls it
@@ -152,6 +154,37 @@ REGISTER = (
         "        for g in range(len(self.roots)):\n"
         "            self.subtree(g, {})\n",
         (ONCE,),
+    ),
+    # word spaces on demand
+    Mutant(
+        "w1",
+        "freeprod.py",
+        "        self._built: dict[tuple[int, ...], WordSpace] = {}\n",
+        "        self._built: dict[tuple[int, ...], WordSpace] = {}\n"
+        "        for seq in self._alternating_sequences():\n"
+        "            self._space(seq)\n",
+        (CHECKER_REACH, SWEEP_REACH),
+    ),
+    Mutant(
+        "w2",
+        "ffb.py",
+        "    for seq in sorted(s for s in spaces if len(s) <= max_depth):\n"
+        "        for i in range(spaces[seq].dim):\n",
+        "    for seq, ws in sorted(spaces.items()):\n"
+        "        if len(seq) > max_depth:\n"
+        "            continue\n"
+        "        for i in range(ws.dim):\n",
+        (CHECKER_REACH,),
+    ),
+    Mutant(
+        "w3",
+        "freeprod.py",
+        "        rel = prefix.sub.lifted(ws.osc_dims[-1]) if prefix else RowSpace(ws.plain_dim)\n",
+        "        rel = RowSpace(ws.plain_dim)\n",
+        (
+            "tests/test_freeprod.py::test_word_space_dims_match_the_idempotent_closed_form",
+            "tests/test_freeprod.py::test_seeded_word_spaces_equal_the_full_relation_span",
+        ),
     ),
 )
 

@@ -184,10 +184,9 @@ def _basis_vectors(fp: TruncatedFreeProduct, max_depth: int):
     yield fp.unit()
     for i in range(fp.B.dim):
         yield fp.embed_b(fp.B.basis_element(i))
-    for seq, ws in sorted(fp.wordspaces.items()):
-        if len(seq) > max_depth:
-            continue
-        for i in range(ws.dim):
+    spaces = fp.wordspaces
+    for seq in sorted(s for s in spaces if len(s) <= max_depth):
+        for i in range(spaces[seq].dim):
             yield {seq: {i: ONE}}
 
 

@@ -4,10 +4,11 @@ Module coordinates always start with the base-algebra block: a module of
 dimension d over B stores B's coefficients in coordinates 0..dim(B)-1
 and the complement in the rest, so the projection onto B is coordinate
 truncation.  The truncated free product resolves tensor words over B by
-explicit quotients of plain tensor spaces (cached per colour sequence)
-and exposes the left/right regular representations, the per-colour
-boolean projections, diagram-indexed vectors, and the decomposition of
-operator words into diagram contributions.
+explicit quotients of plain tensor spaces, one per colour sequence, each
+built the first time it is read and then kept (wordspaces), and exposes
+the left/right regular representations, the per-colour boolean
+projections, diagram-indexed vectors, and the decomposition of operator
+words into diagram contributions.
 
 Tensor-word layout.  A plain word of colours (k1, ..., km) has one leg
 per colour, each leg a coordinate of that module's complement, and
@@ -22,7 +23,9 @@ relations are built prefix first: W(s) starts from the reduced rows of
 W(s[:-1]), each lifted by the new last leg (row r with pivot p becomes
 r ⊗ e_c with pivot p·d + c, still in reduced echelon form), and adds
 only its last joint's relations, under the non-pivot indices of the
-legs before that joint.  WordSpace owns the layout:
+legs before that joint; reading W(s) first builds W(s[:-1]) and
+W(s[:-2]) if they are not built yet, so the order of reads changes no
+pivot or coordinate.  WordSpace owns the layout:
 split/join take the first or last leg off a plain index and put it
 back, grow adds an edge leg, pair_rows places a relation on two
 adjacent legs as sparse rows, and to_plain/from_plain pass between
@@ -63,6 +66,8 @@ APPEND_LEFT.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -358,8 +363,37 @@ class WordSpace:
         return self.quotient.project(plain)
 
 
+class _WordSpaces(Mapping):
+    """A free product's word spaces by colour sequence, read-only: a read
+    goes through TruncatedFreeProduct._space, which builds the space if
+    no read has before.  The free product does not hold its view, so the
+    two form no reference cycle."""
+
+    __slots__ = ("_fp",)
+
+    def __init__(self, fp: "TruncatedFreeProduct"):
+        self._fp = fp
+
+    def __getitem__(self, seq) -> WordSpace:
+        return self._fp._space(seq)
+
+    def __contains__(self, seq) -> bool:
+        return self._fp._is_word(seq)
+
+    def __iter__(self):
+        return self._fp._alternating_sequences()
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 class TruncatedFreeProduct:
-    """Depth-bounded free product of modules sharing a base algebra."""
+    """Depth-bounded free product of modules sharing a base algebra.
+
+    Word spaces are built on demand: a new free product holds none, and
+    W(s) is built when something first reads it (an operator growing a
+    word to s, a vector on s, wordspaces[s]).  Only describe() and reading
+    every value of wordspaces build them all."""
 
     def __init__(self, components: dict[int, BimoduleWithProjection], depth: int):
         if not components:
@@ -370,9 +404,33 @@ class TruncatedFreeProduct:
         self.components = dict(components)
         self.B = next(iter(components.values())).B
         self.depth = depth
-        self.wordspaces: dict[tuple[int, ...], WordSpace] = {}
-        for seq in self._alternating_sequences():
-            self.wordspaces[seq] = self._build_wordspace(seq)
+        self._built: dict[tuple[int, ...], WordSpace] = {}
+
+    @property
+    def wordspaces(self) -> Mapping[tuple[int, ...], WordSpace]:
+        """W(s) for every alternating colour sequence s of length 1..depth,
+        as a read-only mapping; iterating it builds nothing."""
+        return _WordSpaces(self)
+
+    def _space(self, seq: tuple[int, ...]) -> WordSpace:
+        """W(seq), built on first use from W(seq[:-1]) and W(seq[:-2]),
+        which are built first if need be, and kept; KeyError for a
+        sequence that is not an alternating word within the depth."""
+        ws = self._built.get(seq)
+        if ws is None:
+            if not self._is_word(seq):
+                raise KeyError(seq)
+            ws = self._built[seq] = self._build_wordspace(seq)
+        return ws
+
+    def _is_word(self, seq) -> bool:
+        """Whether seq is an alternating colour sequence within the depth."""
+        return (
+            type(seq) is tuple
+            and 0 < len(seq) <= self.depth
+            and all(map(self.components.__contains__, seq))
+            and all(map(operator.ne, seq, seq[1:]))
+        )
 
     def _alternating_sequences(self):
         colours = sorted(self.components)
@@ -398,10 +456,10 @@ class TruncatedFreeProduct:
         ws = WordSpace(tuple(self.components[k].osc_dim for k in seq))
         if self.B.dim == 1 or len(seq) < 2:
             return ws
-        prefix = self.wordspaces[seq[:-1]].quotient
+        prefix = self._space(seq[:-1]).quotient
         rel = prefix.sub.lifted(ws.osc_dims[-1]) if prefix else RowSpace(ws.plain_dim)
         leg = len(seq) - 2
-        head = self.wordspaces[seq[:leg]].quotient if leg else None
+        head = self._space(seq[:leg]).quotient if leg else None
         for pair in self.joint_relations(seq, leg):
             for row in ws.pair_rows(leg, pair, head.coords if head else None):
                 rel.add(row)
@@ -469,8 +527,8 @@ class TruncatedFreeProduct:
             "base_dim": self.B.dim,
             "depth": self.depth,
             "words": {
-                "".join(str(k) for k in seq): ws.dim
-                for seq, ws in sorted(self.wordspaces.items())
+                "".join(str(k) for k in seq): self._space(seq).dim
+                for seq in sorted(self._alternating_sequences())
             },
         }
 
@@ -481,7 +539,7 @@ class TruncatedFreeProduct:
         out: FpVec = {}
         for seq, comp in vec.items():
             if seq:
-                plain = self.wordspaces[seq].to_plain(comp)
+                plain = self._space(seq).to_plain(comp)
                 leg_mat = self._b_leg(seq, b, from_left)
                 _acc(out, seq, self._edge(seq, leg_mat, plain, from_left))
             else:
@@ -499,7 +557,7 @@ class TruncatedFreeProduct:
     def _edge(self, seq, mat: Mat, plain: dict[int, Scalar], first: bool):
         """Coordinates of a plain word of seq with mat applied to the
         complement of its first or last leg."""
-        ws = self.wordspaces[seq]
+        ws = self._space(seq)
         out: dict[int, Scalar] = {}
         for idx, c in plain.items():
             leg, rest = ws.split(idx, first)
@@ -524,7 +582,7 @@ class TruncatedFreeProduct:
                 self._rep_apply_edge(out, op, seq, comp, from_left)
                 continue
             if seq:
-                plain = self.wordspaces[seq].to_plain(comp)
+                plain = self._space(seq).to_plain(comp)
                 x = op.unit_image
                 bpart = comp_k.p(x)
                 if not bpart.is_zero():
@@ -542,7 +600,7 @@ class TruncatedFreeProduct:
                     raise DepthExceeded(
                         f"word {seq} cannot grow beyond depth {self.depth}"
                     )
-                nws = self.wordspaces[nseq]
+                nws = self._space(nseq)
                 _acc(out, nseq, nws.from_plain(nws.grow(plain, osc, from_left)))
         return _clean(out)
 
@@ -551,7 +609,7 @@ class TruncatedFreeProduct:
         complement part stays, and its base part multiplies the rest of
         the word through the new edge leg."""
         nb = self.B.dim
-        ws = self.wordspaces[seq]
+        ws = self._space(seq)
         plain = ws.to_plain(comp)
         stay = [row[nb:] for row in op.matrix[nb:]]
         _acc(out, seq, self._edge(seq, stay, plain, from_left))
@@ -586,10 +644,10 @@ class TruncatedFreeProduct:
             raise DepthExceeded(f"word of length {len(seq)} exceeds the depth")
         plain: dict[int, Scalar] = {0: ONE}
         for j, (_, osc) in enumerate(factors):
-            plain = self.wordspaces[seq[: j + 1]].grow(plain, osc, first=False)
+            plain = self._space(seq[: j + 1]).grow(plain, osc, first=False)
             if not plain:
                 return {}
-        return _clean({seq: self.wordspaces[seq].from_plain(plain)})
+        return _clean({seq: self._space(seq).from_plain(plain)})
 
 
 def _acc(out: FpVec, seq, comp: dict[int, Scalar]):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 from itertools import product as iproduct
 
@@ -144,6 +146,77 @@ def test_doubled_diag2_at_depth_six():
         rep = check(system, word_cap=3)
         assert rep.ok, [c for c in rep.claims if c["status"] == "fail"]
     assert_flagged_with_witness(check_ffb_independence(tampered(system), word_cap=3))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The colour sequences whose word spaces are built, in build order."""
+    seqs = []
+    build = freeprod.TruncatedFreeProduct._build_wordspace
+
+    def counting(fp, seq):
+        seqs.append(seq)
+        return build(fp, seq)
+
+    monkeypatch.setattr(freeprod.TruncatedFreeProduct, "_build_wordspace", counting)
+    return seqs
+
+
+# Per-word reports of a sweep: one sha256 over each report's JSON in sweep
+# order.  The reports carry claim ids and statuses, so equal word sets hash
+# equal.
+REPORTS_N3 = "23af86908a9a77ec0f6834e259ff649dd8e0d580fddb8ed92ad67c21611dd099"
+REPORTS_N4 = "3d382118d4d016e9b5e04ca98b4eabcdd0da4a20c7823d41b3182ba84216c76c"
+
+
+@pytest.mark.parametrize(
+    "fixture, max_n, words, built, reports",
+    [
+        ("doubled-m2", 3, 258, 6, REPORTS_N3),
+        ("doubled-dual", 4, 1554, 8, REPORTS_N4),
+        ("doubled-diag2", 4, 1554, 8, REPORTS_N4),
+    ],
+)
+def test_sweep_builds_only_the_word_spaces_it_reaches(
+    monkeypatch, builds, fixture, max_n, words, built, reports
+):
+    """The FFB word audit over every word of up to max_n letters passes,
+    over B = D2 too, with its per-word reports pinned.  A word space is
+    built on first read, once: the sweep at the CLI's depth, 2·max_n,
+    reads the spaces of words up to max_n legs only."""
+    digest = hashlib.sha256()
+    audit = ffb.audit_ffb_word
+
+    def hashing(*args):
+        rep = audit(*args)
+        digest.update(json.dumps(rep.to_json(), sort_keys=True).encode())
+        return rep
+
+    monkeypatch.setattr(ffb, "audit_ffb_word", hashing)
+    system = load_system(fixture, 2 * max_n)
+    assert builds == []
+    assert ffb.ffb_sweep(system, max_n) == (words, None)
+    assert digest.hexdigest() == reports
+    assert len(set(builds)) == len(builds) == built
+    assert max(map(len, builds)) == max_n
+    assert len(system.fp.wordspaces) == 4 * max_n
+
+
+def test_checkers_build_only_the_word_spaces_they_probe(builds):
+    """Over B = D2 the four checkers at cap 2 read the one-leg spaces only,
+    and check_ffb_system at cap 3 those of up to two legs."""
+    system = load_system("doubled-diag2", 4)
+    for check in (
+        check_ffb_system,
+        check_single_colour_moments,
+        check_ffb_independence,
+        verify_system_gives_ffb,
+    ):
+        assert check(system, word_cap=2).ok
+    assert sorted(builds) == [(1,), (2,)]
+    builds.clear()
+    assert check_ffb_system(load_system("doubled-diag2", 6), word_cap=3).ok
+    assert sorted(builds) == [(1,), (1, 2), (2,), (2, 1)]
 
 
 def test_proof_pipeline():

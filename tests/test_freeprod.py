@@ -184,6 +184,12 @@ def test_alternating_word_basis_count():
     dims = {seq: ws.dim for seq, ws in fp.wordspaces.items()}
     assert dims == {(1,): 1, (2,): 1, (1, 2): 1, (2, 1): 1, (1, 2, 1): 1, (2, 1, 2): 1}
     assert 1 + sum(dims.values()) == 7
+    assert len(fp.wordspaces) == 6 and (2, 1, 2) in fp.wordspaces
+    # the mapping's keys are the alternating sequences within the depth
+    for seq in ((1, 1), (1, 2, 1, 2), (3,), (), [1]):
+        assert seq not in fp.wordspaces
+        with pytest.raises((KeyError, TypeError)):
+            fp.wordspaces[seq]
 
 
 @pytest.mark.parametrize(
