@@ -50,6 +50,7 @@ RECORDED = "tests/test_cumulants.py::test_planner_matches_recorded_reductions"
 ONCE = "tests/test_cumulants.py::test_planner_works_out_each_state_once"
 SWEEP_REACH = "tests/test_ffb.py::test_sweep_builds_only_the_word_spaces_it_reaches"
 CHECKER_REACH = "tests/test_ffb.py::test_checkers_build_only_the_word_spaces_they_probe"
+DENSE = "tests/test_freeprod.py::test_lambda_rho_match_a_dense_oracle_on_word_basis_vectors"
 
 REGISTER = (
     # the collapse rule and the planner that calls it
@@ -121,14 +122,14 @@ REGISTER = (
     Mutant(
         "c",
         "bimult.py",
-        "        for leaf in ends:\n"
-        "            out[leaf] = value\n"
-        "        if not goes_on:\n"
-        "            continue\n",
-        "        if not goes_on:\n"
         "            for leaf in ends:\n"
         "                out[leaf] = value\n"
-        "            continue\n",
+        "            if not goes_on:\n"
+        "                continue\n",
+        "            if not goes_on:\n"
+        "                for leaf in ends:\n"
+        "                    out[leaf] = value\n"
+        "                continue\n",
         (
             "tests/test_cumulants.py",
             "tests/test_acceptance.py::test_criterion_9_vanishing",
@@ -185,6 +186,55 @@ REGISTER = (
             "tests/test_freeprod.py::test_word_space_dims_match_the_idempotent_closed_form",
             "tests/test_freeprod.py::test_seeded_word_spaces_equal_the_full_relation_span",
         ),
+    ),
+    # dead work skipped: the zero stop, the sparse kernels, the lean grouping
+    Mutant(
+        "z1",
+        "freeprod.py",
+        "_Suffix(vec) if vec else self._zero\n",
+        "_Suffix(vec) if len(vec) > 1 else self._zero\n",
+        ("tests/test_freeprod.py::test_suffix_trie_matches_fresh_application",),
+    ),
+    Mutant(
+        "k1",
+        "freeprod.py",
+        "        return sparse_columns(self.matrix, self.mod.dim)\n",
+        "        return sparse_columns(list(zip(*self.matrix)), self.mod.dim)\n",
+        (DENSE,),
+    ),
+    Mutant(
+        "k2",
+        "freeprod.py",
+        "                    mat = (comp.left_action if first else comp.right_action)[i]\n",
+        "                    mat = comp.left_action[i]\n",
+        (f"{DENSE}[doubled-m2-over-m2]",),
+    ),
+    Mutant(
+        "c1",
+        "freeprod.py",
+        "    residual = by_diagram(resid_parts)\n",
+        "    primed_keys = {_diagram_key(t) for t in terms if t.primed}\n"
+        "    residual = by_diagram(\n"
+        "        {k: v for k, v in resid_parts.items() if k not in primed_keys}\n"
+        "    )\n",
+        ("tests/test_freeprod.py::test_lr_decompose_output_is_pinned",),
+    ),
+    Mutant(
+        "p1",
+        "ffb.py",
+        "    if not sys.fp.p(resid_total).is_zero():\n"
+        '        return "residual-expectation"\n'
+        "    # removed diagrams stay inside the extension families of the cut points\n"
+        "    if dec.residual:\n",
+        "    if False:\n"
+        '        return "residual-expectation"\n'
+        "    # removed diagrams stay inside the extension families of the cut points\n"
+        "    if False:\n",
+        ("tests/test_ffb.py", "tests/test_acceptance.py"),
+        survives="blind spot: no word of the proof pipeline on any fixture has a "
+        "residual term (0 of 1,884 on rich-m2, 584 on doubled-diag2, 258 each on "
+        "doubled-m2 and doubled-dual, at word cap 3), so neither residual stage "
+        "ever runs",
     ),
 )
 

@@ -318,7 +318,10 @@ def compile_plans(plans) -> array:
                 emit(child)
                 prog[at - 1] = len(prog) - at
 
-    emit(root)
+    try:
+        emit(root)
+    finally:
+        del emit  # the closure refers to itself through its cell
     return array("H" if max(prog) < 1 << 16 else "I", prog)
 
 
@@ -370,16 +373,21 @@ def run_program(prog: Program, ops: list, ctx: MomentContext, out):
             ops[t] = old
         return i
 
-    for g, (positions, ends, goes_on) in enumerate(prog.roots):
-        value = expect([ops[p] for p in positions])
-        for leaf in ends:
-            out[leaf] = value
-        if not goes_on:
-            continue
-        if vanishes(value):
-            zero = value
-            continue
-        code = prog.subtree(g, memo)
-        i = 3 + len(positions) + len(ends)  # the group's child count
-        walk(code, i + 1, code[i], value)
+    try:
+        for g, (positions, ends, goes_on) in enumerate(prog.roots):
+            value = expect([ops[p] for p in positions])
+            for leaf in ends:
+                out[leaf] = value
+            if not goes_on:
+                continue
+            if vanishes(value):
+                zero = value
+                continue
+            code = prog.subtree(g, memo)
+            i = 3 + len(positions) + len(ends)  # the group's child count
+            walk(code, i + 1, code[i], value)
+    finally:
+        # walk refers to itself through its cell, and through its bound
+        # expect to the context: dropped here, not by the cycle collector
+        del walk
     return zero

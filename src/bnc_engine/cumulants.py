@@ -281,7 +281,10 @@ def _refining_off_lattice(ctx: BNCContext, classes: tuple, starts) -> int:
         labels[t] = t
         grow(t + 1, (*open_, t))
 
-    grow(0, ())
+    try:
+        grow(0, ())
+    finally:
+        del grow  # the closure refers to itself through its cell
     return count
 
 

@@ -44,14 +44,24 @@ does the tensor word the branch ends in.  The test reads the whole
 module vector, because a factor whose complement part is zero still
 feeds later cut branches through its B part.  The surviving terms are
 summed per diagram, keyed by its sorted closed strings and its top
-strings, so make_diagram runs once per diagram.
+strings, so make_diagram runs once per diagram, and only for what is
+read: without coefficients, the diagrams with a residual part at once
+and the others when the contributions are first read.
 
 Operator words.  A word is a chain of atoms, applied last atom first.
 A λ/ρ atom is the triple (side, colour, operator), side 'l' for the
 left representation λ and 'r' for the right one ρ; the other atoms act
 by B on the left or right ('lb'/'rb', b) or project onto a colour
 ('proj', k, None).  One word object serves apply_chain, the moment
-context and lr_decompose.
+context and lr_decompose.  Every atom acts through sparse kernels (a
+matrix as per-column lists of its nonzero entries), each built once: a
+ModuleOperator keeps its own, whose complement columns hold its
+complement block and its complement-to-base rows, and the free product
+keeps one per B basis action on a colour's module, per (colour, basis
+element, side), read on the complement for an edge leg and whole for
+lr_decompose's folds.  A B value acts as the combination of its basis
+kernels within one pass over the word, so no call builds a dense
+matrix.
 
 Moments.  FreeMomentContext is the free product's one moment context:
 the checkers read every chain's vector and expectation from one, and
@@ -60,7 +70,11 @@ diagrams (e_d_vector), whose operands are the word's own atoms.  Its
 insert(kind, value, elem) adds one B-action atom for the value to the
 chain elem: ('rb', b) in front for PREPEND_RIGHT, ('lb', b) in front
 for PREPEND_LEFT, and ('lb', b) at the end, acting first, for
-APPEND_LEFT.
+APPEND_LEFT.  A chain whose suffix vector vanishes is zero, since every
+atom acts linearly: apply_chain stops at the first vector that
+vanishes, and the context's suffix trie ends every such suffix in one
+shared zero node, so a chain that reaches it applies and interns none
+of the atoms in front of it.
 """
 
 from __future__ import annotations
@@ -70,7 +84,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import (
     AlgebraElement,
@@ -94,7 +108,6 @@ from .linalg import (
     frac,
     mat_combination,
     mat_mul,
-    mat_vec,
     nullspace,
     sparse,
     zeros,
@@ -102,6 +115,28 @@ from .linalg import (
 from .partitions import ChiMap, EpsilonMap
 
 FpVec = dict[tuple[int, ...], dict[int, Scalar]]
+# a matrix as sparse columns: per column, its nonzero (row, entry) pairs
+Kernel = tuple[tuple[tuple[int, Scalar], ...], ...]
+
+
+def sparse_columns(mat: Sequence[Sequence[Scalar]], cols: int) -> Kernel:
+    """The cols columns of mat as a Kernel."""
+    return tuple(
+        tuple((r, row[c]) for r, row in enumerate(mat) if row[c]) for c in range(cols)
+    )
+
+
+def combine(kernels, vec: Sequence[Scalar], dim: int) -> Vec:
+    """The sum of c·K·vec over the (c, K) in kernels, each K a Kernel
+    with dim rows; vec may stop short, its missing entries zero."""
+    out = [ZERO] * dim
+    for c, ker in kernels:
+        for j, x in enumerate(vec):
+            if x:
+                cx = c * x
+                for r, v in ker[j]:
+                    out[r] += cx * v
+    return out
 
 
 class DepthExceeded(InputError):
@@ -144,37 +179,28 @@ class BimoduleWithProjection:
 
 @dataclass(frozen=True)
 class ModuleOperator:
+    """A matrix on a module.  It keeps its sparse columns (columns) and
+    its image of the unit, each built on first use; column dim(B) + c is
+    where it sends complement coordinate c, its rows below dim(B) the
+    base part, the others the complement block."""
+
     mod: BimoduleWithProjection
     matrix: tuple[tuple[Scalar, ...], ...]
 
-    def apply(self, vec: Vec) -> Vec:
-        return mat_vec(self.matrix, vec)
+    @cached_property
+    def columns(self) -> Kernel:
+        return sparse_columns(self.matrix, self.mod.dim)
+
+    def apply(self, vec: Sequence[Scalar]) -> Vec:
+        """The operator on a module vector, or on the vector of B
+        coefficients vec embedded in the B summand."""
+        return combine(((ONE, self.columns),), vec, self.mod.dim)
 
     @cached_property
     def unit_image(self) -> Vec:
         """The operator on the module's unit, computed once; callers must
         not mutate it."""
-        return mat_vec(self.matrix, self.mod.unit_vector())
-
-    @cached_property
-    def _b_columns(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The operator's images of B's basis vectors: its first dim(B)
-        columns."""
-        return tuple(zip(*self.matrix))[: self.mod.B.dim]
-
-    def apply_b(self, b: Sequence[Scalar]) -> Vec:
-        """The operator on the module vector of B coefficients b: the
-        combination of its cached B-block columns, the same sums as
-        apply() on the embedded vector."""
-        out = None
-        for col, c in zip(self._b_columns, b):
-            if c:
-                out = (
-                    [x * c for x in col]
-                    if out is None
-                    else [o + x * c for o, x in zip(out, col)]
-                )
-        return out if out is not None else zeros(self.mod.dim)
+        return self.apply(self.mod.unit_vector())
 
     def commutes_with_side(self, side: str) -> bool:
         """'l' operators commute with right actions, 'r' with left ones."""
@@ -405,6 +431,7 @@ class TruncatedFreeProduct:
         self.B = next(iter(components.values())).B
         self.depth = depth
         self._built: dict[tuple[int, ...], WordSpace] = {}
+        self._kernels: dict[tuple, Kernel] = {}  # see _b_kernels
 
     @property
     def wordspaces(self) -> Mapping[tuple[int, ...], WordSpace]:
@@ -540,32 +567,45 @@ class TruncatedFreeProduct:
         for seq, comp in vec.items():
             if seq:
                 plain = self._space(seq).to_plain(comp)
-                leg_mat = self._b_leg(seq, b, from_left)
-                _acc(out, seq, self._edge(seq, leg_mat, plain, from_left))
+                _acc(out, seq, self._edge(seq, b.coeffs, plain, from_left))
             else:
                 x = self.p({(): comp})
                 _acc(out, (), dict(enumerate((b * x if from_left else x * b).coeffs)))
         return _clean(out)
 
-    def _b_leg(self, seq, b: AlgebraElement, first: bool) -> Mat:
-        """b on the complement of seq's first leg (from the left) or last
-        leg (from the right)."""
-        comp = self.components[seq[0] if first else seq[-1]]
-        osc = comp.osc_left if first else comp.osc_right
-        return mat_combination(b.coeffs, [osc(i) for i in range(self.B.dim)])
+    def _b_kernels(self, k: int, b: Sequence[Scalar], first: bool):
+        """B coefficients b acting from the left (first) or the right on
+        colour k's module, as (coefficient, Kernel) pairs; the kernel of
+        each basis action is built once per (colour, basis element,
+        side)."""
+        out = []
+        for i, c in enumerate(b):
+            if c:
+                ker = self._kernels.get((k, i, first))
+                if ker is None:
+                    comp = self.components[k]
+                    mat = (comp.left_action if first else comp.right_action)[i]
+                    ker = self._kernels[k, i, first] = sparse_columns(mat, comp.dim)
+                out.append((c, ker))
+        return out
 
-    def _edge(self, seq, mat: Mat, plain: dict[int, Scalar], first: bool):
-        """Coordinates of a plain word of seq with mat applied to the
-        complement of its first or last leg."""
+    def _edge(self, seq, b: Sequence[Scalar], plain: dict[int, Scalar], first: bool):
+        """Coordinates of a plain word of seq with B coefficients b acting
+        on its first leg (from the left) or its last (from the right).  B
+        maps the complement to itself, so complement coordinate c, module
+        coordinate dim(B) + c, goes to the module coordinates of its
+        kernel columns, all past dim(B)."""
         ws = self._space(seq)
+        nb = self.B.dim
+        kernels = self._b_kernels(seq[0] if first else seq[-1], b, first)
         out: dict[int, Scalar] = {}
-        for idx, c in plain.items():
+        for idx, x in plain.items():
             leg, rest = ws.split(idx, first)
-            for leg2, row in enumerate(mat):
-                v = row[leg]
-                if v:
-                    nidx = ws.join(leg2, rest, first)
-                    out[nidx] = out.get(nidx, ZERO) + c * v
+            for c, ker in kernels:
+                cx = c * x
+                for r, v in ker[nb + leg]:
+                    nidx = ws.join(r - nb, rest, first)
+                    out[nidx] = out.get(nidx, ZERO) + cx * v
         return ws.from_plain(out)
 
     def lambda_apply(self, op: ModuleOperator, k: int, vec: FpVec) -> FpVec:
@@ -576,6 +616,7 @@ class TruncatedFreeProduct:
 
     def _rep_apply(self, op: ModuleOperator, k: int, vec: FpVec, from_left: bool):
         comp_k = self.components[k]
+        nb = self.B.dim
         out: FpVec = {}
         for seq, comp in vec.items():
             if seq and (seq[0] if from_left else seq[-1]) == k:
@@ -584,15 +625,13 @@ class TruncatedFreeProduct:
             if seq:
                 plain = self._space(seq).to_plain(comp)
                 x = op.unit_image
-                bpart = comp_k.p(x)
-                if not bpart.is_zero():
-                    leg_mat = self._b_leg(seq, bpart, from_left)
-                    _acc(out, seq, self._edge(seq, leg_mat, plain, from_left))
+                if any(x[:nb]):
+                    _acc(out, seq, self._edge(seq, x[:nb], plain, from_left))
             else:
                 # the base summand is the word with no legs, at plain index 0
                 plain = {0: ONE}
-                x = op.apply_b(self.p({(): comp}).coeffs)
-                _acc(out, (), dict(enumerate(comp_k.p(x).coeffs)))
+                x = op.apply(self.p({(): comp}).coeffs)
+                _acc(out, (), dict(enumerate(x[:nb])))
             osc = comp_k.osc_part(x)
             if any(osc):
                 nseq = (k,) + seq if from_left else seq + (k,)
@@ -607,28 +646,29 @@ class TruncatedFreeProduct:
     def _rep_apply_edge(self, out, op: ModuleOperator, seq, comp, from_left):
         """Operator consuming the edge leg of matching colour: the leg's
         complement part stays, and its base part multiplies the rest of
-        the word through the new edge leg."""
+        the word through the new edge leg.  One pass over op's column of
+        each leg splits the two."""
         nb = self.B.dim
         ws = self._space(seq)
-        plain = ws.to_plain(comp)
-        stay = [row[nb:] for row in op.matrix[nb:]]
-        _acc(out, seq, self._edge(seq, stay, plain, from_left))
-        tail = seq[1:] if from_left else seq[:-1]
-        collapse: list[dict[int, Scalar]] = [{} for _ in range(nb)]
-        for idx, c in plain.items():
+        stay: dict[int, Scalar] = {}
+        collapse: dict[int, dict[int, Scalar]] = {}  # B basis element -> rest
+        for idx, c in ws.to_plain(comp).items():
             leg, rest = ws.split(idx, from_left)
-            for i, part in enumerate(collapse):
-                v = op.matrix[i][nb + leg]
-                if v:
+            for r, v in op.columns[nb + leg]:
+                if r < nb:
+                    part = collapse.setdefault(r, {})
                     part[rest] = part.get(rest, ZERO) + c * v
-        for i, part in enumerate(collapse):
-            if not part:
-                continue
+                else:
+                    nidx = ws.join(r - nb, rest, from_left)
+                    stay[nidx] = stay.get(nidx, ZERO) + c * v
+        _acc(out, seq, ws.from_plain(stay))
+        tail = seq[1:] if from_left else seq[:-1]
+        for i in sorted(collapse):
             if not tail:
-                _acc(out, (), {i: part[0]})
+                _acc(out, (), {i: collapse[i][0]})
                 continue
-            leg_mat = self._b_leg(tail, self.B.basis_element(i), from_left)
-            _acc(out, tail, self._edge(tail, leg_mat, part, from_left))
+            basis = [ONE if j == i else ZERO for j in range(nb)]
+            _acc(out, tail, self._edge(tail, basis, collapse[i], from_left))
 
     def bool_proj(self, k: int, vec: FpVec) -> FpVec:
         return _clean(
@@ -693,11 +733,15 @@ def apply_chain(
     fp: TruncatedFreeProduct, chain: Iterable[Atom], vec: FpVec, trail=None
 ) -> FpVec:
     """The chain applied to vec, its last atom first; trail, when given,
-    receives the vector after each atom."""
+    receives the vector after each atom.  Every atom acts linearly, so a
+    vector that vanishes stays zero: the walk stops at the first one, and
+    trail ends with it."""
     for atom in reversed(list(chain)):
         vec = apply_atom(fp, atom, vec)
         if trail is not None:
             trail.append(vec)
+        if not vec:
+            break
     return vec
 
 
@@ -723,8 +767,12 @@ class FreeMomentContext(MomentContext):
     the unit, so vectors and expectations are read off one suffix trie
     walked from a chain's last atom.  Each node holds its suffix's vector
     and, once asked for, its expectation; a miss applies only the atoms
-    in front of the deepest node reached.  vector() returns a node's
-    vector itself, shared with the trie, so callers must not mutate it.
+    in front of the deepest node reached.  Every suffix whose vector
+    vanishes is the one zero node, which has no children: a walk that
+    reaches it returns it, so the atoms in front are neither applied nor
+    interned, and a miss makes no node past the first vector that
+    vanishes.  vector() returns a node's vector itself, shared with the
+    trie, so callers must not mutate it.
     """
 
     def __init__(self, fp: TruncatedFreeProduct):
@@ -734,6 +782,7 @@ class FreeMomentContext(MomentContext):
         self._pinned: list[Atom] = []  # every atom object in _seen
         self._b_atoms = {"lb": {}, "rb": {}}  # kind -> id(B value) -> its atom
         self._root = _Suffix(fp.unit())
+        self._zero = _Suffix({})  # every suffix whose vector vanishes
 
     def intern(self, atom: Atom) -> int:
         """The atom's id; equal atoms share one."""
@@ -775,6 +824,8 @@ class FreeMomentContext(MomentContext):
             nxt = node.children.get(aid) if node.children else None
             if nxt is None:
                 break
+            if nxt is self._zero:
+                return nxt
             node = nxt
             depth += 1
         if depth < len(chain):
@@ -793,15 +844,16 @@ class FreeMomentContext(MomentContext):
         return self._node(elems).vec
 
     def _grow(self, node: _Suffix, front: tuple) -> _Suffix:
-        """Apply front to node's vector, one new node per atom; the node
-        of the whole chain."""
+        """Apply front to node's vector, one new node per atom up to the
+        first vector that vanishes, which becomes the shared zero node;
+        the node of the whole chain."""
         trail: list[FpVec] = []
         apply_chain(self.fp, front, node.vec, trail)
         intern = self.intern
         for atom, vec in zip(reversed(front), trail):
             if node.children is None:
                 node.children = {}
-            child = node.children[intern(atom)] = _Suffix(vec)
+            child = node.children[intern(atom)] = _Suffix(vec) if vec else self._zero
             node = child
         return node
 
@@ -870,17 +922,25 @@ class _Term(NamedTuple):
 class Decomposition:
     """Word vector split into diagram contributions.
 
-    contributions lists (diagram, coefficient, rule vector); primed is
-    the projected word (equal to direct when nothing was projected) and
-    residual the killed contributions, mirroring the split
-    direct = primed + sum of residual vectors.
+    contributions lists (diagram, coefficient, rule vector), or without
+    coefficients (diagram, None, part); primed is the projected word
+    (equal to direct when nothing was projected) and residual the killed
+    contributions, mirroring the split direct = primed + sum of residual
+    vectors.  Without coefficients the contributions are grouped the
+    first time they are read, by grouped.
     """
 
     fp: TruncatedFreeProduct
     direct: FpVec
-    contributions: list[tuple[LRDiagram, Scalar, FpVec]]
-    primed: FpVec = field(default_factory=dict)
-    residual: list[tuple[LRDiagram, Scalar, FpVec]] = field(default_factory=list)
+    primed: FpVec
+    residual: list[tuple[LRDiagram, Scalar, FpVec]]
+    grouped: Callable[[], list[tuple[LRDiagram, Scalar, FpVec]]] = field(
+        repr=False, compare=False
+    )
+
+    @cached_property
+    def contributions(self) -> list[tuple[LRDiagram, Scalar, FpVec]]:
+        return self.grouped()
 
     def reconstruction(self) -> FpVec:
         parts = [
@@ -952,7 +1012,7 @@ def lr_decompose(
                 u = factors[end][1]
                 branches = [(op.apply(u), coeff, (i,) + top[end], done)]
                 if any(u[:nb]):
-                    cut = op.apply_b(u[:nb])
+                    cut = op.apply(u[:nb])
                     branches.append((cut, -coeff, (i,), done + (top[end],)))
                 rest_top = top[:end] + top[end + 1 :]
                 rest = factors[:end] + factors[end + 1 :]
@@ -973,7 +1033,7 @@ def lr_decompose(
                     _close(new, fp, c, done_c, rest_top, rest, raw[:nb], left, primed)
             else:
                 # open a string at the end
-                x = op.unit_image if factors else op.apply_b(bval)
+                x = op.unit_image if factors else op.apply(bval)
                 if not any(x):
                     continue
                 at = 0 if left else len(factors)
@@ -1034,9 +1094,7 @@ def _close(new, fp, coeff, done, top, factors, b, from_left, primed):
         return
     at = 0 if from_left else len(factors) - 1
     k, u = factors[at]
-    comp = fp.components[k]
-    mat = mat_combination(b, comp.left_action if from_left else comp.right_action)
-    folded = mat_vec(mat, u)
+    folded = combine(fp._b_kernels(k, b, from_left), u, len(u))
     if any(folded):
         factors = factors[:at] + ((k, folded),) + factors[at + 1 :]
         new.append(_Term(coeff, done, top, factors, None, primed))
@@ -1056,50 +1114,78 @@ def _assemble(fp: TruncatedFreeProduct, t: _Term) -> FpVec:
 
 
 def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decomposition:
-    """Sum the terms into the direct word, per diagram into its primed and
-    residual parts, and the primed parts into the projected word.  A
-    diagram is its sorted closed strings and its top strings, so the
-    terms are grouped by that key, one make_diagram per group."""
+    """Sum the terms into the direct word, the primed ones into the
+    projected word and the others per diagram into residual parts.  A
+    diagram is its sorted closed strings and its top strings, so terms
+    are grouped by that key, and make_diagram runs once per group that
+    is read.  Without coefficients only the groups with a residual part
+    are built here; the contributions, every group's total, are grouped
+    when first read.  With coefficients every group is divided by its
+    rule vector here, so a part that is no multiple of it raises now."""
     direct: FpVec = {}
-    parts: dict = {}  # (sorted done, top) -> (primed part, residual part)
+    primed: FpVec = {}
+    vecs = []
+    resid_parts: dict = {}  # diagram key -> residual part
     for t in terms:
         vec = _assemble(fp, t)
+        vecs.append(vec)
         _acc_vec(direct, vec, t.coeff)
-        key = (tuple(sorted(t.done)), t.top)
-        pair = parts.get(key)
-        if pair is None:
-            pair = parts[key] = ({}, {})
-        _acc_vec(pair[0 if t.primed else 1], vec, t.coeff)
-    groups = (
-        (
-            make_diagram(
-                chi, eps, [(s, False) for s in done] + [(s, True) for s in top], top
-            ),
-            pair,
+        if t.primed:
+            _acc_vec(primed, vec, t.coeff)
+        else:
+            _acc_vec(resid_parts.setdefault(_diagram_key(t), {}), vec, t.coeff)
+
+    def diagram(key) -> LRDiagram:
+        done, top = key
+        strings = [(s, False) for s in done] + [(s, True) for s in top]
+        return make_diagram(chi, eps, strings, top)
+
+    def by_diagram(parts: dict) -> list[tuple[LRDiagram, FpVec]]:
+        """The nonzero parts with their diagrams, in diagram-key order."""
+        kept = ((key, _clean(part)) for key, part in parts.items())
+        return sorted(
+            ((diagram(key), part) for key, part in kept if part),
+            key=lambda g: g[0].key(),
         )
-        for (done, top), pair in parts.items()
-    )
-    mf = FreeMomentContext(fp) if coefficients else None
+
+    def totals() -> list[tuple[LRDiagram, FpVec]]:
+        parts: dict = {}
+        for t, vec in zip(terms, vecs):
+            _acc_vec(parts.setdefault(_diagram_key(t), {}), vec, t.coeff)
+        return by_diagram(parts)
+
+    residual = by_diagram(resid_parts)
+    if not coefficients:
+        return Decomposition(
+            fp,
+            _clean(direct),
+            _clean(primed),
+            [(d, None, part) for d, part in residual],
+            lambda: [(d, None, total) for d, total in totals()],
+        )
+    mf = FreeMomentContext(fp)
+    rules: dict = {}  # diagram key -> rule vector
+
+    def rule(d: LRDiagram) -> FpVec:
+        if d.key() not in rules:
+            rules[d.key()] = e_d_vector(d, ops, mf)
+        return rules[d.key()]
+
     contributions = []
-    residual = []
-    primed_vec: FpVec = {}
-    for d, (primed_part, residual_part) in sorted(groups, key=lambda g: g[0].key()):
-        primed_part, residual_part = _clean(primed_part), _clean(residual_part)
-        total = fp.add(primed_part, residual_part)
-        rule = e_d_vector(d, ops, mf) if coefficients else None
-        if coefficients:
-            coeff = _ratio(fp, total, rule)
-            if coeff is not None and coeff != 0:
-                contributions.append((d, coeff, rule))
-        elif total:
-            contributions.append((d, None, total))
-        _acc_vec(primed_vec, primed_part)
-        if residual_part:
-            rcoeff = _ratio(fp, residual_part, rule) if coefficients else None
-            residual.append((d, rcoeff, residual_part))
+    for d, total in totals():
+        coeff = _ratio(fp, total, rule(d))
+        if coeff is not None and coeff != 0:
+            contributions.append((d, coeff, rule(d)))
+    residual = [(d, _ratio(fp, part, rule(d)), part) for d, part in residual]
     return Decomposition(
-        fp, _clean(direct), contributions, primed=_clean(primed_vec), residual=residual
+        fp, _clean(direct), _clean(primed), residual, lambda: contributions
     )
+
+
+def _diagram_key(t: _Term):
+    """The key of a term's diagram: its sorted closed strings and its top
+    strings."""
+    return tuple(sorted(t.done)), t.top
 
 
 def _acc_vec(out: FpVec, vec: FpVec, sign: int = 1):

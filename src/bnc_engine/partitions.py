@@ -271,7 +271,10 @@ def _noncrossing_partitions(n: int) -> tuple[tuple[int, ...], ...]:
             grow(prefix + (b,), open_[: k + 1], used)
         grow(prefix + (used,), open_ + (used,), used + 1)
 
-    grow((), (), 0)
+    try:
+        grow((), (), 0)
+    finally:
+        del grow  # the closure refers to itself through its cell
     return tuple(out)
 
 

@@ -206,6 +206,30 @@ def test_enumeration_cap():
         enumerate_lr(ChiMap(("l",) * 9), EpsilonMap((1,) * 9))
 
 
+def test_chi_extensions_reuses_the_closure_and_checks_the_cap(monkeypatch):
+    """chi_extensions keeps the word's full lateral closure in an LRU of
+    16: a second call reads the kept closure and gives the same family,
+    and the diagram cap is checked on every call, hit or miss."""
+    chi, eps = ChiMap.parse("lrlr"), EpsilonMap((1, 2, 1, 2))
+    sub = lateral_closure(enumerate_lr(ChiMap.parse("lr"), EpsilonMap((1, 2))))
+    closures = []
+    real = lateral_closure
+
+    def counting(fam):
+        closures.append(fam.chi)
+        return real(fam)
+
+    monkeypatch.setattr("bnc_engine.diagrams.lateral_closure", counting)
+    chi_extensions(sub, chi, eps)  # may be kept from an earlier test
+    closures.clear()
+    first = chi_extensions(sub, chi, eps)
+    assert chi_extensions(sub, chi, eps) == first
+    assert closures == []
+    monkeypatch.setenv("BNC_ENGINE_CAP", "3")
+    with pytest.raises(CapExceeded):
+        chi_extensions(sub, chi, eps)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_closure_against_cut_reachability(data):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 from dataclasses import replace
 from itertools import product as iproduct
 
@@ -286,6 +288,39 @@ def test_checker_applies_each_suffix_once_per_call(monkeypatch, check):
         counts.append(sum(applied))
         assert 0 < counts[-1] <= len(suffixes)
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        verify_system_gives_ffb,
+        check_ffb_independence,
+        check_ffb_system,
+        check_single_colour_moments,
+    ],
+)
+def test_checker_frees_its_contexts_without_the_cycle_collector(monkeypatch, check):
+    """Every FreeMomentContext a checker builds, with its suffix trie, is
+    freed by reference counting when the call returns: no recursive
+    closure of the engine keeps one alive in a reference cycle."""
+    system = load_system("doubled-m2", 6)
+    contexts = []
+    init = FreeMomentContext.__init__
+
+    def recording(self, fp):
+        init(self, fp)
+        contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(FreeMomentContext, "__init__", recording)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert check(system, word_cap=3).ok
+        assert contexts and [ref() for ref in contexts] == [None] * len(contexts)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_dual_system_pipeline():

@@ -418,6 +418,124 @@ def test_b_actions_over_a_noncommutative_base():
         assert fp.equal(fp.act_b(b, word(y, z), False), word(y, z * b))
 
 
+def _legs(dims, idx: int) -> tuple:
+    """The leg coordinates of a plain index over leg dims, first leg first."""
+    legs = []
+    for d in reversed(dims):
+        idx, leg = divmod(idx, d)
+        legs.append(leg)
+    return tuple(reversed(legs))
+
+
+def _plain_index(dims, legs) -> int:
+    idx = 0
+    for d, leg in zip(dims, legs):
+        idx = idx * d + leg
+    return idx
+
+
+def dense_rep_apply(fp, op, k, vec, left: bool):
+    """λ_k(op) (left) or ρ_k(op) on vec from dense matrices, word by word
+    and leg tuple by leg tuple.  A word whose edge leg has colour k has
+    that leg x replaced by op(x): its complement part is the new leg, and
+    its B part acts on the rest of the word (through the rest's edge leg
+    by the dense B action, or as the B summand when nothing is left).  Any
+    other word ξ is read as the unit of module k beside ξ: op's image of
+    the unit contributes its complement part as a new edge leg and its B
+    part acting on ξ's edge leg."""
+    nb = fp.B.dim
+    out: dict = {}  # colour sequence -> {leg tuple: coefficient}
+
+    def add(seq, legs, c):
+        tgt = out.setdefault(seq, {})
+        tgt[legs] = tgt.get(legs, ZERO) + c
+
+    def act_b(seq, legs, b, c):
+        """b on the edge leg of the word (seq, legs), scaled by c."""
+        if not seq:
+            for i, v in enumerate(b):
+                add((), (i,), c * v)
+            return
+        mod = fp.components[seq[0] if left else seq[-1]]
+        m = mat_combination(b, mod.left_action if left else mod.right_action)
+        at = 0 if left else len(seq) - 1
+        for r in range(nb, mod.dim):
+            v = m[r][nb + legs[at]]
+            if v:
+                add(seq, legs[:at] + (r - nb,) + legs[at + 1 :], c * v)
+
+    mod_k = fp.components[k]
+    for seq, comp in vec.items():
+        if not seq:
+            words = [((), (), [comp.get(i, ZERO) for i in range(nb)], ONE)]
+        else:
+            ws = fp.wordspaces[seq]
+            words = [
+                (seq, _legs(ws.osc_dims, idx), None, c)
+                for idx, c in ws.to_plain(comp).items()
+            ]
+        for wseq, legs, bvec, c in words:
+            if bvec is not None:  # the B summand: op on B's element
+                img = mat_vec(op.matrix, bvec + [ZERO] * mod_k.osc_dim)
+                act_b((), (), img[:nb], ONE)
+                rest, rest_legs = (), ()
+            elif (wseq[0] if left else wseq[-1]) == k:
+                at = 0 if left else len(wseq) - 1
+                img = [row[nb + legs[at]] for row in op.matrix]
+                rest = wseq[1:] if left else wseq[:-1]
+                rest_legs = legs[1:] if left else legs[:-1]
+                act_b(rest, rest_legs, img[:nb], c)
+            else:
+                img = mat_vec(op.matrix, mod_k.unit_vector())
+                act_b(wseq, legs, img[:nb], c)
+                rest, rest_legs = wseq, legs
+            for leg, v in enumerate(img[nb:]):
+                if v:
+                    if left:
+                        add((k,) + rest, (leg,) + rest_legs, c * v)
+                    else:
+                        add(rest + (k,), rest_legs + (leg,), c * v)
+    vecout = {}
+    for seq, entries in out.items():
+        if not seq:
+            vecout[()] = {legs[0]: v for legs, v in entries.items() if v}
+            continue
+        ws = fp.wordspaces[seq]
+        plain = {_plain_index(ws.osc_dims, legs): v for legs, v in entries.items()}
+        vecout[seq] = ws.from_plain(plain)
+    return {seq: comp for seq, comp in vecout.items() if comp}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: doubled_bimodule(build_bimodule_from_space(space_m2_scalar())[0]),
+        lambda: build_bimodule_from_space(space_diag2())[0],
+        lambda: m2_free_product()[0].components[1],
+    ],
+    ids=["doubled-m2", "diag2", "doubled-m2-over-m2"],
+)
+def test_lambda_rho_match_a_dense_oracle_on_word_basis_vectors(make):
+    """lambda_apply and rho_apply, which act through cached sparse
+    kernels, equal dense_rep_apply on every basis vector of W(s) for
+    |s| <= 3 and on B's basis, for seeded operators of both colours."""
+    mod = make()
+    fp = reduced_free_product({1: mod, 2: mod}, 4)
+    rng = random.Random(31)
+    ops = [rand_op(mod, rng) for _ in range(2)]
+    ops.append(module_operator(mod, identity(mod.dim)))
+    basis = [fp.embed_b(fp.B.basis_element(i)) for i in range(fp.B.dim)]
+    for seq, ws in fp.wordspaces.items():
+        if len(seq) <= 3:
+            basis += [{seq: {i: ONE}} for i in range(ws.dim)]
+    checked = 0
+    for vec, op, k, left in iproduct(basis, ops, (1, 2), (True, False)):
+        got = (fp.lambda_apply if left else fp.rho_apply)(op, k, vec)
+        assert fp.equal(got, dense_rep_apply(fp, op, k, vec, left)), (vec, k, left)
+        checked += bool(got)
+    assert checked > len(basis)
+
+
 def _commutant_basis(mod, side: str) -> list:
     """A basis of the operators on mod in the commutant of side: the
     nullspace of T·M = M·T, M over the other side's actions, as d x d
@@ -892,6 +1010,59 @@ def test_a_miss_applies_only_the_uncached_front(monkeypatch):
     mf.expect([(b, c)])  # a node of the trie: no application
     mf.expect([(a, b, c)])
     assert applied == [3, 1]
+
+
+def _trie_size(node) -> int:
+    return 1 + sum(map(_trie_size, (node.children or {}).values()))
+
+
+def test_a_chain_stops_at_its_vanishing_suffix(monkeypatch):
+    """A chain whose suffix vector vanishes is zero: the walk stops at the
+    first vector that vanishes, which is the context's one zero node, so
+    the atoms in front of it are neither applied nor interned, and no
+    node is made past it.  expect gives B's zero and vector {}."""
+    fp = reduced_free_product(MODS, 4)
+    mf = FreeMomentContext(fp)
+    a, b, c = (("l", 1, rand_op(MODS[1])), ("r", 2, rand_op(MODS[2])),
+               ("l", 2, rand_op(MODS[2])))
+    kill = ("l", 1, module_operator(MODS[1], [[ZERO] * 4 for _ in range(4)]))
+    assert fp.lambda_apply(kill[2], 1, apply_chain(fp, (b,), fp.unit())) == {}
+    applied = []
+    real = freeprod.apply_atom
+
+    def counting(fp_, atom, vec):
+        applied.append(atom)
+        return real(fp_, atom, vec)
+
+    monkeypatch.setattr(freeprod, "apply_atom", counting)
+    assert mf.expect([(a, c), (kill, b)]).is_zero()
+    assert applied == [b, kill]  # neither c nor a
+    assert id(a) not in mf._seen and id(c) not in mf._seen
+    assert _trie_size(mf._root) == 3  # the root, b and the zero node
+    applied.clear()
+    for front in ((a,), (c, a), (c,)):
+        assert mf.vector([front, (kill, b)]) == {}
+        assert mf.expect([front + (kill,), (b,)]) == fp.B.zero()
+    assert applied == []
+    assert _trie_size(mf._root) == 3
+    assert mf.vector([(kill, b)]) is mf.vector([(a, kill, b)])
+
+
+def test_check_ffb_system_applies_pinned_atoms(monkeypatch):
+    """check_ffb_system(doubled-m2 at depth 6, cap 3) applies 2,356 atoms;
+    before chains stopped at their first vanishing vector it applied
+    2,992."""
+    system = system_doubled_m2(6)
+    applied = []
+    real = freeprod.apply_atom
+
+    def counting(fp_, atom, vec):
+        applied.append(atom)
+        return real(fp_, atom, vec)
+
+    monkeypatch.setattr(freeprod, "apply_atom", counting)
+    assert ffb.check_ffb_system(system, word_cap=3).ok
+    assert len(applied) == 2356
 
 
 def test_equal_b_atoms_share_one_id():
