@@ -198,16 +198,23 @@ REGISTER = (
     Mutant(
         "k1",
         "freeprod.py",
-        "        return sparse_columns(self.matrix, self.mod.dim)\n",
-        "        return sparse_columns(list(zip(*self.matrix)), self.mod.dim)\n",
+        "        return kernel(zip(*self.matrix))\n",
+        "        return kernel(self.matrix)\n",
         (DENSE,),
     ),
     Mutant(
         "k2",
         "freeprod.py",
-        "                    mat = (comp.left_action if first else comp.right_action)[i]\n",
-        "                    mat = comp.left_action[i]\n",
+        "        return tuple(kernel(zip(*m)) for m in self.right_action)\n",
+        "        return tuple(kernel(zip(*m)) for m in self.left_action)\n",
         (f"{DENSE}[doubled-m2-over-m2]",),
+    ),
+    Mutant(
+        "k3",
+        "algebra.py",
+        "        return tuple(kernel(mat_vec(E, eij) for eij in mi) for mi in self.A.mult)\n",
+        "        return tuple(kernel(mat_vec(E, eij) for eij in mi) for mi in zip(*self.A.mult))\n",
+        ("tests/test_algebra.py::test_moment_kernels_match_their_definitions",),
     ),
     Mutant(
         "c1",
@@ -218,6 +225,17 @@ REGISTER = (
         "        {k: v for k, v in resid_parts.items() if k not in primed_keys}\n"
         "    )\n",
         ("tests/test_freeprod.py::test_lr_decompose_output_is_pinned",),
+    ),
+    # the FFB embedding: a face acting on the other colour's legs
+    Mutant(
+        "f1",
+        "ffb.py",
+        '                OperatorHandle(f"{s}{k}.{i}", k, ((s, k, op),), op, z)\n',
+        '                OperatorHandle(f"{s}{k}.{i}", k, ((s, 3 - k, op),), op, z)\n',
+        (
+            "tests/test_ffb.py::test_system_axioms",
+            "tests/test_acceptance.py::test_criterion_9_vanishing",
+        ),
     ),
     Mutant(
         "p1",

@@ -5,16 +5,17 @@ BBProbSpace bundles an ambient algebra with a base algebra B, an
 expectation onto B, and commuting left/right embeddings of B.  All
 arithmetic is exact; axiom checks report witnesses instead of raising.
 
-Products, expectations and B insertions all run through one sparse
-kernel, bilinear(), over a table of each bilinear map's values on basis
-pairs.  A StructuredAlgebra's table is its structure constants.  A
-BBProbSpace builds four more on first use, at most dim(A)²·dim(B)
-entries each: the form (y, x) ↦ E(y·x), so that a word's expectation
-multiplies out every element but the last and closes with the form, and
-per B basis element b_i the three insertion maps, one per collapse kind
-of bimult: x ↦ x·L_bi, x ↦ L_bi·x and x ↦ R_bi·x.  So insert(kind, b,
-x), a B value b inserted into x, is Σ b_i·map_i(x) over that kind's
-maps, with no embedded element and no full product.
+Products, expectations and B insertions are bilinear maps, each held
+as one linalg Kernel per first basis element (column j of kernel i the
+image of (e_i, e_j)) and applied by linalg.combine.  A
+StructuredAlgebra's kernels are its structure constants.  A BBProbSpace
+builds four more tuples on first use, at most dim(A)²·dim(B) entries
+each: the form (y, x) ↦ E(y·x), so that a word's expectation multiplies
+out every element but the last and closes with the form, and per B
+basis element b_i the three insertion maps, one per collapse kind of
+bimult: x ↦ x·L_bi, x ↦ L_bi·x and x ↦ R_bi·x.  So insert(kind, b, x),
+a B value b inserted into x, is Σ b_i·map_i(x) over that kind's maps,
+with no embedded element and no full product.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from .linalg import (
     Vec,
     ZERO,
     RowSpace,
+    combine,
     frac,
+    kernel,
     mat_vec,
     sparse,
     unit_vec,
@@ -54,8 +57,9 @@ class StructuredAlgebra:
     """Unital algebra with designated basis and rational structure constants.
 
     mult[i][j] is the coefficient vector of e_i * e_j; unit is the
-    coefficient vector of the identity.  terms[i][j] holds the nonzero
-    entries of mult[i][j] as (k, c) pairs, built once.
+    coefficient vector of the identity.  terms[i] is the Kernel of
+    x ↦ e_i * x, its column j the nonzero entries of mult[i][j], built
+    once.
     """
 
     dim: int
@@ -67,7 +71,7 @@ class StructuredAlgebra:
     def __post_init__(self):
         if len(self.labels) != self.dim or len(self.unit) != self.dim:
             raise ValueError("label/unit length must equal dim")
-        object.__setattr__(self, "terms", _sparse_table(self.mult))
+        object.__setattr__(self, "terms", tuple(map(kernel, self.mult)))
 
     def element(self, coeffs) -> "AlgebraElement":
         coeffs = [frac(c) for c in coeffs]
@@ -85,7 +89,7 @@ class StructuredAlgebra:
         return AlgebraElement(self, tuple(zeros(self.dim)))
 
     def mul_coeffs(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vec:
-        return bilinear(self.terms, x, y, self.dim)
+        return combine(x, self.terms, y, self.dim)
 
     def associativity_defect(self) -> Optional[tuple[int, int, int]]:
         """First basis triple where (e_i e_j) e_k != e_i (e_j e_k), or None."""
@@ -100,33 +104,6 @@ class StructuredAlgebra:
                     if left != right:
                         return (i, j, k)
         return None
-
-
-def bilinear(table, u: Sequence[Scalar], v: Sequence[Scalar], dim: int) -> Vec:
-    """The sum of u_i·v_j·table[i][j] over the nonzero u_i and v_j: a
-    bilinear map into dim coordinates, given on basis pairs as a table
-    whose entry [i][j] holds the nonzero (k, c) coefficients of the image
-    of (e_i, e_j)."""
-    out = zeros(dim)
-    vs = [(j, vj) for j, vj in enumerate(v) if vj]
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        ti = table[i]
-        for j, vj in vs:
-            c = ui * vj
-            for k, s in ti[j]:
-                out[k] += c * s
-    return out
-
-
-def _sparse_table(rows) -> tuple:
-    """A table of dense vectors, rows[i][j], as their nonzero (k, c)
-    coefficients: the form bilinear() reads."""
-    return tuple(
-        tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
-        for row in rows
-    )
 
 
 def algebra_from_matrix_units(n: int) -> StructuredAlgebra:
@@ -284,19 +261,18 @@ class BBProbSpace:
 
     @cached_property
     def _form(self) -> tuple:
-        """The form (y, x) ↦ E(y·x): entry [i][j] holds the nonzero B
-        coefficients of E(e_i·e_j)."""
-        A = self.A
-        return _sparse_table(
-            [[mat_vec(self.expectation, eij) for eij in mi] for mi in A.mult]
-        )
+        """The form (y, x) ↦ E(y·x): column j of kernel i holds the
+        nonzero B coefficients of E(e_i·e_j)."""
+        E = self.expectation
+        return tuple(kernel(mat_vec(E, eij) for eij in mi) for mi in self.A.mult)
 
     @cached_property
     def _insertions(self) -> tuple:
         """The insertion kernels indexed by collapse kind.  The kernel of
         a kind holds, per B basis element b_i with M_i its image L_bi or
         R_bi, the map x ↦ x·M_i (APPEND_LEFT) or M_i·x (the prepends):
-        entry [i][j] holds the nonzero coefficients of the image of e_j."""
+        column j of kernel i holds the nonzero coefficients of the image
+        of e_j."""
         A = self.A
         basis = [unit_vec(A.dim, j) for j in range(A.dim)]
         maps = {
@@ -305,11 +281,11 @@ class BBProbSpace:
             PREPEND_RIGHT: (self.right_embed, False),
         }
         return tuple(
-            _sparse_table(
-                [
-                    [A.mul_coeffs(e, m) if after else A.mul_coeffs(m, e) for e in basis]
-                    for m in zip(*embed)
-                ]
+            tuple(
+                kernel(
+                    A.mul_coeffs(e, m) if after else A.mul_coeffs(m, e) for e in basis
+                )
+                for m in zip(*embed)
             )
             for embed, after in map(maps.get, sorted(maps))
         )
@@ -319,9 +295,9 @@ class BBProbSpace:
         or R_b·x, read off that kind's insertion kernel."""
         if b.parent is not self.B or x.parent is not self.A:
             raise MismatchedAlgebra("expected an element of B and one of A")
-        table = self._insertions[kind]
+        kernels = self._insertions[kind]
         return AlgebraElement(
-            self.A, tuple(bilinear(table, b.coeffs, x.coeffs, self.A.dim))
+            self.A, tuple(combine(b.coeffs, kernels, x.coeffs, self.A.dim))
         )
 
     def commutant_failure(self, x: AlgebraElement, side: str) -> Optional[int]:
@@ -351,7 +327,7 @@ class BBProbSpace:
         for e in elements[1:-1]:
             y = A.mul_coeffs(y, e.coeffs)
         return AlgebraElement(
-            self.B, tuple(bilinear(self._form, y, elements[-1].coeffs, self.B.dim))
+            self.B, tuple(combine(y, self._form, elements[-1].coeffs, self.B.dim))
         )
 
 

@@ -19,13 +19,13 @@ FreeMomentContext over the system's free product (independence a second
 one over its representation product) and reads every unit-chain vector
 and moment from its suffix trie.  The operators a call derives from the
 handles (the μ̃ letters, the composed boolean factors) are built once
-per call, and so is each word shape's FfbContext in the proof pipeline;
-embed_ffb_family builds one operator object per generator and role, so
-equal atoms are the same objects and share trie nodes.  Nothing cached
-per call outlives it, and reference counting frees it when the call
-returns.  What lives longer is bounded by what it is keyed on: the
-operators' and the free product's sparse kernels, and the LRU of
-lateral closures behind diagrams.chi_extensions.
+per call; embed_ffb_family builds one operator object per generator and
+role, so equal atoms are the same objects and share trie nodes.  Nothing
+cached per call outlives it, and reference counting frees it when the
+call returns.  What lives longer is bounded by what it is keyed on: the
+operators' and the modules' sparse kernels, and two LRUs, the word
+shapes' FfbContexts behind partitions.lr_replacement and the lateral
+closures behind diagrams.chi_extensions.
 """
 
 from __future__ import annotations
@@ -399,12 +399,8 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
     ext_cache: dict = {}
     kappa_checked = 0
     mismatch = []
-    fctxs: dict = {}  # shape -> its FfbContext, built once per call
     for shape, eps_hat, pools in _word_sweep(_faces(sys), word_cap, sys.colours()):
-        fctx = fctxs.get(shape)
-        if fctx is None:
-            chi_hat = ChiMap(shape, three_letter="b" in shape)
-            fctx = fctxs[shape] = lr_replacement(chi_hat)
+        fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
         eps = fctx.expand_colours(EpsilonMap(eps_hat))
         for handles in iproduct(*pools):
             word = [(s, h, letters[s, id(h)]) for s, h in zip(shape, handles)]

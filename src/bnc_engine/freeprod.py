@@ -53,15 +53,15 @@ A λ/ρ atom is the triple (side, colour, operator), side 'l' for the
 left representation λ and 'r' for the right one ρ; the other atoms act
 by B on the left or right ('lb'/'rb', b) or project onto a colour
 ('proj', k, None).  One word object serves apply_chain, the moment
-context and lr_decompose.  Every atom acts through sparse kernels (a
-matrix as per-column lists of its nonzero entries), each built once: a
+context and lr_decompose.  Every atom acts through linalg Kernels, each
+built once and applied by linalg.combine or read column by column: a
 ModuleOperator keeps its own, whose complement columns hold its
-complement block and its complement-to-base rows, and the free product
-keeps one per B basis action on a colour's module, per (colour, basis
-element, side), read on the complement for an edge leg and whole for
-lr_decompose's folds.  A B value acts as the combination of its basis
-kernels within one pass over the word, so no call builds a dense
-matrix.
+complement block and its complement-to-base rows, and a module keeps
+one per B basis action and side (left_kernels, right_kernels), so every
+colour built on it shares them; an edge leg reads them on the
+complement and lr_decompose's folds whole.  A B value acts as the
+combination of its basis kernels, its coefficients read beside them,
+within one pass over the word, so no call builds a dense matrix.
 
 Moments.  FreeMomentContext is the free product's one moment context:
 the checkers read every chain's vector and expectation from one, and
@@ -96,6 +96,7 @@ from .bimult import APPEND_LEFT, PREPEND_RIGHT, MomentContext, ReduceBlock, redu
 from .diagrams import LRDiagram, make_diagram
 from .errors import InputError
 from .linalg import (
+    Kernel,
     Mat,
     ONE,
     Quotient,
@@ -104,8 +105,10 @@ from .linalg import (
     Vec,
     ZERO,
     block_matrix,
+    combine,
     div,
     frac,
+    kernel,
     mat_combination,
     mat_mul,
     nullspace,
@@ -115,28 +118,6 @@ from .linalg import (
 from .partitions import ChiMap, EpsilonMap
 
 FpVec = dict[tuple[int, ...], dict[int, Scalar]]
-# a matrix as sparse columns: per column, its nonzero (row, entry) pairs
-Kernel = tuple[tuple[tuple[int, Scalar], ...], ...]
-
-
-def sparse_columns(mat: Sequence[Sequence[Scalar]], cols: int) -> Kernel:
-    """The cols columns of mat as a Kernel."""
-    return tuple(
-        tuple((r, row[c]) for r, row in enumerate(mat) if row[c]) for c in range(cols)
-    )
-
-
-def combine(kernels, vec: Sequence[Scalar], dim: int) -> Vec:
-    """The sum of c·K·vec over the (c, K) in kernels, each K a Kernel
-    with dim rows; vec may stop short, its missing entries zero."""
-    out = [ZERO] * dim
-    for c, ker in kernels:
-        for j, x in enumerate(vec):
-            if x:
-                cx = c * x
-                for r, v in ker[j]:
-                    out[r] += cx * v
-    return out
 
 
 class DepthExceeded(InputError):
@@ -145,7 +126,8 @@ class DepthExceeded(InputError):
 
 @dataclass
 class BimoduleWithProjection:
-    """B-B-bimodule whose first dim(B) coordinates are the B summand."""
+    """B-B-bimodule whose first dim(B) coordinates are the B summand.  Its
+    action kernels are built from the actions on first use and kept."""
 
     B: StructuredAlgebra
     dim: int
@@ -176,6 +158,16 @@ class BimoduleWithProjection:
         d = self.B.dim
         return [row[d:] for row in self.right_action[i][d:]]
 
+    @cached_property
+    def left_kernels(self) -> tuple[Kernel, ...]:
+        """The left action of each B basis element as a Kernel."""
+        return tuple(kernel(zip(*m)) for m in self.left_action)
+
+    @cached_property
+    def right_kernels(self) -> tuple[Kernel, ...]:
+        """The right action of each B basis element as a Kernel."""
+        return tuple(kernel(zip(*m)) for m in self.right_action)
+
 
 @dataclass(frozen=True)
 class ModuleOperator:
@@ -189,12 +181,12 @@ class ModuleOperator:
 
     @cached_property
     def columns(self) -> Kernel:
-        return sparse_columns(self.matrix, self.mod.dim)
+        return kernel(zip(*self.matrix))
 
     def apply(self, vec: Sequence[Scalar]) -> Vec:
         """The operator on a module vector, or on the vector of B
         coefficients vec embedded in the B summand."""
-        return combine(((ONE, self.columns),), vec, self.mod.dim)
+        return combine((ONE,), (self.columns,), vec, self.mod.dim)
 
     @cached_property
     def unit_image(self) -> Vec:
@@ -431,7 +423,6 @@ class TruncatedFreeProduct:
         self.B = next(iter(components.values())).B
         self.depth = depth
         self._built: dict[tuple[int, ...], WordSpace] = {}
-        self._kernels: dict[tuple, Kernel] = {}  # see _b_kernels
 
     @property
     def wordspaces(self) -> Mapping[tuple[int, ...], WordSpace]:
@@ -573,22 +564,6 @@ class TruncatedFreeProduct:
                 _acc(out, (), dict(enumerate((b * x if from_left else x * b).coeffs)))
         return _clean(out)
 
-    def _b_kernels(self, k: int, b: Sequence[Scalar], first: bool):
-        """B coefficients b acting from the left (first) or the right on
-        colour k's module, as (coefficient, Kernel) pairs; the kernel of
-        each basis action is built once per (colour, basis element,
-        side)."""
-        out = []
-        for i, c in enumerate(b):
-            if c:
-                ker = self._kernels.get((k, i, first))
-                if ker is None:
-                    comp = self.components[k]
-                    mat = (comp.left_action if first else comp.right_action)[i]
-                    ker = self._kernels[k, i, first] = sparse_columns(mat, comp.dim)
-                out.append((c, ker))
-        return out
-
     def _edge(self, seq, b: Sequence[Scalar], plain: dict[int, Scalar], first: bool):
         """Coordinates of a plain word of seq with B coefficients b acting
         on its first leg (from the left) or its last (from the right).  B
@@ -597,7 +572,9 @@ class TruncatedFreeProduct:
         kernel columns, all past dim(B)."""
         ws = self._space(seq)
         nb = self.B.dim
-        kernels = self._b_kernels(seq[0] if first else seq[-1], b, first)
+        comp = self.components[seq[0] if first else seq[-1]]
+        kers = comp.left_kernels if first else comp.right_kernels
+        kernels = [(c, ker) for c, ker in zip(b, kers) if c]
         out: dict[int, Scalar] = {}
         for idx, x in plain.items():
             leg, rest = ws.split(idx, first)
@@ -1094,7 +1071,9 @@ def _close(new, fp, coeff, done, top, factors, b, from_left, primed):
         return
     at = 0 if from_left else len(factors) - 1
     k, u = factors[at]
-    folded = combine(fp._b_kernels(k, b, from_left), u, len(u))
+    comp = fp.components[k]
+    kers = comp.left_kernels if from_left else comp.right_kernels
+    folded = combine(b, kers, u, len(u))
     if any(folded):
         factors = factors[:at] + ((k, folded),) + factors[at + 1 :]
         new.append(_Term(coeff, done, top, factors, None, primed))

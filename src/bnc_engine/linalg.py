@@ -6,6 +6,13 @@ return {index: scalar} dicts of the nonzero entries, and sparse() turns
 a dense vector into one.  Everything returns fresh values; nothing is
 mutated in place unless the name says so.
 
+Kernels.  Every linear map the engine applies on a hot path is a Kernel:
+a matrix as per-column tuples of its nonzero (row, entry) pairs, built
+once from dense columns by kernel().  combine(u, kernels, v, dim) is the
+one application, the sum of u_i·K_i·v over the nonzero u_i.  A bilinear
+map is a kernel per first basis element (an algebra's products, a form,
+the B insertions) and a linear map is one kernel with u = (1,).
+
 Scalar model: a scalar is an int when it is integral and a
 fractions.Fraction when it is not; never a float or a bool.  Ints are
 exact and skip Fraction's gcd and allocation.  frac() brings outside
@@ -20,11 +27,13 @@ hashes equal to the int.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Scalar = int | Fraction
 Vec = list[Scalar]
 Mat = list[list[Scalar]]
+# a matrix as sparse columns: per column, its nonzero (row, entry) pairs
+Kernel = tuple[tuple[tuple[int, Scalar], ...], ...]
 
 ZERO = 0
 ONE = 1
@@ -102,6 +111,27 @@ def mat_combination(coeffs: Sequence[Scalar], mats: Sequence[Mat]) -> Mat:
             for s, x in enumerate(row):
                 if x:
                     orow[s] += c * x
+    return out
+
+
+def kernel(cols: Iterable[Sequence[Scalar]]) -> Kernel:
+    """Dense columns as a Kernel."""
+    return tuple(tuple((r, x) for r, x in enumerate(col) if x) for col in cols)
+
+
+def combine(u: Sequence[Scalar], kernels, v: Sequence[Scalar], dim: int) -> Vec:
+    """The sum of u_i·K_i·v over the nonzero u_i, each K_i a Kernel with
+    dim rows; v may stop short of the column count, its missing entries
+    zero."""
+    out = [ZERO] * dim
+    for ui, ker in zip(u, kernels):
+        if not ui:
+            continue
+        for j, x in enumerate(v):
+            if x:
+                c = ui * x
+                for r, s in ker[j]:
+                    out[r] += c * s
     return out
 
 

@@ -16,10 +16,11 @@ SetPartitions are built only when enumerate_bnc is asked for them.
 Mobius values and intervals come from one kernel per n, indexed by
 NC(n) slot (_nc_slots): nc_row builds a row on first use, finding each
 partition below sigma by its head labelling, with no renumbering.  The
-per-n tables and the kernel rows are lru_caches.  The one other cache,
-the lattice's, is keyed by s_chi, not by the colouring: s_chi puts
-position n between the last left and the last right position whatever
-its side, so the two colourings that differ only at n share it.
+per-n tables and the kernel rows are lru_caches, and so is
+lr_replacement, bounded.  The one other cache, the lattice's, is keyed
+by s_chi, not by the colouring: s_chi puts position n between the last
+left and the last right position whatever its side, so the two
+colourings that differ only at n share it.
 relabelled_rgs is not cached: it is one pass over n labels.
 """
 
@@ -501,8 +502,16 @@ class FfbContext:
         return EpsilonMap(tuple(colours))
 
 
+@lru_cache(maxsize=256)
 def lr_replacement(chi_hat: ChiMap) -> FfbContext:
-    """Expand a three-letter colouring, replacing each 'b' with (l, r)."""
+    """Expand a three-letter colouring, replacing each 'b' with (l, r).
+
+    Both the ChiMap and the FfbContext are frozen, so callers share one
+    context per colouring: the cache keeps the 256 most recently used and
+    evicts the least recently used.  That holds every shape of n̂ ≤ 4
+    (120 of them), and a sweep that runs shape by shape, as every FFB
+    sweep does, builds each shape's context once at any length.
+    """
     sides: list[str] = []
     f: list[int] = []
     for i in range(1, chi_hat.n + 1):

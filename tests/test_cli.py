@@ -460,6 +460,8 @@ README_OUTPUTS = [
      "ed1c3945d60c24f7f402842624cef1bc0b19bb67149b36c21e6cdf8b6c3f9ef8", 0),
     ("verify ffb-system --fixture doubled-diag2 --word-cap 3",
      "1253cbec5a57acd5d44ee04e648a55db1966e4612e9036982b04ca5e88e506bc", 0),
+    ("verify ffb-independence --fixture doubled-diag2 --word-cap 4",
+     "1cc15d3f66e5bae634ae0d4c14a3dc4591b6200df363aaed52bc6460e93ab652", 0),
     ("verify ffb-sweep --fixture doubled-dual --max-n 3",
      "e3d256ba3e39d0ee04198222beb820ad9ca5073e07dc69b3e4c080fe78fa8afd", 0),
     ("verify lr-decompose --seed 5 --trials 10 --max-n 4",

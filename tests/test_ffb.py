@@ -204,6 +204,17 @@ def test_sweep_builds_only_the_word_spaces_it_reaches(
     assert len(system.fp.wordspaces) == 4 * max_n
 
 
+def test_sweep_builds_each_shape_context_once():
+    """ffb_sweep reads its FfbContexts from lr_replacement's LRU: over
+    doubled-m2 with n̂ ≤ 3, one miss per word shape and a hit for every
+    other word."""
+    system = load_system("doubled-m2", 6)
+    lr_replacement.cache_clear()
+    assert ffb.ffb_sweep(system, 3) == (258, None)
+    info = lr_replacement.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (39, 258 - 39, 39)
+
+
 def test_checkers_build_only_the_word_spaces_they_probe(builds):
     """Over B = D2 the four checkers at cap 2 read the one-leg spaces only,
     and check_ffb_system at cap 3 those of up to two legs."""

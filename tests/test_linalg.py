@@ -1,9 +1,12 @@
-"""Sparse row reduction against a dense Gauss-Jordan reference.
+"""Sparse row reduction against a dense Gauss-Jordan reference, and the
+sparse kernels against dense matrices.
 
 RowSpace keeps its rows in reduced echelon form, which is unique for a
 span; the free-product word spaces rely on that when they seed each
 space from its prefix.  So the rows must not depend on the order the
-vectors came in, and must equal the textbook elimination.
+vectors came in, and must equal the textbook elimination.  combine, the
+one application of a linear or bilinear map held as Kernels, must equal
+the dense sum of matrices applied to the vector.
 """
 
 from fractions import Fraction
@@ -11,7 +14,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnc_engine.linalg import Quotient, RowSpace, frac, sparse
+from bnc_engine.linalg import (
+    Quotient,
+    RowSpace,
+    combine,
+    frac,
+    kernel,
+    mat_combination,
+    mat_vec,
+    sparse,
+)
 
 
 def gauss_jordan(rows, width):
@@ -88,3 +100,37 @@ def test_lifted_rows_stay_reduced_as_rows_are_added(case, d, data):
     for row in extra:
         lifted.add(sparse(row))
     assert lifted.rows == gauss_jordan(tensor + extra, width * d)
+
+
+@st.composite
+def kernel_case(draw):
+    """Square matrices with some all-zero columns, coefficients (zeros
+    among them), and a vector that may stop short of the column count,
+    as a vector of B coefficients does on a module."""
+    dim = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 4))
+    row = st.lists(ENTRY, min_size=dim, max_size=dim)
+    square = st.lists(row, min_size=dim, max_size=dim)
+    mats = draw(st.lists(square, min_size=count, max_size=count))
+    for c in draw(st.sets(st.integers(0, dim - 1))):
+        for m in mats:
+            for row in m:
+                row[c] = 0
+    coeffs = draw(st.lists(ENTRY, min_size=count, max_size=count))
+    v = draw(st.lists(ENTRY, max_size=dim))
+    return dim, mats, coeffs, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_case())
+def test_combine_matches_the_dense_combination(case):
+    dim, mats, coeffs, v = case
+    kernels = [kernel(zip(*m)) for m in mats]
+    for ker, m in zip(kernels, mats):
+        assert len(ker) == dim
+        for j, col in enumerate(ker):
+            assert col == tuple((r, m[r][j]) for r in range(dim) if m[r][j])
+    padded = v + [0] * (dim - len(v))
+    expected = mat_vec(mat_combination(coeffs, mats), padded)
+    assert combine(coeffs, kernels, v, dim) == expected
+    assert combine(coeffs, kernels, padded, dim) == expected
