@@ -104,6 +104,21 @@ REGISTER = (
         'b = self._b_atom({APPEND_LEFT: "lb", PREPEND_RIGHT: "lb"}.get(kind, "rb"), value)',
         (M2_SELF,),
     ),
+    # the lattice tables: the shared program never reads side n
+    Mutant(
+        "s1",
+        "bimult.py",
+        "    j = v[0]\n    if last < j:\n",
+        "    j = v[0]\n    from_left = side[j] == \"l\"\n    if last < j:\n",
+        ("tests/test_cumulants.py",),
+    ),
+    Mutant(
+        "s2",
+        "cumulants.py",
+        "    prog = _program(ctx.s_chi, ctx.chi.sides[:-1])\n",
+        "    prog = _program(ctx.s_chi, ctx.chi.sides)\n",
+        ("tests/test_ffb.py::test_sweep_misses_each_lattice_table_once_per_key",),
+    ),
     # the sparse audit
     Mutant(
         "a",

@@ -32,6 +32,7 @@ from .cumulants import (
     moment_table,
 )
 from .diagrams import (
+    LR_CAP,
     LRDiagram,
     enumerate_lr,
     lateral_closure,
@@ -66,6 +67,7 @@ from .partitions import (
     EpsilonMap,
     SetPartition,
     build_context,
+    check_cap,
     enumerate_bnc,
     enumerate_bnc_ffb,
     is_bnc,
@@ -153,6 +155,8 @@ def cmd_enumerate(args) -> int:
     else:
         chi = _parsed(args, "chi", _colouring)
         eps = _parsed(args, "eps", EpsilonMap.parse)
+        if args.k is not None:
+            _at_least(args, "k", 0)
         fam = enumerate_lr(chi, eps)
         if kind == "lrlat":
             fam = lateral_closure(fam)
@@ -282,6 +286,7 @@ def _random_operator(mod, rng: random.Random):
 def _verify_bifree(args) -> int:
     """Mixed-colour moment criterion on a representation-built family."""
     _at_least(args, "word-cap", 2)
+    check_cap(args.word_cap, name="--word-cap")  # not only once a draw passes it
     _at_least(args, "trials", 1)
     rng = random.Random(args.seed)
     mods = _parsed(args, "dims", _scalar_modules)
@@ -313,6 +318,7 @@ def _verify_bifree(args) -> int:
 
 def cmd_verify_decompose(args) -> int:
     _at_least(args, "max-n", 1)
+    check_cap(args.max_n, LR_CAP, "--max-n")  # lr_decompose has no cap of its own
     _at_least(args, "trials", 1)
     rng = random.Random(args.seed)
     mods = _parsed(args, "dims", _scalar_modules)

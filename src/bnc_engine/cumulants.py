@@ -8,29 +8,32 @@ the kernels its space builds once: a word's expectation closes with
 the bilinear form (y, x) ↦ E(y·x), and insert(kind, value, elem)
 passes the collapse kind on to BBProbSpace.insert, which combines that
 kind's sparse maps (x ↦ x·L_b, L_b·x or R_b·x).  The reduction plans
-of every member of a colouring's lattice form one bimult.Program per
-s_chi, whose leaves are the NC(n) slots; it takes the members' blocks
-as the lattice's one pass left them, and plans the members below a
-root group (their last block) only when a walk first enters that group
-with a value that does not vanish.  Keying by s_chi is exact: chi and
-chi with its last side flipped have one s_chi, and the planner reads
-side n only for the singleton {n}, a tail fold that reads no side.  A
-moment table is one walk of that program, the leaves below a vanishing
-expectation filled with the zero the walk met, and e_pi is a Program
-of the one partition, a one-leaf program.  A cumulant is one row of
+of every member of a colouring's lattice form one bimult.Program,
+whose leaves are the NC(n) slots; it takes the members' blocks as the
+lattice's one pass left them, and plans the members below a root group
+(their last block) only when a walk first enters that group with a
+value that does not vanish.  chi and chi with its last side flipped
+share one program, whose side map has no entry for n: the planner
+reads side n only for the singleton {n}, a tail fold.  A moment table
+is one walk of that program, the leaves below a vanishing expectation
+filled with the zero the walk met, and e_pi is a Program of the one
+partition, a one-leaf program.  A cumulant is one row of
 the NC(n) Mobius kernel (nc_row) over the moment vector, so a cumulant
 table is one sparse integer mat-vec.
 
 The FFB word audit reads only the nonzero moments of its walk, which
 writes the leaves it reaches into a dict and no others: each of its
 sums looks the weights of those slots up in maps built once per
-lattice, and its count of the colour-refining partitions off the
+word shape, and its count of the colour-refining partitions off the
 boolean-pair sublattice grows them directly on the relabelled line
-rather than scanning the lattice.
+rather than scanning the lattice.  Each table that outlives a call is
+the lru_cache of its builder (_program, _expansion, _sublattice and
+_off_lattice), keyed by what it depends on.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul
 
 from .algebra import AlgebraElement, BBProbSpace, CheckReport, SideMismatch
@@ -44,12 +47,14 @@ from .partitions import (
     NotBNC,
     SetPartition,
     SizeMismatch,
+    _pullback,
     _shared_pair,
     bnc_lattice,
     build_context,
     catalan,
     interval_below,
     is_bnc,
+    lr_replacement,
     nc_row,
 )
 
@@ -90,33 +95,26 @@ def e_pi(
         if not mf.verify_side(z, ctx.chi.side(i)):
             raise SideMismatch(f"operand {i} not in the {ctx.chi.side(i)} side")
     out: dict = {}
-    zero = run_program(Program([pi.blocks()], _sides(ctx)), [None, *Z], mf, out)
+    prog = Program([pi.blocks()], dict(enumerate(ctx.chi.sides, start=1)))
+    zero = run_program(prog, [None, *Z], mf, out)
     return out.get(0, zero)
 
 
-# s_chi -> the program of every lattice member's plan, leaf = NC(n) slot.
-# Colourings that differ only at position n share s_chi, and their
-# programs are equal: the planner reads side n only for the singleton
-# {n}, which always folds as a tail (APPEND_LEFT) and reads no side.
-_program_cache: dict[tuple[int, ...], Program] = {}
-
-
-def _sides(ctx: BNCContext) -> dict[int, str]:
-    return {i: s for i, s in enumerate(ctx.chi.sides, start=1)}
-
-
-def _program(ctx: BNCContext, blocks) -> Program:
-    prog = _program_cache.get(ctx.s_chi)
-    if prog is None:
-        prog = _program_cache[ctx.s_chi] = Program(blocks, _sides(ctx))
-    return prog
+@lru_cache(maxsize=None)
+def _program(s_chi: tuple[int, ...], head: tuple[str, ...]) -> Program:
+    """The program of every plan in s_chi's lattice, leaf = NC(n) slot;
+    keyed by s_chi and head, the sides of positions 1..n-1, maxsize=None.
+    The planner reads side n only for the singleton {n}, which always
+    folds as a tail (APPEND_LEFT), so the side map omits n."""
+    return Program(_pullback(s_chi)[0], dict(enumerate(head, start=1)))
 
 
 def _walk(ctx: BNCContext, Z: list, mf: MomentContext, out):
     """One walk of the colouring's program into the empty dict out (see
     run_program): the zero that the leaves below a vanishing expectation
     hold, None when every leaf was reached."""
-    prog = _program(ctx, bnc_lattice(ctx)[0])
+    bnc_lattice(ctx)  # refuses an n over the cap before any plan
+    prog = _program(ctx.s_chi, ctx.chi.sides[:-1])
     return run_program(prog, [None, *Z], mf, out)
 
 
@@ -231,28 +229,33 @@ def bifree_moment_check(
     return rep
 
 
-# (chi_hat.sides, chi.sides) -> (member slots, member weights by slot,
-#                                 {colour classes: N})
-_audit_cache: dict = {}
+@lru_cache(maxsize=None)
+def _expansion(shape: tuple[str, ...]):
+    """A word shape's expanded context and boolean pair starts; keyed by
+    the shape, maxsize=None.  It bypasses lr_replacement's cache, so that
+    cache counts only the sweeps' own calls."""
+    fctx = lr_replacement.__wrapped__(ChiMap(shape, three_letter=True))
+    return build_context(fctx.chi), tuple(fctx.boolean_pair_starts())
 
 
-def _audit_lattice(fctx: FfbContext, ctx: BNCContext):
-    """What the audit needs of the lattice, shared by every colour map,
-    all by NC(n) slot: the boolean-pair sublattice's members, the weights
-    summing their cumulants, and a dict that audit_ffb_word fills with
-    the number of colour-refining non-members of each colour map it
-    meets."""
-    key = (fctx.chi_hat.sides, fctx.chi.sides)
-    hit = _audit_cache.get(key)
-    if hit is None:
-        starts = fctx.boolean_pair_starts()
-        members = frozenset(
-            t
-            for t, rgs in enumerate(bnc_lattice(ctx)[2])
-            if all(rgs[j - 1] == rgs[j] for j in starts)
-        )
-        hit = _audit_cache[key] = (members, _interval_weights(ctx.n, members), {})
-    return hit
+@lru_cache(maxsize=None)
+def _sublattice(shape: tuple[str, ...]):
+    """The boolean-pair sublattice's members and the weights summing
+    their cumulants, by NC(n) slot; keyed by word shape, maxsize=None."""
+    ctx, starts = _expansion(shape)
+    members = frozenset(
+        t
+        for t, rgs in enumerate(bnc_lattice(ctx)[2])
+        if all(rgs[j - 1] == rgs[j] for j in starts)
+    )
+    return members, _interval_weights(ctx.n, members)
+
+
+@lru_cache(maxsize=None)
+def _off_lattice(shape: tuple[str, ...], classes: tuple[int, ...]) -> int:
+    """_refining_off_lattice, keyed by word shape and classes; maxsize=None."""
+    ctx, starts = _expansion(shape)
+    return _refining_off_lattice(ctx, classes, starts)
 
 
 def _refining_off_lattice(ctx: BNCContext, classes: tuple, starts) -> int:
@@ -311,7 +314,7 @@ def audit_ffb_word(
     The walk writes only the leaves it reaches, and every sum reads only
     the nonzero ones among them.  The off-lattice claim names how many
     colour-refining partitions lie off the sublattice, counted by
-    _refining_off_lattice once per lattice and colour classes, and its
+    _refining_off_lattice once per word shape and colour classes, and its
     witnesses are the nonzero ones among them, in lattice order.
     """
     if eps.n != fctx.n or len(Z) != fctx.n:
@@ -323,7 +326,7 @@ def audit_ffb_word(
     out: dict = {}
     _walk(ctx, Z, mf, out)
     nonzero = [(t, v) for t, v in out.items() if not v.is_zero()]
-    members, member_weights, refining = _audit_lattice(fctx, ctx)
+    members, member_weights = _sublattice(fctx.chi_hat.sides)
     # row 0 of the kernel is 1's: every slot, in order, with mu(pi, 1)
     below_one = nc_row(ctx.n, 0)[1]
     rep = CheckReport()
@@ -347,9 +350,7 @@ def audit_ffb_word(
     )
 
     classes = eps.as_partition().rgs
-    off = refining.get(classes)
-    if off is None:
-        off = refining[classes] = _refining_off_lattice(ctx, classes, starts)
+    off = _off_lattice(fctx.chi_hat.sides, classes)
     pulled = bnc_lattice(ctx)[2]
     bad = sorted(
         (pulled[t], v)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bimult import crosses, walk_key
-from .errors import CapExceeded, InputError
-from .partitions import ChiMap, EpsilonMap, SizeMismatch, enumeration_cap
+from .errors import InputError
+from .partitions import ChiMap, EpsilonMap, SizeMismatch, check_cap
 
 LR_CAP = 8
 
@@ -150,16 +150,10 @@ def _check_lengths(chi: ChiMap, eps: EpsilonMap):
         raise SizeMismatch("diagrams need the two-letter alphabet")
 
 
-def _check_cap(n: int):
-    cap = enumeration_cap(LR_CAP)
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds diagram cap {cap}")
-
-
 def enumerate_lr(chi: ChiMap, eps: EpsilonMap) -> DiagramFamily:
     """The plain recursive family; exactly 2^n diagrams."""
     _check_lengths(chi, eps)
-    _check_cap(chi.n)
+    check_cap(chi.n, LR_CAP)
     n = chi.n
     # state: (completed strings tuple, top list tuple of node-tuples)
     states = [((), ())]
@@ -296,7 +290,7 @@ def chi_extensions(
         or eps.colours[i - 1 :] != suffix_family.eps.colours
     ):
         raise SuffixMismatch("suffix colourings do not match the full word")
-    _check_cap(chi.n)
+    check_cap(chi.n, LR_CAP)
     full = _full_closure(chi, eps)
     suffix_keys = suffix_family.keys()
     if i == 1:

@@ -14,14 +14,14 @@ s_chi and keeps each member's rgs and its blocks as position tuples,
 equal blocks one tuple shared across the lattice; validated
 SetPartitions are built only when enumerate_bnc is asked for them.
 Mobius values and intervals come from one kernel per n, indexed by
-NC(n) slot (_nc_slots): nc_row builds a row on first use, finding each
-partition below sigma by its head labelling, with no renumbering.  The
-per-n tables and the kernel rows are lru_caches, and so is
-lr_replacement, bounded.  The one other cache, the lattice's, is keyed
-by s_chi, not by the colouring: s_chi puts position n between the last
-left and the last right position whatever its side, so the two
-colourings that differ only at n share it.
-relabelled_rgs is not cached: it is one pass over n labels.
+NC(n) slot: nc_row builds a row on first use, finding each partition
+below sigma by its head labelling (_nc_heads), with no renumbering.
+Every long-lived table is the lru_cache of its builder: the per-n
+tables, the kernel rows, lr_replacement (bounded), and the lattice,
+_pullback, keyed by s_chi, not by the colouring: s_chi puts position n
+between the last left and the last right position whatever its side,
+so the two colourings that differ only at n share it.  relabelled_rgs
+and _mu_to_top (whose values _nc_mus keeps) are computed, not cached.
 """
 
 from __future__ import annotations
@@ -52,13 +52,15 @@ class NotBNC(InputError):
     """Partition is not bi-non-crossing for the given colouring."""
 
 
-def enumeration_cap(default: int = DEFAULT_CAP) -> int:
+def check_cap(n: int, default: int = DEFAULT_CAP, name: str = "n"):
+    """Refuse a length n above the enumeration cap: BNC_ENGINE_CAP when
+    it is set, else default.  name is what the error calls n."""
     raw = os.environ.get("BNC_ENGINE_CAP")
-    if not raw:
-        return default
-    if not raw.isdecimal():
+    if raw and not raw.isdecimal():
         raise InputError(f"BNC_ENGINE_CAP must be a non-negative integer, not {raw!r}")
-    return int(raw)
+    cap = int(raw) if raw else default
+    if n > cap:
+        raise CapExceeded(f"{name}={n} exceeds cap {cap}")
 
 
 def _canonical_rgs(labels) -> tuple[int, ...]:
@@ -279,15 +281,19 @@ def _noncrossing_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-# s_chi -> (blocks by slot, member slots in rgs order, rgs by slot)
-_bnc_cache: dict[tuple[int, ...], tuple] = {}
-
-
 def bnc_lattice(ctx: BNCContext):
+    """_pullback's tables for ctx's s_chi, the cap checked on every call."""
+    check_cap(ctx.n)
+    return _pullback(ctx.s_chi)
+
+
+@lru_cache(maxsize=None)
+def _pullback(s_chi: tuple[int, ...]):
     """The lattice three ways, all by NC(n) slot (a member's index in
-    _noncrossing_partitions(n), the order of _nc_slots): each member's
-    blocks in order of their minima, as ascending position tuples; the
-    members' slots in lexicographic rgs order; and the members' rgs.
+    _noncrossing_partitions(n)): each member's blocks in order of their
+    minima, as ascending position tuples; the members' slots in
+    lexicographic rgs order; and the members' rgs.  Keyed by s_chi,
+    maxsize=None.
 
     One pass pulls each member of NC(n) back through s_chi: position i
     carries the label of its slot on the relabelled line, the rgs numbers
@@ -295,19 +301,14 @@ def bnc_lattice(ctx: BNCContext):
     of each.  Equal blocks are one tuple, shared by every member that
     has them.
     """
-    cap = enumeration_cap()
-    if ctx.n > cap:
-        raise CapExceeded(f"n={ctx.n} exceeds cap {cap}")
-    hit = _bnc_cache.get(ctx.s_chi)
-    if hit is not None:
-        return hit
+    rank = sorted(range(len(s_chi)), key=s_chi.__getitem__)
     shared: dict = {}
     blocks, pulled = [], []
-    for labels in _noncrossing_partitions(ctx.n):
+    for labels in _noncrossing_partitions(len(s_chi)):
         order: dict = {}
         cols: list = []
         rgs = []
-        for i, t in enumerate(ctx.rank, start=1):
+        for i, t in enumerate(rank, start=1):
             b = order.setdefault(labels[t], len(cols))
             if b == len(cols):
                 cols.append([i])
@@ -317,8 +318,7 @@ def bnc_lattice(ctx: BNCContext):
         pulled.append(tuple(rgs))
         blocks.append(tuple([shared.setdefault(c, c) for c in map(tuple, cols)]))
     slots = tuple(sorted(range(len(pulled)), key=pulled.__getitem__))
-    hit = _bnc_cache[ctx.s_chi] = (tuple(blocks), slots, tuple(pulled))
-    return hit
+    return tuple(blocks), slots, tuple(pulled)
 
 
 def enumerate_bnc(ctx: BNCContext) -> list[SetPartition]:
@@ -368,12 +368,10 @@ def mobius_fast(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> int:
     of the NC(n) kernel, read on the relabelled line."""
     if not refines(pi, sigma):
         return 0
-    slot = _nc_slots(ctx.n)
-    below, mus = nc_row(ctx.n, slot[relabelled_rgs(sigma, ctx)])
-    return mus[bisect_left(below, slot[relabelled_rgs(pi, ctx)])]
+    below, mus = nc_row(ctx.n, _nc_slot(sigma, ctx))
+    return mus[bisect_left(below, _nc_slot(pi, ctx))]
 
 
-@lru_cache(maxsize=None)
 def _mu_to_top(tau: tuple[int, ...]) -> int:
     """mu(tau, 1) in NC(k), from the Kreweras complement tau^-1 gamma:
     the product over its cycles of (-1)^(c-1) Catalan(c-1), c the cycle
@@ -405,27 +403,27 @@ def interval_below(
     sigma's row of the NC(n) kernel, pulled back.  mu never vanishes on
     an NC interval, so every member of the interval is listed."""
     pulled = bnc_lattice(ctx)[2]
-    slots, mus = nc_row(ctx.n, _nc_slots(ctx.n)[relabelled_rgs(sigma, ctx)])
+    slots, mus = nc_row(ctx.n, _nc_slot(sigma, ctx))
     return [(pulled[t], mu) for t, mu in zip(slots, mus)]
 
 
-@lru_cache(maxsize=None)
-def _nc_slots(n: int) -> dict[tuple[int, ...], int]:
-    """NC(n) by rgs, to each member's slot in _noncrossing_partitions(n)."""
-    return {rgs: t for t, rgs in enumerate(_noncrossing_partitions(n))}
+def _heads(labels) -> tuple[int, ...]:
+    """Position u carrying the first position of its block."""
+    first: dict = {}
+    return tuple([first.setdefault(b, u) for u, b in enumerate(labels)])
+
+
+def _nc_slot(pi: SetPartition, ctx: BNCContext) -> int:
+    """pi's NC(n) slot, by its head labelling on the relabelled line."""
+    return _nc_heads(ctx.n)[_heads([pi.rgs[p - 1] for p in ctx.s_chi])]
 
 
 @lru_cache(maxsize=None)
 def _nc_heads(n: int) -> dict[tuple[int, ...], int]:
-    """NC(n) by head labelling, position u carrying the first position of
-    its block, to each member's slot.  Like the rgs it names a partition
-    uniquely, and a partition built block by block has it as it stands,
-    with no renumbering."""
-    out = {}
-    for t, rgs in enumerate(_noncrossing_partitions(n)):
-        first: dict[int, int] = {}
-        out[tuple([first.setdefault(b, u) for u, b in enumerate(rgs)])] = t
-    return out
+    """NC(n) by head labelling to each member's slot.  Like the rgs it
+    names a partition uniquely, and a partition built block by block has
+    it as it stands, with no renumbering."""
+    return {_heads(rgs): t for t, rgs in enumerate(_noncrossing_partitions(n))}
 
 
 @lru_cache(maxsize=None)

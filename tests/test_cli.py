@@ -330,6 +330,8 @@ BAD_DIAGRAMS = [
         ("verify ffb-independence --word-cap 2 --depth 1", "--depth"),
         ("enumerate lr --chi lr --eps 1,x", "--eps"),
         ("enumerate lr --chi lr --eps 1,,2", "--eps"),
+        ("enumerate lr --chi lr --eps 1,1 --k -1", "--k"),
+        ("enumerate lrlat --chi lr --eps 1,1 --k -1", "--k"),
         ("verify ffb-system --word-cap -1 --depth 3", "--word-cap"),
         ("verify bifree --dims 2,x", "--dims"),
         ("verify bifree --dims=-1,2", "--dims"),
@@ -364,6 +366,44 @@ def test_malformed_invocation_names_its_flag(monkeypatch, capsys, command, flag)
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("verify lr-decompose --max-n 9 --trials 1", "--max-n"),
+        ("verify lr-decompose --max-n 30 --trials 1", "--max-n"),
+        ("verify bifree --word-cap 11", "--word-cap"),
+        ("verify bifree --dims 1,1 --word-cap 12 --trials 10 --seed 0", "--word-cap"),
+        ("BNC_ENGINE_CAP=8 verify bifree --word-cap 9", "--word-cap"),
+    ],
+)
+def test_over_cap_word_length_is_refused_before_any_work(
+    monkeypatch, capsys, command, flag
+):
+    # --max-n is held to the diagram cap (8) and --word-cap to the
+    # lattice cap (10): the refusal comes before any word is drawn, so
+    # the seed that would never draw an over-cap length is refused too
+    argv = shlex.split(command)
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    monkeypatch.setattr("bnc_engine.cli.reduced_free_product", None)
+    code, out, err = run(capsys, *argv)
+    assert code == CapExceeded.code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+
+
+def test_raised_cap_lets_lr_decompose_run_longer_words(monkeypatch, capsys):
+    # seed 17 draws n = 9 on its one trial
+    monkeypatch.setenv("BNC_ENGINE_CAP", "9")
+    code, out, _ = run(
+        capsys, "verify", "lr-decompose", "--max-n", "9", "--trials", "1",
+        "--seed", "17",
+    )
+    assert code == 0
+    assert json.loads(out)["ok"] is True
 
 
 @pytest.mark.parametrize("fault", [ReductionError("no collapsible block"), KeyError("x")])

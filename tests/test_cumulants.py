@@ -284,7 +284,7 @@ def test_last_side_flip_shares_lattice_and_program():
             lattices = [bnc_lattice(ctx) for ctx in ctxs]
             assert lattices[0] is lattices[1]
             blocks = lattices[0][0]
-            progs = [cumulants._program(ctx, blocks) for ctx in ctxs]
+            progs = [cumulants._program(ctx.s_chi, ctx.chi.sides[:-1]) for ctx in ctxs]
             assert progs[0] is progs[1]
             a, b = (
                 _expanded(Program(blocks, dict(enumerate(ctx.chi.sides, start=1))))
@@ -327,12 +327,12 @@ def test_audit_plans_only_the_root_groups_it_enters(
     Z = [(a,) for s, k in zip(shape, colours) for a in faces[s][k][0].chain]
     fctx = lr_replacement(ChiMap(tuple(shape), three_letter=True))
     ctx = build_context(fctx.chi)
-    monkeypatch.setattr(cumulants, "_program_cache", {})
+    cumulants._program.cache_clear()
     calls = _counting_steps(monkeypatch)
     eps = fctx.expand_colours(EpsilonMap(colours))
     assert audit_ffb_word(fctx, eps, Z, FreeMomentContext(system.fp)).ok
     assert len(calls) == lazy
-    assert None in cumulants._program_cache[ctx.s_chi].codes
+    assert None in cumulants._program(ctx.s_chi, ctx.chi.sides[:-1]).codes
     _expanded(Program(bnc_lattice(ctx)[0], dict(enumerate(fctx.chi.sides, start=1))))
     assert len(calls) - lazy == eager
 

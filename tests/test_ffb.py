@@ -7,7 +7,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from bnc_engine import cumulants, ffb, freeprod
+from bnc_engine import cumulants, ffb, freeprod, partitions
 from bnc_engine.cumulants import audit_ffb_word
 from bnc_engine.ffb import (
     FfbFamily,
@@ -213,6 +213,31 @@ def test_sweep_builds_each_shape_context_once():
     assert ffb.ffb_sweep(system, 3) == (258, None)
     info = lr_replacement.cache_info()
     assert (info.misses, info.hits, info.currsize) == (39, 258 - 39, 39)
+
+
+def test_sweep_misses_each_lattice_table_once_per_key():
+    """The lattice tables are lru_caches keyed by what they depend on.
+    Over doubled-m2 with n̂ ≤ 3, from cleared caches: one lattice per
+    s_chi (20); one program per s_chi too, since both colourings of an
+    s_chi share it (20, not one per each of the 32 expanded colourings);
+    one sublattice per word shape (39); and one off-lattice count per
+    shape and colour classes (129).  A second identical sweep misses
+    none."""
+    system = load_system("doubled-m2", 6)
+    builders = (
+        partitions._pullback,
+        cumulants._program,
+        cumulants._sublattice,
+        cumulants._off_lattice,
+    )
+    for builder in builders:
+        builder.cache_clear()
+    assert ffb.ffb_sweep(system, 3) == (258, None)
+    misses = [b.cache_info().misses for b in builders]
+    assert misses == [20, 20, 39, 129]
+    assert [b.cache_info().currsize for b in builders] == misses
+    assert ffb.ffb_sweep(system, 3) == (258, None)
+    assert [b.cache_info().misses for b in builders] == misses
 
 
 def test_checkers_build_only_the_word_spaces_they_probe(builds):
