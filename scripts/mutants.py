@@ -51,6 +51,8 @@ ONCE = "tests/test_cumulants.py::test_planner_works_out_each_state_once"
 SWEEP_REACH = "tests/test_ffb.py::test_sweep_builds_only_the_word_spaces_it_reaches"
 CHECKER_REACH = "tests/test_ffb.py::test_checkers_build_only_the_word_spaces_they_probe"
 DENSE = "tests/test_freeprod.py::test_lambda_rho_match_a_dense_oracle_on_word_basis_vectors"
+LR_PIN = "tests/test_freeprod.py::test_lr_decompose_output_is_pinned"
+STOPS = "tests/test_cumulants.py::test_stops_replay_matches_direct_reduction"
 
 REGISTER = (
     # the collapse rule and the planner that calls it
@@ -64,15 +66,15 @@ REGISTER = (
     Mutant(
         "r2",
         "bimult.py",
-        "                    if blk[-1] > last:\n                        last = blk[-1]\n",
-        "                    last = blk[-1]\n",
+        "            if blk[-1] > last:\n                last = blk[-1]\n",
+        "            last = blk[-1]\n",
         (RECORDED,),
     ),
     Mutant(
         "r3",
         "bimult.py",
-        "                    below = id(step)\n",
-        "                    below = k\n",
+        "            below = id(step)\n",
+        "            below = k\n",
         (RECORDED,),
     ),
     Mutant(
@@ -81,6 +83,21 @@ REGISTER = (
         "    if len(crossing) > 1:\n",
         "    if len(crossing) > 2:\n",
         (RECORDED,),
+    ),
+    # the planner's stops: a diagram's top strings
+    Mutant(
+        "g1",
+        "bimult.py",
+        "collapse_step(blk, tops + member[:k], last, side, gaps)",
+        "collapse_step(blk, member[:k], last, side, gaps)",
+        (LR_PIN, STOPS),
+    ),
+    Mutant(
+        "g2",
+        "bimult.py",
+        "        below, last = None, top_last\n",
+        "        below, last = None, 0\n",
+        (LR_PIN, STOPS),
     ),
     # the insertion side and the spine comparison
     Mutant(
@@ -239,7 +256,7 @@ REGISTER = (
         "    residual = by_diagram(\n"
         "        {k: v for k, v in resid_parts.items() if k not in primed_keys}\n"
         "    )\n",
-        ("tests/test_freeprod.py::test_lr_decompose_output_is_pinned",),
+        (LR_PIN,),
     ),
     # the FFB embedding: a face acting on the other colour's legs
     Mutant(

@@ -27,18 +27,20 @@ engine never multiplies elements itself.
 The collapse order, each insertion's kind and its target depend only on
 the blocks and the side colouring, never on the operands.  collapse_step
 is the one rule that decides a step's insertion, read off position
-tuples: reduce_blocks calls it with the gap ranks of its top blocks, and
-the planner on closed blocks alone, both in the one order above.  The
-plan of a closed partition collapses its block with the largest minimum
-and then follows the plan of the blocks left, so every state a plan
-passes through is "the blocks whose minimum is below m", named by the
-state below it and its last block.  A Program takes each partition's
-blocks in order of their minima, as partitions.bnc_lattice yields them,
-and holds the plans of a whole lattice, or of one partition, as a root
-table with one group per last block.  The plans below a root group are
-worked out the first time a walk enters that group, each distinct
-state's step once per walk, and compile_plans merges them into one flat
-program over their shared step prefixes.
+tuples, and plans is the one planner that calls it, in the one order
+above.  The plan of a member collapses its closed block with the largest
+minimum and then follows the plan of the blocks left, so every state a
+plan passes through is "the blocks whose minimum is below m", named by
+the state below it and its last block.  A diagram's top-gap blocks are
+stops in its plan: they survive every step, and reduce_blocks replays
+that plan and leaves the tops' operands to its caller.  A Program takes
+each partition's blocks in order of their minima, as
+partitions.bnc_lattice yields them, and holds the plans of a whole
+lattice, or of one partition, as a root table with one group per last
+block.  The plans below a root group are worked out the first time a
+walk enters that group, each distinct state's step once per walk, and
+compile_plans merges them into one flat program over their shared step
+prefixes.
 run_program walks the root table and the compiled subtrees depth first
 on any operands: each distinct prefix ending in an expectation is
 evaluated once, however many plans share it.  A single partition's
@@ -60,19 +62,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect
-from dataclasses import dataclass
 from typing import Optional
 
 
 class ReductionError(RuntimeError):
     """Block structure admits no legal collapse step."""
-
-
-@dataclass(frozen=True)
-class ReduceBlock:
-    positions: tuple[int, ...]  # 1-based original indices, ascending
-    top: bool = False
-    gap_rank: Optional[int] = None  # 1 = leftmost top spine
 
 
 class MomentContext:
@@ -149,12 +143,6 @@ def _case3_target(j: int, rest, side: dict[int, str], gaps):
 APPEND_LEFT, PREPEND_LEFT, PREPEND_RIGHT = range(3)
 
 
-def last_position(rest) -> int:
-    """The largest position in the blocks rest, 0 when there are none:
-    collapse_step's last, for a caller that keeps no running maximum."""
-    return max([w[-1] for w in rest], default=0)
-
-
 def collapse_step(
     v: tuple[int, ...], rest, last: int, side: dict[int, str], gaps=None
 ) -> Optional[tuple[int, int]]:
@@ -165,10 +153,10 @@ def collapse_step(
 
     Blocks are ascending position tuples, last is the largest position
     in rest, and gaps maps each block of rest that runs to the top gap
-    to its gap rank (1 = leftmost); None when no block does.  A v after every surviving position
-    folds onto the last of them from the right; any other v is inserted,
-    on the side of its minimum's colour, onto the first later element of
-    the adjacent spine.
+    to its gap rank (1 = leftmost); None when no block does.  A v after
+    every surviving position folds onto the last of them from the right;
+    any other v is inserted, on the side of its minimum's colour, onto
+    the first later element of the adjacent spine.
     """
     if not rest:
         return None
@@ -181,50 +169,74 @@ def collapse_step(
     return (PREPEND_LEFT if side[j] == "l" else PREPEND_RIGHT), target
 
 
-def reduce_blocks(
-    blocks: list[ReduceBlock],
-    ops: dict[int, object],
-    side: dict[int, str],
-    ctx: MomentContext,
-):
-    """Collapse closed blocks, largest minimum first, until only top-gap
-    blocks remain.
+def plans(members, side: dict[int, str], memo: dict, gaps=None):
+    """The plan of each member, in order: the steps (block, insertion)
+    that collapse its closed blocks, largest minimum first, each
+    insertion as collapse_step gives it.
 
-    Returns ('scalar', value) when everything collapsed, else
-    ('tops', top_blocks_in_gap_order, ops).
+    A member is a tuple of closed blocks in order of their minima, and
+    gaps maps each top-gap block to its gap rank (1 = leftmost), or is
+    None when there are none.  Tops are stops: never collapsed, they
+    survive every step, so no insertion of a member with tops is None.
+    A plan collapses a member's blocks from the last down, so the states
+    it passes through are its first k blocks for each k, and a state is
+    keyed by the state one block shorter and its last block: (id of the
+    step memo holds for that state, block).  memo holds the step of every
+    state already planned, for one side map and one gaps.  The largest
+    position below is carried along each member, so a tail fold needs no
+    scan.
     """
-    blocks = list(blocks)
-    gaps = {b.positions: b.gap_rank for b in blocks if b.top}
-    ops = dict(ops)
-    while True:
-        closed = [b for b in blocks if not b.top]
-        if not closed:
-            tops = sorted(blocks, key=lambda b: b.gap_rank)
-            return ("tops", tops, ops)
-        v = max(closed, key=lambda b: b.positions[0])
-        value = ctx.expect([ops[p] for p in v.positions])
-        blocks = [b for b in blocks if b is not v]
-        rest = [b.positions for b in blocks]
-        step = collapse_step(v.positions, rest, last_position(rest), side, gaps)
-        if step is None:
-            return ("scalar", value)
-        kind, target = step
+    tops = tuple(gaps or ())
+    top_last = max([w[-1] for w in tops], default=0)
+    for member in members:
+        plan = []
+        below, last = None, top_last
+        for k, blk in enumerate(member):
+            step = memo.get((below, blk))
+            if step is None:
+                insertion = collapse_step(blk, tops + member[:k], last, side, gaps)
+                step = memo[below, blk] = (blk, insertion)
+            plan.append(step)
+            below = id(step)
+            if blk[-1] > last:
+                last = blk[-1]
+        plan.reverse()
+        yield plan
+
+
+def reduce_blocks(closed: tuple, gaps: dict, ops: list, side: dict[int, str], ctx):
+    """Replay the plan of one member, closed, with the top-gap blocks of
+    gaps as stops (see plans), on the operands ops[p] at each position
+    p, which it updates in place.
+
+    Returns the moment when nothing is left, or None when tops remain:
+    ops then holds the operands the tops carry.
+    """
+    (plan,) = plans([closed], side, {}, gaps)
+    for positions, insertion in plan:
+        value = ctx.expect([ops[p] for p in positions])
+        if insertion is None:
+            return value
+        kind, target = insertion
         ops[target] = ctx.insert(kind, value, ops[target])
+    return None
 
 
 class Program:
     """The reduction plans of closed partitions of 1..n, planned on
-    demand: blocks[leaf] lists the blocks of the partition whose moment
-    leaf i holds, in order of their minima, as ascending position tuples.
+    demand: blocks[leaf] is the tuple of the blocks of the partition whose
+    moment leaf i holds, in order of their minima, as ascending position
+    tuples.
 
     Every plan starts by collapsing its last block, the one with the
     largest minimum, so roots lists one group per last block: its
     positions, the leaves whose plan ends there (the one-block partition)
     and the leaves whose plan goes on, in leaf order by first appearance.
-    subtree plans a group's leaves and compiles them with compile_plans,
-    once.  Its caller owns the planning memo, so a walk that compiles
-    several groups works out each distinct reduction state's step once,
-    and a program keeps only its root table and the code compiled so far.
+    subtree plans a group's leaves with plans and compiles them with
+    compile_plans, once.  Its caller owns the planning memo, so a walk
+    that compiles several groups works out each distinct reduction
+    state's step once, and a program keeps only its root table and the
+    code compiled so far.
     """
 
     def __init__(self, blocks, side: dict[int, str]):
@@ -241,40 +253,17 @@ class Program:
         self._side = side
 
     def subtree(self, g: int, memo: dict) -> array:
-        """Root group g's leaves' plans, compiled on first call.
-
-        A plan collapses a partition's blocks from the last down, so the
-        states it passes through are its first k blocks for each k, and a
-        state is keyed by the state one block shorter and its last block:
-        (id of the step memo holds for that state, block).  memo holds
-        the step (block, insertion) of every state already planned.  The
-        largest position of the blocks below is carried along each
-        member, so a tail fold needs no scan.
-        """
+        """Root group g's leaves' plans, compiled on first call; memo is
+        plans' planning memo, shared by the groups one walk compiles."""
         code = self.codes[g]
         if code is not None:
             return code
         _, ends, goes_on = self.roots[g]
-        side = self._side
-
-        def plans():
-            for leaf in (*ends, *goes_on):
-                member = self._blocks[leaf]
-                plan = []
-                below, last = None, 0
-                for k, blk in enumerate(member):
-                    step = memo.get((below, blk))
-                    if step is None:
-                        insertion = collapse_step(blk, member[:k], last, side)
-                        step = memo[below, blk] = (blk, insertion)
-                    plan.append(step)
-                    below = id(step)
-                    if blk[-1] > last:
-                        last = blk[-1]
-                plan.reverse()
-                yield leaf, plan
-
-        code = self.codes[g] = compile_plans(plans())
+        leaves = (*ends, *goes_on)
+        members = map(self._blocks.__getitem__, leaves)
+        code = self.codes[g] = compile_plans(
+            zip(leaves, plans(members, self._side, memo))
+        )
         return code
 
 

@@ -254,6 +254,8 @@ def cmd_verify(args) -> int:
     cap = "max-n" if what == "ffb-sweep" else "word-cap"
     _at_least(args, cap, 1)
     size = args.max_n if what == "ffb-sweep" else args.word_cap
+    if what == "ffb-sweep":  # a word of n̂ letters expands to up to 2n̂ positions
+        check_cap(2 * args.max_n, name="2 * --max-n")
     depth = args.depth if args.depth is not None else 2 * size
     if depth < 1:
         raise InputError(f"--depth (default 2 * --{cap}) must be at least 1")

@@ -95,7 +95,7 @@ def e_pi(
         if not mf.verify_side(z, ctx.chi.side(i)):
             raise SideMismatch(f"operand {i} not in the {ctx.chi.side(i)} side")
     out: dict = {}
-    prog = Program([pi.blocks()], dict(enumerate(ctx.chi.sides, start=1)))
+    prog = Program([tuple(pi.blocks())], dict(enumerate(ctx.chi.sides, start=1)))
     zero = run_program(prog, [None, *Z], mf, out)
     return out.get(0, zero)
 

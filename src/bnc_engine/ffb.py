@@ -391,7 +391,11 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
     into diagram terms with projections at the split points, compare the
     projected word with the boolean-sandwich word, and confirm the
     removed terms carry no expectation and stay inside the predicted
-    extension families.
+    extension families.  The doubled construction's own words leave no
+    removed term on any fixture (a boolean letter is λ(c')·ρ(d'), and the
+    projection after it finds nothing to remove), so the last two stages
+    have a term to check only on inputs that break the construction,
+    such as a tampered boolean handle.
     """
     rep = CheckReport()
     mf = FreeMomentContext(sys.fp)

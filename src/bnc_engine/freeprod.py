@@ -92,7 +92,7 @@ from .algebra import (
     SideMismatch,
     StructuredAlgebra,
 )
-from .bimult import APPEND_LEFT, PREPEND_RIGHT, MomentContext, ReduceBlock, reduce_blocks
+from .bimult import APPEND_LEFT, PREPEND_RIGHT, MomentContext, reduce_blocks
 from .diagrams import LRDiagram, make_diagram
 from .errors import InputError
 from .linalg import (
@@ -847,30 +847,27 @@ def e_d_vector(diagram: LRDiagram, word: list[Atom], mf: FreeMomentContext) -> F
     the word's context on the free product.
 
     word lists the positions' λ/ρ atoms, whose sides and colours must be
-    the diagram's; each position's operand is its atom.  Closed strings
-    collapse through the moment recursion; each top string contributes
-    the complement leg of its chain on the unit, tensored in spine order.
-    A string has one colour, so its chain acts on the free product as its
-    word does on that component module.
+    the diagram's; each position's operand is its atom.  The closed
+    strings collapse through bimult.reduce_blocks, the replay of their
+    plan with the top strings (in spine_order) as stops; each top string
+    then contributes the complement leg of its chain on the unit,
+    tensored in spine order.  A string has one colour, so its chain acts
+    on the free product as its word does on that component module.
     """
     if [atom[:2] for atom in word] != list(zip(diagram.chi.sides, diagram.eps.colours)):
         raise ValueError("the word's sides and colours must be the diagram's")
     fp = mf.fp
     side = dict(enumerate(diagram.chi.sides, start=1))
-    elems = {i: (atom,) for i, atom in enumerate(word, start=1)}
-    gap = {nodes: r + 1 for r, nodes in enumerate(diagram.spine_order)}
-    blocks = [
-        ReduceBlock(nodes, top=nodes in gap, gap_rank=gap.get(nodes))
-        for nodes, _ in diagram.strings
-    ]
-    result = reduce_blocks(blocks, elems, side, mf)
-    if result[0] == "scalar":
-        return fp.embed_b(result[1])
-    _, tops, final = result
+    ops = [None, *((atom,) for atom in word)]
+    gaps = {nodes: r + 1 for r, nodes in enumerate(diagram.spine_order)}
+    closed = tuple(nodes for nodes, _ in diagram.strings if nodes not in gaps)
+    moment = reduce_blocks(closed, gaps, ops, side, mf)
+    if moment is not None:
+        return fp.embed_b(moment)
     factors = []
-    for blk in tops:
-        k = diagram.eps.colour(blk.positions[0])
-        leg = mf.vector([final[pos] for pos in blk.positions]).get((k,), {})
+    for nodes in diagram.spine_order:
+        k = diagram.eps.colour(nodes[0])
+        leg = mf.vector([ops[pos] for pos in nodes]).get((k,), {})
         factors.append((k, [leg.get(i, ZERO) for i in range(fp.components[k].osc_dim)]))
     return fp.tensor_embed(factors)
 

@@ -4,7 +4,7 @@ Each one is plain and slow on purpose: the engine's own routes are
 checked against it, so none of it lives in the package.
 """
 
-from bnc_engine.bimult import ReductionError, collapse_step, last_position
+from bnc_engine.bimult import ReductionError, collapse_step
 from bnc_engine.partitions import (
     SetPartition,
     SizeMismatch,
@@ -69,6 +69,39 @@ def to_partition(d) -> SetPartition:
     return SetPartition.from_blocks(d.n, [nodes for nodes, _ in d.strings])
 
 
+def _last(rest) -> int:
+    """collapse_step's last: the largest position in the blocks rest."""
+    return max([w[-1] for w in rest], default=0)
+
+
+def reduce_direct(closed, gaps: dict, ops, side: dict, ctx):
+    """The moment recursion run step by step, with no plan: rescan the
+    closed blocks for the one with the largest minimum, collapse it, and
+    repeat until only the top-gap blocks of gaps are left.  ops maps each
+    position to its operand.  Returns the moment, or None when tops
+    remain, and a copy of ops as the collapses left it.
+
+    It is the reference for bimult.plans, the one planner in the
+    package, which memoises each step over shared states, carries the
+    largest position along a member and holds a diagram's tops as
+    stops.  This loop finds every step afresh, the block by a rescan and
+    last by a max over what survives, so a fault in any of those shows
+    as a step that differs.
+    """
+    closed, ops = list(closed), dict(ops)
+    while closed:
+        v = max(closed, key=lambda b: b[0])
+        closed.remove(v)
+        value = ctx.expect([ops[p] for p in v])
+        rest = [*gaps, *closed]
+        step = collapse_step(v, rest, _last(rest), side, gaps)
+        if step is None:
+            return value, ops
+        kind, target = step
+        ops[target] = ctx.insert(kind, value, ops[target])
+    return None, ops
+
+
 def reduce_in_random_order(blocks, ops: dict, side: dict, ctx, rng):
     """The moment of closed blocks, collapsed in an order rng picks: each
     step takes any block whose collapse is legal, that is, any block for
@@ -77,15 +110,13 @@ def reduce_in_random_order(blocks, ops: dict, side: dict, ctx, rng):
     while True:
         legal = []
         for v in blocks:
-            rest = [b for b in blocks if b is not v]
-            positions = [b.positions for b in rest]
-            last = last_position(positions)
+            rest = [b for b in blocks if b != v]
             try:
-                legal.append((v, rest, collapse_step(v.positions, positions, last, side)))
+                legal.append((v, rest, collapse_step(v, rest, _last(rest), side)))
             except ReductionError:
                 pass
         v, blocks, step = rng.choice(legal)
-        value = ctx.expect([ops[p] for p in v.positions])
+        value = ctx.expect([ops[p] for p in v])
         if step is None:
             return value
         kind, target = step

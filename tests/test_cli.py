@@ -376,23 +376,40 @@ def test_malformed_invocation_names_its_flag(monkeypatch, capsys, command, flag)
         ("verify bifree --word-cap 11", "--word-cap"),
         ("verify bifree --dims 1,1 --word-cap 12 --trials 10 --seed 0", "--word-cap"),
         ("BNC_ENGINE_CAP=8 verify bifree --word-cap 9", "--word-cap"),
+        ("verify ffb-sweep --max-n 6", "--max-n"),
+        ("verify ffb-sweep --fixture doubled-m2 --max-n 6 --depth 4", "--max-n"),
+        ("BNC_ENGINE_CAP=11 verify ffb-sweep --max-n 6", "--max-n"),
+        ("BNC_ENGINE_CAP=8 verify ffb-sweep --max-n 5", "--max-n"),
     ],
 )
 def test_over_cap_word_length_is_refused_before_any_work(
     monkeypatch, capsys, command, flag
 ):
-    # --max-n is held to the diagram cap (8) and --word-cap to the
-    # lattice cap (10): the refusal comes before any word is drawn, so
-    # the seed that would never draw an over-cap length is refused too
+    # lr-decompose's --max-n is held to the diagram cap (8), --word-cap
+    # to the lattice cap (10), and twice ffb-sweep's --max-n (a boolean
+    # letter is two positions) to the lattice cap: the refusal comes
+    # before any system is built or word drawn, so the seed that would
+    # never draw an over-cap length is refused too
     argv = shlex.split(command)
     while "=" in argv[0]:
         monkeypatch.setenv(*argv.pop(0).split("=", 1))
     monkeypatch.setattr("bnc_engine.cli.reduced_free_product", None)
+    monkeypatch.setattr("bnc_engine.cli.load_system", None)
     code, out, err = run(capsys, *argv)
     assert code == CapExceeded.code
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err
+
+
+def test_raised_cap_lets_ffb_sweep_take_longer_words(monkeypatch, capsys):
+    # BNC_ENGINE_CAP=12 admits --max-n 6; the sweep itself is stood in
+    # for, since n̂ = 6 words take minutes
+    monkeypatch.setenv("BNC_ENGINE_CAP", "12")
+    monkeypatch.setattr("bnc_engine.cli.ffb_sweep", lambda system, max_n: (max_n, None))
+    code, out, _ = run(capsys, "verify", "ffb-sweep", "--max-n", "6")
+    assert code == 0
+    assert json.loads(out)["claims"][0]["id"] == "ffb-sweep (6 words passed)"
 
 
 def test_raised_cap_lets_lr_decompose_run_longer_words(monkeypatch, capsys):

@@ -12,7 +12,6 @@ from bnc_engine.bimult import (
     PREPEND_LEFT,
     MomentContext,
     Program,
-    ReduceBlock,
     compile_plans,
     reduce_blocks,
     run_program,
@@ -31,6 +30,7 @@ from bnc_engine.cumulants import (
     moment_cumulant_roundtrip,
     moment_table,
 )
+from bnc_engine.diagrams import enumerate_lr
 from bnc_engine.fixtures import (
     load_system,
     sample_side_element,
@@ -56,7 +56,7 @@ from bnc_engine.partitions import (
     lr_replacement,
     refines,
 )
-from oracles import reduce_in_random_order
+from oracles import reduce_direct, reduce_in_random_order
 
 SP = space_m2_scalar()
 MF = AlgebraMomentContext(SP)
@@ -118,11 +118,6 @@ def test_roundtrip_random_words():
             assert moment_cumulant_roundtrip(ctx, moments, kappas)
 
 
-def blocks_from_partition(pi) -> list[ReduceBlock]:
-    """Closed ReduceBlocks, one per block of a partition."""
-    return [ReduceBlock(blk) for blk in pi.blocks()]
-
-
 def test_reduction_order_independence():
     """e_pi runs pi's plan (the largest-minimum order);
     reduce_in_random_order collapses in a random legal order.  Both must
@@ -137,7 +132,7 @@ def test_reduction_order_independence():
             for t in range(3):
                 r2 = random.Random(61 + t)
                 v = reduce_in_random_order(
-                    blocks_from_partition(pi), dict(enumerate(Z, start=1)), side, MF, r2
+                    pi.blocks(), dict(enumerate(Z, start=1)), side, MF, r2
                 )
                 assert (v - base).is_zero()
 
@@ -157,7 +152,7 @@ class SymbolicContext(MomentContext):
 
 def test_plan_replay_matches_direct_reduction():
     # every chi with n <= 6: the moment table (one walk of the colouring's
-    # program) against reduce_blocks run directly.  The algebra operands are
+    # program) against the oracle loop reduce_direct.  The algebra operands are
     # arbitrary 2x2 matrices, not side elements, so that the target of
     # each insertion changes the value: a nonzero corner (the expectation
     # reads it, so few moments vanish) plus one other nonzero entry.
@@ -186,8 +181,7 @@ def test_plan_replay_matches_direct_reduction():
                 table = moment_table(ctx, Z, mf)
                 for pi in lattice:
                     ops = dict(enumerate(Z, start=1))
-                    kind, value = reduce_blocks(blocks_from_partition(pi), ops, side, mf)
-                    assert kind == "scalar"
+                    value, _ = reduce_direct(pi.blocks(), {}, ops, side, mf)
                     assert table[pi.rgs] == value, (sides, pi.rgs)
                     checked += 1
     assert checked == 3 * sum(2**n * catalan(n) for n in range(1, 7))
@@ -226,12 +220,10 @@ class RecordingContext(MomentContext):
 
 
 def _recorded_plan(rgs, side) -> list:
-    """The steps reduce_blocks takes on the closed blocks of rgs, run on
-    their positions."""
+    """The steps the oracle loop reduce_direct takes on the closed blocks
+    of rgs, run on their positions."""
     rec = RecordingContext()
-    blocks = blocks_from_partition(SetPartition(rgs))
-    kind, _ = reduce_blocks(blocks, {p: p for p in side}, side, rec)
-    assert kind == "scalar"
+    reduce_direct(SetPartition(rgs).blocks(), {}, {p: p for p in side}, side, rec)
     return [tuple(step) for step in rec.steps]
 
 
@@ -249,9 +241,9 @@ def _expanded(prog: Program) -> array:
 def test_planner_matches_recorded_reductions():
     # every chi with n <= 7, and two with n = 8: the fully expanded
     # program against compile_plans over one plan per member, recorded by
-    # running reduce_blocks itself.  The programs for n <= 7 are also
+    # running the oracle loop reduce_direct.  The programs for n <= 7 are also
     # pinned by one sha256 of their entries, which holds them fixed apart
-    # from reduce_blocks and the step rule the two share.
+    # from reduce_direct and the step rule the two share.
     h = hashlib.sha256()
     chis = [sides for n in range(1, 8) for sides in iproduct("lr", repeat=n)]
     for sides in chis + [tuple("lrrlrlrl"), tuple("llrrrlrr")]:
@@ -269,6 +261,48 @@ def test_planner_matches_recorded_reductions():
     assert h.hexdigest() == (
         "6e63bff039bacdb87bfbfb76f45435a7efff49dd8cdd0cffefbd9a2faf296f19"
     )
+
+
+class TracingContext(SymbolicContext):
+    """SymbolicContext that also logs each expectation and insertion,
+    the target named by the operand it receives."""
+
+    def __init__(self):
+        self.log = []
+
+    def expect(self, elems):
+        self.log.append(("E", tuple(elems)))
+        return super().expect(elems)
+
+    def insert(self, kind, value, elem):
+        self.log.append(("I", kind, value, elem))
+        return super().insert(kind, value, elem)
+
+
+def test_stops_replay_matches_direct_reduction():
+    # every diagram of enumerate_lr over two colours with n <= 5: the plan
+    # reduce_blocks replays, with the top strings as stops, against the
+    # oracle loop, step by step, and the operands the tops are left with
+    checked = stopped = 0
+    for n in range(1, 6):
+        for sides in iproduct("lr", repeat=n):
+            side = dict(enumerate(sides, start=1))
+            for colours in iproduct((1, 2), repeat=n):
+                for d in enumerate_lr(ChiMap(sides), EpsilonMap(colours)).diagrams:
+                    gaps = {nodes: r + 1 for r, nodes in enumerate(d.spine_order)}
+                    closed = tuple(nodes for nodes, top in d.strings if not top)
+                    got, want = TracingContext(), TracingContext()
+                    ops = list(range(n + 1))
+                    direct, left = reduce_direct(
+                        closed, gaps, dict(enumerate(ops)), side, want
+                    )
+                    moment = reduce_blocks(closed, gaps, ops, side, got)
+                    assert (got.log, moment) == (want.log, direct), d.key()
+                    tops = [p for nodes in d.spine_order for p in nodes]
+                    assert [ops[p] for p in tops] == [left[p] for p in tops]
+                    checked += 1
+                    stopped += bool(gaps and closed)
+    assert (checked, stopped) == (sum(8**n for n in range(1, 6)), 26_712)
 
 
 def test_last_side_flip_shares_lattice_and_program():
@@ -474,7 +508,7 @@ class CountingFreeContext(FreeMomentContext):
 @pytest.mark.parametrize("fixture, max_n", [("doubled-dual", 3), ("doubled-m2", 2)])
 def test_pruned_walk_matches_direct_reduction(fixture, max_n):
     # the operands of every FFB audit word of 1..max_n letters, where most
-    # moments vanish, so the walk prunes most subtrees; reduce_blocks on
+    # moments vanish, so the walk prunes most subtrees; reduce_direct on
     # each member never prunes
     system = load_system(fixture, 2 * max_n)
     mf = FreeMomentContext(system.fp)
@@ -488,8 +522,7 @@ def test_pruned_walk_matches_direct_reduction(fixture, max_n):
         table = moment_table(ctx, Z, mf)
         for pi in enumerate_bnc(ctx):
             ops = dict(enumerate(Z, start=1))
-            kind, value = reduce_blocks(blocks_from_partition(pi), ops, side, direct)
-            assert kind == "scalar"
+            value, _ = reduce_direct(pi.blocks(), {}, ops, side, direct)
             assert table[pi.rgs] == value, (fctx.chi_hat, pi.rgs)
             checked += 1
             zeros += value.is_zero()
