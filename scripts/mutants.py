@@ -53,6 +53,9 @@ CHECKER_REACH = "tests/test_ffb.py::test_checkers_build_only_the_word_spaces_the
 DENSE = "tests/test_freeprod.py::test_lambda_rho_match_a_dense_oracle_on_word_basis_vectors"
 LR_PIN = "tests/test_freeprod.py::test_lr_decompose_output_is_pinned"
 STOPS = "tests/test_cumulants.py::test_stops_replay_matches_direct_reduction"
+RESIDUAL = (
+    "tests/test_ffb.py::test_pipeline_residual_stages_flag_a_right_sided_left_factor"
+)
 
 REGISTER = (
     # the collapse rule and the planner that calls it
@@ -194,16 +197,17 @@ REGISTER = (
         "freeprod.py",
         "        self._built: dict[tuple[int, ...], WordSpace] = {}\n",
         "        self._built: dict[tuple[int, ...], WordSpace] = {}\n"
-        "        for seq in self._alternating_sequences():\n"
-        "            self._space(seq)\n",
+        "        for seq in self.sequences():\n"
+        "            self.space(seq)\n",
         (CHECKER_REACH, SWEEP_REACH),
     ),
     Mutant(
         "w2",
         "ffb.py",
-        "    for seq in sorted(s for s in spaces if len(s) <= max_depth):\n"
-        "        for i in range(spaces[seq].dim):\n",
-        "    for seq, ws in sorted(spaces.items()):\n"
+        "    for seq in sorted(s for s in fp.sequences() if len(s) <= max_depth):\n"
+        "        for i in range(fp.space(seq).dim):\n",
+        "    for seq in sorted(fp.sequences()):\n"
+        "        ws = fp.space(seq)\n"
         "        if len(seq) > max_depth:\n"
         "            continue\n"
         "        for i in range(ws.dim):\n",
@@ -269,22 +273,21 @@ REGISTER = (
             "tests/test_acceptance.py::test_criterion_9_vanishing",
         ),
     ),
+    # the proof pipeline's residual stages, each with a term to check
+    # only on a tampered boolean handle
     Mutant(
         "p1",
         "ffb.py",
-        "    if not sys.fp.p(resid_total).is_zero():\n"
-        '        return "residual-expectation"\n'
-        "    # removed diagrams stay inside the extension families of the cut points\n"
-        "    if dec.residual:\n",
-        "    if False:\n"
-        '        return "residual-expectation"\n'
-        "    # removed diagrams stay inside the extension families of the cut points\n"
+        "    if not sys.fp.p(resid_total).is_zero():\n",
         "    if False:\n",
-        ("tests/test_ffb.py", "tests/test_acceptance.py"),
-        survives="blind spot: no word of the proof pipeline on any fixture has a "
-        "residual term (0 of 1,884 on rich-m2, 584 on doubled-diag2, 258 each on "
-        "doubled-m2 and doubled-dual, at word cap 3), so neither residual stage "
-        "ever runs",
+        (RESIDUAL,),
+    ),
+    Mutant(
+        "p2",
+        "ffb.py",
+        "    if dec.residual:\n",
+        "    if False:\n",
+        (RESIDUAL,),
     ),
 )
 

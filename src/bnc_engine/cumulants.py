@@ -27,8 +27,9 @@ sums looks the weights of those slots up in maps built once per
 word shape, and its count of the colour-refining partitions off the
 boolean-pair sublattice grows them directly on the relabelled line
 rather than scanning the lattice.  Each table that outlives a call is
-the lru_cache of its builder (_program, _expansion, _sublattice and
-_off_lattice), keyed by what it depends on.
+the lru_cache of its builder (_program, _sublattice and _off_lattice),
+keyed by what it depends on: the sublattice tables by the FfbContext
+the audit's caller holds.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .partitions import (
     catalan,
     interval_below,
     is_bnc,
-    lr_replacement,
     nc_row,
 )
 
@@ -230,19 +230,12 @@ def bifree_moment_check(
 
 
 @lru_cache(maxsize=None)
-def _expansion(shape: tuple[str, ...]):
-    """A word shape's expanded context and boolean pair starts; keyed by
-    the shape, maxsize=None.  It bypasses lr_replacement's cache, so that
-    cache counts only the sweeps' own calls."""
-    fctx = lr_replacement.__wrapped__(ChiMap(shape, three_letter=True))
-    return build_context(fctx.chi), tuple(fctx.boolean_pair_starts())
-
-
-@lru_cache(maxsize=None)
-def _sublattice(shape: tuple[str, ...]):
+def _sublattice(fctx: FfbContext):
     """The boolean-pair sublattice's members and the weights summing
-    their cumulants, by NC(n) slot; keyed by word shape, maxsize=None."""
-    ctx, starts = _expansion(shape)
+    their cumulants, by NC(n) slot; keyed by the word's FfbContext,
+    maxsize=None."""
+    ctx = build_context(fctx.chi)
+    starts = fctx.boolean_pair_starts()
     members = frozenset(
         t
         for t, rgs in enumerate(bnc_lattice(ctx)[2])
@@ -252,10 +245,11 @@ def _sublattice(shape: tuple[str, ...]):
 
 
 @lru_cache(maxsize=None)
-def _off_lattice(shape: tuple[str, ...], classes: tuple[int, ...]) -> int:
-    """_refining_off_lattice, keyed by word shape and classes; maxsize=None."""
-    ctx, starts = _expansion(shape)
-    return _refining_off_lattice(ctx, classes, starts)
+def _off_lattice(fctx: FfbContext, classes: tuple[int, ...]) -> int:
+    """_refining_off_lattice, keyed by the word's FfbContext and colour
+    classes; maxsize=None."""
+    ctx = build_context(fctx.chi)
+    return _refining_off_lattice(ctx, classes, fctx.boolean_pair_starts())
 
 
 def _refining_off_lattice(ctx: BNCContext, classes: tuple, starts) -> int:
@@ -326,7 +320,7 @@ def audit_ffb_word(
     out: dict = {}
     _walk(ctx, Z, mf, out)
     nonzero = [(t, v) for t, v in out.items() if not v.is_zero()]
-    members, member_weights = _sublattice(fctx.chi_hat.sides)
+    members, member_weights = _sublattice(fctx)
     # row 0 of the kernel is 1's: every slot, in order, with mu(pi, 1)
     below_one = nc_row(ctx.n, 0)[1]
     rep = CheckReport()
@@ -350,7 +344,7 @@ def audit_ffb_word(
     )
 
     classes = eps.as_partition().rgs
-    off = _off_lattice(fctx.chi_hat.sides, classes)
+    off = _off_lattice(fctx, classes)
     pulled = bnc_lattice(ctx)[2]
     bad = sorted(
         (pulled[t], v)

@@ -17,10 +17,11 @@ word format lr_decompose also takes, so the proof pipeline decomposes
 the handles' chains as they stand.  Each checker call builds one
 FreeMomentContext over the system's free product (independence a second
 one over its representation product) and reads every unit-chain vector
-and moment from its suffix trie.  The operators a call derives from the
-handles (the μ̃ letters, the composed boolean factors) are built once
-per call; embed_ffb_family builds one operator object per generator and
-role, so equal atoms are the same objects and share trie nodes.  Nothing
+and moment from its suffix trie.  The letters a call derives from the
+handles (the representation's μ̃ operators, the pipeline's projection
+sandwiches of the boolean chains) are built once per call;
+embed_ffb_family builds one operator object per generator and role, so
+equal atoms are the same objects and share trie nodes.  Nothing
 cached per call outlives it, and reference counting frees it when the
 call returns.  What lives longer is bounded by what it is keyed on: the
 operators' and the modules' sparse kernels, and two LRUs, the word
@@ -50,7 +51,7 @@ from .freeprod import (
     module_operator,
     reduced_free_product,
 )
-from .linalg import ONE, block_matrix, identity, mat_mul
+from .linalg import ONE, block_matrix, identity
 from .partitions import ChiMap, EpsilonMap, SetPartition, build_context, lr_replacement
 
 
@@ -160,16 +161,10 @@ def embed_ffb_family(fam: FfbFamily, depth: int) -> FfbSystem:
 
 def _a_words(sys: FfbSystem, k: int, max_len: int):
     """Words over the left/right face generators, identity included."""
-    gens = sys.faces_l[k] + sys.faces_r[k]
     yield ()
-    frontier = [(g,) for g in gens]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            yield w
-            for g in gens:
-                nxt.append(w + (g,))
-        frontier = nxt
+    table = {"a": {k: sys.faces_l[k] + sys.faces_r[k]}}
+    for _, _, pools in _word_sweep(table, max_len, (k,)):
+        yield from iproduct(*pools)
 
 
 def _nonzero_images(fp: TruncatedFreeProduct, chain, basis) -> list:
@@ -188,9 +183,8 @@ def _basis_vectors(fp: TruncatedFreeProduct, max_depth: int):
     yield fp.unit()
     for i in range(fp.B.dim):
         yield fp.embed_b(fp.B.basis_element(i))
-    spaces = fp.wordspaces
-    for seq in sorted(s for s in spaces if len(s) <= max_depth):
-        for i in range(spaces[seq].dim):
+    for seq in sorted(s for s in fp.sequences() if len(s) <= max_depth):
+        for i in range(fp.space(seq).dim):
             yield {seq: {i: ONE}}
 
 
@@ -399,7 +393,7 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
     """
     rep = CheckReport()
     mf = FreeMomentContext(sys.fp)
-    letters = _per_letter(sys, lambda s, h: _pipeline_letter(sys, s, h))
+    letters = _per_letter(sys, _pipeline_letter)
     ext_cache: dict = {}
     kappa_checked = 0
     mismatch = []
@@ -422,15 +416,15 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
     return rep
 
 
-def _pipeline_letter(sys: FfbSystem, s: str, h: OperatorHandle) -> tuple:
-    """The μ̃ atoms of one letter: a boolean letter's chain holds its left
-    and right factors, and its μ̃ letter is their product sandwiched
-    between projections; a face letter's μ̃ letter is its own chain."""
+def _pipeline_letter(s: str, h: OperatorHandle) -> tuple:
+    """The μ̃ atoms of one letter: a boolean letter's chain, its left and
+    right factors, sandwiched between projections (exact on V_k, where λ
+    and ρ of colour k act on the same single leg); a face letter's μ̃
+    letter is its own chain."""
     if s != "b":
         return h.chain
-    (_, k, tz), (_, _, sz) = h.chain
-    proj = ("proj", k, None)
-    return (proj, ("l", k, _compose_ops(sys.doubled, tz, sz)), proj)
+    proj = ("proj", h.colour, None)
+    return (proj, *h.chain, proj)
 
 
 def _pipeline_word(sys, mf, fctx, eps, word, ext_cache):
@@ -478,11 +472,6 @@ def _pipeline_word(sys, mf, fctx, eps, word, ext_cache):
             if d.key() not in union:
                 return "residual-family"
     return None
-
-
-def _compose_ops(mod, a: ModuleOperator, b: ModuleOperator) -> ModuleOperator:
-    prod = mat_mul([list(r) for r in a.matrix], [list(r) for r in b.matrix])
-    return ModuleOperator(mod, tuple(tuple(r) for r in prod))
 
 
 def _mixed_cumulant_claims(

@@ -5,7 +5,7 @@ dimension d over B stores B's coefficients in coordinates 0..dim(B)-1
 and the complement in the rest, so the projection onto B is coordinate
 truncation.  The truncated free product resolves tensor words over B by
 explicit quotients of plain tensor spaces, one per colour sequence, each
-built the first time it is read and then kept (wordspaces), and exposes
+built the first time it is read and then kept (space(seq)), and exposes
 the left/right regular representations, the per-colour boolean
 projections, diagram-indexed vectors, and the decomposition of operator
 words into diagram contributions.
@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -381,37 +380,13 @@ class WordSpace:
         return self.quotient.project(plain)
 
 
-class _WordSpaces(Mapping):
-    """A free product's word spaces by colour sequence, read-only: a read
-    goes through TruncatedFreeProduct._space, which builds the space if
-    no read has before.  The free product does not hold its view, so the
-    two form no reference cycle."""
-
-    __slots__ = ("_fp",)
-
-    def __init__(self, fp: "TruncatedFreeProduct"):
-        self._fp = fp
-
-    def __getitem__(self, seq) -> WordSpace:
-        return self._fp._space(seq)
-
-    def __contains__(self, seq) -> bool:
-        return self._fp._is_word(seq)
-
-    def __iter__(self):
-        return self._fp._alternating_sequences()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
 class TruncatedFreeProduct:
     """Depth-bounded free product of modules sharing a base algebra.
 
     Word spaces are built on demand: a new free product holds none, and
     W(s) is built when something first reads it (an operator growing a
-    word to s, a vector on s, wordspaces[s]).  Only describe() and reading
-    every value of wordspaces build them all."""
+    word to s, a vector on s, space(s)).  sequences() lists the colour
+    sequences and builds nothing; only describe() builds every space."""
 
     def __init__(self, components: dict[int, BimoduleWithProjection], depth: int):
         if not components:
@@ -424,33 +399,25 @@ class TruncatedFreeProduct:
         self.depth = depth
         self._built: dict[tuple[int, ...], WordSpace] = {}
 
-    @property
-    def wordspaces(self) -> Mapping[tuple[int, ...], WordSpace]:
-        """W(s) for every alternating colour sequence s of length 1..depth,
-        as a read-only mapping; iterating it builds nothing."""
-        return _WordSpaces(self)
-
-    def _space(self, seq: tuple[int, ...]) -> WordSpace:
+    def space(self, seq: tuple[int, ...]) -> WordSpace:
         """W(seq), built on first use from W(seq[:-1]) and W(seq[:-2]),
         which are built first if need be, and kept; KeyError for a
         sequence that is not an alternating word within the depth."""
         ws = self._built.get(seq)
         if ws is None:
-            if not self._is_word(seq):
+            if not (
+                type(seq) is tuple
+                and 0 < len(seq) <= self.depth
+                and all(map(self.components.__contains__, seq))
+                and all(map(operator.ne, seq, seq[1:]))
+            ):
                 raise KeyError(seq)
             ws = self._built[seq] = self._build_wordspace(seq)
         return ws
 
-    def _is_word(self, seq) -> bool:
-        """Whether seq is an alternating colour sequence within the depth."""
-        return (
-            type(seq) is tuple
-            and 0 < len(seq) <= self.depth
-            and all(map(self.components.__contains__, seq))
-            and all(map(operator.ne, seq, seq[1:]))
-        )
-
-    def _alternating_sequences(self):
+    def sequences(self):
+        """Every alternating colour sequence of length 1..depth, shorter
+        first; it builds no word space."""
         colours = sorted(self.components)
         frontier: list[tuple[int, ...]] = [()]
         for _ in range(self.depth):
@@ -474,10 +441,10 @@ class TruncatedFreeProduct:
         ws = WordSpace(tuple(self.components[k].osc_dim for k in seq))
         if self.B.dim == 1 or len(seq) < 2:
             return ws
-        prefix = self._space(seq[:-1]).quotient
+        prefix = self.space(seq[:-1]).quotient
         rel = prefix.sub.lifted(ws.osc_dims[-1]) if prefix else RowSpace(ws.plain_dim)
         leg = len(seq) - 2
-        head = self._space(seq[:leg]).quotient if leg else None
+        head = self.space(seq[:leg]).quotient if leg else None
         for pair in self.joint_relations(seq, leg):
             for row in ws.pair_rows(leg, pair, head.coords if head else None):
                 rel.add(row)
@@ -545,8 +512,8 @@ class TruncatedFreeProduct:
             "base_dim": self.B.dim,
             "depth": self.depth,
             "words": {
-                "".join(str(k) for k in seq): self._space(seq).dim
-                for seq in sorted(self._alternating_sequences())
+                "".join(str(k) for k in seq): self.space(seq).dim
+                for seq in sorted(self.sequences())
             },
         }
 
@@ -557,7 +524,7 @@ class TruncatedFreeProduct:
         out: FpVec = {}
         for seq, comp in vec.items():
             if seq:
-                plain = self._space(seq).to_plain(comp)
+                plain = self.space(seq).to_plain(comp)
                 _acc(out, seq, self._edge(seq, b.coeffs, plain, from_left))
             else:
                 x = self.p({(): comp})
@@ -570,7 +537,7 @@ class TruncatedFreeProduct:
         maps the complement to itself, so complement coordinate c, module
         coordinate dim(B) + c, goes to the module coordinates of its
         kernel columns, all past dim(B)."""
-        ws = self._space(seq)
+        ws = self.space(seq)
         nb = self.B.dim
         comp = self.components[seq[0] if first else seq[-1]]
         kers = comp.left_kernels if first else comp.right_kernels
@@ -600,7 +567,7 @@ class TruncatedFreeProduct:
                 self._rep_apply_edge(out, op, seq, comp, from_left)
                 continue
             if seq:
-                plain = self._space(seq).to_plain(comp)
+                plain = self.space(seq).to_plain(comp)
                 x = op.unit_image
                 if any(x[:nb]):
                     _acc(out, seq, self._edge(seq, x[:nb], plain, from_left))
@@ -616,7 +583,7 @@ class TruncatedFreeProduct:
                     raise DepthExceeded(
                         f"word {seq} cannot grow beyond depth {self.depth}"
                     )
-                nws = self._space(nseq)
+                nws = self.space(nseq)
                 _acc(out, nseq, nws.from_plain(nws.grow(plain, osc, from_left)))
         return _clean(out)
 
@@ -626,7 +593,7 @@ class TruncatedFreeProduct:
         the word through the new edge leg.  One pass over op's column of
         each leg splits the two."""
         nb = self.B.dim
-        ws = self._space(seq)
+        ws = self.space(seq)
         stay: dict[int, Scalar] = {}
         collapse: dict[int, dict[int, Scalar]] = {}  # B basis element -> rest
         for idx, c in ws.to_plain(comp).items():
@@ -661,10 +628,10 @@ class TruncatedFreeProduct:
             raise DepthExceeded(f"word of length {len(seq)} exceeds the depth")
         plain: dict[int, Scalar] = {0: ONE}
         for j, (_, osc) in enumerate(factors):
-            plain = self._space(seq[: j + 1]).grow(plain, osc, first=False)
+            plain = self.space(seq[: j + 1]).grow(plain, osc, first=False)
             if not plain:
                 return {}
-        return _clean({seq: self._space(seq).from_plain(plain)})
+        return _clean({seq: self.space(seq).from_plain(plain)})
 
 
 def _acc(out: FpVec, seq, comp: dict[int, Scalar]):

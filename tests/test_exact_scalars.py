@@ -93,7 +93,7 @@ def test_diag2_word_spaces_are_exact():
     word space, with a vector carried through them."""
     DIAG2 = diag2_system()
     fp = DIAG2.fp
-    quotients = [ws.quotient for ws in fp.wordspaces.values() if ws.quotient]
+    quotients = [ws.quotient for ws in map(fp.space, fp.sequences()) if ws.quotient]
     assert quotients
     for q in quotients:
         assert_exact(q.sub.rows)

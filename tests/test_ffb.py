@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import weakref
+from collections import Counter
 from dataclasses import replace
 from itertools import product as iproduct
 
@@ -138,7 +139,7 @@ def test_doubled_diag2_at_depth_six():
     """Criteria 8 and 11 over B = D2, on the doubled-diag2 fixture at word
     cap 3 (depth 6), with the tampered-handle control flagged."""
     system = load_system("doubled-diag2", 6)
-    assert max(map(len, system.fp.wordspaces)) == 6
+    assert max(map(len, system.fp.sequences())) == 6
     for check in (
         check_ffb_system,
         check_single_colour_moments,
@@ -201,7 +202,7 @@ def test_sweep_builds_only_the_word_spaces_it_reaches(
     assert digest.hexdigest() == reports
     assert len(set(builds)) == len(builds) == built
     assert max(map(len, builds)) == max_n
-    assert len(system.fp.wordspaces) == 4 * max_n
+    assert len(list(system.fp.sequences())) == 4 * max_n
 
 
 def test_sweep_builds_each_shape_context_once():
@@ -261,6 +262,75 @@ def test_proof_pipeline():
     for system, cap in ((SYS, 3), (DIAG2, 1)):
         rep = verify_system_gives_ffb(system, word_cap=cap)
         assert rep.ok, [c for c in rep.claims if c["status"] == "fail"]
+
+
+def with_boolean_left_factor(system, left):
+    """The system with each boolean handle's chain (c', d') replaced by
+    (left(system, handle), d'); the handles' sources stay."""
+    out = replace(system)
+    out.bool_handles = {
+        k: [
+            OperatorHandle(
+                h.label, k, (left(system, h), h.chain[1]), h.module_op, h.source
+            )
+            for h in handles
+        ]
+        for k, handles in system.bool_handles.items()
+    }
+    return out
+
+
+def pipeline_outcomes(monkeypatch, system, cap):
+    """verify_system_gives_ffb's report at the cap, how many of its words
+    end at each stage of the proof pipeline (None: passed), and how many
+    of their decompositions carry a residual."""
+    stages = Counter()
+    residual = 0
+    stage_of, decompose = ffb._pipeline_word, ffb.lr_decompose
+
+    def counting_stages(*args):
+        stage = stage_of(*args)
+        stages[stage] += 1
+        return stage
+
+    def counting_residuals(*args, **kwargs):
+        nonlocal residual
+        dec = decompose(*args, **kwargs)
+        residual += bool(dec.residual)
+        return dec
+
+    monkeypatch.setattr(ffb, "_pipeline_word", counting_stages)
+    monkeypatch.setattr(ffb, "lr_decompose", counting_residuals)
+    rep = verify_system_gives_ffb(system, word_cap=cap)
+    return rep, stages, residual
+
+
+def test_pipeline_residual_stages_flag_a_right_sided_left_factor(monkeypatch):
+    """Negative control for the residual stages: with each boolean left
+    factor acting as ρ rather than λ, the first three stages still pass
+    on every cap-3 word of doubled-m2, and the 76 words that carry a
+    residual fail at the last two."""
+    system = with_boolean_left_factor(
+        load_system("doubled-m2", 6), lambda _, h: ("r", *h.chain[0][1:])
+    )
+    rep, stages, residual = pipeline_outcomes(monkeypatch, system, 3)
+    assert stages == {None: 182, "residual-family": 64, "residual-expectation": 12}
+    assert residual == 76
+    ids = [c["id"] for c in rep.claims]
+    assert "proof-pipeline (258 word shapes, 76 failures)" in ids
+
+
+def test_pipeline_residual_stages_pass_a_left_face_left_factor(monkeypatch):
+    """Positive control for the residual stages: with each boolean left
+    factor replaced by its colour's left face, all 258 cap-3 words of
+    doubled-m2 pass, 66 of them with a residual term."""
+    system = with_boolean_left_factor(
+        load_system("doubled-m2", 6), lambda sys, h: sys.faces_l[h.colour][0].chain[0]
+    )
+    rep, stages, residual = pipeline_outcomes(monkeypatch, system, 3)
+    assert rep.ok, [c for c in rep.claims if c["status"] == "fail"]
+    assert stages == {None: 258}
+    assert residual == 66
 
 
 def atom_key(atom):
@@ -534,7 +604,7 @@ def word_label(fp, seq: tuple[int, ...], idx: int) -> str:
     """Label of coordinate idx of word seq: the legs of its plain word."""
     if not seq:
         return "B"
-    ws = fp.wordspaces[seq]
+    ws = fp.space(seq)
     (plain,) = ws.to_plain({idx: ONE})
     legs = (plain // s % d for s, d in zip(ws.strides, ws.osc_dims))
     parts = (f"{k}:{leg}" for k, leg in zip(seq, legs))
@@ -560,7 +630,7 @@ def test_fp_vector_serialization():
     assert summary["base_dim"] == 1 and summary["depth"] == fp.depth
     # over B = D2 a coordinate's label names a plain word in its class
     fp = DIAG2.fp
-    ws = fp.wordspaces[(1, 2)]
+    ws = fp.space((1, 2))
     for q in range(ws.dim):
         (label,) = vector_to_json(fp, {(1, 2): {q: ONE}})
         legs = [tuple(map(int, part.split(":"))) for part in label[1:-1].split(")(")]

@@ -73,7 +73,7 @@ DIAG2_RIGHT = [h.module_op for h in DIAG2.faces_r[2] + DIAG2.dprime[2]]
 def diag2_word_12():
     """A vector in the quotient word space (1, 2) of the DIAG2 product."""
     fp, shift = DIAG2.fp, DIAG2.dprime[1][0].module_op
-    ws = fp.wordspaces[(1, 2)]
+    ws = fp.space((1, 2))
     assert (ws.plain_dim, ws.dim) == (36, 18)
     vec = fp.rho_apply(shift, 2, fp.lambda_apply(shift, 1, fp.unit()))
     assert (1, 2) in vec
@@ -181,15 +181,17 @@ def test_doubled_module():
 def test_alternating_word_basis_count():
     triv = scalar_module(1)
     fp = reduced_free_product({1: triv, 2: triv}, 3)
-    dims = {seq: ws.dim for seq, ws in fp.wordspaces.items()}
+    dims = {seq: fp.space(seq).dim for seq in fp.sequences()}
     assert dims == {(1,): 1, (2,): 1, (1, 2): 1, (2, 1): 1, (1, 2, 1): 1, (2, 1, 2): 1}
     assert 1 + sum(dims.values()) == 7
-    assert len(fp.wordspaces) == 6 and (2, 1, 2) in fp.wordspaces
-    # the mapping's keys are the alternating sequences within the depth
+    seqs = list(fp.sequences())
+    assert len(seqs) == 6 and (2, 1, 2) in seqs
+    # the sequences are the alternating ones within the depth; space()
+    # refuses every other
     for seq in ((1, 1), (1, 2, 1, 2), (3,), (), [1]):
-        assert seq not in fp.wordspaces
+        assert seq not in seqs
         with pytest.raises((KeyError, TypeError)):
-            fp.wordspaces[seq]
+            fp.space(seq)
 
 
 @pytest.mark.parametrize(
@@ -208,7 +210,8 @@ def test_seeded_word_spaces_equal_the_full_relation_span(make):
     unique, so it must equal every joint's relations, under every index,
     row-reduced from scratch."""
     fp = make()
-    for seq, ws in fp.wordspaces.items():
+    for seq in fp.sequences():
+        ws = fp.space(seq)
         full = RowSpace(ws.plain_dim)
         for leg in range(len(seq) - 1):
             for pair in fp.joint_relations(seq, leg):
@@ -249,7 +252,7 @@ def test_word_space_dims_match_the_idempotent_closed_form(depth):
 
 def test_depth_zero_is_base_algebra():
     fp = reduced_free_product({1: scalar_module(2)}, 0)
-    assert fp.wordspaces == {}
+    assert list(fp.sequences()) == []
     assert fp.p(fp.unit()).coeffs == SCALARS.unit
 
 
@@ -272,9 +275,9 @@ def test_tensor_legs_with_mismatched_idempotents_vanish():
         return BimoduleWithProjection(B2, 3, tuple(L), tuple(R))
 
     fp_ok = reduced_free_product({1: corner(0, 1), 2: corner(1, 0)}, 2)
-    assert fp_ok.wordspaces[(1, 2)].dim == 1
+    assert fp_ok.space((1, 2)).dim == 1
     fp_bad = reduced_free_product({1: corner(0, 1), 2: corner(0, 1)}, 2)
-    assert fp_bad.wordspaces[(1, 2)].dim == 0
+    assert fp_bad.space((1, 2)).dim == 0
 
 
 def test_lambda_rho_representation_laws():
@@ -376,7 +379,7 @@ def test_full_depth_word_without_a_new_leg():
     b = comp.p(image)
     assert b.coeffs == (1, 2)  # d1 + 2·d2
     seq = (1, 2, 1)
-    ws = fp.wordspaces[seq]
+    ws = fp.space(seq)
     assert len(seq) == fp.depth
     v = {seq: {q: Fraction(q + 1) for q in range(ws.dim)}}
     assert fp.equal(fp.lambda_apply(op, 2, v), fp.act_b(b, v, True))
@@ -402,7 +405,7 @@ def m2_free_product(depth=3):
 
 def test_b_actions_over_a_noncommutative_base():
     fp, basis = m2_free_product()
-    assert {ws.dim for ws in fp.wordspaces.values()} == {4}
+    assert {fp.space(seq).dim for seq in fp.sequences()} == {4}
     # the complement of the doubled module is a copy of M2 in its basis
     z = fp.B.element([Fraction(c) for c in (1, 2, 3, 5)])
 
@@ -469,7 +472,7 @@ def dense_rep_apply(fp, op, k, vec, left: bool):
         if not seq:
             words = [((), (), [comp.get(i, ZERO) for i in range(nb)], ONE)]
         else:
-            ws = fp.wordspaces[seq]
+            ws = fp.space(seq)
             words = [
                 (seq, _legs(ws.osc_dims, idx), None, c)
                 for idx, c in ws.to_plain(comp).items()
@@ -500,7 +503,7 @@ def dense_rep_apply(fp, op, k, vec, left: bool):
         if not seq:
             vecout[()] = {legs[0]: v for legs, v in entries.items() if v}
             continue
-        ws = fp.wordspaces[seq]
+        ws = fp.space(seq)
         plain = {_plain_index(ws.osc_dims, legs): v for legs, v in entries.items()}
         vecout[seq] = ws.from_plain(plain)
     return {seq: comp for seq, comp in vecout.items() if comp}
@@ -525,9 +528,9 @@ def test_lambda_rho_match_a_dense_oracle_on_word_basis_vectors(make):
     ops = [rand_op(mod, rng) for _ in range(2)]
     ops.append(module_operator(mod, identity(mod.dim)))
     basis = [fp.embed_b(fp.B.basis_element(i)) for i in range(fp.B.dim)]
-    for seq, ws in fp.wordspaces.items():
+    for seq in fp.sequences():
         if len(seq) <= 3:
-            basis += [{seq: {i: ONE}} for i in range(ws.dim)]
+            basis += [{seq: {i: ONE}} for i in range(fp.space(seq).dim)]
     checked = 0
     for vec, op, k, left in iproduct(basis, ops, (1, 2), (True, False)):
         got = (fp.lambda_apply if left else fp.rho_apply)(op, k, vec)
