@@ -273,6 +273,36 @@ REGISTER = (
             "tests/test_acceptance.py::test_criterion_9_vanishing",
         ),
     ),
+    # each job written once: the two-column picture, one partition's
+    # replay, the cut closure and the counterexample search
+    Mutant(
+        "t1",
+        "render.py",
+        "sx = round(WIDTH * (order.index(nodes) + 1) / (len(order) + 1), 3)",
+        "sx = round(WIDTH * (order.index(nodes) + 2) / (len(order) + 1), 3)",
+        ("tests/test_cli.py::test_lr_tikz_output_bytes",),
+    ),
+    Mutant(
+        "e1",
+        "cumulants.py",
+        "    return reduce_blocks(tuple(pi.blocks()), {}, [None, *Z], side, mf)\n",
+        "    return reduce_blocks(tuple(pi.blocks())[::-1], {}, [None, *Z], side, mf)\n",
+        ("tests/test_cumulants.py::test_reduction_order_independence",),
+    ),
+    Mutant(
+        "x1",
+        "diagrams.py",
+        "            if upper < i and cut.key() not in seen:\n",
+        "            if cut.key() not in seen:\n",
+        ("tests/test_diagrams.py::test_extensions_cut_only_above_the_suffix",),
+    ),
+    Mutant(
+        "q1",
+        "algebra.py",
+        "    return next((case for case in cases if fails(*case)), None)\n",
+        "    return next((case for case in [*cases][::-1] if fails(*case)), None)\n",
+        ("tests/test_algebra.py::test_axioms_flag_bad_expectation_with_witness",),
+    ),
     # the proof pipeline's residual stages, each with a term to check
     # only on a tampered boolean handle
     Mutant(

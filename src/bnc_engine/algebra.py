@@ -15,13 +15,16 @@ out every element but the last and closes with the form, and per B
 basis element b_i the three insertion maps, one per collapse kind of
 bimult: x ↦ x·L_bi, x ↦ L_bi·x and x ↦ R_bi·x.  So insert(kind, b, x),
 a B value b inserted into x, is Σ b_i·map_i(x) over that kind's maps,
-with no embedded element and no full product.
+with no embedded element and no full product.  Every axiom check that
+searches basis tuples names the first failing one, in loop order, by
+one first_counterexample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product as iproduct
 from typing import Optional, Sequence
 
 from .bimult import APPEND_LEFT, PREPEND_LEFT, PREPEND_RIGHT
@@ -93,17 +96,18 @@ class StructuredAlgebra:
 
     def associativity_defect(self) -> Optional[tuple[int, int, int]]:
         """First basis triple where (e_i e_j) e_k != e_i (e_j e_k), or None."""
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = list(self.mult[i][j])
-                for k in range(self.dim):
-                    left = self.mul_coeffs(ij, list(unit_vec(self.dim, k)))
-                    right = self.mul_coeffs(
-                        list(unit_vec(self.dim, i)), list(self.mult[j][k])
-                    )
-                    if left != right:
-                        return (i, j, k)
-        return None
+        e, m = [unit_vec(self.dim, k) for k in range(self.dim)], self.mult
+
+        def fails(i, j, k):
+            return self.mul_coeffs(m[i][j], e[k]) != self.mul_coeffs(e[i], m[j][k])
+
+        return first_counterexample(iproduct(range(self.dim), repeat=3), fails)
+
+
+def first_counterexample(cases, fails):
+    """The first of the case tuples, in order, on whose entries fails
+    holds, or None."""
+    return next((case for case in cases if fails(*case)), None)
 
 
 def algebra_from_matrix_units(n: int) -> StructuredAlgebra:
@@ -377,69 +381,40 @@ def check_bb_axioms(space: BBProbSpace) -> CheckReport:
     )
     rep.record("embeds-unital", ok)
 
-    wit = None
-    for i in range(bdim):
-        for j in range(bdim):
-            bi, bj = B.basis_element(i), B.basis_element(j)
-            lhs = space.embed_left(bi * bj)
-            rhs = space.embed_left(bi) * space.embed_left(bj)
-            if lhs.coeffs != rhs.coeffs:
-                wit = ("left", i, j)
-                break
-            # right embedding reverses products
-            lhs = space.embed_right(bi * bj)
-            rhs = space.embed_right(bj) * space.embed_right(bi)
-            if lhs.coeffs != rhs.coeffs:
-                wit = ("right", i, j)
-                break
-        if wit:
-            break
+    b, e = B.basis_element, A.basis_element
+    L = [space.embed_left(b(i)) for i in range(bdim)]
+    R = [space.embed_right(b(i)) for i in range(bdim)]
+    pairs = list(iproduct(range(bdim), repeat=2))
+
+    def multiplicative_fails(side, i, j):
+        if side == "left":
+            return space.embed_left(b(i) * b(j)).coeffs != (L[i] * L[j]).coeffs
+        # the right embedding reverses products
+        return space.embed_right(b(i) * b(j)).coeffs != (R[j] * R[i]).coeffs
+
+    cases = ((side, i, j) for i, j in pairs for side in ("left", "right"))
+    wit = first_counterexample(cases, multiplicative_fails)
     rep.record("embeds-multiplicative", wit is None, witness=wit)
 
-    wit = None
-    for i in range(bdim):
-        li = space.embed_left(B.basis_element(i))
-        for j in range(bdim):
-            rj = space.embed_right(B.basis_element(j))
-            if (li * rj).coeffs != (rj * li).coeffs:
-                wit = (i, j)
-                break
-        if wit:
-            break
+    wit = first_counterexample(
+        pairs, lambda i, j: (L[i] * R[j]).coeffs != (R[j] * L[i]).coeffs
+    )
     rep.record("left-right-commute", wit is None, witness=wit)
 
     ok = space.expect(A.one()).coeffs == B.unit
     rep.record("expectation-unital", ok)
 
-    wit = None
-    for i in range(bdim):
-        li = space.embed_left(B.basis_element(i))
-        for j in range(bdim):
-            rj = space.embed_right(B.basis_element(j))
-            for t in range(adim):
-                et = A.basis_element(t)
-                lhs = space.expect(li * rj * et)
-                rhs = B.basis_element(i) * space.expect(et) * B.basis_element(j)
-                if lhs.coeffs != rhs.coeffs:
-                    wit = (i, j, t)
-                    break
-            if wit:
-                break
-        if wit:
-            break
+    def bimodular_fails(i, j, t):
+        lhs = space.expect(L[i] * R[j] * e(t))
+        return lhs.coeffs != (b(i) * space.expect(e(t)) * b(j)).coeffs
+
+    cases = iproduct(range(bdim), range(bdim), range(adim))
+    wit = first_counterexample(cases, bimodular_fails)
     rep.record("expectation-bimodular", wit is None, witness=wit)
 
-    wit = None
-    for t in range(adim):
-        et = A.basis_element(t)
-        for i in range(bdim):
-            bi = B.basis_element(i)
-            lhs = space.expect(et * space.embed_left(bi))
-            rhs = space.expect(et * space.embed_right(bi))
-            if lhs.coeffs != rhs.coeffs:
-                wit = (t, i)
-                break
-        if wit:
-            break
+    def balance_fails(t, i):
+        return space.expect(e(t) * L[i]).coeffs != space.expect(e(t) * R[i]).coeffs
+
+    wit = first_counterexample(iproduct(range(adim), range(bdim)), balance_fails)
     rep.record("expectation-left-right-balance", wit is None, witness=wit)
     return rep

@@ -33,18 +33,17 @@ minimum and then follows the plan of the blocks left, so every state a
 plan passes through is "the blocks whose minimum is below m", named by
 the state below it and its last block.  A diagram's top-gap blocks are
 stops in its plan: they survive every step, and reduce_blocks replays
-that plan and leaves the tops' operands to its caller.  A Program takes
-each partition's blocks in order of their minima, as
-partitions.bnc_lattice yields them, and holds the plans of a whole
-lattice, or of one partition, as a root table with one group per last
-block.  The plans below a root group are worked out the first time a
-walk enters that group, each distinct state's step once per walk, and
-compile_plans merges them into one flat program over their shared step
-prefixes.
+that plan and leaves the tops' operands to its caller.  A partition is
+a diagram with no tops, so reduce_blocks replays one partition's plan
+too.  A Program takes each partition's blocks in order of their minima,
+as partitions.bnc_lattice yields them, and holds the plans of a whole
+lattice as a root table with one group per last block.  The plans
+below a root group are worked out the first time a walk enters that
+group, each distinct state's step once per walk, and compile_plans
+merges them into one flat program over their shared step prefixes.
 run_program walks the root table and the compiled subtrees depth first
 on any operands: each distinct prefix ending in an expectation is
-evaluated once, however many plans share it.  A single partition's
-plan is a one-leaf program.
+evaluated once, however many plans share it.
 
 run_program skips every subtree below a vanishing expectation: when a
 group's value vanishes in its context's algebra (MomentContext.vanishes)
@@ -223,8 +222,8 @@ def reduce_blocks(closed: tuple, gaps: dict, ops: list, side: dict[int, str], ct
 
 
 class Program:
-    """The reduction plans of closed partitions of 1..n, planned on
-    demand: blocks[leaf] is the tuple of the blocks of the partition whose
+    """The reduction plans of a lattice's closed partitions of 1..n,
+    planned on demand: blocks[leaf] is the tuple of the blocks of the partition whose
     moment leaf i holds, in order of their minima, as ascending position
     tuples.
 

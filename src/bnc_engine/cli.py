@@ -92,7 +92,7 @@ def _parsed(args, flag: str, parse, *extra):
 def _colouring(text: str) -> ChiMap:
     """A two-letter colouring: only enumerate bncffb's --chihat takes 'b'."""
     chi = ChiMap.parse(text)
-    if chi.three_letter:
+    if "b" in chi.sides:
         raise InputError(f"{text!r} is not a two-letter colouring over l and r")
     return chi
 

@@ -16,10 +16,10 @@ value that does not vanish.  chi and chi with its last side flipped
 share one program, whose side map has no entry for n: the planner
 reads side n only for the singleton {n}, a tail fold.  A moment table
 is one walk of that program, the leaves below a vanishing expectation
-filled with the zero the walk met, and e_pi is a Program of the one
-partition, a one-leaf program.  A cumulant is one row of
-the NC(n) Mobius kernel (nc_row) over the moment vector, so a cumulant
-table is one sparse integer mat-vec.
+filled with the zero the walk met.  e_pi replays one partition's plan
+with bimult.reduce_blocks, as a diagram's closed strings are replayed.
+A cumulant is one row of the NC(n) Mobius kernel (nc_row) over the
+moment vector, so a cumulant table is one sparse integer mat-vec.
 
 The FFB word audit reads only the nonzero moments of its walk, which
 writes the leaves it reaches into a dict and no others: each of its
@@ -38,7 +38,7 @@ from functools import lru_cache
 from operator import mul
 
 from .algebra import AlgebraElement, BBProbSpace, CheckReport, SideMismatch
-from .bimult import MomentContext, Program, run_program
+from .bimult import MomentContext, Program, reduce_blocks, run_program
 from .errors import InputError
 from .partitions import (
     BNCContext,
@@ -86,7 +86,7 @@ def e_pi(
     pi: SetPartition, ctx: BNCContext, Z: list, mf: MomentContext
 ) -> AlgebraElement:
     """The recursive partition moment, a B element: pi's reduction plan,
-    run as a one-leaf program on Z."""
+    replayed on Z by bimult.reduce_blocks."""
     if pi.n != ctx.n or len(Z) != ctx.n:
         raise SizeMismatch("partition, colouring, and operands disagree")
     if not is_bnc(pi, ctx):
@@ -94,10 +94,8 @@ def e_pi(
     for i, z in enumerate(Z, start=1):
         if not mf.verify_side(z, ctx.chi.side(i)):
             raise SideMismatch(f"operand {i} not in the {ctx.chi.side(i)} side")
-    out: dict = {}
-    prog = Program([tuple(pi.blocks())], dict(enumerate(ctx.chi.sides, start=1)))
-    zero = run_program(prog, [None, *Z], mf, out)
-    return out.get(0, zero)
+    side = dict(enumerate(ctx.chi.sides, start=1))
+    return reduce_blocks(tuple(pi.blocks()), {}, [None, *Z], side, mf)
 
 
 @lru_cache(maxsize=None)

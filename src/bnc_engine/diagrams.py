@@ -14,8 +14,11 @@ recursion that prepends node i to the diagrams on nodes i+1..n:
 
 Cutting a string between two adjacent ribs splits it in two, the upper
 part keeping any top flag; the closure of a family under such cuts is
-its lateral closure.  Structural identity is (sides, shades, string
-node-sets, top flags, spine order); geometric placement never enters.
+its lateral closure.  One frontier loop closes a family under the cuts
+whose upper rib lies above a given node: every cut for the lateral
+closure, the cuts above the suffix start for chi_extensions.
+Structural identity is (sides, shades, string node-sets, top flags,
+spine order); geometric placement never enters.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ class DiagramFamily:
 def _check_lengths(chi: ChiMap, eps: EpsilonMap):
     if chi.n != eps.n:
         raise SizeMismatch("colourings disagree on length")
-    if chi.three_letter:
+    if "b" in chi.sides:
         raise SizeMismatch("diagrams need the two-letter alphabet")
 
 
@@ -208,17 +211,23 @@ def single_cuts(diagram: LRDiagram):
             yield make_diagram(diagram.chi, diagram.eps, new_strings, order), upper[-1]
 
 
-def lateral_closure(fam: DiagramFamily) -> DiagramFamily:
-    """Closure under single cuts; idempotent and containing the input."""
-    seen = {d.key(): d for d in fam.diagrams}
-    frontier = list(fam.diagrams)
+def _cut_closure(diagrams, i: int):
+    """The diagrams and every diagram that follows from one of them by
+    single cuts whose upper rib lies strictly above node i; i = n + 1
+    lets every cut through."""
+    seen = {d.key(): d for d in diagrams}
+    frontier = list(seen.values())
     while frontier:
-        d = frontier.pop()
-        for cut, _ in single_cuts(d):
-            if cut.key() not in seen:
+        for cut, upper in single_cuts(frontier.pop()):
+            if upper < i and cut.key() not in seen:
                 seen[cut.key()] = cut
                 frontier.append(cut)
-    return fam.with_diagrams(seen.values(), "lateral")
+    return seen.values()
+
+
+def lateral_closure(fam: DiagramFamily) -> DiagramFamily:
+    """Closure under single cuts; idempotent and containing the input."""
+    return fam.with_diagrams(_cut_closure(fam.diagrams, fam.chi.n + 1), "lateral")
 
 
 def filter_boolean(fam: DiagramFamily, k: int):
@@ -298,13 +307,5 @@ def chi_extensions(
             [d for d in full.diagrams if d.key() in suffix_keys], "lateral"
         )
     seeds = [d for d in full.diagrams if restrict(d, i).key() in suffix_keys]
-    seen = {d.key(): d for d in seeds}
-    frontier = list(seeds)
-    while frontier:
-        d = frontier.pop()
-        for cut, upper in single_cuts(d):
-            if upper < i and cut.key() not in seen:
-                seen[cut.key()] = cut
-                frontier.append(cut)
-    return full.with_diagrams(seen.values(), "lateral")
+    return full.with_diagrams(_cut_closure(seeds, i), "lateral")
 

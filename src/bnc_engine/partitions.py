@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from itertools import chain, product
 from math import prod
@@ -71,18 +71,21 @@ def _canonical_rgs(labels) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ChiMap:
-    """Side colouring of positions 1..n over 'l','r' (or 'l','r','b')."""
+    """Side colouring of positions 1..n over 'l','r' (or 'l','r','b').
+
+    A colouring is its letters: three_letter only permits 'b', and is
+    not kept, so every spelling of one colouring is one key.  A reader
+    that needs two letters tests "b" in sides."""
 
     sides: tuple[str, ...]
-    three_letter: bool = False
+    three_letter: InitVar[bool] = False
 
-    def __post_init__(self):
-        allowed = {"l", "r", "b"} if self.three_letter else {"l", "r"}
+    def __post_init__(self, three_letter):
+        object.__setattr__(self, "sides", tuple(self.sides))
+        allowed = {"l", "r", "b"} if three_letter else {"l", "r"}
         bad = [s for s in self.sides if s not in allowed]
         if bad:
             raise AlphabetError(f"unexpected side letters {bad}")
-        if not self.three_letter and "b" in self.sides:
-            raise AlphabetError("'b' requires the three-letter alphabet")
 
     @property
     def n(self) -> int:
@@ -94,8 +97,7 @@ class ChiMap:
 
     @staticmethod
     def parse(text: str) -> "ChiMap":
-        sides = tuple(text)
-        return ChiMap(sides, three_letter="b" in sides)
+        return ChiMap(text, three_letter=True)
 
     def __str__(self):
         return "".join(self.sides)
@@ -234,7 +236,7 @@ class BNCContext:
 
 
 def build_context(chi: ChiMap) -> BNCContext:
-    if chi.three_letter:
+    if "b" in chi.sides:
         raise AlphabetError("context requires a two-letter colouring")
     lefts = [i for i in range(1, chi.n + 1) if chi.side(i) == "l"]
     rights = [i for i in range(1, chi.n + 1) if chi.side(i) == "r"]
@@ -365,7 +367,9 @@ def mobius(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> int:
 def mobius_fast(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> int:
     """mobius without membership validation; arguments must be in the
     lattice (as enumeration output always is).  pi's entry in sigma's row
-    of the NC(n) kernel, read on the relabelled line."""
+    of the NC(n) kernel, read on the relabelled line.  Refuses an n over
+    the cap, as the lattice tables do, before any table is built."""
+    check_cap(ctx.n)
     if not refines(pi, sigma):
         return 0
     below, mus = nc_row(ctx.n, _nc_slot(sigma, ctx))

@@ -4,6 +4,9 @@ Layout follows the usual convention: two dashed vertical lines, nodes
 numbered top to bottom, left-column nodes for 'l' positions and right
 for 'r'; block spines run vertically between the columns with ribs out
 to their nodes, and top-gap spines continue through the upper edge.
+One picture, _tikz, and one graph, _dot, draw both kinds: a partition
+is the diagram whose strings are its blocks, none reaching the top
+gap, so the two differ only in their node and string styles.
 """
 
 from __future__ import annotations
@@ -33,80 +36,68 @@ def _spine_x(side: str, depth: int) -> float:
     return round(WIDTH - 0.35 - 0.22 * depth, 3)
 
 
-def tikz_preamble(lines: list[str], top: float):
-    lines.append("\\begin{tikzpicture}[baseline]")
-    lines.append(
-        f"\\draw[thick, dashed] (0,{top}) -- (0,0) -- ({WIDTH}, 0) -- ({WIDTH},{top});"
-    )
+def _tikz(n: int, side, strings, order, node, string) -> str:
+    """The two-column picture on nodes 1..n: side(i) is node i's column,
+    strings the (nodes, reaches_top) pairs and order the top strings,
+    leftmost first.  node(i) gives node i's draw style and radius, and
+    string(nodes) a string's draw style.  A closed one-node string has
+    no spine and no rib."""
+    top = (n + 1) * STEP
+    lines = [
+        "\\begin{tikzpicture}[baseline]",
+        f"\\draw[thick, dashed] (0,{top}) -- (0,0) -- ({WIDTH}, 0) -- ({WIDTH},{top});",
+    ]
+    x = {i: 0 if side(i) == "l" else WIDTH for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        anchor = "left" if side(i) == "l" else "right"
+        y = _node_y(i, n)
+        style, radius = node(i)
+        lines.append(f"\\draw[{style}] ({x[i]}, {y}) circle ({radius});")
+        lines.append(f"\\node[{anchor}] at ({x[i]}, {y}) {{${i}$}};")
+    for nodes, reaches in strings:
+        if reaches:
+            sx = round(WIDTH * (order.index(nodes) + 1) / (len(order) + 1), 3)
+            y_top = top
+        elif len(nodes) < 2:
+            continue
+        else:
+            sx = _spine_x(side(nodes[0]), _spine_depth(nodes, strings))
+            y_top = _node_y(nodes[0], n)
+        style = string(nodes)
+        y_bot = _node_y(nodes[-1], n)
+        lines.append(f"\\draw[{style}] ({sx}, {y_top}) -- ({sx}, {y_bot});")
+        for i in nodes:
+            y = _node_y(i, n)
+            lines.append(f"\\draw[{style}] ({x[i]}, {y}) -- ({sx}, {y});")
+    lines.append("\\end{tikzpicture}")
+    return "\n".join(lines) + "\n"
 
 
 def tikz_bnc(chi: ChiMap, pi: SetPartition) -> str:
-    """Two-column picture of a partition; blocks drawn with spines."""
-    n = chi.n
-    top = (n + 1) * STEP
-    lines: list[str] = []
-    tikz_preamble(lines, top)
-    for i in range(1, n + 1):
-        x = 0 if chi.side(i) == "l" else WIDTH
-        anchor = "left" if chi.side(i) == "l" else "right"
-        y = _node_y(i, n)
-        lines.append(f"\\draw[fill=black] ({x}, {y}) circle (0.06);")
-        lines.append(f"\\node[{anchor}] at ({x}, {y}) {{${i}$}};")
+    """Two-column picture of a partition: its blocks as closed strings."""
     strings = [(blk, False) for blk in pi.blocks()]
-    for blk in pi.blocks():
-        if len(blk) < 2:
-            continue
-        depth = _spine_depth(blk, strings)
-        sx = _spine_x(chi.side(min(blk)), depth)
-        y_top, y_bot = _node_y(min(blk), n), _node_y(max(blk), n)
-        lines.append(f"\\draw[thick] ({sx}, {y_top}) -- ({sx}, {y_bot});")
-        for i in blk:
-            x = 0 if chi.side(i) == "l" else WIDTH
-            y = _node_y(i, n)
-            lines.append(f"\\draw[thick] ({x}, {y}) -- ({sx}, {y});")
-    lines.append("\\end{tikzpicture}")
-    return "\n".join(lines) + "\n"
+    return _tikz(
+        chi.n, chi.side, strings, (), lambda i: ("fill=black", 0.06), lambda _: "thick"
+    )
 
 
 def tikz_lr(diagram: LRDiagram) -> str:
-    """Shaded string diagram with top-gap spines."""
-    n = diagram.n
-    top = (n + 1) * STEP
-    lines: list[str] = []
-    tikz_preamble(lines, top)
-    colour_of = {}
-    for i in range(1, n + 1):
-        shade = diagram.eps.colour(i)
-        if shade not in colour_of:
-            colour_of[shade] = SHADE_COLOURS[len(colour_of) % len(SHADE_COLOURS)]
-    for i in range(1, n + 1):
-        x = 0 if diagram.chi.side(i) == "l" else WIDTH
-        anchor = "left" if diagram.chi.side(i) == "l" else "right"
-        y = _node_y(i, n)
-        col = colour_of[diagram.eps.colour(i)]
-        lines.append(f"\\draw[{col}, fill={col}] ({x}, {y}) circle (0.05);")
-        lines.append(f"\\node[{anchor}] at ({x}, {y}) {{${i}$}};")
-    m = len(diagram.spine_order)
-    for nodes, reaches in diagram.strings:
-        col = colour_of[diagram.eps.colour(nodes[0])]
-        if reaches:
-            rank = diagram.spine_order.index(nodes)
-            sx = round(WIDTH * (rank + 1) / (m + 1), 3)
-            y_bot = _node_y(max(nodes), n)
-            lines.append(f"\\draw[{col}, thick] ({sx}, {top}) -- ({sx}, {y_bot});")
-        else:
-            if len(nodes) < 2:
-                continue
-            depth = _spine_depth(nodes, diagram.strings)
-            sx = _spine_x(diagram.chi.side(min(nodes)), depth)
-            y_top, y_bot = _node_y(min(nodes), n), _node_y(max(nodes), n)
-            lines.append(f"\\draw[{col}, thick] ({sx}, {y_top}) -- ({sx}, {y_bot});")
-        for i in nodes:
-            x = 0 if diagram.chi.side(i) == "l" else WIDTH
-            y = _node_y(i, n)
-            lines.append(f"\\draw[{col}, thick] ({x}, {y}) -- ({sx}, {y});")
-    lines.append("\\end{tikzpicture}")
-    return "\n".join(lines) + "\n"
+    """Shaded string diagram with top-gap spines, one colour per shade."""
+    colour_of: dict = {}
+    for shade in diagram.eps.colours:
+        colour_of.setdefault(shade, SHADE_COLOURS[len(colour_of) % len(SHADE_COLOURS)])
+
+    def colour(i):
+        return colour_of[diagram.eps.colour(i)]
+
+    return _tikz(
+        diagram.n,
+        diagram.chi.side,
+        diagram.strings,
+        diagram.spine_order,
+        lambda i: (f"{colour(i)}, fill={colour(i)}", 0.05),
+        lambda nodes: f"{colour(nodes[0])}, thick",
+    )
 
 
 def tikz_standalone(body: str) -> str:
@@ -117,29 +108,31 @@ def tikz_standalone(body: str) -> str:
     )
 
 
-def dot_bnc(chi: ChiMap, pi: SetPartition) -> str:
-    """Partition as a graph: nodes per position, edges chain each block."""
-    lines = ["graph bnc {", "  rankdir=TB;"]
-    for i in range(1, chi.n + 1):
-        side = chi.side(i)
-        lines.append(f'  n{i} [label="{i}:{side}", shape=circle];')
-    for blk in pi.blocks():
-        for a, b in zip(blk, blk[1:]):
-            lines.append(f"  n{a} -- n{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def dot_lr(diagram: LRDiagram) -> str:
-    lines = ["graph lr {", "  rankdir=TB;", '  gap [label="top gap", shape=box];']
-    for i in range(1, diagram.n + 1):
-        side = diagram.chi.side(i)
-        shade = diagram.eps.colour(i)
-        lines.append(f'  n{i} [label="{i}:{side}:{shade}", shape=circle];')
-    for nodes, reaches in diagram.strings:
+def _dot(name: str, labels, strings, gap: bool) -> str:
+    """A graph with node i labelled labels[i - 1], each string's nodes
+    chained, and a top-gap box, when gap, that the top strings meet at
+    their first node."""
+    lines = [f"graph {name} {{", "  rankdir=TB;"]
+    if gap:
+        lines.append('  gap [label="top gap", shape=box];')
+    for i, label in enumerate(labels, start=1):
+        lines.append(f'  n{i} [label="{label}", shape=circle];')
+    for nodes, reaches in strings:
         for a, b in zip(nodes, nodes[1:]):
             lines.append(f"  n{a} -- n{b};")
         if reaches:
-            lines.append(f"  n{min(nodes)} -- gap;")
+            lines.append(f"  n{nodes[0]} -- gap;")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def dot_bnc(chi: ChiMap, pi: SetPartition) -> str:
+    """Partition as a graph: nodes per position, edges chain each block."""
+    labels = [f"{i}:{chi.side(i)}" for i in range(1, chi.n + 1)]
+    return _dot("bnc", labels, [(blk, False) for blk in pi.blocks()], False)
+
+
+def dot_lr(diagram: LRDiagram) -> str:
+    d = diagram
+    labels = [f"{i}:{d.chi.side(i)}:{d.eps.colour(i)}" for i in range(1, d.n + 1)]
+    return _dot("lr", labels, d.strings, True)

@@ -84,7 +84,8 @@ def test_axioms_flag_bad_expectation_with_witness():
     rep = check_bb_axioms(space_diag2_bad_expectation())
     failed = {c["id"]: c for c in rep.claims if c["status"] == "fail"}
     assert "expectation-bimodular" in failed
-    assert failed["expectation-bimodular"]["witness"] is not None
+    # the first failing (i, j, t) in loop order
+    assert failed["expectation-bimodular"]["witness"] == (0, 0, 1)
 
 
 def test_expectation_examples():

@@ -68,6 +68,13 @@ def test_parse_error_exit_code(capsys):
 def test_cap_exceeded_exit_code(capsys):
     code, _, err = run(capsys, "enumerate", "bnc", "--chi", "l" * 12)
     assert code == 3
+    # mobius reads the NC(n) kernel, and refuses before building it
+    pi, sigma = ",".join(map(str, range(11))), ",".join("0" * 11)
+    code, out, err = run(
+        capsys, "mobius", "--chi", "l" * 11, "--pi", pi, "--sigma", sigma
+    )
+    assert (code, out) == (3, "")
+    assert "n=11 exceeds cap 10" in err
 
 
 def test_mobius_two_element_interval(capsys):
@@ -536,4 +543,22 @@ README_OUTPUTS = [
 def test_readme_command_output_bytes(capsys, command, digest, exit_code):
     code, out, _ = run(capsys, *shlex.split(command))
     assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# The shaded TikZ picture, which no README command prints: top-gap spines
+# in spine order, closed spines by depth, one colour per shade.  The
+# second diagram has three top strings and three shades.
+RENDER_OUTPUTS = [
+    ("render --kind lr --chi lrl --eps 1,1,2 --index 7",
+     "3ef0adcd2a96c067b79e0ef09c3b7bff2effb09081945fce06a4c5d03172f687"),
+    ("render --kind lr --chi lrlrl --eps 1,2,1,2,3 --index 11",
+     "ace9fe139f7586cdfde56f9912c0cab490d0da3f92ee8c80a9bf37a8aa08b811"),
+]
+
+
+@pytest.mark.parametrize("command, digest", RENDER_OUTPUTS)
+def test_lr_tikz_output_bytes(capsys, command, digest):
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

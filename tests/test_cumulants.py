@@ -633,6 +633,21 @@ def test_ffb_formula_without_boolean_slots_is_bifree_formula():
     assert rep.ok, rep.to_json()
 
 
+def test_one_colouring_is_one_sublattice_key():
+    # a colouring is its letters: three spellings of lr are one context
+    # key, so the sublattice tables are built once for them
+    spellings = (
+        ChiMap(("l", "r"), three_letter=True),
+        ChiMap.parse("lr"),
+        ChiMap("lr", three_letter=True),
+    )
+    cumulants._sublattice.cache_clear()
+    for chi in spellings:
+        cumulants._sublattice(lr_replacement(chi))
+    info = cumulants._sublattice.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
 def test_mixed_cumulants_vanish_up_to_length_five():
     fp, mod = _free_family(word_cap=5)
     mf = FreeMomentContext(fp)

@@ -190,6 +190,26 @@ def test_extension_identity_and_composition():
     assert chi_extensions(empty_fam, CHI, EPS).keys() == fam.keys()
 
 
+def test_extensions_cut_only_above_the_suffix():
+    # an extension follows from a seed by cuts whose upper rib lies above
+    # the suffix start, so it groups the suffix's nodes as the seed's
+    # restriction does; one-diagram families are not cut-closed, so a
+    # cut inside the suffix would show
+    for sides, cols in (("lrlr", (1, 2, 1, 2)), ("llrl", (1, 1, 1, 1))):
+        chi, eps = ChiMap.parse(sides), EpsilonMap(cols)
+        for i in (2, 3, 4):
+            sub = lateral_closure(
+                enumerate_lr(ChiMap.parse(sides[i - 1 :]), EpsilonMap(cols[i - 1 :]))
+            )
+            for d in sub.diagrams:
+                ext = chi_extensions(sub.with_diagrams([d]), chi, eps)
+                assert ext.diagrams
+                for e in ext.diagrams:
+                    assert [s for s, _ in restrict(e, i).strings] == [
+                        s for s, _ in d.strings
+                    ]
+
+
 def test_extension_suffix_mismatch():
     sub = lateral_closure(enumerate_lr(ChiMap.parse("r"), EpsilonMap((2,))))
     with pytest.raises(SuffixMismatch):

@@ -76,6 +76,9 @@ def test_cap_exceeded():
     ctx = build_context(ChiMap(("l",) * 11))
     with pytest.raises(CapExceeded):
         enumerate_bnc(ctx)
+    # mobius reads the NC(n) kernel directly, not through the lattice
+    with pytest.raises(CapExceeded, match="n=11 exceeds cap 10"):
+        mobius(SetPartition.singletons(11), SetPartition.full(11), ctx)
 
 
 def test_meet_join_examples():
