@@ -143,8 +143,8 @@ REGISTER = (
     Mutant(
         "a",
         "cumulants.py",
-        "    nonzero = [(t, v) for t, v in out.items() if not v.is_zero()]\n",
-        "    nonzero = [(t, v) for t, v in out.items() if not v.is_zero()][:-1]\n",
+        "    nonzero = {t: v for t, v in out.items() if not v.is_zero()}\n",
+        "    nonzero = dict([(t, v) for t, v in out.items() if not v.is_zero()][:-1])\n",
         ("tests/test_acceptance.py::test_criterion_9_vanishing",),
     ),
     Mutant(
@@ -302,6 +302,29 @@ REGISTER = (
         "    return next((case for case in cases if fails(*case)), None)\n",
         "    return next((case for case in [*cases][::-1] if fails(*case)), None)\n",
         ("tests/test_algebra.py::test_axioms_flag_bad_expectation_with_witness",),
+    ),
+    # one rule per job: the one-pass depth bound, the slot-keyed kernel
+    # row of one cumulant, and the empty word's moment
+    Mutant(
+        "h1",
+        "freeprod.py",
+        'tops[0 if side == "l" else -1]',
+        "tops[0]",
+        ("tests/test_freeprod.py::test_depth_walk_matches_the_reach_set_maximum",),
+    ),
+    Mutant(
+        "m1",
+        "cumulants.py",
+        "    below, mus = nc_row(ctx.n, _nc_slot(pi, ctx))\n",
+        "    below, mus = nc_row(ctx.n, 0)\n",
+        ("tests/test_cumulants.py::test_interval_weights_match_summed_cumulants",),
+    ),
+    Mutant(
+        "n1",
+        "bimult.py",
+        "    return None if gaps else ctx.expect([])\n",
+        "    return None\n",
+        ("tests/test_cumulants.py::test_empty_word_is_one_partition_with_moment_one",),
     ),
     # the proof pipeline's residual stages, each with a term to check
     # only on a tampered boolean handle

@@ -41,8 +41,6 @@ from .linalg import (
     mat_vec,
     sparse,
     unit_vec,
-    vec_add,
-    vec_scale,
     zeros,
 )
 
@@ -169,7 +167,9 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.parent, tuple(vec_add(self.coeffs, other.coeffs)))
+        return AlgebraElement(
+            self.parent, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
@@ -181,10 +181,14 @@ class AlgebraElement:
         return AlgebraElement(self.parent, tuple(-a for a in self.coeffs))
 
     def scale(self, c) -> "AlgebraElement":
-        return AlgebraElement(self.parent, tuple(vec_scale(frac(c), self.coeffs)))
+        c = frac(c)
+        return AlgebraElement(self.parent, tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return algebra_mul(self, other)
+        self._check(other)
+        return AlgebraElement(
+            self.parent, tuple(self.parent.mul_coeffs(self.coeffs, other.coeffs))
+        )
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -202,12 +206,6 @@ class AlgebraElement:
         return " + ".join(terms) if terms else "0"
 
 
-def algebra_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    if x.parent is not y.parent:
-        raise MismatchedAlgebra("elements live in different algebras")
-    return AlgebraElement(x.parent, tuple(x.parent.mul_coeffs(x.coeffs, y.coeffs)))
-
-
 def product(elements) -> AlgebraElement:
     """Ordered product; empty product is disallowed (no parent to infer)."""
     elements = list(elements)
@@ -215,7 +213,7 @@ def product(elements) -> AlgebraElement:
         raise ValueError("empty product")
     out = elements[0]
     for e in elements[1:]:
-        out = algebra_mul(out, e)
+        out = out * e
     return out
 
 

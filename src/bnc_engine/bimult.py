@@ -209,7 +209,8 @@ def reduce_blocks(closed: tuple, gaps: dict, ops: list, side: dict[int, str], ct
     p, which it updates in place.
 
     Returns the moment when nothing is left, or None when tops remain:
-    ops then holds the operands the tops carry.
+    ops then holds the operands the tops carry.  The empty word's plan
+    is empty, and its moment the expectation of the empty product.
     """
     (plan,) = plans([closed], side, {}, gaps)
     for positions, insertion in plan:
@@ -218,7 +219,7 @@ def reduce_blocks(closed: tuple, gaps: dict, ops: list, side: dict[int, str], ct
             return value
         kind, target = insertion
         ops[target] = ctx.insert(kind, value, ops[target])
-    return None
+    return None if gaps else ctx.expect([])
 
 
 class Program:
@@ -231,6 +232,7 @@ class Program:
     largest minimum, so roots lists one group per last block: its
     positions, the leaves whose plan ends there (the one-block partition)
     and the leaves whose plan goes on, in leaf order by first appearance.
+    The empty word's one member, with no blocks, is the group ().
     subtree plans a group's leaves with plans and compiles them with
     compile_plans, once.  Its caller owns the planning memo, so a walk
     that compiles several groups works out each distinct reduction
@@ -241,7 +243,7 @@ class Program:
     def __init__(self, blocks, side: dict[int, str]):
         groups: dict = {}
         for leaf, member in enumerate(blocks):
-            ends, goes_on = groups.setdefault(member[-1], ([], []))
+            ends, goes_on = groups.setdefault((member or ((),))[-1], ([], []))
             (goes_on if len(member) > 1 else ends).append(leaf)
         self.roots = [
             (positions, tuple(ends), array("I", goes_on))

@@ -18,18 +18,18 @@ reads side n only for the singleton {n}, a tail fold.  A moment table
 is one walk of that program, the leaves below a vanishing expectation
 filled with the zero the walk met.  e_pi replays one partition's plan
 with bimult.reduce_blocks, as a diagram's closed strings are replayed.
-A cumulant is one row of the NC(n) Mobius kernel (nc_row) over the
+A cumulant is pi's row of the NC(n) Mobius kernel (nc_row) over the
 moment vector, so a cumulant table is one sparse integer mat-vec.
 
-The FFB word audit reads only the nonzero moments of its walk, which
-writes the leaves it reaches into a dict and no others: each of its
-sums looks the weights of those slots up in maps built once per
-word shape, and its count of the colour-refining partitions off the
-boolean-pair sublattice grows them directly on the relabelled line
-rather than scanning the lattice.  Each table that outlives a call is
-the lru_cache of its builder (_program, _sublattice and _off_lattice),
-keyed by what it depends on: the sublattice tables by the FfbContext
-the audit's caller holds.
+The independence check and the FFB word audit read only the leaves that
+one walk reaches: each of their sums is one _slot_sum over those slots,
+weighted by slot from row 0 of the kernel or from the summed rows of a
+set of tops (once per word shape for the audit).  The audit counts the
+colour-refining partitions off the boolean-pair sublattice by growing
+them on the relabelled line rather than scanning the lattice.  Each
+table that outlives a call is the lru_cache of its builder (_program,
+_sublattice and _off_lattice), keyed by what it depends on: the
+sublattice tables by the FfbContext the audit's caller holds.
 """
 
 from __future__ import annotations
@@ -48,12 +48,12 @@ from .partitions import (
     NotBNC,
     SetPartition,
     SizeMismatch,
+    _nc_slot,
     _pullback,
     _shared_pair,
     bnc_lattice,
     build_context,
     catalan,
-    interval_below,
     is_bnc,
     nc_row,
 )
@@ -107,13 +107,14 @@ def _program(s_chi: tuple[int, ...], head: tuple[str, ...]) -> Program:
     return Program(_pullback(s_chi)[0], dict(enumerate(head, start=1)))
 
 
-def _walk(ctx: BNCContext, Z: list, mf: MomentContext, out):
-    """One walk of the colouring's program into the empty dict out (see
-    run_program): the zero that the leaves below a vanishing expectation
-    hold, None when every leaf was reached."""
+def _walk(ctx: BNCContext, Z: list, mf: MomentContext):
+    """One walk of the colouring's program (see run_program): the moments
+    of the leaves it reached, by NC(n) slot, and the zero that the leaves
+    below a vanishing expectation hold, None when every leaf was reached."""
     bnc_lattice(ctx)  # refuses an n over the cap before any plan
     prog = _program(ctx.s_chi, ctx.chi.sides[:-1])
-    return run_program(prog, [None, *Z], mf, out)
+    out: dict = {}
+    return out, run_program(prog, [None, *Z], mf, out)
 
 
 def moment_table(ctx: BNCContext, Z: list, mf: MomentContext):
@@ -121,8 +122,7 @@ def moment_table(ctx: BNCContext, Z: list, mf: MomentContext):
     the colouring's program, the leaves it stepped over filled with the
     zero it met."""
     _, slots, pulled = bnc_lattice(ctx)
-    out: dict = {}
-    zero = _walk(ctx, Z, mf, out)
+    out, zero = _walk(ctx, Z, mf)
     return {pulled[t]: out.get(t, zero) for t in slots}
 
 
@@ -133,13 +133,15 @@ def kappa_pi(
     mf: MomentContext,
     moments: dict | None = None,
 ) -> AlgebraElement:
-    """Cumulant: pi's row of the Mobius kernel over the moment table
-    (the full table on Z unless given)."""
+    """Cumulant: pi's row of the Mobius kernel, by its NC(n) slot, over
+    the moment table (the full table on Z unless given)."""
     if not is_bnc(pi, ctx):
         raise NotBNC(f"{pi} not bi-non-crossing for {ctx.chi}")
     if moments is None:
         moments = moment_table(ctx, Z, mf)
-    return _weighted_sum(moments, interval_below(pi, ctx))
+    pulled = bnc_lattice(ctx)[2]
+    below, mus = nc_row(ctx.n, _nc_slot(pi, ctx))
+    return _combine([moments[pulled[u]] for u in below], mus)
 
 
 def _combine(elems: list, weights) -> AlgebraElement:
@@ -151,11 +153,12 @@ def _combine(elems: list, weights) -> AlgebraElement:
     )
 
 
-def _weighted_sum(table: dict, pairs) -> AlgebraElement:
-    """Sum of table[rgs] scaled by the integer w over the (rgs, w) pairs,
-    of which there is at least one."""
-    pairs = list(pairs)
-    return _combine([table[rgs] for rgs, _ in pairs], [w for _, w in pairs])
+def _slot_sum(values: dict, weights, zero) -> AlgebraElement:
+    """Sum of values[t] scaled by the integer weights[t] over the NC(n)
+    slots t that values holds; zero when it holds none."""
+    if not values:
+        return zero
+    return _combine(list(values.values()), [weights[t] for t in values])
 
 
 def cumulant_table(ctx: BNCContext, Z: list, mf: MomentContext, moments=None):
@@ -203,23 +206,24 @@ def bifree_moment_check(
 
     The word expectation must equal the sum of the cumulants of the
     colour-refining partitions; equivalently the full-word cumulant
-    vanishes for mixed colours.
+    vanishes for mixed colours.  Both sums read the slots one walk
+    reaches, as audit_ffb_word's do, the cumulant's in row 0 of the kernel.
     """
     ctx = build_context(chi)
     rep = CheckReport()
     lhs = mf.expect(list(Z))
+    zero = lhs.parent.zero()
+    out, _ = _walk(ctx, Z, mf)
     pulled = bnc_lattice(ctx)[2]
-    moments = moment_table(ctx, Z, mf)
     colours = eps.as_partition().rgs
     tops = [t for t, rgs in enumerate(pulled) if _shared_pair(colours, rgs) is None]
-    weights = _interval_weights(ctx.n, tops)
-    total = _weighted_sum(moments, ((pulled[t], w) for t, w in enumerate(weights) if w))
+    total = _slot_sum(out, _interval_weights(ctx.n, tops), zero)
     ok = (lhs - total).is_zero()
     rep.record(
         "moment-formula", ok, None if ok else {"lhs": str(lhs), "rhs": str(total)}
     )
     if len(set(eps.colours)) > 1:
-        kap = kappa_pi(SetPartition.full(ctx.n), ctx, Z, mf, moments=moments)
+        kap = _slot_sum(out, nc_row(ctx.n, 0)[1], zero)
         ok = kap.is_zero()
         rep.record("mixed-cumulant-vanishes", ok, None if ok else str(kap))
     else:
@@ -283,14 +287,6 @@ def _refining_off_lattice(ctx: BNCContext, classes: tuple, starts) -> int:
     return count
 
 
-def _sparse_sum(entries: list, weights, zero) -> AlgebraElement:
-    """Sum of v scaled by weights[t] over the (t, v) entries; zero when
-    there are none."""
-    if not entries:
-        return zero
-    return _combine([v for _, v in entries], [weights[t] for t, _ in entries])
-
-
 def audit_ffb_word(
     fctx: FfbContext, eps: EpsilonMap, Z: list, mf: MomentContext
 ) -> CheckReport:
@@ -315,9 +311,8 @@ def audit_ffb_word(
     if any(eps.colour(j) != eps.colour(j + 1) for j in starts):
         raise ColouringError("boolean pairs must be monochromatic")
     ctx = build_context(fctx.chi)
-    out: dict = {}
-    _walk(ctx, Z, mf, out)
-    nonzero = [(t, v) for t, v in out.items() if not v.is_zero()]
+    out, _ = _walk(ctx, Z, mf)
+    nonzero = {t: v for t, v in out.items() if not v.is_zero()}
     members, member_weights = _sublattice(fctx)
     # row 0 of the kernel is 1's: every slot, in order, with mu(pi, 1)
     below_one = nc_row(ctx.n, 0)[1]
@@ -325,14 +320,14 @@ def audit_ffb_word(
 
     lhs = mf.expect(list(Z))
     zero = lhs.parent.zero()
-    total = _sparse_sum(nonzero, member_weights, zero)
+    total = _slot_sum(nonzero, member_weights, zero)
     ok = (lhs - total).is_zero()
     rep.record(
         "ffb-moment-formula", ok, None if ok else {"lhs": str(lhs), "rhs": str(total)}
     )
-    kap = _sparse_sum(nonzero, below_one, zero)
-    restricted = _sparse_sum(
-        [(t, v) for t, v in nonzero if t in members], below_one, zero
+    kap = _slot_sum(nonzero, below_one, zero)
+    restricted = _slot_sum(
+        {t: v for t, v in nonzero.items() if t in members}, below_one, zero
     )
     ok = (kap - restricted).is_zero()
     rep.record(
@@ -346,7 +341,7 @@ def audit_ffb_word(
     pulled = bnc_lattice(ctx)[2]
     bad = sorted(
         (pulled[t], v)
-        for t, v in nonzero
+        for t, v in nonzero.items()
         if t not in members and _shared_pair(classes, pulled[t]) is None
     )
     witness = [

@@ -14,7 +14,8 @@ criteria 9/10 sweep behind `verify ffb-sweep`.
 
 Each handle's chain is a word of λ/ρ atoms (side, colour, operator), the
 word format lr_decompose also takes, so the proof pipeline decomposes
-the handles' chains as they stand.  Each checker call builds one
+the handles' chains as they stand, projecting at the boolean pair starts
+of the word shape's FfbContext.  Each checker call builds one
 FreeMomentContext over the system's free product (independence a second
 one over its representation product) and reads every unit-chain vector
 and moment from its suffix trie.  The letters a call derives from the
@@ -180,7 +181,7 @@ def _zero_operator(fp: TruncatedFreeProduct, handles, images) -> bool:
 
 
 def _basis_vectors(fp: TruncatedFreeProduct, max_depth: int):
-    yield fp.unit()
+    # no unit: it is the sum of B's basis vectors, so a linear test skips it
     for i in range(fp.B.dim):
         yield fp.embed_b(fp.B.basis_element(i))
     for seq in sorted(s for s in fp.sequences() if len(s) <= max_depth):
@@ -389,12 +390,11 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
     removed term on any fixture (a boolean letter is λ(c')·ρ(d'), and the
     projection after it finds nothing to remove), so the last two stages
     have a term to check only on inputs that break the construction,
-    such as a tampered boolean handle.
+    such as a tampered boolean handle, whose families are built per word.
     """
     rep = CheckReport()
     mf = FreeMomentContext(sys.fp)
     letters = _per_letter(sys, _pipeline_letter)
-    ext_cache: dict = {}
     kappa_checked = 0
     mismatch = []
     for shape, eps_hat, pools in _word_sweep(_faces(sys), word_cap, sys.colours()):
@@ -402,7 +402,7 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
         eps = fctx.expand_colours(EpsilonMap(eps_hat))
         for handles in iproduct(*pools):
             word = [(s, h, letters[s, id(h)]) for s, h in zip(shape, handles)]
-            stage = _pipeline_word(sys, mf, fctx, eps, word, ext_cache)
+            stage = _pipeline_word(sys, mf, fctx, eps, word)
             if stage:
                 mismatch.append({"stage": stage, "word": [h.label for h in handles]})
         kappa_checked += 1
@@ -427,19 +427,15 @@ def _pipeline_letter(s: str, h: OperatorHandle) -> tuple:
     return (proj, *h.chain, proj)
 
 
-def _pipeline_word(sys, mf, fctx, eps, word, ext_cache):
+def _pipeline_word(sys, mf, fctx, eps, word):
     """The stage at which one word of the pipeline fails, or None; word
     lists (shape letter, handle, μ̃ atoms) per letter.  The handles'
     chains are λ/ρ atoms, so their concatenation is the split word that
-    lr_decompose takes."""
+    lr_decompose takes, and a boolean letter's two atoms sit where its
+    FfbContext's pairs do."""
     fp = sys.fp
-    chi = fctx.chi
-    split = []
-    projected = []
-    for s, h, _ in word:
-        if s == "b":
-            projected.append(len(split) + 1)
-        split += h.chain
+    projected = fctx.boolean_pair_starts()
+    split = [atom for _, h, _ in word for atom in h.chain]
     v_direct = mf.vector([h.chain for _, h, _ in word])
     dec = lr_decompose(split, fp, projected_positions=projected, coefficients=False)
     if not fp.equal(dec.direct, v_direct):
@@ -457,17 +453,13 @@ def _pipeline_word(sys, mf, fctx, eps, word, ext_cache):
     if dec.residual:
         union = set()
         for j in projected:
-            key = (chi.sides, eps.colours, j)
-            if key not in ext_cache:
-                sub = lateral_closure(
-                    enumerate_lr(
-                        ChiMap(chi.sides[j - 1 :]),
-                        EpsilonMap(eps.colours[j - 1 :]),
-                    )
+            sub = lateral_closure(
+                enumerate_lr(
+                    ChiMap(fctx.chi.sides[j - 1 :]), EpsilonMap(eps.colours[j - 1 :])
                 )
-                _, removed = filter_boolean(sub, eps.colour(j))
-                ext_cache[key] = chi_extensions(removed, chi, eps).keys()
-            union |= ext_cache[key]
+            )
+            _, removed = filter_boolean(sub, eps.colour(j))
+            union |= chi_extensions(removed, fctx.chi, eps).keys()
         for d, _, _ in dec.residual:
             if d.key() not in union:
                 return "residual-family"

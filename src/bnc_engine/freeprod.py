@@ -1003,24 +1003,18 @@ def lr_decompose(
 
 def _check_depth(ops, depth: int):
     """Raise DepthExceeded if some branch of the expansion of ops would
-    hold more than depth top strings.  Walks the colour tuples of the top
-    strings that the branching reaches, with no vectors."""
-    if len(ops) <= depth:
-        return  # each position opens at most one string
-    reach: set[tuple[int, ...]] = {()}
+    hold more than depth top strings.  Walks, with no vectors, the top
+    strings' colours on the branch that keeps them all: a node joins its
+    side's end string when the colours match, else opens one there.  By
+    induction every branch's tuple is a subsequence of that one: a close
+    drops an entry, and where a branch opens colour c and this one joins,
+    its end entry is c, so the branch's tuple embeds without it."""
+    tops: list[int] = []
     for side, colour, _ in reversed(ops):
-        nxt = set()
-        for tops in reach:
-            end = 0 if side == "l" else len(tops) - 1
-            if tops and tops[end] == colour:
-                nxt.add(tops)
-                nxt.add(tops[:end] + tops[end + 1 :])
-                continue
-            if len(tops) + 1 > depth:
-                raise DepthExceeded("decomposition word exceeds the depth")
-            nxt.add((colour,) + tops if side == "l" else tops + (colour,))
-            nxt.add(tops)
-        reach = nxt
+        if not tops or tops[0 if side == "l" else -1] != colour:
+            tops.insert(0 if side == "l" else len(tops), colour)
+    if len(tops) > depth:
+        raise DepthExceeded("decomposition word exceeds the depth")
 
 
 def _close(new, fp, coeff, done, top, factors, b, from_left, primed):

@@ -63,14 +63,6 @@ def unit_vec(n: int, i: int) -> Vec:
     return v
 
 
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
-    return [a + b for a, b in zip(u, v, strict=True)]
-
-
-def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vec:
-    return [c * a for a in v]
-
-
 def mat_zero(rows: int, cols: int) -> Mat:
     return [[ZERO] * cols for _ in range(rows)]
 

@@ -400,17 +400,6 @@ def _mu_to_top(tau: tuple[int, ...]) -> int:
     return val
 
 
-def interval_below(
-    sigma: SetPartition, ctx: BNCContext
-) -> list[tuple[tuple[int, ...], int]]:
-    """(rgs of pi, mu(pi, sigma)) for every bi-non-crossing pi <= sigma:
-    sigma's row of the NC(n) kernel, pulled back.  mu never vanishes on
-    an NC interval, so every member of the interval is listed."""
-    pulled = bnc_lattice(ctx)[2]
-    slots, mus = nc_row(ctx.n, _nc_slot(sigma, ctx))
-    return [(pulled[t], mu) for t, mu in zip(slots, mus)]
-
-
 def _heads(labels) -> tuple[int, ...]:
     """Position u carrying the first position of its block."""
     first: dict = {}

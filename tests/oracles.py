@@ -10,10 +10,13 @@ from bnc_engine.partitions import (
     SizeMismatch,
     _canonical_rgs,
     _crossing_pair,
+    _nc_slot,
     _shared_pair,
+    bnc_lattice,
     build_context,
     enumerate_bnc,
     in_bnc_ffb,
+    nc_row,
     refines,
     relabelled_rgs,
 )
@@ -51,6 +54,42 @@ def join(pi: SetPartition, sigma: SetPartition, ctx) -> SetPartition:
         keep, drop = pair
         labels = tuple(keep if b == drop else b for b in labels)
     return SetPartition(_canonical_rgs(labels[t] for t in ctx.rank))
+
+
+def interval_below(
+    sigma: SetPartition, ctx
+) -> list[tuple[tuple[int, ...], int]]:
+    """(rgs of pi, mu(pi, sigma)) for every bi-non-crossing pi <= sigma:
+    sigma's row of the NC(n) kernel, pulled back.  mu never vanishes on
+    an NC interval, so every member of the interval is listed."""
+    pulled = bnc_lattice(ctx)[2]
+    slots, mus = nc_row(ctx.n, _nc_slot(sigma, ctx))
+    return [(pulled[t], mu) for t, mu in zip(slots, mus)]
+
+
+def max_top_strings(ops) -> int:
+    """The most top strings that any branch of lr_decompose's expansion
+    of ops holds, ops a word of (side, colour, ...) atoms: the colour
+    tuples of the top strings that the branching reaches, walked from the
+    last position to the first with no vectors.  A node joins the end
+    string of its side when the colours match, and then keeps it at the
+    top or closes it; otherwise it opens a string there, or one that it
+    closes at once."""
+    reach: set[tuple[int, ...]] = {()}
+    most = 0
+    for side, colour, *_ in reversed(ops):
+        nxt = set()
+        for tops in reach:
+            end = 0 if side == "l" else len(tops) - 1
+            if tops and tops[end] == colour:
+                nxt.add(tops)
+                nxt.add(tops[:end] + tops[end + 1 :])
+                continue
+            nxt.add((colour,) + tops if side == "l" else tops + (colour,))
+            nxt.add(tops)
+        reach = nxt
+        most = max(most, *map(len, reach))
+    return most
 
 
 def off_lattice_refining(fctx, colours: SetPartition) -> list:

@@ -19,7 +19,7 @@ from bnc_engine.bimult import (
 from bnc_engine.cumulants import (
     AlgebraMomentContext,
     _interval_weights,
-    _weighted_sum,
+    _slot_sum,
     ColouringError,
     SideMismatch,
     audit_ffb_word,
@@ -52,11 +52,10 @@ from bnc_engine.partitions import (
     catalan,
     enumerate_bnc,
     in_bnc_ffb,
-    interval_below,
     lr_replacement,
     refines,
 )
-from oracles import reduce_direct, reduce_in_random_order
+from oracles import interval_below, reduce_direct, reduce_in_random_order
 
 SP = space_m2_scalar()
 MF = AlgebraMomentContext(SP)
@@ -663,6 +662,24 @@ def test_mixed_cumulants_vanish_up_to_length_five():
     assert kap.is_zero()
 
 
+def test_empty_word_is_one_partition_with_moment_one():
+    """n = 0: NC(0) is the empty partition alone, whose moment and
+    cumulant are the expectation of the empty product, 1, and the
+    independence check and the FFB audit pass every claim; over m2-scalar
+    and over a scalar free product."""
+    ctx = build_context(ChiMap(()))
+    empty = SetPartition(())
+    fp = reduced_free_product({1: scalar_module(2), 2: scalar_module(2)}, 1)
+    for mf, one in ((MF, SP.B.one()), (FreeMomentContext(fp), fp.B.one())):
+        assert e_pi(empty, ctx, [], mf) == one
+        assert moment_table(ctx, [], mf) == {(): one}
+        assert cumulant_table(ctx, [], mf) == {(): one}
+        assert kappa_pi(empty, ctx, [], mf) == one
+        assert bifree_moment_check(ChiMap(()), EpsilonMap(()), [], mf).ok
+        fctx = lr_replacement(ChiMap(()))
+        assert audit_ffb_word(fctx, EpsilonMap(()), [], mf).ok
+
+
 def test_interval_weights_match_summed_cumulants():
     # one weight map over the moment table against a kappa_pi per top,
     # on a random table, for every chi-hat of expanded length <= 5
@@ -685,9 +702,7 @@ def test_interval_weights_match_summed_cumulants():
                 zero = SP.B.element([Fraction(0)])
                 slot = dict(zip(lattice, slots))
                 weights = _interval_weights(ctx.n, [slot[pi] for pi in tops])
-                got = _weighted_sum(
-                    table, ((pulled[t], w) for t, w in enumerate(weights) if w)
-                )
+                got = _slot_sum({t: table[pulled[t]] for t in slots}, weights, zero)
                 want = zero
                 for pi in tops:
                     want = want + kappa_pi(pi, ctx, None, None, moments=table)

@@ -49,6 +49,7 @@ from bnc_engine.linalg import (
     nullspace,
 )
 from bnc_engine.partitions import ChiMap, EpsilonMap, lr_replacement
+from oracles import max_top_strings
 
 RNG = random.Random(11)
 
@@ -837,6 +838,23 @@ def test_lr_decompose_depth_guard_matches_diagram_tops():
             assert lr_decompose(ops, fp).direct == {}
 
 
+def test_depth_walk_matches_the_reach_set_maximum():
+    """The guard's one walk, along the branch that keeps every string at
+    the top, against the reach set of every branch: for every (side,
+    colour) word of 1..6 letters over colours 1-3, _check_depth passes at
+    the most top strings a branch reaches and raises one below it."""
+    words = 0
+    for n in range(1, 7):
+        for letters in iproduct(iproduct("lr", (1, 2, 3)), repeat=n):
+            ops = [(s, k, None) for s, k in letters]
+            most = max_top_strings(ops)
+            freeprod._check_depth(ops, most)
+            with pytest.raises(DepthExceeded):
+                freeprod._check_depth(ops, most - 1)
+            words += 1
+    assert words == 55986
+
+
 def _direct_word(fp, ops):
     vec = fp.unit()
     for side, k, op in reversed(ops):
@@ -1052,9 +1070,10 @@ def test_a_chain_stops_at_its_vanishing_suffix(monkeypatch):
 
 
 def test_check_ffb_system_applies_pinned_atoms(monkeypatch):
-    """check_ffb_system(doubled-m2 at depth 6, cap 3) applies 2,356 atoms;
-    before chains stopped at their first vanishing vector it applied
-    2,992."""
+    """check_ffb_system(doubled-m2 at depth 6, cap 3) applies 2,254 atoms;
+    before the unit left the probe basis (over B = Q it is B's one basis
+    vector) it applied 2,356, and before chains stopped at their first
+    vanishing vector 2,992."""
     system = system_doubled_m2(6)
     applied = []
     real = freeprod.apply_atom
@@ -1065,7 +1084,7 @@ def test_check_ffb_system_applies_pinned_atoms(monkeypatch):
 
     monkeypatch.setattr(freeprod, "apply_atom", counting)
     assert ffb.check_ffb_system(system, word_cap=3).ok
-    assert len(applied) == 2356
+    assert len(applied) == 2254
 
 
 def test_equal_b_atoms_share_one_id():

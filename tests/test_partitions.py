@@ -16,7 +16,6 @@ from bnc_engine.partitions import (
     enumerate_bnc,
     enumerate_bnc_ffb,
     in_bnc_ffb,
-    interval_below,
     is_bnc,
     is_noncrossing_rgs,
     lr_replacement,
@@ -27,7 +26,7 @@ from bnc_engine.partitions import (
     refines,
 )
 from bnc_engine.partitions import _canonical_rgs, _mu_to_top, _noncrossing_partitions
-from oracles import all_partitions, join
+from oracles import all_partitions, interval_below, join
 
 PAPER_CHI = ChiMap.parse("lrlllr")  # lefts {1,3,4,5}, rights {2,6}
 
