@@ -326,6 +326,57 @@ REGISTER = (
         "    return None\n",
         ("tests/test_cumulants.py::test_empty_word_is_one_partition_with_moment_one",),
     ),
+    # one LR step: the join or open picks the branch, one helper keeps
+    # or closes it, and each diagram group is made once
+    Mutant(
+        "l1",
+        "freeprod.py",
+        "(-coeff, done + (nodes,)",
+        "(coeff, done + (nodes,)",
+        (LR_PIN,),
+    ),
+    Mutant(
+        "l2",
+        "freeprod.py",
+        "    at = 0 if left else len(rest)\n",
+        "    at = 0\n",
+        (LR_PIN,),
+    ),
+    Mutant(
+        "l3",
+        "freeprod.py",
+        "    end = 0 if left else len(rest) - 1\n",
+        "    end = 0\n",
+        (LR_PIN,),
+    ),
+    Mutant(
+        "l4",
+        "freeprod.py",
+        "            end = 0 if left else len(top) - 1\n",
+        "            end = 0\n",
+        (LR_PIN,),
+    ),
+    Mutant(
+        "l5",
+        "diagrams.py",
+        "            at = 0 if left else len(rest)\n",
+        "            at = 0\n",
+        ("tests/test_diagrams.py::test_worked_example_family_of_eight",),
+    ),
+    Mutant(
+        "l6",
+        "diagrams.py",
+        "            end = 0 if left else len(top) - 1\n",
+        "            end = 0\n",
+        ("tests/test_acceptance.py::test_criterion_5_lr_decomposition",),
+    ),
+    Mutant(
+        "l7",
+        "freeprod.py",
+        "        if key not in built:\n",
+        "        if True:\n",
+        ("tests/test_freeprod.py::test_lr_decompose_makes_each_diagram_once",),
+    ),
     # the proof pipeline's residual stages, each with a term to check
     # only on a tampered boolean handle
     Mutant(

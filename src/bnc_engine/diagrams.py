@@ -154,31 +154,30 @@ def _check_lengths(chi: ChiMap, eps: EpsilonMap):
 
 
 def enumerate_lr(chi: ChiMap, eps: EpsilonMap) -> DiagramFamily:
-    """The plain recursive family; exactly 2^n diagrams."""
+    """The plain recursive family; exactly 2^n diagrams.
+
+    One step per node i, from n down to 1: its string is the side's end
+    top string with i prepended when that string carries i's shade, else
+    the fresh (i,), and rest is the top strings beside it.  The step
+    then keeps the string at rest's end on i's side, or closes it off."""
     _check_lengths(chi, eps)
     check_cap(chi.n, LR_CAP)
     n = chi.n
     # state: (completed strings tuple, top list tuple of node-tuples)
     states = [((), ())]
     for i in range(n, 0, -1):
-        side = chi.side(i)
+        left = chi.side(i) == "l"
         shade = eps.colour(i)
         new_states = []
         for completed, top in states:
-            end = 0 if side == "l" else len(top) - 1
-            target = top[end] if top else None
-            if target is not None and eps.colour(target[0]) == shade:
-                joined = (i,) + target
-                rest = top[:end] + top[end + 1 :]
-                # keep the joined string at its slot, or close it off
-                kept = top[:end] + (joined,) + top[end + 1 :]
-                new_states.append((completed, kept))
-                new_states.append((completed + ((joined, False),), rest))
+            end = 0 if left else len(top) - 1
+            if top and eps.colour(top[end][0]) == shade:
+                string, rest = (i,) + top[end], top[:end] + top[end + 1 :]
             else:
-                fresh = (i,)
-                at = 0 if side == "l" else len(top)
-                new_states.append((completed, top[:at] + (fresh,) + top[at:]))
-                new_states.append((completed + ((fresh, False),), top))
+                string, rest = (i,), top
+            at = 0 if left else len(rest)
+            new_states.append((completed, rest[:at] + (string,) + rest[at:]))
+            new_states.append((completed + ((string, False),), rest))
         states = new_states
     diagrams = []
     for completed, top in states:
@@ -231,12 +230,12 @@ def lateral_closure(fam: DiagramFamily) -> DiagramFamily:
 
 
 def filter_boolean(fam: DiagramFamily, k: int):
-    """Split by the top-gap colour rule: keep diagrams with no top
-    string, or exactly one of colour k."""
+    """Split by the top-gap colour rule that the boolean projection P_k
+    applies (TruncatedFreeProduct.bool_proj): keep diagrams whose top
+    shades are () or (k,), that is no top string or one of colour k."""
     kept, removed = [], []
     for d in fam.diagrams:
-        shades = d.top_shades()
-        if len(shades) == 0 or (len(shades) == 1 and shades[0] == k):
+        if d.top_shades() in ((), (k,)):
             kept.append(d)
         else:
             removed.append(d)

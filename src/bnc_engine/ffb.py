@@ -288,7 +288,7 @@ def ffb_sweep(sys: FfbSystem, max_n: int) -> tuple[int, Optional[dict]]:
     mf = FreeMomentContext(sys.fp)
     words = 0
     for shape, eps_hat, pools in _word_sweep(_faces(sys), max_n, sys.colours()):
-        fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
+        fctx = lr_replacement(ChiMap(shape, three_letter=True))
         eps = fctx.expand_colours(EpsilonMap(eps_hat))
         Z = [(atom,) for pool in pools for atom in pool[0].chain]
         rep = audit_ffb_word(fctx, eps, Z, mf)
@@ -398,7 +398,7 @@ def verify_system_gives_ffb(sys: FfbSystem, word_cap: int) -> CheckReport:
     kappa_checked = 0
     mismatch = []
     for shape, eps_hat, pools in _word_sweep(_faces(sys), word_cap, sys.colours()):
-        fctx = lr_replacement(ChiMap(shape, three_letter="b" in shape))
+        fctx = lr_replacement(ChiMap(shape, three_letter=True))
         eps = fctx.expand_colours(EpsilonMap(eps_hat))
         for handles in iproduct(*pools):
             word = [(s, h, letters[s, id(h)]) for s, h in zip(shape, handles)]

@@ -36,17 +36,16 @@ through the last; a new leg deeper than the configured depth raises
 DepthExceeded rather than truncating silently.
 
 Word decomposition.  lr_decompose expands a word applied to the unit
-branch by branch, as the LR diagrams are built, and builds only live
-branches: one whose new or folded factor is the zero module vector, or
-whose collapsed B value is zero, is never made.  That is exact for any
-B: each later step maps the factor linearly, so it stays zero, and so
-does the tensor word the branch ends in.  The test reads the whole
-module vector, because a factor whose complement part is zero still
-feeds later cut branches through its B part.  The surviving terms are
-summed per diagram, keyed by its sorted closed strings and its top
-strings, so make_diagram runs once per diagram, and only for what is
-read: without coefficients, the diagrams with a residual part at once
-and the others when the contributions are first read.
+as the LR diagrams are built, each top string carrying its own module
+vector: per node one step, a join (merge, or cut at the B part) or an
+open, whose string is then kept at the top or closed into the string
+beside it.  Only live branches are built (lr_decompose says why that is
+exact for any B).  The terms are summed per diagram, keyed by its
+sorted closed strings and its top strings; each diagram is made once
+and kept by that key, so a group's residual part and its total share
+it, and make_diagram runs only for what is read: without coefficients,
+the diagrams with a residual part at once and the others when the
+contributions are first read.
 
 Operator words.  A word is a chain of atoms, applied last atom first.
 A λ/ρ atom is the triple (side, colour, operator), side 'l' for the
@@ -845,16 +844,15 @@ def e_d_vector(diagram: LRDiagram, word: list[Atom], mf: FreeMomentContext) -> F
 class _Term(NamedTuple):
     """One live branch of the expansion: a signed diagram in progress.
 
-    top holds the node sets of the strings at the top gap, leftmost
-    first, and factors their (colour, module vector) pairs; with no top
-    string left, bval holds the collapsed B coefficients instead.  No
-    factor and no bval is ever the zero vector (see lr_decompose).
+    top holds the strings at the top gap, leftmost first, each as
+    (nodes, colour, module vector); with no top string left, bval holds
+    the collapsed B coefficients instead.  No top string's vector and no
+    bval is ever the zero vector (see lr_decompose).
     """
 
     coeff: int
     done: tuple[tuple[int, ...], ...]  # closed strings, in closing order
-    top: tuple[tuple[int, ...], ...]
-    factors: tuple[tuple[int, Vec], ...]
+    top: tuple[tuple[tuple[int, ...], int, Vec], ...]
     bval: Optional[Sequence[Scalar]]
     primed: bool
 
@@ -900,19 +898,23 @@ def lr_decompose(
     """Expand an operator word applied to the unit into diagram terms.
 
     ops is the word, one λ/ρ atom (side, colour, operator) per position.
-    The expansion replays the construction: each application branches
-    on joining or opening a string, keeping it at the top or closing it,
-    and on the split of a consumed string into its pure word and its
-    collapsed value (the latter with a sign, accounting for cut diagrams).
+    The expansion replays the construction, node n first.  Each node
+    picks its branches and the top strings rest beside its string: a
+    join (the side's end string has the node's colour) gives the merge
+    ((i,) + nodes, op·u) and, when u has a B part, the cut (-coeff, the
+    consumed string closed, (i,), op·u_B), with rest the top strings
+    without the end one; an open gives ((i,), op·unit), or op·bval when
+    no top string is left, with rest all of them.  _keep_or_close then
+    keeps each branch's string at the top or closes it.
 
-    Only live branches are built.  A branch whose new or folded factor
-    is the zero module vector, or whose collapsed B value is zero, is
-    never made: every later step maps that factor linearly (a merge, a
-    cut through its B part, a fold, or a close reading its B part), so
-    it stays zero, and so does the tensor word the branch ends in, for
-    any B.  The test reads the whole module vector: a factor whose
-    complement part is zero is live, since its B part feeds later cut
-    branches.  Terms are grouped by their diagram, that is by their
+    Only live branches are built.  A branch whose new or folded string
+    vector is the zero module vector, or whose collapsed B value is
+    zero, is never made: every later step maps that vector linearly (a
+    merge, a cut through its B part, a fold, or a close reading its B
+    part), so it stays zero, and so does the tensor word the branch ends
+    in, for any B.  The test reads the whole module vector: a vector
+    whose complement part is zero is live, since its B part feeds later
+    cut branches.  Terms are grouped by their diagram, that is by their
     sorted closed strings and their top strings.  DepthExceeded is
     decided before the expansion, from the sides and colours alone, so
     it does not depend on pruning.
@@ -941,59 +943,30 @@ def lr_decompose(
                     "so its diagram parts have no scalar coefficients"
                 )
     nb = fp.B.dim
-    terms = [_Term(1, (), (), (), fp.B.one().coeffs, True)]
+    terms = [_Term(1, (), (), fp.B.one().coeffs, True)]
     for i in range(n, 0, -1):
         side, colour, op = ops[i - 1]
         left = side == "l"
         new: list[_Term] = []
-        for coeff, done, top, factors, bval, primed in terms:
-            end = 0 if left else len(factors) - 1
-            if factors and factors[end][0] == colour:
-                # join the end string (merge) or cut it at its B part
-                u = factors[end][1]
-                branches = [(op.apply(u), coeff, (i,) + top[end], done)]
+        for coeff, done, top, bval, primed in terms:
+            end = 0 if left else len(top) - 1
+            if top and top[end][1] == colour:
+                # join the end string (merge), or cut it at its B part
+                nodes, _, u = top[end]
+                rest = top[:end] + top[end + 1 :]
+                branches = [(coeff, done, (i,) + nodes, op.apply(u))]
                 if any(u[:nb]):
-                    cut = op.apply(u[:nb])
-                    branches.append((cut, -coeff, (i,), done + (top[end],)))
-                rest_top = top[:end] + top[end + 1 :]
-                rest = factors[:end] + factors[end + 1 :]
-                for raw, c, nodes, d in branches:
-                    if not any(raw):
-                        continue
-                    new.append(
-                        _Term(
-                            c,
-                            d,
-                            top[:end] + (nodes,) + top[end + 1 :],
-                            factors[:end] + ((colour, raw),) + factors[end + 1 :],
-                            None,
-                            primed,
-                        )
-                    )
-                    done_c = d + (nodes,)
-                    _close(new, fp, c, done_c, rest_top, rest, raw[:nb], left, primed)
+                    branches.append((-coeff, done + (nodes,), (i,), op.apply(u[:nb])))
             else:
                 # open a string at the end
-                x = op.unit_image if factors else op.apply(bval)
-                if not any(x):
-                    continue
-                at = 0 if left else len(factors)
-                new.append(
-                    _Term(
-                        coeff,
-                        done,
-                        top[:at] + ((i,),) + top[at:],
-                        factors[:at] + ((colour, x),) + factors[at:],
-                        None,
-                        primed,
-                    )
-                )
-                done_c = done + ((i,),)
-                _close(new, fp, coeff, done_c, top, factors, x[:nb], left, primed)
+                x = op.unit_image if top else op.apply(bval)
+                rest, branches = top, [(coeff, done, (i,), x)]
+            for branch in branches:
+                _keep_or_close(new, fp, branch, rest, colour, left, primed)
         if i in projected:
             new = [
                 t._replace(primed=False)
-                if t.primed and not _survives(t.factors, colour)
+                if t.primed and not _survives(t.top, colour)
                 else t
                 for t in new
             ]
@@ -1004,8 +977,9 @@ def lr_decompose(
 def _check_depth(ops, depth: int):
     """Raise DepthExceeded if some branch of the expansion of ops would
     hold more than depth top strings.  Walks, with no vectors, the top
-    strings' colours on the branch that keeps them all: a node joins its
-    side's end string when the colours match, else opens one there.  By
+    strings' colours on the keep branch of lr_decompose's one step, for
+    every node: a node joins its side's end string when the colours
+    match, else opens one there, and the string stays at the top.  By
     induction every branch's tuple is a subsequence of that one: a close
     drops an entry, and where a branch opens colour c and this one joins,
     its end entry is c, so the branch's tuple embeds without it."""
@@ -1017,37 +991,47 @@ def _check_depth(ops, depth: int):
         raise DepthExceeded("decomposition word exceeds the depth")
 
 
-def _close(new, fp, coeff, done, top, factors, b, from_left, primed):
-    """Append the branch closing a string with collapsed value b: b folds
-    into the end factor of the strings left at the top, or becomes the
-    branch's bval when none is left.  Nothing is appended when b or the
-    folded factor is zero."""
+def _keep_or_close(new, fp, branch, rest, colour, left, primed):
+    """The one step of the expansion: append the two terms of a branch
+    (coeff, done, nodes, vec), whose string of the node's colour carries
+    vec, beside the top strings rest.  Kept, the string goes at rest's
+    end on the node's side (index 0 or len(rest)); closed, its B part
+    folds into rest's end string on that side through the module's
+    kernels, or becomes the term's bval when rest is empty.  Nothing is
+    appended for a zero vec, a zero B part or a zero fold."""
+    coeff, done, nodes, vec = branch
+    if not any(vec):
+        return
+    at = 0 if left else len(rest)
+    kept = rest[:at] + ((nodes, colour, vec),) + rest[at:]
+    new.append(_Term(coeff, done, kept, None, primed))
+    b = vec[: fp.B.dim]
     if not any(b):
         return
-    if not factors:
-        new.append(_Term(coeff, done, top, (), b, primed))
+    done += (nodes,)
+    if not rest:
+        new.append(_Term(coeff, done, (), b, primed))
         return
-    at = 0 if from_left else len(factors) - 1
-    k, u = factors[at]
+    end = 0 if left else len(rest) - 1
+    end_nodes, k, u = rest[end]
     comp = fp.components[k]
-    kers = comp.left_kernels if from_left else comp.right_kernels
-    folded = combine(b, kers, u, len(u))
+    folded = combine(b, comp.left_kernels if left else comp.right_kernels, u, len(u))
     if any(folded):
-        factors = factors[:at] + ((k, folded),) + factors[at + 1 :]
-        new.append(_Term(coeff, done, top, factors, None, primed))
+        closed = rest[:end] + ((end_nodes, k, folded),) + rest[end + 1 :]
+        new.append(_Term(coeff, done, closed, None, primed))
 
 
-def _survives(factors, colour: int) -> bool:
+def _survives(top, colour: int) -> bool:
     """Whether the boolean projection onto colour keeps a term's words."""
-    return not factors or (len(factors) == 1 and factors[0][0] == colour)
+    return not top or (len(top) == 1 and top[0][1] == colour)
 
 
 def _assemble(fp: TruncatedFreeProduct, t: _Term) -> FpVec:
     """The term's tensor word, without its sign."""
-    if not t.factors:
+    if not t.top:
         return {(): {i: c for i, c in enumerate(t.bval) if c}}
     nb = fp.B.dim
-    return fp.tensor_embed([(k, u[nb:]) for k, u in t.factors])
+    return fp.tensor_embed([(k, u[nb:]) for _, k, u in t.top])
 
 
 def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decomposition:
@@ -1055,10 +1039,12 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
     projected word and the others per diagram into residual parts.  A
     diagram is its sorted closed strings and its top strings, so terms
     are grouped by that key, and make_diagram runs once per group that
-    is read.  Without coefficients only the groups with a residual part
-    are built here; the contributions, every group's total, are grouped
-    when first read.  With coefficients every group is divided by its
-    rule vector here, so a part that is no multiple of it raises now."""
+    is read: the diagrams are kept by key, so a group's residual part
+    and its total share one.  Without coefficients only the groups with
+    a residual part are built here; the contributions, every group's
+    total, are grouped when first read.  With coefficients every group
+    is divided by its rule vector here, so a part that is no multiple of
+    it raises now."""
     direct: FpVec = {}
     primed: FpVec = {}
     vecs = []
@@ -1071,11 +1057,14 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
             _acc_vec(primed, vec, t.coeff)
         else:
             _acc_vec(resid_parts.setdefault(_diagram_key(t), {}), vec, t.coeff)
+    built: dict = {}  # diagram key -> diagram
 
     def diagram(key) -> LRDiagram:
-        done, top = key
-        strings = [(s, False) for s in done] + [(s, True) for s in top]
-        return make_diagram(chi, eps, strings, top)
+        if key not in built:
+            done, top = key
+            strings = [(s, False) for s in done] + [(s, True) for s in top]
+            built[key] = make_diagram(chi, eps, strings, top)
+        return built[key]
 
     def by_diagram(parts: dict) -> list[tuple[LRDiagram, FpVec]]:
         """The nonzero parts with their diagrams, in diagram-key order."""
@@ -1122,7 +1111,7 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
 def _diagram_key(t: _Term):
     """The key of a term's diagram: its sorted closed strings and its top
     strings."""
-    return tuple(sorted(t.done)), t.top
+    return tuple(sorted(t.done)), tuple([s[0] for s in t.top])
 
 
 def _acc_vec(out: FpVec, vec: FpVec, sign: int = 1):

@@ -160,9 +160,6 @@ class SetPartition:
             out[b].append(i + 1)
         return [tuple(b) for b in out]
 
-    def same_block(self, i: int, j: int) -> bool:
-        return self.rgs[i - 1] == self.rgs[j - 1]
-
     @staticmethod
     def from_blocks(n: int, blocks) -> "SetPartition":
         assign = {}
@@ -505,28 +502,19 @@ def lr_replacement(chi_hat: ChiMap) -> FfbContext:
     """
     sides: list[str] = []
     f: list[int] = []
-    for i in range(1, chi_hat.n + 1):
+    blocks: list[tuple[int, ...]] = []
+    for s in chi_hat.sides:
         f.append(len(sides) + 1)
-        s = chi_hat.side(i)
-        if s == "b":
-            sides.extend(("l", "r"))
-        else:
-            sides.append(s)
-    n = len(sides)
-    blocks: list[list[int]] = []
-    for i in range(1, chi_hat.n + 1):
-        if chi_hat.side(i) == "b":
-            blocks.append([f[i - 1], f[i - 1] + 1])
-        else:
-            blocks.append([f[i - 1]])
-    bottom = SetPartition.from_blocks(n, blocks)
+        sides.extend(("l", "r") if s == "b" else (s,))
+        blocks.append(tuple(range(f[-1], len(sides) + 1)))
+    bottom = SetPartition.from_blocks(len(sides), blocks)
     return FfbContext(chi_hat, ChiMap(tuple(sides)), tuple(f), bottom)
 
 
 def in_bnc_ffb(pi: SetPartition, fctx: FfbContext) -> bool:
     if pi.n != fctx.n:
         raise SizeMismatch("partition size differs from expanded colouring")
-    return all(pi.same_block(j, j + 1) for j in fctx.boolean_pair_starts())
+    return all(pi.rgs[j - 1] == pi.rgs[j] for j in fctx.boolean_pair_starts())
 
 
 def enumerate_bnc_ffb(fctx: FfbContext) -> list[SetPartition]:

@@ -797,6 +797,37 @@ def test_lr_decompose_coefficients_over_diag2_pipeline_words():
     )
 
 
+def test_lr_decompose_makes_each_diagram_once(monkeypatch):
+    """With coefficients, a group's residual part and its total share one
+    diagram: within one call, make_diagram never builds the same
+    (chi, eps, sorted strings, top) twice.  200 seeded words of dense
+    operators over the scalar modules, lengths 2-6, each position
+    projected with probability 0.4; the totals are pinned."""
+    made = []
+
+    def recording(chi, eps, strings, top):
+        made.append((chi, eps, tuple(sorted(strings)), tuple(top)))
+        return make_diagram(chi, eps, strings, top)
+
+    monkeypatch.setattr(freeprod, "make_diagram", recording)
+    fp = reduced_free_product(MODS, 6)
+    rng = random.Random(3)
+    diagrams = residual = 0
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        ops = []
+        for _ in range(n):
+            k = rng.choice((1, 2))
+            ops.append((rng.choice("lr"), k, rand_op(MODS[k], rng)))
+        proj = [j for j in range(1, n + 1) if rng.random() < 0.4]
+        made.clear()
+        dec = lr_decompose(ops, fp, proj)
+        assert len(made) == len(set(made))
+        diagrams += len(made)
+        residual += len(dec.residual)
+    assert (diagrams, residual) == (1082, 631)
+
+
 def test_lr_decompose_depth_guard_ignores_zero_branches():
     """At depth 1, position 1 opens a second top string on every branch
     that position 2 leaves open; here each of those branches is zero,
