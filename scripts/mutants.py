@@ -53,6 +53,7 @@ CHECKER_REACH = "tests/test_ffb.py::test_checkers_build_only_the_word_spaces_the
 DENSE = "tests/test_freeprod.py::test_lambda_rho_match_a_dense_oracle_on_word_basis_vectors"
 LR_PIN = "tests/test_freeprod.py::test_lr_decompose_output_is_pinned"
 STOPS = "tests/test_cumulants.py::test_stops_replay_matches_direct_reduction"
+REPLAY = "tests/test_cumulants.py::test_plan_replay_matches_direct_reduction"
 RESIDUAL = (
     "tests/test_ffb.py::test_pipeline_residual_stages_flag_a_right_sided_left_factor"
 )
@@ -392,6 +393,49 @@ REGISTER = (
         "    if dec.residual:\n",
         "    if False:\n",
         (RESIDUAL,),
+    ),
+    # the walk memo of AlgebraMomentContext: its value keys, and its
+    # lifetime of one walk
+    Mutant(
+        "a1",
+        "cumulants.py",
+        "        key = (kind, value.coeffs, elem.coeffs)\n",
+        "        key = (value.coeffs, elem.coeffs)\n",
+        (REPLAY,),
+    ),
+    Mutant(
+        "a2",
+        "cumulants.py",
+        "        key = tuple([e.coeffs for e in elems])\n",
+        "        key = tuple(sorted([e.coeffs for e in elems]))\n",
+        (REPLAY,),
+    ),
+    Mutant(
+        "a3",
+        "cumulants.py",
+        "        return _WalkMemo(self.space)\n",
+        '        self.__dict__.setdefault("_memo", _WalkMemo(self.space))\n'
+        "        return self._memo\n",
+        ("tests/test_cumulants.py::test_walk_memo_lives_for_one_walk",),
+    ),
+    # more than two colours, and the boolean-pair sublattice as the
+    # interval above bottom
+    Mutant(
+        "y1",
+        "ffb.py",
+        "        if len(set(eps)) < 2:\n",
+        "        if len(set(eps)) != 2:\n",
+        ("tests/test_ffb.py::test_three_colour_system_claim_ids",),
+    ),
+    Mutant(
+        "u1",
+        "cumulants.py",
+        "        if all(rgs[j - 1] == rgs[j] for j in starts)\n",
+        "        if all(rgs[j - 1] == rgs[j] for j in starts[:1])\n",
+        (
+            "tests/test_ffb.py::test_boolean_pair_sublattice_is_the_interval_above_bottom",
+            "tests/test_ffb.py::test_sublattice_weights_are_delta_of_the_top",
+        ),
     ),
 )
 

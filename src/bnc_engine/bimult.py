@@ -69,7 +69,15 @@ class ReductionError(RuntimeError):
 
 
 class MomentContext:
-    """Interface for moment evaluation; subclasses define the algebra."""
+    """Interface for moment evaluation; subclasses define the algebra.
+
+    A walk of a program evaluates through for_walk(), called once per
+    walk and dropped when it returns.  cumulants.AlgebraMomentContext
+    gives a fresh memoizing view there, which computes each distinct
+    expectation (keyed by its operands' coefficient tuples, in order) and
+    each distinct insertion (keyed by kind, value and operand
+    coefficients) once per walk; every other context walks as itself.
+    """
 
     def expect(self, elems: list) -> object:
         """Expectation of the ordered product; B element."""
@@ -85,6 +93,13 @@ class MomentContext:
         """Whether value is zero, so that every moment reached by
         inserting it is zero too; a context that cannot tell says no."""
         return False
+
+    def for_walk(self) -> "MomentContext":
+        """The context one walk of a program evaluates through, dropped
+        when the walk returns: this context itself, or a fresh view over
+        the same algebra that keeps per-walk state (such as a memo of the
+        values it has computed) off the context its caller holds."""
+        return self
 
     def verify_side(self, elem, side: str) -> bool:
         """Whether elem lies in the commutant of its side ('l' or 'r'); a

@@ -7,7 +7,13 @@ them along the bi-non-crossing lattice.  AlgebraMomentContext reads
 the kernels its space builds once: a word's expectation closes with
 the bilinear form (y, x) ↦ E(y·x), and insert(kind, value, elem)
 passes the collapse kind on to BBProbSpace.insert, which combines that
-kind's sparse maps (x ↦ x·L_b, L_b·x or R_b·x).  The reduction plans
+kind's sparse maps (x ↦ x·L_b, L_b·x or R_b·x).  A walk evaluates
+through a fresh view, AlgebraMomentContext.for_walk(), that computes
+each distinct expectation (keyed by its operands' coefficient tuples, in
+order) and each distinct insertion (keyed by kind, value and operand
+coefficients) once: sibling and cousin groups keep multiplying the same
+operand values.  The view is dropped when the walk returns, so the
+context a caller holds keeps nothing between calls.  The reduction plans
 of every member of a colouring's lattice form one bimult.Program,
 whose leaves are the NC(n) slots; it takes the members' blocks as the
 lattice's one pass left them, and plans the members below a root group
@@ -15,9 +21,10 @@ lattice's one pass left them, and plans the members below a root group
 value that does not vanish.  chi and chi with its last side flipped
 share one program, whose side map has no entry for n: the planner
 reads side n only for the singleton {n}, a tail fold.  A moment table
-is one walk of that program, the leaves below a vanishing expectation
-filled with the zero the walk met.  e_pi replays one partition's plan
-with bimult.reduce_blocks, as a diagram's closed strings are replayed.
+is one walk of that program through the context's for_walk() view, the
+leaves below a vanishing expectation filled with the zero the walk met.
+e_pi replays one partition's plan with bimult.reduce_blocks, as a
+diagram's closed strings are replayed.
 A cumulant is pi's row of the NC(n) Mobius kernel (nc_row) over the
 moment vector, so a cumulant table is one sparse integer mat-vec.
 
@@ -81,6 +88,35 @@ class AlgebraMomentContext(MomentContext):
     def verify_side(self, elem, side: str) -> bool:
         return self.space.commutant_failure(elem, side) is None
 
+    def for_walk(self) -> "_WalkMemo":
+        return _WalkMemo(self.space)
+
+
+class _WalkMemo(AlgebraMomentContext):
+    """An AlgebraMomentContext for one walk: each distinct expectation,
+    keyed by its operands' coefficient tuples in order, and each distinct
+    insertion, keyed by (kind, value.coeffs, elem.coeffs), is computed
+    once and then read back, for as long as the walk holds the view."""
+
+    def __init__(self, space: BBProbSpace):
+        super().__init__(space)
+        self._expects: dict = {}
+        self._inserts: dict = {}
+
+    def expect(self, elems):
+        key = tuple([e.coeffs for e in elems])
+        value = self._expects.get(key)
+        if value is None:
+            value = self._expects[key] = self.space.expect_word(elems)
+        return value
+
+    def insert(self, kind, value, elem):
+        key = (kind, value.coeffs, elem.coeffs)
+        out = self._inserts.get(key)
+        if out is None:
+            out = self._inserts[key] = self.space.insert(kind, value, elem)
+        return out
+
 
 def e_pi(
     pi: SetPartition, ctx: BNCContext, Z: list, mf: MomentContext
@@ -114,7 +150,7 @@ def _walk(ctx: BNCContext, Z: list, mf: MomentContext):
     bnc_lattice(ctx)  # refuses an n over the cap before any plan
     prog = _program(ctx.s_chi, ctx.chi.sides[:-1])
     out: dict = {}
-    return out, run_program(prog, [None, *Z], mf, out)
+    return out, run_program(prog, [None, *Z], mf.for_walk(), out)
 
 
 def moment_table(ctx: BNCContext, Z: list, mf: MomentContext):
@@ -298,6 +334,12 @@ def audit_ffb_word(
     sublattice; the full-word cumulant restricted to that sublattice is
     unchanged; colour-refining partition moments vanish off it; and the
     full-word cumulant vanishes unless the colour map is constant.
+
+    The sublattice U is the interval [bottom, 1̂] (see FfbContext), so
+    the weights that sum its cumulants are δ(π, 1̂) on U.  The first claim
+    therefore holds exactly when the moments off U, under those weights,
+    add to 0, and the second when they add to 0 under mu(π, 1̂): both sum
+    claims test off-lattice moments only.
 
     The walk writes only the leaves it reaches, and every sum reads only
     the nonzero ones among them.  The off-lattice claim names how many

@@ -455,7 +455,12 @@ class FfbContext:
 
     Each 'b' position expands to a consecutive (l, r) pair; f maps
     original positions to expanded ones, and bottom is the partition
-    pairing every expanded boolean slot with its successor.
+    pairing every expanded boolean slot with its successor.  bottom is
+    bi-non-crossing, and the members of BNC(chi) that keep every boolean
+    pair together are those above it: the upper interval [bottom, 1̂],
+    isomorphic to [0̂, K(bottom)] and so of size the product of
+    Catalan(|B|) over the blocks B of the Kreweras complement K(bottom)
+    on the relabelled line.
     """
 
     chi_hat: ChiMap

@@ -160,3 +160,29 @@ def reduce_in_random_order(blocks, ops: dict, side: dict, ctx, rng):
             return value
         kind, target = step
         ops[target] = ctx.insert(kind, value, ops[target])
+
+
+def kreweras_blocks(labels) -> list[tuple[int, ...]]:
+    """The blocks of the Kreweras complement K(π) of a non-crossing
+    partition π of the line 0..n-1, one label per point: the cycles of
+    the permutation π⁻¹γ, where π sends each point to the next of its
+    block (the last to the first) and γ is the cycle (0 1 ... n-1)."""
+    n = len(labels)
+    blocks: dict = {}
+    for i, b in enumerate(labels):
+        blocks.setdefault(b, []).append(i)
+    inverse = {}  # π⁻¹: each point to the one before it in its block
+    for blk in blocks.values():
+        for a, b in zip(blk, blk[1:] + blk[:1]):
+            inverse[b] = a
+    seen: set = set()
+    out = []
+    for i in range(n):
+        cycle = []
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = inverse[(i + 1) % n]
+        if cycle:
+            out.append(tuple(sorted(cycle)))
+    return out

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from array import array
 from fractions import Fraction
 from itertools import product as iproduct
@@ -7,6 +9,7 @@ from itertools import product as iproduct
 import pytest
 
 from bnc_engine import bimult, cumulants, ffb
+from bnc_engine.algebra import BBProbSpace
 from bnc_engine.bimult import (
     APPEND_LEFT,
     PREPEND_LEFT,
@@ -541,6 +544,98 @@ def test_pruning_skips_expectations():
         moment_table(ctx, Z, mf)
         counts.append(mf.expects)
     assert counts == [27, 264]
+
+
+class KeyRecordingContext(AlgebraMomentContext):
+    """An AlgebraMomentContext that walks as itself, with no memo, and
+    records the value key of every expectation and insertion it makes."""
+
+    def __init__(self, space):
+        super().__init__(space)
+        self.expects, self.inserts = [], []
+
+    def expect(self, elems):
+        self.expects.append(tuple(e.coeffs for e in elems))
+        return super().expect(elems)
+
+    def insert(self, kind, value, elem):
+        self.inserts.append((kind, value.coeffs, elem.coeffs))
+        return super().insert(kind, value, elem)
+
+    def for_walk(self):
+        return self
+
+
+def test_walk_computes_each_distinct_expectation_and_insertion_once(monkeypatch):
+    # seeded side-element words of 5-7 letters over m2-scalar and diag2:
+    # the space computes one expectation per distinct operand-value tuple
+    # and one insertion per distinct (kind, value, operand) of the walk,
+    # and the table equals the unmemoized walk's
+    calls = {"expect_word": 0, "insert": 0}
+    for name in calls:
+        method = getattr(BBProbSpace, name)
+
+        def counting(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(BBProbSpace, name, counting)
+    rng = random.Random(31)
+    totals = []
+    for space in (SP, space_diag2()):
+        for sides in ("lrrll", "rlrlrl", "lrrlrll"):
+            ctx = build_context(ChiMap(tuple(sides)))
+            Z = [sample_side_element(space, s, rng) for s in sides]
+            plain = KeyRecordingContext(space)
+            want = moment_table(ctx, Z, plain)
+            for name in calls:
+                calls[name] = 0
+            assert moment_table(ctx, Z, AlgebraMomentContext(space)) == want
+            made = (len(plain.expects), len(plain.inserts))
+            distinct = (len(set(plain.expects)), len(set(plain.inserts)))
+            assert (calls["expect_word"], calls["insert"]) == distinct, sides
+            totals.append((made, distinct))
+    # (expectations, insertions) a plain walk makes, then the distinct ones
+    assert totals == [
+        ((69, 28), (53, 23)),
+        ((189, 79), (95, 41)),
+        ((780, 408), (507, 252)),
+        ((83, 42), (27, 15)),
+        ((126, 42), (43, 12)),
+        ((864, 456), (79, 46)),
+    ]
+
+
+def test_walk_memo_lives_for_one_walk(monkeypatch):
+    """A shared AlgebraMomentContext keeps no per-walk state: each walk
+    of moment_table and cumulant_table runs through a fresh for_walk
+    view, freed by reference counting when the walk returns."""
+    views = []
+    make = AlgebraMomentContext.for_walk
+
+    def recording(self):
+        view = make(self)
+        views.append(weakref.ref(view))
+        return view
+
+    monkeypatch.setattr(AlgebraMomentContext, "for_walk", recording)
+    spd = space_diag2()
+    mf = AlgebraMomentContext(spd)
+    rng = random.Random(37)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for sides in ("lrl", "lrrlrl"):
+            ctx = build_context(ChiMap(tuple(sides)))
+            Z = [sample_side_element(spd, s, rng) for s in sides]
+            moment_table(ctx, Z, mf)
+            cumulant_table(ctx, Z, mf)
+            assert vars(mf) == {"space": spd}
+        assert len(views) == 4 and [ref() for ref in views] == [None] * 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_diag2_moment_tables():

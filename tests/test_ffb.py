@@ -5,6 +5,7 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import product as iproduct
+from math import prod
 
 import pytest
 
@@ -22,8 +23,18 @@ from bnc_engine.ffb import (
 from bnc_engine.fixtures import family_diag2, family_dual, family_m2, load_system
 from bnc_engine.freeprod import FreeMomentContext, apply_chain, module_operator
 from bnc_engine.linalg import ONE, ZERO, identity, unit_vec
-from bnc_engine.partitions import ChiMap, EpsilonMap, build_context, lr_replacement
-from oracles import off_lattice_refining
+from bnc_engine.partitions import (
+    ChiMap,
+    EpsilonMap,
+    SetPartition,
+    build_context,
+    catalan,
+    is_bnc,
+    lr_replacement,
+    refines,
+    relabelled_rgs,
+)
+from oracles import kreweras_blocks, off_lattice_refining
 
 
 def small_system(depth=6):
@@ -429,6 +440,22 @@ def test_checker_frees_its_contexts_without_the_cycle_collector(monkeypatch, che
             gc.enable()
 
 
+def test_three_colour_system_claim_ids():
+    """family_m2's faces under colours 1-3: the proof pipeline takes 3·3 +
+    9·9 + 27·27 = 819 shapes and colourings of 1..3 letters, and the mixed
+    cumulants every l/r word of 2 or 3 letters whose colouring is not
+    constant, those with three colours included: 4·6 + 8·24 = 216."""
+    fam = family_m2()
+    faces = dict.fromkeys((1, 2, 3), fam.faces[1])
+    system = embed_ffb_family(FfbFamily(fam.space, faces), 6)
+    rep = verify_system_gives_ffb(system, word_cap=3)
+    assert [c["id"] for c in rep.claims] == [
+        "proof-pipeline (819 word shapes, 0 failures)",
+        "mixed-cumulants-vanish (216 words, 0 failures)",
+    ]
+    assert rep.ok
+
+
 def test_dual_system_pipeline():
     sysd = embed_ffb_family(family_dual(), depth=6)
     assert check_ffb_system(sysd, word_cap=3).ok
@@ -525,6 +552,47 @@ def test_ffb_word_audit_negative_controls():
         "status": "fail",
         "witness": "1*1",
     }
+
+
+def _shapes(max_n):
+    """Every three-letter colouring of 1..max_n letters, with its
+    FfbContext and the two-letter expansion's BNCContext."""
+    for n_hat in range(1, max_n + 1):
+        for shape in iproduct("lrb", repeat=n_hat):
+            fctx = lr_replacement(ChiMap(shape, three_letter=True))
+            yield n_hat, fctx, build_context(fctx.chi)
+
+
+def test_boolean_pair_sublattice_is_the_interval_above_bottom():
+    """bottom (each boolean pair a block) is bi-non-crossing, and the
+    boolean-pair sublattice U is [bottom, 1̂], of size the product of
+    Catalan(|B|) over the blocks B of the Kreweras complement of bottom
+    on the relabelled line: on every shape of n̂ ≤ 4, and the totals over
+    shapes of n̂ = 1..5 from the product alone."""
+    totals = [0] * 5
+    for n_hat, fctx, ctx in _shapes(5):
+        rho = relabelled_rgs(fctx.bottom, ctx)
+        size = prod(catalan(len(blk)) for blk in kreweras_blocks(rho))
+        totals[n_hat - 1] += size
+        if n_hat <= 4:
+            assert is_bnc(fctx.bottom, ctx)
+            assert len(cumulants._sublattice(fctx)[0]) == size, fctx.chi_hat
+    assert totals == [3, 18, 126, 936, 7_164]
+
+
+def test_sublattice_weights_are_delta_of_the_top():
+    """On every shape of n̂ ≤ 4, _sublattice's members are the lattice
+    members above bottom, and the weights that sum their cumulants are
+    δ(π, 1̂) on them (1̂ is NC(n) slot 0): U is an upper set, so every
+    cumulant below a member of U other than 1̂ cancels."""
+    for _, fctx, ctx in _shapes(4):
+        members, weights = cumulants._sublattice(fctx)
+        pulled = partitions.bnc_lattice(ctx)[2]
+        above = {
+            t for t, rgs in enumerate(pulled) if refines(fctx.bottom, SetPartition(rgs))
+        }
+        assert members == above, fctx.chi_hat
+        assert {t: weights[t] for t in members} == {t: int(t == 0) for t in members}
 
 
 def test_off_lattice_count_matches_a_lattice_scan():
