@@ -427,15 +427,24 @@ REGISTER = (
         "        if len(set(eps)) != 2:\n",
         ("tests/test_ffb.py::test_three_colour_system_claim_ids",),
     ),
+    # the order read backwards: the members below bottom
     Mutant(
         "u1",
         "cumulants.py",
-        "        if all(rgs[j - 1] == rgs[j] for j in starts)\n",
-        "        if all(rgs[j - 1] == rgs[j] for j in starts[:1])\n",
+        "        if _shared_pair(rgs, bottom) is None\n",
+        "        if _shared_pair(bottom, rgs) is None\n",
         (
             "tests/test_ffb.py::test_boolean_pair_sublattice_is_the_interval_above_bottom",
             "tests/test_ffb.py::test_sublattice_weights_are_delta_of_the_top",
         ),
+    ),
+    # the audit's colour check reading the first two positions only
+    Mutant(
+        "u2",
+        "cumulants.py",
+        "    if _shared_pair(eps.colours, fctx.bottom.rgs) is not None:\n",
+        "    if _shared_pair(eps.colours[:2], fctx.bottom.rgs) is not None:\n",
+        ("tests/test_cumulants.py::test_ffb_formula_requires_pair_colours",),
     ),
 )
 

@@ -29,14 +29,15 @@ A cumulant is pi's row of the NC(n) Mobius kernel (nc_row) over the
 moment vector, so a cumulant table is one sparse integer mat-vec.
 
 The independence check and the FFB word audit read only the leaves that
-one walk reaches: each of their sums is one _slot_sum over those slots,
-weighted by slot from row 0 of the kernel or from the summed rows of a
-set of tops (once per word shape for the audit).  The audit counts the
-colour-refining partitions off the boolean-pair sublattice by growing
-them on the relabelled line rather than scanning the lattice.  Each
-table that outlives a call is the lru_cache of its builder (_program,
-_sublattice and _off_lattice), keyed by what it depends on: the
-sublattice tables by the FfbContext the audit's caller holds.
+one walk reaches: the word moment is the leaf at slot 0 (1̂), and each
+of their sums is one _slot_sum over those slots, weighted by slot from
+row 0 of the kernel or from the summed rows of a set of tops picked by
+the lattice order (for the audit the boolean-pair sublattice U, the
+members above bottom, once per word shape).  The audit counts the
+colour-refining partitions off U by growing them on the relabelled
+line, not by a scan.  Each table that outlives a call is the lru_cache
+of its builder (_program, _sublattice and _off_lattice), keyed by what
+it depends on: the sublattice tables by the audit's FfbContext.
 """
 
 from __future__ import annotations
@@ -242,14 +243,15 @@ def bifree_moment_check(
 
     The word expectation must equal the sum of the cumulants of the
     colour-refining partitions; equivalently the full-word cumulant
-    vanishes for mixed colours.  Both sums read the slots one walk
-    reaches, as audit_ffb_word's do, the cumulant's in row 0 of the kernel.
+    vanishes for mixed colours.  The expectation (slot 0, 1̂) and both
+    sums read the slots one walk reaches, as audit_ffb_word's do, the
+    cumulant's in row 0 of the kernel.
     """
     ctx = build_context(chi)
     rep = CheckReport()
-    lhs = mf.expect(list(Z))
-    zero = lhs.parent.zero()
     out, _ = _walk(ctx, Z, mf)
+    lhs = out[0]
+    zero = lhs.parent.zero()
     pulled = bnc_lattice(ctx)[2]
     colours = eps.as_partition().rgs
     tops = [t for t, rgs in enumerate(pulled) if _shared_pair(colours, rgs) is None]
@@ -269,15 +271,15 @@ def bifree_moment_check(
 
 @lru_cache(maxsize=None)
 def _sublattice(fctx: FfbContext):
-    """The boolean-pair sublattice's members and the weights summing
-    their cumulants, by NC(n) slot; keyed by the word's FfbContext,
-    maxsize=None."""
+    """The boolean-pair sublattice's members (the slots above bottom) and
+    the weights summing their cumulants, by NC(n) slot; keyed by the
+    word's FfbContext, maxsize=None."""
     ctx = build_context(fctx.chi)
-    starts = fctx.boolean_pair_starts()
+    bottom = fctx.bottom.rgs
     members = frozenset(
         t
         for t, rgs in enumerate(bnc_lattice(ctx)[2])
-        if all(rgs[j - 1] == rgs[j] for j in starts)
+        if _shared_pair(rgs, bottom) is None
     )
     return members, _interval_weights(ctx.n, members)
 
@@ -341,16 +343,16 @@ def audit_ffb_word(
     add to 0, and the second when they add to 0 under mu(π, 1̂): both sum
     claims test off-lattice moments only.
 
-    The walk writes only the leaves it reaches, and every sum reads only
-    the nonzero ones among them.  The off-lattice claim names how many
+    The word moment is the leaf at slot 0 (1̂); the walk writes only the
+    leaves it reaches, and every sum reads only the nonzero ones among
+    them.  The off-lattice claim names how many
     colour-refining partitions lie off the sublattice, counted by
     _refining_off_lattice once per word shape and colour classes, and its
     witnesses are the nonzero ones among them, in lattice order.
     """
     if eps.n != fctx.n or len(Z) != fctx.n:
         raise SizeMismatch("expanded operands must match the expanded colouring")
-    starts = fctx.boolean_pair_starts()
-    if any(eps.colour(j) != eps.colour(j + 1) for j in starts):
+    if _shared_pair(eps.colours, fctx.bottom.rgs) is not None:
         raise ColouringError("boolean pairs must be monochromatic")
     ctx = build_context(fctx.chi)
     out, _ = _walk(ctx, Z, mf)
@@ -360,7 +362,7 @@ def audit_ffb_word(
     below_one = nc_row(ctx.n, 0)[1]
     rep = CheckReport()
 
-    lhs = mf.expect(list(Z))
+    lhs = out[0]
     zero = lhs.parent.zero()
     total = _slot_sum(nonzero, member_weights, zero)
     ok = (lhs - total).is_zero()

@@ -12,7 +12,8 @@ computed on the relabelled line, entered by relabelled_rgs and left by
 bnc_lattice's one pass, which pulls every slot of NC(n) back once per
 s_chi and keeps each member's rgs and its blocks as position tuples,
 equal blocks one tuple shared across the lattice; validated
-SetPartitions are built only when enumerate_bnc is asked for them.
+SetPartitions are built only when enumerate_bnc or enumerate_bnc_ffb
+(the members above an FfbContext's bottom) is asked for them.
 Mobius values and intervals come from one kernel per n, indexed by
 NC(n) slot: nc_row builds a row on first use, finding each partition
 below sigma by its head labelling (_nc_heads), with no renumbering.
@@ -460,7 +461,11 @@ class FfbContext:
     pair together are those above it: the upper interval [bottom, 1̂],
     isomorphic to [0̂, K(bottom)] and so of size the product of
     Catalan(|B|) over the blocks B of the Kreweras complement K(bottom)
-    on the relabelled line.
+    on the relabelled line.  Membership is read through the lattice
+    order alone, bottom ≤ π; the same order tests a colour map, whose
+    classes bottom must refine.  boolean_pair_starts() is for the two
+    readers that need the pairs' positions: ffb._pipeline_word's
+    projections and cumulants._off_lattice's relabelled-line grower.
     """
 
     chi_hat: ChiMap
@@ -478,11 +483,7 @@ class FfbContext:
 
     def boolean_pair_starts(self) -> list[int]:
         """Expanded positions opening a boolean pair (each pairs with +1)."""
-        return [
-            self.f[i - 1]
-            for i in range(1, self.n_hat + 1)
-            if self.chi_hat.side(i) == "b"
-        ]
+        return [p for p, s in zip(self.f, self.chi_hat.sides) if s == "b"]
 
     def expand_colours(self, eps_hat: EpsilonMap) -> EpsilonMap:
         if eps_hat.n != self.n_hat:
@@ -516,16 +517,12 @@ def lr_replacement(chi_hat: ChiMap) -> FfbContext:
     return FfbContext(chi_hat, ChiMap(tuple(sides)), tuple(f), bottom)
 
 
-def in_bnc_ffb(pi: SetPartition, fctx: FfbContext) -> bool:
-    if pi.n != fctx.n:
-        raise SizeMismatch("partition size differs from expanded colouring")
-    return all(pi.rgs[j - 1] == pi.rgs[j] for j in fctx.boolean_pair_starts())
-
-
 def enumerate_bnc_ffb(fctx: FfbContext) -> list[SetPartition]:
-    """Members of the expanded lattice keeping each boolean pair together."""
-    ctx = build_context(fctx.chi)
-    return [pi for pi in enumerate_bnc(ctx) if in_bnc_ffb(pi, fctx)]
+    """Members of the expanded lattice keeping each boolean pair together,
+    lexicographic in rgs: those above bottom."""
+    _, slots, pulled = bnc_lattice(build_context(fctx.chi))
+    above = [t for t in slots if _shared_pair(pulled[t], fctx.bottom.rgs) is None]
+    return [SetPartition(pulled[t]) for t in above]
 
 
 def catalan(n: int) -> int:

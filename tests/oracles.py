@@ -15,7 +15,6 @@ from bnc_engine.partitions import (
     bnc_lattice,
     build_context,
     enumerate_bnc,
-    in_bnc_ffb,
     nc_row,
     refines,
     relabelled_rgs,
@@ -92,6 +91,12 @@ def max_top_strings(ops) -> int:
     return most
 
 
+def keeps_boolean_pairs(rgs: tuple[int, ...], fctx) -> bool:
+    """The boolean-pair sublattice by its definition: each boolean pair
+    j, j + 1 of fctx's expansion lies in one block of rgs."""
+    return all(rgs[j - 1] == rgs[j] for j in fctx.boolean_pair_starts())
+
+
 def off_lattice_refining(fctx, colours: SetPartition) -> list:
     """The members of fctx's expanded lattice that refine the colour
     classes and split a boolean pair, in lattice order: a scan of the
@@ -99,7 +104,7 @@ def off_lattice_refining(fctx, colours: SetPartition) -> list:
     return [
         pi
         for pi in enumerate_bnc(build_context(fctx.chi))
-        if not in_bnc_ffb(pi, fctx) and refines(pi, colours)
+        if not keeps_boolean_pairs(pi.rgs, fctx) and refines(pi, colours)
     ]
 
 

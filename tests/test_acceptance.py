@@ -45,7 +45,6 @@ from bnc_engine.partitions import (
     catalan,
     enumerate_bnc,
     enumerate_bnc_ffb,
-    in_bnc_ffb,
     is_bnc,
     is_noncrossing_rgs,
     lr_replacement,
@@ -53,7 +52,7 @@ from bnc_engine.partitions import (
     refines,
     relabelled_rgs,
 )
-from oracles import all_partitions, to_partition
+from oracles import all_partitions, keeps_boolean_pairs, to_partition
 
 
 def report(num: int, ok: bool, detail: str):
@@ -321,7 +320,7 @@ def test_criterion_7_bnc_ffb():
             continue
         f = lr_replacement(ChiMap(tuple(shape), three_letter=True))
         ctx = build_context(f.chi)
-        members = [p for p in enumerate_bnc(ctx) if in_bnc_ffb(p, f)]
+        members = [p for p in enumerate_bnc(ctx) if keeps_boolean_pairs(p.rgs, f)]
         interval = [p for p in enumerate_bnc(ctx) if refines(f.bottom, p)]
         assert members == interval
         shapes += 1

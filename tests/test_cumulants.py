@@ -54,11 +54,15 @@ from bnc_engine.partitions import (
     build_context,
     catalan,
     enumerate_bnc,
-    in_bnc_ffb,
     lr_replacement,
     refines,
 )
-from oracles import interval_below, reduce_direct, reduce_in_random_order
+from oracles import (
+    interval_below,
+    keeps_boolean_pairs,
+    reduce_direct,
+    reduce_in_random_order,
+)
 
 SP = space_m2_scalar()
 MF = AlgebraMomentContext(SP)
@@ -651,6 +655,21 @@ def test_diag2_moment_tables():
     assert moment_cumulant_roundtrip(ctx, moments, kappas)
 
 
+def test_checks_evaluate_the_word_moment_once():
+    # the word moment is the walk's leaf at slot 0 (1̂): each check
+    # evaluates the full word once, with the walk, over m2-scalar
+    rng = random.Random(43)
+    Z = [sample_side_element(SP, s, rng) for s in "lrlr"]
+    rec = KeyRecordingContext(SP)
+    bifree_moment_check(ChiMap.parse("lrlr"), EpsilonMap((1, 2, 1, 2)), Z, rec)
+    assert rec.expects.count(tuple(z.coeffs for z in Z)) == 1
+    fctx = lr_replacement(ChiMap.parse("lb"))
+    Z = [sample_side_element(SP, s, rng) for s in fctx.chi.sides]
+    rec = KeyRecordingContext(SP)
+    audit_ffb_word(fctx, EpsilonMap((1, 2, 2)), Z, rec)
+    assert rec.expects.count(tuple(z.coeffs for z in Z)) == 1
+
+
 def _free_family(word_cap=4):
     mod = scalar_module(2)
     fp = reduced_free_product({1: mod, 2: mod}, word_cap)
@@ -698,7 +717,6 @@ def test_bifree_negative_control():
 
 
 def test_ffb_formula_requires_pair_colours():
-    fctx = lr_replacement(ChiMap.parse("b"))
     fp, mod = _free_family(2)
     mf = FreeMomentContext(fp)
     ident = module_operator(
@@ -706,8 +724,12 @@ def test_ffb_formula_requires_pair_colours():
         [[Fraction(i == j) for j in range(3)] for i in range(3)],
     )
     Z = [(("l", 1, ident),), (("r", 2, ident),)]
-    with pytest.raises(ColouringError):
-        audit_ffb_word(fctx, EpsilonMap((1, 2)), Z, mf)
+    # b with its pair split; bb with its first pair one colour and its
+    # second alone split
+    for chi_hat, colours in (("b", (1, 2)), ("bb", (1, 1, 1, 2))):
+        fctx = lr_replacement(ChiMap.parse(chi_hat))
+        with pytest.raises(ColouringError):
+            audit_ffb_word(fctx, EpsilonMap(colours), Z * len(chi_hat), mf)
 
 
 def test_ffb_formula_without_boolean_slots_is_bifree_formula():
@@ -791,7 +813,7 @@ def test_interval_weights_match_summed_cumulants():
             colours = EpsilonMap(tuple(rng.choice((1, 2)) for _ in range(ctx.n)))
             _, slots, pulled = bnc_lattice(ctx)
             for tops in (
-                [pi for pi in lattice if in_bnc_ffb(pi, fctx)],
+                [pi for pi in lattice if keeps_boolean_pairs(pi.rgs, fctx)],
                 [pi for pi in lattice if refines(pi, colours.as_partition())],
             ):
                 zero = SP.B.element([Fraction(0)])

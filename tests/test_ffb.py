@@ -568,16 +568,20 @@ def test_boolean_pair_sublattice_is_the_interval_above_bottom():
     boolean-pair sublattice U is [bottom, 1̂], of size the product of
     Catalan(|B|) over the blocks B of the Kreweras complement of bottom
     on the relabelled line: on every shape of n̂ ≤ 4, and the totals over
-    shapes of n̂ = 1..5 from the product alone."""
-    totals = [0] * 5
+    shapes of n̂ = 1..5 from the product alone, over {l, r, b} and over
+    {l, b}."""
+    totals, lb_totals = [0] * 5, [0] * 5
     for n_hat, fctx, ctx in _shapes(5):
         rho = relabelled_rgs(fctx.bottom, ctx)
         size = prod(catalan(len(blk)) for blk in kreweras_blocks(rho))
         totals[n_hat - 1] += size
+        if "r" not in fctx.chi_hat.sides:
+            lb_totals[n_hat - 1] += size
         if n_hat <= 4:
             assert is_bnc(fctx.bottom, ctx)
             assert len(cumulants._sublattice(fctx)[0]) == size, fctx.chi_hat
     assert totals == [3, 18, 126, 936, 7_164]
+    assert lb_totals == [2, 8, 36, 168, 796]
 
 
 def test_sublattice_weights_are_delta_of_the_top():

@@ -15,7 +15,6 @@ from bnc_engine.partitions import (
     catalan,
     enumerate_bnc,
     enumerate_bnc_ffb,
-    in_bnc_ffb,
     is_bnc,
     is_noncrossing_rgs,
     lr_replacement,
@@ -26,7 +25,7 @@ from bnc_engine.partitions import (
     refines,
 )
 from bnc_engine.partitions import _canonical_rgs, _mu_to_top, _noncrossing_partitions
-from oracles import all_partitions, interval_below, join
+from oracles import all_partitions, interval_below, join, keeps_boolean_pairs
 
 PAPER_CHI = ChiMap.parse("lrlllr")  # lefts {1,3,4,5}, rights {2,6}
 
@@ -271,7 +270,7 @@ def test_bnc_ffb_examples():
     assert len(parts) == 2
     ctx = build_context(bb.chi)
     for p in enumerate_bnc(ctx):
-        assert in_bnc_ffb(p, bb) == refines(bb.bottom, p)
+        assert keeps_boolean_pairs(p.rgs, bb) == refines(bb.bottom, p)
 
 
 def test_bnc_ffb_is_interval():
@@ -289,6 +288,10 @@ def test_bnc_ffb_is_interval():
             if refines(fctx.bottom, p) and refines(p, SetPartition.full(fctx.n))
         ]
         assert members == interval
+        # the order-based rule against the pair definition
+        assert members == [
+            p for p in enumerate_bnc(ctx) if keeps_boolean_pairs(p.rgs, fctx)
+        ]
 
 
 def test_colour_classes_partition():
