@@ -446,6 +446,33 @@ REGISTER = (
         "    if _shared_pair(eps.colours[:2], fctx.bottom.rgs) is not None:\n",
         ("tests/test_cumulants.py::test_ffb_formula_requires_pair_colours",),
     ),
+    # the basis images of FreeMomentContext: their key, and their lifetime
+    # of one context
+    Mutant(
+        "v1",
+        "freeprod.py",
+        "                key = (aid, seq, i)\n",
+        "                key = (aid, i)\n",
+        ("tests/test_freeprod.py::test_context_application_matches_apply_chain",),
+    ),
+    Mutant(
+        "v2",
+        "freeprod.py",
+        "        self._images: dict = {}",
+        '        self._images: dict = fp.__dict__.setdefault("_images", {})',
+        (
+            "tests/test_ffb.py::test_checker_applies_each_suffix_once_per_call"
+            "[check_single_colour_moments]",
+        ),
+    ),
+    # the sparse commutant check reading the acting side's own kernels
+    Mutant(
+        "k4",
+        "freeprod.py",
+        'kers = self.mod.right_kernels if side == "l" else self.mod.left_kernels',
+        'kers = self.mod.left_kernels if side == "l" else self.mod.right_kernels',
+        ("tests/test_freeprod.py::test_sparse_commutant_check_matches_the_dense_product",),
+    ),
 )
 
 

@@ -18,16 +18,18 @@ the handles' chains as they stand, projecting at the boolean pair starts
 of the word shape's FfbContext.  Each checker call builds one
 FreeMomentContext over the system's free product (independence a second
 one over its representation product) and reads every unit-chain vector
-and moment from its suffix trie.  The letters a call derives from the
-handles (the representation's μ̃ operators, the pipeline's projection
-sandwiches of the boolean chains) are built once per call;
-embed_ffb_family builds one operator object per generator and role, so
-equal atoms are the same objects and share trie nodes.  Nothing
-cached per call outlives it, and reference counting frees it when the
-call returns.  What lives longer is bounded by what it is keyed on: the
-operators' and the modules' sparse kernels, and two LRUs, the word
-shapes' FfbContexts behind partitions.lr_replacement and the lateral
-closures behind diagrams.chi_extensions.
+and moment from its suffix trie; check_ffb_system's probes apply their
+chains to the probe basis through the same context, so every atom of a
+call acts through the context's basis images.  The letters a call
+derives from the handles (the representation's μ̃ operators, the
+pipeline's projection sandwiches of the boolean chains) are built once
+per call; embed_ffb_family builds one operator object per generator and
+role, so equal atoms are the same objects and share trie nodes and
+images.  Nothing cached per call outlives it, and reference counting
+frees it when the call returns.  What lives longer is bounded by what
+it is keyed on: the operators' and the modules' sparse kernels, and two
+LRUs, the word shapes' FfbContexts behind partitions.lr_replacement and
+the lateral closures behind diagrams.chi_extensions.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .freeprod import (
     ModuleOperator,
     Theta,
     TruncatedFreeProduct,
-    apply_chain,
     build_bimodule_from_space,
     doubled_bimodule,
     lr_decompose,
@@ -168,16 +169,16 @@ def _a_words(sys: FfbSystem, k: int, max_len: int):
         yield from iproduct(*pools)
 
 
-def _nonzero_images(fp: TruncatedFreeProduct, chain, basis) -> list:
+def _nonzero_images(mf: FreeMomentContext, chain, basis) -> list:
     """The chain applied to each basis vector, zero images dropped."""
-    images = (apply_chain(fp, chain, vec) for vec in basis)
-    return [img for img in images if not fp.is_zero(img)]
+    images = (mf.apply(chain, vec) for vec in basis)
+    return [img for img in images if img]
 
 
-def _zero_operator(fp: TruncatedFreeProduct, handles, images) -> bool:
+def _zero_operator(mf: FreeMomentContext, handles, images) -> bool:
     """Whether the composite of handles annihilates every image."""
     chain = tuple(atom for h in handles for atom in h.chain)
-    return all(fp.is_zero(apply_chain(fp, chain, img)) for img in images)
+    return not any(mf.apply(chain, img) for img in images)
 
 
 def _basis_vectors(fp: TruncatedFreeProduct, max_depth: int):
@@ -206,9 +207,9 @@ def check_ffb_system(sys: FfbSystem, word_cap: int) -> CheckReport:
             wit = None
             for h1, (j, h2) in iproduct(handles, enumerate(handles)):
                 if images[j] is None:
-                    images[j] = _nonzero_images(fp, h2.chain, basis)
+                    images[j] = _nonzero_images(mf, h2.chain, basis)
                 for w in _a_words(sys, k, word_cap):
-                    if not _zero_operator(fp, (h1,) + w, images[j]):
+                    if not _zero_operator(mf, (h1,) + w, images[j]):
                         wit = [h.label for h in (h1,) + w + (h2,)]
                         break
                 if wit:

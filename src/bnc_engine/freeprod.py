@@ -60,20 +60,26 @@ one per B basis action and side (left_kernels, right_kernels), so every
 colour built on it shares them; an edge leg reads them on the
 complement and lr_decompose's folds whole.  A B value acts as the
 combination of its basis kernels, its coefficients read beside them,
-within one pass over the word, so no call builds a dense matrix.
+within one pass over the word, so no call builds a dense matrix; the
+commutant check of a ModuleOperator, too, compares T·K with K·T column
+by column through those kernels.
 
 Moments.  FreeMomentContext is the free product's one moment context:
 the checkers read every chain's vector and expectation from one, and
-lr_decompose builds one per word, shared by the rule vectors of all its
-diagrams (e_d_vector), whose operands are the word's own atoms.  Its
+apply chains to their probe vectors through it; lr_decompose builds
+one per word, shared by the rule vectors of all its diagrams
+(e_d_vector), whose operands are the word's own atoms.  Its
 insert(kind, value, elem) adds one B-action atom for the value to the
 chain elem: ('rb', b) in front for PREPEND_RIGHT, ('lb', b) in front
 for PREPEND_LEFT, and ('lb', b) at the end, acting first, for
-APPEND_LEFT.  A chain whose suffix vector vanishes is zero, since every
-atom acts linearly: apply_chain stops at the first vector that
-vanishes, and the context's suffix trie ends every such suffix in one
-shared zero node, so a chain that reaches it applies and interns none
-of the atoms in front of it.
+APPEND_LEFT.  apply_chain is the one chain walker, on the free product
+(apply_atom afresh) or on a context, where each atom acts through the
+context's images of basis words, each computed once by apply_atom.  A
+chain whose suffix vector vanishes is zero, since every atom acts
+linearly: apply_chain stops at the first vector that vanishes, and the
+context's suffix trie ends every such suffix in one shared zero node,
+so a chain that reaches it applies and interns none of the atoms in
+front of it.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import (
@@ -108,7 +114,6 @@ from .linalg import (
     frac,
     kernel,
     mat_combination,
-    mat_mul,
     nullspace,
     sparse,
     zeros,
@@ -193,15 +198,22 @@ class ModuleOperator:
         return self.apply(self.mod.unit_vector())
 
     def commutes_with_side(self, side: str) -> bool:
-        """'l' operators commute with right actions, 'r' with left ones."""
-        B = self.mod.B
-        m = [list(r) for r in self.matrix]
-        for i in range(B.dim):
-            other = (
-                self.mod.right_action[i] if side == "l" else self.mod.left_action[i]
-            )
-            if mat_mul(m, other) != mat_mul(other, m):
-                return False
+        """'l' operators commute with right actions, 'r' with left ones:
+        T·(K e_c) = K·(T e_c) for each B basis action K and column c, both
+        read through sparse columns (columns and the module's kernels)."""
+        cols = self.columns
+        kers = self.mod.right_kernels if side == "l" else self.mod.left_kernels
+        for ker in kers:
+            for k_c, t_c in zip(ker, cols):
+                diff: dict[int, Scalar] = {}
+                for r, v in k_c:
+                    for s, x in cols[r]:
+                        diff[s] = diff.get(s, ZERO) + v * x
+                for r, v in t_c:
+                    for s, x in ker[r]:
+                        diff[s] = diff.get(s, ZERO) - v * x
+                if any(diff.values()):
+                    return False
         return True
 
 
@@ -672,15 +684,16 @@ def apply_atom(fp: TruncatedFreeProduct, atom: Atom, vec: FpVec) -> FpVec:
     raise ValueError(f"unknown atom {atom!r}")
 
 
-def apply_chain(
-    fp: TruncatedFreeProduct, chain: Iterable[Atom], vec: FpVec, trail=None
-) -> FpVec:
-    """The chain applied to vec, its last atom first; trail, when given,
-    receives the vector after each atom.  Every atom acts linearly, so a
-    vector that vanishes stays zero: the walk stops at the first one, and
-    trail ends with it."""
+def apply_chain(on, chain: Iterable[Atom], vec: FpVec, trail=None) -> FpVec:
+    """The chain applied to vec, its last atom first, on the free product
+    (each atom applied afresh by apply_atom) or on a FreeMomentContext
+    (each atom read through the context's basis images); trail, when
+    given, receives the vector after each atom.  Every atom acts
+    linearly, so a vector that vanishes stays zero: the walk stops at the
+    first one, and trail ends with it."""
+    act = on.act if isinstance(on, FreeMomentContext) else partial(apply_atom, on)
     for atom in reversed(list(chain)):
-        vec = apply_atom(fp, atom, vec)
+        vec = act(atom, vec)
         if trail is not None:
             trail.append(vec)
         if not vec:
@@ -716,6 +729,17 @@ class FreeMomentContext(MomentContext):
     interned, and a miss makes no node past the first vector that
     vanishes.  vector() returns a node's vector itself, shared with the
     trie, so callers must not mutate it.
+
+    Every atom acts through the context's basis images (act): the image
+    of one basis word, a coordinate i of the word space of one colour
+    sequence (the base summand is the sequence ()), is computed once by
+    apply_atom on that word alone and kept under (atom id, sequence, i)
+    as one tuple of (sequence, index, value) triples.  An atom on a
+    vector is the sum of its images of the vector's entries, each scaled
+    by the entry: exact, since every atom is linear and scalars are
+    exact.  The trie's misses and apply, a chain on any vector, both act
+    this way.  The images live as long as the context, which is built
+    per checker call or sweep, so none outlives it.
     """
 
     def __init__(self, fp: TruncatedFreeProduct):
@@ -726,6 +750,7 @@ class FreeMomentContext(MomentContext):
         self._b_atoms = {"lb": {}, "rb": {}}  # kind -> id(B value) -> its atom
         self._root = _Suffix(fp.unit())
         self._zero = _Suffix({})  # every suffix whose vector vanishes
+        self._images: dict = {}  # (atom id, sequence, index) -> image triples
 
     def intern(self, atom: Atom) -> int:
         """The atom's id; equal atoms share one."""
@@ -753,6 +778,34 @@ class FreeMomentContext(MomentContext):
             atom = memo[id(value)] = (kind, value)
             self.intern(atom)
         return atom
+
+    def act(self, atom: Atom, vec: FpVec) -> FpVec:
+        """The atom on vec, summed from its basis images, each computed
+        on first use."""
+        aid = self._seen.get(id(atom))
+        if aid is None:
+            aid = self.intern(atom)
+        images = self._images
+        out: FpVec = {}
+        for seq, comp in vec.items():
+            for i, c in comp.items():
+                key = (aid, seq, i)
+                image = images.get(key)
+                if image is None:
+                    word = apply_atom(self.fp, atom, {seq: {i: ONE}})
+                    image = images[key] = tuple(
+                        (s, j, v) for s, part in word.items() for j, v in part.items()
+                    )
+                for s, j, v in image:
+                    tgt = out.get(s)
+                    if tgt is None:
+                        tgt = out[s] = {}
+                    tgt[j] = tgt.get(j, ZERO) + c * v
+        return _clean(out)
+
+    def apply(self, chain: Iterable[Atom], vec: FpVec) -> FpVec:
+        """The chain applied to any vector through the basis images."""
+        return apply_chain(self, chain, vec)
 
     def _node(self, elems) -> _Suffix:
         """The trie node of the chain of elems, grown on a miss."""
@@ -791,7 +844,7 @@ class FreeMomentContext(MomentContext):
         first vector that vanishes, which becomes the shared zero node;
         the node of the whole chain."""
         trail: list[FpVec] = []
-        apply_chain(self.fp, front, node.vec, trail)
+        apply_chain(self, front, node.vec, trail)
         intern = self.intern
         for atom, vec in zip(reversed(front), trail):
             if node.children is None:

@@ -76,22 +76,6 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
     return [sum((row[j] * x for j, x in nonzero), ZERO) for row in m]
 
 
-def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Mat:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = mat_zero(rows, cols)
-    for i in range(rows):
-        arow = a[i]
-        orow = out[i]
-        for k in range(inner):
-            c = arow[k]
-            if c:
-                brow = b[k]
-                for j in range(cols):
-                    if brow[j]:
-                        orow[j] += c * brow[j]
-    return out
-
-
 def mat_combination(coeffs: Sequence[Scalar], mats: Sequence[Mat]) -> Mat:
     """The sum of coeffs[i] * mats[i], for square matrices of one size."""
     dim = len(mats[0])

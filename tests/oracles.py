@@ -191,3 +191,12 @@ def kreweras_blocks(labels) -> list[tuple[int, ...]]:
         if cycle:
             out.append(tuple(sorted(cycle)))
     return out
+
+
+def mat_mul(a, b) -> list:
+    """The dense matrix product a·b of two lists of rows."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), 0) for j in range(cols)]
+        for i in range(len(a))
+    ]

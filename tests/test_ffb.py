@@ -34,7 +34,7 @@ from bnc_engine.partitions import (
     refines,
     relabelled_rgs,
 )
-from oracles import kreweras_blocks, off_lattice_refining
+from oracles import kreweras_blocks, mat_mul, off_lattice_refining
 
 
 def small_system(depth=6):
@@ -60,8 +60,6 @@ def test_construction_side_tags():
 
 def test_module_level_annihilation():
     # shift . diag(z) . shift and mult(z1) . diag(z) . mult(z2) vanish
-    from bnc_engine.linalg import mat_mul
-
     shift = [list(r) for r in SYS.dprime[1][0].module_op.matrix]
     mult = [list(r) for r in SYS.cprime[1][0].module_op.matrix]
     diag = [list(r) for r in SYS.faces_l[1][0].module_op.matrix]
@@ -356,28 +354,42 @@ def atom_key(atom):
 
 
 @pytest.mark.parametrize(
-    "check",
+    ("check", "pins"),
     [
-        verify_system_gives_ffb,
-        check_ffb_independence,
-        check_ffb_system,
-        check_single_colour_moments,
+        pytest.param(check, pins, id=check.__name__)
+        for check, pins in (
+            (verify_system_gives_ffb, (701, 231)),
+            (check_ffb_independence, (702, 330)),
+            (check_ffb_system, (724, 470)),
+            (check_single_colour_moments, (104, 32)),
+        )
     ],
 )
-def test_checker_applies_each_suffix_once_per_call(monkeypatch, check):
+def test_checker_applies_each_suffix_once_per_call(monkeypatch, check, pins):
     """A checker reads every unit-chain vector and moment from contexts
-    it builds per call.  Two calls apply the same number of atoms, so no
-    cache outlives a call; and no more than the distinct suffixes, by
-    atom_key, of the chains each context was asked for, so no operator
-    is rebuilt per word (atoms share trie nodes by operator identity)."""
+    it builds per call, and every atom acts through its context's basis
+    images.  The tries apply no more atoms than the distinct suffixes, by
+    atom_key, of the chains each context was asked for, and each image
+    (free product, atom_key, basis word) is computed once in a call, so
+    no operator is rebuilt per word (atoms share trie nodes and images by
+    operator identity).  Two calls apply the same number of atoms and
+    compute the same number of images, so nothing cached outlives a call.
+    pins holds the two counts on doubled-m2 at cap 3."""
     system = load_system("doubled-m2", 6)
-    applied, asked = [], []
-    real_apply = freeprod.apply_chain
+    applied, images, asked = [], [], []
+    real_grow = FreeMomentContext._grow
+    real_atom = freeprod.apply_atom
 
-    def counting(fp, chain, vec, trail=None):
-        chain = tuple(chain)
-        applied.append(len(chain))
-        return real_apply(fp, chain, vec, trail)
+    def growing(self, node, front):
+        applied.append(len(front))
+        return real_grow(self, node, front)
+
+    def imaging(fp, atom, vec):
+        [(seq, comp)] = vec.items()
+        [(i, c)] = comp.items()
+        assert c == ONE
+        images.append((id(fp), atom_key(atom), seq, i))
+        return real_atom(fp, atom, vec)
 
     def recording(method):
         def wrapper(self, elems):
@@ -387,7 +399,8 @@ def test_checker_applies_each_suffix_once_per_call(monkeypatch, check):
 
         return wrapper
 
-    monkeypatch.setattr(freeprod, "apply_chain", counting)
+    monkeypatch.setattr(FreeMomentContext, "_grow", growing)
+    monkeypatch.setattr(freeprod, "apply_atom", imaging)
     for name in ("vector", "expect"):
         monkeypatch.setattr(
             FreeMomentContext, name, recording(getattr(FreeMomentContext, name))
@@ -395,6 +408,7 @@ def test_checker_applies_each_suffix_once_per_call(monkeypatch, check):
     counts = []
     for _ in range(2):
         applied.clear()
+        images.clear()
         asked.clear()
         assert check(system, word_cap=3).ok
         suffixes = {
@@ -402,9 +416,10 @@ def test_checker_applies_each_suffix_once_per_call(monkeypatch, check):
             for ctx, chain in asked
             for i in range(len(chain))
         }
-        counts.append(sum(applied))
-        assert 0 < counts[-1] <= len(suffixes)
-    assert counts[0] == counts[1]
+        counts.append((sum(applied), len(images)))
+        assert 0 < counts[-1][0] <= len(suffixes)
+        assert len(set(images)) == len(images)
+    assert counts == [pins, pins]
 
 
 @pytest.mark.parametrize(

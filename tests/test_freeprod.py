@@ -44,12 +44,11 @@ from bnc_engine.linalg import (
     RowSpace,
     identity,
     mat_combination,
-    mat_mul,
     mat_vec,
     nullspace,
 )
 from bnc_engine.partitions import ChiMap, EpsilonMap, lr_replacement
-from oracles import max_top_strings
+from oracles import mat_mul, max_top_strings
 
 RNG = random.Random(11)
 
@@ -558,6 +557,34 @@ def _commutant_basis(mod, side: str) -> list:
     return [[v[r * d : (r + 1) * d] for r in range(d)] for v in basis]
 
 
+@pytest.mark.parametrize("name", ["diag2", "m2-self"])
+def test_sparse_commutant_check_matches_the_dense_product(name):
+    """commutes_with_side compares T·(K e_c) with K·(T e_c) column by
+    column; it agrees with the dense test T·K = K·T over every B basis
+    action K of the other side.  Over the doubled diag2 module and the
+    doubled M2 acting on itself, on both sides: random operators, random
+    commutant elements, and commutant elements with one entry changed;
+    each side sees both outcomes."""
+    mod = DIAG2.doubled if name == "diag2" else m2_free_product()[0].components[1]
+    rng = random.Random(31)
+    d = mod.dim
+    seen = set()
+    for side in "lr":
+        actions = mod.right_action if side == "l" else mod.left_action
+        basis = _commutant_basis(mod, side)
+        for trial in range(24):
+            if trial % 3 == 0:
+                m = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+            else:
+                m = mat_combination([rng.randint(-3, 3) for _ in basis], basis)
+            if trial % 3 == 2:
+                m[rng.randrange(d)][rng.randrange(d)] += rng.choice((-1, 1))
+            dense = all(mat_mul(m, k) == mat_mul(k, m) for k in actions)
+            assert module_operator(mod, m).commutes_with_side(side) == dense
+            seen.add((side, dense))
+    assert seen == {(s, v) for s in "lr" for v in (True, False)}
+
+
 @pytest.mark.parametrize("depth", [4, 5])
 def test_bifree_criterion_over_m2_acting_on_itself(depth):
     """The insertion oracle over a non-commutative B.  Over m2_free_product
@@ -1045,6 +1072,61 @@ def test_suffix_trie_matches_fresh_application(system):
             assert mf.vector(words[i]) == vecs[i]
 
 
+@pytest.mark.parametrize("system", [system_doubled_m2, system_doubled_diag2])
+def test_context_application_matches_apply_chain(system):
+    """FreeMomentContext.apply, which sums each atom's cached images of
+    basis words, equals apply_chain on the free product, which applies
+    each atom afresh, on seeded vectors: the base summand and words of up
+    to two legs, one to three sequences of one to four entries each, the
+    unit and zero.  The chains are one or two atoms of every kind: the
+    system's λ/ρ atoms, L_b and R_b for seeded b, and each colour's
+    projection.  doubled-m2 has B = Q; doubled-diag2 has B = D2 and
+    quotient word spaces.  One context serves every call, so a second
+    pass reads only images already cached and computes none."""
+    sys_ = system(4)
+    fp, B = sys_.fp, sys_.fp.B
+    rng = random.Random(41)
+    atoms = [
+        atom
+        for pools in (sys_.faces_l, sys_.faces_r, sys_.cprime, sys_.dprime)
+        for handles in pools.values()
+        for h in handles
+        for atom in h.chain
+    ]
+    atoms += [("proj", k, None) for k in sys_.colours()]
+    for kind, _ in iproduct(("lb", "rb"), range(2)):
+        atoms.append((kind, B.element([rng.randint(-2, 2) for _ in range(B.dim)])))
+    assert {a[0] for a in atoms} == {"l", "r", "lb", "rb", "proj"}
+    seqs = [()] + [s for s in fp.sequences() if len(s) <= 2]
+
+    def draw() -> dict:
+        vec = {}
+        for seq in rng.sample(seqs, rng.randint(1, 3)):
+            dim = fp.space(seq).dim if seq else B.dim
+            idx = rng.sample(range(dim), min(dim, rng.randint(1, 4)))
+            vec[seq] = {
+                i: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2)) for i in idx
+            }
+        return vec
+
+    vecs = [fp.unit(), {}] + [draw() for _ in range(40)]
+    cases = [
+        (chain, v)
+        for v in vecs
+        for chain in ((rng.choice(atoms),), (rng.choice(atoms), rng.choice(atoms)))
+    ]
+    cases += [((atom,), v) for atom in atoms for v in vecs[2:6]]
+    want = [apply_chain(fp, chain, v) for chain, v in cases]
+    assert any(len(v) > 1 for v in vecs)
+    assert any(len(c) > 1 for v in vecs for c in v.values())
+    mf = FreeMomentContext(fp)
+    assert [mf.apply(chain, v) for chain, v in cases] == want
+    cached = len(mf._images)
+    assert [mf.apply(chain, v) for chain, v in cases] == want
+    assert len(mf._images) == cached
+    assert any(len(w) > 1 for w in want) and {} in want
+
+
 def test_a_miss_applies_only_the_uncached_front(monkeypatch):
     fp = reduced_free_product(MODS, 4)
     mf = FreeMomentContext(fp)
@@ -1072,13 +1154,18 @@ def test_a_chain_stops_at_its_vanishing_suffix(monkeypatch):
     """A chain whose suffix vector vanishes is zero: the walk stops at the
     first vector that vanishes, which is the context's one zero node, so
     the atoms in front of it are neither applied nor interned, and no
-    node is made past it.  expect gives B's zero and vector {}."""
+    node is made past it.  expect gives B's zero and vector {}.  Each
+    atom acts through its images of basis words: b's of the unit, then
+    kill's of each entry of b's vector."""
     fp = reduced_free_product(MODS, 4)
     mf = FreeMomentContext(fp)
     a, b, c = (("l", 1, rand_op(MODS[1])), ("r", 2, rand_op(MODS[2])),
                ("l", 2, rand_op(MODS[2])))
     kill = ("l", 1, module_operator(MODS[1], [[ZERO] * 4 for _ in range(4)]))
-    assert fp.lambda_apply(kill[2], 1, apply_chain(fp, (b,), fp.unit())) == {}
+    b_vec = apply_chain(fp, (b,), fp.unit())
+    assert fp.lambda_apply(kill[2], 1, b_vec) == {}
+    entries = sum(map(len, b_vec.values()))
+    assert entries > 1
     applied = []
     real = freeprod.apply_atom
 
@@ -1088,7 +1175,7 @@ def test_a_chain_stops_at_its_vanishing_suffix(monkeypatch):
 
     monkeypatch.setattr(freeprod, "apply_atom", counting)
     assert mf.expect([(a, c), (kill, b)]).is_zero()
-    assert applied == [b, kill]  # neither c nor a
+    assert applied == [b] + [kill] * entries  # neither c nor a
     assert id(a) not in mf._seen and id(c) not in mf._seen
     assert _trie_size(mf._root) == 3  # the root, b and the zero node
     applied.clear()
@@ -1101,9 +1188,11 @@ def test_a_chain_stops_at_its_vanishing_suffix(monkeypatch):
 
 
 def test_check_ffb_system_applies_pinned_atoms(monkeypatch):
-    """check_ffb_system(doubled-m2 at depth 6, cap 3) applies 2,254 atoms;
-    before the unit left the probe basis (over B = Q it is B's one basis
-    vector) it applied 2,356, and before chains stopped at their first
+    """check_ffb_system(doubled-m2 at depth 6, cap 3) computes 470 images
+    of an atom on a basis word, and every atom acts through them.  Before
+    atoms acted through their context's images it applied 2,254 atoms to
+    whole vectors; before the unit left the probe basis (over B = Q it is
+    B's one basis vector) 2,356, and before chains stopped at their first
     vanishing vector 2,992."""
     system = system_doubled_m2(6)
     applied = []
@@ -1115,7 +1204,7 @@ def test_check_ffb_system_applies_pinned_atoms(monkeypatch):
 
     monkeypatch.setattr(freeprod, "apply_atom", counting)
     assert ffb.check_ffb_system(system, word_cap=3).ok
-    assert len(applied) == 2254
+    assert len(applied) == 470
 
 
 def test_equal_b_atoms_share_one_id():
