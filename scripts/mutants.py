@@ -51,6 +51,10 @@ ONCE = "tests/test_cumulants.py::test_planner_works_out_each_state_once"
 SWEEP_REACH = "tests/test_ffb.py::test_sweep_builds_only_the_word_spaces_it_reaches"
 CHECKER_REACH = "tests/test_ffb.py::test_checkers_build_only_the_word_spaces_they_probe"
 DENSE = "tests/test_freeprod.py::test_lambda_rho_match_a_dense_oracle_on_word_basis_vectors"
+DENSE_B = (
+    "tests/test_freeprod.py::"
+    "test_b_actions_and_projections_match_a_dense_oracle_on_word_basis_vectors"
+)
 LR_PIN = "tests/test_freeprod.py::test_lr_decompose_output_is_pinned"
 STOPS = "tests/test_cumulants.py::test_stops_replay_matches_direct_reduction"
 REPLAY = "tests/test_cumulants.py::test_plan_replay_matches_direct_reduction"
@@ -451,8 +455,8 @@ REGISTER = (
     Mutant(
         "v1",
         "freeprod.py",
-        "                key = (aid, seq, i)\n",
-        "                key = (aid, i)\n",
+        "            key = (aid, seq, i)\n",
+        "            key = (aid, i)\n",
         ("tests/test_freeprod.py::test_context_application_matches_apply_chain",),
     ),
     Mutant(
@@ -464,6 +468,22 @@ REGISTER = (
             "tests/test_ffb.py::test_checker_applies_each_suffix_once_per_call"
             "[check_single_colour_moments]",
         ),
+    ),
+    # the one definition of each atom on a basis word: an operator's base
+    # part on a consumed edge leg, and B acting on its own basis elements
+    Mutant(
+        "v3",
+        "freeprod.py",
+        "                    base[r] = v\n",
+        "                    base[0] = v\n",
+        (f"{DENSE}[diag2]",),
+    ),
+    Mutant(
+        "v4",
+        "freeprod.py",
+        "(b * e if first else e * b)",
+        "(e * b if first else b * e)",
+        (f"{DENSE_B}[doubled-m2-over-m2]",),
     ),
     # the sparse commutant check reading the acting side's own kernels
     Mutant(

@@ -244,6 +244,8 @@ def cmd_verify(args) -> int:
     what = args.what
     if what == "bifree":
         return _verify_bifree(args)
+    if what == "lr-decompose":
+        return _verify_decompose(args)
     if args.fixture is None:
         args.fixture = VERIFY_FIXTURE[what]
     if what == "bb-axioms":
@@ -318,7 +320,8 @@ def _verify_bifree(args) -> int:
     return _report_exit(rep)
 
 
-def cmd_verify_decompose(args) -> int:
+def _verify_decompose(args) -> int:
+    """lr_decompose against the word applied directly, on sampled words."""
     _at_least(args, "max-n", 1)
     check_cap(args.max_n, LR_CAP, "--max-n")  # lr_decompose has no cap of its own
     _at_least(args, "trials", 1)
@@ -411,11 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=10)
     pv.add_argument("--max-n", type=int, default=4)
     pv.add_argument("--dims", default="2,3", help="complement dims per colour")
-    pv.set_defaults(
-        func=lambda a: cmd_verify_decompose(a)
-        if a.what == "lr-decompose"
-        else cmd_verify(a)
-    )
+    pv.set_defaults(func=cmd_verify)
 
     pr = sub.add_parser("render", help="diagram markup")
     pr.add_argument("--kind", choices=["bnc", "lr"], required=True)

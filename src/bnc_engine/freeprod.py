@@ -44,25 +44,26 @@ exact for any B).  The terms are summed per diagram, keyed by its
 sorted closed strings and its top strings; each diagram is made once
 and kept by that key, so a group's residual part and its total share
 it, and make_diagram runs only for what is read: without coefficients,
-the diagrams with a residual part at once and the others when the
-contributions are first read.
+only the diagrams with a residual part.
 
 Operator words.  A word is a chain of atoms, applied last atom first.
 A λ/ρ atom is the triple (side, colour, operator), side 'l' for the
 left representation λ and 'r' for the right one ρ; the other atoms act
 by B on the left or right ('lb'/'rb', b) or project onto a colour
 ('proj', k, None).  One word object serves apply_chain, the moment
-context and lr_decompose.  Every atom acts through linalg Kernels, each
-built once and applied by linalg.combine or read column by column: a
+context and lr_decompose.  Each atom is defined once, on one basis
+word (TruncatedFreeProduct.image), and acts on a vector only as the
+linear extension of those images (linear_extension): the free
+product's act computes them afresh, a moment context's act reads them
+from its memo.  An image reads linalg Kernels, each built once: a
 ModuleOperator keeps its own, whose complement columns hold its
 complement block and its complement-to-base rows, and a module keeps
 one per B basis action and side (left_kernels, right_kernels), so every
 colour built on it shares them; an edge leg reads them on the
 complement and lr_decompose's folds whole.  A B value acts as the
-combination of its basis kernels, its coefficients read beside them,
-within one pass over the word, so no call builds a dense matrix; the
-commutant check of a ModuleOperator, too, compares T·K with K·T column
-by column through those kernels.
+combination of its basis kernels (linalg.combine), so no call builds a
+dense matrix; the commutant check of a ModuleOperator, too, compares
+T·K with K·T column by column through those kernels.
 
 Moments.  FreeMomentContext is the free product's one moment context:
 the checkers read every chain's vector and expectation from one, and
@@ -72,9 +73,8 @@ one per word, shared by the rule vectors of all its diagrams
 insert(kind, value, elem) adds one B-action atom for the value to the
 chain elem: ('rb', b) in front for PREPEND_RIGHT, ('lb', b) in front
 for PREPEND_LEFT, and ('lb', b) at the end, acting first, for
-APPEND_LEFT.  apply_chain is the one chain walker, on the free product
-(apply_atom afresh) or on a context, where each atom acts through the
-context's images of basis words, each computed once by apply_atom.  A
+APPEND_LEFT.  apply_chain is the one chain walker: it calls act on the
+free product or on a context, which keeps each image it computes.  A
 chain whose suffix vector vanishes is zero, since every atom acts
 linearly: apply_chain stops at the first vector that vanishes, and the
 context's suffix trie ends every such suffix in one shared zero node,
@@ -149,9 +149,6 @@ class BimoduleWithProjection:
 
     def p(self, vec: Vec) -> AlgebraElement:
         return AlgebraElement(self.B, tuple(vec[: self.B.dim]))
-
-    def osc_part(self, vec: Vec) -> Vec:
-        return vec[self.B.dim :]
 
     def osc_left(self, i: int) -> Mat:
         d = self.B.dim
@@ -501,8 +498,7 @@ class TruncatedFreeProduct:
     def add(self, *vecs: FpVec) -> FpVec:
         out: FpVec = {}
         for v in vecs:
-            for seq, comp in v.items():
-                _acc(out, seq, comp)
+            _acc_vec(out, v)
         return _clean(out)
 
     def scale(self, c, vec: FpVec) -> FpVec:
@@ -530,20 +526,60 @@ class TruncatedFreeProduct:
 
     # --- operator actions -------------------------------------------------
 
-    def act_b(self, b: AlgebraElement, vec: FpVec, from_left: bool) -> FpVec:
-        """b·vec through each word's first leg, or vec·b through its last."""
-        out: FpVec = {}
-        for seq, comp in vec.items():
+    def image(self, atom: Atom, seq: tuple[int, ...], i: int) -> tuple:
+        """The atom on basis word i of W(seq), or on B's i-th basis element
+        when seq is (), as (sequence, index, value) triples, one per
+        nonzero entry.  This is the one definition of every atom; act and
+        FreeMomentContext.act are its linear extension."""
+        kind = atom[0]
+        if kind == "proj":
+            return ((seq, i, ONE),) if seq in ((), (atom[1],)) else ()
+        first = kind in ("l", "lb")
+        if seq:
+            ws = self.space(seq)
+            [idx] = ws.to_plain({i: ONE})
+        if kind in ("lb", "rb"):
+            b = atom[1]
             if seq:
-                plain = self.space(seq).to_plain(comp)
-                _acc(out, seq, self._edge(seq, b.coeffs, plain, from_left))
-            else:
-                x = self.p({(): comp})
-                _acc(out, (), dict(enumerate((b * x if from_left else x * b).coeffs)))
-        return _clean(out)
+                return _triples({seq: self._edge(seq, b.coeffs, idx, first)})
+            e = self.B.basis_element(i)
+            return _triples({(): dict(enumerate((b * e if first else e * b).coeffs))})
+        if kind not in ("l", "r"):
+            raise ValueError(f"unknown atom {atom!r}")
+        k, op = atom[1], atom[2]
+        nb = self.B.dim
+        out: FpVec = {}
+        if seq and (seq[0] if first else seq[-1]) == k:
+            # op consumes the edge leg: the complement part of its image
+            # stays there, and the base part acts on the rest of the word
+            leg, rest = ws.split(idx, first)
+            stay, base = {}, [ZERO] * nb
+            for r, v in op.columns[nb + leg]:
+                if r < nb:
+                    base[r] = v
+                else:
+                    stay[ws.join(r - nb, rest, first)] = v
+            out[seq] = ws.from_plain(stay)
+            seq, osc = (seq[1:] if first else seq[:-1]), ()
+        else:
+            # the word beside the unit of module k, or B's element i in it:
+            # op's base part acts on the word, its complement part is a new
+            # edge leg
+            x = op.unit_image if seq else op.apply(self.B.basis_element(i).coeffs)
+            rest = idx if seq else 0  # the base summand is plain index 0
+            base, osc = x[:nb], x[nb:]
+        if any(base):
+            out[seq] = self._edge(seq, base, rest, first) if seq else dict(enumerate(base))
+        if any(osc):
+            nseq = (k,) + seq if first else seq + (k,)
+            if len(nseq) > self.depth:
+                raise DepthExceeded(f"word {seq} cannot grow beyond depth {self.depth}")
+            nws = self.space(nseq)
+            out[nseq] = nws.from_plain(nws.grow({rest: ONE}, osc, first))
+        return _triples(out)
 
-    def _edge(self, seq, b: Sequence[Scalar], plain: dict[int, Scalar], first: bool):
-        """Coordinates of a plain word of seq with B coefficients b acting
+    def _edge(self, seq, b: Sequence[Scalar], idx: int, first: bool):
+        """Coordinates of plain index idx of seq with B coefficients b acting
         on its first leg (from the left) or its last (from the right).  B
         maps the complement to itself, so complement coordinate c, module
         coordinate dim(B) + c, goes to the module coordinates of its
@@ -551,84 +587,25 @@ class TruncatedFreeProduct:
         ws = self.space(seq)
         nb = self.B.dim
         comp = self.components[seq[0] if first else seq[-1]]
+        leg, rest = ws.split(idx, first)
         kers = comp.left_kernels if first else comp.right_kernels
-        kernels = [(c, ker) for c, ker in zip(b, kers) if c]
-        out: dict[int, Scalar] = {}
-        for idx, x in plain.items():
-            leg, rest = ws.split(idx, first)
-            for c, ker in kernels:
-                cx = c * x
-                for r, v in ker[nb + leg]:
-                    nidx = ws.join(r - nb, rest, first)
-                    out[nidx] = out.get(nidx, ZERO) + cx * v
-        return ws.from_plain(out)
+        col = combine(b, kers, [ZERO] * (nb + leg) + [ONE], comp.dim)
+        return ws.from_plain(
+            {ws.join(r, rest, first): v for r, v in enumerate(col[nb:]) if v}
+        )
+
+    def act(self, atom: Atom, vec: FpVec) -> FpVec:
+        """The atom on vec, from images computed afresh."""
+        return linear_extension(partial(self.image, atom), vec)
 
     def lambda_apply(self, op: ModuleOperator, k: int, vec: FpVec) -> FpVec:
-        return self._rep_apply(op, k, vec, from_left=True)
+        return self.act(("l", k, op), vec)
 
     def rho_apply(self, op: ModuleOperator, k: int, vec: FpVec) -> FpVec:
-        return self._rep_apply(op, k, vec, from_left=False)
-
-    def _rep_apply(self, op: ModuleOperator, k: int, vec: FpVec, from_left: bool):
-        comp_k = self.components[k]
-        nb = self.B.dim
-        out: FpVec = {}
-        for seq, comp in vec.items():
-            if seq and (seq[0] if from_left else seq[-1]) == k:
-                self._rep_apply_edge(out, op, seq, comp, from_left)
-                continue
-            if seq:
-                plain = self.space(seq).to_plain(comp)
-                x = op.unit_image
-                if any(x[:nb]):
-                    _acc(out, seq, self._edge(seq, x[:nb], plain, from_left))
-            else:
-                # the base summand is the word with no legs, at plain index 0
-                plain = {0: ONE}
-                x = op.apply(self.p({(): comp}).coeffs)
-                _acc(out, (), dict(enumerate(x[:nb])))
-            osc = comp_k.osc_part(x)
-            if any(osc):
-                nseq = (k,) + seq if from_left else seq + (k,)
-                if len(nseq) > self.depth:
-                    raise DepthExceeded(
-                        f"word {seq} cannot grow beyond depth {self.depth}"
-                    )
-                nws = self.space(nseq)
-                _acc(out, nseq, nws.from_plain(nws.grow(plain, osc, from_left)))
-        return _clean(out)
-
-    def _rep_apply_edge(self, out, op: ModuleOperator, seq, comp, from_left):
-        """Operator consuming the edge leg of matching colour: the leg's
-        complement part stays, and its base part multiplies the rest of
-        the word through the new edge leg.  One pass over op's column of
-        each leg splits the two."""
-        nb = self.B.dim
-        ws = self.space(seq)
-        stay: dict[int, Scalar] = {}
-        collapse: dict[int, dict[int, Scalar]] = {}  # B basis element -> rest
-        for idx, c in ws.to_plain(comp).items():
-            leg, rest = ws.split(idx, from_left)
-            for r, v in op.columns[nb + leg]:
-                if r < nb:
-                    part = collapse.setdefault(r, {})
-                    part[rest] = part.get(rest, ZERO) + c * v
-                else:
-                    nidx = ws.join(r - nb, rest, from_left)
-                    stay[nidx] = stay.get(nidx, ZERO) + c * v
-        _acc(out, seq, ws.from_plain(stay))
-        tail = seq[1:] if from_left else seq[:-1]
-        for i in sorted(collapse):
-            if not tail:
-                _acc(out, (), {i: collapse[i][0]})
-                continue
-            basis = [ONE if j == i else ZERO for j in range(nb)]
-            _acc(out, tail, self._edge(tail, basis, collapse[i], from_left))
+        return self.act(("r", k, op), vec)
 
     def bool_proj(self, k: int, vec: FpVec) -> FpVec:
-        return _clean(
-            {seq: dict(comp) for seq, comp in vec.items() if seq in ((), (k,))}
-        )
+        return self.act(("proj", k, None), vec)
 
     def tensor_embed(self, factors: list[tuple[int, Vec]]) -> FpVec:
         """Word vector from per-leg complement coordinates."""
@@ -645,10 +622,24 @@ class TruncatedFreeProduct:
         return _clean({seq: self.space(seq).from_plain(plain)})
 
 
-def _acc(out: FpVec, seq, comp: dict[int, Scalar]):
-    tgt = out.setdefault(seq, {})
-    for i, c in comp.items():
-        tgt[i] = tgt.get(i, ZERO) + c
+def _triples(vec: FpVec) -> tuple:
+    """vec's nonzero entries as (sequence, index, value) triples."""
+    return tuple((s, j, v) for s, comp in vec.items() for j, v in comp.items() if v)
+
+
+def linear_extension(image: Callable[[tuple, int], tuple], vec: FpVec) -> FpVec:
+    """The linear map with the given images of basis words (image(seq, i)
+    gives (sequence, index, value) triples) on vec: the sum of the images
+    of vec's entries, each scaled by its entry."""
+    out: FpVec = {}
+    for seq, comp in vec.items():
+        for i, c in comp.items():
+            for s, j, v in image(seq, i):
+                tgt = out.get(s)
+                if tgt is None:
+                    tgt = out[s] = {}
+                tgt[j] = tgt.get(j, ZERO) + c * v
+    return _clean(out)
 
 
 def _clean(vec: FpVec) -> FpVec:
@@ -671,29 +662,15 @@ def reduced_free_product(
 Atom = tuple  # ('l'|'r', k, ModuleOperator) | ('lb'|'rb', b) | ('proj', k, None)
 
 
-def apply_atom(fp: TruncatedFreeProduct, atom: Atom, vec: FpVec) -> FpVec:
-    kind = atom[0]
-    if kind == "l":
-        return fp.lambda_apply(atom[2], atom[1], vec)
-    if kind == "r":
-        return fp.rho_apply(atom[2], atom[1], vec)
-    if kind in ("lb", "rb"):
-        return fp.act_b(atom[1], vec, from_left=(kind == "lb"))
-    if kind == "proj":
-        return fp.bool_proj(atom[1], vec)
-    raise ValueError(f"unknown atom {atom!r}")
-
-
 def apply_chain(on, chain: Iterable[Atom], vec: FpVec, trail=None) -> FpVec:
-    """The chain applied to vec, its last atom first, on the free product
-    (each atom applied afresh by apply_atom) or on a FreeMomentContext
-    (each atom read through the context's basis images); trail, when
-    given, receives the vector after each atom.  Every atom acts
-    linearly, so a vector that vanishes stays zero: the walk stops at the
-    first one, and trail ends with it."""
-    act = on.act if isinstance(on, FreeMomentContext) else partial(apply_atom, on)
+    """The chain applied to vec, its last atom first, through on.act: on
+    the free product each atom's images are computed afresh, on a
+    FreeMomentContext they are read from its memo.  trail, when given,
+    receives the vector after each atom.  Every atom acts linearly, so a
+    vector that vanishes stays zero: the walk stops at the first one, and
+    trail ends with it."""
     for atom in reversed(list(chain)):
-        vec = act(atom, vec)
+        vec = on.act(atom, vec)
         if trail is not None:
             trail.append(vec)
         if not vec:
@@ -733,13 +710,13 @@ class FreeMomentContext(MomentContext):
     Every atom acts through the context's basis images (act): the image
     of one basis word, a coordinate i of the word space of one colour
     sequence (the base summand is the sequence ()), is computed once by
-    apply_atom on that word alone and kept under (atom id, sequence, i)
-    as one tuple of (sequence, index, value) triples.  An atom on a
-    vector is the sum of its images of the vector's entries, each scaled
-    by the entry: exact, since every atom is linear and scalars are
-    exact.  The trie's misses and apply, a chain on any vector, both act
-    this way.  The images live as long as the context, which is built
-    per checker call or sweep, so none outlives it.
+    TruncatedFreeProduct.image and kept under (atom id, sequence, i) as
+    one tuple of (sequence, index, value) triples.  An atom on a vector
+    is linear_extension of those images, the rule the free product's own
+    act follows with fresh images: exact, since every atom is linear and
+    scalars are exact.  The trie's misses and apply, a chain on any
+    vector, both act this way.  The images live as long as the context,
+    which is built per checker call or sweep, so none outlives it.
     """
 
     def __init__(self, fp: TruncatedFreeProduct):
@@ -780,28 +757,21 @@ class FreeMomentContext(MomentContext):
         return atom
 
     def act(self, atom: Atom, vec: FpVec) -> FpVec:
-        """The atom on vec, summed from its basis images, each computed
-        on first use."""
+        """The atom on vec, from its basis images, each computed on first
+        use by TruncatedFreeProduct.image and kept."""
         aid = self._seen.get(id(atom))
         if aid is None:
             aid = self.intern(atom)
-        images = self._images
-        out: FpVec = {}
-        for seq, comp in vec.items():
-            for i, c in comp.items():
-                key = (aid, seq, i)
-                image = images.get(key)
-                if image is None:
-                    word = apply_atom(self.fp, atom, {seq: {i: ONE}})
-                    image = images[key] = tuple(
-                        (s, j, v) for s, part in word.items() for j, v in part.items()
-                    )
-                for s, j, v in image:
-                    tgt = out.get(s)
-                    if tgt is None:
-                        tgt = out[s] = {}
-                    tgt[j] = tgt.get(j, ZERO) + c * v
-        return _clean(out)
+        images, image = self._images, self.fp.image
+
+        def cached(seq, i):
+            key = (aid, seq, i)
+            got = images.get(key)
+            if got is None:
+                got = images[key] = image(atom, seq, i)
+            return got
+
+        return linear_extension(cached, vec)
 
     def apply(self, chain: Iterable[Atom], vec: FpVec) -> FpVec:
         """The chain applied to any vector through the basis images."""
@@ -914,31 +884,21 @@ class _Term(NamedTuple):
 class Decomposition:
     """Word vector split into diagram contributions.
 
-    contributions lists (diagram, coefficient, rule vector), or without
-    coefficients (diagram, None, part); primed is the projected word
-    (equal to direct when nothing was projected) and residual the killed
-    contributions, mirroring the split direct = primed + sum of residual
-    vectors.  Without coefficients the contributions are grouped the
-    first time they are read, by grouped.
+    contributions lists (diagram, coefficient, rule vector), made on the
+    coefficient route only; primed is the projected word (equal to direct
+    when nothing was projected) and residual the killed contributions,
+    mirroring the split direct = primed + sum of residual vectors.
+    Without coefficients residual lists (diagram, None, part).
     """
 
     fp: TruncatedFreeProduct
     direct: FpVec
     primed: FpVec
-    residual: list[tuple[LRDiagram, Scalar, FpVec]]
-    grouped: Callable[[], list[tuple[LRDiagram, Scalar, FpVec]]] = field(
-        repr=False, compare=False
-    )
-
-    @cached_property
-    def contributions(self) -> list[tuple[LRDiagram, Scalar, FpVec]]:
-        return self.grouped()
+    residual: list[tuple[LRDiagram, Optional[Scalar], FpVec]]
+    contributions: list[tuple[LRDiagram, Scalar, FpVec]] = field(default_factory=list)
 
     def reconstruction(self) -> FpVec:
-        parts = [
-            v if c is None else self.fp.scale(c, v)
-            for _, c, v in self.contributions
-        ]
+        parts = [self.fp.scale(c, v) for _, c, v in self.contributions]
         return self.fp.add(*parts) if parts else {}
 
 
@@ -980,8 +940,8 @@ def lr_decompose(
     multiple of its rule vector unless every operator lies in its side's
     commutant, so such a word is refused with SideMismatch, naming
     the first offending position, before the expansion.  Without
-    coefficients, the parts themselves are the contributions, and no
-    operator is refused.
+    coefficients no contributions are made and no operator is refused:
+    direct, primed and residual are the result.
     """
     n = len(ops)
     projected = set(projected_positions)
@@ -1094,22 +1054,22 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
     are grouped by that key, and make_diagram runs once per group that
     is read: the diagrams are kept by key, so a group's residual part
     and its total share one.  Without coefficients only the groups with
-    a residual part are built here; the contributions, every group's
-    total, are grouped when first read.  With coefficients every group
-    is divided by its rule vector here, so a part that is no multiple of
-    it raises now."""
+    a residual part are built, and no total is summed.  With
+    coefficients every group's total is divided by its rule vector, so
+    a part that is no multiple of it raises here."""
     direct: FpVec = {}
     primed: FpVec = {}
-    vecs = []
     resid_parts: dict = {}  # diagram key -> residual part
+    totals: dict = {}  # diagram key -> total, with coefficients only
     for t in terms:
         vec = _assemble(fp, t)
-        vecs.append(vec)
         _acc_vec(direct, vec, t.coeff)
         if t.primed:
             _acc_vec(primed, vec, t.coeff)
         else:
             _acc_vec(resid_parts.setdefault(_diagram_key(t), {}), vec, t.coeff)
+        if coefficients:
+            _acc_vec(totals.setdefault(_diagram_key(t), {}), vec, t.coeff)
     built: dict = {}  # diagram key -> diagram
 
     def diagram(key) -> LRDiagram:
@@ -1127,21 +1087,10 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
             key=lambda g: g[0].key(),
         )
 
-    def totals() -> list[tuple[LRDiagram, FpVec]]:
-        parts: dict = {}
-        for t, vec in zip(terms, vecs):
-            _acc_vec(parts.setdefault(_diagram_key(t), {}), vec, t.coeff)
-        return by_diagram(parts)
-
     residual = by_diagram(resid_parts)
     if not coefficients:
-        return Decomposition(
-            fp,
-            _clean(direct),
-            _clean(primed),
-            [(d, None, part) for d, part in residual],
-            lambda: [(d, None, total) for d, total in totals()],
-        )
+        residual = [(d, None, part) for d, part in residual]
+        return Decomposition(fp, _clean(direct), _clean(primed), residual)
     mf = FreeMomentContext(fp)
     rules: dict = {}  # diagram key -> rule vector
 
@@ -1151,14 +1100,12 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
         return rules[d.key()]
 
     contributions = []
-    for d, total in totals():
+    for d, total in by_diagram(totals):
         coeff = _ratio(fp, total, rule(d))
         if coeff is not None and coeff != 0:
             contributions.append((d, coeff, rule(d)))
     residual = [(d, _ratio(fp, part, rule(d)), part) for d, part in residual]
-    return Decomposition(
-        fp, _clean(direct), _clean(primed), residual, lambda: contributions
-    )
+    return Decomposition(fp, _clean(direct), _clean(primed), residual, contributions)
 
 
 def _diagram_key(t: _Term):

@@ -378,18 +378,15 @@ def test_checker_applies_each_suffix_once_per_call(monkeypatch, check, pins):
     system = load_system("doubled-m2", 6)
     applied, images, asked = [], [], []
     real_grow = FreeMomentContext._grow
-    real_atom = freeprod.apply_atom
+    real_image = freeprod.TruncatedFreeProduct.image
 
     def growing(self, node, front):
         applied.append(len(front))
         return real_grow(self, node, front)
 
-    def imaging(fp, atom, vec):
-        [(seq, comp)] = vec.items()
-        [(i, c)] = comp.items()
-        assert c == ONE
+    def imaging(fp, atom, seq, i):
         images.append((id(fp), atom_key(atom), seq, i))
-        return real_atom(fp, atom, vec)
+        return real_image(fp, atom, seq, i)
 
     def recording(method):
         def wrapper(self, elems):
@@ -400,7 +397,7 @@ def test_checker_applies_each_suffix_once_per_call(monkeypatch, check, pins):
         return wrapper
 
     monkeypatch.setattr(FreeMomentContext, "_grow", growing)
-    monkeypatch.setattr(freeprod, "apply_atom", imaging)
+    monkeypatch.setattr(freeprod.TruncatedFreeProduct, "image", imaging)
     for name in ("vector", "expect"):
         monkeypatch.setattr(
             FreeMomentContext, name, recording(getattr(FreeMomentContext, name))

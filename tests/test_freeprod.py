@@ -375,14 +375,14 @@ def test_full_depth_word_without_a_new_leg():
     op = DIAG2.faces_l[2][0].module_op
     comp = fp.components[2]
     image = op.apply(comp.unit_vector())
-    assert not any(comp.osc_part(image))
+    assert not any(image[comp.B.dim :])
     b = comp.p(image)
     assert b.coeffs == (1, 2)  # d1 + 2·d2
     seq = (1, 2, 1)
     ws = fp.space(seq)
     assert len(seq) == fp.depth
     v = {seq: {q: Fraction(q + 1) for q in range(ws.dim)}}
-    assert fp.equal(fp.lambda_apply(op, 2, v), fp.act_b(b, v, True))
+    assert fp.equal(fp.lambda_apply(op, 2, v), fp.act(("lb", b), v))
 
 
 def m2_free_product(depth=3):
@@ -413,12 +413,13 @@ def test_b_actions_over_a_noncommutative_base():
         return fp.tensor_embed([(k, list(x.coeffs)) for k, x in enumerate(legs, 1)])
 
     for b, y in iproduct(basis, repeat=2):
-        assert fp.equal(fp.act_b(b, fp.embed_b(y), True), fp.embed_b(b * y))
-        assert fp.equal(fp.act_b(b, fp.embed_b(y), False), fp.embed_b(y * b))
-        assert fp.equal(fp.act_b(b, word(y), True), word(b * y))
-        assert fp.equal(fp.act_b(b, word(y), False), word(y * b))
-        assert fp.equal(fp.act_b(b, word(y, z), True), word(b * y, z))
-        assert fp.equal(fp.act_b(b, word(y, z), False), word(y, z * b))
+        lb, rb = ("lb", b), ("rb", b)
+        assert fp.equal(fp.act(lb, fp.embed_b(y)), fp.embed_b(b * y))
+        assert fp.equal(fp.act(rb, fp.embed_b(y)), fp.embed_b(y * b))
+        assert fp.equal(fp.act(lb, word(y)), word(b * y))
+        assert fp.equal(fp.act(rb, word(y)), word(y * b))
+        assert fp.equal(fp.act(lb, word(y, z)), word(b * y, z))
+        assert fp.equal(fp.act(rb, word(y, z)), word(y, z * b))
 
 
 def _legs(dims, idx: int) -> tuple:
@@ -437,67 +438,45 @@ def _plain_index(dims, legs) -> int:
     return idx
 
 
-def dense_rep_apply(fp, op, k, vec, left: bool):
-    """λ_k(op) (left) or ρ_k(op) on vec from dense matrices, word by word
-    and leg tuple by leg tuple.  A word whose edge leg has colour k has
-    that leg x replaced by op(x): its complement part is the new leg, and
-    its B part acts on the rest of the word (through the rest's edge leg
-    by the dense B action, or as the B summand when nothing is left).  Any
-    other word ξ is read as the unit of module k beside ξ: op's image of
-    the unit contributes its complement part as a new edge leg and its B
-    part acting on ξ's edge leg."""
+def _add(out: dict, seq, legs, c):
+    tgt = out.setdefault(seq, {})
+    tgt[legs] = tgt.get(legs, ZERO) + c
+
+
+def act_b(fp, out: dict, seq, legs, b, c, left: bool):
+    """b on the edge leg of the word (seq, legs), scaled by c, from the
+    dense B action, added to out ({colour sequence: {leg tuple:
+    coefficient}}); a word with no legs is the B summand, where b itself
+    is added."""
+    if not seq:
+        for i, v in enumerate(b):
+            _add(out, (), (i,), c * v)
+        return
     nb = fp.B.dim
-    out: dict = {}  # colour sequence -> {leg tuple: coefficient}
+    mod = fp.components[seq[0] if left else seq[-1]]
+    m = mat_combination(b, mod.left_action if left else mod.right_action)
+    at = 0 if left else len(seq) - 1
+    for r in range(nb, mod.dim):
+        v = m[r][nb + legs[at]]
+        if v:
+            _add(out, seq, legs[:at] + (r - nb,) + legs[at + 1 :], c * v)
 
-    def add(seq, legs, c):
-        tgt = out.setdefault(seq, {})
-        tgt[legs] = tgt.get(legs, ZERO) + c
 
-    def act_b(seq, legs, b, c):
-        """b on the edge leg of the word (seq, legs), scaled by c."""
-        if not seq:
-            for i, v in enumerate(b):
-                add((), (i,), c * v)
-            return
-        mod = fp.components[seq[0] if left else seq[-1]]
-        m = mat_combination(b, mod.left_action if left else mod.right_action)
-        at = 0 if left else len(seq) - 1
-        for r in range(nb, mod.dim):
-            v = m[r][nb + legs[at]]
-            if v:
-                add(seq, legs[:at] + (r - nb,) + legs[at + 1 :], c * v)
-
-    mod_k = fp.components[k]
+def dense_words(fp, vec):
+    """vec's entries as (sequence, leg tuple, B coefficients, coefficient):
+    the B summand as one entry with its coefficients, each other word as
+    its plain indices' leg tuples."""
     for seq, comp in vec.items():
         if not seq:
-            words = [((), (), [comp.get(i, ZERO) for i in range(nb)], ONE)]
-        else:
-            ws = fp.space(seq)
-            words = [
-                (seq, _legs(ws.osc_dims, idx), None, c)
-                for idx, c in ws.to_plain(comp).items()
-            ]
-        for wseq, legs, bvec, c in words:
-            if bvec is not None:  # the B summand: op on B's element
-                img = mat_vec(op.matrix, bvec + [ZERO] * mod_k.osc_dim)
-                act_b((), (), img[:nb], ONE)
-                rest, rest_legs = (), ()
-            elif (wseq[0] if left else wseq[-1]) == k:
-                at = 0 if left else len(wseq) - 1
-                img = [row[nb + legs[at]] for row in op.matrix]
-                rest = wseq[1:] if left else wseq[:-1]
-                rest_legs = legs[1:] if left else legs[:-1]
-                act_b(rest, rest_legs, img[:nb], c)
-            else:
-                img = mat_vec(op.matrix, mod_k.unit_vector())
-                act_b(wseq, legs, img[:nb], c)
-                rest, rest_legs = wseq, legs
-            for leg, v in enumerate(img[nb:]):
-                if v:
-                    if left:
-                        add((k,) + rest, (leg,) + rest_legs, c * v)
-                    else:
-                        add(rest + (k,), rest_legs + (leg,), c * v)
+            yield (), (), [comp.get(i, ZERO) for i in range(fp.B.dim)], ONE
+            continue
+        ws = fp.space(seq)
+        for idx, c in ws.to_plain(comp).items():
+            yield seq, _legs(ws.osc_dims, idx), None, c
+
+
+def dense_vector(fp, out: dict) -> dict:
+    """The free-product vector of {colour sequence: {leg tuple: coefficient}}."""
     vecout = {}
     for seq, entries in out.items():
         if not seq:
@@ -509,7 +488,56 @@ def dense_rep_apply(fp, op, k, vec, left: bool):
     return {seq: comp for seq, comp in vecout.items() if comp}
 
 
-@pytest.mark.parametrize(
+def dense_rep_apply(fp, op, k, vec, left: bool):
+    """λ_k(op) (left) or ρ_k(op) on vec from dense matrices, word by word
+    and leg tuple by leg tuple.  A word whose edge leg has colour k has
+    that leg x replaced by op(x): its complement part is the new leg, and
+    its B part acts on the rest of the word (through the rest's edge leg
+    by the dense B action, or as the B summand when nothing is left).  Any
+    other word ξ is read as the unit of module k beside ξ: op's image of
+    the unit contributes its complement part as a new edge leg and its B
+    part acting on ξ's edge leg."""
+    nb = fp.B.dim
+    out: dict = {}  # colour sequence -> {leg tuple: coefficient}
+    mod_k = fp.components[k]
+    for wseq, legs, bvec, c in dense_words(fp, vec):
+        if bvec is not None:  # the B summand: op on B's element
+            img = mat_vec(op.matrix, bvec + [ZERO] * mod_k.osc_dim)
+            act_b(fp, out, (), (), img[:nb], ONE, left)
+            rest, rest_legs = (), ()
+        elif (wseq[0] if left else wseq[-1]) == k:
+            at = 0 if left else len(wseq) - 1
+            img = [row[nb + legs[at]] for row in op.matrix]
+            rest = wseq[1:] if left else wseq[:-1]
+            rest_legs = legs[1:] if left else legs[:-1]
+            act_b(fp, out, rest, rest_legs, img[:nb], c, left)
+        else:
+            img = mat_vec(op.matrix, mod_k.unit_vector())
+            act_b(fp, out, wseq, legs, img[:nb], c, left)
+            rest, rest_legs = wseq, legs
+        for leg, v in enumerate(img[nb:]):
+            if v:
+                if left:
+                    _add(out, (k,) + rest, (leg,) + rest_legs, c * v)
+                else:
+                    _add(out, rest + (k,), rest_legs + (leg,), c * v)
+    return dense_vector(fp, out)
+
+
+def dense_b_apply(fp, b, vec, left: bool):
+    """L_b (left) or R_b on vec from the dense B action: B's elements by
+    the product in B, every other word through its edge leg."""
+    out: dict = {}
+    for seq, legs, bvec, c in dense_words(fp, vec):
+        if bvec is not None:
+            x = fp.B.element(bvec)
+            act_b(fp, out, (), (), (b * x if left else x * b).coeffs, ONE, left)
+        else:
+            act_b(fp, out, seq, legs, b.coeffs, c, left)
+    return dense_vector(fp, out)
+
+
+DENSE_MODULES = pytest.mark.parametrize(
     "make",
     [
         lambda: doubled_bimodule(build_bimodule_from_space(space_m2_scalar())[0]),
@@ -518,6 +546,18 @@ def dense_rep_apply(fp, op, k, vec, left: bool):
     ],
     ids=["doubled-m2", "diag2", "doubled-m2-over-m2"],
 )
+
+
+def word_basis(fp, longest: int = 3) -> list:
+    """B's basis and every basis vector of W(s) for |s| <= longest."""
+    basis = [fp.embed_b(fp.B.basis_element(i)) for i in range(fp.B.dim)]
+    for seq in fp.sequences():
+        if len(seq) <= longest:
+            basis += [{seq: {i: ONE}} for i in range(fp.space(seq).dim)]
+    return basis
+
+
+@DENSE_MODULES
 def test_lambda_rho_match_a_dense_oracle_on_word_basis_vectors(make):
     """lambda_apply and rho_apply, which act through cached sparse
     kernels, equal dense_rep_apply on every basis vector of W(s) for
@@ -527,15 +567,37 @@ def test_lambda_rho_match_a_dense_oracle_on_word_basis_vectors(make):
     rng = random.Random(31)
     ops = [rand_op(mod, rng) for _ in range(2)]
     ops.append(module_operator(mod, identity(mod.dim)))
-    basis = [fp.embed_b(fp.B.basis_element(i)) for i in range(fp.B.dim)]
-    for seq in fp.sequences():
-        if len(seq) <= 3:
-            basis += [{seq: {i: ONE}} for i in range(fp.space(seq).dim)]
+    basis = word_basis(fp)
     checked = 0
     for vec, op, k, left in iproduct(basis, ops, (1, 2), (True, False)):
         got = (fp.lambda_apply if left else fp.rho_apply)(op, k, vec)
         assert fp.equal(got, dense_rep_apply(fp, op, k, vec, left)), (vec, k, left)
         checked += bool(got)
+    assert checked > len(basis)
+
+
+@DENSE_MODULES
+def test_b_actions_and_projections_match_a_dense_oracle_on_word_basis_vectors(make):
+    """The atoms ('lb', b), ('rb', b) and ('proj', k, None) equal the dense
+    B action (dense_b_apply) and the truncation to W(()) + W((k,)) on
+    every basis vector of W(s) for |s| <= 3 and on B's basis, for seeded
+    b, B's unit and B's basis elements."""
+    mod = make()
+    fp = reduced_free_product({1: mod, 2: mod}, 4)
+    rng = random.Random(37)
+    B = fp.B
+    bs = [B.element([rng.randint(-2, 2) for _ in range(B.dim)]) for _ in range(2)]
+    bs += [B.one()] + [B.basis_element(i) for i in range(B.dim)]
+    basis = word_basis(fp)
+    checked = 0
+    for vec in basis:
+        for b, left in iproduct(bs, (True, False)):
+            got = fp.act(("lb" if left else "rb", b), vec)
+            assert fp.equal(got, dense_b_apply(fp, b, vec, left)), (vec, b, left)
+            checked += bool(got)
+        for k in (1, 2):
+            want = {seq: dict(c) for seq, c in vec.items() if seq in ((), (k,))}
+            assert fp.equal(fp.act(("proj", k, None), vec), want), (vec, k)
     assert checked > len(basis)
 
 
@@ -760,7 +822,8 @@ def test_lr_decompose_output_is_pinned():
     random words per module, lengths 1-6, with sparse operators and
     random projected positions.  Scalar coefficients over the m2,
     doubled-m2 and scalar modules; over diag2 (B = D2) the
-    coefficient-free route the verifier takes."""
+    coefficient-free route the verifier takes, which makes no
+    contributions."""
     m2 = build_bimodule_from_space(space_m2_scalar())[0]
     diag2 = build_bimodule_from_space(space_diag2())[0]
     cases = [
@@ -789,7 +852,7 @@ def test_lr_decompose_output_is_pinned():
             ]
             digest.update(json.dumps([name, out]).encode())
     assert digest.hexdigest() == (
-        "b9363ba7230af6720adc5ba6de275f2e43d4b681386e8046f66e3a7bb7afdb27"
+        "2088248f66f75141e1ee83cbcd466349336b7d425ebad74aecedfff1926cca88"
     )
 
 
@@ -925,7 +988,11 @@ def test_lr_decompose_refuses_coefficients_outside_commutants():
     side's commutant.  On 200 seeded words of dense operators on the
     diag2 module (lengths 1-4, both colours, random sides) the
     coefficient route is refused before the expansion, naming the first
-    offending position.  The coefficient-free route is not refused."""
+    offending position.  The coefficient-free route is not refused and
+    makes no contributions; with nothing projected, primed is direct.
+    (Its direct part is not compared with the word applied atom by atom:
+    outside the commutants λ/ρ are not defined on the balanced tensor
+    product, and the two disagree on some words.)"""
     mod = build_bimodule_from_space(space_diag2())[0]
     fp = reduced_free_product({1: mod, 2: mod}, 4)
     rng = random.Random(0)
@@ -943,7 +1010,8 @@ def test_lr_decompose_refuses_coefficients_outside_commutants():
             with pytest.raises(SideMismatch, match=f"^position {outside[0]}: "):
                 lr_decompose(ops, fp)
         dec = lr_decompose(ops, fp, coefficients=False)
-        assert all(c is None for _, c, _ in dec.contributions)
+        assert dec.contributions == [] and dec.residual == []
+        assert dec.primed == dec.direct
     assert refused == 200
 
 
@@ -994,9 +1062,9 @@ def test_free_moment_context_appended_b_acts_first():
         )
         b = mod.B.element([rng.choice((-2, -1, 1, 2, 3)) for _ in range(mod.B.dim)])
         mf = FreeMomentContext(fp)
-        want = apply_chain(fp, chain, fp.act_b(b, fp.unit(), True))
+        want = apply_chain(fp, chain, fp.act(("lb", b), fp.unit()))
         assert fp.equal(mf.vector([mf.insert(APPEND_LEFT, b, chain)]), want)
-        last = fp.act_b(b, apply_chain(fp, chain, fp.unit()), True)
+        last = fp.act(("lb", b), apply_chain(fp, chain, fp.unit()))
         differs += not fp.equal(last, want)
     assert differs > 0
 
@@ -1167,13 +1235,13 @@ def test_a_chain_stops_at_its_vanishing_suffix(monkeypatch):
     entries = sum(map(len, b_vec.values()))
     assert entries > 1
     applied = []
-    real = freeprod.apply_atom
+    real = freeprod.TruncatedFreeProduct.image
 
-    def counting(fp_, atom, vec):
+    def counting(fp_, atom, seq, i):
         applied.append(atom)
-        return real(fp_, atom, vec)
+        return real(fp_, atom, seq, i)
 
-    monkeypatch.setattr(freeprod, "apply_atom", counting)
+    monkeypatch.setattr(freeprod.TruncatedFreeProduct, "image", counting)
     assert mf.expect([(a, c), (kill, b)]).is_zero()
     assert applied == [b] + [kill] * entries  # neither c nor a
     assert id(a) not in mf._seen and id(c) not in mf._seen
@@ -1196,13 +1264,13 @@ def test_check_ffb_system_applies_pinned_atoms(monkeypatch):
     vanishing vector 2,992."""
     system = system_doubled_m2(6)
     applied = []
-    real = freeprod.apply_atom
+    real = freeprod.TruncatedFreeProduct.image
 
-    def counting(fp_, atom, vec):
+    def counting(fp_, atom, seq, i):
         applied.append(atom)
-        return real(fp_, atom, vec)
+        return real(fp_, atom, seq, i)
 
-    monkeypatch.setattr(freeprod, "apply_atom", counting)
+    monkeypatch.setattr(freeprod.TruncatedFreeProduct, "image", counting)
     assert ffb.check_ffb_system(system, word_cap=3).ok
     assert len(applied) == 470
 
