@@ -450,20 +450,20 @@ REGISTER = (
         "    if _shared_pair(eps.colours[:2], fctx.bottom.rgs) is not None:\n",
         ("tests/test_cumulants.py::test_ffb_formula_requires_pair_colours",),
     ),
-    # the basis images of FreeMomentContext: their key, and their lifetime
-    # of one context
+    # the image tables: one per colour sequence, kept by a
+    # FreeMomentContext for its own life only
     Mutant(
         "v1",
         "freeprod.py",
-        "            key = (aid, seq, i)\n",
-        "            key = (aid, i)\n",
+        "        table = tables.setdefault(seq, {})\n",
+        "        table = tables.setdefault((), {})\n",
         ("tests/test_freeprod.py::test_context_application_matches_apply_chain",),
     ),
     Mutant(
         "v2",
         "freeprod.py",
-        "        self._images: dict = {}",
-        '        self._images: dict = fp.__dict__.setdefault("_images", {})',
+        "        self._tables: dict = {}",
+        '        self._tables: dict = fp.__dict__.setdefault("_tables", {})',
         (
             "tests/test_ffb.py::test_checker_applies_each_suffix_once_per_call"
             "[check_single_colour_moments]",
@@ -484,6 +484,33 @@ REGISTER = (
         "(b * e if first else e * b)",
         "(e * b if first else b * e)",
         (f"{DENSE_B}[doubled-m2-over-m2]",),
+    ),
+    # the lean kernels: a linear extension kept uncleaned after a
+    # cancellation, a decomposition sum left unprojected, and the
+    # restriction matched without its spine order
+    Mutant(
+        "v5",
+        "freeprod.py",
+        "            return _clean(out)\n",
+        "            return out\n",
+        ("tests/test_freeprod.py::test_cancelling_images_leave_clean_vectors",),
+    ),
+    Mutant(
+        "s3",
+        "freeprod.py",
+        "    direct = _project(fp, direct)\n",
+        "    direct = _clean(direct)\n",
+        (
+            "tests/test_ffb.py::test_decomposition_sums_match_the_term_by_term_oracle"
+            "[diag2]",
+        ),
+    ),
+    Mutant(
+        "x2",
+        "diagrams.py",
+        "if _restriction(d, i, side) in wanted]",
+        "if _restriction(d, i, side)[0] in {s for s, _ in wanted}]",
+        ("tests/test_diagrams.py::test_extensions_match_restrictions_by_spine_order",),
     ),
     # the sparse commutant check reading the acting side's own kernels
     Mutant(

@@ -23,6 +23,7 @@ spine order); geometric placement never enters.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -242,32 +243,38 @@ def filter_boolean(fam: DiagramFamily, k: int):
     return fam.with_diagrams(kept), fam.with_diagrams(removed)
 
 
-def restrict(d: LRDiagram, i: int) -> LRDiagram:
-    """Restriction to nodes i..n, relabelled to 1..n-i+1.
+def _restriction(d: LRDiagram, i: int, side: dict[int, str]):
+    """The strings and spine order of d's restriction to nodes i..n, in
+    d's own node labels, sorted as make_diagram sorts them; side maps
+    d's nodes to their sides.
 
-    A string's piece reaches the restricted top gap when the string
-    reaches the full top gap or extends above the boundary; the pieces
-    are ordered by where their spines cross the boundary.
+    A string's piece is its nodes from i on.  The piece reaches the
+    restricted top gap when the string's spine crosses the boundary
+    above node i: the string reaches the full top gap or has a node
+    above i.  The pieces are ordered by where their spines cross the
+    boundary, on the walk from node i.
     """
-    if not 1 <= i <= d.n + 1:
-        raise ValueError(f"position {i} out of range")
-    shift = i - 1
-    new_chi = ChiMap(d.chi.sides[shift:])
-    new_eps = EpsilonMap(d.eps.colours[shift:])
-    side = dict(enumerate(d.chi.sides, start=1))
     strings = []
     crossing = []
     for nodes, top in d.strings:
-        piece = tuple(j - shift for j in nodes if j >= i)
-        if not piece:
+        if nodes[-1] < i:
             continue
+        piece = nodes[bisect_left(nodes, i) :]
         reaches = crosses(nodes, top, i)
         strings.append((piece, reaches))
         if reaches:
             rank = d.spine_order.index(nodes) + 1 if top else None
             crossing.append((walk_key(nodes, rank, i, side, True), piece))
-    order = [piece for _, piece in sorted(crossing, key=lambda e: e[0])]
-    return make_diagram(new_chi, new_eps, strings, order)
+    order = tuple(piece for _, piece in sorted(crossing, key=lambda e: e[0]))
+    return tuple(sorted(strings)), order
+
+
+def _relabelled(strings, order, shift: int):
+    """Strings and a spine order with every node label moved by shift."""
+    return (
+        tuple((tuple(j + shift for j in nodes), top) for nodes, top in strings),
+        tuple(tuple(j + shift for j in nodes) for nodes in order),
+    )
 
 
 @lru_cache(maxsize=16)
@@ -288,8 +295,11 @@ def chi_extensions(
 
     D qualifies when some D' in the full lateral closure restricts to a
     family member and D follows from D' by cuts whose upper rib lies
-    strictly above the suffix start.  The full closure comes from
-    _full_closure's LRU; the diagram cap is checked on every call.
+    strictly above the suffix start.  D' is matched by the strings and
+    spine order of its restriction (_restriction) against the members'
+    own, moved to the full word's node labels, so no restricted diagram
+    is made.  The full closure comes from _full_closure's LRU; the
+    diagram cap is checked on every call.
     """
     _check_lengths(chi, eps)
     i = chi.n - suffix_family.chi.n + 1
@@ -300,11 +310,12 @@ def chi_extensions(
         raise SuffixMismatch("suffix colourings do not match the full word")
     check_cap(chi.n, LR_CAP)
     full = _full_closure(chi, eps)
-    suffix_keys = suffix_family.keys()
+    side = dict(enumerate(chi.sides, start=1))
+    wanted = {
+        _relabelled(d.strings, d.spine_order, i - 1) for d in suffix_family.diagrams
+    }
+    seeds = [d for d in full.diagrams if _restriction(d, i, side) in wanted]
     if i == 1:
-        return full.with_diagrams(
-            [d for d in full.diagrams if d.key() in suffix_keys], "lateral"
-        )
-    seeds = [d for d in full.diagrams if restrict(d, i).key() in suffix_keys]
+        return full.with_diagrams(seeds, "lateral")
     return full.with_diagrams(_cut_closure(seeds, i), "lateral")
 

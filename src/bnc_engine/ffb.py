@@ -439,14 +439,15 @@ def _pipeline_word(sys, mf, fctx, eps, word):
     split = [atom for _, h, _ in word for atom in h.chain]
     v_direct = mf.vector([h.chain for _, h, _ in word])
     dec = lr_decompose(split, fp, projected_positions=projected, coefficients=False)
-    if not fp.equal(dec.direct, v_direct):
+    # every vector compared here is clean (trie vectors, the decomposition's
+    # and fp.add's sums), so == compares them as they are
+    if dec.direct != v_direct:
         return "decompose-direct"
     resid_total = fp.add(*(v for _, _, v in dec.residual)) if dec.residual else {}
-    if not fp.equal(fp.add(dec.primed, resid_total), dec.direct):
+    if fp.add(dec.primed, resid_total) != dec.direct:
         return "decompose-split"
     # the projected word equals the boolean-sandwich word
-    v_tilde = mf.vector([tilde for _, _, tilde in word])
-    if not fp.equal(dec.primed, v_tilde):
+    if dec.primed != mf.vector([tilde for _, _, tilde in word]):
         return "projected-word"
     if not sys.fp.p(resid_total).is_zero():
         return "residual-expectation"

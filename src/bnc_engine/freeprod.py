@@ -44,7 +44,12 @@ exact for any B).  The terms are summed per diagram, keyed by its
 sorted closed strings and its top strings; each diagram is made once
 and kept by that key, so a group's residual part and its total share
 it, and make_diagram runs only for what is read: without coefficients,
-only the diagrams with a residual part.
+only the diagrams with a residual part.  A term's tensor word is added
+as a plain word (tensor_plain, the one leg-growing loop, which
+tensor_embed also reads) to plain sums per colour sequence, and each
+sum (the direct word, the projected word, each residual part or total)
+is projected to coordinates once, which is exact since from_plain is
+linear.
 
 Operator words.  A word is a chain of atoms, applied last atom first.
 A λ/ρ atom is the triple (side, colour, operator), side 'l' for the
@@ -53,10 +58,13 @@ by B on the left or right ('lb'/'rb', b) or project onto a colour
 ('proj', k, None).  One word object serves apply_chain, the moment
 context and lr_decompose.  Each atom is defined once, on one basis
 word (TruncatedFreeProduct.image), and acts on a vector only as the
-linear extension of those images (linear_extension): the free
-product's act computes them afresh, a moment context's act reads them
-from its memo.  An image reads linalg Kernels, each built once: a
-ModuleOperator keeps its own, whose complement columns hold its
+linear extension of those images (linear_extension), read from one
+table per colour sequence (basis index -> image, each computed on
+first use): the free product's act passes fresh tables that the call
+drops, a moment context's act keeps its tables for its own life.  The
+extension returns its sum as built, with no cleaning copy, unless an
+entry cancelled to zero.  An image reads linalg Kernels, each built
+once: a ModuleOperator keeps its own, whose complement columns hold its
 complement block and its complement-to-base rows, and a module keeps
 one per B basis action and side (left_kernels, right_kernels), so every
 colour built on it shares them; an edge leg reads them on the
@@ -88,7 +96,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import (
     AlgebraElement,
@@ -427,15 +435,11 @@ class TruncatedFreeProduct:
         """Every alternating colour sequence of length 1..depth, shorter
         first; it builds no word space."""
         colours = sorted(self.components)
-        frontier: list[tuple[int, ...]] = [()]
+        frontier = [()]
         for _ in range(self.depth):
-            nxt = []
-            for seq in frontier:
-                for k in colours:
-                    if seq and seq[-1] == k:
-                        continue
-                    nxt.append(seq + (k,))
-            frontier = nxt
+            frontier = [
+                s + (k,) for s in frontier for k in colours if not s or s[-1] != k
+            ]
             yield from frontier
 
     def _build_wordspace(self, seq: tuple[int, ...]) -> WordSpace:
@@ -470,10 +474,7 @@ class TruncatedFreeProduct:
             right, left = xmod.osc_right(bi), ymod.osc_left(bi)
             for a in range(d1):
                 for c in range(d2):
-                    pair: dict[tuple[int, int], Scalar] = {}
-                    for a2 in range(d1):
-                        if right[a2][a]:
-                            pair[(a2, c)] = pair.get((a2, c), ZERO) + right[a2][a]
+                    pair = {(a2, c): right[a2][a] for a2 in range(d1) if right[a2][a]}
                     for c2 in range(d2):
                         if left[c2][c]:
                             pair[(a, c2)] = pair.get((a, c2), ZERO) - left[c2][c]
@@ -595,8 +596,9 @@ class TruncatedFreeProduct:
         )
 
     def act(self, atom: Atom, vec: FpVec) -> FpVec:
-        """The atom on vec, from images computed afresh."""
-        return linear_extension(partial(self.image, atom), vec)
+        """The atom on vec, from its images computed afresh into tables
+        that the call drops."""
+        return linear_extension(partial(self.image, atom), {}, vec)
 
     def lambda_apply(self, op: ModuleOperator, k: int, vec: FpVec) -> FpVec:
         return self.act(("l", k, op), vec)
@@ -611,15 +613,22 @@ class TruncatedFreeProduct:
         """Word vector from per-leg complement coordinates."""
         if not factors:
             return self.unit()
+        seq, plain = self.tensor_plain(factors)
+        return _project(self, {seq: plain} if plain else {})
+
+    def tensor_plain(self, factors):
+        """(colour sequence, plain word) of per-leg complement coordinates,
+        grown one leg at a time; the word is {} from the first leg that
+        vanishes, and no longer word space is read."""
         seq = tuple(k for k, _ in factors)
         if len(seq) > self.depth:
             raise DepthExceeded(f"word of length {len(seq)} exceeds the depth")
-        plain: dict[int, Scalar] = {0: ONE}
+        plain = {0: ONE}
         for j, (_, osc) in enumerate(factors):
             plain = self.space(seq[: j + 1]).grow(plain, osc, first=False)
             if not plain:
-                return {}
-        return _clean({seq: self.space(seq).from_plain(plain)})
+                break
+        return seq, plain
 
 
 def _triples(vec: FpVec) -> tuple:
@@ -627,19 +636,32 @@ def _triples(vec: FpVec) -> tuple:
     return tuple((s, j, v) for s, comp in vec.items() for j, v in comp.items() if v)
 
 
-def linear_extension(image: Callable[[tuple, int], tuple], vec: FpVec) -> FpVec:
-    """The linear map with the given images of basis words (image(seq, i)
-    gives (sequence, index, value) triples) on vec: the sum of the images
-    of vec's entries, each scaled by its entry."""
+def linear_extension(image, tables: dict, vec: FpVec) -> FpVec:
+    """The linear map with the given images of basis words on vec: the sum
+    of the images of vec's entries, each scaled by its entry.  image(seq,
+    i) gives the image of basis word i of W(seq) as (sequence, index,
+    value) triples with nonzero values; tables[seq][i] keeps it, computed
+    on first use, for as long as the caller keeps tables.  The sum is a
+    new vector, returned as it is built when it is clean, which is the
+    usual case; only when an entry cancelled to zero is it cleaned
+    (_clean), so the result never holds a zero entry or an empty
+    component."""
     out: FpVec = {}
     for seq, comp in vec.items():
+        table = tables.setdefault(seq, {})
         for i, c in comp.items():
-            for s, j, v in image(seq, i):
+            got = table.get(i)
+            if got is None:
+                got = table[i] = image(seq, i)
+            for s, j, v in got:
                 tgt = out.get(s)
                 if tgt is None:
                     tgt = out[s] = {}
                 tgt[j] = tgt.get(j, ZERO) + c * v
-    return _clean(out)
+    for comp in out.values():
+        if not all(comp.values()):
+            return _clean(out)
+    return out
 
 
 def _clean(vec: FpVec) -> FpVec:
@@ -707,16 +729,18 @@ class FreeMomentContext(MomentContext):
     vanishes.  vector() returns a node's vector itself, shared with the
     trie, so callers must not mutate it.
 
-    Every atom acts through the context's basis images (act): the image
-    of one basis word, a coordinate i of the word space of one colour
-    sequence (the base summand is the sequence ()), is computed once by
-    TruncatedFreeProduct.image and kept under (atom id, sequence, i) as
-    one tuple of (sequence, index, value) triples.  An atom on a vector
-    is linear_extension of those images, the rule the free product's own
-    act follows with fresh images: exact, since every atom is linear and
-    scalars are exact.  The trie's misses and apply, a chain on any
-    vector, both act this way.  The images live as long as the context,
-    which is built per checker call or sweep, so none outlives it.
+    Every atom acts through the context's tables of basis images (act).
+    A table holds one atom's images of the basis words of one colour
+    sequence (the base summand is the sequence ()), kept under the atom
+    id and the sequence; it maps a coordinate i to the image of basis
+    word i as one tuple of (sequence, index, value) triples, computed
+    once by TruncatedFreeProduct.image on first use.  An atom on a
+    vector is linear_extension of its tables, the rule the free
+    product's own act follows with fresh tables: exact, since every atom
+    is linear and scalars are exact.  The trie's misses and apply, a
+    chain on any vector, both act this way, and every vector they
+    return is clean.  The tables live as long as the context, which is
+    built per checker call or sweep, so none outlives it.
     """
 
     def __init__(self, fp: TruncatedFreeProduct):
@@ -727,7 +751,7 @@ class FreeMomentContext(MomentContext):
         self._b_atoms = {"lb": {}, "rb": {}}  # kind -> id(B value) -> its atom
         self._root = _Suffix(fp.unit())
         self._zero = _Suffix({})  # every suffix whose vector vanishes
-        self._images: dict = {}  # (atom id, sequence, index) -> image triples
+        self._tables: dict = {}  # atom id -> sequence -> index -> image triples
 
     def intern(self, atom: Atom) -> int:
         """The atom's id; equal atoms share one."""
@@ -757,21 +781,10 @@ class FreeMomentContext(MomentContext):
         return atom
 
     def act(self, atom: Atom, vec: FpVec) -> FpVec:
-        """The atom on vec, from its basis images, each computed on first
-        use by TruncatedFreeProduct.image and kept."""
-        aid = self._seen.get(id(atom))
-        if aid is None:
-            aid = self.intern(atom)
-        images, image = self._images, self.fp.image
-
-        def cached(seq, i):
-            key = (aid, seq, i)
-            got = images.get(key)
-            if got is None:
-                got = images[key] = image(atom, seq, i)
-            return got
-
-        return linear_extension(cached, vec)
+        """The atom on vec, from the atom's kept tables of basis images,
+        one per colour sequence, each image computed on first use."""
+        tables = self._tables.setdefault(self.intern(atom), {})
+        return linear_extension(partial(self.fp.image, atom), tables, vec)
 
     def apply(self, chain: Iterable[Atom], vec: FpVec) -> FpVec:
         """The chain applied to any vector through the basis images."""
@@ -1039,37 +1052,43 @@ def _survives(top, colour: int) -> bool:
     return not top or (len(top) == 1 and top[0][1] == colour)
 
 
-def _assemble(fp: TruncatedFreeProduct, t: _Term) -> FpVec:
-    """The term's tensor word, without its sign."""
-    if not t.top:
-        return {(): {i: c for i, c in enumerate(t.bval) if c}}
-    nb = fp.B.dim
-    return fp.tensor_embed([(k, u[nb:]) for _, k, u in t.top])
-
-
 def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decomposition:
-    """Sum the terms into the direct word, the primed ones into the
-    projected word and the others per diagram into residual parts.  A
-    diagram is its sorted closed strings and its top strings, so terms
-    are grouped by that key, and make_diagram runs once per group that
-    is read: the diagrams are kept by key, so a group's residual part
-    and its total share one.  Without coefficients only the groups with
-    a residual part are built, and no total is summed.  With
-    coefficients every group's total is divided by its rule vector, so
-    a part that is no multiple of it raises here."""
-    direct: FpVec = {}
-    primed: FpVec = {}
-    resid_parts: dict = {}  # diagram key -> residual part
-    totals: dict = {}  # diagram key -> total, with coefficients only
+    """Sum the terms into the direct word, and the terms that are not
+    primed per diagram into residual parts; the projected word is the
+    direct one less the residual parts.  Each term's signed tensor word
+    is added as a plain word (tensor_plain) to plain sums per colour
+    sequence, and each sum is projected to coordinates once (_project):
+    exact, since from_plain is linear.  A diagram is its sorted closed
+    strings and its top strings, so terms are grouped by that key, and
+    make_diagram runs once per group that is read: the diagrams are kept
+    by key, so a group's residual part and its total share one.  Without
+    coefficients only the groups with a residual part are built, and no
+    total is summed.  With coefficients every group's total is divided
+    by its rule vector, so a part that is no multiple of it raises
+    here."""
+    direct: dict = {}  # sequence -> plain sum
+    resid_parts: dict = {}  # diagram key -> sequence -> plain sum
+    totals: dict = {}  # diagram key -> sequence -> plain sum, with coefficients
+    nb = fp.B.dim
     for t in terms:
-        vec = _assemble(fp, t)
-        _acc_vec(direct, vec, t.coeff)
-        if t.primed:
-            _acc_vec(primed, vec, t.coeff)
+        if t.top:
+            seq, plain = fp.tensor_plain([(k, u[nb:]) for _, k, u in t.top])
+            if not plain:
+                continue
         else:
-            _acc_vec(resid_parts.setdefault(_diagram_key(t), {}), vec, t.coeff)
+            seq, plain = (), dict(enumerate(t.bval))
+        word = {seq: plain}
+        _acc_vec(direct, word, t.coeff)
+        if not t.primed:
+            _acc_vec(resid_parts.setdefault(_diagram_key(t), {}), word, t.coeff)
         if coefficients:
-            _acc_vec(totals.setdefault(_diagram_key(t), {}), vec, t.coeff)
+            _acc_vec(totals.setdefault(_diagram_key(t), {}), word, t.coeff)
+    # the projected word is the direct one less the residual parts
+    primed = {seq: dict(comp) for seq, comp in direct.items()} if resid_parts else {}
+    for part in resid_parts.values():
+        _acc_vec(primed, part, -1)
+    direct = _project(fp, direct)
+    primed = _project(fp, primed) if resid_parts else direct
     built: dict = {}  # diagram key -> diagram
 
     def diagram(key) -> LRDiagram:
@@ -1081,7 +1100,7 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
 
     def by_diagram(parts: dict) -> list[tuple[LRDiagram, FpVec]]:
         """The nonzero parts with their diagrams, in diagram-key order."""
-        kept = ((key, _clean(part)) for key, part in parts.items())
+        kept = ((key, _project(fp, part)) for key, part in parts.items())
         return sorted(
             ((diagram(key), part) for key, part in kept if part),
             key=lambda g: g[0].key(),
@@ -1090,22 +1109,18 @@ def _collect(fp, chi, eps, ops, terms: list[_Term], coefficients) -> Decompositi
     residual = by_diagram(resid_parts)
     if not coefficients:
         residual = [(d, None, part) for d, part in residual]
-        return Decomposition(fp, _clean(direct), _clean(primed), residual)
+        return Decomposition(fp, direct, primed, residual)
+    totals = by_diagram(totals)
     mf = FreeMomentContext(fp)
-    rules: dict = {}  # diagram key -> rule vector
-
-    def rule(d: LRDiagram) -> FpVec:
-        if d.key() not in rules:
-            rules[d.key()] = e_d_vector(d, ops, mf)
-        return rules[d.key()]
-
+    read = {d.key(): d for d, _ in totals + residual}
+    rule = {key: e_d_vector(d, ops, mf) for key, d in read.items()}
     contributions = []
-    for d, total in by_diagram(totals):
-        coeff = _ratio(fp, total, rule(d))
+    for d, total in totals:
+        coeff = _ratio(fp, total, rule[d.key()])
         if coeff is not None and coeff != 0:
-            contributions.append((d, coeff, rule(d)))
-    residual = [(d, _ratio(fp, part, rule(d)), part) for d, part in residual]
-    return Decomposition(fp, _clean(direct), _clean(primed), residual, contributions)
+            contributions.append((d, coeff, rule[d.key()]))
+    residual = [(d, _ratio(fp, part, rule[d.key()]), part) for d, part in residual]
+    return Decomposition(fp, direct, primed, residual, contributions)
 
 
 def _diagram_key(t: _Term):
@@ -1115,23 +1130,31 @@ def _diagram_key(t: _Term):
 
 
 def _acc_vec(out: FpVec, vec: FpVec, sign: int = 1):
-    """out += sign·vec, in place; zero entries are left for _clean."""
+    """out += sign·vec, in place; zero entries are left for the caller to
+    clean."""
     for seq, comp in vec.items():
         tgt = out.setdefault(seq, {})
         for i, c in comp.items():
             tgt[i] = tgt.get(i, ZERO) + sign * c
 
 
+def _project(fp, sums: FpVec) -> FpVec:
+    """Plain sums per colour sequence as a clean vector: each projected to
+    its word space's coordinates, the base summand's, under (), already
+    in them."""
+    return _clean({s: fp.space(s).from_plain(p) if s else p for s, p in sums.items()})
+
+
 def _ratio(fp, total: FpVec, rule: FpVec) -> Optional[Scalar]:
-    total = _clean(total)
-    rule = _clean(rule)
+    """The scalar c with total = c·rule, both clean, or None for a
+    vanishing rule and total; raises when there is none."""
     if not rule:
         if total:
             raise ValueError("nonzero total against a vanishing rule vector")
         return None
-    seq, comp = next(iter(sorted(rule.items())))
-    idx, v = next(iter(sorted(comp.items())))
+    seq, comp = min(rule.items())
+    idx, v = min(comp.items())
     c = div(total.get(seq, {}).get(idx, ZERO), v)
-    if not fp.equal(total, fp.scale(c, rule)):
+    if total != fp.scale(c, rule):
         raise ValueError("diagram contribution is not proportional to its rule value")
     return c

@@ -5,7 +5,11 @@ checked against it, so none of it lives in the package.
 """
 
 from bnc_engine.bimult import ReductionError, collapse_step
+from bnc_engine.diagrams import _relabelled, _restriction, make_diagram
+from bnc_engine.freeprod import FreeMomentContext, _ratio, e_d_vector
 from bnc_engine.partitions import (
+    ChiMap,
+    EpsilonMap,
     SetPartition,
     SizeMismatch,
     _canonical_rgs,
@@ -111,6 +115,71 @@ def off_lattice_refining(fctx, colours: SetPartition) -> list:
 def to_partition(d) -> SetPartition:
     """The partition of 1..n into a diagram's strings."""
     return SetPartition.from_blocks(d.n, [nodes for nodes, _ in d.strings])
+
+
+def restrict(d, i: int):
+    """d's restriction to nodes i..n, relabelled to 1..n-i+1, as a
+    diagram: chi_extensions matches full-closure diagrams by its strings
+    and spine order (diagrams._restriction) without making one."""
+    if not 1 <= i <= d.n + 1:
+        raise ValueError(f"position {i} out of range")
+    side = dict(enumerate(d.chi.sides, start=1))
+    strings, order = _relabelled(*_restriction(d, i, side), 1 - i)
+    chi, eps = ChiMap(d.chi.sides[i - 1 :]), EpsilonMap(d.eps.colours[i - 1 :])
+    return make_diagram(chi, eps, strings, order)
+
+
+def collect_by_term(fp, chi, eps, ops, terms, coefficients):
+    """lr_decompose's sums of its expansion terms, assembled term by term:
+    each term's tensor word is made on its own (tensor_embed), cleaned,
+    and added with its sign to the direct word, to the projected word or
+    its diagram's residual part, and, with coefficients, to its diagram's
+    total.  Returns direct, primed, residual and contributions, the last
+    two as (diagram key, coefficient, vector) in diagram-key order, the
+    coefficients read as lr_decompose reads them (_ratio of the total or
+    part to e_d_vector) and None without coefficients."""
+    nb = fp.B.dim
+    direct, primed, parts, totals = {}, {}, {}, {}
+    for t in terms:
+        if t.top:
+            vec = fp.tensor_embed([(k, u[nb:]) for _, k, u in t.top])
+        else:
+            vec = {(): {i: c for i, c in enumerate(t.bval) if c}}
+        key = (tuple(sorted(t.done)), tuple(nodes for nodes, _, _ in t.top))
+        sums = [direct, primed if t.primed else parts.setdefault(key, {})]
+        if coefficients:
+            sums.append(totals.setdefault(key, {}))
+        for out in sums:
+            for seq, comp in vec.items():
+                tgt = out.setdefault(seq, {})
+                for i, c in comp.items():
+                    tgt[i] = tgt.get(i, 0) + t.coeff * c
+
+    def clean(vec):
+        kept = {seq: {i: c for i, c in comp.items() if c} for seq, comp in vec.items()}
+        return {seq: comp for seq, comp in kept.items() if comp}
+
+    def groups(sums):
+        made = []
+        for (done, top), vec in sums.items():
+            strings = [(s, False) for s in done] + [(s, True) for s in top]
+            part = clean(vec)
+            if part:
+                made.append((make_diagram(chi, eps, strings, top), part))
+        return sorted(made, key=lambda g: g[0].key())
+
+    mf = FreeMomentContext(fp)
+    residual = [
+        (d.key(), _ratio(fp, v, e_d_vector(d, ops, mf)) if coefficients else None, v)
+        for d, v in groups(parts)
+    ]
+    contributions = []
+    for d, total in groups(totals):
+        rule = e_d_vector(d, ops, mf)
+        c = _ratio(fp, total, rule)
+        if c:
+            contributions.append((d.key(), c, rule))
+    return clean(direct), clean(primed), residual, contributions
 
 
 def _last(rest) -> int:

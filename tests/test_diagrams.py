@@ -15,11 +15,10 @@ from bnc_engine.diagrams import (
     lateral_closure,
     lr_k,
     make_diagram,
-    restrict,
     single_cuts,
 )
 from bnc_engine.partitions import CapExceeded, ChiMap, EpsilonMap, is_bnc, build_context
-from oracles import to_partition
+from oracles import restrict, to_partition
 
 CHI = ChiMap.parse("lrl")
 EPS = EpsilonMap((1, 1, 2))
@@ -208,6 +207,35 @@ def test_extensions_cut_only_above_the_suffix():
                     assert [s for s, _ in restrict(e, i).strings] == [
                         s for s, _ in d.strings
                     ]
+
+
+def test_extensions_match_restrictions_by_spine_order():
+    """A full-closure diagram seeds a suffix family's extensions when its
+    restriction is a member, spine order included: each member's
+    extensions hold every diagram whose restriction is that member, and
+    a member with its top strings listed in reverse, which no
+    restriction gives, has no extensions."""
+    reversed_members = 0
+    for sides, cols in (("lrlr", (1, 2, 1, 2)), ("rllr", (2, 1, 2, 1))):
+        chi, eps = ChiMap.parse(sides), EpsilonMap(cols)
+        full = lateral_closure(enumerate_lr(chi, eps))
+        for i in (2, 3):
+            sub = lateral_closure(
+                enumerate_lr(ChiMap.parse(sides[i - 1 :]), EpsilonMap(cols[i - 1 :]))
+            )
+            for d in sub.diagrams:
+                ext = chi_extensions(sub.with_diagrams([d]), chi, eps).keys()
+                seeds = {e.key() for e in full.diagrams if restrict(e, i) == d}
+                assert seeds and seeds <= ext
+                if d.top_count() < 2:
+                    continue
+                swapped = sub.with_diagrams(
+                    [make_diagram(d.chi, d.eps, d.strings, d.spine_order[::-1])]
+                )
+                assert not swapped.keys() & sub.keys()
+                assert not chi_extensions(swapped, chi, eps).diagrams
+                reversed_members += 1
+    assert reversed_members
 
 
 def test_extension_suffix_mismatch():

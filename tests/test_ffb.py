@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import random
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -20,8 +21,21 @@ from bnc_engine.ffb import (
     embed_ffb_family,
     verify_system_gives_ffb,
 )
-from bnc_engine.fixtures import family_diag2, family_dual, family_m2, load_system
-from bnc_engine.freeprod import FreeMomentContext, apply_chain, module_operator
+from bnc_engine.fixtures import (
+    family_diag2,
+    family_dual,
+    family_m2,
+    load_system,
+    space_m2_scalar,
+)
+from bnc_engine.freeprod import (
+    FreeMomentContext,
+    apply_chain,
+    build_bimodule_from_space,
+    lr_decompose,
+    module_operator,
+    reduced_free_product,
+)
 from bnc_engine.linalg import ONE, ZERO, identity, unit_vec
 from bnc_engine.partitions import (
     ChiMap,
@@ -34,7 +48,13 @@ from bnc_engine.partitions import (
     refines,
     relabelled_rgs,
 )
-from oracles import kreweras_blocks, mat_mul, off_lattice_refining
+from oracles import (
+    collect_by_term,
+    kreweras_blocks,
+    mat_mul,
+    max_top_strings,
+    off_lattice_refining,
+)
 
 
 def small_system(depth=6):
@@ -340,6 +360,124 @@ def test_pipeline_residual_stages_pass_a_left_face_left_factor(monkeypatch):
     assert rep.ok, [c for c in rep.claims if c["status"] == "fail"]
     assert stages == {None: 258}
     assert residual == 66
+
+
+def split_words(system, cap):
+    """(split word, free product, projected positions) of every word of
+    the proof pipeline's sweep up to cap letters: the handles' chains,
+    each boolean letter projected at its first atom."""
+    for shape, _, pools in ffb._word_sweep(ffb._faces(system), cap, system.colours()):
+        for handles in iproduct(*pools):
+            word, projected = [], []
+            for s, h in zip(shape, handles):
+                if s == "b":
+                    projected.append(len(word) + 1)
+                word += h.chain
+            yield word, system.fp, projected
+
+
+def seeded_m2_words(count):
+    """count seeded words of dense operators on the m2 module's free
+    product (B = Q), lengths 1-6, each position projected with
+    probability 0.4."""
+    m2 = build_bimodule_from_space(space_m2_scalar())[0]
+    fp = reduced_free_product({1: m2, 2: m2}, 6)
+    rng = random.Random(29)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        ops = []
+        for _ in range(n):
+            k = rng.choice((1, 2))
+            matrix = [[rng.randint(-2, 2) for _ in range(m2.dim)] for _ in range(m2.dim)]
+            ops.append((rng.choice("lr"), k, module_operator(m2, matrix)))
+        yield ops, fp, [j for j in range(1, n + 1) if rng.random() < 0.4]
+
+
+def seeded_diag2_words(count):
+    """count seeded words on DIAG2's free product (B = D2, depth 3),
+    lengths 1-5, of the system's module operators in their side's
+    commutant (λ: the left faces, c' and d'; ρ: the right faces and d'),
+    each of either colour and each position projected with probability
+    0.4; words that exceed the depth are skipped."""
+    left = [h.module_op for k in (1, 2) for h in DIAG2.faces_l[k] + DIAG2.cprime[k]]
+    right = [h.module_op for k in (1, 2) for h in DIAG2.faces_r[k]]
+    shifts = [h.module_op for k in (1, 2) for h in DIAG2.dprime[k]]
+    rng = random.Random(31)
+    made = 0
+    while made < count:
+        n = rng.randint(1, 5)
+        ops = []
+        for _ in range(n):
+            side = rng.choice("lr")
+            pool = (left if side == "l" else right) + shifts
+            ops.append((side, rng.choice((1, 2)), rng.choice(pool)))
+        if max_top_strings(ops) > DIAG2.fp.depth:
+            continue
+        made += 1
+        yield ops, DIAG2.fp, [j for j in range(1, n + 1) if rng.random() < 0.4]
+
+
+@pytest.mark.parametrize(
+    ("words", "coefficients", "pins"),
+    [
+        pytest.param(lambda: seeded_m2_words(40), (True, False), (80, 48), id="m2"),
+        pytest.param(
+            lambda: split_words(load_system("doubled-diag2", 6), 3),
+            (True, False),
+            (1168, 0),
+            id="doubled-diag2",
+        ),
+        pytest.param(
+            lambda: seeded_diag2_words(60), (True, False), (120, 10), id="diag2"
+        ),
+        pytest.param(
+            lambda: split_words(
+                with_boolean_left_factor(
+                    load_system("doubled-m2", 6), lambda _, h: ("r", *h.chain[0][1:])
+                ),
+                3,
+            ),
+            (False,),
+            (258, 76),
+            id="doubled-m2-right-sided-left-factor",
+        ),
+    ],
+)
+def test_decomposition_sums_match_the_term_by_term_oracle(
+    monkeypatch, words, coefficients, pins
+):
+    """lr_decompose sums its terms as plain words per colour sequence and
+    projects each sum once; oracles.collect_by_term makes, cleans and adds
+    one tensor word per term.  On the same terms both give the same
+    direct and primed words, residual parts (keys, coefficients,
+    vectors) and contributions (keys, coefficients, rule vectors).  The
+    words: seeded m2 words (B = Q); the doubled-diag2 pipeline's cap-3
+    split words (B = D2), whose terms never leave the base summand;
+    seeded words of DIAG2's commutant operators (B = D2), whose sums
+    reach quotient word spaces; and the cap-3 split words of doubled-m2
+    with a right-sided boolean left factor, which carry residuals.  pins
+    holds (decompositions, those with a residual)."""
+    collected = []
+    real = freeprod._collect
+
+    def recording(*args):
+        collected.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(freeprod, "_collect", recording)
+    residuals = words_seen = 0
+    for ops, fp, projected in words():
+        for with_coefficients in coefficients:
+            collected.clear()
+            dec = lr_decompose(ops, fp, projected, coefficients=with_coefficients)
+            [args] = collected
+            direct, primed, residual, contributions = collect_by_term(*args)
+            assert dec.direct == direct and dec.primed == primed
+            assert [(d.key(), c, v) for d, c, v in dec.residual] == residual
+            assert [(d.key(), c, v) for d, c, v in dec.contributions] == contributions
+            residuals += bool(residual)
+            words_seen += 1
+    assert (words_seen, residuals) == pins
 
 
 def atom_key(atom):

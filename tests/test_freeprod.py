@@ -1188,11 +1188,81 @@ def test_context_application_matches_apply_chain(system):
     assert any(len(v) > 1 for v in vecs)
     assert any(len(c) > 1 for v in vecs for c in v.values())
     mf = FreeMomentContext(fp)
+
+    def images() -> int:
+        return sum(len(t) for tables in mf._tables.values() for t in tables.values())
+
     assert [mf.apply(chain, v) for chain, v in cases] == want
-    cached = len(mf._images)
+    cached = images()
     assert [mf.apply(chain, v) for chain, v in cases] == want
-    assert len(mf._images) == cached
+    assert images() == cached
     assert any(len(w) > 1 for w in want) and {} in want
+
+
+def _is_clean(vec) -> bool:
+    return all(comp and all(comp.values()) for comp in vec.values())
+
+
+@DENSE_MODULES
+def test_cancelling_images_leave_clean_vectors(make):
+    """An atom's images of a vector's basis words may cancel: entries that
+    sum to zero, and whole components that vanish.  On seeded (chain,
+    vector) cases where both happen, the free product's act and a
+    context's act agree and hold no zero entry and no empty component,
+    and so does every vector of the context's suffix trie.  The atoms are
+    λ/ρ of sparse operators with entries in {-1, 0, 1} and both colours,
+    L_b, R_b and the projections; each vector has one or two components,
+    on B or W(s) for |s| <= 2, of two to five entries ±1, so that the
+    images of entries of one component overlap."""
+    mod = make()
+    fp = reduced_free_product({1: mod, 2: mod}, 4)
+    rng = random.Random(43)
+
+    def sparse_op():
+        return module_operator(
+            mod,
+            [[rng.choice((-1, 1)) if rng.random() < 0.3 else 0 for _ in range(mod.dim)]
+             for _ in range(mod.dim)],
+        )
+
+    B = fp.B
+    atoms = [(side, k, sparse_op()) for side in "lr" for k in (1, 2) for _ in range(2)]
+    atoms += [(kind, B.element([rng.randint(-1, 1) for _ in range(B.dim)]))
+              for kind in ("lb", "rb")]
+    atoms += [("proj", k, None) for k in (1, 2)]
+    seqs = [()] + [s for s in fp.sequences() if len(s) <= 2]
+
+    def draw() -> dict:
+        vec: dict = {}
+        for seq in rng.sample(seqs, rng.randint(1, 2)):
+            dim = fp.space(seq).dim if seq else B.dim
+            idx = rng.sample(range(dim), min(dim, rng.randint(2, 5)))
+            vec[seq] = {i: rng.choice((-1, 1)) for i in idx}
+        return vec
+
+    mf = FreeMomentContext(fp)
+    zero_entries = empty_components = 0
+    for _ in range(300):
+        atom, vec = rng.choice(atoms), draw()
+        raw: dict = {}  # the images summed with nothing cleaned
+        for seq, comp in vec.items():
+            for i, c in comp.items():
+                for s, j, v in fp.image(atom, seq, i):
+                    tgt = raw.setdefault(s, {})
+                    tgt[j] = tgt.get(j, 0) + c * v
+        zero_entries += any(not all(comp.values()) for comp in raw.values())
+        empty_components += any(not any(comp.values()) for comp in raw.values())
+        got = fp.act(atom, vec)
+        assert _is_clean(got) and mf.act(atom, vec) == got
+        assert fp.equal(got, raw)
+    for _ in range(200):
+        chain = tuple(rng.choice(atoms) for _ in range(rng.randint(1, 3)))
+        assert mf.vector([chain]) == apply_chain(fp, chain, fp.unit())
+    nodes = [mf._root]
+    for node in nodes:
+        assert _is_clean(node.vec)
+        nodes += (node.children or {}).values()
+    assert zero_entries and empty_components and len(nodes) > 100
 
 
 def test_a_miss_applies_only_the_uncached_front(monkeypatch):
