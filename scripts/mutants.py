@@ -58,6 +58,7 @@ DENSE_B = (
 LR_PIN = "tests/test_freeprod.py::test_lr_decompose_output_is_pinned"
 STOPS = "tests/test_cumulants.py::test_stops_replay_matches_direct_reduction"
 REPLAY = "tests/test_cumulants.py::test_plan_replay_matches_direct_reduction"
+TRAFFIC = "tests/test_ffb.py::test_sweep_misses_each_lattice_table_once_per_key"
 RESIDUAL = (
     "tests/test_ffb.py::test_pipeline_residual_stages_flag_a_right_sided_left_factor"
 )
@@ -129,7 +130,8 @@ REGISTER = (
         'b = self._b_atom({APPEND_LEFT: "lb", PREPEND_RIGHT: "lb"}.get(kind, "rb"), value)',
         (M2_SELF,),
     ),
-    # the lattice tables: the shared program never reads side n
+    # the lattice tables: one lattice and one program per colouring class,
+    # whose program never reads side n
     Mutant(
         "s1",
         "bimult.py",
@@ -140,9 +142,33 @@ REGISTER = (
     Mutant(
         "s2",
         "cumulants.py",
-        "    prog = _program(ctx.s_chi, ctx.chi.sides[:-1])\n",
-        "    prog = _program(ctx.s_chi, ctx.chi.sides)\n",
-        ("tests/test_ffb.py::test_sweep_misses_each_lattice_table_once_per_key",),
+        "run_program(_program(ctx.line), ",
+        "run_program(_program(ctx.s_chi), ",
+        (TRAFFIC,),
+    ),
+    Mutant(
+        "s4",
+        "partitions.py",
+        '    return ("l", *inner, "l")[:n], mirrored\n',
+        '    return (sides[0], *inner, "l")[:n], mirrored\n',
+        (TRAFFIC,),
+    ),
+    Mutant(
+        "s5",
+        "cumulants.py",
+        "    if ctx.mirrored:\n        view = _Mirrored(view)\n",
+        "",
+        ("tests/test_cumulants.py::test_symbolic_moment_tables_are_pinned",),
+    ),
+    Mutant(
+        "s6",
+        "partitions.py",
+        "_heads([pi.rgs[p - 1] for p in ctx.line])",
+        "_heads([pi.rgs[p - 1] for p in ctx.s_chi])",
+        (
+            "tests/test_cumulants.py::"
+            "test_cumulant_table_matches_mobius_sum_of_single_moments",
+        ),
     ),
     # the sparse audit
     Mutant(

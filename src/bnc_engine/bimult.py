@@ -341,6 +341,12 @@ def run_program(prog: Program, ops: list, ctx: MomentContext, out):
     over, and their leaves are left unset; the return value is the last
     vanishing value met, the one zero of B that every such leaf holds, or
     None when nothing vanished.
+
+    The walk applies each insertion by the kind the program records,
+    through ctx.insert.  A program planned on one side map serves the
+    mirror image of that map too, l and r exchanged, when ctx exchanges
+    PREPEND_LEFT and PREPEND_RIGHT (cumulants._Mirrored): the mirror keeps
+    every collapse order and target.
     """
     expect = ctx.expect
     insert = ctx.insert

@@ -18,11 +18,12 @@ of every member of a colouring's lattice form one bimult.Program,
 whose leaves are the NC(n) slots; it takes the members' blocks as the
 lattice's one pass left them, and plans the members below a root group
 (their last block) only when a walk first enters that group with a
-value that does not vanish.  chi and chi with its last side flipped
-share one program, whose side map has no entry for n: the planner
-reads side n only for the singleton {n}, a tail fold.  A moment table
-is one walk of that program through the context's for_walk() view, the
-leaves below a vanishing expectation filled with the zero the walk met.
+value that does not vanish.  The eight colourings of a class (see
+partitions) share one program, planned on the class representative's
+sides; a mirrored colouring walks it through _Mirrored, which exchanges
+the prepend kinds.  A moment table is one walk of that program through
+the context's for_walk() view, the leaves below a vanishing expectation
+filled with the zero the walk met.
 e_pi replays one partition's plan with bimult.reduce_blocks, as a
 diagram's closed strings are replayed.
 A cumulant is pi's row of the NC(n) Mobius kernel (nc_row) over the
@@ -37,7 +38,8 @@ members above bottom, once per word shape).  The audit counts the
 colour-refining partitions off U by growing them on the relabelled
 line, not by a scan.  Each table that outlives a call is the lru_cache
 of its builder (_program, _sublattice and _off_lattice), keyed by what
-it depends on: the sublattice tables by the audit's FfbContext.
+it depends on: the program by the class line, the sublattice tables by
+the audit's FfbContext.
 """
 
 from __future__ import annotations
@@ -46,7 +48,15 @@ from functools import lru_cache
 from operator import mul
 
 from .algebra import AlgebraElement, BBProbSpace, CheckReport, SideMismatch
-from .bimult import MomentContext, Program, reduce_blocks, run_program
+from .bimult import (
+    APPEND_LEFT,
+    PREPEND_LEFT,
+    PREPEND_RIGHT,
+    MomentContext,
+    Program,
+    reduce_blocks,
+    run_program,
+)
 from .errors import InputError
 from .partitions import (
     BNCContext,
@@ -136,22 +146,48 @@ def e_pi(
 
 
 @lru_cache(maxsize=None)
-def _program(s_chi: tuple[int, ...], head: tuple[str, ...]) -> Program:
-    """The program of every plan in s_chi's lattice, leaf = NC(n) slot;
-    keyed by s_chi and head, the sides of positions 1..n-1, maxsize=None.
-    The planner reads side n only for the singleton {n}, which always
-    folds as a tail (APPEND_LEFT), so the side map omits n."""
-    return Program(_pullback(s_chi)[0], dict(enumerate(head, start=1)))
+def _program(line: tuple[int, ...]) -> Program:
+    """The program of every plan in the class line's lattice, leaf = NC(n)
+    slot, planned on the sides of the class's representative: the
+    positions before n on the line are left and those after it right.
+    Keyed by the class line, maxsize=None, so every colouring of a class
+    walks one program (see partitions).  The planner reads side n only
+    for the singleton {n}, which always folds as a tail (APPEND_LEFT), so
+    the side map omits n."""
+    k = line.index(len(line)) if line else 0
+    side = dict.fromkeys(line[:k], "l") | dict.fromkeys(line[k + 1 :], "r")
+    return Program(_pullback(line)[0], side)
+
+
+class _Mirrored(MomentContext):
+    """A walk context with the prepend kinds exchanged: a mirrored
+    colouring walks its class's program, planned on the representative's
+    sides, through it.  Expectations and vanishing are the context's own
+    methods, not wrappers."""
+
+    def __init__(self, ctx: MomentContext):
+        self.expect = ctx.expect
+        self.vanishes = ctx.vanishes
+        self._insert = ctx.insert
+
+    def insert(self, kind, value, elem):
+        return self._insert(_MIRROR[kind], value, elem)
+
+
+_MIRROR = (APPEND_LEFT, PREPEND_RIGHT, PREPEND_LEFT)
 
 
 def _walk(ctx: BNCContext, Z: list, mf: MomentContext):
-    """One walk of the colouring's program (see run_program): the moments
-    of the leaves it reached, by NC(n) slot, and the zero that the leaves
-    below a vanishing expectation hold, None when every leaf was reached."""
+    """One walk of the colouring's class program (see run_program),
+    through _Mirrored when the colouring is mirrored: the moments of the
+    leaves it reached, by NC(n) slot, and the zero that the leaves below
+    a vanishing expectation hold, None when every leaf was reached."""
     bnc_lattice(ctx)  # refuses an n over the cap before any plan
-    prog = _program(ctx.s_chi, ctx.chi.sides[:-1])
+    view = mf.for_walk()
+    if ctx.mirrored:
+        view = _Mirrored(view)
     out: dict = {}
-    return out, run_program(prog, [None, *Z], mf.for_walk(), out)
+    return out, run_program(_program(ctx.line), [None, *Z], view, out)
 
 
 def moment_table(ctx: BNCContext, Z: list, mf: MomentContext):
@@ -296,12 +332,12 @@ def _refining_off_lattice(ctx: BNCContext, classes: tuple, starts) -> int:
     """How many lattice members refine the colour classes (an rgs of
     1..n) and split a boolean pair (j, j + 1 for j in starts).
 
-    The members are grown as NC(n) is, on the relabelled line: each slot
+    The members are grown as NC(n) is, on the class line: each slot
     joins an open block of its own colour, closing every block opened
     after it, or opens a new one.  A block is named by its first slot.
     """
     n = ctx.n
-    colour = [classes[i - 1] for i in ctx.s_chi]
+    colour = [classes[i - 1] for i in ctx.line]
     pairs = [(ctx.rank[j - 1], ctx.rank[j]) for j in starts]
     labels = [0] * n
     count = 0

@@ -3,26 +3,52 @@
 Partitions of {1..n} are stored as restricted-growth strings (0-based
 block index of each element, blocks numbered by first appearance).  A
 colouring chi assigns each position a side 'l' or 'r' ('b' in the
-three-letter alphabet); the induced permutation lists the left indices
-ascending then the right indices descending, and a partition is
-bi-non-crossing when its relabelling through that permutation is
-non-crossing in the classical sense.  The lattice is therefore NC(n)
-seen through s_chi: enumeration, Mobius values and intervals are all
-computed on the relabelled line, entered by relabelled_rgs and left by
-bnc_lattice's one pass, which pulls every slot of NC(n) back once per
-s_chi and keeps each member's rgs and its blocks as position tuples,
-equal blocks one tuple shared across the lattice; validated
-SetPartitions are built only when enumerate_bnc or enumerate_bnc_ffb
-(the members above an FfbContext's bottom) is asked for them.
-Mobius values and intervals come from one kernel per n, indexed by
-NC(n) slot: nc_row builds a row on first use, finding each partition
+three-letter alphabet); the induced permutation s_chi lists the left
+indices ascending then the right indices descending, and a partition is
+bi-non-crossing when its relabelling through s_chi is non-crossing in
+the classical sense.
+
+Whether a partition of a line crosses depends on the line's circular
+order alone, and three changes of chi keep the circular order of s_chi,
+so they keep BNC(chi): flipping the side of position 1 (1 moves from the
+first slot to the last), flipping the side of position n (n stays between
+the last left and the last right) and exchanging l and r everywhere (the
+line is reversed).  For n > 2 they make classes of eight colourings.  The
+lattice tables read one line per class, BNCContext.line: the s_chi of
+the class's representative, whose positions 1, 2 and n are on the left,
+so 1, the interior lefts ascending, n, the interior rights descending.
+BNCContext.s_chi still names the paper's s_chi.
+
+The class also shares one reduction program (cumulants._program): the
+planner (bimult) makes the same choices for every member, up to the
+insertion side.  Side n is read only for the singleton {n}, a tail fold,
+and side 1 only in the walk keys that rank the spines crossing a node j,
+since the block of 1 is collapsed last.  There position 1's key is the
+largest same-side distance (0, j-1) or the smallest far-side key (2, 1),
+and every other key is a smaller distance (0, d) or a larger far-side
+key (2, p): both rank position 1 the same way against each of them, so
+the nearest spine is the same.  Exchanging l and r keeps every key, as
+same and far side flip together, and so every collapse order and target;
+it exchanges only the prepend kinds, PREPEND_LEFT and PREPEND_RIGHT,
+which a mirrored colouring's walk exchanges back.  With top-gap stops
+the gap keys (1, gap) fall between (0, j-1) and (2, 1), so side 1 can
+change the nearest spine: bimult.reduce_blocks and the diagram replays
+plan on their own sides.
+
+The lattice is therefore NC(n) seen through the class line: enumeration,
+Mobius values and intervals are all computed on that line, entered by
+relabelled_rgs and left by bnc_lattice's one pass, which pulls every
+slot of NC(n) back once per class and keeps each member's rgs and its
+blocks as position tuples, equal blocks one tuple shared across the
+lattice; validated SetPartitions are built only when enumerate_bnc or
+enumerate_bnc_ffb (the members above an FfbContext's bottom) is asked for
+them.  Mobius values and intervals come from one kernel per n, indexed
+by NC(n) slot: nc_row builds a row on first use, finding each partition
 below sigma by its head labelling (_nc_heads), with no renumbering.
 Every long-lived table is the lru_cache of its builder: the per-n
 tables, the kernel rows, lr_replacement (bounded), and the lattice,
-_pullback, keyed by s_chi, not by the colouring: s_chi puts position n
-between the last left and the last right position whatever its side,
-so the two colourings that differ only at n share it.  relabelled_rgs
-and _mu_to_top (whose values _nc_mus keeps) are computed, not cached.
+_pullback, keyed by the class line.  relabelled_rgs and _mu_to_top
+(whose values _nc_mus keeps) are computed, not cached.
 """
 
 from __future__ import annotations
@@ -218,36 +244,60 @@ def _crossing_pair(labels):
 
 @dataclass(frozen=True)
 class BNCContext:
-    """Colouring with its induced permutation and total order.
+    """Colouring with its induced permutation and its class line.
 
-    s_chi[t] is the original index at relabelled slot t (0-based list of
-    1-based indices); rank[i] is the slot of original index i.
+    s_chi[t] is the original index at slot t of the paper's relabelled
+    line (0-based list of 1-based indices).  line is the line the lattice
+    tables read, the class line: the s_chi of the representative of chi's
+    class (_class_representative), which orders the positions round the
+    circle as s_chi does.  rank[i] is the slot of original index i on
+    line, and mirrored says whether the representative exchanges chi's l
+    and r.
     """
 
     chi: ChiMap
     s_chi: tuple[int, ...]
+    line: tuple[int, ...]
     rank: tuple[int, ...]
+    mirrored: bool
 
     @property
     def n(self) -> int:
         return self.chi.n
 
 
+def _s_chi(sides) -> tuple[int, ...]:
+    """The left positions ascending, then the right positions descending."""
+    lefts = [i for i, s in enumerate(sides, start=1) if s == "l"]
+    rights = [i for i, s in enumerate(sides, start=1) if s == "r"]
+    return tuple(lefts + rights[::-1])
+
+
+def _class_representative(sides) -> tuple[tuple[str, ...], bool]:
+    """The member of the colouring's class with positions 1 and n on the
+    left and, when n > 2, position 2 on the left too; and whether it
+    exchanges l and r on the interior (the colouring is mirrored)."""
+    n = len(sides)
+    mirrored = n > 2 and sides[1] == "r"
+    inner = [{"l": "r", "r": "l"}[s] for s in sides[1:-1]] if mirrored else sides[1:-1]
+    # the slice keeps one "l" for n = 1 and none for n = 0
+    return ("l", *inner, "l")[:n], mirrored
+
+
 def build_context(chi: ChiMap) -> BNCContext:
     if "b" in chi.sides:
         raise AlphabetError("context requires a two-letter colouring")
-    lefts = [i for i in range(1, chi.n + 1) if chi.side(i) == "l"]
-    rights = [i for i in range(1, chi.n + 1) if chi.side(i) == "r"]
-    s = lefts + rights[::-1]
+    rep, mirrored = _class_representative(chi.sides)
+    line = _s_chi(rep)
     rank = [0] * chi.n
-    for t, i in enumerate(s):
+    for t, i in enumerate(line):
         rank[i - 1] = t
-    return BNCContext(chi, tuple(s), tuple(rank))
+    return BNCContext(chi, _s_chi(chi.sides), line, tuple(rank), mirrored)
 
 
 def relabelled_rgs(pi: SetPartition, ctx: BNCContext) -> tuple[int, ...]:
-    """Push-forward through s_chi: the rgs of pi on the relabelled line."""
-    return _canonical_rgs(pi.rgs[p - 1] for p in ctx.s_chi)
+    """Push-forward through the class line: the rgs of pi on it."""
+    return _canonical_rgs(pi.rgs[p - 1] for p in ctx.line)
 
 
 def is_bnc(pi: SetPartition, ctx: BNCContext) -> bool:
@@ -282,29 +332,30 @@ def _noncrossing_partitions(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def bnc_lattice(ctx: BNCContext):
-    """_pullback's tables for ctx's s_chi, the cap checked on every call."""
+    """_pullback's tables for ctx's class line, the cap checked on every
+    call: one lattice object for the eight colourings of a class."""
     check_cap(ctx.n)
-    return _pullback(ctx.s_chi)
+    return _pullback(ctx.line)
 
 
 @lru_cache(maxsize=None)
-def _pullback(s_chi: tuple[int, ...]):
+def _pullback(line: tuple[int, ...]):
     """The lattice three ways, all by NC(n) slot (a member's index in
-    _noncrossing_partitions(n)): each member's blocks in order of their
-    minima, as ascending position tuples; the members' slots in
-    lexicographic rgs order; and the members' rgs.  Keyed by s_chi,
-    maxsize=None.
+    _noncrossing_partitions(n)) on the class line: each member's blocks
+    in order of their minima, as ascending position tuples; the members'
+    slots in lexicographic rgs order; and the members' rgs.  Keyed by the
+    class line, maxsize=None, so every colouring of a class reads one.
 
-    One pass pulls each member of NC(n) back through s_chi: position i
-    carries the label of its slot on the relabelled line, the rgs numbers
-    the labels by first appearance, and the blocks gather the positions
-    of each.  Equal blocks are one tuple, shared by every member that
-    has them.
+    One pass pulls each member of NC(n) back through the line: position
+    i carries the label of its slot on the line, the rgs numbers the
+    labels by first appearance, and the blocks gather the positions of
+    each.  Equal blocks are one tuple, shared by every member that has
+    them.
     """
-    rank = sorted(range(len(s_chi)), key=s_chi.__getitem__)
+    rank = sorted(range(len(line)), key=line.__getitem__)
     shared: dict = {}
     blocks, pulled = [], []
-    for labels in _noncrossing_partitions(len(s_chi)):
+    for labels in _noncrossing_partitions(len(line)):
         order: dict = {}
         cols: list = []
         rgs = []
@@ -365,7 +416,7 @@ def mobius(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> int:
 def mobius_fast(pi: SetPartition, sigma: SetPartition, ctx: BNCContext) -> int:
     """mobius without membership validation; arguments must be in the
     lattice (as enumeration output always is).  pi's entry in sigma's row
-    of the NC(n) kernel, read on the relabelled line.  Refuses an n over
+    of the NC(n) kernel, read on the class line.  Refuses an n over
     the cap, as the lattice tables do, before any table is built."""
     check_cap(ctx.n)
     if not refines(pi, sigma):
@@ -405,8 +456,8 @@ def _heads(labels) -> tuple[int, ...]:
 
 
 def _nc_slot(pi: SetPartition, ctx: BNCContext) -> int:
-    """pi's NC(n) slot, by its head labelling on the relabelled line."""
-    return _nc_heads(ctx.n)[_heads([pi.rgs[p - 1] for p in ctx.s_chi])]
+    """pi's NC(n) slot, by its head labelling on the class line."""
+    return _nc_heads(ctx.n)[_heads([pi.rgs[p - 1] for p in ctx.line])]
 
 
 @lru_cache(maxsize=None)

@@ -68,8 +68,10 @@ def test_criterion_1_lattice_counts():
     checked = 0
     for n in range(0, 9):
         all_rgs = [p.rgs for p in all_partitions(n)]
-        # the filter depends on the colouring only through s_chi, and
-        # flipping the last letter keeps s_chi, so each set is reused
+        # the filter reads the paper's s_chi, not the class line that
+        # the engine's lattice tables read, so it checks them apart from
+        # the class argument; flipping the last letter keeps s_chi, so
+        # each filtered set is reused
         brute_by_order = {}
         for sides in iproduct("lr", repeat=n):
             ctx = build_context(ChiMap(sides))

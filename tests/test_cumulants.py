@@ -13,6 +13,7 @@ from bnc_engine.algebra import BBProbSpace
 from bnc_engine.bimult import (
     APPEND_LEFT,
     PREPEND_LEFT,
+    PREPEND_RIGHT,
     MomentContext,
     Program,
     compile_plans,
@@ -265,7 +266,7 @@ def test_planner_matches_recorded_reductions():
             code = ",".join(map(str, got))
             h.update(f"{''.join(sides)}:{got.typecode}:{code};".encode())
     assert h.hexdigest() == (
-        "6e63bff039bacdb87bfbfb76f45435a7efff49dd8cdd0cffefbd9a2faf296f19"
+        "96ba4447d5a3ebf35bb65668aab61a01001e34daec055fb368a98e4f00686af2"
     )
 
 
@@ -311,26 +312,111 @@ def test_stops_replay_matches_direct_reduction():
     assert (checked, stopped) == (sum(8**n for n in range(1, 6)), 26_712)
 
 
-def test_last_side_flip_shares_lattice_and_program():
-    """Lattices and programs are cached by s_chi, which puts position n
-    between the last left and the last right position whatever its side.
-    For every chi with n <= 7, chi and chi with its last side flipped get
-    the same lattice and program objects, and the programs the two
-    colourings' own sides give are equal once fully expanded."""
+def _mirrored_kinds(code: array) -> array:
+    """A compiled program with PREPEND_LEFT and PREPEND_RIGHT exchanged in
+    every insertion, read by the program grammar."""
+    out = array(code.typecode, code)
+
+    def node(i):
+        groups = out[i]
+        i += 1
+        for _ in range(groups):
+            i += 1 + out[i]  # the block's k positions
+            i += 1 + out[i]  # its m leaves
+            children = out[i]
+            i += 1
+            for _ in range(children):
+                out[i] = (APPEND_LEFT, PREPEND_RIGHT, PREPEND_LEFT)[out[i]]
+                i = node(i + 3)
+        return i
+
+    try:
+        assert node(0) == len(out)
+    finally:
+        del node  # the closure refers to itself through its cell
+    return out
+
+
+def test_colouring_class_shares_lattice_and_program():
+    """Lattices and programs are cached by the class line, which flipping
+    side 1, flipping side n and exchanging l and r all keep.  For every
+    chi with n <= 7 the colourings of a class (eight once n > 2) get the
+    same lattice and program objects, and the program each one plans on
+    its own sides is the shared one fully expanded, with the prepend kinds
+    exchanged for the mirrored members."""
+    classes: dict = {}
     for n in range(1, 8):
-        for head in iproduct("lr", repeat=n - 1):
-            ctxs = [build_context(ChiMap(head + (last,))) for last in "lr"]
-            assert ctxs[0].s_chi == ctxs[1].s_chi
-            lattices = [bnc_lattice(ctx) for ctx in ctxs]
-            assert lattices[0] is lattices[1]
-            blocks = lattices[0][0]
-            progs = [cumulants._program(ctx.s_chi, ctx.chi.sides[:-1]) for ctx in ctxs]
-            assert progs[0] is progs[1]
-            a, b = (
-                _expanded(Program(blocks, dict(enumerate(ctx.chi.sides, start=1))))
-                for ctx in ctxs
-            )
-            assert (a.typecode, a) == (b.typecode, b), head
+        for sides in iproduct("lr", repeat=n):
+            ctx = build_context(ChiMap(sides))
+            classes.setdefault(ctx.line, []).append(ctx)
+    assert len(classes) == 1 + 1 + sum(2 ** (n - 3) for n in range(3, 8))
+    for line, ctxs in classes.items():
+        n = len(line)
+        assert len(ctxs) == (2**n if n < 3 else 8)
+        assert [ctx.mirrored for ctx in ctxs].count(True) == (0 if n < 3 else 4)
+        lattices = {id(bnc_lattice(ctx)) for ctx in ctxs}
+        programs = {id(cumulants._program(ctx.line)) for ctx in ctxs}
+        assert len(lattices) == len(programs) == 1
+        shared = _expanded(cumulants._program(line))
+        blocks = bnc_lattice(ctxs[0])[0]
+        for ctx in ctxs:
+            own = _expanded(Program(blocks, dict(enumerate(ctx.chi.sides, start=1))))
+            if ctx.mirrored:
+                own = _mirrored_kinds(own)
+            assert (own.typecode, own) == (shared.typecode, shared), ctx.chi
+
+
+def _plan_paths(code: array) -> dict:
+    """Each leaf of a compiled program with its plan, read by the program
+    grammar: the steps (positions, insertion) from the root to the
+    leaf's group, the last insertion None."""
+    paths = {}
+
+    def node(i, prefix):
+        groups = code[i]
+        i += 1
+        for _ in range(groups):
+            k = code[i]
+            positions = tuple(code[i + 1 : i + 1 + k])
+            i += 1 + k
+            m = code[i]
+            for leaf in code[i + 1 : i + 1 + m]:
+                paths[leaf] = prefix + ((positions, None),)
+            i += 1 + m
+            children = code[i]
+            i += 1
+            for _ in range(children):
+                step = (positions, (code[i], code[i + 1]))
+                i = node(i + 3, prefix + (step,))
+        return i
+
+    try:
+        assert node(0, ()) == len(code)
+    finally:
+        del node  # the closure refers to itself through its cell
+    return paths
+
+
+def test_plans_are_pinned_apart_from_the_line():
+    # every chi with n <= 7: each member's rgs with the plan its walk
+    # takes, decoded from the class program with the prepend kinds
+    # exchanged for a mirrored colouring, sorted by rgs.  Neither the
+    # line's slot order nor the class sharing shows in it, so the digest
+    # is the one the per-colouring programs gave before the lattice
+    # tables were keyed by class.
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for sides in iproduct("lr", repeat=n):
+            ctx = build_context(ChiMap(sides))
+            code = _expanded(cumulants._program(ctx.line))
+            if ctx.mirrored:
+                code = _mirrored_kinds(code)
+            pulled = bnc_lattice(ctx)[2]
+            rows = sorted((pulled[leaf], plan) for leaf, plan in _plan_paths(code).items())
+            h.update(repr(("".join(sides), rows)).encode())
+    assert h.hexdigest() == (
+        "24a2fcdb66b79fe75ad639b69a83f668d4e7778f60d9ba2e601559156349b0fd"
+    )
 
 
 def _counting_steps(monkeypatch) -> list:
@@ -372,7 +458,7 @@ def test_audit_plans_only_the_root_groups_it_enters(
     eps = fctx.expand_colours(EpsilonMap(colours))
     assert audit_ffb_word(fctx, eps, Z, FreeMomentContext(system.fp)).ok
     assert len(calls) == lazy
-    assert None in cumulants._program(ctx.s_chi, ctx.chi.sides[:-1]).codes
+    assert None in cumulants._program(ctx.line).codes
     _expanded(Program(bnc_lattice(ctx)[0], dict(enumerate(fctx.chi.sides, start=1))))
     assert len(calls) - lazy == eager
 

@@ -248,11 +248,11 @@ def test_sweep_builds_each_shape_context_once():
 def test_sweep_misses_each_lattice_table_once_per_key():
     """The lattice tables are lru_caches keyed by what they depend on.
     Over doubled-m2 with n̂ ≤ 3, from cleared caches: one lattice per
-    s_chi (20); one program per s_chi too, since both colourings of an
-    s_chi share it (20, not one per each of the 32 expanded colourings);
-    one sublattice per word shape (39); and one off-lattice count per
-    shape and colour classes (129).  A second identical sweep misses
-    none."""
+    class of colourings, those that flipping side 1, flipping side n and
+    exchanging l and r relate (9, against 20 distinct s_chi and 32
+    expanded colourings); one program per class too (9); one sublattice
+    per word shape (39); and one off-lattice count per shape and colour
+    classes (129).  A second identical sweep misses none."""
     system = load_system("doubled-m2", 6)
     builders = (
         partitions._pullback,
@@ -264,7 +264,7 @@ def test_sweep_misses_each_lattice_table_once_per_key():
         builder.cache_clear()
     assert ffb.ffb_sweep(system, 3) == (258, None)
     misses = [b.cache_info().misses for b in builders]
-    assert misses == [20, 20, 39, 129]
+    assert misses == [9, 9, 39, 129]
     assert [b.cache_info().currsize for b in builders] == misses
     assert ffb.ffb_sweep(system, 3) == (258, None)
     assert [b.cache_info().misses for b in builders] == misses
