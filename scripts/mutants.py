@@ -16,9 +16,10 @@ The register is strict both ways:
     refactor that moves the code must re-spell the entry;
   - a mutant recorded as killed that survives fails the run, and so does
     a recorded survivor that is killed: its reason no longer holds.
-Before any mutant, the union of the named tests runs once on the
-unmutated copy, which must pass.  Exit status is 0 when every mutant
-behaves as recorded, 1 otherwise.  Stdlib only.
+Mutant ids must be unique: a register that repeats one is refused
+before anything runs.  Before any mutant, the union of the named tests
+runs once on the unmutated copy, which must pass.  Exit status is 0
+when every mutant behaves as recorded, 1 otherwise.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -264,14 +265,14 @@ REGISTER = (
     ),
     Mutant(
         "k1",
-        "freeprod.py",
+        "bimodule.py",
         "        return kernel(zip(*self.matrix))\n",
         "        return kernel(self.matrix)\n",
         (DENSE,),
     ),
     Mutant(
         "k2",
-        "freeprod.py",
+        "bimodule.py",
         "        return tuple(kernel(zip(*m)) for m in self.right_action)\n",
         "        return tuple(kernel(zip(*m)) for m in self.left_action)\n",
         (f"{DENSE}[doubled-m2-over-m2]",),
@@ -541,7 +542,7 @@ REGISTER = (
     # the sparse commutant check reading the acting side's own kernels
     Mutant(
         "k4",
-        "freeprod.py",
+        "bimodule.py",
         'kers = self.mod.right_kernels if side == "l" else self.mod.left_kernels',
         'kers = self.mod.left_kernels if side == "l" else self.mod.right_kernels',
         ("tests/test_freeprod.py::test_sparse_commutant_check_matches_the_dense_product",),
@@ -569,7 +570,12 @@ def _copy_src(tmp: Path) -> Path:
 
 
 def run(mutants) -> int:
-    """Run the baseline, then each mutant; the exit status."""
+    """Check the ids, run the baseline, then each mutant; the exit status."""
+    ids = [m.id for m in mutants]
+    twice = sorted({i for i in ids if ids.count(i) > 1})
+    if twice:
+        print(f"register: mutant ids used more than once: {', '.join(twice)}")
+        return 1
     bad = 0
     union = list(dict.fromkeys(t for m in mutants for t in m.tests))
     with tempfile.TemporaryDirectory() as tmp:

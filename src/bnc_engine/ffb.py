@@ -34,23 +34,26 @@ the lateral closures behind diagrams.chi_extensions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
 
-from .algebra import AlgebraElement, BBProbSpace, CheckReport
+from .algebra import AlgebraElement, BBProbSpace, CheckReport, first_counterexample
+from .bimodule import (
+    BimoduleWithProjection,
+    ModuleOperator,
+    Theta,
+    build_bimodule_from_space,
+    doubled_bimodule,
+    module_operator,
+)
 from .cumulants import audit_ffb_word, kappa_pi
 from .diagrams import chi_extensions, enumerate_lr, filter_boolean, lateral_closure
 from .freeprod import (
-    BimoduleWithProjection,
     FreeMomentContext,
-    ModuleOperator,
-    Theta,
     TruncatedFreeProduct,
-    build_bimodule_from_space,
-    doubled_bimodule,
     lr_decompose,
-    module_operator,
     reduced_free_product,
 )
 from .linalg import ONE, block_matrix, identity
@@ -201,43 +204,39 @@ def check_ffb_system(sys: FfbSystem, word_cap: int) -> CheckReport:
     mf = FreeMomentContext(fp)
     basis = list(_basis_vectors(fp, max(0, fp.depth - (word_cap + 2))))
     for k in sys.colours():
+        faces, letters = list(_a_words(sys, k, word_cap)), list(_a_words(sys, k, 1))
         for name, handles in (("c", sys.cprime[k]), ("d", sys.dprime[k])):
-            # each last handle's images of the probe basis, on first use
-            images: list = [None] * len(handles)
-            wit = None
-            for h1, (j, h2) in iproduct(handles, enumerate(handles)):
-                if images[j] is None:
-                    images[j] = _nonzero_images(mf, h2.chain, basis)
-                for w in _a_words(sys, k, word_cap):
-                    if not _zero_operator(mf, (h1,) + w, images[j]):
-                        wit = [h.label for h in (h1,) + w + (h2,)]
-                        break
-                if wit:
-                    break
-            rep.record(f"annihilation-{name}-{k}", wit is None, witness=wit)
+            # each last handle's images of the probe basis
+            lasts = [(h2, _nonzero_images(mf, h2.chain, basis)) for h2 in handles]
+            cases = (
+                ((h1,) + w, h2, images)
+                for h1, (h2, images) in iproduct(handles, lasts)
+                for w in faces
+            )
+            bad = first_counterexample(
+                cases, lambda front, _, images: not _zero_operator(mf, front, images)
+            )
+            wit = None if bad is None else [h.label for h in bad[0] + (bad[1],)]
+            rep.record(f"annihilation-{name}-{k}", bad is None, witness=wit)
 
         for prop, first, second in (
             ("moments-c", sys.cprime[k], sys.dprime[k]),
             ("moments-d", sys.dprime[k], sys.cprime[k]),
         ):
-            wit = None
-            for reps_n, slot_cap in ((0, word_cap), (1, 1)):
-                slots = 2 + 2 * reps_n
-                for a_subst in iproduct(_a_words(sys, k, slot_cap), repeat=slots):
-                    for mids in iproduct(first, *([second, first] * reps_n)):
-                        word: tuple = ()
-                        for idx, mid in enumerate(mids):
-                            word += a_subst[idx] + (mid,)
-                        word += a_subst[-1]
-                        val = sys.expect_word(word, mf)
-                        if not val.is_zero():
-                            wit = [h.label for h in word]
-                            break
-                    if wit:
-                        break
-                if wit:
-                    break
-            rep.record(f"{prop}-{k}", wit is None, witness=wit)
+            # a·x·b, then a·x·b·y·c·z·d: x and z from first, y from second
+            cases = itertools.chain(
+                ((a + (x,) + b,) for a, b in iproduct(faces, repeat=2) for x in first),
+                (
+                    (a + (x,) + b + (y,) + c + (z,) + d,)
+                    for a, b, c, d in iproduct(letters, repeat=4)
+                    for x, y, z in iproduct(first, second, first)
+                ),
+            )
+            bad = first_counterexample(
+                cases, lambda word: not sys.expect_word(word, mf).is_zero()
+            )
+            wit = None if bad is None else [h.label for h in bad[0]]
+            rep.record(f"{prop}-{k}", bad is None, witness=wit)
     return rep
 
 
@@ -276,31 +275,34 @@ def _word_sweep(table: dict, word_cap: int, colours):
                     yield shape, eps, pools
 
 
-def ffb_sweep(sys: FfbSystem, max_n: int) -> tuple[int, Optional[dict]]:
+def ffb_sweep(sys: FfbSystem, max_n: int) -> CheckReport:
     """The FFB word audit over every word of 1..max_n letters, all read
     from one FreeMomentContext.
 
     Words run in _word_sweep's order, each letter the first handle of its
-    pool and a boolean letter its left and right factors.  Returns the
-    number of words that passed, and None, or as the witness the first
-    failing word's shape and colours with its failed claims, at which
-    the sweep stops.
+    pool and a boolean letter its left and right factors.  The report's
+    one claim counts the words that passed; the sweep stops at the first
+    failing word, whose shape and colours with its failed claims are the
+    witness.
     """
+    rep = CheckReport()
     mf = FreeMomentContext(sys.fp)
-    words = 0
+    words, bad = 0, None
     for shape, eps_hat, pools in _word_sweep(_faces(sys), max_n, sys.colours()):
         fctx = lr_replacement(ChiMap(shape, three_letter=True))
         eps = fctx.expand_colours(EpsilonMap(eps_hat))
         Z = [(atom,) for pool in pools for atom in pool[0].chain]
-        rep = audit_ffb_word(fctx, eps, Z, mf)
-        if not rep.ok:
-            return words, {
+        audit = audit_ffb_word(fctx, eps, Z, mf)
+        if not audit.ok:
+            bad = {
                 "shape": "".join(shape),
                 "colours": list(eps_hat),
-                "claims": [c for c in rep.claims if c["status"] == "fail"],
+                "claims": [c for c in audit.claims if c["status"] == "fail"],
             }
+            break
         words += 1
-    return words, None
+    rep.record(f"ffb-sweep ({words} words passed)", bad is None, witness=bad)
+    return rep
 
 
 def check_single_colour_moments(sys: FfbSystem, word_cap: int) -> CheckReport:
@@ -308,23 +310,19 @@ def check_single_colour_moments(sys: FfbSystem, word_cap: int) -> CheckReport:
     rep = CheckReport()
     mf = FreeMomentContext(sys.fp)
     for k in sys.colours():
-        wit = None
-        count = 0
-        for _, _, pools in _word_sweep(_faces(sys), word_cap, (k,)):
-            for handles in iproduct(*pools):
-                count += 1
-                lhs = sys.expect_word(handles, mf)
-                rhs = sys.base.expect_word([h.source for h in handles])
-                if not (lhs - rhs).is_zero():
-                    wit = {
-                        "word": [h.label for h in handles],
-                        "lhs": str(lhs),
-                        "rhs": str(rhs),
-                    }
-                    break
-            if wit:
-                break
-        rep.record(f"single-colour-moments-{k} ({count} words)", wit is None, witness=wit)
+        sweep = _word_sweep(_faces(sys), word_cap, (k,))
+        words = [w for _, _, pools in sweep for w in iproduct(*pools)]
+        # (words read, the word, its moment here and in the base space)
+        cases = (
+            (n, w, sys.expect_word(w, mf), sys.base.expect_word([h.source for h in w]))
+            for n, w in enumerate(words, start=1)
+        )
+        bad = first_counterexample(cases, lambda _n, _w, x, y: not (x - y).is_zero())
+        count, wit = len(words), None
+        if bad:
+            count, w, lhs, rhs = bad
+            wit = {"word": [h.label for h in w], "lhs": str(lhs), "rhs": str(rhs)}
+        rep.record(f"single-colour-moments-{k} ({count} words)", not bad, witness=wit)
     return rep
 
 

@@ -20,9 +20,9 @@ from .algebra import (
     algebra_from_matrix_units,
     algebra_scalars,
 )
+from .bimodule import BimoduleWithProjection
 from .errors import InputError
 from .ffb import FfbFamily, FfbSystem, embed_ffb_family
-from .freeprod import BimoduleWithProjection
 from .linalg import ONE, ZERO, identity
 
 SCALARS = algebra_scalars()

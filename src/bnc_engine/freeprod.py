@@ -1,14 +1,16 @@
-"""Bimodules with a designated base-algebra summand and their free products.
+"""Truncated free products of bimodules over a shared base algebra.
 
-Module coordinates always start with the base-algebra block: a module of
-dimension d over B stores B's coefficients in coordinates 0..dim(B)-1
-and the complement in the rest, so the projection onto B is coordinate
-truncation.  The truncated free product resolves tensor words over B by
-explicit quotients of plain tensor spaces, one per colour sequence, each
-built the first time it is read and then kept (space(seq)), and exposes
-the left/right regular representations, the per-colour boolean
-projections, diagram-indexed vectors, and the decomposition of operator
-words into diagram contributions.
+The components are bimodule.BimoduleWithProjection objects, whose
+coordinate layout bimodule describes.  This module reads a component only
+through its dimensions and its B basis action kernels (left_kernels,
+right_kernels), and an operator only through its ModuleOperator kernel
+(columns, and apply, unit_image and the commutant check built on
+it).  The truncated free product resolves tensor words over B by explicit
+quotients of plain tensor spaces, one per colour sequence, each built
+the first time it is read and then kept (space(seq)), and exposes the
+left/right regular representations, the per-colour boolean projections,
+diagram-indexed vectors, and the decomposition of operator words into
+diagram contributions.
 
 Tensor-word layout.  A plain word of colours (k1, ..., km) has one leg
 per colour, each leg a coordinate of that module's complement, and
@@ -51,27 +53,23 @@ sum (the direct word, the projected word, each residual part or total)
 is projected to coordinates once, which is exact since from_plain is
 linear.
 
-Operator words.  A word is a chain of atoms, applied last atom first.
-A λ/ρ atom is the triple (side, colour, operator), side 'l' for the
-left representation λ and 'r' for the right one ρ; the other atoms act
-by B on the left or right ('lb'/'rb', b) or project onto a colour
-('proj', k, None).  One word object serves apply_chain, the moment
-context and lr_decompose.  Each atom is defined once, on one basis
-word (TruncatedFreeProduct.image), and acts on a vector only as the
-linear extension of those images (linear_extension), read from one
-table per colour sequence (basis index -> image, each computed on
-first use): the free product's act passes fresh tables that the call
-drops, a moment context's act keeps its tables for its own life.  The
-extension returns its sum as built, with no cleaning copy, unless an
-entry cancelled to zero.  An image reads linalg Kernels, each built
-once: a ModuleOperator keeps its own, whose complement columns hold its
-complement block and its complement-to-base rows, and a module keeps
-one per B basis action and side (left_kernels, right_kernels), so every
-colour built on it shares them; an edge leg reads them on the
-complement and lr_decompose's folds whole.  A B value acts as the
-combination of its basis kernels (linalg.combine), so no call builds a
-dense matrix; the commutant check of a ModuleOperator, too, compares
-T·K with K·T column by column through those kernels.
+Operator words.  A word is a chain of atoms, applied last atom first.  A
+λ/ρ atom is the triple (side, colour, operator), side 'l' for the left
+representation λ and 'r' for the right one ρ; the other atoms act by B
+on the left or right ('lb'/'rb', b) or project onto a colour ('proj', k,
+None).  One word object serves apply_chain, the moment context and
+lr_decompose.  Each atom is defined once, on one basis word
+(TruncatedFreeProduct.image), and acts on a vector only as the linear
+extension of those images (linear_extension), read from one table per
+colour sequence (basis index -> image, each computed on first use): the
+free product's act passes fresh tables that the call drops, a moment
+context's act keeps its tables for its own life.  The extension returns
+its sum as built, with no cleaning copy, unless an entry cancelled to
+zero.  An image reads the kernels named above, each built once (a
+module's are shared by every colour built on it): an edge leg reads
+them on the complement and lr_decompose's folds whole.  A B value acts
+as the combination of its basis kernels (linalg.combine), so no call
+builds a dense matrix.
 
 Moments.  FreeMomentContext is the free product's one moment context:
 the checkers read every chain's vector and expectation from one, and
@@ -95,37 +93,17 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .algebra import (
-    AlgebraElement,
-    BBProbSpace,
-    SideMismatch,
-    StructuredAlgebra,
-)
+from .algebra import AlgebraElement, SideMismatch
+from .bimodule import BimoduleWithProjection, ModuleOperator
+# perfbench reads these as freeprod.<name>
+from .bimodule import build_bimodule_from_space, doubled_bimodule, module_operator
 from .bimult import APPEND_LEFT, PREPEND_RIGHT, MomentContext, reduce_blocks
 from .diagrams import LRDiagram, make_diagram
 from .errors import InputError
-from .linalg import (
-    Kernel,
-    Mat,
-    ONE,
-    Quotient,
-    RowSpace,
-    Scalar,
-    Vec,
-    ZERO,
-    block_matrix,
-    combine,
-    div,
-    frac,
-    kernel,
-    mat_combination,
-    nullspace,
-    sparse,
-    zeros,
-)
+from .linalg import ONE, Quotient, RowSpace, Scalar, Vec, ZERO, combine, div, frac
 from .partitions import ChiMap, EpsilonMap
 
 FpVec = dict[tuple[int, ...], dict[int, Scalar]]
@@ -133,194 +111,6 @@ FpVec = dict[tuple[int, ...], dict[int, Scalar]]
 
 class DepthExceeded(InputError):
     """A word would exceed the truncation depth; nothing is truncated."""
-
-
-@dataclass
-class BimoduleWithProjection:
-    """B-B-bimodule whose first dim(B) coordinates are the B summand.  Its
-    action kernels are built from the actions on first use and kept."""
-
-    B: StructuredAlgebra
-    dim: int
-    left_action: tuple[Mat, ...]  # per B basis element
-    right_action: tuple[Mat, ...]
-
-    @property
-    def osc_dim(self) -> int:
-        return self.dim - self.B.dim
-
-    def embed_b(self, b: AlgebraElement) -> Vec:
-        return list(b.coeffs) + zeros(self.osc_dim)
-
-    def unit_vector(self) -> Vec:
-        return self.embed_b(self.B.one())
-
-    def p(self, vec: Vec) -> AlgebraElement:
-        return AlgebraElement(self.B, tuple(vec[: self.B.dim]))
-
-    def osc_left(self, i: int) -> Mat:
-        d = self.B.dim
-        return [row[d:] for row in self.left_action[i][d:]]
-
-    def osc_right(self, i: int) -> Mat:
-        d = self.B.dim
-        return [row[d:] for row in self.right_action[i][d:]]
-
-    @cached_property
-    def left_kernels(self) -> tuple[Kernel, ...]:
-        """The left action of each B basis element as a Kernel."""
-        return tuple(kernel(zip(*m)) for m in self.left_action)
-
-    @cached_property
-    def right_kernels(self) -> tuple[Kernel, ...]:
-        """The right action of each B basis element as a Kernel."""
-        return tuple(kernel(zip(*m)) for m in self.right_action)
-
-
-@dataclass(frozen=True)
-class ModuleOperator:
-    """A matrix on a module.  It keeps its sparse columns (columns) and
-    its image of the unit, each built on first use; column dim(B) + c is
-    where it sends complement coordinate c, its rows below dim(B) the
-    base part, the others the complement block."""
-
-    mod: BimoduleWithProjection
-    matrix: tuple[tuple[Scalar, ...], ...]
-
-    @cached_property
-    def columns(self) -> Kernel:
-        return kernel(zip(*self.matrix))
-
-    def apply(self, vec: Sequence[Scalar]) -> Vec:
-        """The operator on a module vector, or on the vector of B
-        coefficients vec embedded in the B summand."""
-        return combine((ONE,), (self.columns,), vec, self.mod.dim)
-
-    @cached_property
-    def unit_image(self) -> Vec:
-        """The operator on the module's unit, computed once; callers must
-        not mutate it."""
-        return self.apply(self.mod.unit_vector())
-
-    def commutes_with_side(self, side: str) -> bool:
-        """'l' operators commute with right actions, 'r' with left ones:
-        T·(K e_c) = K·(T e_c) for each B basis action K and column c, both
-        read through sparse columns (columns and the module's kernels)."""
-        cols = self.columns
-        kers = self.mod.right_kernels if side == "l" else self.mod.left_kernels
-        for ker in kers:
-            for k_c, t_c in zip(ker, cols):
-                diff: dict[int, Scalar] = {}
-                for r, v in k_c:
-                    for s, x in cols[r]:
-                        diff[s] = diff.get(s, ZERO) + v * x
-                for r, v in t_c:
-                    for s, x in ker[r]:
-                        diff[s] = diff.get(s, ZERO) - v * x
-                if any(diff.values()):
-                    return False
-        return True
-
-
-def module_operator(mod, matrix, side=None) -> ModuleOperator:
-    """matrix on mod; with a side, refused outside that side's commutant."""
-    op = ModuleOperator(mod, tuple(tuple(map(frac, r)) for r in matrix))
-    if side is not None and not op.commutes_with_side(side):
-        raise SideMismatch(f"operator does not satisfy the side-{side} commutant")
-    return op
-
-
-class Theta:
-    """Representation of an algebra on its associated module."""
-
-    def __init__(self, mod: BimoduleWithProjection, basis_mats):
-        self.mod = mod
-        self._basis = basis_mats
-
-    def matrix(self, elem: AlgebraElement) -> Mat:
-        return mat_combination(elem.coeffs, self._basis)
-
-    def operator(self, elem: AlgebraElement, side=None) -> ModuleOperator:
-        return module_operator(self.mod, self.matrix(elem), side)
-
-
-def build_bimodule_from_space(space: BBProbSpace):
-    """Quotient model of the space acting on itself.
-
-    The module is B plus the kernel of the expectation modulo the span
-    of T L_b - T R_b; the representation sends T to the operator acting
-    by multiplication followed by the quotient map.
-    """
-    A, B = space.A, space.B
-    ker_rows, free = nullspace([list(r) for r in space.expectation], A.dim)
-
-    def ker_coords(elem: AlgebraElement) -> Vec | None:
-        """Coordinates over ker_rows, or None outside the kernel of E."""
-        if not space.expect(elem).is_zero():
-            return None
-        return [elem.coeffs[f] for f in free]
-
-    rel = RowSpace(len(ker_rows))
-    for t in range(A.dim):
-        et = A.basis_element(t)
-        for i in range(B.dim):
-            bi = B.basis_element(i)
-            d = et * space.embed_left(bi) - et * space.embed_right(bi)
-            coords = ker_coords(d)
-            if coords is None:
-                raise ValueError("difference element escapes the kernel")
-            rel.add(sparse(coords))
-    quotient = Quotient(rel)
-    osc = quotient.dim
-    dim = B.dim + osc
-
-    def q_of(elem: AlgebraElement) -> Vec:
-        coords = ker_coords(elem)
-        if coords is None:
-            raise ValueError("element not in the expectation kernel")
-        proj = quotient.project(sparse(coords))
-        return [proj.get(q, ZERO) for q in range(osc)]
-
-    def column(T: AlgebraElement, x: AlgebraElement) -> Vec:
-        tx = T * x
-        e = space.expect(tx)
-        rest = tx - space.embed_left(e)
-        return list(e.coeffs) + q_of(rest)
-
-    # quotient coordinate j lifts to kernel vector quotient.coords[j]
-    sections = [A.element(ker_rows[j]) for j in quotient.coords]
-
-    basis_mats = []
-    for t in range(A.dim):
-        et = A.basis_element(t)
-        cols = [column(et, space.embed_left(B.basis_element(i))) for i in range(B.dim)]
-        cols += [column(et, sec) for sec in sections]
-        basis_mats.append([[cols[c][r] for c in range(dim)] for r in range(dim)])
-
-    def action(embed) -> tuple[Mat, ...]:
-        return tuple(
-            tuple(tuple(row) for row in mat_combination(embed(b).coeffs, basis_mats))
-            for b in map(B.basis_element, range(B.dim))
-        )
-
-    mod = BimoduleWithProjection(
-        B, dim, action(space.embed_left), action(space.embed_right)
-    )
-    theta = Theta(mod, [tuple(tuple(r) for r in m) for m in basis_mats])
-    return mod, theta
-
-
-def doubled_bimodule(x: BimoduleWithProjection) -> BimoduleWithProjection:
-    """Direct sum of the module with itself; only the first copy's base
-    block stays designated, so the complement grows by a full copy."""
-    d = x.dim
-    # the second copy's coordinates follow the whole first copy, so the
-    # base block stays at the front
-    left, right = (
-        tuple(tuple(map(tuple, block_matrix(d, {(0, 0): m, (1, 1): m}))) for m in mats)
-        for mats in (x.left_action, x.right_action)
-    )
-    return BimoduleWithProjection(x.B, 2 * d, left, right)
 
 
 @dataclass
@@ -467,17 +257,18 @@ class TruncatedFreeProduct:
     def joint_relations(self, seq: tuple[int, ...], leg: int):
         """The relations x·b ⊗ y - x ⊗ b·y on legs (leg, leg + 1) of seq,
         one {(a, c): nonzero coefficient} per basis b and basis legs x = a,
-        y = c, skipping those that vanish."""
+        y = c, skipping those that vanish.  x·b and b·y are read off the
+        complement rows of the modules' kernel columns dim(B) + a and
+        dim(B) + c."""
         xmod, ymod = self.components[seq[leg]], self.components[seq[leg + 1]]
-        d1, d2 = xmod.osc_dim, ymod.osc_dim
-        for bi in range(self.B.dim):
-            right, left = xmod.osc_right(bi), ymod.osc_left(bi)
-            for a in range(d1):
-                for c in range(d2):
-                    pair = {(a2, c): right[a2][a] for a2 in range(d1) if right[a2][a]}
-                    for c2 in range(d2):
-                        if left[c2][c]:
-                            pair[(a, c2)] = pair.get((a, c2), ZERO) - left[c2][c]
+        nb = self.B.dim
+        for right, left in zip(xmod.right_kernels, ymod.left_kernels):
+            for a in range(xmod.osc_dim):
+                for c in range(ymod.osc_dim):
+                    pair = {(r - nb, c): v for r, v in right[nb + a] if r >= nb}
+                    for r, v in left[nb + c]:
+                        if r >= nb:
+                            pair[(a, r - nb)] = pair.get((a, r - nb), ZERO) - v
                     pair = {ac: v for ac, v in pair.items() if v}
                     if pair:
                         yield pair
@@ -507,9 +298,6 @@ class TruncatedFreeProduct:
         if not c:
             return {}
         return {seq: {i: c * v for i, v in comp.items()} for seq, comp in vec.items()}
-
-    def is_zero(self, vec: FpVec) -> bool:
-        return not _clean(vec)
 
     def equal(self, u: FpVec, v: FpVec) -> bool:
         return _clean(u) == _clean(v)

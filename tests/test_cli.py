@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bnc_engine
-from bnc_engine.algebra import MismatchedAlgebra
+from bnc_engine.algebra import CheckReport, MismatchedAlgebra
 from bnc_engine.bimult import ReductionError
 from bnc_engine.cli import main
 from bnc_engine.cumulants import ColouringError, SideMismatch
@@ -412,11 +412,16 @@ def test_over_cap_word_length_is_refused_before_any_work(
 def test_raised_cap_lets_ffb_sweep_take_longer_words(monkeypatch, capsys):
     # BNC_ENGINE_CAP=12 admits --max-n 6; the sweep itself is stood in
     # for, since n̂ = 6 words take minutes
+    def stand_in(system, max_n):
+        rep = CheckReport()
+        rep.record(f"stand-in sweep (max_n {max_n})", True)
+        return rep
+
     monkeypatch.setenv("BNC_ENGINE_CAP", "12")
-    monkeypatch.setattr("bnc_engine.cli.ffb_sweep", lambda system, max_n: (max_n, None))
+    monkeypatch.setattr("bnc_engine.cli.ffb_sweep", stand_in)
     code, out, _ = run(capsys, "verify", "ffb-sweep", "--max-n", "6")
     assert code == 0
-    assert json.loads(out)["claims"][0]["id"] == "ffb-sweep (6 words passed)"
+    assert json.loads(out)["claims"][0]["id"] == "stand-in sweep (max_n 6)"
 
 
 def test_raised_cap_lets_lr_decompose_run_longer_words(monkeypatch, capsys):

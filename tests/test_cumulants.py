@@ -10,6 +10,7 @@ import pytest
 
 from bnc_engine import bimult, cumulants, ffb
 from bnc_engine.algebra import BBProbSpace
+from bnc_engine.bimodule import module_operator
 from bnc_engine.bimult import (
     APPEND_LEFT,
     PREPEND_LEFT,
@@ -42,11 +43,7 @@ from bnc_engine.fixtures import (
     space_diag2,
     space_m2_scalar,
 )
-from bnc_engine.freeprod import (
-    FreeMomentContext,
-    module_operator,
-    reduced_free_product,
-)
+from bnc_engine.freeprod import FreeMomentContext, reduced_free_product
 from bnc_engine.partitions import (
     ChiMap,
     EpsilonMap,

@@ -16,6 +16,7 @@ import pytest
 
 import bnc_engine
 from bnc_engine.algebra import AlgebraElement
+from bnc_engine.bimodule import module_operator
 from bnc_engine.cumulants import AlgebraMomentContext, cumulant_table, moment_table
 from bnc_engine.ffb import embed_ffb_family
 from bnc_engine.fixtures import (
@@ -26,12 +27,7 @@ from bnc_engine.fixtures import (
     space_m2_scalar,
     system_doubled_m2,
 )
-from bnc_engine.freeprod import (
-    FreeMomentContext,
-    lr_decompose,
-    module_operator,
-    reduced_free_product,
-)
+from bnc_engine.freeprod import FreeMomentContext, lr_decompose, reduced_free_product
 from bnc_engine.linalg import div, frac
 from bnc_engine.partitions import ChiMap, EpsilonMap, build_context, lr_replacement
 

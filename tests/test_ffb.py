@@ -11,6 +11,7 @@ from math import prod
 import pytest
 
 from bnc_engine import cumulants, ffb, freeprod, partitions
+from bnc_engine.bimodule import build_bimodule_from_space, module_operator
 from bnc_engine.cumulants import audit_ffb_word
 from bnc_engine.ffb import (
     FfbFamily,
@@ -31,9 +32,7 @@ from bnc_engine.fixtures import (
 from bnc_engine.freeprod import (
     FreeMomentContext,
     apply_chain,
-    build_bimodule_from_space,
     lr_decompose,
-    module_operator,
     reduced_free_product,
 )
 from bnc_engine.linalg import ONE, ZERO, identity, unit_vec
@@ -201,6 +200,11 @@ REPORTS_N3 = "23af86908a9a77ec0f6834e259ff649dd8e0d580fddb8ed92ad67c21611dd099"
 REPORTS_N4 = "3d382118d4d016e9b5e04ca98b4eabcdd0da4a20c7823d41b3182ba84216c76c"
 
 
+def sweep_passed(words: int) -> list:
+    """ffb_sweep's claims when all of its words pass."""
+    return [{"id": f"ffb-sweep ({words} words passed)", "status": "pass"}]
+
+
 @pytest.mark.parametrize(
     "fixture, max_n, words, built, reports",
     [
@@ -227,7 +231,7 @@ def test_sweep_builds_only_the_word_spaces_it_reaches(
     monkeypatch.setattr(ffb, "audit_ffb_word", hashing)
     system = load_system(fixture, 2 * max_n)
     assert builds == []
-    assert ffb.ffb_sweep(system, max_n) == (words, None)
+    assert ffb.ffb_sweep(system, max_n).claims == sweep_passed(words)
     assert digest.hexdigest() == reports
     assert len(set(builds)) == len(builds) == built
     assert max(map(len, builds)) == max_n
@@ -240,7 +244,7 @@ def test_sweep_builds_each_shape_context_once():
     other word."""
     system = load_system("doubled-m2", 6)
     lr_replacement.cache_clear()
-    assert ffb.ffb_sweep(system, 3) == (258, None)
+    assert ffb.ffb_sweep(system, 3).claims == sweep_passed(258)
     info = lr_replacement.cache_info()
     assert (info.misses, info.hits, info.currsize) == (39, 258 - 39, 39)
 
@@ -262,11 +266,11 @@ def test_sweep_misses_each_lattice_table_once_per_key():
     )
     for builder in builders:
         builder.cache_clear()
-    assert ffb.ffb_sweep(system, 3) == (258, None)
+    assert ffb.ffb_sweep(system, 3).claims == sweep_passed(258)
     misses = [b.cache_info().misses for b in builders]
     assert misses == [9, 9, 39, 129]
     assert [b.cache_info().currsize for b in builders] == misses
-    assert ffb.ffb_sweep(system, 3) == (258, None)
+    assert ffb.ffb_sweep(system, 3).claims == sweep_passed(258)
     assert [b.cache_info().misses for b in builders] == misses
 
 
