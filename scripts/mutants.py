@@ -181,22 +181,22 @@ REGISTER = (
     ),
     Mutant(
         "b",
-        "cumulants.py",
-        "            if colour[head] == colour[t]:\n",
-        "            if True:\n",
+        "partitions.py",
+        "        if colour[head] == colour[t]:\n",
+        "        if True:\n",
         ("tests/test_ffb.py::test_off_lattice_count_matches_a_lattice_scan",),
     ),
     Mutant(
         "c",
         "bimult.py",
+        "        for leaf in ends:\n"
+        "            out[leaf] = value\n"
+        "        if not goes_on:\n"
+        "            continue\n",
+        "        if not goes_on:\n"
         "            for leaf in ends:\n"
         "                out[leaf] = value\n"
-        "            if not goes_on:\n"
-        "                continue\n",
-        "            if not goes_on:\n"
-        "                for leaf in ends:\n"
-        "                    out[leaf] = value\n"
-        "                continue\n",
+        "            continue\n",
         (
             "tests/test_cumulants.py",
             "tests/test_acceptance.py::test_criterion_9_vanishing",
@@ -461,13 +461,29 @@ REGISTER = (
     # the order read backwards: the members below bottom
     Mutant(
         "u1",
-        "cumulants.py",
-        "        if _shared_pair(rgs, bottom) is None\n",
-        "        if _shared_pair(bottom, rgs) is None\n",
+        "partitions.py",
+        "if _shared_pair(pulled[t], bottom) is None]\n",
+        "if _shared_pair(bottom, pulled[t]) is None]\n",
         (
             "tests/test_ffb.py::test_boolean_pair_sublattice_is_the_interval_above_bottom",
             "tests/test_ffb.py::test_sublattice_weights_are_delta_of_the_top",
         ),
+    ),
+    # the one scan of U against 0̂ instead of bottom: the whole lattice
+    Mutant(
+        "u3",
+        "partitions.py",
+        "    bottom = fctx.bottom.rgs\n",
+        "    bottom = tuple(range(fctx.n))\n",
+        ("tests/test_ffb.py::test_boolean_pair_sublattice_is_the_interval_above_bottom",),
+    ),
+    # the representative's side map with l and r exchanged
+    Mutant(
+        "s7",
+        "partitions.py",
+        'dict.fromkeys(line[:k], "l") | dict.fromkeys(line[k + 1 :], "r")',
+        'dict.fromkeys(line[:k], "r") | dict.fromkeys(line[k + 1 :], "l")',
+        ("tests/test_cumulants.py::test_symbolic_moment_tables_are_pinned",),
     ),
     # the audit's colour check reading the first two positions only
     Mutant(

@@ -364,20 +364,17 @@ def check_bb_axioms(space: BBProbSpace) -> CheckReport:
     defect = B.associativity_defect()
     rep.record("B-associative", defect is None, witness=defect)
 
-    lrank = RowSpace(adim)
-    for col in zip(*space.left_embed):
-        lrank.add(sparse(col))
-    rep.record("left-embed-injective", lrank.rank == bdim)
-    rrank = RowSpace(adim)
-    for col in zip(*space.right_embed):
-        rrank.add(sparse(col))
-    rep.record("right-embed-injective", rrank.rank == bdim)
+    for side, embed in (("left", space.left_embed), ("right", space.right_embed)):
+        rank = RowSpace(adim)
+        for col in zip(*embed):
+            rank.add(sparse(col))
+        wit = {"rank": rank.rank, "dim B": bdim}
+        rep.record(f"{side}-embed-injective", rank.rank == bdim, witness=wit)
 
-    one_b = B.one()
-    ok = space.embed_left(one_b).coeffs == A.unit and (
-        space.embed_right(one_b).coeffs == A.unit
-    )
-    rep.record("embeds-unital", ok)
+    one_l, one_r = space.embed_left(B.one()), space.embed_right(B.one())
+    ok = one_l.coeffs == A.unit and one_r.coeffs == A.unit
+    wit = {"left": str(one_l), "right": str(one_r), "unit": str(A.one())}
+    rep.record("embeds-unital", ok, witness=wit)
 
     b, e = B.basis_element, A.basis_element
     L = [space.embed_left(b(i)) for i in range(bdim)]
@@ -399,8 +396,9 @@ def check_bb_axioms(space: BBProbSpace) -> CheckReport:
     )
     rep.record("left-right-commute", wit is None, witness=wit)
 
-    ok = space.expect(A.one()).coeffs == B.unit
-    rep.record("expectation-unital", ok)
+    e_one = space.expect(A.one())
+    wit = {"E(1)": str(e_one), "unit": str(B.one())}
+    rep.record("expectation-unital", e_one.coeffs == B.unit, witness=wit)
 
     def bimodular_fails(i, j, t):
         lhs = space.expect(L[i] * R[j] * e(t))

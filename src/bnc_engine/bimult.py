@@ -43,7 +43,10 @@ group, each distinct state's step once per walk, and compile_plans
 merges them into one flat program over their shared step prefixes.
 run_program walks the root table and the compiled subtrees depth first
 on any operands: each distinct prefix ending in an expectation is
-evaluated once, however many plans share it.
+evaluated once, however many plans share it.  The recursive steps,
+compile_plans' _emit and run_program's _walk_children, are module-level
+functions that take what they read as arguments, so a walk leaves no
+reference cycle behind: its context is freed when the caller drops it.
 
 run_program skips every subtree below a vanishing expectation: when a
 group's value vanishes in its context's algebra (MomentContext.vanishes)
@@ -72,11 +75,8 @@ class MomentContext:
     """Interface for moment evaluation; subclasses define the algebra.
 
     A walk of a program evaluates through for_walk(), called once per
-    walk and dropped when it returns.  cumulants.AlgebraMomentContext
-    gives a fresh memoizing view there, which computes each distinct
-    expectation (keyed by its operands' coefficient tuples, in order) and
-    each distinct insertion (keyed by kind, value and operand
-    coefficients) once per walk; every other context walks as itself.
+    walk and dropped when it returns: a fresh memoizing view for
+    cumulants.AlgebraMomentContext, the context itself for every other.
     """
 
     def expect(self, elems: list) -> object:
@@ -307,27 +307,25 @@ def compile_plans(plans) -> array:
             else:
                 node = children.setdefault(insertion, {})
     prog: list[int] = []
-
-    def emit(node):
-        prog.append(len(node))
-        for positions, (leaves, children) in node.items():
-            prog.append(len(positions))
-            prog.extend(positions)
-            prog.append(len(leaves))
-            prog.extend(leaves)
-            prog.append(len(children))
-            for insertion, child in children.items():
-                prog.extend(insertion)
-                prog.append(0)
-                at = len(prog)
-                emit(child)
-                prog[at - 1] = len(prog) - at
-
-    try:
-        emit(root)
-    finally:
-        del emit  # the closure refers to itself through its cell
+    _emit(root, prog)
     return array("H" if max(prog) < 1 << 16 else "I", prog)
+
+
+def _emit(node: dict, prog: list):
+    """Append node's encoding (see compile_plans) to prog."""
+    prog.append(len(node))
+    for positions, (leaves, children) in node.items():
+        prog.append(len(positions))
+        prog.extend(positions)
+        prog.append(len(leaves))
+        prog.extend(leaves)
+        prog.append(len(children))
+        for insertion, child in children.items():
+            prog.extend(insertion)
+            prog.append(0)
+            at = len(prog)
+            _emit(child, prog)
+            prog[at - 1] = len(prog) - at
 
 
 def run_program(prog: Program, ops: list, ctx: MomentContext, out):
@@ -348,57 +346,54 @@ def run_program(prog: Program, ops: list, ctx: MomentContext, out):
     PREPEND_LEFT and PREPEND_RIGHT (cumulants._Mirrored): the mirror keeps
     every collapse order and target.
     """
-    expect = ctx.expect
-    insert = ctx.insert
-    vanishes = ctx.vanishes
-    zero = None
+    expect, insert, vanishes = ctx.expect, ctx.insert, ctx.vanishes
+    zero = [None]  # the last vanishing value met
     memo: dict = {}  # Program.subtree's, shared by the groups this walk compiles
+    for g, (positions, ends, goes_on) in enumerate(prog.roots):
+        value = expect([ops[p] for p in positions])
+        for leaf in ends:
+            out[leaf] = value
+        if not goes_on:
+            continue
+        if vanishes(value):
+            zero[0] = value
+            continue
+        code = prog.subtree(g, memo)
+        i = 3 + len(positions) + len(ends)  # the group's child count
+        _walk_children(
+            code, i + 1, code[i], value, ops, out, zero, expect, insert, vanishes
+        )
+    return zero[0]
 
-    def walk(code, i, c, value):
-        """Walk the c children at code[i] of a group of the given value;
-        the index past them."""
-        nonlocal zero
-        for _ in range(c):
-            t = code[i + 1]
-            old = ops[t]
-            ops[t] = insert(code[i], value, old)
-            groups = code[i + 3]
-            i += 4
-            for _ in range(groups):
-                k = code[i]
-                i += 1 + k
-                v = expect([ops[p] for p in code[i - k : i]])
-                m = code[i]
-                for leaf in code[i + 1 : i + 1 + m]:
-                    out[leaf] = v
-                i += 2 + m
-                cc = code[i - 1]
-                if not cc:
-                    continue
-                if vanishes(v):
-                    zero = v
-                    for _ in range(cc):
-                        i += 3 + code[i + 2]
-                else:
-                    i = walk(code, i, cc, v)
-            ops[t] = old
-        return i
 
-    try:
-        for g, (positions, ends, goes_on) in enumerate(prog.roots):
-            value = expect([ops[p] for p in positions])
-            for leaf in ends:
-                out[leaf] = value
-            if not goes_on:
+def _walk_children(code, i, c, value, ops, out, zero, expect, insert, vanishes):
+    """Walk the c children at code[i] of a group of the given value, for
+    run_program, through its context's expect, insert and vanishes; the
+    index past them.  zero[0] takes each vanishing value met."""
+    for _ in range(c):
+        t = code[i + 1]
+        old = ops[t]
+        ops[t] = insert(code[i], value, old)
+        groups = code[i + 3]
+        i += 4
+        for _ in range(groups):
+            k = code[i]
+            i += 1 + k
+            v = expect([ops[p] for p in code[i - k : i]])
+            m = code[i]
+            for leaf in code[i + 1 : i + 1 + m]:
+                out[leaf] = v
+            i += 2 + m
+            cc = code[i - 1]
+            if not cc:
                 continue
-            if vanishes(value):
-                zero = value
-                continue
-            code = prog.subtree(g, memo)
-            i = 3 + len(positions) + len(ends)  # the group's child count
-            walk(code, i + 1, code[i], value)
-    finally:
-        # walk refers to itself through its cell, and through its bound
-        # expect to the context: dropped here, not by the cycle collector
-        del walk
-    return zero
+            if vanishes(v):
+                zero[0] = v
+                for _ in range(cc):
+                    i += 3 + code[i + 2]
+            else:
+                i = _walk_children(
+                    code, i, cc, v, ops, out, zero, expect, insert, vanishes
+                )
+        ops[t] = old
+    return i

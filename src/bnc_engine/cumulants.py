@@ -1,45 +1,32 @@
 """Partition-indexed moments, cumulants, and independence criteria.
 
 Moments are evaluated through one MomentContext per algebra: elements
-of an ambient algebra here (AlgebraMomentContext), operator chains on
-the free product in freeprod (FreeMomentContext); cumulants invert
-them along the bi-non-crossing lattice.  AlgebraMomentContext reads
-the kernels its space builds once: a word's expectation closes with
-the bilinear form (y, x) ↦ E(y·x), and insert(kind, value, elem)
-passes the collapse kind on to BBProbSpace.insert, which combines that
-kind's sparse maps (x ↦ x·L_b, L_b·x or R_b·x).  A walk evaluates
-through a fresh view, AlgebraMomentContext.for_walk(), that computes
-each distinct expectation (keyed by its operands' coefficient tuples, in
-order) and each distinct insertion (keyed by kind, value and operand
-coefficients) once: sibling and cousin groups keep multiplying the same
-operand values.  The view is dropped when the walk returns, so the
-context a caller holds keeps nothing between calls.  The reduction plans
-of every member of a colouring's lattice form one bimult.Program,
-whose leaves are the NC(n) slots; it takes the members' blocks as the
-lattice's one pass left them, and plans the members below a root group
-(their last block) only when a walk first enters that group with a
-value that does not vanish.  The eight colourings of a class (see
-partitions) share one program, planned on the class representative's
-sides; a mirrored colouring walks it through _Mirrored, which exchanges
-the prepend kinds.  A moment table is one walk of that program through
-the context's for_walk() view, the leaves below a vanishing expectation
-filled with the zero the walk met.
-e_pi replays one partition's plan with bimult.reduce_blocks, as a
-diagram's closed strings are replayed.
-A cumulant is pi's row of the NC(n) Mobius kernel (nc_row) over the
-moment vector, so a cumulant table is one sparse integer mat-vec.
+of an ambient algebra here (AlgebraMomentContext, which reads its
+space's kernels and walks through a fresh per-walk memo, _WalkMemo),
+operator chains on the free product in freeprod (FreeMomentContext);
+cumulants invert them along the bi-non-crossing lattice.  The reduction
+plans of a colouring's lattice form one bimult.Program, leaves at the
+NC(n) slots, shared by the eight colourings of a class (see partitions)
+and planned on the representative's sides; a mirrored colouring walks
+it through _Mirrored, which exchanges the prepend kinds.  A moment table
+is one walk of that program, the leaves below a vanishing expectation
+filled with the zero the walk met; e_pi replays one partition's plan
+with bimult.reduce_blocks.  A cumulant is pi's row of the NC(n) Mobius
+kernel (nc_row) over the moment vector, so a cumulant table is one
+sparse integer mat-vec.
 
 The independence check and the FFB word audit read only the leaves that
 one walk reaches: the word moment is the leaf at slot 0 (1̂), and each
 of their sums is one _slot_sum over those slots, weighted by slot from
 row 0 of the kernel or from the summed rows of a set of tops picked by
-the lattice order (for the audit the boolean-pair sublattice U, the
-members above bottom, once per word shape).  The audit counts the
-colour-refining partitions off U by growing them on the relabelled
-line, not by a scan.  Each table that outlives a call is the lru_cache
-of its builder (_program, _sublattice and _off_lattice), keyed by what
-it depends on: the program by the class line, the sublattice tables by
-the audit's FfbContext.
+the lattice order (for the audit the boolean-pair sublattice U,
+partitions.sublattice_slots, once per word shape).  The audit counts the
+colour-refining partitions off U with partitions' grower.  The module
+reads the lattice only through partitions: it holds the walks and the
+kernel-row sums, and the layout of the class line stays there.  Each
+table that outlives a call is the lru_cache of its builder (_program,
+_sublattice and _off_lattice), keyed by what it depends on: the program
+by the class line, the sublattice tables by the audit's FfbContext.
 """
 
 from __future__ import annotations
@@ -68,12 +55,15 @@ from .partitions import (
     SizeMismatch,
     _nc_slot,
     _pullback,
+    _refining_off_lattice,
     _shared_pair,
     bnc_lattice,
     build_context,
     catalan,
     is_bnc,
+    line_sides,
     nc_row,
+    sublattice_slots,
 )
 
 
@@ -148,15 +138,10 @@ def e_pi(
 @lru_cache(maxsize=None)
 def _program(line: tuple[int, ...]) -> Program:
     """The program of every plan in the class line's lattice, leaf = NC(n)
-    slot, planned on the sides of the class's representative: the
-    positions before n on the line are left and those after it right.
-    Keyed by the class line, maxsize=None, so every colouring of a class
-    walks one program (see partitions).  The planner reads side n only
-    for the singleton {n}, which always folds as a tail (APPEND_LEFT), so
-    the side map omits n."""
-    k = line.index(len(line)) if line else 0
-    side = dict.fromkeys(line[:k], "l") | dict.fromkeys(line[k + 1 :], "r")
-    return Program(_pullback(line)[0], side)
+    slot, planned on the sides of the class's representative
+    (partitions.line_sides).  Keyed by the class line, maxsize=None, so
+    every colouring of a class walks one program (see partitions)."""
+    return Program(_pullback(line)[0], line_sides(line))
 
 
 class _Mirrored(MomentContext):
@@ -310,55 +295,15 @@ def _sublattice(fctx: FfbContext):
     """The boolean-pair sublattice's members (the slots above bottom) and
     the weights summing their cumulants, by NC(n) slot; keyed by the
     word's FfbContext, maxsize=None."""
-    ctx = build_context(fctx.chi)
-    bottom = fctx.bottom.rgs
-    members = frozenset(
-        t
-        for t, rgs in enumerate(bnc_lattice(ctx)[2])
-        if _shared_pair(rgs, bottom) is None
-    )
-    return members, _interval_weights(ctx.n, members)
+    members = frozenset(sublattice_slots(fctx))
+    return members, _interval_weights(fctx.n, members)
 
 
 @lru_cache(maxsize=None)
 def _off_lattice(fctx: FfbContext, classes: tuple[int, ...]) -> int:
-    """_refining_off_lattice, keyed by the word's FfbContext and colour
-    classes; maxsize=None."""
-    ctx = build_context(fctx.chi)
-    return _refining_off_lattice(ctx, classes, fctx.boolean_pair_starts())
-
-
-def _refining_off_lattice(ctx: BNCContext, classes: tuple, starts) -> int:
-    """How many lattice members refine the colour classes (an rgs of
-    1..n) and split a boolean pair (j, j + 1 for j in starts).
-
-    The members are grown as NC(n) is, on the class line: each slot
-    joins an open block of its own colour, closing every block opened
-    after it, or opens a new one.  A block is named by its first slot.
-    """
-    n = ctx.n
-    colour = [classes[i - 1] for i in ctx.line]
-    pairs = [(ctx.rank[j - 1], ctx.rank[j]) for j in starts]
-    labels = [0] * n
-    count = 0
-
-    def grow(t, open_):
-        nonlocal count
-        if t == n:
-            count += any(labels[a] != labels[b] for a, b in pairs)
-            return
-        for k, head in enumerate(open_):
-            if colour[head] == colour[t]:
-                labels[t] = head
-                grow(t + 1, open_[: k + 1])
-        labels[t] = t
-        grow(t + 1, (*open_, t))
-
-    try:
-        grow(0, ())
-    finally:
-        del grow  # the closure refers to itself through its cell
-    return count
+    """partitions._refining_off_lattice on the word's expanded lattice,
+    keyed by its FfbContext and colour classes; maxsize=None."""
+    return _refining_off_lattice(fctx.ctx, classes, fctx.boolean_pair_starts())
 
 
 def audit_ffb_word(
@@ -383,14 +328,14 @@ def audit_ffb_word(
     leaves it reaches, and every sum reads only the nonzero ones among
     them.  The off-lattice claim names how many
     colour-refining partitions lie off the sublattice, counted by
-    _refining_off_lattice once per word shape and colour classes, and its
+    _off_lattice once per word shape and colour classes, and its
     witnesses are the nonzero ones among them, in lattice order.
     """
     if eps.n != fctx.n or len(Z) != fctx.n:
         raise SizeMismatch("expanded operands must match the expanded colouring")
     if _shared_pair(eps.colours, fctx.bottom.rgs) is not None:
         raise ColouringError("boolean pairs must be monochromatic")
-    ctx = build_context(fctx.chi)
+    ctx = fctx.ctx
     out, _ = _walk(ctx, Z, mf)
     nonzero = {t: v for t, v in out.items() if not v.is_zero()}
     members, member_weights = _sublattice(fctx)

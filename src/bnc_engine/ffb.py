@@ -279,11 +279,11 @@ def ffb_sweep(sys: FfbSystem, max_n: int) -> CheckReport:
     """The FFB word audit over every word of 1..max_n letters, all read
     from one FreeMomentContext.
 
-    Words run in _word_sweep's order, each letter the first handle of its
-    pool and a boolean letter its left and right factors.  The report's
-    one claim counts the words that passed; the sweep stops at the first
-    failing word, whose shape and colours with its failed claims are the
-    witness.
+    Words run in _word_sweep's order, each shape and colouring over every
+    handle of each pool, as check_ffb_independence's do, a boolean letter
+    its left and right factors.  The report's one claim counts the words
+    that passed; the sweep stops at the first failing word, whose shape,
+    colours and handles with its failed claims are the witness.
     """
     rep = CheckReport()
     mf = FreeMomentContext(sys.fp)
@@ -291,16 +291,20 @@ def ffb_sweep(sys: FfbSystem, max_n: int) -> CheckReport:
     for shape, eps_hat, pools in _word_sweep(_faces(sys), max_n, sys.colours()):
         fctx = lr_replacement(ChiMap(shape, three_letter=True))
         eps = fctx.expand_colours(EpsilonMap(eps_hat))
-        Z = [(atom,) for pool in pools for atom in pool[0].chain]
-        audit = audit_ffb_word(fctx, eps, Z, mf)
-        if not audit.ok:
-            bad = {
-                "shape": "".join(shape),
-                "colours": list(eps_hat),
-                "claims": [c for c in audit.claims if c["status"] == "fail"],
-            }
+        for handles in iproduct(*pools):
+            Z = [(atom,) for h in handles for atom in h.chain]
+            audit = audit_ffb_word(fctx, eps, Z, mf)
+            if not audit.ok:
+                bad = {
+                    "shape": "".join(shape),
+                    "colours": list(eps_hat),
+                    "word": [h.label for h in handles],
+                    "claims": [c for c in audit.claims if c["status"] == "fail"],
+                }
+                break
+            words += 1
+        if bad:
             break
-        words += 1
     rep.record(f"ffb-sweep ({words} words passed)", bad is None, witness=bad)
     return rep
 
@@ -483,16 +487,25 @@ def _mixed_cumulant_claims(
     }
     failures = 0
     checked = 0
+    first = None
     for shape, eps, pools in _word_sweep(table, min(word_cap, 4), colours):
         if len(set(eps)) < 2:
             continue
-        Z = [pool[0].chain for pool in pools]
+        handles = [pool[0] for pool in pools]
+        Z = [h.chain for h in handles]
         kap = kappa_pi(SetPartition.full(len(shape)), build_context(ChiMap(shape)), Z, mf)
         checked += 1
         if not kap.is_zero():
             failures += 1
+            first = first or {
+                "shape": "".join(shape),
+                "colours": list(eps),
+                "word": [h.label for h in handles],
+                "cumulant": str(kap),
+            }
     rep.record(
         f"mixed-cumulants-vanish ({checked} words, {failures} failures)",
         failures == 0,
+        witness=first,
     )
     return rep

@@ -19,21 +19,22 @@ the class's representative, whose positions 1, 2 and n are on the left,
 so 1, the interior lefts ascending, n, the interior rights descending.
 BNCContext.s_chi still names the paper's s_chi.
 
-The class also shares one reduction program (cumulants._program): the
-planner (bimult) makes the same choices for every member, up to the
-insertion side.  Side n is read only for the singleton {n}, a tail fold,
-and side 1 only in the walk keys that rank the spines crossing a node j,
-since the block of 1 is collapsed last.  There position 1's key is the
-largest same-side distance (0, j-1) or the smallest far-side key (2, 1),
-and every other key is a smaller distance (0, d) or a larger far-side
-key (2, p): both rank position 1 the same way against each of them, so
-the nearest spine is the same.  Exchanging l and r keeps every key, as
-same and far side flip together, and so every collapse order and target;
-it exchanges only the prepend kinds, PREPEND_LEFT and PREPEND_RIGHT,
-which a mirrored colouring's walk exchanges back.  With top-gap stops
-the gap keys (1, gap) fall between (0, j-1) and (2, 1), so side 1 can
-change the nearest spine: bimult.reduce_blocks and the diagram replays
-plan on their own sides.
+The class also shares one reduction program (cumulants._program),
+planned on the representative's sides, which line_sides reads off the
+class line: the planner (bimult) makes the same choices for every
+member, up to the insertion side.  Side n is read only for the singleton
+{n}, a tail fold, and side 1 only in the walk keys that rank the spines
+crossing a node j, since the block of 1 is collapsed last.  There
+position 1's key is the largest same-side distance (0, j-1) or the
+smallest far-side key (2, 1), and every other key is a smaller distance
+(0, d) or a larger far-side key (2, p): both rank position 1 the same
+way against each of them, so the nearest spine is the same.  Exchanging
+l and r keeps every key, as same and far side flip together, and so
+every collapse order and target; it exchanges only the prepend kinds,
+PREPEND_LEFT and PREPEND_RIGHT, which a mirrored colouring's walk
+exchanges back.  With top-gap stops the gap keys (1, gap) fall between
+(0, j-1) and (2, 1), so side 1 can change the nearest spine:
+bimult.reduce_blocks and the diagram replays plan on their own sides.
 
 The lattice is therefore NC(n) seen through the class line: enumeration,
 Mobius values and intervals are all computed on that line, entered by
@@ -41,10 +42,17 @@ relabelled_rgs and left by bnc_lattice's one pass, which pulls every
 slot of NC(n) back once per class and keeps each member's rgs and its
 blocks as position tuples, equal blocks one tuple shared across the
 lattice; validated SetPartitions are built only when enumerate_bnc or
-enumerate_bnc_ffb (the members above an FfbContext's bottom) is asked for
-them.  Mobius values and intervals come from one kernel per n, indexed
-by NC(n) slot: nc_row builds a row on first use, finding each partition
-below sigma by its head labelling (_nc_heads), with no renumbering.
+enumerate_bnc_ffb is asked for them.  Mobius values and intervals come
+from one kernel per n, indexed by NC(n) slot: nc_row builds a row on
+first use, finding each partition below sigma by its head labelling
+(_nc_heads), with no renumbering.
+
+A three-letter colouring's lattice is its expansion's, whose BNCContext
+its FfbContext carries.  sublattice_slots is the one scan of the
+boolean-pair sublattice U = [bottom, 1̂]; _refining_off_lattice counts
+the colour-refining members off U by growing them on the class line,
+as _grow_noncrossing grows NC(n).
+
 Every long-lived table is the lru_cache of its builder: the per-n
 tables, the kernel rows, lr_replacement (bounded), and the lattice,
 _pullback, keyed by the class line.  relabelled_rgs and _mu_to_top
@@ -56,7 +64,7 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_left
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from itertools import chain, product
 from math import prod
@@ -295,6 +303,15 @@ def build_context(chi: ChiMap) -> BNCContext:
     return BNCContext(chi, _s_chi(chi.sides), line, tuple(rank), mirrored)
 
 
+def line_sides(line: tuple[int, ...]) -> dict[int, str]:
+    """The class representative's sides, read off its class line: the
+    positions before n are left and those after it right.  n is left
+    out, since the members of the class differ there: the planner reads
+    side n only for the singleton {n}, which always folds as a tail."""
+    k = line.index(len(line)) if line else 0
+    return dict.fromkeys(line[:k], "l") | dict.fromkeys(line[k + 1 :], "r")
+
+
 def relabelled_rgs(pi: SetPartition, ctx: BNCContext) -> tuple[int, ...]:
     """Push-forward through the class line: the rgs of pi on it."""
     return _canonical_rgs(pi.rgs[p - 1] for p in ctx.line)
@@ -315,20 +332,19 @@ def _noncrossing_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     closes every block opened after it.
     """
     out: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], open_: tuple[int, ...], used: int):
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for k, b in enumerate(open_):
-            grow(prefix + (b,), open_[: k + 1], used)
-        grow(prefix + (used,), open_ + (used,), used + 1)
-
-    try:
-        grow((), (), 0)
-    finally:
-        del grow  # the closure refers to itself through its cell
+    _grow_noncrossing(n, (), (), 0, out)
     return tuple(out)
+
+
+def _grow_noncrossing(n: int, prefix: tuple, open_: tuple, used: int, out: list):
+    """Append to out, in lexicographic order, every non-crossing rgs of
+    length n extending prefix (its open blocks open_, its block count used)."""
+    if len(prefix) == n:
+        out.append(prefix)
+        return
+    for k, b in enumerate(open_):
+        _grow_noncrossing(n, prefix + (b,), open_[: k + 1], used, out)
+    _grow_noncrossing(n, prefix + (used,), open_ + (used,), used + 1, out)
 
 
 def bnc_lattice(ctx: BNCContext):
@@ -505,28 +521,27 @@ def nc_row(n: int, t: int):
 class FfbContext:
     """Three-letter colouring with its two-letter expansion.
 
-    Each 'b' position expands to a consecutive (l, r) pair; f maps
-    original positions to expanded ones, and bottom is the partition
-    pairing every expanded boolean slot with its successor.  bottom is
+    Each 'b' position expands to a consecutive (l, r) pair, and bottom
+    is the partition pairing every expanded boolean slot with its
+    successor, its blocks numbered by original position.  bottom is
     bi-non-crossing, and the members of BNC(chi) that keep every boolean
     pair together are those above it: the upper interval [bottom, 1̂],
     isomorphic to [0̂, K(bottom)] and so of size the product of
     Catalan(|B|) over the blocks B of the Kreweras complement K(bottom)
     on the relabelled line.  Membership is read through the lattice
-    order alone, bottom ≤ π; the same order tests a colour map, whose
-    classes bottom must refine.  boolean_pair_starts() is for the two
-    readers that need the pairs' positions: ffb._pipeline_word's
-    projections and cumulants._off_lattice's relabelled-line grower.
+    order alone, bottom ≤ π (sublattice_slots, the one scan of U); the
+    same order tests a colour map, whose classes bottom must refine.
+    boolean_pair_starts() is for the two readers that need the pairs'
+    positions: ffb._pipeline_word's projections and the off-U grower
+    (_refining_off_lattice, called by cumulants._off_lattice).  ctx, the
+    expansion's BNCContext, is derived from chi and so takes no part in
+    equality or hashing.
     """
 
     chi_hat: ChiMap
     chi: ChiMap
-    f: tuple[int, ...]
     bottom: SetPartition
-
-    @property
-    def n_hat(self) -> int:
-        return self.chi_hat.n
+    ctx: BNCContext = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -534,22 +549,21 @@ class FfbContext:
 
     def boolean_pair_starts(self) -> list[int]:
         """Expanded positions opening a boolean pair (each pairs with +1)."""
-        return [p for p, s in zip(self.f, self.chi_hat.sides) if s == "b"]
+        rgs = self.bottom.rgs
+        return [p for p in range(1, len(rgs)) if rgs[p - 1] == rgs[p]]
 
     def expand_colours(self, eps_hat: EpsilonMap) -> EpsilonMap:
-        if eps_hat.n != self.n_hat:
+        """Each expanded position in its original's colour: bottom's block
+        index is the original position."""
+        if eps_hat.n != self.chi_hat.n:
             raise SizeMismatch("colour map length differs from chi-hat")
-        colours = []
-        for i in range(1, self.n_hat + 1):
-            colours.append(eps_hat.colour(i))
-            if self.chi_hat.side(i) == "b":
-                colours.append(eps_hat.colour(i))
-        return EpsilonMap(tuple(colours))
+        return EpsilonMap(tuple([eps_hat.colours[i] for i in self.bottom.rgs]))
 
 
 @lru_cache(maxsize=256)
 def lr_replacement(chi_hat: ChiMap) -> FfbContext:
-    """Expand a three-letter colouring, replacing each 'b' with (l, r).
+    """Expand a three-letter colouring, replacing each 'b' with (l, r),
+    and build the expansion's BNCContext once, for every reader.
 
     Both the ChiMap and the FfbContext are frozen, so callers share one
     context per colouring: the cache keeps the 256 most recently used and
@@ -558,22 +572,55 @@ def lr_replacement(chi_hat: ChiMap) -> FfbContext:
     sweep does, builds each shape's context once at any length.
     """
     sides: list[str] = []
-    f: list[int] = []
-    blocks: list[tuple[int, ...]] = []
-    for s in chi_hat.sides:
-        f.append(len(sides) + 1)
-        sides.extend(("l", "r") if s == "b" else (s,))
-        blocks.append(tuple(range(f[-1], len(sides) + 1)))
-    bottom = SetPartition.from_blocks(len(sides), blocks)
-    return FfbContext(chi_hat, ChiMap(tuple(sides)), tuple(f), bottom)
+    origin: list[int] = []  # bottom's rgs: each expanded position's original
+    for i, s in enumerate(chi_hat.sides):
+        letters = ("l", "r") if s == "b" else (s,)
+        sides.extend(letters)
+        origin.extend([i] * len(letters))
+    chi = ChiMap(tuple(sides))
+    return FfbContext(chi_hat, chi, SetPartition(tuple(origin)), build_context(chi))
+
+
+def sublattice_slots(fctx: FfbContext) -> list[int]:
+    """The NC(n) slots of the boolean-pair sublattice U = [bottom, 1̂], the
+    expanded lattice's members above bottom, lexicographic in rgs."""
+    _, slots, pulled = bnc_lattice(fctx.ctx)
+    bottom = fctx.bottom.rgs
+    return [t for t in slots if _shared_pair(pulled[t], bottom) is None]
 
 
 def enumerate_bnc_ffb(fctx: FfbContext) -> list[SetPartition]:
     """Members of the expanded lattice keeping each boolean pair together,
     lexicographic in rgs: those above bottom."""
-    _, slots, pulled = bnc_lattice(build_context(fctx.chi))
-    above = [t for t in slots if _shared_pair(pulled[t], fctx.bottom.rgs) is None]
-    return [SetPartition(pulled[t]) for t in above]
+    pulled = bnc_lattice(fctx.ctx)[2]
+    return [SetPartition(pulled[t]) for t in sublattice_slots(fctx)]
+
+
+def _refining_off_lattice(ctx: BNCContext, classes: tuple, starts) -> int:
+    """How many lattice members refine the colour classes (an rgs of
+    1..n) and split a boolean pair (j, j + 1 for j in starts).
+
+    The members are grown as NC(n) is, on the class line: each slot
+    joins an open block of its own colour, closing every block opened
+    after it, or opens a new one.  A block is named by its first slot.
+    """
+    colour = [classes[i - 1] for i in ctx.line]
+    pairs = [(ctx.rank[j - 1], ctx.rank[j]) for j in starts]
+    return int(_grow_refining(0, (), colour, [0] * ctx.n, pairs))
+
+
+def _grow_refining(t: int, open_: tuple, colour: list, labels: list, pairs) -> int:
+    """How many of _refining_off_lattice's members split a pair and agree
+    with labels before slot t, open_ the first slots of the open blocks."""
+    if t == len(colour):
+        return any(labels[a] != labels[b] for a, b in pairs)
+    count = 0
+    for k, head in enumerate(open_):
+        if colour[head] == colour[t]:
+            labels[t] = head
+            count += _grow_refining(t + 1, open_[: k + 1], colour, labels, pairs)
+    labels[t] = t
+    return count + _grow_refining(t + 1, (*open_, t), colour, labels, pairs)
 
 
 def catalan(n: int) -> int:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,45 @@ def test_axioms_flag_bad_expectation_with_witness():
     assert "expectation-bimodular" in failed
     # the first failing (i, j, t) in loop order
     assert failed["expectation-bimodular"]["witness"] == (0, 0, 1)
+
+
+def _failed(space) -> dict:
+    rep = check_bb_axioms(space)
+    return {c["id"]: c.get("witness") for c in rep.claims if c["status"] == "fail"}
+
+
+# diag2's embeddings with d2's column sent to 0: rank 1 against dim B = 2
+DIAG2_D2_LOST = ((1, 0), (0, 0), (0, 0), (0, 0))
+
+
+def test_left_embed_injective_names_the_rank():
+    failed = _failed(replace(space_diag2(), left_embed=DIAG2_D2_LOST))
+    assert failed["left-embed-injective"] == {"rank": 1, "dim B": 2}
+    assert "right-embed-injective" not in failed
+
+
+def test_right_embed_injective_names_the_rank():
+    failed = _failed(replace(space_diag2(), right_embed=DIAG2_D2_LOST))
+    assert failed["right-embed-injective"] == {"rank": 1, "dim B": 2}
+    assert "left-embed-injective" not in failed
+
+
+def test_embeds_unital_names_the_embedded_units():
+    # m2 over the scalars with L_1 = e11: the left embedded unit misses e22
+    space = space_m2_scalar()
+    failed = _failed(replace(space, left_embed=((1,), (0,), (0,), (0,))))
+    unit = str(space.A.one())
+    assert failed["embeds-unital"] == {
+        "left": str(space.A.basis_element(0)),
+        "right": unit,
+        "unit": unit,
+    }
+
+
+def test_expectation_unital_names_e_of_one():
+    # diag2-bad reads the strictly upper corner, so E(1) = 0
+    failed = _failed(space_diag2_bad_expectation())
+    assert failed["expectation-unital"] == {"E(1)": "0", "unit": "1*d1 + 1*d2"}
 
 
 def test_expectation_examples():

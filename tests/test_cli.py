@@ -290,6 +290,7 @@ def test_ffb_sweep_witness_is_the_first_failing_word(monkeypatch, capsys):
             "witness": {
                 "shape": "lr",
                 "colours": [1, 2],
+                "word": ["l1.0", "r2.0"],
                 "claims": [
                     {
                         "id": "mixed-ffb-cumulant-vanishes",

@@ -198,6 +198,9 @@ def builds(monkeypatch):
 # equal.
 REPORTS_N3 = "23af86908a9a77ec0f6834e259ff649dd8e0d580fddb8ed92ad67c21611dd099"
 REPORTS_N4 = "3d382118d4d016e9b5e04ca98b4eabcdd0da4a20c7823d41b3182ba84216c76c"
+# doubled-diag2 has two boolean handles per colour, and the sweep audits
+# every handle word: 4,680 words at n̂ ≤ 4 (1,554 with one handle a pool)
+REPORTS_D2_N4 = "c802c3f5ec79c494323f5c85ce14602a4134d5c7840afe14d0e19adf72489529"
 
 
 def sweep_passed(words: int) -> list:
@@ -210,7 +213,7 @@ def sweep_passed(words: int) -> list:
     [
         ("doubled-m2", 3, 258, 6, REPORTS_N3),
         ("doubled-dual", 4, 1554, 8, REPORTS_N4),
-        ("doubled-diag2", 4, 1554, 8, REPORTS_N4),
+        ("doubled-diag2", 4, 4680, 8, REPORTS_D2_N4),
     ],
 )
 def test_sweep_builds_only_the_word_spaces_it_reaches(
@@ -610,6 +613,56 @@ def test_three_colour_system_claim_ids():
     assert rep.ok
 
 
+def test_mixed_cumulants_name_their_first_failing_word():
+    """doubled-m2 with colour 2's left faces acting through colour 1's
+    chains: 4 of the 56 mixed-colour words fail, and the claim names the
+    first, with its handles and its full-word cumulant."""
+    system = load_system("doubled-m2", 6)
+    chain = system.faces_l[1][0].chain
+    recoloured = [replace(h, chain=chain) for h in system.faces_l[2]]
+    faces_l = {**system.faces_l, 2: recoloured}
+    rep = verify_system_gives_ffb(replace(system, faces_l=faces_l), word_cap=3)
+    assert rep.claims[-1] == {
+        "id": "mixed-cumulants-vanish (56 words, 4 failures)",
+        "status": "fail",
+        "witness": {
+            "shape": "ll",
+            "colours": [1, 2],
+            "word": ["l1.0", "l2.0"],
+            "cumulant": "1*1",
+        },
+    }
+
+
+def test_sweep_audits_every_boolean_handle():
+    """rich-m2 with each colour's second boolean handle acting through the
+    other colour's first boolean chain: a sweep of each pool's first
+    handle alone passes, and the sweep over every handle word fails at
+    the first word that holds a tampered handle with the other colour."""
+    system = embed_ffb_family(family_m2(rich=True), 4)
+    b = system.bool_handles
+    bools = {k: [b[k][0], replace(b[k][1], chain=b[3 - k][0].chain)] for k in b}
+    rep = ffb.ffb_sweep(replace(system, bool_handles=bools), 2)
+    assert rep.claims == [
+        {
+            "id": "ffb-sweep (114 words passed)",
+            "status": "fail",
+            "witness": {
+                "shape": "bl",
+                "colours": [1, 2],
+                "word": ["b1.1", "l2.0"],
+                "claims": [
+                    {
+                        "id": "mixed-ffb-cumulant-vanishes",
+                        "status": "fail",
+                        "witness": "1*1",
+                    }
+                ],
+            },
+        }
+    ]
+
+
 def test_dual_system_pipeline():
     sysd = embed_ffb_family(family_dual(), depth=6)
     assert check_ffb_system(sysd, word_cap=3).ok
@@ -767,7 +820,7 @@ def test_off_lattice_count_matches_a_lattice_scan():
             continue
         keys.add((shape, colours.rgs))
         ctx = build_context(fctx.chi)
-        got = cumulants._refining_off_lattice(
+        got = partitions._refining_off_lattice(
             ctx, colours.rgs, fctx.boolean_pair_starts()
         )
         assert got == len(off_lattice_refining(fctx, colours)), (shape, eps_hat)

@@ -240,7 +240,7 @@ def test_nc_rows_match_canonical_label_construction():
 def test_lr_replacement_examples():
     f = lr_replacement(ChiMap.parse("lbrb"))
     assert str(f.chi) == "llrrlr"
-    assert f.f == (1, 2, 4, 5)
+    assert f.boolean_pair_starts() == [2, 5]
     assert f.bottom.pretty() == "{1},{2,3},{4},{5,6}"
     plain = lr_replacement(ChiMap("lr", three_letter=True))
     assert str(plain.chi) == "lr"

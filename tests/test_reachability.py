@@ -111,3 +111,36 @@ def test_every_package_definition_is_reached_outside_the_tests():
             if not outside_itself and label not in ALLOWED:
                 unreached.append(label)
     assert unreached == []
+
+
+def _self_referring_closures(tree):
+    """Each function defined inside another function that names itself
+    in its own body."""
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(
+                inner, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                continue
+            if any(
+                isinstance(node, ast.Name) and node.id == inner.name
+                for node in ast.walk(inner)
+            ):
+                yield inner
+
+
+def test_no_nested_function_refers_to_itself():
+    """A recursive helper defined inside a function holds itself through
+    its closure cell: a reference cycle, with everything the closure
+    sees, that reference counting never frees.  Recursive helpers are
+    module-level functions instead."""
+    found = sorted(
+        {
+            f"{path.stem}.{fn.name} (line {fn.lineno})"
+            for path in PACKAGE
+            for fn in _self_referring_closures(ast.parse(path.read_text()))
+        }
+    )
+    assert found == []
