@@ -606,6 +606,7 @@ def _refining_off_lattice(ctx: BNCContext, classes: tuple, starts) -> int:
     """
     colour = [classes[i - 1] for i in ctx.line]
     pairs = [(ctx.rank[j - 1], ctx.rank[j]) for j in starts]
+    # int: for n = 0 the growth is its one leaf, whose count is a bool
     return int(_grow_refining(0, (), colour, [0] * ctx.n, pairs))
 
 

@@ -117,12 +117,10 @@ def _self_referring_closures(tree):
     """Each function defined inside another function that names itself
     in its own body."""
     for outer in ast.walk(tree):
-        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not isinstance(outer, ast.FunctionDef):
             continue
         for inner in ast.walk(outer):
-            if inner is outer or not isinstance(
-                inner, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
+            if inner is outer or not isinstance(inner, ast.FunctionDef):
                 continue
             if any(
                 isinstance(node, ast.Name) and node.id == inner.name
